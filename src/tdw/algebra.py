@@ -42,7 +42,8 @@ from .expr import (
     SourceRef,
     Specialize,
 )
-from .source import Relationship, Snapshot, SourceSchema, SourceType, scalar
+from .model import merge_key
+from .source import TYPE_KEYWORDS, Relationship, Snapshot, SourceSchema, SourceType, scalar
 
 _NUMERIC = ("short", "long", "double")
 
@@ -64,9 +65,6 @@ class BuildProp:
     @property
     def is_relation(self) -> bool:
         return self.kind != "attribute"
-
-    def merge_key(self):
-        return (self.name, self.origin, self.kind, self.value_type, self.target, self.cardinality)
 
 
 @dataclass(frozen=True)
@@ -387,17 +385,9 @@ def eval_augment(bindings: Iterable[AugmentBinding], build: ClassBuild) -> Class
 
 
 def _declared_type(name: str | None) -> SourceType:
-    table = {
-        "String": "string",
-        "Short": "short",
-        "Long": "long",
-        "Double": "double",
-        "Date": "date",
-        "Image": "image-ref",
-    }
-    if name not in table:
+    if name not in TYPE_KEYWORDS:
         raise TypeInferenceError(f"unknown type {name!r} for specific property")
-    return scalar(table[name])
+    return scalar(TYPE_KEYWORDS[name])
 
 
 def eval_select(pred: Predicate, build: ClassBuild) -> ClassBuild:
@@ -501,7 +491,7 @@ def eval_generalize(
             prior = reference.get(name)
             if prior is None:
                 reference[name] = replace(prop, binder=None)
-            elif prior.merge_key()[1:] != prop.merge_key()[1:]:  # ignore the name slot
+            elif merge_key(prior)[1:] != merge_key(prop)[1:]:  # ignore the name slot
                 raise NotCommonProperty(f"{name!r} differs between operands")
     structure = [reference[name] for name in wanted]
 
@@ -561,7 +551,7 @@ def eval_specialize(
             merged_structure.append(replace(prop, binder=None))
             merged_index.append(idx)
         else:
-            if merged_structure[prior].merge_key()[1:] != prop.merge_key()[1:]:
+            if merge_key(merged_structure[prior])[1:] != merge_key(prop)[1:]:
                 raise PropertyConflict(
                     f"operands declare incompatible property {prop.name!r}"
                 )

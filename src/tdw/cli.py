@@ -244,7 +244,8 @@ def cmd_plan(args) -> int:
     lines = [f"plan for warehouse {schema.name}"]
     lines.append("")
     lines.append("classes (creation order):")
-    for i, name in enumerate(_creation_order(schema), start=1):
+    supers = {name: cls.supers for name, cls in schema.classes.items()}
+    for i, name in enumerate(model.dependency_order(supers), start=1):
         cls = schema.classes[name]
         sup = f" extends {', '.join(cls.supers)}" if cls.supers else ""
         lines.append(f"  {i}. {name}{sup}")
@@ -279,22 +280,6 @@ def cmd_plan(args) -> int:
         lines.append(f"       retention: {'; '.join(parts) if parts else '(none)'}")
     print("\n".join(lines))
     return 0
-
-
-def _creation_order(schema) -> list[str]:
-    """Supers before subclasses; ties keep declaration order."""
-    names = list(schema.classes)
-    done: list[str] = []
-    while names:
-        for name in names:
-            if all(s in done for s in schema.classes[name].supers):
-                done.append(name)
-                names.remove(name)
-                break
-        else:  # cycle: validated earlier, keep declaration order
-            done.extend(names)
-            break
-    return done
 
 
 def _pipeline(expr) -> list[str]:

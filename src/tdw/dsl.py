@@ -48,6 +48,7 @@ from .expr import (
 )
 from .lexer import TokenStream, tokenize
 from .model import (
+    AGG_FUNCTIONS,
     ARCHIVE_FUNCTIONS,
     Environment,
     PropertyDef,
@@ -55,15 +56,14 @@ from .model import (
     SchemaViolation,
     WarehouseClass,
     WarehouseSchema,
+    dependency_order,
     flatten_type,
     validate_schema,
 )
-from .source import SourceSchema, SourceType, parse_type
+from .source import TYPE_KEYWORDS, SourceSchema, SourceType, parse_type
 from .temporal import UNITS
 
 MAPPING_FUNCTIONS = ("select", "project", "hide", "augment", "join", "generalize", "specialize")
-
-_SCALAR_KEYWORDS = ("String", "Short", "Long", "Double", "Date", "Image")
 
 _ATTR_KEYWORDS = {
     "attribute": "derived",
@@ -363,7 +363,7 @@ def _parse_call(ts: TokenStream) -> MappingExpr:
             name = ts.expect("ident").value
             if ts.accept("punct", ":="):
                 agg_tok = ts.expect("ident")
-                if agg_tok.value not in ("count", "sum", "avg", "max", "min"):
+                if agg_tok.value not in AGG_FUNCTIONS:
                     raise UnknownFunction(f"unknown aggregate {agg_tok.value!r}")
                 ts.expect("punct", "(")
                 path = _parse_path(ts)
@@ -371,7 +371,7 @@ def _parse_call(ts: TokenStream) -> MappingExpr:
                 bindings.append(AugmentBinding(name, agg=AggCall(agg_tok.value, path)))
             elif ts.accept("punct", ":"):
                 type_tok = ts.expect("ident")
-                if type_tok.value not in _SCALAR_KEYWORDS:
+                if type_tok.value not in TYPE_KEYWORDS:
                     raise ParseError(
                         type_tok.line, type_tok.col, f"a type name (found {type_tok.value!r})"
                     )
@@ -424,7 +424,7 @@ def _at_expr_start(ts: TokenStream) -> bool:
     if tok.value in MAPPING_FUNCTIONS and nxt.value == "(":
         return True
     # binder: Interface (a source reference child)
-    return nxt.value == ":" and ts.peek(2).kind == "ident" and ts.peek(2).value not in _SCALAR_KEYWORDS
+    return nxt.value == ":" and ts.peek(2).kind == "ident" and ts.peek(2).value not in TYPE_KEYWORDS
 
 
 def _parse_operand(ts: TokenStream) -> ClassOperand:
@@ -661,56 +661,36 @@ def _source_interfaces(expr: MappingExpr) -> set[str]:
 
 
 def _hierarchization_order(schema: WarehouseSchema, broken: set[str]) -> list[str]:
-    pending = {
-        name: cls
+    # unknown operand classes are not keys, so they pass through and the
+    # resolver reports them precisely instead of claiming a cycle
+    deps = {
+        name: [op.class_name for op in cls.mapping.operands]
         for name, cls in schema.classes.items()
-        if cls.mapping is not None and not is_extraction(cls.mapping) and name not in broken
+        if cls.mapping is not None and not is_extraction(cls.mapping)
     }
-    ordered: list[str] = []
-    done = {
-        name
-        for name, cls in schema.classes.items()
-        if name not in pending and name not in broken
-    }
-    while pending:
-        progress = False
-        for name in list(pending):
-            operands = pending[name].mapping.operands
-            # unknown operand classes pass through so the resolver can
-            # report them precisely instead of claiming a cycle
-            if all(
-                op.class_name in done or op.class_name not in schema.classes
-                for op in operands
-            ):
-                ordered.append(name)
-                done.add(name)
-                del pending[name]
-                progress = True
-        if not progress:
-            raise ResolveError(
-                f"circular hierarchization mappings involving {sorted(pending)}"
-            )
-    return ordered
+    # a mapping over a broken class is skipped like the class itself
+    skipped = set(broken)
+    while more := {n for n, ops in deps.items() if skipped.intersection(ops)} - skipped:
+        skipped |= more
+    return dependency_order({n: ops for n, ops in deps.items() if n not in skipped})
 
 
-def _build_from_class(schema: WarehouseSchema, name: str, binder: str) -> algebra.ClassBuild:
-    """Structure-only build over a warehouse class's flattened type."""
-    props = []
-    for p in flatten_type(schema, name):
-        props.append(
-            algebra.BuildProp(
-                p.name,
-                binder,
-                p.origin,
-                p.kind,
-                p.value_type,
-                p.target,
-                p.cardinality,
-                p.inverse,
-                p.source_path or (),
-            )
+def class_structure(schema: WarehouseSchema, name: str, binder: str) -> list[algebra.BuildProp]:
+    """A warehouse class's flattened type as algebra properties under binder."""
+    return [
+        algebra.BuildProp(
+            p.name,
+            binder,
+            p.origin,
+            p.kind,
+            p.value_type,
+            p.target,
+            p.cardinality,
+            p.inverse,
+            p.source_path or (),
         )
-    return algebra.ClassBuild(props)
+        for p in flatten_type(schema, name)
+    ]
 
 
 def _resolve_hierarchization(schema: WarehouseSchema, src: SourceSchema, cls: WarehouseClass) -> None:
@@ -721,7 +701,7 @@ def _resolve_hierarchization(schema: WarehouseSchema, src: SourceSchema, cls: Wa
         target = schema.classes.get(op.class_name)
         if target is None:
             raise UnknownClass(f"mapping of {cls.name!r} names unknown class {op.class_name!r}")
-        build = _build_from_class(schema, op.class_name, op.binder)
+        build = algebra.ClassBuild(class_structure(schema, op.class_name, op.binder))
         if op.where is not None:
             algebra.check_predicate(build, op.where)
         operand_builds.append((op, build))

@@ -18,12 +18,12 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 from . import model
 from .algebra import BuildProp, ClassBuild, Row, eval_extraction, eval_select, eval_specialize
-from .dsl import WarehouseDef, parse_warehouse_def, print_warehouse_def, resolve
+from .dsl import WarehouseDef, class_structure, parse_warehouse_def, print_warehouse_def, resolve
 from .errors import (
     DanglingRelationTarget,
     Error,
@@ -42,12 +42,14 @@ from .model import (
     State,
     WarehouseObject,
     WarehouseSchema,
+    dependency_order,
     effective_filters,
     flatten_type,
 )
 from .source import (
     Snapshot,
     SourceSchema,
+    coerce,
     parse_source_schema,
     print_source_schema,
 )
@@ -74,16 +76,6 @@ class ClassCounts:
     frozen: int = 0
     archived_evictions: int = 0
 
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "created": self.created,
-            "carried": self.carried,
-            "updated": self.updated,
-            "historized": self.historized,
-            "frozen": self.frozen,
-            "archived_evictions": self.archived_evictions,
-        }
-
 
 @dataclass
 class RefreshReport:
@@ -94,7 +86,7 @@ class RefreshReport:
     def to_dict(self) -> dict[str, Any]:
         return {
             "at": format_instant(self.at),
-            "classes": {name: c.to_dict() for name, c in sorted(self.classes.items())},
+            "classes": {name: asdict(c) for name, c in sorted(self.classes.items())},
             "warnings": list(self.warnings),
         }
 
@@ -138,16 +130,41 @@ class Store:
         """Extension including every subclass's members (a superclass's
         extension is computed, never stored)."""
         self.schema.get_class(class_name)
-        oids = set(self._direct_extension(class_name))
+        oids = set(self.direct_extension(class_name))
         for sub, sub_cls in self.schema.classes.items():
             if class_name in sub_cls.supers:
                 oids.update(self.extension_of(sub))
         return sorted(oids)
 
-    def _direct_extension(self, class_name: str) -> set[Oid]:
+    def direct_extension(self, class_name: str) -> list[Oid]:
+        """The class's own members, subclasses left out: its membership
+        set, or else the objects it owns."""
         if class_name in self.memberships:
-            return set(self.memberships[class_name])
-        return {oid for oid, obj in self.objects.items() if obj.class_name == class_name}
+            return sorted(self.memberships[class_name])
+        return sorted(oid for oid, obj in self.objects.items() if obj.class_name == class_name)
+
+    # -- refresh working copies ---------------------------------------------
+
+    def working_copy(self) -> Store:
+        """A store whose dynamic state can change without touching this one."""
+        return replace(
+            self,
+            objects=copy.deepcopy(self.objects),
+            identity=dict(self.identity),
+            memberships={k: set(v) for k, v in self.memberships.items()},
+        )
+
+    def publish(self, work: Store, t: Instant) -> None:
+        """Adopt a working copy's dynamic state as of extraction point t."""
+        self.objects = work.objects
+        self.identity = work.identity
+        self.memberships = work.memberships
+        self.oid_counter = work.oid_counter
+        self.last_refresh = t
+
+    def fresh_oid(self) -> Oid:
+        self.oid_counter += 1
+        return self.oid_counter
 
     # -- queries -------------------------------------------------------------
 
@@ -186,9 +203,9 @@ def initial_load(
         print_source_schema(src),
         print_warehouse_def(wdef),
     )
-    state = _WorkState.from_store(store)
-    _run_extraction_points(store, state, snapshot, t, initial=True)
-    state.publish(store, t)
+    # a store nobody else holds needs no working copy to stay atomic
+    _run_extraction_points(store, snapshot, t, initial=True)
+    store.last_refresh = t
     return store
 
 
@@ -205,10 +222,10 @@ def refresh(store: Store, snapshot: Snapshot, t: Instant | None = None) -> Refre
         raise NonMonotonicInstant(
             f"refresh at {format_instant(t)} is not after {format_instant(store.last_refresh)}"
         )
-    state = _WorkState.from_store(store)
-    report = _run_extraction_points(store, state, snapshot, t, initial=False)
+    work = store.working_copy()
+    report = _run_extraction_points(work, snapshot, t, initial=False)
     _check_refresh_period(store, t, report)
-    state.publish(store, t)
+    store.publish(work, t)
     return report
 
 
@@ -223,55 +240,8 @@ def _instant_of(snapshot: Snapshot, t: Instant | None) -> Instant:
     return t
 
 
-@dataclass
-class _WorkState:
-    """Copy of the mutable store state; published only on success."""
-
-    objects: dict[Oid, WarehouseObject]
-    identity: dict[tuple[str, tuple[tuple[str, str], ...]], Oid]
-    memberships: dict[str, set[Oid]]
-    oid_counter: int
-
-    @classmethod
-    def from_store(cls, store: Store) -> "_WorkState":
-        return cls(
-            copy.deepcopy(store.objects),
-            dict(store.identity),
-            {k: set(v) for k, v in store.memberships.items()},
-            store.oid_counter,
-        )
-
-    def publish(self, store: Store, t: Instant) -> None:
-        store.objects = self.objects
-        store.identity = self.identity
-        store.memberships = self.memberships
-        store.oid_counter = self.oid_counter
-        store.last_refresh = t
-
-    def fresh_oid(self) -> Oid:
-        self.oid_counter += 1
-        return self.oid_counter
-
-    def direct_extension(self, class_name: str) -> list[WarehouseObject]:
-        if class_name in self.memberships:
-            return [self.objects[o] for o in sorted(self.memberships[class_name])]
-        return [
-            obj for _oid, obj in sorted(self.objects.items()) if obj.class_name == class_name
-        ]
-
-    def extension_objects(self, schema: WarehouseSchema, class_name: str) -> list[WarehouseObject]:
-        seen: dict[Oid, WarehouseObject] = {}
-        for obj in self.direct_extension(class_name):
-            seen[obj.oid] = obj
-        for sub, sub_cls in schema.classes.items():
-            if class_name in sub_cls.supers:
-                for obj in self.extension_objects(schema, sub):
-                    seen[obj.oid] = obj
-        return [seen[o] for o in sorted(seen)]
-
-
 def _run_extraction_points(
-    store: Store, state: _WorkState, snapshot: Snapshot, t: Instant, initial: bool
+    store: Store, snapshot: Snapshot, t: Instant, initial: bool
 ) -> RefreshReport:
     report = RefreshReport(t)
     schema = store.schema
@@ -298,11 +268,11 @@ def _run_extraction_points(
         created_now[name] = set()
         for key, _values in class_rows[name]:
             ident = (name, key)
-            if ident in state.identity:
+            if ident in store.identity:
                 continue
-            oid = state.fresh_oid()
-            state.identity[ident] = oid
-            state.objects[oid] = WarehouseObject(
+            oid = store.fresh_oid()
+            store.identity[ident] = oid
+            store.objects[oid] = WarehouseObject(
                 oid, name, State(domain(t.unit, (t.tick, t.tick)), {}), source_key=key
             )
             created_now[name].add(oid)
@@ -317,11 +287,11 @@ def _run_extraction_points(
         result_keys = set()
         for key, raw in class_rows[name]:
             result_keys.add(key)
-            oid = state.identity[(name, key)]
-            obj = state.objects[oid]
+            oid = store.identity[(name, key)]
+            obj = store.objects[oid]
             if obj.status == "frozen":
                 continue  # a frozen object never thaws, even if its key returns
-            value = _aligned_value(store, state, name, flat, rel_sources[name], raw)
+            value = _aligned_value(store, name, flat, rel_sources[name], raw)
             if oid in created_now[name]:
                 obj.current.value = value
                 continue
@@ -330,23 +300,26 @@ def _run_extraction_points(
             for slot in specific:
                 value[slot] = obj.current.value.get(slot)
             _diff_object(obj, value, tempo, t, counts)
-        _freeze_vanished(state, name, result_keys, t)
+        _freeze_vanished(store, name, result_keys, t)
 
     # pass 3: single-operand specializations become membership sets
     for name in store.membership_classes():
         mapping = schema.classes[name].mapping
         (operand,) = mapping.operands
         build = _build_from_objects(
-            store, state, operand.class_name, operand.binder,
+            store, operand.class_name, operand.binder,
             include_frozen=True, exclude_class=name,
         )
         if operand.where is not None:
             build = eval_select(operand.where, build)
         result = eval_specialize([(operand.binder, operand.class_name, build)], mapping.pred)
-        state.memberships[name] = {row.binder_id(operand.binder) for row in result.rows}
+        store.memberships[name] = {row.binder_id(operand.binder) for row in result.rows}
 
     # pass 4: multi-operand specializations own composite objects
-    for name in _composite_order(schema, composites):
+    operands_of = {
+        n: [op.class_name for op in schema.classes[n].mapping.operands] for n in composites
+    }
+    for name in dependency_order(operands_of):
         mapping = schema.classes[name].mapping
         counts = report.classes.setdefault(name, ClassCounts())
         operands = []
@@ -355,7 +328,7 @@ def _run_extraction_points(
             # feeding them back through the operand extension would breed
             # composites of composites
             build = _build_from_objects(
-                store, state, op.class_name, op.binder,
+                store, op.class_name, op.binder,
                 include_frozen=False, exclude_class=name,
             )
             if op.where is not None:
@@ -369,11 +342,11 @@ def _run_extraction_points(
             aligned = {p.name: values.get(p.name) for p in flat}
             result_keys.add(row.key)
             ident = (name, row.key)
-            oid = state.identity.get(ident)
+            oid = store.identity.get(ident)
             if oid is None:
-                oid = state.fresh_oid()
-                state.identity[ident] = oid
-                state.objects[oid] = WarehouseObject(
+                oid = store.fresh_oid()
+                store.identity[ident] = oid
+                store.objects[oid] = WarehouseObject(
                     oid,
                     name,
                     State(domain(t.unit, (t.tick, t.tick)), aligned),
@@ -381,16 +354,16 @@ def _run_extraction_points(
                 )
                 counts.created += 1
                 continue
-            obj = state.objects[oid]
+            obj = store.objects[oid]
             if obj.status == "frozen":
                 continue
             _diff_object(obj, aligned, tempo, t, counts)
-        _freeze_vanished(state, name, result_keys, t)
+        _freeze_vanished(store, name, result_keys, t)
 
     # pass 5: archival per environment
     if not initial:
         for env_name in sorted(schema.environments):
-            evictions = apply_archival_state(schema, state, schema.environments[env_name], t)
+            evictions = apply_archival_state(store, schema.environments[env_name], t)
             for cname, n in evictions.items():
                 report.classes.setdefault(cname, ClassCounts()).archived_evictions += n
 
@@ -400,7 +373,7 @@ def _run_extraction_points(
         counts = report.classes.setdefault(name, ClassCounts())
         counts.frozen = sum(
             1
-            for obj in state.objects.values()
+            for obj in store.objects.values()
             if obj.class_name == name and obj.status == "frozen"
         )
     return report
@@ -432,8 +405,8 @@ def _diff_object(
         counts.updated += 1
 
 
-def _freeze_vanished(state: _WorkState, class_name: str, result_keys: set, t: Instant) -> None:
-    for obj in state.objects.values():
+def _freeze_vanished(store: Store, class_name: str, result_keys: set, t: Instant) -> None:
+    for obj in store.objects.values():
         if obj.class_name != class_name or obj.status != "active":
             continue
         if obj.source_key not in result_keys:
@@ -441,26 +414,8 @@ def _freeze_vanished(state: _WorkState, class_name: str, result_keys: set, t: In
             obj.current.domain = extend_end(obj.current.domain, t.tick - 1)
 
 
-def _composite_order(schema: WarehouseSchema, composites: list[str]) -> list[str]:
-    pending = dict.fromkeys(composites)
-    ordered: list[str] = []
-    while pending:
-        progress = False
-        for name in list(pending):
-            operands = schema.classes[name].mapping.operands
-            if all(op.class_name not in pending for op in operands):
-                ordered.append(name)
-                del pending[name]
-                progress = True
-        if not progress:  # unreachable after resolve's cycle check
-            ordered.extend(pending)
-            break
-    return ordered
-
-
 def _aligned_value(
     store: Store,
-    state: _WorkState,
     class_name: str,
     flat: list[model.PropertyDef],
     rel_sources: dict[str, str],
@@ -477,7 +432,7 @@ def _aligned_value(
         if p.is_relation:
             ids = list(v) if v else []
             oids = [
-                _relation_oid(store, state, class_name, p, rel_sources.get(p.name), rid)
+                _relation_oid(store, class_name, p, rel_sources.get(p.name), rid)
                 for rid in ids
             ]
             value[p.name] = sorted(oids) if p.cardinality == "many" else (oids[0] if oids else None)
@@ -488,7 +443,6 @@ def _aligned_value(
 
 def _relation_oid(
     store: Store,
-    state: _WorkState,
     class_name: str,
     prop: model.PropertyDef,
     source_target: str | None,
@@ -506,13 +460,9 @@ def _relation_oid(
     # the object of the target class itself represents the source object;
     # subclass members (e.g. composites) only stand in when the target
     # class owns no objects of its own
-    hits = [obj.oid for obj in state.direct_extension(prop.target) if matches(obj)]
+    hits = [oid for oid in store.direct_extension(prop.target) if matches(store.objects[oid])]
     if not hits:
-        hits = [
-            obj.oid
-            for obj in state.extension_objects(store.schema, prop.target)
-            if matches(obj)
-        ]
+        hits = [oid for oid in store.extension_of(prop.target) if matches(store.objects[oid])]
     if len(hits) != 1:
         raise DanglingRelationTarget(
             f"{class_name}.{prop.name}: source object {source_target}:{rid} has "
@@ -523,41 +473,27 @@ def _relation_oid(
 
 def _build_from_objects(
     store: Store,
-    state: _WorkState,
     class_name: str,
     binder: str,
     include_frozen: bool,
     exclude_class: str | None = None,
 ) -> ClassBuild:
     """A warehouse class extension as an algebra build (current values)."""
-    flat = flatten_type(store.schema, class_name)
-    structure = [
-        BuildProp(
-            p.name,
-            binder,
-            p.origin,
-            p.kind,
-            p.value_type,
-            p.target,
-            p.cardinality,
-            p.inverse,
-            p.source_path or (),
-        )
-        for p in flat
-    ]
+    structure = class_structure(store.schema, class_name, binder)
     rows = []
-    for obj in state.extension_objects(store.schema, class_name):
+    for oid in store.extension_of(class_name):
+        obj = store.objects[oid]
         if not include_frozen and obj.status != "active":
             continue
         if exclude_class is not None and obj.class_name == exclude_class:
             continue
-        values = tuple(_as_list(obj.current.value.get(p.name), p) for p in flat)
+        values = tuple(_as_list(obj.current.value.get(p.name), p) for p in structure)
         rows.append(Row(obj.source_key, values, ((binder, obj.oid),)))
     rows.sort(key=lambda r: r.key)
     return ClassBuild(structure, rows)
 
 
-def _as_list(value: Any, prop: model.PropertyDef) -> Any:
+def _as_list(value: Any, prop: BuildProp) -> Any:
     if prop.is_relation and prop.cardinality == "many":
         return list(value) if value else []
     return value
@@ -593,22 +529,22 @@ def _check_refresh_period(store: Store, t: Instant, report: RefreshReport) -> No
 def apply_archival(store: Store, env: model.Environment, t: Instant) -> dict[str, int]:
     """Evict past states beyond the environment's retention bounds,
     folding archived properties into each object's archive state."""
-    state = _WorkState.from_store(store)
-    evictions = apply_archival_state(store.schema, state, env, t)
-    state.publish(store, store.last_refresh or t)
+    work = store.working_copy()
+    evictions = apply_archival_state(work, env, t)
+    store.publish(work, store.last_refresh or t)
     return evictions
 
 
-def apply_archival_state(
-    schema: WarehouseSchema, state: _WorkState, env: model.Environment, t: Instant
-) -> dict[str, int]:
+def apply_archival_state(store: Store, env: model.Environment, t: Instant) -> dict[str, int]:
+    schema = store.schema
     cfg = schema.retention_for(env)
     evictions: dict[str, int] = {}
     for class_name in env.classes:
         if class_name not in schema.classes:
             continue
         _tempo, archi = effective_filters(schema, class_name)
-        for obj in state.direct_extension(class_name):
+        for oid in store.direct_extension(class_name):
+            obj = store.objects[oid]
             if obj.class_name != class_name:
                 continue  # membership sets archive under their own class
             n = _archive_object(obj, archi, cfg, t)
@@ -700,10 +636,8 @@ def patch_specific(store: Store, oid: Oid, prop_name: str, value: Any, t: Instan
         )
     if t.unit != obj.current.domain.unit:
         raise UnitMismatch(f"patch unit {t.unit!r} differs from store unit")
-    from .source import _coerce  # value typing mirrors snapshot ingestion
-
     if value is not None and prop.value_type is not None:
-        value = _coerce(prop.value_type, value, f"{obj.class_name}.{prop_name}")
+        value = coerce(prop.value_type, value, f"{obj.class_name}.{prop_name}")
     tempo, _archi = effective_filters(store.schema, obj.class_name)
     new_value = dict(obj.current.value)
     new_value[prop_name] = value

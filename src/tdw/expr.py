@@ -15,7 +15,6 @@ from typing import Union
 Literal = Union[str, int, float]
 
 COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
-AGG_FUNCTIONS = ("count", "sum", "avg", "max", "min")
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class Predicate:
 
 @dataclass(frozen=True)
 class AggCall:
-    function: str  # one of AGG_FUNCTIONS
+    function: str  # one of model.AGG_FUNCTIONS
     path: Path
 
 

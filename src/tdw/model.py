@@ -18,6 +18,7 @@ from typing import Any, Iterable
 from .errors import (
     InheritanceCycle,
     PropertyConflict,
+    ResolveError,
     UnknownClass,
     UnknownEnvironment,
 )
@@ -48,8 +49,11 @@ class PropertyDef:
     def is_relation(self) -> bool:
         return self.kind != "attribute"
 
-    def merge_key(self):
-        return (self.name, self.origin, self.kind, self.value_type, self.target, self.cardinality)
+
+def merge_key(prop) -> tuple:
+    """What two definitions of one property name must share to merge; prop
+    is a PropertyDef or an algebra BuildProp."""
+    return (prop.name, prop.origin, prop.kind, prop.value_type, prop.target, prop.cardinality)
 
 
 @dataclass
@@ -131,7 +135,7 @@ def flatten_type(schema: WarehouseSchema, class_name: str) -> list[PropertyDef]:
             if prior is None:
                 by_name[p.name] = p
                 out.append(p)
-            elif prior.merge_key() != p.merge_key():
+            elif merge_key(prior) != merge_key(p):
                 raise PropertyConflict(
                     f"{class_name!r} inherits conflicting definitions of {p.name!r}"
                 )
@@ -154,6 +158,29 @@ def _check_acyclic(schema: WarehouseSchema, start: str) -> None:
         seen.pop()
 
     walk(start)
+
+
+def dependency_order(deps: dict[str, Iterable[str]]) -> list[str]:
+    """Order deps' keys so that each follows the keys it depends on.
+
+    Each pass walks the unplaced names in the given order and places every
+    name whose dependencies are placed, names placed earlier in the same
+    pass included. Dependencies that are not keys count as placed. Only
+    mapping operands can form a cycle (validate_schema rejects inheritance
+    cycles), so a cycle raises ResolveError naming the names left over.
+    """
+    pending = dict.fromkeys(deps)
+    ordered: list[str] = []
+    while pending:
+        progress = False
+        for name in list(pending):
+            if not any(d in pending for d in deps[name]):
+                ordered.append(name)
+                del pending[name]
+                progress = True
+        if not progress:
+            raise ResolveError(f"circular hierarchization mappings involving {sorted(pending)}")
+    return ordered
 
 
 def transitive_supers(schema: WarehouseSchema, class_name: str) -> set[str]:

@@ -27,7 +27,7 @@ from .temporal import Instant
 
 _SCALAR_KINDS = ("string", "short", "long", "double", "date", "image-ref")
 
-_TYPE_KEYWORDS = {
+TYPE_KEYWORDS = {
     "String": "string",
     "Short": "short",
     "Long": "long",
@@ -35,7 +35,7 @@ _TYPE_KEYWORDS = {
     "Date": "date",
     "Image": "image-ref",
 }
-_KEYWORD_BY_KIND = {v: k for k, v in _TYPE_KEYWORDS.items()}
+_KEYWORD_BY_KIND = {v: k for k, v in TYPE_KEYWORDS.items()}
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,6 @@ class SourceInterface:
 @dataclass
 class SourceSchema:
     interfaces: dict[str, SourceInterface] = field(default_factory=dict)
-
-    def flattened_attributes(self, name: str) -> list[tuple[str, SourceType]]:
-        return [(n, t) for n, t, _ in self.flattened(name) if isinstance(t, SourceType)]
 
     def flattened(self, name: str) -> list[tuple[str, Any, str]]:
         """Own plus inherited properties of an interface, supers first.
@@ -254,8 +251,8 @@ def _parse_type(ts: TokenStream) -> SourceType:
                 break
         ts.expect("punct", "}")
         return SourceType("struct", struct_name, tuple(fields))
-    if tok.value in _TYPE_KEYWORDS:
-        return scalar(_TYPE_KEYWORDS[tok.value])
+    if tok.value in TYPE_KEYWORDS:
+        return scalar(TYPE_KEYWORDS[tok.value])
     from .errors import ParseError
 
     raise ParseError(tok.line, tok.col, f"a type name (found {tok.value!r})")
@@ -396,7 +393,7 @@ def _typed_record(schema: SourceSchema, doc: Any, lineno: int) -> SourceRecord:
     for name, value in sorted((doc.get("values") or {}).items()):
         if name not in attrs:
             raise TypeMismatch(f"record line {lineno}: {iface_name!r} has no attribute {name!r}")
-        values[name] = _coerce(attrs[name], value, f"{iface_name}.{name}")
+        values[name] = coerce(attrs[name], value, f"{iface_name}.{name}")
     for name in attrs:
         if name not in values:
             raise TypeMismatch(f"record line {lineno}: missing value for {iface_name}.{name}")
@@ -416,7 +413,9 @@ def _typed_record(schema: SourceSchema, doc: Any, lineno: int) -> SourceRecord:
     return SourceRecord(iface_name, str(doc["id"]), values, links)
 
 
-def _coerce(typ: SourceType, value: Any, where: str) -> Any:
+def coerce(typ: SourceType, value: Any, where: str) -> Any:
+    """value checked against typ and put in canonical form; where names the
+    slot in a TypeMismatch."""
     if typ.kind in ("short", "long"):
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeMismatch(f"{where}: expected an integer, got {value!r}")
@@ -437,7 +436,7 @@ def _coerce(typ: SourceType, value: Any, where: str) -> Any:
         for fname, fval in value.items():
             if fname not in known:
                 raise TypeMismatch(f"{where}.{fname}: unknown struct field")
-            out[fname] = _coerce(known[fname], fval, f"{where}.{fname}")
+            out[fname] = coerce(known[fname], fval, f"{where}.{fname}")
         for fname in known:
             if fname not in out:
                 raise TypeMismatch(f"{where}.{fname}: missing struct field")
@@ -445,7 +444,7 @@ def _coerce(typ: SourceType, value: Any, where: str) -> Any:
     if typ.kind == "set":
         if not isinstance(value, list):
             raise TypeMismatch(f"{where}: expected a set (list), got {value!r}")
-        items = [_coerce(typ.element, v, where + "[]") for v in value]
+        items = [coerce(typ.element, v, where + "[]") for v in value]
         try:
             return sorted(set(items))
         except TypeError:

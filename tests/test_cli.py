@@ -56,6 +56,26 @@ class TestValidate:
         assert rc == 1
         assert out.count("relation-closure") == 1
 
+    def test_broken_generalize_operand_is_not_a_cycle(self, tmp_path):
+        odl = tmp_path / "mini.odl"
+        odl.write_text(
+            "interface P { attribute String nom; attribute Short age; }", encoding="utf-8"
+        )
+        edw = tmp_path / "mini.edw"
+        edw.write_text(
+            "interface G { D_attribute String nom; }\n"
+            "interface K { D_attribute Long age; }\n"
+            "interface O (extend G, K) { D_attribute Short age; }\n"
+            "mapping G = generalize(o.nom, o: O);\n"
+            "mapping O = select(p: P, p.age >= 0);\n",
+            encoding="utf-8",
+        )
+        rc, out, err = tdw("validate", "--source-schema", str(odl), "--warehouse", str(edw))
+        assert rc == 1
+        assert "circular" not in err
+        assert "property-conflict [O]" in out
+        assert "invalid: 1 violation(s)" in out
+
     def test_missing_file_is_io_error(self):
         rc, _out, err = tdw("validate", "--source-schema", ODL, "--warehouse", "/nope.edw")
         assert rc == 2

@@ -35,6 +35,7 @@ from tdw.expr import (
     Specialize,
     format_mapping,
 )
+from tdw.source import parse_source_schema
 
 
 class TestParseWarehouseDef:
@@ -302,6 +303,17 @@ class TestResolve:
         )
         with pytest.raises(ResolveError):
             resolve(parse_warehouse_def(broken), src_schema)
+
+    def test_circular_mappings_rejected(self):
+        src = parse_source_schema("interface P { attribute String nom; }")
+        wdef = parse_warehouse_def(
+            "interface G { D_attribute String nom; }\n"
+            "interface O (extend G) { }\n"
+            "mapping G = generalize(o.nom, o: O);\n"
+            'mapping O = specialize(g: G, g.nom = "x");\n'
+        )
+        with pytest.raises(ResolveError, match=r"circular hierarchization .*\['G', 'O'\]"):
+            resolve_with_violations(wdef, src)
 
     def test_resolution_deterministic(self, src_schema, edw_text):
         def once():

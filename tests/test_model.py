@@ -14,6 +14,7 @@ from tdw.model import (
     WarehouseObject,
     WarehouseSchema,
     check_state_disjointness,
+    dependency_order,
     effective_filters,
     flatten_type,
     historization_level,
@@ -106,6 +107,15 @@ class TestEffectiveFilters:
         schema = mini_schema([sup, sub], [Environment("E", ("C",), RetentionConfig())])
         tempo, _ = effective_filters(schema, "C")
         assert tempo == {"y"}
+
+
+class TestDependencyOrder:
+    def test_pass_places_later_names_before_revisiting_earlier_ones(self):
+        # A waits for B; C, declared after B, is placed in B's pass
+        assert dependency_order({"A": ["B"], "B": [], "C": ["B"]}) == ["B", "C", "A"]
+
+    def test_names_outside_the_keys_count_as_placed(self):
+        assert dependency_order({"A": ["Z"], "B": ["A"]}) == ["A", "B"]
 
 
 class TestIsSubclass:
