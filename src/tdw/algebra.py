@@ -9,8 +9,10 @@ a composed chain.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from itertools import accumulate
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import (
     AmbiguousProperty,
@@ -31,7 +33,6 @@ from .expr import (
     AugmentBinding,
     Comparison,
     Containment,
-    Generalize,
     Hide,
     Join,
     MappingExpr,
@@ -40,7 +41,6 @@ from .expr import (
     Project,
     Select,
     SourceRef,
-    Specialize,
 )
 from .model import merge_key
 from .source import TYPE_KEYWORDS, Relationship, Snapshot, SourceSchema, SourceType, scalar
@@ -163,7 +163,10 @@ def path_prop(build: ClassBuild, path: Path) -> tuple[BuildProp, tuple[str, ...]
 
 def path_value(build: ClassBuild, row: Row, path: Path) -> Any:
     idx, tail = locate(build, path)
-    value = row.values[idx]
+    return _drill(row.values[idx], tail)
+
+
+def _drill(value: Any, tail: tuple[str, ...]) -> Any:
     for seg in tail:
         value = None if value is None else value.get(seg)
     return value
@@ -197,17 +200,22 @@ def check_predicate(build: ClassBuild, pred: Predicate) -> None:
                 raise UnknownPath(f"containment names unknown binder {atom.binder!r}")
 
 
-def eval_predicate(build: ClassBuild, pred: Predicate, row: Row) -> bool:
-    for atom in pred.atoms:
-        if isinstance(atom, Comparison):
-            value = path_value(build, row, atom.path)
-            if value is None or not _compare(atom.op, value, atom.literal):
+def _row_test(build: ClassBuild, pred: Predicate) -> Callable[[Row], bool]:
+    """The predicate as a test on the build's rows; each atom's path is
+    resolved once, not once per row."""
+    located = [(atom, *locate(build, atom.path)) for atom in pred.atoms]
+
+    def test(row: Row) -> bool:
+        for atom, idx, tail in located:
+            value = _drill(row.values[idx], tail)
+            if isinstance(atom, Comparison):
+                if value is None or not _compare(atom.op, value, atom.literal):
+                    return False
+            elif row.binder_id(atom.binder) not in (value or []):
                 return False
-        else:
-            members = path_value(build, row, atom.path) or []
-            if row.binder_id(atom.binder) not in members:
-                return False
-    return True
+        return True
+
+    return test
 
 
 def _compare(op: str, value: Any, literal: Any) -> bool:
@@ -328,15 +336,10 @@ def eval_project(items, build: ClassBuild) -> ClassBuild:
             )
         else:
             structure.append(replace(prop, name=name))
-    rows = []
-    for row in build.rows:
-        values = []
-        for idx, tail, _name in picked:
-            v = row.values[idx]
-            for seg in tail:
-                v = None if v is None else v.get(seg)
-            values.append(v)
-        rows.append(Row(row.key, tuple(values), row.binders))
+    rows = [
+        Row(row.key, tuple(_drill(row.values[i], tail) for i, tail, _name in picked), row.binders)
+        for row in build.rows
+    ]
     return ClassBuild(structure, _sorted_rows(rows), ())
 
 
@@ -392,7 +395,8 @@ def _declared_type(name: str | None) -> SourceType:
 
 def eval_select(pred: Predicate, build: ClassBuild) -> ClassBuild:
     check_predicate(build, pred)
-    rows = [r for r in build.rows if eval_predicate(build, pred, r)]
+    test = _row_test(build, pred)
+    rows = [r for r in build.rows if test(r)]
     return ClassBuild(list(build.structure), _sorted_rows(rows), ())
 
 
@@ -405,13 +409,65 @@ def eval_join(left: ClassBuild, right: ClassBuild, pred: Predicate) -> ClassBuil
     structure = list(left.structure) + list(right.structure)
     combined = ClassBuild(structure)
     check_predicate(combined, pred)
-    rows = []
-    for lrow in left.rows:
-        for rrow in right.rows:
-            row = Row(lrow.key + rrow.key, lrow.values + rrow.values, lrow.binders + rrow.binders)
-            if eval_predicate(combined, pred, row):
-                rows.append(row)
+    rows = list(_matching_rows([left, right], combined, pred))
     return ClassBuild(structure, _sorted_rows(rows), ())
+
+
+def _matching_rows(
+    sides: list[ClassBuild], combined: ClassBuild, pred: Predicate
+) -> Iterator[Row]:
+    """The concatenations of one row per side that satisfy pred; combined
+    is the sides' concatenated structure.
+
+    A "set contains binder" atom whose set lies on an earlier side than
+    the binder's makes a hash join: the binder's side is indexed by its
+    token, and each earlier row probes with its set's distinct members,
+    so only tuples that can match are built. The binder must be one that
+    no row of an earlier side carries, since a concatenated row answers a
+    binder from its first carrier. Other joins keep the nested loop.
+    """
+    ends = list(accumulate(len(side.structure) for side in sides))
+    probes: list[tuple[int, int, dict[Any, list[Row]]] | None] = [None] * len(sides)
+    drivers: list[Containment] = []
+    carried: set[str] = set()  # binders carried by rows of earlier sides
+    for j, side in enumerate(sides):
+        own = side.binder_names() - carried
+        for atom in pred.atoms:
+            if not isinstance(atom, Containment) or atom.binder not in own:
+                continue
+            idx, _tail = locate(combined, atom.path)
+            i = bisect_right(ends, idx)  # the side holding the set
+            if i < j:
+                index: dict[Any, list[Row]] = {}
+                for row in side.rows:
+                    index.setdefault(row.binder_id(atom.binder), []).append(row)
+                probes[j] = (i, idx - (ends[i - 1] if i else 0), index)
+                drivers.append(atom)
+                break
+        carried |= {b for row in side.rows for b, _tok in row.binders}
+    test = _row_test(combined, Predicate(tuple(a for a in pred.atoms if a not in drivers)))
+
+    def extend(picked: list[Row]) -> Iterator[Row]:
+        j = len(picked)
+        if j == len(sides):
+            row = Row(
+                tuple(kv for r in picked for kv in r.key),
+                tuple(v for r in picked for v in r.values),
+                tuple(b for r in picked for b in r.binders),
+            )
+            if test(row):
+                yield row
+            return
+        if probes[j] is None:
+            candidates: Iterable[Row] = sides[j].rows
+        else:
+            i, slot, index = probes[j]
+            members = dict.fromkeys(picked[i].values[slot] or ())
+            candidates = [row for m in members for row in index.get(m, ())]
+        for row in candidates:
+            yield from extend(picked + [row])
+
+    return extend([])
 
 
 def eval_aliased(build: ClassBuild, binder: str) -> ClassBuild:
@@ -557,22 +613,9 @@ def eval_specialize(
                 )
             merged_index[prior] = idx  # later operand wins the shared slot
 
-    rows: list[Row] = []
-    for picked in _product([b.rows for b in tagged]):
-        key = tuple(kv for row in picked for kv in row.key)
-        values = tuple(v for row in picked for v in row.values)
-        binders = tuple(bv for row in picked for bv in row.binders)
-        row = Row(key, values, binders)
-        if eval_predicate(combined, pred, row):
-            rows.append(Row(key, tuple(values[i] for i in merged_index), binders))
+    rows = [
+        Row(row.key, tuple(row.values[i] for i in merged_index), row.binders)
+        for row in _matching_rows(tagged, combined, pred)
+    ]
     supers = tuple(cname for _b, cname, _build in operands)
     return ClassBuild(merged_structure, _sorted_rows(rows), supers)
-
-
-def _product(groups: list[list[Row]]):
-    if not groups:
-        yield []
-        return
-    for row in groups[0]:
-        for rest in _product(groups[1:]):
-            yield [row] + rest

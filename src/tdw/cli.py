@@ -29,7 +29,6 @@ from .expr import (
     Specialize,
     format_mapping,
     format_predicate,
-    is_extraction,
 )
 from .model import historization_level, lifecycle_span
 from .source import ingest_snapshot, parse_source_schema

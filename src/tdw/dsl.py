@@ -26,6 +26,7 @@ from .errors import (
     UnresolvedSourceProperty,
 )
 from .expr import (
+    COMPARISON_OPS,
     AggCall,
     Aliased,
     Augment,
@@ -456,7 +457,7 @@ def _parse_atom(ts: TokenStream):
     if ts.accept("ident", "contains") or ts.accept("punct", "∋"):
         return Containment(path, ts.expect("ident").value)
     op_tok = ts.peek()
-    if op_tok.kind == "punct" and op_tok.value in ("=", "!=", "<", "<=", ">", ">="):
+    if op_tok.kind == "punct" and op_tok.value in COMPARISON_OPS:
         ts.next()
         return Comparison(path, op_tok.value, _parse_literal(ts))
     raise ts.error("a comparison operator or 'contains'")

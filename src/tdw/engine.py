@@ -9,8 +9,16 @@ values carry the current state forward, changes to temporal-filter
 properties push history, other changes overwrite in place, and vanished
 keys freeze their object one granule before the extraction point.
 
+Links resolve through the store's source-id index, which maps every
+(interface, source id) pair of an object's source key to its oids, so a
+link costs one lookup per interface it may name, whatever the size of
+the target class's extension.
+
 A store is single-writer. refresh() is atomic: it works on a copy of
-the dynamic state and publishes it only on success.
+the dynamic state and publishes it only on success. The copy is
+structural: each object and its current state are new, while past
+states, archive states and value dicts are shared with the original,
+since the engine only ever replaces them, never changes them in place.
 """
 
 from __future__ import annotations
@@ -93,6 +101,15 @@ class RefreshReport:
 
 @dataclass
 class Store:
+    """The warehouse: schema, objects and the indexes over them.
+
+    objects is the only place an object lives; identity maps (class,
+    source key) to its oid, and source_index maps each (interface, source
+    id) pair of a source key to the oids whose key holds it, so a link is
+    resolved without scanning an extension. add_object, the only way
+    objects enter a store, keeps source_index complete.
+    """
+
     source_schema: SourceSchema
     wdef: WarehouseDef
     schema: WarehouseSchema
@@ -100,6 +117,7 @@ class Store:
     warehouse_text: str
     objects: dict[Oid, WarehouseObject] = field(default_factory=dict)
     identity: dict[tuple[str, tuple[tuple[str, str], ...]], Oid] = field(default_factory=dict)
+    source_index: dict[tuple[str, str], tuple[Oid, ...]] = field(default_factory=dict)
     memberships: dict[str, set[Oid]] = field(default_factory=dict)
     last_refresh: Instant | None = None
     oid_counter: int = 0
@@ -146,11 +164,25 @@ class Store:
     # -- refresh working copies ---------------------------------------------
 
     def working_copy(self) -> Store:
-        """A store whose dynamic state can change without touching this one."""
+        """A store whose dynamic state can change without touching this one.
+
+        Each object and its current state are copied; the past and archive
+        lists are new lists of the same states, which nothing changes in
+        place. Index entries are tuples, replaced rather than extended.
+        """
         return replace(
             self,
-            objects=copy.deepcopy(self.objects),
+            objects={
+                oid: replace(
+                    obj,
+                    current=replace(obj.current),
+                    past=list(obj.past),
+                    archives=list(obj.archives),
+                )
+                for oid, obj in self.objects.items()
+            },
             identity=dict(self.identity),
+            source_index=dict(self.source_index),
             memberships={k: set(v) for k, v in self.memberships.items()},
         )
 
@@ -158,6 +190,7 @@ class Store:
         """Adopt a working copy's dynamic state as of extraction point t."""
         self.objects = work.objects
         self.identity = work.identity
+        self.source_index = work.source_index
         self.memberships = work.memberships
         self.oid_counter = work.oid_counter
         self.last_refresh = t
@@ -165,6 +198,12 @@ class Store:
     def fresh_oid(self) -> Oid:
         self.oid_counter += 1
         return self.oid_counter
+
+    def add_object(self, obj: WarehouseObject) -> None:
+        """Insert a new object and index its source key."""
+        self.objects[obj.oid] = obj
+        for pair in obj.source_key:
+            self.source_index[pair] = self.source_index.get(pair, ()) + (obj.oid,)
 
     # -- queries -------------------------------------------------------------
 
@@ -251,11 +290,15 @@ def _run_extraction_points(
 
     # evaluate every extraction mapping over the snapshot
     class_rows: dict[str, list[tuple[tuple, dict[str, Any]]]] = {}
-    rel_sources: dict[str, dict[str, str]] = {}
+    rel_sources: dict[str, dict[str, tuple[str, set[str]]]] = {}
     for name in extraction:
         build = eval_extraction(schema.classes[name].mapping, store.source_schema, snapshot)
+        # each relation's source interface, with the interfaces whose ids
+        # its links may name
         rel_sources[name] = {
-            p.name: p.target for p in build.structure if p.is_relation and p.target
+            p.name: (p.target, _link_interfaces(store.source_schema, p.target))
+            for p in build.structure
+            if p.is_relation and p.target
         }
         class_rows[name] = [
             (row.key, values) for row, values in zip(build.rows, build.to_dicts())
@@ -272,9 +315,8 @@ def _run_extraction_points(
                 continue
             oid = store.fresh_oid()
             store.identity[ident] = oid
-            store.objects[oid] = WarehouseObject(
-                oid, name, State(domain(t.unit, (t.tick, t.tick)), {}), source_key=key
-            )
+            state = State(domain(t.unit, (t.tick, t.tick)), {})
+            store.add_object(WarehouseObject(oid, name, state, source_key=key))
             created_now[name].add(oid)
             counts.created += 1
 
@@ -346,11 +388,13 @@ def _run_extraction_points(
             if oid is None:
                 oid = store.fresh_oid()
                 store.identity[ident] = oid
-                store.objects[oid] = WarehouseObject(
-                    oid,
-                    name,
-                    State(domain(t.unit, (t.tick, t.tick)), aligned),
-                    source_key=row.key,
+                store.add_object(
+                    WarehouseObject(
+                        oid,
+                        name,
+                        State(domain(t.unit, (t.tick, t.tick)), aligned),
+                        source_key=row.key,
+                    )
                 )
                 counts.created += 1
                 continue
@@ -418,7 +462,7 @@ def _aligned_value(
     store: Store,
     class_name: str,
     flat: list[model.PropertyDef],
-    rel_sources: dict[str, str],
+    rel_sources: dict[str, tuple[str, set[str]]],
     raw: dict[str, Any],
 ) -> dict[str, Any]:
     """Restrict a mapping row to the declared structure and swap source
@@ -431,9 +475,9 @@ def _aligned_value(
         v = raw[p.name]
         if p.is_relation:
             ids = list(v) if v else []
+            source_target, wanted = rel_sources.get(p.name, (None, {None}))
             oids = [
-                _relation_oid(store, class_name, p, rel_sources.get(p.name), rid)
-                for rid in ids
+                _relation_oid(store, class_name, p, source_target, wanted, rid) for rid in ids
             ]
             value[p.name] = sorted(oids) if p.cardinality == "many" else (oids[0] if oids else None)
         else:
@@ -441,28 +485,35 @@ def _aligned_value(
     return value
 
 
+def _link_interfaces(src: SourceSchema, source_target: str) -> set[str]:
+    """The interfaces whose records a link to source_target may name."""
+    if source_target in src.interfaces:
+        return src.subtypes(source_target)
+    return {source_target}
+
+
 def _relation_oid(
     store: Store,
     class_name: str,
     prop: model.PropertyDef,
     source_target: str | None,
+    wanted: set[str],
     rid: str,
 ) -> Oid:
-    wanted = (
-        store.source_schema.subtypes(source_target)
-        if source_target in store.source_schema.interfaces
-        else {source_target}
-    )
-
-    def matches(obj: WarehouseObject) -> bool:
-        return any(iface in wanted and sid == rid for iface, sid in obj.source_key)
-
+    candidates = {
+        oid for iface in wanted for oid in store.source_index.get((iface, rid), ())
+    }
     # the object of the target class itself represents the source object;
     # subclass members (e.g. composites) only stand in when the target
     # class owns no objects of its own
-    hits = [oid for oid in store.direct_extension(prop.target) if matches(store.objects[oid])]
+    members = store.memberships.get(prop.target)
+    if members is not None:
+        hits = [oid for oid in candidates if oid in members]
+    else:
+        hits = [oid for oid in candidates if store.objects[oid].class_name == prop.target]
     if not hits:
-        hits = [oid for oid in store.extension_of(prop.target) if matches(store.objects[oid])]
+        extension = set(store.extension_of(prop.target))
+        hits = [oid for oid in candidates if oid in extension]
     if len(hits) != 1:
         raise DanglingRelationTarget(
             f"{class_name}.{prop.name}: source object {source_target}:{rid} has "
@@ -741,19 +792,20 @@ def load_store(path: str) -> Store:
         name: set(oids) for name, oids in doc.get("memberships", {}).items()
     }
     for item in doc["objects"]:
-        obj = WarehouseObject(
-            item["oid"],
-            item["class"],
-            _state_from(item["current"]),
-            [_state_from(s) for s in item["past"]],
-            [
-                ArchiveState(_domain_from(a["domain"]), a["aggregates"])
-                for a in item["archives"]
-            ],
-            item["status"],
-            tuple(tuple(p) for p in item["source_key"]),
+        store.add_object(
+            WarehouseObject(
+                item["oid"],
+                item["class"],
+                _state_from(item["current"]),
+                [_state_from(s) for s in item["past"]],
+                [
+                    ArchiveState(_domain_from(a["domain"]), a["aggregates"])
+                    for a in item["archives"]
+                ],
+                item["status"],
+                tuple(tuple(p) for p in item["source_key"]),
+            )
         )
-        store.objects[item["oid"]] = obj
     return store
 
 

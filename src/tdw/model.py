@@ -452,16 +452,26 @@ def state_at(obj: WarehouseObject, t: Instant):
 
 
 def check_state_disjointness(obj: WarehouseObject) -> list[str]:
-    """Granule-level overlap check across all states; empty means ok."""
-    seen: dict[int, str] = {}
-    problems: list[str] = []
+    """Overlap check across all states; empty means ok.
+
+    Sweeps every state's intervals in start order, so the cost follows the
+    number of intervals, not the granules they span. Each interval that
+    overlaps an earlier one is reported against the earlier interval that
+    reaches furthest.
+    """
     labels = [("current", obj.current.domain)]
     labels += [(f"past[{i}]", s.domain) for i, s in enumerate(obj.past)]
     labels += [(f"archive[{i}]", a.domain) for i, a in enumerate(obj.archives)]
-    for label, dom in labels:
-        for g in dom.granules():
-            if g in seen:
-                problems.append(f"granule {g} in both {seen[g]} and {label}")
-            else:
-                seen[g] = label
+    spans = sorted(
+        (iv.start.tick, iv.end.tick, label) for label, dom in labels for iv in dom.intervals
+    )
+    problems: list[str] = []
+    reach: tuple[int, str] | None = None  # furthest end so far, and its state
+    for start, end, label in spans:
+        if reach is not None and start <= reach[0]:
+            problems.append(
+                f"granules {start}..{min(end, reach[0])} in both {reach[1]} and {label}"
+            )
+        if reach is None or end > reach[0]:
+            reach = (end, label)
     return problems

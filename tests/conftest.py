@@ -249,3 +249,12 @@ def make_snapshot(src_schema):
         return ingest_snapshot(src_schema, snapshot_lines(records), year(at_year))
 
     return factory
+
+
+def assert_source_index(store) -> None:
+    """The store's source-id index equals one rebuilt from its objects."""
+    rebuilt: dict = {}
+    for oid in sorted(store.objects):
+        for pair in store.objects[oid].source_key:
+            rebuilt.setdefault(pair, []).append(oid)
+    assert {pair: sorted(oids) for pair, oids in store.source_index.items()} == rebuilt

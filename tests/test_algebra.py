@@ -1,5 +1,6 @@
 """Construction algebra evaluators against brute-force oracles."""
 
+import itertools
 import random
 
 import pytest
@@ -470,6 +471,97 @@ class TestGeneralize:
     def test_empty_operands(self):
         with pytest.raises(EmptyOperands):
             eval_generalize(["x"], [], "Sup")
+
+
+def linked(rng: random.Random, binder: str, n: int, targets: list[str], carried=()) -> ClassBuild:
+    """n rows whose set-valued r links to some of targets; every row also
+    carries the binders in carried, as rows whose properties were hidden do."""
+    structure = [
+        BuildProp("a", binder, "derived", "attribute", scalar("long")),
+        BuildProp("r", binder, "derived", "association", None, "T", "many"),
+    ]
+    rows = [
+        Row(
+            ((binder.upper(), f"{binder}{i}"),),
+            (rng.randrange(0, 3), sorted(rng.sample(targets, rng.randrange(0, len(targets) + 1)))),
+            ((binder, f"{binder}{i}"),) + tuple((b, f"{b}{rng.randrange(n)}") for b in carried),
+        )
+        for i in range(n)
+    ]
+    return ClassBuild(structure, rows)
+
+
+def naive_matches(sides: list[ClassBuild], pred: Predicate) -> list[tuple]:
+    """Keys of every concatenated tuple satisfying pred, by brute force;
+    pred holds binder-qualified ">=" comparisons and containments."""
+    structure = [prop for side in sides for prop in side.structure]
+    out = []
+    for picked in itertools.product(*(side.rows for side in sides)):
+        row = Row(
+            tuple(kv for r in picked for kv in r.key),
+            tuple(v for r in picked for v in r.values),
+            tuple(b for r in picked for b in r.binders),
+        )
+        ok = True
+        for atom in pred.atoms:
+            binder, name = atom.path.segments
+            idx = next(
+                i for i, prop in enumerate(structure) if (prop.binder, prop.name) == (binder, name)
+            )
+            if isinstance(atom, Comparison):
+                ok = ok and row.values[idx] >= atom.literal
+            else:
+                ok = ok and row.binder_id(atom.binder) in row.values[idx]
+        if ok:
+            out.append(row.key)
+    return sorted(out)
+
+
+class TestContainmentHashJoin:
+    """Joins and specializations driven by a containment atom build only
+    the tuples that can match; each case is checked against brute force."""
+
+    def test_join_both_directions_and_extra_atoms(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            left = linked(rng, "l", rng.randrange(0, 6), [f"r{i}" for i in range(5)])
+            right = linked(rng, "r", 5, [f"l{i}" for i in range(6)])
+            for atoms in [
+                (Containment(p("l", "r"), "r"),),
+                (Comparison(p("r", "a"), ">=", 1), Containment(p("l", "r"), "r")),
+                (Containment(p("r", "r"), "l"),),  # set on the right: nested loop
+                (Containment(p("l", "r"), "r"), Containment(p("r", "r"), "l")),
+            ]:
+                pred = Predicate(atoms)
+                out = eval_join(left, right, pred)
+                assert [r.key for r in out.rows] == naive_matches([left, right], pred)
+
+    def test_join_binder_carried_by_left_rows(self):
+        # left rows carry a hidden "r" binder, which a joined row answers first
+        rng = random.Random(12)
+        for _ in range(20):
+            left = linked(rng, "l", 4, [f"r{i}" for i in range(4)], carried=("r",))
+            right = linked(rng, "r", 4, [])
+            pred = Predicate((Containment(p("l", "r"), "r"),))
+            out = eval_join(left, right, pred)
+            assert [r.key for r in out.rows] == naive_matches([left, right], pred)
+
+    def test_three_operand_specialization(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            a = linked(rng, "a", 4, [f"b{i}" for i in range(4)])
+            b = linked(rng, "b", 4, [f"c{i}" for i in range(4)])
+            c = linked(rng, "c", 4, [f"a{i}" for i in range(4)])
+            pred = Predicate(
+                (
+                    Containment(p("a", "r"), "b"),
+                    Comparison(p("c", "a"), ">=", 1),
+                    Containment(p("b", "r"), "c"),
+                    Containment(p("c", "r"), "a"),  # set after its binder: tested
+                )
+            )
+            out = eval_specialize([("a", "A", a), ("b", "B", b), ("c", "C", c)], pred)
+            assert [r.key for r in out.rows] == naive_matches([a, b, c], pred)
 
 
 class TestSpecialize:

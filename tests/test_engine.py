@@ -1,32 +1,53 @@
 """Lifecycle engine: load, refresh diffing, archival, freeze, persistence."""
 
 import json
+from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import hospital_records, snapshot_lines, year
+from conftest import assert_source_index, hospital_records, snapshot_lines, year
+from tdw import engine
 from tdw.dsl import parse_warehouse_def
 from tdw.engine import (
     apply_archival,
     dumps_store,
-    initial_load,
     load_store,
     merge_archive,
     patch_specific,
-    refresh,
     save_store,
 )
 from tdw.errors import (
     DanglingRelationTarget,
+    Error,
     FrozenObject,
     NonMonotonicInstant,
     NotSpecificProperty,
+    TypeMismatch,
     UnknownOid,
     UnitMismatch,
 )
-from tdw.model import State, check_state_disjointness, lifecycle_span
+from tdw.model import RetentionConfig, State, check_state_disjointness, lifecycle_span
 from tdw.source import ingest_snapshot, parse_source_schema
 from tdw.temporal import Instant, domain
+
+
+# every load and refresh in this module also checks the store's source-id
+# index against one rebuilt from its objects
+
+
+def initial_load(*args, **kwargs):
+    store = engine.initial_load(*args, **kwargs)
+    assert_source_index(store)
+    return store
+
+
+def refresh(store, *args, **kwargs):
+    try:
+        return engine.refresh(store, *args, **kwargs)
+    finally:
+        assert_source_index(store)
 
 
 @pytest.fixture()
@@ -598,3 +619,276 @@ class TestPersistence:
         assert kind == "current" and value["nom"] == "CHU Purpan"
         with pytest.raises(UnknownOid):
             store.value_at(424242, year(1990))
+
+
+# ---------------------------------------------------------------------------
+# link resolution through the source-id index
+
+SUPER_TARGET_ODL = """
+interface MEDECIN {
+    attribute String nom;
+    relationship Set<UNITE> unites inverse UNITE::medecins;
+}
+interface UNITE {
+    attribute String nom;
+    relationship Set<MEDECIN> medecins inverse MEDECIN::unites;
+}
+"""
+
+# Unites.medecins targets Soignants, a generalization that owns no objects
+SUPER_TARGET_EDW = """
+warehouse Soins;
+interface Soignants { D_attribute String nom; }
+interface Medecins (extend Soignants) { D_relationship Set<Unites> unites; }
+interface Unites { D_attribute String nom; D_relationship Set<Soignants> medecins; }
+mapping Medecins = m: MEDECIN;
+mapping Soignants = generalize(m.nom, m: Medecins);
+mapping Unites = u: UNITE;
+"""
+
+
+class TestLinkResolution:
+    def test_source_id_with_several_counterparts(self, store, src_schema):
+        # s1 moves from e1 to e2: pass 1 creates the (e2, s1) service while
+        # (e1, s1) is still active, so links to s1 have two counterparts
+        records = hospital_records(1991)
+        for r in records:
+            if r["id"] == "e1":
+                r["links"]["organisation"] = ["s2"]
+            if r["id"] == "e2":
+                r["links"]["organisation"] = ["s1", "s3"]
+        snap = ingest_snapshot(src_schema, snapshot_lines(records), year(1991))
+        before = dumps_store(store)
+        with pytest.raises(DanglingRelationTarget, match="SERVICE:s1 has several counterpart"):
+            refresh(store, snap)
+        assert dumps_store(store) == before
+
+    def test_subclass_members_stand_in_when_target_owns_nothing(self):
+        src = parse_source_schema(SUPER_TARGET_ODL)
+        doctor = {"interface": "MEDECIN", "values": {"nom": "A"}, "links": {"unites": ["u1"]}}
+        ward = {"interface": "UNITE", "values": {"nom": "U"}, "links": {"medecins": ["m1", "m2"]}}
+        lines = snapshot_lines([{**doctor, "id": "m1"}, {**doctor, "id": "m2"}, {**ward, "id": "u1"}])
+        store = initial_load(
+            src, parse_warehouse_def(SUPER_TARGET_EDW), ingest_snapshot(src, lines, year(1990))
+        )
+        assert store.direct_extension("Soignants") == []
+        unit = by_key(store, "Unites", "u1")
+        doctors = [by_key(store, "Medecins", m).oid for m in ("m1", "m2")]
+        assert unit.current.value["medecins"] == sorted(doctors)
+
+    def test_link_to_object_created_in_the_same_refresh(self, store):
+        records = hospital_records(1992)
+        for r in records:
+            if r["id"] == "e2":
+                r["links"]["organisation"] = ["s3", "s5"]
+        records += [
+            {
+                "interface": "SERVICE",
+                "id": "s5",
+                "values": {"nom": "Pédiatrie", "téléphone": "01 40 00 00 00"},
+                "links": {"équipe": ["p6"], "est_dirigé": []},
+            },
+            {
+                "interface": "PRATICIEN",
+                "id": "p6",
+                "values": {
+                    "nom": "Noir", "prénom": "Léa",
+                    "adresse": {"libelle": "1 rue Haute", "ville": "Paris", "code_postal": 75001},
+                    "année_naissance": 1985, "no_praticien": "PR-006",
+                    "catégorie": "chirurgie", "spécialité": "pédiatrique", "revenus": 60000,
+                },
+                "links": {"travaille": ["s5"], "dirige": []},
+            },
+        ]
+        snap = ingest_snapshot(store.source_schema, snapshot_lines(records), year(1992))
+        report = refresh(store, snap)
+        assert report.classes["Chirurgiens"].created == 1
+        assert report.classes["Services"].created == 1
+        p6 = by_key(store, "Chirurgiens", "p6")
+        s5 = by_key(store, "Services", "s5")
+        assert p6.current.value["travaille"] == [s5.oid]
+        assert s5.current.value["équipe"] == [p6.oid]
+
+    def test_loaded_store_refreshes_like_the_store_in_memory(
+        self, store, tmp_path, make_snapshot
+    ):
+        refresh(store, make_snapshot(1991))
+        path = str(tmp_path / "h.store")
+        save_store(store, path)
+        loaded = load_store(path)
+        assert_source_index(loaded)
+        snap = make_snapshot(1992, with_extra_surgeon=True)
+        assert refresh(loaded, snap).to_dict() == refresh(store, snap).to_dict()
+        assert dumps_store(loaded) == dumps_store(store)
+
+
+# ---------------------------------------------------------------------------
+# the structural working copy keeps refresh and archival atomic
+
+
+def object_forms(objects) -> dict:
+    return {
+        oid: (repr(o.current), repr(o.past), repr(o.archives), o.status)
+        for oid, o in objects.items()
+    }
+
+
+def corrupt_oldest_budget(store, sid: str) -> None:
+    """Give a hospital's oldest past state a budget no avg can fold."""
+    hop = by_key(store, "Hôpitaux_Publics", sid)
+    hop.past[0] = State(hop.past[0].domain, {**hop.past[0].value, "budget": "n/a"})
+
+
+class TestWorkingCopyAtomicity:
+    def test_successful_refresh_leaves_prior_objects_alone(self, store, make_snapshot):
+        refresh(store, make_snapshot(1991))
+        held = dict(store.objects)
+        forms = object_forms(held)
+        for y in (1992, 1993):
+            refresh(store, make_snapshot(y))
+        assert object_forms(held) == forms
+        assert by_key(store, "Hôpitaux_Publics", "e1").archives  # the refreshes evicted
+
+    def test_failed_apply_archival_is_atomic(self, store, make_snapshot):
+        for y in (1991, 1992):
+            refresh(store, make_snapshot(y))
+        corrupt_oldest_budget(store, "e2")
+        before, held = dumps_store(store), dict(store.objects)
+        forms = object_forms(held)
+        env = store.schema.environments["Evolutions"]
+        keep_none = replace(env, config=RetentionConfig(keep_past_count=0))
+        # keeping no past state evicts surgeons and e1 before e2 fails
+        with pytest.raises(TypeMismatch):
+            apply_archival(store, keep_none, year(1992))
+        assert dumps_store(store) == before
+        assert all(store.objects[oid] is obj for oid, obj in held.items())
+        assert object_forms(held) == forms
+
+    def test_refresh_failing_in_archival_after_historizing_is_atomic(
+        self, store, make_snapshot
+    ):
+        for y in (1991, 1992):
+            refresh(store, make_snapshot(y))
+        corrupt_oldest_budget(store, "e2")
+        before, held = dumps_store(store), dict(store.objects)
+        forms = object_forms(held)
+        # pass 2 historizes every hospital; pass 5 then evicts the bad state
+        with pytest.raises(TypeMismatch):
+            refresh(store, make_snapshot(1993))
+        assert dumps_store(store) == before
+        assert all(store.objects[oid] is obj for oid, obj in held.items())
+        assert object_forms(held) == forms
+
+
+# ---------------------------------------------------------------------------
+# the index against the whole-extension scan it replaced
+
+
+def scan_relation_oid(store, class_name, prop, source_target, _wanted, rid):
+    """Link resolution before the source-id index: scan the target class's
+    extension for an object whose source key names the linked record."""
+    src = store.source_schema
+    wanted = src.subtypes(source_target) if source_target in src.interfaces else {source_target}
+
+    def matches(oid):
+        return any(i in wanted and sid == rid for i, sid in store.objects[oid].source_key)
+
+    hits = [oid for oid in store.direct_extension(prop.target) if matches(oid)]
+    if not hits:
+        hits = [oid for oid in store.extension_of(prop.target) if matches(oid)]
+    if len(hits) != 1:
+        raise DanglingRelationTarget(
+            f"{class_name}.{prop.name}: source object {source_target}:{rid} has "
+            f"{'no' if not hits else 'several'} counterpart(s) in class {prop.target!r}"
+        )
+    return hits[0]
+
+
+HOSPITALS = ("e1", "e2", "e3")
+SERVICES = ("s1", "s2", "s3", "s4")
+SURGEONS = ("p1", "p2", "p3", "p4")
+_mostly = st.sampled_from((True, True, True, False))
+
+
+@st.composite
+def hospital_sequences(draw):
+    """Yearly record lists in which services vanish, return and now and
+    then move to another hospital, and practitioners come and go, change
+    service and leave or rejoin surgery."""
+    homes = {s: draw(st.sampled_from(HOSPITALS)) for s in SERVICES}
+    years = []
+    for step in range(draw(st.integers(2, 5))):
+        open_hospitals = {e for e in HOSPITALS if draw(_mostly)}
+        where = {}
+        for s in SERVICES:
+            fate = draw(st.sampled_from(("home", "home", "home", "gone", "moved")))
+            if fate == "moved":
+                homes[s] = HOSPITALS[(HOSPITALS.index(homes[s]) + 1) % len(HOSPITALS)]
+            if fate != "gone" and homes[s] in open_hospitals:
+                where[s] = homes[s]
+        staff = {}
+        for p in SURGEONS:
+            if draw(_mostly):
+                chosen = draw(st.sets(st.sampled_from(SERVICES), max_size=2))
+                works = [s for s in chosen if s in where]
+                surgeon = draw(_mostly)
+                staff[p] = (sorted(works), surgeon)
+        directors = {}
+        for p, (works, _surgeon) in staff.items():
+            if works and draw(st.booleans()) and works[0] not in directors:
+                directors[works[0]] = p
+        records = []
+        for e in sorted(open_hospitals):
+            records.append({
+                "interface": "ETABLISSEMENT", "id": e,
+                "values": {"nom": e, "statut": "public",
+                           "adresse": {"libelle": e, "ville": "Toulouse", "code_postal": 31000},
+                           "budget": 1000 + 10 * step},
+                "links": {"organisation": sorted(s for s, h in where.items() if h == e)},
+            })
+        for s in sorted(where):
+            records.append({
+                "interface": "SERVICE", "id": s,
+                "values": {"nom": s, "téléphone": "0"},
+                "links": {"équipe": sorted(p for p, (w, _) in staff.items() if s in w),
+                          "est_dirigé": [directors[s]] if s in directors else []},
+            })
+        for p, (works, surgeon) in sorted(staff.items()):
+            records.append({
+                "interface": "PRATICIEN", "id": p,
+                "values": {"nom": p, "prénom": p,
+                           "adresse": {"libelle": p, "ville": "Toulouse", "code_postal": 31000},
+                           "année_naissance": 1960 + 5 * SURGEONS.index(p),
+                           "no_praticien": p,
+                           "catégorie": "chirurgie" if surgeon else "cardiologie",
+                           "spécialité": "x", "revenus": 100 + step},
+                "links": {"travaille": works,
+                          "dirige": [s for s, d in directors.items() if d == p]},
+            })
+        years.append(records)
+    return years
+
+
+class TestLinkIndexAgainstScan:
+    @settings(max_examples=60, deadline=None)
+    @given(hospital_sequences())
+    def test_every_relation_slot_matches_the_extension_scan(self, src_schema, edw_text, years):
+        stores = {"index": None, "scan": None}
+        for step, records in enumerate(years):
+            snap = ingest_snapshot(src_schema, snapshot_lines(records), year(1990 + step))
+            outcomes = {}
+            for mode in stores:
+                resolver = engine._relation_oid if mode == "index" else scan_relation_oid
+                with mock.patch.object(engine, "_relation_oid", resolver):
+                    try:
+                        if stores[mode] is None:
+                            wdef = parse_warehouse_def(edw_text)
+                            stores[mode] = initial_load(src_schema, wdef, snap)
+                            outcomes[mode] = "loaded"
+                        else:
+                            outcomes[mode] = refresh(stores[mode], snap).to_dict()
+                    except Error as exc:
+                        outcomes[mode] = (type(exc).__name__, str(exc))
+            assert outcomes["index"] == outcomes["scan"]
+            if stores["index"] is not None:
+                assert dumps_store(stores["index"]) == dumps_store(stores["scan"])

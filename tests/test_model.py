@@ -292,6 +292,31 @@ class TestStates:
         bad.past.append(State(domain("year", (1996, 1996)), {"budget": 0.0}))
         assert check_state_disjointness(bad) != []
 
+    def test_day_unit_states_spanning_decades(self):
+        year = 360  # days
+        obj = WarehouseObject(
+            oid=3,
+            class_name="A",
+            current=State(domain("day", (30 * year, 40 * year)), {"x": 3}),
+            past=[
+                State(domain("day", (0, 10 * year - 1), (10 * year + 5, 20 * year - 1)), {"x": 1}),
+                State(domain("day", (20 * year, 30 * year - 1)), {"x": 2}),
+            ],
+            archives=[ArchiveState(domain("day", (10 * year, 10 * year + 4)), {})],
+        )
+        assert check_state_disjointness(obj) == []
+        # one shared day at the end of the current state
+        obj.past.append(State(domain("day", (40 * year, 40 * year + 9)), {"x": 4}))
+        assert check_state_disjointness(obj) == [
+            f"granules {40 * year}..{40 * year} in both current and past[2]"
+        ]
+        # a state straddling two others overlaps each of them
+        obj.past[2] = State(domain("day", (25 * year, 35 * year)), {"x": 4})
+        assert check_state_disjointness(obj) == [
+            f"granules {25 * year}..{30 * year - 1} in both past[1] and past[2]",
+            f"granules {30 * year}..{35 * year} in both past[2] and current",
+        ]
+
 
 class TestRetentionConfig:
     def test_field_by_field_override(self):
