@@ -335,7 +335,11 @@ def _pipeline(expr) -> list[str]:
 
 
 class _locked:
-    """Advisory lock file preventing concurrent writers on one store."""
+    """Advisory lock file preventing concurrent writers on one store.
+
+    The lock file holds the writer's pid, so a lock left by a process
+    that died can be told from a live one before it is removed.
+    """
 
     def __init__(self, store_path: str):
         self.path = store_path + ".lock"
@@ -346,8 +350,14 @@ class _locked:
             self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             raise StoreLocked(
-                f"store is locked by another writer (remove {self.path} if stale)"
+                f"store is locked by another writer, {_lock_owner(self.path)} "
+                f"(remove {self.path} if stale)"
             ) from None
+        try:
+            os.write(self.fd, f"{os.getpid()}\n".encode("ascii"))
+        except OSError:
+            self.__exit__()
+            raise
         return self
 
     def __exit__(self, *exc_info):
@@ -355,6 +365,15 @@ class _locked:
             os.close(self.fd)
             os.unlink(self.path)
         return False
+
+
+def _lock_owner(path: str) -> str:
+    try:
+        with open(path, encoding="ascii", errors="replace") as fh:
+            pid = fh.read().strip()
+    except OSError:
+        pid = ""
+    return f"pid {pid}" if pid.isdigit() else "pid unknown"
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ since the engine only ever replaces them, never changes them in place.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import os
@@ -755,18 +756,31 @@ def _domain_dict(d: TemporalDomain) -> dict[str, Any]:
 
 
 def dumps_store(store: Store) -> str:
-    """Canonical, byte-stable serialization (sorted keys, UTF-8)."""
-    return json.dumps(store_to_dict(store), ensure_ascii=False, sort_keys=True, indent=1) + "\n"
+    """Canonical, byte-stable serialization: one line of JSON with sorted
+    keys, UTF-8 text, then a newline. With no indent, json uses its C
+    encoder; load_store accepts any whitespace, so files written in an
+    indented layout load as they are."""
+    return json.dumps(
+        store_to_dict(store), ensure_ascii=False, sort_keys=True, separators=(",", ":")
+    ) + "\n"
 
 
 def save_store(store: Store, path: str) -> None:
+    """Write the store through a temporary file that replaces path, so a
+    failed write leaves the prior file as it was and no temporary file."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(dumps_store(store))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(dumps_store(store))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_store(path: str) -> Store:
+    """Read a store file; raise Error if it is not a well-formed store."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -774,6 +788,15 @@ def load_store(path: str) -> Store:
             raise Error(f"{path}: not a valid store document ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != STORE_FORMAT:
         raise Error(f"{path}: not a {STORE_FORMAT} document")
+    try:
+        return _store_from(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise Error(
+            f"{path}: malformed store document ({type(exc).__name__}: {exc})"
+        ) from None
+
+
+def _store_from(doc: dict[str, Any]) -> Store:
     src = parse_source_schema(doc["source_schema"])
     wdef = parse_warehouse_def(doc["warehouse_def"])
     schema = resolve(wdef, src, strict=True)
@@ -791,15 +814,29 @@ def load_store(path: str) -> Store:
     store.memberships = {
         name: set(oids) for name, oids in doc.get("memberships", {}).items()
     }
+
+    # Many states span the same granules, so each distinct domain is built
+    # and checked once and then shared: TemporalDomain is frozen, and the
+    # engine only ever replaces a state's domain.
+    domains: dict[tuple[str, tuple[tuple[int, ...], ...]], TemporalDomain] = {}
+
+    def domain_from(d: dict[str, Any]) -> TemporalDomain:
+        key = (d["unit"], tuple(map(tuple, d["intervals"])))
+        found = domains.get(key)
+        if found is None:
+            found = domains[key] = domain(key[0], *key[1])
+        return found
+
     for item in doc["objects"]:
+        current = item["current"]
         store.add_object(
             WarehouseObject(
                 item["oid"],
                 item["class"],
-                _state_from(item["current"]),
-                [_state_from(s) for s in item["past"]],
+                State(domain_from(current["domain"]), current["value"]),
+                [State(domain_from(s["domain"]), s["value"]) for s in item["past"]],
                 [
-                    ArchiveState(_domain_from(a["domain"]), a["aggregates"])
+                    ArchiveState(domain_from(a["domain"]), a["aggregates"])
                     for a in item["archives"]
                 ],
                 item["status"],
@@ -807,11 +844,3 @@ def load_store(path: str) -> Store:
             )
         )
     return store
-
-
-def _state_from(doc: dict[str, Any]) -> State:
-    return State(_domain_from(doc["domain"]), doc["value"])
-
-
-def _domain_from(doc: dict[str, Any]) -> TemporalDomain:
-    return domain(doc["unit"], *[(s, e) for s, e in doc["intervals"]])

@@ -1,6 +1,7 @@
 """Command line contract: flags, exit codes, deterministic output."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, hospital_records, snapshot_lines
+from tdw.cli import _locked
 
 ODL = str(FIXTURES / "hopital.odl")
 EDW = str(FIXTURES / "hopital.edw")
@@ -164,6 +166,15 @@ class TestRefresh:
         assert rc == 1 and "locked" in err
         Path(store + ".lock").unlink()
 
+    def test_lock_error_names_the_holding_pid(self, built):
+        tmp, store = built
+        snap = write_snapshot(tmp / "s1991.jsonl", 1991)
+        with _locked(store):
+            assert Path(store + ".lock").read_text(encoding="ascii") == f"{os.getpid()}\n"
+            rc, _out, err = tdw("refresh", "--store", store, "--snapshot", snap, "--at", "1991")
+        assert rc == 1 and f"locked by another writer, pid {os.getpid()} " in err
+        assert not Path(store + ".lock").exists()
+
     def test_malformed_at_is_usage_error(self, built):
         tmp, store = built
         snap = write_snapshot(tmp / "s1991.jsonl", 1991)
@@ -175,6 +186,14 @@ class TestRefresh:
         bad.write_text("{ not json", encoding="utf-8")
         rc, _out, err = tdw("inspect", "--store", str(bad), "--class", "X")
         assert rc == 1 and "store document" in err
+
+    def test_malformed_store_document_is_domain_error(self, tmp_path):
+        bad = tmp_path / "bad.store"
+        bad.write_text('{"format": "tdw-store-v1", "source_schema": ""}', encoding="utf-8")
+        rc, _out, err = tdw("inspect", "--store", str(bad), "--class", "X")
+        assert rc == 1
+        assert "malformed store document (KeyError: 'warehouse_def')" in err
+        assert "Traceback" not in err
 
 
 class TestInspect:

@@ -13,10 +13,10 @@ from tdw.dsl import parse_warehouse_def
 from tdw.engine import (
     apply_archival,
     dumps_store,
-    load_store,
     merge_archive,
     patch_specific,
     save_store,
+    store_to_dict,
 )
 from tdw.errors import (
     DanglingRelationTarget,
@@ -33,8 +33,8 @@ from tdw.source import ingest_snapshot, parse_source_schema
 from tdw.temporal import Instant, domain
 
 
-# every load and refresh in this module also checks the store's source-id
-# index against one rebuilt from its objects
+# every initial load, store load and refresh in this module also checks the
+# store's source-id index against one rebuilt from its objects
 
 
 def initial_load(*args, **kwargs):
@@ -48,6 +48,12 @@ def refresh(store, *args, **kwargs):
         return engine.refresh(store, *args, **kwargs)
     finally:
         assert_source_index(store)
+
+
+def load_store(path):
+    store = engine.load_store(path)
+    assert_source_index(store)
+    return store
 
 
 @pytest.fixture()
@@ -612,6 +618,87 @@ class TestPersistence:
         doc = json.loads(a)
         assert list(doc["objects"][0].keys()) == sorted(doc["objects"][0].keys())
 
+    def test_store_file_is_one_line_of_the_store_document(self, store, make_snapshot):
+        refresh(store, make_snapshot(1991))
+        text = dumps_store(store)
+        assert text.endswith("\n") and "\n" not in text[:-1]
+        assert json.loads(text) == store_to_dict(store)
+
+    def test_indented_store_file_loads_and_is_rewritten_compact(
+        self, store, tmp_path, make_snapshot
+    ):
+        # the layout store files had before they were written compact
+        refresh(store, make_snapshot(1991))
+        path = tmp_path / "h.store"
+        path.write_text(
+            json.dumps(store_to_dict(store), ensure_ascii=False, sort_keys=True, indent=1) + "\n",
+            encoding="utf-8",
+        )
+        loaded = load_store(str(path))
+        assert dumps_store(loaded) == dumps_store(store)
+        snap = make_snapshot(1992, with_extra_surgeon=True)
+        assert refresh(loaded, snap).to_dict() == refresh(store, snap).to_dict()
+        assert dumps_store(loaded) == dumps_store(store)
+
+    def test_loaded_states_share_each_distinct_domain(self, store, tmp_path, make_snapshot):
+        for y in (1991, 1992):
+            refresh(store, make_snapshot(y))
+        path = str(tmp_path / "h.store")
+        save_store(store, path)
+        loaded = load_store(path)
+        states = [s for o in loaded.objects.values() for s in [o.current, *o.past, *o.archives]]
+        by_value: dict = {}
+        for s in states:
+            assert by_value.setdefault(s.domain, s.domain) is s.domain
+        assert len(by_value) < len(states)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda doc: doc.pop("warehouse_def"),
+            lambda doc: doc.update(objects=7),
+            lambda doc: doc["objects"][0].pop("past"),
+            lambda doc: doc["objects"][0]["current"].update(domain=[1990]),
+            lambda doc: doc["objects"][0]["current"]["domain"].update(intervals=[[20]]),
+            lambda doc: doc["objects"][0]["current"]["domain"].update(intervals=[[21, 20]]),
+            lambda doc: doc.update(last_refresh="banana"),
+        ],
+        ids=[
+            "no-warehouse-def", "objects-not-a-list", "object-without-past",
+            "domain-not-an-object", "one-bound-interval", "empty-interval", "bad-last-refresh",
+        ],
+    )
+    def test_malformed_store_document_is_a_domain_error(self, store, tmp_path, damage):
+        doc = store_to_dict(store)
+        damage(doc)
+        path = tmp_path / "bad.store"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(Error, match="bad.store: malformed store document"):
+            load_store(str(path))
+
+    def test_failed_replace_keeps_the_prior_file_and_no_temporary(
+        self, store, tmp_path, make_snapshot
+    ):
+        path = tmp_path / "h.store"
+        save_store(store, str(path))
+        before = path.read_bytes()
+        refresh(store, make_snapshot(1991))
+        with mock.patch.object(engine.os, "replace", side_effect=OSError("disk gone")):
+            with pytest.raises(OSError, match="disk gone"):
+                save_store(store, str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.store"]
+
+    def test_failed_write_keeps_the_prior_file_and_no_temporary(self, store, tmp_path):
+        path = tmp_path / "h.store"
+        save_store(store, str(path))
+        before = path.read_bytes()
+        next(iter(store.objects.values())).current.value["nom"] = {1, 2}  # no JSON form
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            save_store(store, str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.store"]
+
     def test_value_at_store_level(self, store):
         hop = by_key(store, "Hôpitaux_Publics", "e1")
         assert store.value_at(hop.oid, year(1989)) is None
@@ -872,7 +959,10 @@ def hospital_sequences(draw):
 class TestLinkIndexAgainstScan:
     @settings(max_examples=60, deadline=None)
     @given(hospital_sequences())
-    def test_every_relation_slot_matches_the_extension_scan(self, src_schema, edw_text, years):
+    def test_every_relation_slot_matches_the_extension_scan(
+        self, src_schema, edw_text, tmp_path_factory, years
+    ):
+        path = str(tmp_path_factory.mktemp("steps") / "h.store")
         stores = {"index": None, "scan": None}
         for step, records in enumerate(years):
             snap = ingest_snapshot(src_schema, snapshot_lines(records), year(1990 + step))
@@ -892,3 +982,5 @@ class TestLinkIndexAgainstScan:
             assert outcomes["index"] == outcomes["scan"]
             if stores["index"] is not None:
                 assert dumps_store(stores["index"]) == dumps_store(stores["scan"])
+                save_store(stores["index"], path)
+                assert dumps_store(load_store(path)) == dumps_store(stores["index"])
