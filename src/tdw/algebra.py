@@ -280,7 +280,7 @@ def build_from_interface(
 ) -> ClassBuild:
     """One row per source record of the interface (subtypes included)."""
     structure: list[BuildProp] = []
-    for name, item, _owner in schema.flattened(interface):
+    for name, item, _owner in schema.table(interface).flat:
         if isinstance(item, Relationship):
             structure.append(
                 BuildProp(

@@ -847,8 +847,8 @@ def _check_derived(
     target_cls = schema.classes.get(decl.target)
     if target_cls is None:
         return  # reported by the derived-relation closure check
-    wanted = src.subtypes(out.target) if out.target in src.interfaces else {out.target}
-    if not (set(target_cls.source_origins) & wanted):
+    wanted = src.tables[out.target].subtypes if out.target in src.interfaces else (out.target,)
+    if not set(target_cls.source_origins).intersection(wanted):
         raise UnresolvedSourceProperty(
             f"{cls.name}.{decl.name}: target class {decl.target!r} is not built "
             f"from source {out.target!r}"

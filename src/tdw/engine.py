@@ -291,7 +291,7 @@ def _run_extraction_points(
 
     # evaluate every extraction mapping over the snapshot
     class_rows: dict[str, list[tuple[tuple, dict[str, Any]]]] = {}
-    rel_sources: dict[str, dict[str, tuple[str, set[str]]]] = {}
+    rel_sources: dict[str, dict[str, tuple[str, tuple[str, ...]]]] = {}
     for name in extraction:
         build = eval_extraction(schema.classes[name].mapping, store.source_schema, snapshot)
         # each relation's source interface, with the interfaces whose ids
@@ -463,7 +463,7 @@ def _aligned_value(
     store: Store,
     class_name: str,
     flat: list[model.PropertyDef],
-    rel_sources: dict[str, tuple[str, set[str]]],
+    rel_sources: dict[str, tuple[str, tuple[str, ...]]],
     raw: dict[str, Any],
 ) -> dict[str, Any]:
     """Restrict a mapping row to the declared structure and swap source
@@ -476,7 +476,7 @@ def _aligned_value(
         v = raw[p.name]
         if p.is_relation:
             ids = list(v) if v else []
-            source_target, wanted = rel_sources.get(p.name, (None, {None}))
+            source_target, wanted = rel_sources.get(p.name, (None, (None,)))
             oids = [
                 _relation_oid(store, class_name, p, source_target, wanted, rid) for rid in ids
             ]
@@ -486,11 +486,11 @@ def _aligned_value(
     return value
 
 
-def _link_interfaces(src: SourceSchema, source_target: str) -> set[str]:
+def _link_interfaces(src: SourceSchema, source_target: str) -> tuple[str, ...]:
     """The interfaces whose records a link to source_target may name."""
     if source_target in src.interfaces:
-        return src.subtypes(source_target)
-    return {source_target}
+        return src.tables[source_target].subtypes
+    return (source_target,)
 
 
 def _relation_oid(
@@ -498,7 +498,7 @@ def _relation_oid(
     class_name: str,
     prop: model.PropertyDef,
     source_target: str | None,
-    wanted: set[str],
+    wanted: tuple[str, ...],
     rid: str,
 ) -> Oid:
     candidates = {
@@ -689,7 +689,7 @@ def patch_specific(store: Store, oid: Oid, prop_name: str, value: Any, t: Instan
     if t.unit != obj.current.domain.unit:
         raise UnitMismatch(f"patch unit {t.unit!r} differs from store unit")
     if value is not None and prop.value_type is not None:
-        value = coerce(prop.value_type, value, f"{obj.class_name}.{prop_name}")
+        value = coerce(prop.value_type, value, obj.class_name, prop_name)
     tempo, _archi = effective_filters(store.schema, obj.class_name)
     new_value = dict(obj.current.value)
     new_value[prop_name] = value

@@ -5,12 +5,22 @@ extended with compositions. Snapshots are point-in-time extractions of
 the whole source, read from line-delimited records; ingestion re-checks
 typing, referential integrity, inverse consistency, and composition
 exclusivity, so everything downstream can trust a Snapshot.
+
+``parse_source_schema`` runs the schema checks and then derives, once
+per interface, the tables that ingestion and the extraction mappings
+read (``InterfaceTables``): the flattened property list, the attribute
+types and the relationships by name, and the subtype closure in sorted
+order. A struct type builds its field map once, on first use. So
+ingesting a record costs a few lookups per value, and a value's slot
+label is formatted only when the value is rejected.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 from typing import Any, Iterable
 
 from .errors import (
@@ -46,6 +56,11 @@ class SourceType:
     struct_name: str | None = None
     fields: tuple[tuple[str, "SourceType"], ...] = ()
     element: "SourceType | None" = None
+
+    @cached_property
+    def field_types(self) -> dict[str, "SourceType"]:
+        """A struct's field types by name, in sorted name order."""
+        return dict(sorted(self.fields))
 
     def __str__(self) -> str:
         if self.kind == "set":
@@ -84,57 +99,41 @@ class SourceInterface:
     line: int = field(default=0, compare=False)
 
 
+@dataclass(frozen=True)
+class InterfaceTables:
+    """What ingestion and extraction read of one interface, derived once
+    by parse_source_schema."""
+
+    # own plus inherited properties, supers first:
+    # (property name, SourceType or Relationship, owner interface)
+    flat: tuple[tuple[str, Any, str], ...]
+    attributes: dict[str, SourceType]  # attribute types by name, in flattened order
+    relationships: dict[str, Relationship]  # relationships by name, in flattened order
+    subtypes: tuple[str, ...]  # the interface and all that extend it, sorted
+
+
 @dataclass
 class SourceSchema:
     interfaces: dict[str, SourceInterface] = field(default_factory=dict)
+    tables: dict[str, InterfaceTables] = field(default_factory=dict, compare=False, repr=False)
+
+    def table(self, name: str) -> InterfaceTables:
+        """The derived tables of interface name."""
+        try:
+            return self.tables[name]
+        except KeyError:
+            raise UnknownInterface(f"unknown source interface {name!r}") from None
 
     def flattened(self, name: str) -> list[tuple[str, Any, str]]:
         """Own plus inherited properties of an interface, supers first.
 
         Yields (property name, SourceType or Relationship, owner interface).
         """
-        iface = self._get(name)
-        out: list[tuple[str, Any, str]] = []
-        seen: set[str] = set()
-        for sup in iface.supers:
-            for item in self.flattened(sup):
-                if item[0] not in seen:
-                    seen.add(item[0])
-                    out.append(item)
-        for n, t in iface.attributes:
-            if n not in seen:
-                seen.add(n)
-                out.append((n, t, name))
-        for rel in iface.relationships:
-            if rel.name not in seen:
-                seen.add(rel.name)
-                out.append((rel.name, rel, name))
-        return out
+        return list(self.table(name).flat)
 
     def subtypes(self, name: str) -> set[str]:
         """name plus every interface that transitively extends it."""
-        self._get(name)
-        out = {name}
-        changed = True
-        while changed:
-            changed = False
-            for iface in self.interfaces.values():
-                if iface.name not in out and any(s in out for s in iface.supers):
-                    out.add(iface.name)
-                    changed = True
-        return out
-
-    def find_property(self, iface: str, prop: str):
-        for n, t, owner in self.flattened(iface):
-            if n == prop:
-                return t
-        return None
-
-    def _get(self, name: str) -> SourceInterface:
-        try:
-            return self.interfaces[name]
-        except KeyError:
-            raise UnknownInterface(f"unknown source interface {name!r}") from None
+        return set(self.table(name).subtypes)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +150,51 @@ def parse_source_schema(text: str) -> SourceSchema:
             raise DuplicateId(f"interface {iface.name!r} declared twice")
         schema.interfaces[iface.name] = iface
     _check_schema(schema)
+    schema.tables = _derive_tables(schema)
     return schema
+
+
+def _flatten(schema: SourceSchema, name: str) -> list[tuple[str, Any, str]]:
+    """See SourceSchema.flattened; a name met again further on is dropped."""
+    iface = schema.interfaces[name]
+    out: list[tuple[str, Any, str]] = []
+    seen: set[str] = set()
+    for sup in iface.supers:
+        for item in _flatten(schema, sup):
+            if item[0] not in seen:
+                seen.add(item[0])
+                out.append(item)
+    for n, t in iface.attributes:
+        if n not in seen:
+            seen.add(n)
+            out.append((n, t, name))
+    for rel in iface.relationships:
+        if rel.name not in seen:
+            seen.add(rel.name)
+            out.append((rel.name, rel, name))
+    return out
+
+
+def _lineage(schema: SourceSchema, name: str) -> set[str]:
+    """name plus every interface it transitively extends."""
+    out = {name}
+    for sup in schema.interfaces[name].supers:
+        out |= _lineage(schema, sup)
+    return out
+
+
+def _derive_tables(schema: SourceSchema) -> dict[str, InterfaceTables]:
+    lineage = {name: _lineage(schema, name) for name in schema.interfaces}
+    tables = {}
+    for name in schema.interfaces:
+        flat = tuple(_flatten(schema, name))
+        tables[name] = InterfaceTables(
+            flat,
+            {n: t for n, t, _ in flat if isinstance(t, SourceType)},
+            {n: t for n, t, _ in flat if isinstance(t, Relationship)},
+            tuple(sorted(sub for sub in schema.interfaces if name in lineage[sub])),
+        )
+    return tables
 
 
 def _parse_interface(ts: TokenStream) -> SourceInterface:
@@ -285,7 +328,7 @@ def _check_schema(schema: SourceSchema) -> None:
                         f"{rel.target}::{rel.inverse}, which is missing or does not point back"
                     )
         # inherited-included name uniqueness
-        names = [n for n, _, _ in schema.flattened(iface.name)]
+        names = [n for n, _, _ in _flatten(schema, iface.name)]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise DuplicateId(f"{iface.name!r} has duplicate properties {sorted(dupes)}")
@@ -349,10 +392,13 @@ class Snapshot:
 
     def of_interface(self, schema: SourceSchema, name: str) -> list[SourceRecord]:
         """Records whose interface is name or a transitive subtype of it."""
-        wanted = schema.subtypes(name)
+        wanted = schema.table(name).subtypes
         out = [r for r in self.records.values() if r.interface in wanted]
-        out.sort(key=lambda r: (r.interface, r.id))
+        out.sort(key=_record_order)
         return out
+
+
+_record_order = attrgetter("interface", "id")
 
 
 def ingest_snapshot(schema: SourceSchema, lines: Iterable[str], at: Instant) -> Snapshot:
@@ -361,6 +407,7 @@ def ingest_snapshot(schema: SourceSchema, lines: Iterable[str], at: Instant) -> 
     Each non-blank line holds one record:
     {"interface": ..., "id": ..., "values": {...}, "links": {"rel": ["id", ...]}}
     """
+    tables = schema.tables
     records: dict[tuple[str, str], SourceRecord] = {}
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.strip()
@@ -370,41 +417,43 @@ def ingest_snapshot(schema: SourceSchema, lines: Iterable[str], at: Instant) -> 
             doc = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise TypeMismatch(f"record line {lineno}: not a valid document ({exc})") from None
-        rec = _typed_record(schema, doc, lineno)
-        if rec.key in records:
-            raise DuplicateId(f"record line {lineno}: duplicate id {rec.key}")
-        records[rec.key] = rec
+        rec = _typed_record(tables, doc, lineno)
+        key = rec.key
+        if key in records:
+            raise DuplicateId(f"record line {lineno}: duplicate id {key}")
+        records[key] = rec
     snap = Snapshot(at, records)
-    _check_snapshot(schema, snap)
+    _check_snapshot(tables, snap)
     return snap
 
 
-def _typed_record(schema: SourceSchema, doc: Any, lineno: int) -> SourceRecord:
+def _typed_record(tables: dict[str, InterfaceTables], doc: Any, lineno: int) -> SourceRecord:
     if not isinstance(doc, dict) or "interface" not in doc or "id" not in doc:
         raise TypeMismatch(f"record line {lineno}: missing interface/id")
     iface_name = doc["interface"]
-    if iface_name not in schema.interfaces:
+    table = tables.get(iface_name)
+    if table is None:
         raise UnknownInterface(f"record line {lineno}: unknown interface {iface_name!r}")
-    flat = schema.flattened(iface_name)
-    attrs = {n: t for n, t, _ in flat if isinstance(t, SourceType)}
-    rels = {n: t for n, t, _ in flat if isinstance(t, Relationship)}
+    attrs = table.attributes
+    rels = table.relationships
 
     values: dict[str, Any] = {}
     for name, value in sorted((doc.get("values") or {}).items()):
-        if name not in attrs:
+        typ = attrs.get(name)
+        if typ is None:
             raise TypeMismatch(f"record line {lineno}: {iface_name!r} has no attribute {name!r}")
-        values[name] = coerce(attrs[name], value, f"{iface_name}.{name}")
-    for name in attrs:
-        if name not in values:
-            raise TypeMismatch(f"record line {lineno}: missing value for {iface_name}.{name}")
+        values[name] = coerce(typ, value, iface_name, name)
+    if len(values) != len(attrs):
+        missing = next(n for n in attrs if n not in values)
+        raise TypeMismatch(f"record line {lineno}: missing value for {iface_name}.{missing}")
 
     links: dict[str, tuple[str, ...]] = {}
     for name, ids in sorted((doc.get("links") or {}).items()):
-        if name not in rels:
+        rel = rels.get(name)
+        if rel is None:
             raise TypeMismatch(f"record line {lineno}: {iface_name!r} has no relationship {name!r}")
-        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        if not isinstance(ids, list) or not all(map(_is_str, ids)):
             raise TypeMismatch(f"record line {lineno}: links for {name!r} must be a list of ids")
-        rel = rels[name]
         if rel.cardinality == "one" and len(ids) > 1:
             raise TypeMismatch(f"record line {lineno}: {name!r} links more than one target")
         links[name] = tuple(sorted(set(ids)))
@@ -413,69 +462,111 @@ def _typed_record(schema: SourceSchema, doc: Any, lineno: int) -> SourceRecord:
     return SourceRecord(iface_name, str(doc["id"]), values, links)
 
 
-def coerce(typ: SourceType, value: Any, where: str) -> Any:
-    """value checked against typ and put in canonical form; where names the
-    slot in a TypeMismatch."""
-    if typ.kind in ("short", "long"):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeMismatch(f"{where}: expected an integer, got {value!r}")
-        return value
-    if typ.kind == "double":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeMismatch(f"{where}: expected a number, got {value!r}")
-        return float(value)
-    if typ.kind in ("string", "date", "image-ref"):
+_is_str = str.__instancecheck__  # isinstance(x, str), as a one-argument builtin
+
+
+class _Misfit(Exception):
+    """A value that does not fit its type: why, and where below the
+    checked slot (".field" and "[]" steps)."""
+
+    def __init__(self, reason: str, path: str = ""):
+        self.reason = reason
+        self.path = path
+
+
+def coerce(typ: SourceType, value: Any, owner: str, name: str) -> Any:
+    """value checked against typ and put in canonical form. A value that
+    does not fit raises TypeMismatch labelled with its slot, owner.name
+    and the steps below it, formatted only then."""
+    try:
+        return _canonical(typ, value)
+    except _Misfit as misfit:
+        raise TypeMismatch(f"{owner}.{name}{misfit.path}: {misfit.reason}") from None
+
+
+def _canonical(typ: SourceType, value: Any) -> Any:
+    kind = typ.kind
+    if kind in ("string", "date", "image-ref"):
         if not isinstance(value, str):
-            raise TypeMismatch(f"{where}: expected a string, got {value!r}")
+            raise _Misfit(f"expected a string, got {value!r}")
         return value
-    if typ.kind == "struct":
+    if kind in ("short", "long"):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise _Misfit(f"expected an integer, got {value!r}")
+        return value
+    if kind == "double":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _Misfit(f"expected a number, got {value!r}")
+        return float(value)
+    if kind == "struct":
         if not isinstance(value, dict):
-            raise TypeMismatch(f"{where}: expected a struct value, got {value!r}")
-        known = dict(typ.fields)
+            raise _Misfit(f"expected a struct value, got {value!r}")
+        known = typ.field_types
         out = {}
         for fname, fval in value.items():
             if fname not in known:
-                raise TypeMismatch(f"{where}.{fname}: unknown struct field")
-            out[fname] = coerce(known[fname], fval, f"{where}.{fname}")
-        for fname in known:
-            if fname not in out:
-                raise TypeMismatch(f"{where}.{fname}: missing struct field")
-        return dict(sorted(out.items()))
-    if typ.kind == "set":
+                raise _Misfit("unknown struct field", f".{fname}")
+            try:
+                out[fname] = _canonical(known[fname], fval)
+            except _Misfit as misfit:
+                misfit.path = f".{fname}{misfit.path}"
+                raise
+        if len(out) != len(known):
+            missing = next(f for f, _ in typ.fields if f not in out)
+            raise _Misfit("missing struct field", f".{missing}")
+        return {f: out[f] for f in known}
+    if kind == "set":
         if not isinstance(value, list):
-            raise TypeMismatch(f"{where}: expected a set (list), got {value!r}")
-        items = [coerce(typ.element, v, where + "[]") for v in value]
+            raise _Misfit(f"expected a set (list), got {value!r}")
+        element = typ.element
+        try:
+            items = [_canonical(element, v) for v in value]
+        except _Misfit as misfit:
+            misfit.path = f"[]{misfit.path}"
+            raise
         try:
             return sorted(set(items))
         except TypeError:
             return sorted(items, key=json.dumps)
-    raise TypeMismatch(f"{where}: unsupported type {typ.kind!r}")
+    raise _Misfit(f"unsupported type {kind!r}")
 
 
-def _check_snapshot(schema: SourceSchema, snap: Snapshot) -> None:
-    by_id: dict[str, dict[str, SourceRecord]] = {}
+def _check_snapshot(tables: dict[str, InterfaceTables], snap: Snapshot) -> None:
+    """Every link names exactly one record among its target's subtypes,
+    compositions are exclusive and declared inverses point back."""
+    by_id: dict[str, dict[str, SourceRecord]] = {name: {} for name in tables}
     for rec in snap.records.values():
-        by_id.setdefault(rec.interface, {})[rec.id] = rec
-
-    def resolve(target: str, rid: str) -> SourceRecord | None:
-        for sub in schema.subtypes(target):
-            rec = by_id.get(sub, {}).get(rid)
-            if rec is not None:
-                return rec
-        return None
-
+        by_id[rec.interface][rec.id] = rec
+    # per interface: each relationship with the records its ids may name,
+    # by id, one map per interface of the target's subtype closure
+    linked = {
+        name: [
+            (rel, [by_id[sub] for sub in tables[rel.target].subtypes])
+            for rel in table.relationships.values()
+        ]
+        for name, table in tables.items()
+    }
     composed_by: dict[tuple[str, str], tuple[str, str]] = {}
     for rec in snap.records.values():
-        for name, t, _ in schema.flattened(rec.interface):
-            if not isinstance(t, Relationship):
-                continue
+        for rel, scopes in linked[rec.interface]:
+            name = rel.name
             for rid in rec.links.get(name, ()):
-                target = resolve(t.target, rid)
+                target = None
+                for scope in scopes:
+                    found = scope.get(rid)
+                    if found is not None:
+                        if target is not None:
+                            raise DanglingReference(
+                                f"{rec.interface}:{rec.id} links {name} to {rel.target}:{rid}, "
+                                f"which names several records: {target.interface}:{rid}, "
+                                f"{found.interface}:{rid}"
+                            )
+                        target = found
                 if target is None:
                     raise DanglingReference(
-                        f"{rec.interface}:{rec.id} links {name} to missing {t.target}:{rid}"
+                        f"{rec.interface}:{rec.id} links {name} to missing {rel.target}:{rid}"
                     )
-                if t.composition:
+                if rel.composition:
                     prior = composed_by.get(target.key)
                     if prior is not None and prior != rec.key:
                         raise CompositionViolation(
@@ -483,24 +574,9 @@ def _check_snapshot(schema: SourceSchema, snap: Snapshot) -> None:
                             f"{prior} and {rec.key}"
                         )
                     composed_by[target.key] = rec.key
-                if t.inverse is not None:
-                    if rec.id not in target.links.get(t.inverse, ()):
+                if rel.inverse is not None:
+                    if rec.id not in target.links.get(rel.inverse, ()):
                         raise InverseViolation(
                             f"{rec.interface}:{rec.id}.{name} links {rid} but "
-                            f"{target.interface}:{rid}.{t.inverse} does not point back"
+                            f"{target.interface}:{rid}.{rel.inverse} does not point back"
                         )
-
-
-def snapshot_to_lines(snap: Snapshot) -> list[str]:
-    """Canonical line-delimited form, keys sorted, records ordered by key."""
-    lines = []
-    for key in sorted(snap.records):
-        rec = snap.records[key]
-        doc = {
-            "id": rec.id,
-            "interface": rec.interface,
-            "links": {k: list(v) for k, v in sorted(rec.links.items())},
-            "values": rec.values,
-        }
-        lines.append(json.dumps(doc, ensure_ascii=False, sort_keys=True))
-    return lines

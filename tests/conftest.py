@@ -242,6 +242,29 @@ def snapshot_lines(records: list[dict]) -> list[str]:
     return [json.dumps(r, ensure_ascii=False) for r in records]
 
 
+def snapshot_to_lines(snap) -> list[str]:
+    """Canonical line-delimited form, keys sorted, records ordered by key."""
+    lines = []
+    for key in sorted(snap.records):
+        rec = snap.records[key]
+        doc = {
+            "id": rec.id,
+            "interface": rec.interface,
+            "links": {k: list(v) for k, v in sorted(rec.links.items())},
+            "values": rec.values,
+        }
+        lines.append(json.dumps(doc, ensure_ascii=False, sort_keys=True))
+    return lines
+
+
+def find_property(src_schema, iface: str, prop: str):
+    """The SourceType or Relationship of iface's (possibly inherited) prop."""
+    for n, t, _owner in src_schema.flattened(iface):
+        if n == prop:
+            return t
+    return None
+
+
 @pytest.fixture()
 def make_snapshot(src_schema):
     def factory(at_year: int, **knobs):

@@ -17,12 +17,14 @@ EDW_BROKEN = str(FIXTURES / "hopital_sans_services.edw")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def tdw(*args: str):
+def tdw(*args: str, hash_seed: str | None = None):
+    env = None if hash_seed is None else {**os.environ, "PYTHONHASHSEED": hash_seed}
     proc = subprocess.run(
         [sys.executable, "-m", "tdw.cli", *args],
         capture_output=True,
         text=True,
         cwd=SRC,
+        env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -194,6 +196,38 @@ class TestRefresh:
         assert rc == 1
         assert "malformed store document (KeyError: 'warehouse_def')" in err
         assert "Traceback" not in err
+
+
+class TestDeterminism:
+    def test_store_and_reports_independent_of_hash_seed(self, tmp_path):
+        """A build and two refreshes give the same bytes whatever the
+        interpreter's string hashing, so no output follows set order."""
+        years = {
+            1990: {"with_extra_surgeon": True},
+            1991: {"with_extra_surgeon": True, "extra_surgeon_category": "cardiologie"},
+            1992: {},
+        }
+        snaps = {y: write_snapshot(tmp_path / f"s{y}.jsonl", y, **k) for y, k in years.items()}
+        outputs = {}
+        for seed in ("0", "1"):
+            store = str(tmp_path / f"h{seed}.store")
+            rc, out, err = tdw(
+                "build", "--warehouse", EDW, "--source-schema", ODL,
+                "--snapshot", snaps[1990], "--at", "1990", "--store", store, hash_seed=seed,
+            )
+            assert rc == 0, err
+            seen = [out, Path(store).read_bytes()]
+            for y in (1991, 1992):
+                rc, out, err = tdw(
+                    "refresh", "--store", store, "--snapshot", snaps[y], "--at", str(y),
+                    hash_seed=seed,
+                )
+                assert rc == 0, err
+                seen += [out, Path(store).read_bytes()]
+            outputs[seed] = seen
+        assert outputs["0"] == outputs["1"]
+        report = json.loads(outputs["0"][4])
+        assert report["classes"]["Chirurgiens"]["frozen"] == 1
 
 
 class TestInspect:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import find_property
 from tdw.dsl import (
     parse_mapping,
     parse_warehouse_def,
@@ -331,7 +332,7 @@ class TestResolve:
                     continue
                 matches = []
                 for iface in cls.source_origins:
-                    t = src_schema.find_property(iface, p.source_path[0])
+                    t = find_property(src_schema, iface, p.source_path[0])
                     if t is None or not hasattr(t, "kind"):
                         continue
                     for seg in p.source_path[1:]:

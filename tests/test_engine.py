@@ -583,6 +583,13 @@ class TestPatchSpecific:
         assert hop.past[0].value["année_création"] is None
         assert hop.current.value["année_création"] == 1956
 
+    def test_ill_typed_value_rejected(self, store):
+        hop = by_key(store, "Hôpitaux_Publics", "e1")
+        with pytest.raises(TypeMismatch) as err:
+            patch_specific(store, hop.oid, "année_création", "1956", year(1990))
+        assert str(err.value) == "Hôpitaux_Publics.année_création: expected an integer, got '1956'"
+        assert hop.current.value["année_création"] is None
+
     def test_unknown_oid(self, store):
         with pytest.raises(UnknownOid):
             patch_specific(store, 99999, "année_création", 1, year(1990))

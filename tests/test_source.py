@@ -1,10 +1,16 @@
 """Source schema parsing and snapshot ingestion."""
 
+import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import hospital_records, snapshot_lines, year
+from conftest import hospital_records, snapshot_lines, snapshot_to_lines, year
 from tdw.errors import (
     CompositionViolation,
     DanglingReference,
@@ -17,11 +23,15 @@ from tdw.errors import (
 )
 from tdw.source import (
     Relationship,
+    SourceRecord,
     SourceType,
+    _typed_record,
     ingest_snapshot,
     parse_source_schema,
     print_source_schema,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def flattened_oracle(schema, name, seen=None):
@@ -225,8 +235,6 @@ class TestIngestSnapshot:
         ]
 
     def test_canonical_output_sorts_keys_and_records(self, src_schema):
-        from tdw.source import snapshot_to_lines
-
         records = list(reversed(hospital_records(1990)))
         snap = ingest_snapshot(src_schema, snapshot_lines(records), year(1990))
         lines = snapshot_to_lines(snap)
@@ -240,3 +248,412 @@ class TestIngestSnapshot:
         # reingesting the canonical form reproduces it
         again = ingest_snapshot(src_schema, lines, year(1990))
         assert snapshot_to_lines(again) == lines
+
+
+def rejection(src_schema, records, lines=None):
+    """The exception ingesting records (or raw lines) raises."""
+    with pytest.raises(Exception) as err:
+        ingest_snapshot(src_schema, lines or snapshot_lines(records), year(1990))
+    return err.value
+
+
+def with_record(rid, change):
+    """The 1990 hospital records with change applied to record rid."""
+    records = hospital_records(1990)
+    change(next(r for r in records if r["id"] == rid))
+    return records
+
+
+class TestRejectionMessages:
+    """Each rejection path keeps its exception class and exact message."""
+
+    def check(self, src_schema, records, cls, message, lines=None):
+        exc = rejection(src_schema, records, lines)
+        assert type(exc) is cls
+        assert str(exc) == message
+
+    def test_line_that_is_not_json(self, src_schema):
+        lines = snapshot_lines(hospital_records(1990)[:1]) + ["", "{not json"]
+        self.check(
+            src_schema, None, TypeMismatch,
+            "record line 3: not a valid document (Expecting property name enclosed "
+            "in double quotes: line 1 column 2 (char 1))",
+            lines,
+        )
+
+    @pytest.mark.parametrize(
+        "doc", [{"id": "x", "values": {}}, {"interface": "PATIENT"}, ["PATIENT", "x"]]
+    )
+    def test_missing_interface_or_id(self, src_schema, doc):
+        lines = snapshot_lines(hospital_records(1990)[:1]) + [json.dumps(doc)]
+        self.check(src_schema, None, TypeMismatch, "record line 2: missing interface/id", lines)
+
+    def test_unknown_interface(self, src_schema):
+        records = with_record("p2", lambda r: r.update(interface="GHOST"))
+        self.check(
+            src_schema, records, UnknownInterface, "record line 2: unknown interface 'GHOST'"
+        )
+
+    def test_unknown_attribute(self, src_schema):
+        records = with_record("p1", lambda r: r["values"].update(âge=40))
+        self.check(
+            src_schema, records, TypeMismatch,
+            "record line 1: 'PRATICIEN' has no attribute 'âge'",
+        )
+
+    def test_missing_value(self, src_schema):
+        records = with_record("s2", lambda r: r["values"].pop("téléphone"))
+        self.check(
+            src_schema, records, TypeMismatch,
+            "record line 8: missing value for SERVICE.téléphone",
+        )
+
+    def test_missing_value_named_in_declaration_order(self, src_schema):
+        def drop(r):
+            del r["values"]["catégorie"], r["values"]["prénom"]
+
+        # catégorie sorts first, but PERSONNE's prénom is declared first
+        self.check(
+            src_schema, with_record("p1", drop), TypeMismatch,
+            "record line 1: missing value for PRATICIEN.prénom",
+        )
+
+    def test_true_for_a_short(self, src_schema):
+        records = with_record("p1", lambda r: r["values"].update(année_naissance=True))
+        self.check(
+            src_schema, records, TypeMismatch,
+            "PRATICIEN.année_naissance: expected an integer, got True",
+        )
+
+    def test_true_for_a_double(self, src_schema):
+        records = with_record("e1", lambda r: r["values"].update(budget=True))
+        self.check(
+            src_schema, records, TypeMismatch,
+            "ETABLISSEMENT.budget: expected a number, got True",
+        )
+
+    def test_unknown_struct_field(self, src_schema):
+        records = with_record("pa1", lambda r: r["values"]["adresse"].update(pays="FR"))
+        self.check(
+            src_schema, records, TypeMismatch, "PATIENT.adresse.pays: unknown struct field"
+        )
+
+    def test_missing_struct_field(self, src_schema):
+        records = with_record("e2", lambda r: r["values"]["adresse"].pop("ville"))
+        self.check(
+            src_schema, records, TypeMismatch,
+            "ETABLISSEMENT.adresse.ville: missing struct field",
+        )
+
+    def test_wrong_struct_field_type(self, src_schema):
+        records = with_record(
+            "p3", lambda r: r["values"]["adresse"].update(code_postal="31000")
+        )
+        self.check(
+            src_schema, records, TypeMismatch,
+            "PRATICIEN.adresse.code_postal: expected an integer, got '31000'",
+        )
+
+    def test_set_value_not_a_list(self, src_schema):
+        records = with_record("c1", lambda r: r["values"].update(analyses="img-001"))
+        self.check(
+            src_schema, records, TypeMismatch,
+            "CONSULTATION.analyses: expected a set (list), got 'img-001'",
+        )
+
+    def test_wrong_set_element_type(self, src_schema):
+        records = with_record("c1", lambda r: r["values"].update(analyses=["img-001", 7]))
+        self.check(
+            src_schema, records, TypeMismatch,
+            "CONSULTATION.analyses[]: expected a string, got 7",
+        )
+
+    @pytest.mark.parametrize("ids", ["s1", ["s1", 1], {"s1": 1}])
+    def test_links_not_a_list_of_ids(self, src_schema, ids):
+        records = with_record("p1", lambda r: r["links"].update(travaille=ids))
+        self.check(
+            src_schema, records, TypeMismatch,
+            "record line 1: links for 'travaille' must be a list of ids",
+        )
+
+    def test_unknown_relationship(self, src_schema):
+        records = with_record("p2", lambda r: r["links"].update(soigne=[]))
+        self.check(
+            src_schema, records, TypeMismatch,
+            "record line 2: 'PRATICIEN' has no relationship 'soigne'",
+        )
+
+    def test_to_one_relationship_with_two_ids(self, src_schema):
+        records = with_record("p1", lambda r: r["links"].update(dirige=["s1", "s3"]))
+        self.check(
+            src_schema, records, TypeMismatch,
+            "record line 1: 'dirige' links more than one target",
+        )
+
+    def test_duplicate_id(self, src_schema):
+        records = hospital_records(1990)
+        records.append(records[1])
+        self.check(
+            src_schema, records, DuplicateId,
+            "record line 12: duplicate id ('PRATICIEN', 'p2')",
+        )
+
+    def test_dangling_reference(self, src_schema):
+        records = [r for r in hospital_records(1990) if r["id"] != "pa1"]
+        self.check(
+            src_schema, records, DanglingReference,
+            "CONSULTATION:c1 links patient to missing PATIENT:pa1",
+        )
+
+    def test_inverse_violation(self, src_schema):
+        records = with_record("p1", lambda r: r["links"].update(travaille=["s1", "s2"]))
+        self.check(
+            src_schema, records, InverseViolation,
+            "PRATICIEN:p1.travaille links s2 but SERVICE:s2.équipe does not point back",
+        )
+
+    def test_composition_violation(self, src_schema):
+        records = with_record("e2", lambda r: r["links"].update(organisation=["s1", "s3"]))
+        self.check(
+            src_schema, records, CompositionViolation,
+            "SERVICE:s1 is a component of both ('ETABLISSEMENT', 'e1') and "
+            "('ETABLISSEMENT', 'e2')",
+        )
+
+
+# ---------------------------------------------------------------------------
+# ambiguous links: the same answer whatever the hash seed
+
+AMBIGUOUS = r'''
+import json
+from tdw.source import ingest_snapshot, parse_source_schema
+from tdw.temporal import Instant
+
+schema = parse_source_schema("""
+interface A { attribute String n; relationship <X> back inverse X::to; }
+interface B (extend A) {}
+interface C (extend A) {}
+interface X { relationship <A> to inverse A::back; }
+""")
+lines = [json.dumps(d) for d in [
+    {"interface": "B", "id": "1", "values": {"n": "b"}, "links": {"back": ["x1"]}},
+    {"interface": "C", "id": "1", "values": {"n": "c"}, "links": {"back": []}},
+    {"interface": "X", "id": "x1", "values": {}, "links": {"to": ["1"]}},
+]]
+try:
+    ingest_snapshot(schema, lines, Instant("year", 0))
+    print("accepted")
+except Exception as exc:
+    print(type(exc).__name__, exc)
+'''
+
+
+@pytest.mark.parametrize("hash_seeds", [("0", "1"), ("3", "4")])
+def test_ambiguous_link_rejected_under_every_hash_seed(hash_seeds):
+    outputs = []
+    for seed in hash_seeds:
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", AMBIGUOUS], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs == [
+        "DanglingReference X:x1 links to to A:1, which names several records: B:1, C:1\n"
+    ] * 2
+
+
+# ---------------------------------------------------------------------------
+# ingestion against the per-record flattening it replaced
+
+
+def reference_typed_record(schema, doc, lineno):
+    """_typed_record before the parse-time tables: flattens the interface
+    and builds its attribute and relationship maps for every record."""
+    if not isinstance(doc, dict) or "interface" not in doc or "id" not in doc:
+        raise TypeMismatch(f"record line {lineno}: missing interface/id")
+    iface_name = doc["interface"]
+    if iface_name not in schema.interfaces:
+        raise UnknownInterface(f"record line {lineno}: unknown interface {iface_name!r}")
+    flat = schema.flattened(iface_name)
+    attrs = {n: t for n, t, _ in flat if isinstance(t, SourceType)}
+    rels = {n: t for n, t, _ in flat if isinstance(t, Relationship)}
+
+    values = {}
+    for name, value in sorted((doc.get("values") or {}).items()):
+        if name not in attrs:
+            raise TypeMismatch(f"record line {lineno}: {iface_name!r} has no attribute {name!r}")
+        values[name] = reference_coerce(attrs[name], value, f"{iface_name}.{name}")
+    for name in attrs:
+        if name not in values:
+            raise TypeMismatch(f"record line {lineno}: missing value for {iface_name}.{name}")
+
+    links = {}
+    for name, ids in sorted((doc.get("links") or {}).items()):
+        if name not in rels:
+            raise TypeMismatch(f"record line {lineno}: {iface_name!r} has no relationship {name!r}")
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise TypeMismatch(f"record line {lineno}: links for {name!r} must be a list of ids")
+        rel = rels[name]
+        if rel.cardinality == "one" and len(ids) > 1:
+            raise TypeMismatch(f"record line {lineno}: {name!r} links more than one target")
+        links[name] = tuple(sorted(set(ids)))
+    for name in rels:
+        links.setdefault(name, ())
+    return SourceRecord(iface_name, str(doc["id"]), values, links)
+
+
+def reference_coerce(typ, value, where):
+    """coerce before the lazy labels: formats where for every value and
+    rebuilds a struct's field map for every struct value."""
+    if typ.kind in ("short", "long"):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeMismatch(f"{where}: expected an integer, got {value!r}")
+        return value
+    if typ.kind == "double":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeMismatch(f"{where}: expected a number, got {value!r}")
+        return float(value)
+    if typ.kind in ("string", "date", "image-ref"):
+        if not isinstance(value, str):
+            raise TypeMismatch(f"{where}: expected a string, got {value!r}")
+        return value
+    if typ.kind == "struct":
+        if not isinstance(value, dict):
+            raise TypeMismatch(f"{where}: expected a struct value, got {value!r}")
+        known = dict(typ.fields)
+        out = {}
+        for fname, fval in value.items():
+            if fname not in known:
+                raise TypeMismatch(f"{where}.{fname}: unknown struct field")
+            out[fname] = reference_coerce(known[fname], fval, f"{where}.{fname}")
+        for fname in known:
+            if fname not in out:
+                raise TypeMismatch(f"{where}.{fname}: missing struct field")
+        return dict(sorted(out.items()))
+    if typ.kind == "set":
+        if not isinstance(value, list):
+            raise TypeMismatch(f"{where}: expected a set (list), got {value!r}")
+        items = [reference_coerce(typ.element, v, where + "[]") for v in value]
+        try:
+            return sorted(set(items))
+        except TypeError:
+            return sorted(items, key=json.dumps)
+    raise TypeMismatch(f"{where}: unsupported type {typ.kind!r}")
+
+
+NESTED_SCHEMA = parse_source_schema(
+    "interface N { attribute Set<Struct P { Short a, Set<Double> b }> ps;"
+    " attribute Struct Q { Struct R { Date d } r, Set<String> s } q;"
+    " relationship Set<N> peers; }"
+)
+SHORT_TEXT = st.text(alphabet="abcé_", max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | SHORT_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(SHORT_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+SCALAR_VALUES = {
+    "string": SHORT_TEXT,
+    "date": SHORT_TEXT,
+    "image-ref": SHORT_TEXT,
+    "short": st.integers(-3, 3),
+    "long": st.integers(-3, 3),
+    "double": st.integers(-3, 3) | st.floats(allow_nan=False),
+}
+
+
+def valid_values(typ):
+    if typ.kind == "struct":
+        return st.fixed_dictionaries({n: valid_values(t) for n, t in typ.fields})
+    if typ.kind == "set":
+        return st.lists(valid_values(typ.element), max_size=3)
+    return SCALAR_VALUES[typ.kind]
+
+
+def mutate(draw, doc):
+    """One random change that a faulty source could make to a record."""
+    values, links = doc["values"], doc["links"]
+
+    def some_key(d):
+        return draw(st.sampled_from(sorted(d))) if d else None
+
+    kind = draw(st.integers(0, 12))
+    if kind == 0 and values:
+        del values[some_key(values)]
+    elif kind == 1:
+        values[draw(SHORT_TEXT)] = draw(JSON_VALUES)
+    elif kind == 2 and values:
+        values[some_key(values)] = draw(JSON_VALUES)
+    elif kind == 3:
+        # reach into a struct, or a set of structs, one level down
+        nested = [v for v in values.values() if isinstance(v, dict)]
+        nested += [e for v in values.values() if isinstance(v, list) for e in v if isinstance(e, dict)]
+        if nested:
+            target = draw(st.sampled_from(nested))
+            if target and draw(st.booleans()):
+                del target[some_key(target)]
+            else:
+                target[draw(SHORT_TEXT)] = draw(JSON_VALUES)
+    elif kind == 4:
+        sets = [v for v in values.values() if isinstance(v, list)]
+        if sets:
+            draw(st.sampled_from(sets)).append(draw(JSON_VALUES))
+    elif kind == 5 and links:
+        links[some_key(links)] = draw(JSON_VALUES)
+    elif kind == 6:
+        links[draw(SHORT_TEXT)] = draw(st.lists(SHORT_TEXT, max_size=2))
+    elif kind == 7 and links:
+        del links[some_key(links)]
+    elif kind == 8 and links:
+        links[some_key(links)] = ["a", "b"]
+    elif kind == 9:
+        doc["interface"] = draw(SHORT_TEXT | JSON_VALUES)
+    elif kind == 10:
+        doc.pop(draw(st.sampled_from(["interface", "id", "values", "links"])), None)
+    elif kind == 11:
+        doc[draw(st.sampled_from(["id", "values", "links"]))] = draw(JSON_VALUES)
+    elif kind == 12:
+        doc.clear()
+
+
+_mostly_true = st.sampled_from((True, True, True, False))
+
+
+@st.composite
+def record_documents(draw, schema):
+    """A record document for schema: valid, or changed up to three times."""
+    iface = draw(st.sampled_from(sorted(schema.interfaces)))
+    flat = draw(st.permutations(schema.flattened(iface)))
+    values, links = {}, {}
+    for name, typ, _owner in flat:
+        if isinstance(typ, Relationship):
+            if draw(_mostly_true):
+                links[name] = draw(
+                    st.lists(SHORT_TEXT, max_size=1 if typ.cardinality == "one" else 3)
+                )
+        else:
+            values[name] = draw(valid_values(typ))
+    doc = {"interface": iface, "id": draw(SHORT_TEXT), "values": values, "links": links}
+    for _ in range(draw(st.integers(0, 3))):
+        if isinstance(doc.get("values"), dict) and isinstance(doc.get("links"), dict):
+            mutate(draw, doc)
+    return doc
+
+
+def outcome(typed_record, schema_arg, doc):
+    """The record as key-ordered JSON, or the exception's class and text."""
+    try:
+        rec = typed_record(schema_arg, doc, 7)
+    except Exception as exc:  # the comparison is the point: any class counts
+        return ("raised", type(exc).__name__, str(exc))
+    return ("record", rec, json.dumps([rec.interface, rec.id, rec.values, rec.links]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_ingestion_matches_per_record_flattening(src_schema, data):
+    schema = data.draw(st.sampled_from([src_schema, NESTED_SCHEMA]))
+    doc = data.draw(record_documents(schema))
+    expected = outcome(reference_typed_record, schema, copy.deepcopy(doc))
+    assert outcome(_typed_record, schema.tables, doc) == expected
