@@ -11,7 +11,6 @@ documented in docs/grammar.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
 
 from . import algebra
 from .errors import (
@@ -898,54 +897,3 @@ def _check_warehouse_inverses(schema: WarehouseSchema) -> None:
                     f"{cls.name}.{p.name} declares inverse {p.target}::{p.inverse}, "
                     "which is missing or does not point back"
                 )
-
-
-# ---------------------------------------------------------------------------
-# canonical schema serialization (used for determinism checks and plans)
-
-
-def schema_to_dict(schema: WarehouseSchema) -> dict[str, Any]:
-    classes = {}
-    for name in sorted(schema.classes):
-        cls = schema.classes[name]
-        classes[name] = {
-            "supers": sorted(cls.supers),
-            "structure": [
-                {
-                    "name": p.name,
-                    "origin": p.origin,
-                    "kind": p.kind,
-                    "type": str(p.value_type) if p.value_type else None,
-                    "target": p.target,
-                    "cardinality": p.cardinality,
-                    "inverse": p.inverse,
-                    "source_path": list(p.source_path) if p.source_path else None,
-                }
-                for p in cls.structure
-            ],
-            "tempo": sorted(cls.tempo),
-            "archi": dict(sorted(cls.archi.items())),
-            "mapping": format_mapping(cls.mapping) if cls.mapping is not None else None,
-            "source_origins": sorted(cls.source_origins),
-        }
-    environments = {}
-    for name in sorted(schema.environments):
-        env = schema.environments[name]
-        environments[name] = {
-            "classes": list(env.classes),
-            "config": _config_dict(env.config),
-        }
-    return {
-        "name": schema.name,
-        "classes": classes,
-        "environments": environments,
-        "config": _config_dict(schema.global_config),
-    }
-
-
-def _config_dict(cfg: RetentionConfig) -> dict[str, Any]:
-    return {
-        "refresh_period": list(cfg.refresh_period) if cfg.refresh_period else None,
-        "keep_past_count": cfg.keep_past_count,
-        "keep_past_duration": list(cfg.keep_past_duration) if cfg.keep_past_duration else None,
-    }

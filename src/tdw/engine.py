@@ -1,6 +1,6 @@
 """Lifecycle engine: initial load, periodic refresh, archival, identity.
 
-The engine owns the store: every warehouse object, the identity map
+The engine owns the store: every warehouse object, the identity index
 from (class, source key) to oid, and the resolved schema. Refreshes are
 driven by snapshots taken at extraction points; between two points the
 warehouse assumes nothing changed. A refresh diffs each class's mapping
@@ -19,6 +19,14 @@ the dynamic state and publishes it only on success. The copy is
 structural: each object and its current state are new, while past
 states, archive states and value dicts are shared with the original,
 since the engine only ever replaces them, never changes them in place.
+
+A store file (tdw-store-v2) is a header line with the schema texts and
+an index of every object's oid, class, status and source key, then one
+line per object with its states. load_store builds every object from the
+index and decodes an object's line on the first read of its states, so
+a query decodes only the objects it shows. A refresh reads every object
+through working_copy, and every save encodes every object anew, so no
+line is written that was not decoded and checked first.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import copy
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Any
 
 from . import model
@@ -73,8 +82,6 @@ from .temporal import (
     parse_instant,
 )
 
-STORE_FORMAT = "tdw-store-v1"
-
 
 @dataclass
 class ClassCounts:
@@ -104,11 +111,12 @@ class RefreshReport:
 class Store:
     """The warehouse: schema, objects and the indexes over them.
 
-    objects is the only place an object lives; identity maps (class,
-    source key) to its oid, and source_index maps each (interface, source
-    id) pair of a source key to the oids whose key holds it, so a link is
-    resolved without scanning an extension. add_object, the only way
-    objects enter a store, keeps source_index complete.
+    objects is the only place an object lives. Two indexes over it are
+    kept by add_object, the only way objects enter a store: identity maps
+    (class, source key) to its oid, and source_index maps each (interface,
+    source id) pair of a source key to the oids whose key holds it, so a
+    link is resolved without scanning an extension. Neither is stored in
+    a store file; both are rebuilt as objects are added.
     """
 
     source_schema: SourceSchema
@@ -201,8 +209,9 @@ class Store:
         return self.oid_counter
 
     def add_object(self, obj: WarehouseObject) -> None:
-        """Insert a new object and index its source key."""
+        """Insert a new object and index its identity and source key."""
         self.objects[obj.oid] = obj
+        self.identity[(obj.class_name, obj.source_key)] = obj.oid
         for pair in obj.source_key:
             self.source_index[pair] = self.source_index.get(pair, ()) + (obj.oid,)
 
@@ -311,11 +320,9 @@ def _run_extraction_points(
         counts = report.classes.setdefault(name, ClassCounts())
         created_now[name] = set()
         for key, _values in class_rows[name]:
-            ident = (name, key)
-            if ident in store.identity:
+            if (name, key) in store.identity:
                 continue
             oid = store.fresh_oid()
-            store.identity[ident] = oid
             state = State(domain(t.unit, (t.tick, t.tick)), {})
             store.add_object(WarehouseObject(oid, name, state, source_key=key))
             created_now[name].add(oid)
@@ -384,11 +391,9 @@ def _run_extraction_points(
         for row, values in zip(result.rows, result.to_dicts()):
             aligned = {p.name: values.get(p.name) for p in flat}
             result_keys.add(row.key)
-            ident = (name, row.key)
-            oid = store.identity.get(ident)
+            oid = store.identity.get((name, row.key))
             if oid is None:
                 oid = store.fresh_oid()
-                store.identity[ident] = oid
                 store.add_object(
                     WarehouseObject(
                         oid,
@@ -711,16 +716,35 @@ def patch_specific(store: Store, oid: Oid, prop_name: str, value: Any, t: Instan
 # persistence
 
 
-def store_to_dict(store: Store) -> dict[str, Any]:
-    objects = []
-    for oid in sorted(store.objects):
-        obj = store.objects[oid]
-        objects.append(
+STORE_FORMAT = "tdw-store-v2"
+V1_FORMAT = "tdw-store-v1"  # the whole store as one document; still read
+
+
+def dumps_store(store: Store) -> str:
+    """Canonical, byte-stable serialization: a header line, then one line
+    per object in oid order, each compact JSON with sorted keys in UTF-8
+    text and a newline. The header holds the schema texts, last_refresh,
+    oid_counter, the membership sets and the object index [oid, class,
+    status, source key] in oid order; an object's line holds its states.
+
+    Every object's states are read, so a store loaded from a file with a
+    damaged object line raises here instead of being written."""
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
+    objects = [store.objects[oid] for oid in sorted(store.objects)]
+    header = {
+        "format": STORE_FORMAT,
+        "source_schema": store.source_text,
+        "warehouse_def": store.warehouse_text,
+        "last_refresh": format_instant(store.last_refresh) if store.last_refresh else None,
+        "oid_counter": store.oid_counter,
+        "memberships": {name: sorted(oids) for name, oids in store.memberships.items()},
+        # json writes the source key's tuples as lists
+        "objects": [[obj.oid, obj.class_name, obj.status, obj.source_key] for obj in objects],
+    }
+    lines = [encode(header)]
+    lines.extend(
+        encode(
             {
-                "oid": oid,
-                "class": obj.class_name,
-                "status": obj.status,
-                "source_key": [list(pair) for pair in obj.source_key],
                 "current": _state_dict(obj.current),
                 "past": [_state_dict(s) for s in obj.past],
                 "archives": [
@@ -729,19 +753,9 @@ def store_to_dict(store: Store) -> dict[str, Any]:
                 ],
             }
         )
-    return {
-        "format": STORE_FORMAT,
-        "source_schema": store.source_text,
-        "warehouse_def": store.warehouse_text,
-        "last_refresh": format_instant(store.last_refresh) if store.last_refresh else None,
-        "oid_counter": store.oid_counter,
-        "identity": [
-            [cname, [list(p) for p in key], oid]
-            for (cname, key), oid in sorted(store.identity.items())
-        ],
-        "memberships": {name: sorted(oids) for name, oids in sorted(store.memberships.items())},
-        "objects": objects,
-    }
+        for obj in objects
+    )
+    return "\n".join(lines) + "\n"
 
 
 def _state_dict(state: State) -> dict[str, Any]:
@@ -755,23 +769,15 @@ def _domain_dict(d: TemporalDomain) -> dict[str, Any]:
     }
 
 
-def dumps_store(store: Store) -> str:
-    """Canonical, byte-stable serialization: one line of JSON with sorted
-    keys, UTF-8 text, then a newline. With no indent, json uses its C
-    encoder; load_store accepts any whitespace, so files written in an
-    indented layout load as they are."""
-    return json.dumps(
-        store_to_dict(store), ensure_ascii=False, sort_keys=True, separators=(",", ":")
-    ) + "\n"
-
-
 def save_store(store: Store, path: str) -> None:
     """Write the store through a temporary file that replaces path, so a
-    failed write leaves the prior file as it was and no temporary file."""
+    failed encoding, write or rename leaves the prior file as it was and
+    no temporary file."""
+    text = dumps_store(store)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(dumps_store(store))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -780,23 +786,45 @@ def save_store(store: Store, path: str) -> None:
 
 
 def load_store(path: str) -> Store:
-    """Read a store file; raise Error if it is not a well-formed store."""
-    with open(path, encoding="utf-8") as fh:
+    """Read a store file; raise Error if it is not a well-formed store.
+
+    A tdw-store-v2 file's header and its number of object lines are
+    checked here; each object's line is decoded and checked when one of
+    its states is first read, and raises the same malformed-store Error
+    then. A tdw-store-v1 file, compact or indented, is decoded and checked
+    whole, and is written as v2 at its next save.
+    """
+    # lines end at "\n" alone, the one line break the encoder writes raw
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        head = fh.readline()
         try:
-            doc = json.load(fh)
+            doc = json.loads(head)
+        except json.JSONDecodeError:
+            doc = None  # the indented v1 layout spreads one document over lines
+        v2 = isinstance(doc, dict) and doc.get("format") == STORE_FORMAT
+        rest = fh.readlines() if v2 else fh.read()
+    if not v2 and (doc is None or rest.strip()):
+        try:
+            doc = json.loads(head + rest)
         except json.JSONDecodeError as exc:
             raise Error(f"{path}: not a valid store document ({exc})") from None
-    if not isinstance(doc, dict) or doc.get("format") != STORE_FORMAT:
-        raise Error(f"{path}: not a {STORE_FORMAT} document")
+    if not v2 and not (isinstance(doc, dict) and doc.get("format") == V1_FORMAT):
+        raise Error(f"{path}: not a {STORE_FORMAT} or {V1_FORMAT} document")
+    decoder = _StateDecoder(path)
     try:
-        return _store_from(doc)
+        store = _store_from_v2(doc, rest, decoder) if v2 else _store_from_v1(doc, decoder)
+        if len(store.identity) != len(store.objects):
+            raise ValueError("two objects share one class and source key")
     except (KeyError, TypeError, ValueError) as exc:
-        raise Error(
-            f"{path}: malformed store document ({type(exc).__name__}: {exc})"
-        ) from None
+        raise _malformed(path, exc) from None
+    return store
 
 
-def _store_from(doc: dict[str, Any]) -> Store:
+def _malformed(path: str, exc: Exception) -> Error:
+    return Error(f"{path}: malformed store document ({type(exc).__name__}: {exc})")
+
+
+def _store_from_header(doc: dict[str, Any]) -> Store:
     src = parse_source_schema(doc["source_schema"])
     wdef = parse_warehouse_def(doc["warehouse_def"])
     schema = resolve(wdef, src, strict=True)
@@ -809,38 +837,83 @@ def _store_from(doc: dict[str, Any]) -> Store:
         last_refresh=parse_instant(doc["last_refresh"]) if doc["last_refresh"] else None,
         oid_counter=doc["oid_counter"],
     )
-    for cname, key, oid in doc["identity"]:
-        store.identity[(cname, tuple(tuple(p) for p in key))] = oid
     store.memberships = {
         name: set(oids) for name, oids in doc.get("memberships", {}).items()
     }
+    return store
 
-    # Many states span the same granules, so each distinct domain is built
-    # and checked once and then shared: TemporalDomain is frozen, and the
-    # engine only ever replaces a state's domain.
-    domains: dict[tuple[str, tuple[tuple[int, ...], ...]], TemporalDomain] = {}
 
-    def domain_from(d: dict[str, Any]) -> TemporalDomain:
-        key = (d["unit"], tuple(map(tuple, d["intervals"])))
-        found = domains.get(key)
-        if found is None:
-            found = domains[key] = domain(key[0], *key[1])
-        return found
+def _store_from_v2(doc: dict[str, Any], lines: list[str], decoder: _StateDecoder) -> Store:
+    store = _store_from_header(doc)
+    index = doc["objects"]
+    # only a file cut off inside its last line has a line without "\n"
+    complete = len(lines) - (bool(lines) and not lines[-1].endswith("\n"))
+    if len(lines) != len(index) or complete != len(lines):
+        raise ValueError(
+            f"the index holds {len(index)} objects but {complete} complete object lines follow"
+        )
+    prior = 0
+    for (oid, cname, status, key), line in zip(index, lines):
+        # lines pair with index entries by position, which the oid order fixes
+        if oid <= prior:
+            raise ValueError(f"oid {oid} follows oid {prior} in the object index")
+        prior = oid
+        store.add_object(
+            WarehouseObject.deferred(
+                oid, cname, status, tuple(tuple(p) for p in key), partial(decoder.line, line)
+            )
+        )
+    return store
 
+
+def _store_from_v1(doc: dict[str, Any], decoder: _StateDecoder) -> Store:
+    store = _store_from_header(doc)
     for item in doc["objects"]:
-        current = item["current"]
         store.add_object(
             WarehouseObject(
                 item["oid"],
                 item["class"],
-                State(domain_from(current["domain"]), current["value"]),
-                [State(domain_from(s["domain"]), s["value"]) for s in item["past"]],
-                [
-                    ArchiveState(domain_from(a["domain"]), a["aggregates"])
-                    for a in item["archives"]
-                ],
+                *decoder.states(item),
                 item["status"],
                 tuple(tuple(p) for p in item["source_key"]),
             )
         )
+    stored = {(cname, tuple(tuple(p) for p in key)): oid for cname, key, oid in doc["identity"]}
+    if stored != store.identity:
+        raise ValueError("the identity table disagrees with the objects")
     return store
+
+
+class _StateDecoder:
+    """Builds objects' states from one store file's documents.
+
+    Many states span the same granules, so each distinct domain is built
+    and checked once and then shared: TemporalDomain is frozen, and the
+    engine only ever replaces a state's domain.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self.domains: dict[tuple[str, tuple[tuple[int, ...], ...]], TemporalDomain] = {}
+
+    def line(self, line: str) -> tuple[State, list[State], list[ArchiveState]]:
+        """Decode one v2 object line, raising the malformed-store Error."""
+        try:
+            return self.states(json.loads(line))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _malformed(self.path, exc) from None
+
+    def states(self, item: dict[str, Any]) -> tuple[State, list[State], list[ArchiveState]]:
+        current = item["current"]
+        return (
+            State(self.domain(current["domain"]), current["value"]),
+            [State(self.domain(s["domain"]), s["value"]) for s in item["past"]],
+            [ArchiveState(self.domain(a["domain"]), a["aggregates"]) for a in item["archives"]],
+        )
+
+    def domain(self, d: dict[str, Any]) -> TemporalDomain:
+        key = (d["unit"], tuple(map(tuple, d["intervals"])))
+        found = self.domains.get(key)
+        if found is None:
+            found = self.domains[key] = domain(key[0], *key[1])
+        return found

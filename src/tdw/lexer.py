@@ -9,7 +9,7 @@ value, so property names are never reserved.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -22,6 +22,7 @@ _TOKEN_RE = re.compile(
   | (?P<ident>[^\W\d]\w*)
   | (?P<string>"(?:[^"\\\n]|\\.)*")
   | (?P<punct>::|:=|<=|>=|!=|[{}()<>,;:.=\-≠≤≥∋])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -30,8 +31,7 @@ _TOKEN_RE = re.compile(
 _PUNCT_ALIASES = {"≠": "!=", "≤": "<=", "≥": ">="}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | number | string | punct | eof
     value: str
     line: int
@@ -39,28 +39,29 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    # Every character starts a match (bad takes any the others do not),
+    # so the matches tile the text; a token's column counts from the
+    # start of its line.
     tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(line, col, f"a token (found {text[pos]!r})")
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
+        if kind == "ws" or kind == "comment":
+            continue
         if kind == "nl":
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(value)
-        else:
-            if kind == "string":
-                value = value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-            elif kind == "punct":
-                value = _PUNCT_ALIASES.get(value, value)
-            tokens.append(Token(kind, value, line, col))
-            col += m.end() - m.start()
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            line_start = m.end()
+            continue
+        col = m.start() - line_start + 1
+        value = m.group()
+        if kind == "string":
+            value = value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+        elif kind == "punct":
+            value = _PUNCT_ALIASES.get(value, value)
+        elif kind == "bad":
+            raise ParseError(line, col, f"a token (found {value!r})")
+        tokens.append(Token(kind, value, line, col))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 

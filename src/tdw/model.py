@@ -13,7 +13,7 @@ cumulative archive state, all with pairwise disjoint temporal domains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .errors import (
     InheritanceCycle,
@@ -412,6 +412,13 @@ class ArchiveState:
 
 @dataclass
 class WarehouseObject:
+    """An object and its states.
+
+    An object read from a store file may start deferred: it holds its
+    oid, class, status and source key, and its states are decoded when
+    current, past or archives is first read.
+    """
+
     oid: Oid
     class_name: str
     current: State
@@ -419,6 +426,34 @@ class WarehouseObject:
     archives: list[ArchiveState] = field(default_factory=list)
     status: str = "active"  # active | frozen
     source_key: tuple[tuple[str, str], ...] = ()
+
+    @classmethod
+    def deferred(
+        cls,
+        oid: Oid,
+        class_name: str,
+        status: str,
+        source_key: tuple[tuple[str, str], ...],
+        load: Callable[[], tuple[State, list[State], list[ArchiveState]]],
+    ) -> WarehouseObject:
+        """An object whose current, past and archive states load() returns
+        on their first read."""
+        obj = cls.__new__(cls)
+        obj.__dict__.update(
+            oid=oid, class_name=class_name, status=status, source_key=source_key, _load=load
+        )
+        return obj
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only for an attribute the instance lacks, so a decoded or
+        # ordinary object never comes here; a load that raises leaves the
+        # object deferred, and the next read raises again
+        load = self.__dict__.get("_load")
+        if load is None or name not in ("current", "past", "archives"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.current, self.past, self.archives = load()
+        del self._load
+        return self.__dict__[name]
 
     def all_domains(self) -> list[TemporalDomain]:
         out = [self.current.domain]

@@ -18,6 +18,7 @@ label is formatted only when the value is rejected.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -27,6 +28,7 @@ from .errors import (
     CompositionViolation,
     DanglingReference,
     DuplicateId,
+    InheritanceCycle,
     InverseMismatch,
     InverseViolation,
     TypeMismatch,
@@ -312,6 +314,20 @@ def _check_schema(schema: SourceSchema) -> None:
                 raise UnknownInterface(
                     f"line {iface.line}: {iface.name!r} extends unknown {sup!r}"
                 )
+    # before any check that follows the supers, as _lineage and _flatten do
+    for name in schema.interfaces:
+        seen: set[str] = set()
+
+        def walk(n: str):
+            if n in seen:
+                raise InheritanceCycle(f"inheritance cycle through {n!r}")
+            seen.add(n)
+            for s in schema.interfaces[n].supers:
+                walk(s)
+            seen.discard(n)
+
+        walk(name)
+    for iface in schema.interfaces.values():
         for rel in iface.relationships:
             if rel.target not in schema.interfaces:
                 raise UnknownInterface(
@@ -327,24 +343,16 @@ def _check_schema(schema: SourceSchema) -> None:
                         f"line {rel.line}: {iface.name}.{rel.name} declares inverse "
                         f"{rel.target}::{rel.inverse}, which is missing or does not point back"
                     )
-        # inherited-included name uniqueness
-        names = [n for n, _, _ in _flatten(schema, iface.name)]
-        dupes = {n for n in names if names.count(n) > 1}
+        # each property name is declared once along the interface's lineage;
+        # a super reached twice through a diamond is one declaration
+        names: Counter[str] = Counter()
+        for owner in _lineage(schema, iface.name):
+            declared = schema.interfaces[owner]
+            names.update(n for n, _t in declared.attributes)
+            names.update(r.name for r in declared.relationships)
+        dupes = sorted(n for n, count in names.items() if count > 1)
         if dupes:
-            raise DuplicateId(f"{iface.name!r} has duplicate properties {sorted(dupes)}")
-    # cycle check via flattened() recursion depth
-    for name in schema.interfaces:
-        seen: set[str] = set()
-
-        def walk(n: str):
-            if n in seen:
-                raise UnknownInterface(f"inheritance cycle through {n!r}")
-            seen.add(n)
-            for s in schema.interfaces[n].supers:
-                walk(s)
-            seen.discard(n)
-
-        walk(name)
+            raise DuplicateId(f"{iface.name!r} has duplicate properties {dupes}")
 
 
 def print_source_schema(schema: SourceSchema) -> str:
@@ -438,7 +446,7 @@ def _typed_record(tables: dict[str, InterfaceTables], doc: Any, lineno: int) -> 
     rels = table.relationships
 
     values: dict[str, Any] = {}
-    for name, value in sorted((doc.get("values") or {}).items()):
+    for name, value in sorted(_member(doc, "values", lineno).items()):
         typ = attrs.get(name)
         if typ is None:
             raise TypeMismatch(f"record line {lineno}: {iface_name!r} has no attribute {name!r}")
@@ -448,7 +456,7 @@ def _typed_record(tables: dict[str, InterfaceTables], doc: Any, lineno: int) -> 
         raise TypeMismatch(f"record line {lineno}: missing value for {iface_name}.{missing}")
 
     links: dict[str, tuple[str, ...]] = {}
-    for name, ids in sorted((doc.get("links") or {}).items()):
+    for name, ids in sorted(_member(doc, "links", lineno).items()):
         rel = rels.get(name)
         if rel is None:
             raise TypeMismatch(f"record line {lineno}: {iface_name!r} has no relationship {name!r}")
@@ -460,6 +468,16 @@ def _typed_record(tables: dict[str, InterfaceTables], doc: Any, lineno: int) -> 
     for name in rels:
         links.setdefault(name, ())
     return SourceRecord(iface_name, str(doc["id"]), values, links)
+
+
+def _member(doc: dict[str, Any], part: str, lineno: int) -> dict[str, Any]:
+    """A record's values or links object; absent or null stands for {}."""
+    found = doc.get(part)
+    if found is None:
+        return {}
+    if not isinstance(found, dict):
+        raise TypeMismatch(f"record line {lineno}: {part} must be an object")
+    return found
 
 
 _is_str = str.__instancecheck__  # isinstance(x, str), as a one-argument builtin

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from tdw.dsl import parse_warehouse_def, resolve
+from tdw.expr import format_mapping
 from tdw.source import ingest_snapshot, parse_source_schema
-from tdw.temporal import Instant
+from tdw.temporal import Instant, format_instant
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -281,3 +282,92 @@ def assert_source_index(store) -> None:
         for pair in store.objects[oid].source_key:
             rebuilt.setdefault(pair, []).append(oid)
     assert {pair: sorted(oids) for pair, oids in store.source_index.items()} == rebuilt
+
+
+def store_to_dict(store) -> dict:
+    """The store as one tdw-store-v1 document, the layout store files had
+    before the header and one line per object: writes v1 files for the
+    compatibility tests, and compares stores across the two layouts."""
+
+    def domain_dict(d):
+        return {"unit": d.unit, "intervals": [[iv.start.tick, iv.end.tick] for iv in d.intervals]}
+
+    def state_dict(s):
+        return {"domain": domain_dict(s.domain), "value": s.value}
+
+    objects = []
+    for oid in sorted(store.objects):
+        obj = store.objects[oid]
+        objects.append(
+            {
+                "oid": oid,
+                "class": obj.class_name,
+                "status": obj.status,
+                "source_key": [list(pair) for pair in obj.source_key],
+                "current": state_dict(obj.current),
+                "past": [state_dict(s) for s in obj.past],
+                "archives": [
+                    {"domain": domain_dict(a.domain), "aggregates": a.aggregates}
+                    for a in obj.archives
+                ],
+            }
+        )
+    return {
+        "format": "tdw-store-v1",
+        "source_schema": store.source_text,
+        "warehouse_def": store.warehouse_text,
+        "last_refresh": format_instant(store.last_refresh) if store.last_refresh else None,
+        "oid_counter": store.oid_counter,
+        "identity": [
+            [cname, [list(p) for p in key], oid]
+            for (cname, key), oid in sorted(store.identity.items())
+        ],
+        "memberships": {name: sorted(oids) for name, oids in sorted(store.memberships.items())},
+        "objects": objects,
+    }
+
+
+def schema_to_dict(schema) -> dict:
+    """A resolved warehouse schema as one canonical document, for
+    determinism checks."""
+
+    def config_dict(cfg):
+        return {
+            "refresh_period": list(cfg.refresh_period) if cfg.refresh_period else None,
+            "keep_past_count": cfg.keep_past_count,
+            "keep_past_duration": list(cfg.keep_past_duration) if cfg.keep_past_duration else None,
+        }
+
+    classes = {}
+    for name in sorted(schema.classes):
+        cls = schema.classes[name]
+        classes[name] = {
+            "supers": sorted(cls.supers),
+            "structure": [
+                {
+                    "name": p.name,
+                    "origin": p.origin,
+                    "kind": p.kind,
+                    "type": str(p.value_type) if p.value_type else None,
+                    "target": p.target,
+                    "cardinality": p.cardinality,
+                    "inverse": p.inverse,
+                    "source_path": list(p.source_path) if p.source_path else None,
+                }
+                for p in cls.structure
+            ],
+            "tempo": sorted(cls.tempo),
+            "archi": dict(sorted(cls.archi.items())),
+            "mapping": format_mapping(cls.mapping) if cls.mapping is not None else None,
+            "source_origins": sorted(cls.source_origins),
+        }
+    environments = {}
+    for name in sorted(schema.environments):
+        env = schema.environments[name]
+        environments[name] = {"classes": list(env.classes), "config": config_dict(env.config)}
+    return {
+        "name": schema.name,
+        "classes": classes,
+        "environments": environments,
+        "config": config_dict(schema.global_config),
+    }

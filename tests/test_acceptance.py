@@ -11,7 +11,7 @@ import operator
 import random
 import time
 
-from conftest import hospital_records, snapshot_lines, year
+from conftest import hospital_records, snapshot_lines, store_to_dict, year
 from tdw.algebra import (
     BuildProp,
     ClassBuild,
@@ -26,7 +26,7 @@ from tdw.algebra import (
     eval_select,
 )
 from tdw.dsl import parse_warehouse_def, resolve, resolve_with_violations
-from tdw.engine import dumps_store, initial_load, refresh, save_store, store_to_dict
+from tdw.engine import dumps_store, initial_load, refresh, save_store
 from tdw.expr import AggCall, AugmentBinding, Comparison, Containment, Path, Predicate
 from tdw.model import effective_filters, flatten_type, is_subclass, validate_schema
 from tdw.source import ingest_snapshot, parse_source_schema, scalar, set_of

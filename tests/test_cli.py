@@ -80,6 +80,13 @@ class TestValidate:
         assert "property-conflict [O]" in out
         assert "invalid: 1 violation(s)" in out
 
+    def test_source_inheritance_cycle_is_a_domain_error(self, tmp_path):
+        odl = tmp_path / "cycle.odl"
+        odl.write_text("interface A (extend B) {} interface B (extend A) {}", encoding="utf-8")
+        rc, _out, err = tdw("validate", "--source-schema", str(odl), "--warehouse", EDW)
+        assert rc == 1
+        assert err == "error: inheritance cycle through 'A'\n"
+
     def test_missing_file_is_io_error(self):
         rc, _out, err = tdw("validate", "--source-schema", ODL, "--warehouse", "/nope.edw")
         assert rc == 2
@@ -89,9 +96,9 @@ class TestValidate:
 class TestBuild:
     def test_build_writes_store(self, built):
         _tmp, store = built
-        doc = json.loads(Path(store).read_text(encoding="utf-8"))
-        assert doc["format"] == "tdw-store-v1"
-        assert doc["last_refresh"] == "1990"
+        header = json.loads(Path(store).read_text(encoding="utf-8").split("\n", 1)[0])
+        assert header["format"] == "tdw-store-v2"
+        assert header["last_refresh"] == "1990"
 
     def test_existing_store_rejected(self, built, tmp_path):
         _tmp, store = built
@@ -274,6 +281,60 @@ class TestInspect:
             "--at", "1990",
         )
         assert rc == 0 and "current" in out and "2000000" in out
+
+
+@pytest.fixture()
+def damaged(built):
+    """The built store with the object line of oid 3, a hospital, replaced
+    by text that is not JSON; the header is left sound."""
+    tmp, store = built
+    path = Path(store)
+    header, *lines = path.read_text(encoding="utf-8")[:-1].split("\n")
+    oids = [entry[0] for entry in json.loads(header)["objects"]]
+    lines[oids.index(3)] = "{damaged"
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    return tmp, store
+
+
+class TestDamagedObjectLine:
+    def test_other_objects_and_listings_still_inspect(self, damaged):
+        _tmp, store = damaged
+        rc, out, err = tdw(
+            "inspect", "--store", store, "--class", "Hôpitaux_Publics", "--oid", "4", "--history"
+        )
+        assert rc == 0, err
+        assert out.startswith("object 4 (Hôpitaux_Publics, active) lifecycle")
+        rc, out, err = tdw("inspect", "--store", store, "--class", "Hôpitaux_Publics")
+        assert rc == 0, err
+        assert "  oid 3  [ETABLISSEMENT:e1]  active" in out
+
+    def test_inspecting_the_damaged_object_is_a_domain_error(self, damaged):
+        _tmp, store = damaged
+        rc, out, err = tdw(
+            "inspect", "--store", store, "--class", "Hôpitaux_Publics", "--oid", "3"
+        )
+        assert rc == 1 and out == ""
+        assert "h.store: malformed store document (JSONDecodeError: Expecting" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["refresh", "patch"])
+    def test_writers_leave_the_file_as_it_was(self, damaged, verb):
+        tmp, store = damaged
+        before = Path(store).read_bytes()
+        if verb == "refresh":
+            snap = write_snapshot(tmp / "s1991.jsonl", 1991)
+            args = ("refresh", "--store", store, "--snapshot", snap, "--at", "1991")
+        else:  # a sound object: the damaged one is met when the store is saved
+            args = ("patch", "--store", store, "--oid", "4", "--set", "année_création=1956",
+                    "--at", "1990")
+        rc, _out, err = tdw(*args)
+        assert rc == 1
+        assert "h.store: malformed store document (JSONDecodeError: Expecting" in err
+        assert "Traceback" not in err
+        assert Path(store).read_bytes() == before
+        assert sorted(p.name for p in tmp.iterdir() if p.name.startswith("h.store")) == [
+            "h.store"
+        ]
 
 
 class TestPatch:

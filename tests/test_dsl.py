@@ -4,14 +4,13 @@ import json
 
 import pytest
 
-from conftest import find_property
+from conftest import find_property, schema_to_dict
 from tdw.dsl import (
     parse_mapping,
     parse_warehouse_def,
     print_warehouse_def,
     resolve,
     resolve_with_violations,
-    schema_to_dict,
 )
 from tdw.errors import (
     ParseError,

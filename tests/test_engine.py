@@ -7,7 +7,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_source_index, hospital_records, snapshot_lines, year
+from conftest import (
+    assert_source_index,
+    hospital_records,
+    snapshot_lines,
+    store_to_dict,
+    year,
+)
 from tdw import engine
 from tdw.dsl import parse_warehouse_def
 from tdw.engine import (
@@ -16,7 +22,6 @@ from tdw.engine import (
     merge_archive,
     patch_specific,
     save_store,
-    store_to_dict,
 )
 from tdw.errors import (
     DanglingRelationTarget,
@@ -54,6 +59,17 @@ def load_store(path):
     store = engine.load_store(path)
     assert_source_index(store)
     return store
+
+
+def edited(change):
+    """A damage to a store file's object line: decode it, change it, encode it."""
+
+    def damage(line):
+        item = json.loads(line)
+        change(item)
+        return json.dumps(item)
+
+    return damage
 
 
 @pytest.fixture()
@@ -622,14 +638,60 @@ class TestPersistence:
         a = dumps_store(store)
         b = dumps_store(store)
         assert a == b
-        doc = json.loads(a)
-        assert list(doc["objects"][0].keys()) == sorted(doc["objects"][0].keys())
+        header, first = (json.loads(line) for line in a.split("\n")[:2])
+        assert list(header.keys()) == sorted(header.keys())
+        assert list(first.keys()) == sorted(first.keys())
 
-    def test_store_file_is_one_line_of_the_store_document(self, store, make_snapshot):
-        refresh(store, make_snapshot(1991))
+    def test_store_file_is_a_header_and_one_line_per_object_in_oid_order(
+        self, store, make_snapshot
+    ):
+        for y in (1991, 1992, 1993):
+            refresh(store, make_snapshot(y))
         text = dumps_store(store)
-        assert text.endswith("\n") and "\n" not in text[:-1]
-        assert json.loads(text) == store_to_dict(store)
+        assert text.endswith("\n")
+        header, *lines = (json.loads(line) for line in text[:-1].split("\n"))
+        v1 = store_to_dict(store)
+        assert [o["oid"] for o in v1["objects"]] == sorted(store.objects)
+        assert header == {
+            "format": "tdw-store-v2",
+            **{
+                k: v1[k]
+                for k in ("source_schema", "warehouse_def", "last_refresh", "oid_counter",
+                          "memberships")
+            },
+            "objects": [[o["oid"], o["class"], o["status"], o["source_key"]] for o in v1["objects"]],
+        }
+        assert lines == [
+            {k: o[k] for k in ("current", "past", "archives")} for o in v1["objects"]
+        ]
+        assert any(o["archives"] for o in v1["objects"])
+
+    def test_dumps_of_a_loaded_store_equals_the_file(self, store, tmp_path, make_snapshot):
+        for y in (1991, 1992, 1993):
+            refresh(store, make_snapshot(y))
+        path = tmp_path / "h.store"
+        save_store(store, str(path))
+        loaded = load_store(str(path))
+        assert dumps_store(loaded).encode("utf-8") == path.read_bytes()
+        assert store_to_dict(loaded) == store_to_dict(store)
+        assert loaded.identity == store.identity == {
+            (o.class_name, o.source_key): oid for oid, o in store.objects.items()
+        }
+
+    def test_compact_v1_store_file_loads_and_is_rewritten_as_v2(
+        self, store, tmp_path, make_snapshot
+    ):
+        refresh(store, make_snapshot(1991))
+        path = tmp_path / "h.store"
+        path.write_text(
+            json.dumps(store_to_dict(store), ensure_ascii=False, sort_keys=True,
+                       separators=(",", ":")) + "\n",
+            encoding="utf-8",
+        )
+        loaded = load_store(str(path))
+        assert store_to_dict(loaded) == store_to_dict(store)
+        save_store(loaded, str(path))
+        assert path.read_text(encoding="utf-8") == dumps_store(store)
 
     def test_indented_store_file_loads_and_is_rewritten_compact(
         self, store, tmp_path, make_snapshot
@@ -682,6 +744,95 @@ class TestPersistence:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(Error, match="bad.store: malformed store document"):
             load_store(str(path))
+
+    def test_v1_identity_table_must_match_the_objects(self, store, tmp_path):
+        doc = store_to_dict(store)
+        doc["identity"][0][2], doc["identity"][1][2] = doc["identity"][1][2], doc["identity"][0][2]
+        path = tmp_path / "bad.store"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(
+            Error,
+            match=r"bad.store: malformed store document \(ValueError: the identity table "
+            r"disagrees with the objects\)",
+        ):
+            load_store(str(path))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda head: head.pop("warehouse_def"),
+            lambda head: head.update(objects=7),
+            lambda head: head["objects"][0].pop(),
+            lambda head: head["objects"].reverse(),
+            lambda head: head["objects"][1].__setitem__(3, head["objects"][0][3]),
+            lambda head: head.update(last_refresh="banana"),
+        ],
+        ids=[
+            "no-warehouse-def", "index-not-a-list", "index-entry-of-three",
+            "index-out-of-oid-order", "shared-identity", "bad-last-refresh",
+        ],
+    )
+    def test_malformed_v2_header_is_rejected_when_loaded(self, store, tmp_path, damage):
+        header, rest = dumps_store(store).split("\n", 1)
+        head = json.loads(header)
+        damage(head)
+        path = tmp_path / "bad.store"
+        path.write_text(json.dumps(head) + "\n" + rest, encoding="utf-8")
+        with pytest.raises(Error, match="bad.store: malformed store document"):
+            load_store(str(path))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text[: text.rindex("\n", 0, -1) + 1],
+            lambda text: text[:-10],
+            lambda text: text + text[text.rindex("\n", 0, -1) + 1 :],
+            lambda text: text.replace("\n", "\n\n", 1),
+        ],
+        ids=["last-line-dropped", "cut-inside-a-line", "extra-line", "blank-line"],
+    )
+    def test_object_line_count_is_checked_when_loaded(self, store, tmp_path, damage):
+        path = tmp_path / "bad.store"
+        path.write_text(damage(dumps_store(store)), encoding="utf-8")
+        with pytest.raises(
+            Error, match=r"bad.store: malformed store document \(ValueError: the index holds"
+        ):
+            load_store(str(path))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            edited(lambda item: item.pop("past")),
+            edited(lambda item: item["current"].update(domain=[1990])),
+            edited(lambda item: item["current"]["domain"].update(intervals=[[20]])),
+            edited(lambda item: item["current"]["domain"].update(intervals=[[21, 20]])),
+            edited(lambda item: item.update(archives=None)),
+            lambda line: "{not json",
+        ],
+        ids=[
+            "object-without-past", "domain-not-an-object", "one-bound-interval",
+            "empty-interval", "archives-not-a-list", "not-json",
+        ],
+    )
+    def test_malformed_object_line_is_rejected_when_first_read(
+        self, store, tmp_path, make_snapshot, damage
+    ):
+        header, *lines = dumps_store(store)[:-1].split("\n")
+        lines[2] = damage(lines[2])
+        path = tmp_path / "bad.store"
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        loaded = load_store(str(path))  # the header is sound
+        oids = sorted(loaded.objects)
+        damaged, other = loaded.objects[oids[2]], loaded.objects[oids[3]]
+        assert other.current == store.objects[oids[3]].current
+        assert damaged.status == store.objects[oids[2]].status
+        for _ in range(2):  # a failed decode leaves the object as it was
+            with pytest.raises(Error, match="bad.store: malformed store document"):
+                damaged.past
+        with pytest.raises(Error, match="bad.store: malformed store document"):
+            dumps_store(loaded)
+        with pytest.raises(Error, match="bad.store: malformed store document"):
+            refresh(loaded, make_snapshot(1991))
 
     def test_failed_replace_keeps_the_prior_file_and_no_temporary(
         self, store, tmp_path, make_snapshot

@@ -15,6 +15,7 @@ from tdw.errors import (
     CompositionViolation,
     DanglingReference,
     DuplicateId,
+    InheritanceCycle,
     InverseMismatch,
     InverseViolation,
     ParseError,
@@ -106,6 +107,48 @@ class TestParseSourceSchema:
     def test_dangling_relation_target(self):
         with pytest.raises(UnknownInterface):
             parse_source_schema("interface A { relationship <GHOST> r; }")
+
+    def test_inheritance_cycle_rejected_before_flattening(self):
+        with pytest.raises(InheritanceCycle, match=r"^inheritance cycle through 'A'$"):
+            parse_source_schema("interface A (extend B) {} interface B (extend A) {}")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "interface A { attribute String x; attribute Long x; }",
+            "interface A { attribute String x; relationship <A> x; }",
+        ],
+        ids=["two-attributes", "attribute-and-relationship"],
+    )
+    def test_name_declared_twice_in_one_interface(self, text):
+        with pytest.raises(DuplicateId, match=r"^'A' has duplicate properties \['x'\]$"):
+            parse_source_schema(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "interface A { attribute String x; }\n"
+            "interface B (extend A) { attribute Long x; }\n"
+            "interface D (extend B) { }",
+            "interface A { attribute String x; }\n"
+            "interface B { attribute String x; }\n"
+            "interface D (extend A, B) { }",
+        ],
+        ids=["super-and-sub", "two-supers"],
+    )
+    def test_name_declared_in_two_interfaces_of_one_lineage(self, text):
+        with pytest.raises(DuplicateId, match=r"has duplicate properties \['x'\]$"):
+            parse_source_schema(text)
+
+    def test_one_declaration_reached_twice_through_a_diamond(self):
+        schema = parse_source_schema(
+            "interface A { attribute String x; }\n"
+            "interface B (extend A) { attribute String y; }\n"
+            "interface C (extend A) { attribute String z; }\n"
+            "interface D (extend B, C) { }\n"
+        )
+        assert [n for n, _t, owner in schema.flattened("D")] == ["x", "y", "z"]
+        assert [owner for _n, _t, owner in schema.flattened("D")] == ["A", "B", "C"]
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as err:
@@ -374,6 +417,14 @@ class TestRejectionMessages:
         self.check(
             src_schema, records, TypeMismatch,
             "record line 1: links for 'travaille' must be a list of ids",
+        )
+
+    @pytest.mark.parametrize("part", ["values", "links"])
+    @pytest.mark.parametrize("member", [[1], [], "x", 0])
+    def test_values_or_links_not_an_object(self, src_schema, part, member):
+        records = with_record("p2", lambda r: r.update({part: member}))
+        self.check(
+            src_schema, records, TypeMismatch, f"record line 2: {part} must be an object"
         )
 
     def test_unknown_relationship(self, src_schema):
@@ -650,10 +701,32 @@ def outcome(typed_record, schema_arg, doc):
     return ("record", rec, json.dumps([rec.interface, rec.id, rec.values, rec.links]))
 
 
+def expected_outcome(schema, doc):
+    """The reference's outcome, except where a values or links member is
+    present but neither an object nor null: the reference reads a falsy
+    one as {} and crashes on a truthy one, and ingestion now rejects it
+    when it reaches the member, values first."""
+    got = outcome(reference_typed_record, schema, copy.deepcopy(doc))
+    known = (
+        isinstance(doc, dict) and "id" in doc
+        and isinstance(doc.get("interface"), str) and doc["interface"] in schema.interfaces
+    )
+    if not known:
+        return got
+
+    def misshapen(part):
+        return doc.get(part) is not None and not isinstance(doc[part], dict)
+
+    if misshapen("values"):
+        return ("raised", "TypeMismatch", "record line 7: values must be an object")
+    if misshapen("links") and (got[0] == "record" or got[1] == "AttributeError"):
+        return ("raised", "TypeMismatch", "record line 7: links must be an object")
+    return got
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_ingestion_matches_per_record_flattening(src_schema, data):
     schema = data.draw(st.sampled_from([src_schema, NESTED_SCHEMA]))
     doc = data.draw(record_documents(schema))
-    expected = outcome(reference_typed_record, schema, copy.deepcopy(doc))
-    assert outcome(_typed_record, schema.tables, doc) == expected
+    assert outcome(_typed_record, schema.tables, doc) == expected_outcome(schema, doc)
