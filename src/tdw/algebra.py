@@ -2,9 +2,8 @@
 
 Every node yields a ClassBuild: a structure of binder-tagged properties
 plus rows carrying their originating source keys. Rows are kept sorted
-by source key so evaluation is reproducible; extraction results have no
-superclasses. Intermediate builds play the role of temporary classes in
-a composed chain.
+by source key so evaluation is reproducible. Intermediate builds play
+the role of temporary classes in a composed chain.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .errors import (
     EmptyOperands,
     NameCollision,
     NonNumericAggregate,
-    NotCommonProperty,
     PropertyConflict,
     TypeInferenceError,
     TypeMismatchInPredicate,
@@ -84,7 +82,6 @@ class Row:
 class ClassBuild:
     structure: list[BuildProp]
     rows: list[Row] = field(default_factory=list)
-    supers: tuple[str, ...] = ()
 
     def names(self) -> list[str]:
         return [p.name for p in self.structure]
@@ -340,7 +337,7 @@ def eval_project(items, build: ClassBuild) -> ClassBuild:
         Row(row.key, tuple(_drill(row.values[i], tail) for i, tail, _name in picked), row.binders)
         for row in build.rows
     ]
-    return ClassBuild(structure, _sorted_rows(rows), ())
+    return ClassBuild(structure, _sorted_rows(rows))
 
 
 def eval_hide(paths, build: ClassBuild) -> ClassBuild:
@@ -359,7 +356,7 @@ def eval_hide(paths, build: ClassBuild) -> ClassBuild:
         Row(r.key, tuple(v for i, v in enumerate(r.values) if i not in drop), r.binders)
         for r in build.rows
     ]
-    return ClassBuild(structure, _sorted_rows(rows), ())
+    return ClassBuild(structure, _sorted_rows(rows))
 
 
 def eval_augment(bindings: Iterable[AugmentBinding], build: ClassBuild) -> ClassBuild:
@@ -384,7 +381,7 @@ def eval_augment(bindings: Iterable[AugmentBinding], build: ClassBuild) -> Class
             eval_agg(build, b.agg, row) if b.agg is not None else None for b, _ in plans
         )
         rows.append(Row(row.key, row.values + extra, row.binders))
-    return ClassBuild(structure, _sorted_rows(rows), ())
+    return ClassBuild(structure, _sorted_rows(rows))
 
 
 def _declared_type(name: str | None) -> SourceType:
@@ -397,7 +394,7 @@ def eval_select(pred: Predicate, build: ClassBuild) -> ClassBuild:
     check_predicate(build, pred)
     test = _row_test(build, pred)
     rows = [r for r in build.rows if test(r)]
-    return ClassBuild(list(build.structure), _sorted_rows(rows), ())
+    return ClassBuild(list(build.structure), _sorted_rows(rows))
 
 
 def eval_join(left: ClassBuild, right: ClassBuild, pred: Predicate) -> ClassBuild:
@@ -410,7 +407,7 @@ def eval_join(left: ClassBuild, right: ClassBuild, pred: Predicate) -> ClassBuil
     combined = ClassBuild(structure)
     check_predicate(combined, pred)
     rows = list(_matching_rows([left, right], combined, pred))
-    return ClassBuild(structure, _sorted_rows(rows), ())
+    return ClassBuild(structure, _sorted_rows(rows))
 
 
 def _matching_rows(
@@ -478,7 +475,7 @@ def eval_aliased(build: ClassBuild, binder: str) -> ClassBuild:
         tokens = {tok for _b, tok in row.binders}
         token = tokens.pop() if len(tokens) == 1 else None
         rows.append(Row(row.key, row.values, ((binder, token),)))
-    return ClassBuild(structure, rows, ())
+    return ClassBuild(structure, rows)
 
 
 def eval_extraction(
@@ -511,85 +508,16 @@ def eval_extraction(
 
 
 # ---------------------------------------------------------------------------
-# hierarchization evaluators
+# specialization (a generalization's extension is Store.extension_of)
 
 
-@dataclass(frozen=True)
-class OperandPatch:
-    """How a generalization rewrites one operand class."""
-
-    removed: tuple[str, ...]  # properties now inherited from the new super
-    new_supers: tuple[str, ...]
-
-
-def eval_generalize(
-    props: Iterable[str], operands: list[tuple[str, ClassBuild]], new_name: str
-) -> tuple[ClassBuild, dict[str, OperandPatch]]:
-    """Lift the common properties of the operands into a new superclass.
-
-    Returns the new super's build (extension: union of operand rows,
-    values restricted to the lifted properties) and, per operand, the
-    properties to stop declaring plus its rewritten supers list.
-    """
-    wanted = list(props)
-    if not operands:
-        raise EmptyOperands("generalize needs at least one operand")
-    reference: dict[str, BuildProp] = {}
-    for cname, build in operands:
-        by_name: dict[str, list[BuildProp]] = {}
-        for p in build.structure:
-            by_name.setdefault(p.name, []).append(p)
-        for name in wanted:
-            candidates = by_name.get(name, [])
-            if len(candidates) != 1:
-                raise NotCommonProperty(f"{name!r} is not a property of operand {cname!r}")
-            prop = candidates[0]
-            prior = reference.get(name)
-            if prior is None:
-                reference[name] = replace(prop, binder=None)
-            elif merge_key(prior)[1:] != merge_key(prop)[1:]:  # ignore the name slot
-                raise NotCommonProperty(f"{name!r} differs between operands")
-    structure = [reference[name] for name in wanted]
-
-    rows: list[Row] = []
-    seen_keys: set = set()
-    for cname, build in operands:
-        index = {p.name: i for i, p in enumerate(build.structure)}
-        for row in build.rows:
-            if row.key in seen_keys:
-                continue
-            seen_keys.add(row.key)
-            rows.append(Row(row.key, tuple(row.values[index[n]] for n in wanted), row.binders))
-
-    common_supers = set(operands[0][1].supers)
-    for _, build in operands[1:]:
-        common_supers &= set(build.supers)
-    new_build = ClassBuild(structure, _sorted_rows(rows), tuple(sorted(common_supers)))
-
-    patches: dict[str, OperandPatch] = {}
-    for cname, build in operands:
-        others_common: set[str] | None = None
-        for other_name, other in operands:
-            if other_name == cname:
-                continue
-            others_common = (
-                set(other.supers) if others_common is None else others_common & set(other.supers)
-            )
-        drop = others_common or set()
-        kept = [s for s in build.supers if s not in drop]
-        patches[cname] = OperandPatch(tuple(wanted), tuple(kept) + (new_name,))
-    return new_build, patches
-
-
-def eval_specialize(
-    operands: list[tuple[str, str, ClassBuild]], pred: Predicate
-) -> ClassBuild:
+def eval_specialize(operands: list[tuple[str, ClassBuild]], pred: Predicate) -> ClassBuild:
     """Build a subclass from tuples of operand rows satisfying the
-    predicate. operands are (binder, class name, build) triples."""
+    predicate. operands are (binder, build) pairs."""
     if not operands:
         raise EmptyOperands("specialize needs at least one operand")
     tagged: list[ClassBuild] = []
-    for binder, _cname, build in operands:
+    for binder, build in operands:
         tagged.append(eval_aliased(build, binder))
     combined_structure: list[BuildProp] = []
     for b in tagged:
@@ -617,5 +545,4 @@ def eval_specialize(
         Row(row.key, tuple(row.values[i] for i in merged_index), row.binders)
         for row in _matching_rows(tagged, combined, pred)
     ]
-    supers = tuple(cname for _b, cname, _build in operands)
-    return ClassBuild(merged_structure, _sorted_rows(rows), supers)
+    return ClassBuild(merged_structure, _sorted_rows(rows))

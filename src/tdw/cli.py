@@ -27,7 +27,6 @@ from .expr import (
     Select,
     SourceRef,
     Specialize,
-    format_mapping,
     format_predicate,
 )
 from .model import historization_level, lifecycle_span
@@ -40,19 +39,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # bad flag values, e.g. a malformed --at
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # bad flag values (a malformed --at), I/O
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -327,8 +317,6 @@ def _pipeline(expr) -> list[str]:
                 for o in node.operands
             )
             steps.append(f"specialize {ops} on {format_predicate(node.pred)}")
-        else:
-            steps.append(format_mapping(node))
 
     walk(expr)
     return steps

@@ -695,51 +695,48 @@ def class_structure(schema: WarehouseSchema, name: str, binder: str) -> list[alg
 
 def _resolve_hierarchization(schema: WarehouseSchema, src: SourceSchema, cls: WarehouseClass) -> None:
     expr = cls.mapping
-    operand_builds: list[tuple[ClassOperand, algebra.ClassBuild]] = []
     origins: set[str] = set()
     for op in expr.operands:
         target = schema.classes.get(op.class_name)
         if target is None:
             raise UnknownClass(f"mapping of {cls.name!r} names unknown class {op.class_name!r}")
-        build = algebra.ClassBuild(class_structure(schema, op.class_name, op.binder))
-        if op.where is not None:
-            algebra.check_predicate(build, op.where)
-        operand_builds.append((op, build))
         origins |= set(target.source_origins)
     cls.source_origins = frozenset(origins)
 
     own_names = [p.name for p in cls.structure]
     if isinstance(expr, Generalize):
-        lifted = [_lifted_name(expr, op_builds=operand_builds, path=p) for p in expr.props]
+        # an operand that extends cls inherits every lifted property, and
+        # a differing definition reaching it through another super is a
+        # property-conflict violation that skips this mapping
+        binders = {op.binder for op in expr.operands}
+        lifted = [_lifted_name(binders, p) for p in expr.props]
         if sorted(own_names) != sorted(lifted):
             raise ResolveError(
                 f"{cls.name!r} must declare exactly the generalized properties "
                 f"{sorted(lifted)} (declares {sorted(own_names)})"
             )
-        for op, build in operand_builds:
+        for op in expr.operands:
             operand = schema.classes[op.class_name]
-            flat_names = {p.name for p in build.structure}
+            if cls.name not in operand.supers:
+                raise ResolveError(f"{op.class_name!r} must extend {cls.name!r}")
             for name in lifted:
-                if name not in flat_names:
-                    raise ResolveError(
-                        f"generalized property {name!r} is not part of {op.class_name!r}"
-                    )
                 if any(p.name == name for p in operand.structure):
                     raise ResolveError(
                         f"{op.class_name!r} must inherit {name!r} from {cls.name!r}, "
                         "not declare it"
                     )
-            if cls.name not in operand.supers:
-                raise ResolveError(f"{op.class_name!r} must extend {cls.name!r}")
-        # declared types must match the operands' definitions
-        reference = {p.name: p for _op, b in operand_builds for p in b.structure}
-        for p in cls.structure:
-            ref = reference.get(p.name)
-            if ref is not None and (p.kind, p.value_type) != (ref.kind, ref.value_type):
+            if op.where is not None:
                 raise ResolveError(
-                    f"{cls.name}.{p.name} differs from the operand definition"
+                    f"generalize operand {op.binder!r} takes no where: every member "
+                    f"of {op.class_name!r} belongs to {cls.name!r}"
                 )
     else:  # Specialize
+        builds: list[algebra.ClassBuild] = []
+        for op in expr.operands:
+            build = algebra.ClassBuild(class_structure(schema, op.class_name, op.binder))
+            if op.where is not None:
+                algebra.check_predicate(build, op.where)
+            builds.append(build)
         if own_names:
             raise ResolveError(
                 f"{cls.name!r} specializes its operands and must not declare "
@@ -749,14 +746,11 @@ def _resolve_hierarchization(schema: WarehouseSchema, src: SourceSchema, cls: Wa
             raise ResolveError(
                 f"{cls.name!r} must extend exactly its specialize operands"
             )
-        combined = algebra.ClassBuild(
-            [p for _op, b in operand_builds for p in b.structure]
-        )
+        combined = algebra.ClassBuild([p for b in builds for p in b.structure])
         algebra.check_predicate(combined, expr.pred)
 
 
-def _lifted_name(expr: Generalize, op_builds, path: Path) -> str:
-    binders = {op.binder for op, _b in op_builds}
+def _lifted_name(binders: set[str], path: Path) -> str:
     segs = path.segments
     if len(segs) == 2 and segs[0] in binders:
         return segs[1]

@@ -362,7 +362,7 @@ def _run_extraction_points(
         )
         if operand.where is not None:
             build = eval_select(operand.where, build)
-        result = eval_specialize([(operand.binder, operand.class_name, build)], mapping.pred)
+        result = eval_specialize([(operand.binder, build)], mapping.pred)
         store.memberships[name] = {row.binder_id(operand.binder) for row in result.rows}
 
     # pass 4: multi-operand specializations own composite objects
@@ -383,7 +383,7 @@ def _run_extraction_points(
             )
             if op.where is not None:
                 build = eval_select(op.where, build)
-            operands.append((op.binder, op.class_name, build))
+            operands.append((op.binder, build))
         result = eval_specialize(operands, mapping.pred)
         flat = flatten_type(schema, name)
         tempo, _archi = effective_filters(schema, name)

@@ -124,10 +124,6 @@ class TypeMismatchInPredicate(Error):
     pass
 
 
-class NotCommonProperty(Error):
-    pass
-
-
 class EmptyOperands(Error):
     pass
 

@@ -126,17 +126,6 @@ class SourceSchema:
         except KeyError:
             raise UnknownInterface(f"unknown source interface {name!r}") from None
 
-    def flattened(self, name: str) -> list[tuple[str, Any, str]]:
-        """Own plus inherited properties of an interface, supers first.
-
-        Yields (property name, SourceType or Relationship, owner interface).
-        """
-        return list(self.table(name).flat)
-
-    def subtypes(self, name: str) -> set[str]:
-        """name plus every interface that transitively extends it."""
-        return set(self.table(name).subtypes)
-
 
 # ---------------------------------------------------------------------------
 # .odl parsing
@@ -157,7 +146,7 @@ def parse_source_schema(text: str) -> SourceSchema:
 
 
 def _flatten(schema: SourceSchema, name: str) -> list[tuple[str, Any, str]]:
-    """See SourceSchema.flattened; a name met again further on is dropped."""
+    """See InterfaceTables.flat; a name met again further on is dropped."""
     iface = schema.interfaces[name]
     out: list[tuple[str, Any, str]] = []
     seen: set[str] = set()

@@ -144,14 +144,6 @@ class TemporalDomain:
         for iv in self.intervals:
             yield from range(iv.start.tick, iv.end.tick + 1)
 
-    def span(self) -> Interval | None:
-        """Bounding interval over every member granule, or None if empty."""
-        if not self.intervals:
-            return None
-        lo = min(iv.start.tick for iv in self.intervals)
-        hi = max(iv.end.tick for iv in self.intervals)
-        return interval(self.unit, lo, hi)
-
     def __str__(self) -> str:
         return "<" + "; ".join(str(iv) for iv in self.intervals) + ">"
 

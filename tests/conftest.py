@@ -258,9 +258,20 @@ def snapshot_to_lines(snap) -> list[str]:
     return lines
 
 
+def flattened(src_schema, iface: str) -> list:
+    """Own plus inherited properties of an interface, supers first:
+    (property name, SourceType or Relationship, owner interface) triples."""
+    return list(src_schema.table(iface).flat)
+
+
+def subtypes(src_schema, iface: str) -> set[str]:
+    """iface plus every interface that transitively extends it."""
+    return set(src_schema.table(iface).subtypes)
+
+
 def find_property(src_schema, iface: str, prop: str):
     """The SourceType or Relationship of iface's (possibly inherited) prop."""
-    for n, t, _owner in src_schema.flattened(iface):
+    for n, t, _owner in flattened(src_schema, iface):
         if n == prop:
             return t
     return None

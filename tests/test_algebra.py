@@ -13,7 +13,6 @@ from tdw.algebra import (
     build_from_interface,
     eval_augment,
     eval_extraction,
-    eval_generalize,
     eval_hide,
     eval_join,
     eval_project,
@@ -25,7 +24,6 @@ from tdw.errors import (
     EmptyOperands,
     NameCollision,
     NonNumericAggregate,
-    NotCommonProperty,
     TypeInferenceError,
     UnknownProperty,
 )
@@ -140,10 +138,6 @@ class TestProject:
     def test_unknown_property(self, etab):
         with pytest.raises(UnknownProperty):
             eval_project([(p("h", "fantôme"), None)], etab)
-
-    def test_supers_cleared(self, etab):
-        out = eval_project([(p("h", "nom"), None)], etab)
-        assert out.supers == ()
 
 
 class TestHide:
@@ -416,7 +410,6 @@ class TestExtraction:
         build = eval_extraction(schema.classes["Chirurgiens"].mapping, src_schema, snap)
         assert len(build.rows) == 2
         assert len(build.structure) == 9
-        assert build.supers == ()
 
     def test_public_hospitals_structure(self, schema, src_schema, snap):
         build = eval_extraction(schema.classes["Hôpitaux_Publics"].mapping, src_schema, snap)
@@ -434,43 +427,7 @@ class TestExtraction:
 
 
 def surgeons_build(schema, src_schema, snap) -> ClassBuild:
-    build = eval_extraction(schema.classes["Chirurgiens"].mapping, src_schema, snap)
-    build.supers = ()
-    return build
-
-
-class TestGeneralize:
-    def test_lift_person_properties(self, schema, src_schema, snap):
-        build = surgeons_build(schema, src_schema, snap)
-        new, patches = eval_generalize(
-            ["nom", "prénom", "adresse", "année_naissance"],
-            [("Chirurgiens", build)],
-            "Personnes",
-        )
-        assert new.names() == ["nom", "prénom", "adresse", "année_naissance"]
-        assert {r.key for r in new.rows} == {r.key for r in build.rows}
-        patch = patches["Chirurgiens"]
-        assert set(patch.removed) == {"nom", "prénom", "adresse", "année_naissance"}
-        assert patch.new_supers == ("Personnes",)
-
-    def test_full_structure_lift_empties_operand(self, schema, src_schema, snap):
-        build = surgeons_build(schema, src_schema, snap)
-        _new, patches = eval_generalize(build.names(), [("Chirurgiens", build)], "Sup")
-        assert set(patches["Chirurgiens"].removed) == set(build.names())
-
-    def test_extension_is_superset(self, schema, src_schema, snap):
-        build = surgeons_build(schema, src_schema, snap)
-        new, _ = eval_generalize(["nom"], [("Chirurgiens", build)], "Personnes")
-        assert {r.key for r in new.rows} >= {r.key for r in build.rows}
-
-    def test_not_common_property(self, schema, src_schema, snap):
-        build = surgeons_build(schema, src_schema, snap)
-        with pytest.raises(NotCommonProperty):
-            eval_generalize(["fantôme"], [("Chirurgiens", build)], "Sup")
-
-    def test_empty_operands(self):
-        with pytest.raises(EmptyOperands):
-            eval_generalize(["x"], [], "Sup")
+    return eval_extraction(schema.classes["Chirurgiens"].mapping, src_schema, snap)
 
 
 def linked(rng: random.Random, binder: str, n: int, targets: list[str], carried=()) -> ClassBuild:
@@ -560,7 +517,7 @@ class TestContainmentHashJoin:
                     Containment(p("c", "r"), "a"),  # set after its binder: tested
                 )
             )
-            out = eval_specialize([("a", "A", a), ("b", "B", b), ("c", "C", c)], pred)
+            out = eval_specialize([("a", a), ("b", b), ("c", c)], pred)
             assert [r.key for r in out.rows] == naive_matches([a, b, c], pred)
 
 
@@ -568,17 +525,16 @@ class TestSpecialize:
     def test_young_surgeons(self, schema, src_schema, snap):
         build = surgeons_build(schema, src_schema, snap)
         out = eval_specialize(
-            [("c", "Chirurgiens", build)],
+            [("c", build)],
             comparison(p("c", "année_naissance"), ">=", 1970),
         )
-        assert out.supers == ("Chirurgiens",)
         assert [r.key for r in out.rows] == [((("PRATICIEN", "p1"),))]
         assert {r.key for r in out.rows} <= {r.key for r in build.rows}
 
     def test_tautology_single_operand_keeps_extension(self, schema, src_schema, snap):
         build = surgeons_build(schema, src_schema, snap)
         out = eval_specialize(
-            [("c", "Chirurgiens", build)], comparison(p("c", "revenus"), ">=", 0)
+            [("c", build)], comparison(p("c", "revenus"), ">=", 0)
         )
         assert [r.key for r in out.rows] == [r.key for r in build.rows]
 
@@ -590,10 +546,9 @@ class TestSpecialize:
         services = eval_extraction(schema.classes["Services"].mapping, src_schema, snap)
         # at the build level, containment matches the right row's own id
         out = eval_specialize(
-            [("e", "Hôpitaux_Publics", toulouse), ("s", "Services", services)],
+            [("e", toulouse), ("s", services)],
             Predicate((Containment(p("e", "organisation"), "s"),)),
         )
-        assert out.supers == ("Hôpitaux_Publics", "Services")
         assert set(out.names()) == set(hospitals.names()) | set(services.names())
 
     def test_empty_operands(self):

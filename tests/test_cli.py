@@ -80,6 +80,18 @@ class TestValidate:
         assert "property-conflict [O]" in out
         assert "invalid: 1 violation(s)" in out
 
+    def test_generalize_operand_where_is_a_domain_error(self, tmp_path):
+        text = Path(EDW).read_text(encoding="utf-8")
+        assert text.count("c: Chirurgiens);") == 1
+        edw = tmp_path / "where.edw"
+        edw.write_text(
+            text.replace("c: Chirurgiens);", 'c: Chirurgiens where c.nom = "zzz");'),
+            encoding="utf-8",
+        )
+        rc, _out, err = tdw("validate", "--source-schema", ODL, "--warehouse", str(edw))
+        assert rc == 1
+        assert "generalize operand 'c' takes no where" in err
+
     def test_source_inheritance_cycle_is_a_domain_error(self, tmp_path):
         odl = tmp_path / "cycle.odl"
         odl.write_text("interface A (extend B) {} interface B (extend A) {}", encoding="utf-8")

@@ -338,3 +338,54 @@ class TestResolve:
                         t = dict(t.fields)[seg]
                     matches.append(t)
                 assert p.value_type in matches, f"{cls.name}.{p.name}"
+
+
+PERSONNES_MAPPING = (
+    "mapping Personnes = generalize(c.nom, c.prénom, c.adresse, c.année_naissance, "
+    "c: Chirurgiens);"
+)
+
+
+class TestGeneralizeResolution:
+    """The resolver's generalize rules, on the inputs the algebra's own
+    generalize evaluator was once tested with."""
+
+    def test_empty_operands(self):
+        with pytest.raises(ParseError, match="generalize needs properties and operands"):
+            parse_mapping("generalize(c.nom)")
+
+    def test_unknown_lifted_property(self, src_schema, edw_text):
+        broken = edw_text.replace(
+            PERSONNES_MAPPING, "mapping Personnes = generalize(c.fantôme, c: Chirurgiens);"
+        )
+        with pytest.raises(ResolveError, match="must declare exactly"):
+            resolve(parse_warehouse_def(broken), src_schema)
+
+    def test_lift_takes_whole_properties(self, src_schema, edw_text):
+        broken = edw_text.replace(
+            PERSONNES_MAPPING,
+            "mapping Personnes = generalize(c.adresse.ville, c: Chirurgiens);",
+        )
+        with pytest.raises(ResolveError, match="lifts whole properties"):
+            resolve(parse_warehouse_def(broken), src_schema)
+
+    def test_operand_where_rejected(self, src_schema, edw_text):
+        broken = edw_text.replace(
+            PERSONNES_MAPPING,
+            PERSONNES_MAPPING.replace("c: Chirurgiens", 'c: Chirurgiens where c.nom = "zzz"'),
+        )
+        assert broken != edw_text
+        with pytest.raises(ResolveError, match="takes no where"):
+            resolve_with_violations(parse_warehouse_def(broken), src_schema)
+
+    def test_lifted_property_differing_through_another_super(self):
+        src = parse_source_schema("interface P { attribute String nom; }")
+        wdef = parse_warehouse_def(
+            "interface G { D_attribute String nom; }\n"
+            "interface K { D_attribute Long nom; }\n"
+            "interface O (extend G, K) { }\n"
+            "mapping G = generalize(o.nom, o: O);\n"
+            'mapping O = select(p: P, p.nom != "");\n'
+        )
+        _schema, violations = resolve_with_violations(wdef, src)
+        assert [(v.kind, v.subject) for v in violations] == [("property-conflict", "O")]

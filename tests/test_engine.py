@@ -12,6 +12,7 @@ from conftest import (
     hospital_records,
     snapshot_lines,
     store_to_dict,
+    subtypes,
     year,
 )
 from tdw import engine
@@ -33,7 +34,14 @@ from tdw.errors import (
     UnknownOid,
     UnitMismatch,
 )
-from tdw.model import RetentionConfig, State, check_state_disjointness, lifecycle_span
+from tdw.model import (
+    RetentionConfig,
+    State,
+    check_state_disjointness,
+    check_subclass_laws,
+    flatten_type,
+    lifecycle_span,
+)
 from tdw.source import ingest_snapshot, parse_source_schema
 from tdw.temporal import Instant, domain
 
@@ -501,6 +509,53 @@ class TestMultiOperandGeneralize:
                 parse_warehouse_def(broken),
                 ingest_snapshot(src, [], year(1990)),
             )
+
+
+FULL_LIFT_EDW = """
+warehouse Sites;
+interface Sites_Soins { D_attribute String nom; D_attribute Short lits; }
+interface Cliniques (extend Sites_Soins) { }
+mapping Cliniques = select(c: CLINIQUE, c.lits >= 0);
+mapping Sites_Soins = generalize(c.nom, c.lits, c: Cliniques);
+"""
+
+
+class TestGeneralize:
+    """A generalization's type is what the resolver accepted and its
+    extension is what the engine derives from the operands' objects."""
+
+    def test_lift_person_properties(self, store):
+        lifted = ["nom", "prénom", "adresse", "année_naissance"]
+        schema = store.schema
+        assert [p.name for p in flatten_type(schema, "Personnes")] == lifted
+        assert not {p.name for p in schema.classes["Chirurgiens"].structure} & set(lifted)
+        assert schema.classes["Chirurgiens"].supers == ("Personnes",)
+
+        def keys(name):
+            return {store.objects[oid].source_key for oid in store.extension_of(name)}
+
+        assert keys("Personnes") == keys("Chirurgiens")
+
+    def test_full_structure_lift_builds(self):
+        src = parse_source_schema(MULTI_LIFT_ODL)
+        lines = [
+            '{"interface": "CLINIQUE", "id": "c1", "values": {"nom": "Nord", "lits": 40}}',
+            '{"interface": "CLINIQUE", "id": "c2", "values": {"nom": "Sud", "lits": 25}}',
+        ]
+        store = initial_load(
+            src, parse_warehouse_def(FULL_LIFT_EDW), ingest_snapshot(src, lines, year(1990))
+        )
+        assert store.schema.classes["Cliniques"].structure == []
+        exts = {n: set(store.extension_of(n)) for n in store.schema.classes}
+        assert len(exts["Cliniques"]) == 2
+        assert exts["Sites_Soins"] == exts["Cliniques"]
+        assert check_subclass_laws(store.schema, "Cliniques", "Sites_Soins", exts) == []
+
+    def test_extension_is_superset(self, store):
+        exts = {n: set(store.extension_of(n)) for n in store.schema.classes}
+        for sub in ("Chirurgiens", "Jeunes_Chirurgiens"):
+            assert exts[sub] and exts["Personnes"] >= exts[sub]
+            assert check_subclass_laws(store.schema, sub, "Personnes", exts) == []
 
 
 class TestMergeArchive:
@@ -1033,7 +1088,7 @@ def scan_relation_oid(store, class_name, prop, source_target, _wanted, rid):
     """Link resolution before the source-id index: scan the target class's
     extension for an object whose source key names the linked record."""
     src = store.source_schema
-    wanted = src.subtypes(source_target) if source_target in src.interfaces else {source_target}
+    wanted = subtypes(src, source_target) if source_target in src.interfaces else {source_target}
 
     def matches(oid):
         return any(i in wanted and sid == rid for i, sid in store.objects[oid].source_key)

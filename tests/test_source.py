@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import hospital_records, snapshot_lines, snapshot_to_lines, year
+from conftest import flattened, hospital_records, snapshot_lines, snapshot_to_lines, year
 from tdw.errors import (
     CompositionViolation,
     DanglingReference,
@@ -62,7 +62,7 @@ class TestParseSourceSchema:
             "PRATICIEN",
             "SERVICE",
         ]
-        flat = src_schema.flattened("PRATICIEN")
+        flat = flattened(src_schema, "PRATICIEN")
         # 4 attributes inherited from PERSONNE, 6 own properties
         # (4 attributes + 2 relationships); operations are excluded
         assert len(flat) == 10
@@ -73,7 +73,7 @@ class TestParseSourceSchema:
     def test_minimal_interface(self):
         schema = parse_source_schema("interface A {}")
         assert list(schema.interfaces) == ["A"]
-        assert schema.flattened("A") == []
+        assert flattened(schema, "A") == []
 
     def test_multiple_inheritance_permitted(self):
         schema = parse_source_schema(
@@ -81,7 +81,7 @@ class TestParseSourceSchema:
             "interface B { attribute String y; }\n"
             "interface C (extend A, B) { attribute String z; }\n"
         )
-        assert [n for n, _t, _o in schema.flattened("C")] == ["x", "y", "z"]
+        assert [n for n, _t, _o in flattened(schema, "C")] == ["x", "y", "z"]
 
     def test_inverse_mismatch_rejected(self):
         # B lacks the declared inverse property x
@@ -147,8 +147,8 @@ class TestParseSourceSchema:
             "interface C (extend A) { attribute String z; }\n"
             "interface D (extend B, C) { }\n"
         )
-        assert [n for n, _t, owner in schema.flattened("D")] == ["x", "y", "z"]
-        assert [owner for _n, _t, owner in schema.flattened("D")] == ["A", "B", "C"]
+        assert [n for n, _t, owner in flattened(schema, "D")] == ["x", "y", "z"]
+        assert [owner for _n, _t, owner in flattened(schema, "D")] == ["A", "B", "C"]
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as err:
@@ -157,7 +157,7 @@ class TestParseSourceSchema:
 
     def test_image_relationship_becomes_reference_attribute(self, src_schema):
         flat = dict(
-            (n, t) for n, t, _o in src_schema.flattened("CONSULTATION")
+            (n, t) for n, t, _o in flattened(src_schema, "CONSULTATION")
         )
         analyses = flat["analyses"]
         assert isinstance(analyses, SourceType)
@@ -165,7 +165,7 @@ class TestParseSourceSchema:
 
     def test_flattening_matches_recursive_oracle(self, src_schema):
         for name in src_schema.interfaces:
-            assert [n for n, _t, _o in src_schema.flattened(name)] == flattened_oracle(
+            assert [n for n, _t, _o in flattened(src_schema, name)] == flattened_oracle(
                 src_schema, name
             )
 
@@ -176,8 +176,8 @@ class TestParseSourceSchema:
         assert print_source_schema(again) == printed
         assert sorted(again.interfaces) == sorted(schema.interfaces)
         for name in schema.interfaces:
-            assert [n for n, _t, _o in again.flattened(name)] == [
-                n for n, _t, _o in schema.flattened(name)
+            assert [n for n, _t, _o in flattened(again, name)] == [
+                n for n, _t, _o in flattened(schema, name)
             ]
 
 
@@ -526,7 +526,7 @@ def reference_typed_record(schema, doc, lineno):
     iface_name = doc["interface"]
     if iface_name not in schema.interfaces:
         raise UnknownInterface(f"record line {lineno}: unknown interface {iface_name!r}")
-    flat = schema.flattened(iface_name)
+    flat = flattened(schema, iface_name)
     attrs = {n: t for n, t, _ in flat if isinstance(t, SourceType)}
     rels = {n: t for n, t, _ in flat if isinstance(t, Relationship)}
 
@@ -675,7 +675,7 @@ _mostly_true = st.sampled_from((True, True, True, False))
 def record_documents(draw, schema):
     """A record document for schema: valid, or changed up to three times."""
     iface = draw(st.sampled_from(sorted(schema.interfaces)))
-    flat = draw(st.permutations(schema.flattened(iface)))
+    flat = draw(st.permutations(flattened(schema, iface)))
     values, links = {}, {}
     for name, typ, _owner in flat:
         if isinstance(typ, Relationship):
