@@ -5,8 +5,9 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+import reference
 from conftest import (
     assert_source_index,
     hospital_records,
@@ -1197,3 +1198,123 @@ class TestLinkIndexAgainstScan:
                 assert dumps_store(stores["index"]) == dumps_store(stores["scan"])
                 save_store(stores["index"], path)
                 assert dumps_store(load_store(path)) == dumps_store(stores["index"])
+
+
+# ---------------------------------------------------------------------------
+# the engine against the naive reference model of the refresh rules
+
+
+@st.composite
+def hospital_histories(draw):
+    """hospital_sequences() with a retention bound by count, by duration or
+    both, the specific année_création in or out of the hospitals' temporal
+    filter, and after each step up to two patches of it, dated from one
+    year before the last refresh to two years after it."""
+    keep_count = draw(st.sampled_from((None, 1, 2)))
+    keep_years = draw(st.sampled_from((None, 1, 2) if keep_count else (1, 2)))
+    temporal_creation = draw(st.booleans())
+    patches = [
+        draw(st.lists(st.tuples(st.sampled_from(HOSPITALS), st.sampled_from((None, 1950, 1960)),
+                                st.integers(-1, 2)), max_size=2))
+        for _ in range(5)
+    ]
+    return keep_count, keep_years, temporal_creation, draw(hospital_sequences()), patches
+
+
+def history_edw(edw_text, keep_count, keep_years, temporal_creation) -> str:
+    bounds = []
+    if keep_count is not None:
+        bounds.append(f"keep {keep_count} past states;")
+    if keep_years is not None:
+        bounds.append(f"keep past {keep_years} years;")
+    text = edw_text.replace("keep 2 past states;", " ".join(bounds))
+    if temporal_creation:
+        text = text.replace("temporal budget,", "temporal année_création, budget,")
+    return text
+
+
+def engine_value(store, payload, relations):
+    """A value read from the store, with each oid named by its identity."""
+
+    def ident(oid):
+        obj = store.objects[oid]
+        return (obj.class_name, obj.source_key)
+
+    out = dict(payload)
+    for prop in relations:
+        v = out.get(prop)
+        if isinstance(v, list):
+            out[prop] = sorted(ident(oid) for oid in v)
+        elif v is not None:
+            out[prop] = ident(v)
+    return out
+
+
+def assert_engine_matches_model(store, model, ticks) -> None:
+    """Every object's state at every tick, and every class's extension."""
+    idents = {oid: (o.class_name, o.source_key) for oid, o in store.objects.items()}
+    assert sorted(idents.values()) == sorted(model.objects)
+    for oid, ident in idents.items():
+        relations = reference.RELATIONS[ident[0]]
+        for tick in ticks:
+            located = store.value_at(oid, Instant("year", tick))
+            if located is not None and located[0] != "archive":
+                located = (located[0], engine_value(store, located[1], relations))
+            assert located == model.value_at(ident, tick), (ident, tick)
+    for name, members in model.extensions().items():
+        assert {idents[oid] for oid in store.extension_of(name)} == members, name
+
+
+class TestReferenceModel:
+    @settings(max_examples=80, deadline=None)
+    @given(hospital_histories())
+    def test_engine_follows_the_reference_model(self, src_schema, edw_text, history):
+        keep_count, keep_years, temporal_creation, years, patches = history
+        text = history_edw(edw_text, keep_count, keep_years, temporal_creation)
+        model = reference.ReferenceWarehouse(keep_count, keep_years, temporal_creation)
+        store = None
+        seen: set[int] = set()
+        for step, records in enumerate(years):
+            t = year(1990 + step)
+            seen.add(t.tick)
+            snap = ingest_snapshot(src_schema, snapshot_lines(records), t)
+            try:
+                expected = model.refresh(records, t.tick)
+            except reference.Rejected as exc:
+                expected = exc.args[0]
+            try:
+                if store is None:
+                    store = initial_load(src_schema, parse_warehouse_def(text), snap)
+                    outcome = "loaded"  # a load returns no report
+                    expected = expected if isinstance(expected, str) else "loaded"
+                else:
+                    outcome = refresh(store, snap).to_dict()
+                    classes, warnings = expected
+                    expected = {"at": str(1990 + step), "classes": classes, "warnings": warnings}
+            except Error as exc:
+                outcome = type(exc).__name__
+            assert outcome == expected
+            event(f"step {step}: {outcome if isinstance(outcome, str) else 'refreshed'}")
+            if store is None:
+                continue
+            for sid, value, offset in patches[step]:
+                tick = store.last_refresh.tick + offset
+                seen.add(tick)
+                ident = ("Hôpitaux_Publics", (("ETABLISSEMENT", sid),))
+                oid = store.identity.get(ident)
+                if oid is None:
+                    continue
+                try:
+                    model.patch(ident, value, tick)
+                    expected = "patched"
+                except reference.Rejected as exc:
+                    expected = exc.args[0]
+                try:
+                    patch_specific(store, oid, "année_création", value, Instant("year", tick))
+                    outcome = "patched"
+                except Error as exc:
+                    outcome = type(exc).__name__
+                assert outcome == expected
+                event(f"patch: {outcome}")
+            ticks = range(min(seen) - 1, max(seen) + 2)
+            assert_engine_matches_model(store, model, ticks)
