@@ -731,6 +731,10 @@ def _resolve_hierarchization(schema: WarehouseSchema, src: SourceSchema, cls: Wa
                     f"of {op.class_name!r} belongs to {cls.name!r}"
                 )
     else:  # Specialize
+        binders = [op.binder for op in expr.operands]
+        for binder in sorted({b for b in binders if binders.count(b) > 1}):
+            # one binder would answer for two operands, as in a join
+            raise ResolveError(f"specialize binder {binder!r} names more than one operand")
         builds: list[algebra.ClassBuild] = []
         for op in expr.operands:
             build = algebra.ClassBuild(class_structure(schema, op.class_name, op.binder))
@@ -752,10 +756,12 @@ def _resolve_hierarchization(schema: WarehouseSchema, src: SourceSchema, cls: Wa
 
 def _lifted_name(binders: set[str], path: Path) -> str:
     segs = path.segments
-    if len(segs) == 2 and segs[0] in binders:
-        return segs[1]
     if len(segs) == 1:
         return segs[0]
+    if segs[0] not in binders:
+        raise ResolveError(f"generalize path {path} names unknown binder {segs[0]!r}")
+    if len(segs) == 2:
+        return segs[1]
     raise ResolveError(f"generalize lifts whole properties, got {path}")
 
 

@@ -14,19 +14,24 @@ Links resolve through the store's source-id index, which maps every
 link costs one lookup per interface it may name, whatever the size of
 the target class's extension.
 
-A store is single-writer. refresh() is atomic: it works on a copy of
-the dynamic state and publishes it only on success. The copy is
-structural: each object and its current state are new, while past
-states, archive states and value dicts are shared with the original,
-since the engine only ever replaces them, never changes them in place.
+A refresh's writes follow its change set. An active object's current
+state ends at the store's last refresh, which every open state reads
+from the store's shared Now, so an object carried over a refresh is not
+written to at all. A store is single-writer, and refresh() is atomic: it
+works on a working copy, which copies the dicts and indexes but shares
+every object, and publishes it only on success. The passes call
+Store.touch before they change an object, which copies the object into
+the working copy on its first change.
 
-A store file (tdw-store-v2) is a header line with the schema texts and
+A store file (tdw-store-v3) is a header line with the schema texts and
 an index of every object's oid, class, status and source key, then one
-line per object with its states. load_store builds every object from the
-index and decodes an object's line on the first read of its states, so
-a query decodes only the objects it shows. A refresh reads every object
-through working_copy, and every save encodes every object anew, so no
-line is written that was not decoded and checked first.
+line per object with its states, an active object's current state
+written with its stored end rather than the last refresh. load_store
+builds every object from the index and decodes an object's line on the
+first read of its states, so a query decodes only the objects it shows.
+A save encodes the objects a command touched or created, and writes
+every other object's line as it was read, once that line has been
+decoded and checked, so no line is written that was not checked first.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .errors import (
 from .expr import Specialize, is_extraction
 from .model import (
     ArchiveState,
+    Now,
     Oid,
     State,
     WarehouseObject,
@@ -111,12 +117,19 @@ class RefreshReport:
 class Store:
     """The warehouse: schema, objects and the indexes over them.
 
-    objects is the only place an object lives. Two indexes over it are
+    objects is the only place an object lives. Three indexes over it are
     kept by add_object, the only way objects enter a store: identity maps
-    (class, source key) to its oid, and source_index maps each (interface,
+    (class, source key) to its oid; source_index maps each (interface,
     source id) pair of a source key to the oids whose key holds it, so a
-    link is resolved without scanning an extension. Neither is stored in
-    a store file; both are rebuilt as objects are added.
+    link is resolved without scanning an extension; and by_class maps
+    each class to the oids it owns. None is stored in a store file; all
+    are rebuilt as objects are added.
+
+    now holds last_refresh, shared with every open current state. own
+    holds the oids whose object this store alone holds and so may change
+    in place; touch copies any other object first. lines holds the object
+    lines read from the store file, which the next save writes again as
+    they are while their object is untouched.
     """
 
     source_schema: SourceSchema
@@ -127,9 +140,20 @@ class Store:
     objects: dict[Oid, WarehouseObject] = field(default_factory=dict)
     identity: dict[tuple[str, tuple[tuple[str, str], ...]], Oid] = field(default_factory=dict)
     source_index: dict[tuple[str, str], tuple[Oid, ...]] = field(default_factory=dict)
+    by_class: dict[str, set[Oid]] = field(default_factory=dict)
     memberships: dict[str, set[Oid]] = field(default_factory=dict)
-    last_refresh: Instant | None = None
+    now: Now = field(default_factory=Now)
     oid_counter: int = 0
+    own: set[Oid] = field(default_factory=set, repr=False)
+    lines: dict[Oid, str] = field(default_factory=dict, repr=False)
+
+    @property
+    def last_refresh(self) -> Instant | None:
+        return self.now.instant
+
+    @last_refresh.setter
+    def last_refresh(self, t: Instant | None) -> None:
+        self.now.instant = t
 
     # -- class categories ---------------------------------------------------
 
@@ -168,39 +192,51 @@ class Store:
         set, or else the objects it owns."""
         if class_name in self.memberships:
             return sorted(self.memberships[class_name])
-        return sorted(oid for oid, obj in self.objects.items() if obj.class_name == class_name)
+        return sorted(self.by_class.get(class_name, ()))
 
     # -- refresh working copies ---------------------------------------------
 
     def working_copy(self) -> Store:
         """A store whose dynamic state can change without touching this one.
 
-        Each object and its current state are copied; the past and archive
-        lists are new lists of the same states, which nothing changes in
-        place. Index entries are tuples, replaced rather than extended.
+        Only the dicts and indexes are copied: every object is shared
+        until touch copies it. source_index entries are tuples and
+        membership sets are replaced, never changed in place.
         """
         return replace(
             self,
-            objects={
-                oid: replace(
-                    obj,
-                    current=replace(obj.current),
-                    past=list(obj.past),
-                    archives=list(obj.archives),
-                )
-                for oid, obj in self.objects.items()
-            },
+            objects=dict(self.objects),
             identity=dict(self.identity),
             source_index=dict(self.source_index),
-            memberships={k: set(v) for k, v in self.memberships.items()},
+            by_class={name: set(oids) for name, oids in self.by_class.items()},
+            memberships=dict(self.memberships),
+            own=set(),
+            lines=dict(self.lines),
         )
 
+    def touch(self, oid: Oid) -> WarehouseObject:
+        """The object at oid, ready to change.
+
+        An object this store shares is copied first, so the store it is
+        shared with keeps its own. The object's line read from the store
+        file is dropped, so the next save encodes the object anew.
+        """
+        obj = self.objects[oid]
+        if oid not in self.own:
+            obj = self.objects[oid] = obj.copy()
+            self.own.add(oid)
+        self.lines.pop(oid, None)
+        return obj
+
     def publish(self, work: Store, t: Instant) -> None:
-        """Adopt a working copy's dynamic state as of extraction point t."""
+        """Adopt a working copy's dynamic state as of extraction point t:
+        its objects, the ones it touched included, and its indexes."""
         self.objects = work.objects
         self.identity = work.identity
         self.source_index = work.source_index
+        self.by_class = work.by_class
         self.memberships = work.memberships
+        self.lines = work.lines
         self.oid_counter = work.oid_counter
         self.last_refresh = t
 
@@ -209,11 +245,13 @@ class Store:
         return self.oid_counter
 
     def add_object(self, obj: WarehouseObject) -> None:
-        """Insert a new object and index its identity and source key."""
+        """Insert a new object and index its identity, source key and class."""
         self.objects[obj.oid] = obj
+        self.own.add(obj.oid)
         self.identity[(obj.class_name, obj.source_key)] = obj.oid
         for pair in obj.source_key:
             self.source_index[pair] = self.source_index.get(pair, ()) + (obj.oid,)
+        self.by_class.setdefault(obj.class_name, set()).add(obj.oid)
 
     # -- queries -------------------------------------------------------------
 
@@ -323,7 +361,7 @@ def _run_extraction_points(
             if (name, key) in store.identity:
                 continue
             oid = store.fresh_oid()
-            state = State(domain(t.unit, (t.tick, t.tick)), {})
+            state = State(domain(t.unit, (t.tick, t.tick)), {}, store.now)
             store.add_object(WarehouseObject(oid, name, state, source_key=key))
             created_now[name].add(oid)
             counts.created += 1
@@ -343,13 +381,13 @@ def _run_extraction_points(
                 continue  # a frozen object never thaws, even if its key returns
             value = _aligned_value(store, name, flat, rel_sources[name], raw)
             if oid in created_now[name]:
-                obj.current.value = value
+                store.touch(oid).current.value = value
                 continue
             # specific slots have no source origin: administrator values
             # survive every refresh until the next patch
             for slot in specific:
                 value[slot] = obj.current.value.get(slot)
-            _diff_object(obj, value, tempo, t, counts)
+            _diff_object(store, obj, value, tempo, t, counts)
         _freeze_vanished(store, name, result_keys, t)
 
     # pass 3: single-operand specializations become membership sets
@@ -398,7 +436,7 @@ def _run_extraction_points(
                     WarehouseObject(
                         oid,
                         name,
-                        State(domain(t.unit, (t.tick, t.tick)), aligned),
+                        State(domain(t.unit, (t.tick, t.tick)), aligned, store.now),
                         source_key=row.key,
                     )
                 )
@@ -407,7 +445,7 @@ def _run_extraction_points(
             obj = store.objects[oid]
             if obj.status == "frozen":
                 continue
-            _diff_object(obj, aligned, tempo, t, counts)
+            _diff_object(store, obj, aligned, tempo, t, counts)
         _freeze_vanished(store, name, result_keys, t)
 
     # pass 5: archival per environment
@@ -422,14 +460,13 @@ def _run_extraction_points(
     for name in extraction + composites:
         counts = report.classes.setdefault(name, ClassCounts())
         counts.frozen = sum(
-            1
-            for obj in store.objects.values()
-            if obj.class_name == name and obj.status == "frozen"
+            store.objects[oid].status == "frozen" for oid in store.by_class.get(name, ())
         )
     return report
 
 
 def _diff_object(
+    store: Store,
     obj: WarehouseObject,
     value: dict[str, Any],
     tempo: frozenset[str],
@@ -438,30 +475,28 @@ def _diff_object(
 ) -> None:
     old = obj.current.value
     if old == value:
-        obj.current.domain = extend_end(obj.current.domain, t.tick)
-        counts.carried += 1
+        counts.carried += 1  # its open current state runs on to t by itself
         return
     changed = {name for name in value if value.get(name) != old.get(name)}
+    obj = store.touch(obj.oid)
     if changed & tempo:
         # temporal change: the whole old value becomes a past state
-        obj.current.domain = extend_end(obj.current.domain, t.tick - 1)
-        obj.past.append(State(obj.current.domain, old))
-        obj.current = State(domain(t.unit, (t.tick, t.tick)), value)
+        obj.past.append(State(extend_end(obj.current.domain, t.tick - 1), old))
+        obj.current = State(domain(t.unit, (t.tick, t.tick)), value, store.now)
         counts.historized += 1
     else:
         # evolutions outside the temporal filter are not worth history
         obj.current.value = value
-        obj.current.domain = extend_end(obj.current.domain, t.tick)
         counts.updated += 1
 
 
 def _freeze_vanished(store: Store, class_name: str, result_keys: set, t: Instant) -> None:
-    for obj in store.objects.values():
-        if obj.class_name != class_name or obj.status != "active":
-            continue
-        if obj.source_key not in result_keys:
+    for oid in store.by_class.get(class_name, ()):
+        obj = store.objects[oid]
+        if obj.status == "active" and obj.source_key not in result_keys:
+            obj = store.touch(oid)
             obj.status = "frozen"
-            obj.current.domain = extend_end(obj.current.domain, t.tick - 1)
+            obj.current = State(extend_end(obj.current.domain, t.tick - 1), obj.current.value)
 
 
 def _aligned_value(
@@ -604,33 +639,34 @@ def apply_archival_state(store: Store, env: model.Environment, t: Instant) -> di
             obj = store.objects[oid]
             if obj.class_name != class_name:
                 continue  # membership sets archive under their own class
-            n = _archive_object(obj, archi, cfg, t)
+            n = _evictions(obj.past, cfg, t)
             if n:
+                _archive_object(store.touch(oid), n, archi)
                 evictions[class_name] = evictions.get(class_name, 0) + n
     return evictions
 
 
-def _archive_object(
-    obj: WarehouseObject, archi: dict[str, str], cfg: model.RetentionConfig, t: Instant
-) -> int:
-    evicted = 0
-    while obj.past:
-        over_count = cfg.keep_past_count is not None and len(obj.past) > cfg.keep_past_count
+def _evictions(past: list[State], cfg: model.RetentionConfig, t: Instant) -> int:
+    """How many of the oldest past states lie beyond the retention bounds."""
+    for evicted, state in enumerate(past):
+        over_count = cfg.keep_past_count is not None and len(past) - evicted > cfg.keep_past_count
         over_age = False
         if cfg.keep_past_duration is not None:
             count, unit = cfg.keep_past_duration
             bound = convert_count(count, unit, t.unit)
-            oldest_end = obj.past[0].domain.intervals[-1].end.tick
-            over_age = (t.tick - oldest_end) > bound
+            over_age = (t.tick - state.domain.intervals[-1].end.tick) > bound
         if not (over_count or over_age):
-            break
-        old = obj.past.pop(0)
+            return evicted
+    return len(past)
+
+
+def _archive_object(obj: WarehouseObject, n: int, archi: dict[str, str]) -> None:
+    """Evict the n oldest past states, folding them into the archive."""
+    for old in obj.past[:n]:
         if archi:
             current = obj.archives[0] if obj.archives else None
-            merged = merge_archive(current, old, archi)
-            obj.archives = [merged]
-        evicted += 1
-    return evicted
+            obj.archives = [merge_archive(current, old, archi)]
+    del obj.past[:n]
 
 
 def merge_archive(
@@ -700,23 +736,32 @@ def patch_specific(store: Store, oid: Oid, prop_name: str, value: Any, t: Instan
     new_value[prop_name] = value
     if new_value == obj.current.value:
         return
+    end = obj.current.domain.intervals[-1].end.tick
     if prop_name in tempo:
-        if t.tick <= obj.current.domain.intervals[-1].end.tick:
+        if t.tick <= end:
             raise NonMonotonicInstant(
                 "a temporal patch must be dated after the current state"
             )
+        obj = store.touch(oid)
         obj.past.append(State(obj.current.domain, obj.current.value))
-        obj.current = State(domain(t.unit, (t.tick, t.tick)), new_value)
+        obj.current = State(domain(t.unit, (t.tick, t.tick)), new_value, store.now)
     else:
+        obj = store.touch(oid)
         obj.current.value = new_value
-        obj.current.domain = extend_end(obj.current.domain, t.tick)
+        if t.tick > end:
+            # the one explicit end: a patch dated after the last refresh
+            # holds the state open to its own date
+            obj.current.stored = extend_end(obj.current.stored, t.tick)
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
 
-STORE_FORMAT = "tdw-store-v2"
+STORE_FORMAT = "tdw-store-v3"
+# one line per object, an active object's current state written with the
+# end it had at the last refresh; still read, and rewritten whole
+V2_FORMAT = "tdw-store-v2"
 V1_FORMAT = "tdw-store-v1"  # the whole store as one document; still read
 
 
@@ -725,10 +770,14 @@ def dumps_store(store: Store) -> str:
     per object in oid order, each compact JSON with sorted keys in UTF-8
     text and a newline. The header holds the schema texts, last_refresh,
     oid_counter, the membership sets and the object index [oid, class,
-    status, source key] in oid order; an object's line holds its states.
+    status, source key] in oid order; an object's line holds its states,
+    each with its stored domain, so an open current state's line does not
+    change as the last refresh moves on.
 
-    Every object's states are read, so a store loaded from a file with a
-    damaged object line raises here instead of being written."""
+    An object's line read from a store file is written again as it was,
+    unless the object was touched since; it is decoded first, like every
+    other object's states, so a store loaded from a file with a damaged
+    object line raises here instead of being written."""
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
     objects = [store.objects[oid] for oid in sorted(store.objects)]
     header = {
@@ -741,25 +790,28 @@ def dumps_store(store: Store) -> str:
         # json writes the source key's tuples as lists
         "objects": [[obj.oid, obj.class_name, obj.status, obj.source_key] for obj in objects],
     }
-    lines = [encode(header)]
-    lines.extend(
-        encode(
-            {
-                "current": _state_dict(obj.current),
-                "past": [_state_dict(s) for s in obj.past],
-                "archives": [
-                    {"domain": _domain_dict(a.domain), "aggregates": a.aggregates}
-                    for a in obj.archives
-                ],
-            }
-        )
-        for obj in objects
-    )
-    return "\n".join(lines) + "\n"
+    lines = [encode(header) + "\n"]
+    for obj in objects:
+        line = store.lines.get(obj.oid)
+        if line is None:
+            line = encode(
+                {
+                    "current": _state_dict(obj.current),
+                    "past": [_state_dict(s) for s in obj.past],
+                    "archives": [
+                        {"domain": _domain_dict(a.domain), "aggregates": a.aggregates}
+                        for a in obj.archives
+                    ],
+                }
+            ) + "\n"
+        else:
+            obj.decode()
+        lines.append(line)
+    return "".join(lines)
 
 
 def _state_dict(state: State) -> dict[str, Any]:
-    return {"domain": _domain_dict(state.domain), "value": state.value}
+    return {"domain": _domain_dict(state.stored), "value": state.value}
 
 
 def _domain_dict(d: TemporalDomain) -> dict[str, Any]:
@@ -788,11 +840,13 @@ def save_store(store: Store, path: str) -> None:
 def load_store(path: str) -> Store:
     """Read a store file; raise Error if it is not a well-formed store.
 
-    A tdw-store-v2 file's header and its number of object lines are
+    A tdw-store-v3 or v2 file's header and its number of object lines are
     checked here; each object's line is decoded and checked when one of
     its states is first read, and raises the same malformed-store Error
-    then. A tdw-store-v1 file, compact or indented, is decoded and checked
-    whole, and is written as v2 at its next save.
+    then. A v3 file's lines are kept for the next save to write again; a
+    v2 file's are not, so it is written whole as v3. A tdw-store-v1 file,
+    compact or indented, is decoded and checked whole, and is written as
+    v3 at its next save.
     """
     # lines end at "\n" alone, the one line break the encoder writes raw
     with open(path, encoding="utf-8", newline="\n") as fh:
@@ -801,18 +855,22 @@ def load_store(path: str) -> Store:
             doc = json.loads(head)
         except json.JSONDecodeError:
             doc = None  # the indented v1 layout spreads one document over lines
-        v2 = isinstance(doc, dict) and doc.get("format") == STORE_FORMAT
-        rest = fh.readlines() if v2 else fh.read()
-    if not v2 and (doc is None or rest.strip()):
+        fmt = doc.get("format") if isinstance(doc, dict) else None
+        lined = fmt in (STORE_FORMAT, V2_FORMAT)
+        rest = fh.readlines() if lined else fh.read()
+    if not lined and (doc is None or rest.strip()):
         try:
             doc = json.loads(head + rest)
         except json.JSONDecodeError as exc:
             raise Error(f"{path}: not a valid store document ({exc})") from None
-    if not v2 and not (isinstance(doc, dict) and doc.get("format") == V1_FORMAT):
-        raise Error(f"{path}: not a {STORE_FORMAT} or {V1_FORMAT} document")
+    if not lined and not (isinstance(doc, dict) and doc.get("format") == V1_FORMAT):
+        raise Error(f"{path}: not a {STORE_FORMAT}, {V2_FORMAT} or {V1_FORMAT} document")
     decoder = _StateDecoder(path)
     try:
-        store = _store_from_v2(doc, rest, decoder) if v2 else _store_from_v1(doc, decoder)
+        if lined:
+            store = _store_from_lines(doc, rest, decoder, reuse=fmt == STORE_FORMAT)
+        else:
+            store = _store_from_v1(doc, decoder)
         if len(store.identity) != len(store.objects):
             raise ValueError("two objects share one class and source key")
     except (KeyError, TypeError, ValueError) as exc:
@@ -834,7 +892,7 @@ def _store_from_header(doc: dict[str, Any]) -> Store:
         schema,
         doc["source_schema"],
         doc["warehouse_def"],
-        last_refresh=parse_instant(doc["last_refresh"]) if doc["last_refresh"] else None,
+        now=Now(parse_instant(doc["last_refresh"]) if doc["last_refresh"] else None),
         oid_counter=doc["oid_counter"],
     )
     store.memberships = {
@@ -843,8 +901,12 @@ def _store_from_header(doc: dict[str, Any]) -> Store:
     return store
 
 
-def _store_from_v2(doc: dict[str, Any], lines: list[str], decoder: _StateDecoder) -> Store:
+def _store_from_lines(
+    doc: dict[str, Any], lines: list[str], decoder: _StateDecoder, reuse: bool
+) -> Store:
     store = _store_from_header(doc)
+    if not reuse:
+        decoder.implied_end = store.last_refresh.tick if store.last_refresh else None
     index = doc["objects"]
     # only a file cut off inside its last line has a line without "\n"
     complete = len(lines) - (bool(lines) and not lines[-1].endswith("\n"))
@@ -858,22 +920,27 @@ def _store_from_v2(doc: dict[str, Any], lines: list[str], decoder: _StateDecoder
         if oid <= prior:
             raise ValueError(f"oid {oid} follows oid {prior} in the object index")
         prior = oid
+        now = store.now if status == "active" else None
         store.add_object(
             WarehouseObject.deferred(
-                oid, cname, status, tuple(tuple(p) for p in key), partial(decoder.line, line)
+                oid, cname, status, tuple(tuple(p) for p in key), partial(decoder.line, line, now)
             )
         )
+        if reuse:
+            store.lines[oid] = line
     return store
 
 
 def _store_from_v1(doc: dict[str, Any], decoder: _StateDecoder) -> Store:
     store = _store_from_header(doc)
+    decoder.implied_end = store.last_refresh.tick if store.last_refresh else None
     for item in doc["objects"]:
+        now = store.now if item["status"] == "active" else None
         store.add_object(
             WarehouseObject(
                 item["oid"],
                 item["class"],
-                *decoder.states(item),
+                *decoder.states(item, now),
                 item["status"],
                 tuple(tuple(p) for p in item["source_key"]),
             )
@@ -889,31 +956,56 @@ class _StateDecoder:
 
     Many states span the same granules, so each distinct domain is built
     and checked once and then shared: TemporalDomain is frozen, and the
-    engine only ever replaces a state's domain.
+    engine only ever replaces a state's domain. An active object's
+    current state is decoded open, reading its end from the store's Now.
+
+    v1 and v2 files wrote an open state's end as it read at the last
+    refresh; the loader sets implied_end to that refresh, and an end no
+    later than it is dropped to the state's start, as the engine stores
+    it, while a later end, which only a patch sets, is kept.
     """
 
     def __init__(self, path: str):
         self.path = path
         self.domains: dict[tuple[str, tuple[tuple[int, ...], ...]], TemporalDomain] = {}
+        self.implied_end: int | None = None
 
-    def line(self, line: str) -> tuple[State, list[State], list[ArchiveState]]:
-        """Decode one v2 object line, raising the malformed-store Error."""
+    def line(
+        self, line: str, now: Now | None
+    ) -> tuple[State, list[State], list[ArchiveState]]:
+        """Decode one object line, raising the malformed-store Error."""
         try:
-            return self.states(json.loads(line))
+            return self.states(json.loads(line), now)
         except (KeyError, TypeError, ValueError) as exc:
             raise _malformed(self.path, exc) from None
 
-    def states(self, item: dict[str, Any]) -> tuple[State, list[State], list[ArchiveState]]:
+    def states(
+        self, item: dict[str, Any], now: Now | None
+    ) -> tuple[State, list[State], list[ArchiveState]]:
         current = item["current"]
+        stored = self.domain(current["domain"])
+        if now is not None:
+            stored = self._open(stored)
         return (
-            State(self.domain(current["domain"]), current["value"]),
+            State(stored, current["value"], now),
             [State(self.domain(s["domain"]), s["value"]) for s in item["past"]],
             [ArchiveState(self.domain(a["domain"]), a["aggregates"]) for a in item["archives"]],
         )
 
     def domain(self, d: dict[str, Any]) -> TemporalDomain:
-        key = (d["unit"], tuple(map(tuple, d["intervals"])))
-        found = self.domains.get(key)
+        return self._shared(d["unit"], tuple(map(tuple, d["intervals"])))
+
+    def _shared(self, unit: str, bounds: tuple[tuple[int, ...], ...]) -> TemporalDomain:
+        found = self.domains.get((unit, bounds))
         if found is None:
-            found = self.domains[key] = domain(key[0], *key[1])
+            found = self.domains[(unit, bounds)] = domain(unit, *bounds)
         return found
+
+    def _open(self, d: TemporalDomain) -> TemporalDomain:
+        if not d.intervals:
+            raise ValueError("an active object's current state spans no granule")
+        last = d.intervals[-1]
+        if self.implied_end is None or last.end.tick > self.implied_end:
+            return d
+        bounds = tuple((iv.start.tick, iv.end.tick) for iv in d.intervals[:-1])
+        return self._shared(d.unit, bounds + ((last.start.tick, last.start.tick),))

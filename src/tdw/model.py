@@ -8,6 +8,10 @@ share retention behaviour; filter inheritance only acts inside one.
 
 Warehouse objects hold one current state, ordered past states, and a
 cumulative archive state, all with pairwise disjoint temporal domains.
+An active object's current state ends now: at its store's last refresh,
+which the state reads from a Now it shares with every other open state
+of the store, so a refresh moves the end of every carried object without
+writing to it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,14 @@ from .errors import (
     UnknownEnvironment,
 )
 from .source import SourceType
-from .temporal import Instant, Interval, TemporalDomain, domain_contains, interval
+from .temporal import (
+    Instant,
+    Interval,
+    TemporalDomain,
+    domain_contains,
+    extend_end,
+    interval,
+)
 
 Oid = int
 
@@ -397,10 +408,71 @@ def validate_schema(schema: WarehouseSchema) -> list[SchemaViolation]:
 # objects and states
 
 
-@dataclass
+class Now:
+    """A store's last refresh: the end of every open current state in it.
+
+    One Now is shared by a store, its working copies and the open states
+    of all their objects, so publishing a refresh moves the end of every
+    carried object at once, without writing to any of them. Like the
+    store decoder, it builds each distinct grown domain once per instant
+    and shares it among the states that read it.
+    """
+
+    __slots__ = ("_instant", "_grown")
+
+    def __init__(self, instant: Instant | None = None):
+        self.instant = instant
+
+    @property
+    def instant(self) -> Instant | None:
+        return self._instant
+
+    @instant.setter
+    def instant(self, t: Instant | None) -> None:
+        self._instant = t
+        self._grown: dict[TemporalDomain, TemporalDomain] = {}
+
+    def grow(self, d: TemporalDomain) -> TemporalDomain:
+        """d with its last interval grown to end at now, if it ends before."""
+        if self._instant is None:
+            return d
+        grown = self._grown.get(d)
+        if grown is None:
+            grown = self._grown[d] = extend_end(d, self._instant.tick)
+        return grown
+
+
 class State:
-    domain: TemporalDomain
-    value: dict[str, Any]
+    """A value and the granules it holds over.
+
+    An active object's current state is open: it holds its store's Now,
+    and its domain is the stored one grown to end at now. The stored
+    domain is what the engine last wrote: the state's start, or a later
+    end that a patch dated after the last refresh set. Past states and a
+    frozen object's current state are closed: their domain is the stored
+    one. Equality compares the domains as read.
+    """
+
+    __slots__ = ("stored", "value", "now")
+
+    def __init__(self, domain: TemporalDomain, value: dict[str, Any], now: Now | None = None):
+        self.stored = domain
+        self.value = value
+        self.now = now
+
+    @property
+    def domain(self) -> TemporalDomain:
+        return self.stored if self.now is None else self.now.grow(self.stored)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, State):
+            return NotImplemented
+        return self.domain == other.domain and self.value == other.value
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, like the dataclass it was
+
+    def __repr__(self) -> str:
+        return f"State(stored={self.stored!r}, value={self.value!r}, open={self.now is not None})"
 
 
 @dataclass
@@ -443,6 +515,27 @@ class WarehouseObject:
             oid=oid, class_name=class_name, status=status, source_key=source_key, _load=load
         )
         return obj
+
+    def copy(self) -> WarehouseObject:
+        """A copy to change without changing this object: a new current
+        state and new past and archive lists. The states in those lists
+        and the value dicts stay shared, since the engine replaces them
+        and never changes them in place."""
+        current = self.current
+        return WarehouseObject(
+            self.oid,
+            self.class_name,
+            State(current.stored, current.value, current.now),
+            list(self.past),
+            list(self.archives),
+            self.status,
+            self.source_key,
+        )
+
+    def decode(self) -> None:
+        """Decode a deferred object's states now; raises as their first
+        read would."""
+        getattr(self, "current")
 
     def __getattr__(self, name: str) -> Any:
         # reached only for an attribute the instance lacks, so a decoded or

@@ -286,13 +286,19 @@ def make_snapshot(src_schema):
     return factory
 
 
-def assert_source_index(store) -> None:
-    """The store's source-id index equals one rebuilt from its objects."""
+def assert_indexes(store) -> None:
+    """The store's identity, source-id and class indexes equal ones
+    rebuilt from its objects."""
     rebuilt: dict = {}
     for oid in sorted(store.objects):
         for pair in store.objects[oid].source_key:
             rebuilt.setdefault(pair, []).append(oid)
     assert {pair: sorted(oids) for pair, oids in store.source_index.items()} == rebuilt
+    assert store.identity == {(o.class_name, o.source_key): oid for oid, o in store.objects.items()}
+    by_class: dict = {}
+    for oid, obj in store.objects.items():
+        by_class.setdefault(obj.class_name, set()).add(oid)
+    assert store.by_class == by_class
 
 
 def store_to_dict(store) -> dict:

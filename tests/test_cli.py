@@ -92,6 +92,21 @@ class TestValidate:
         assert rc == 1
         assert "generalize operand 'c' takes no where" in err
 
+    def test_one_specialize_binder_for_two_operands_is_a_domain_error(self, tmp_path):
+        text = Path(EDW).read_text(encoding="utf-8")
+        assert text.count("s: Services,\n    e.organisation contains s);") == 1
+        edw = tmp_path / "binder.edw"
+        edw.write_text(
+            text.replace(
+                "s: Services,\n    e.organisation contains s);",
+                "e: Services, e.organisation contains e);",
+            ),
+            encoding="utf-8",
+        )
+        rc, _out, err = tdw("validate", "--source-schema", ODL, "--warehouse", str(edw))
+        assert rc == 1
+        assert "specialize binder 'e' names more than one operand" in err
+
     def test_source_inheritance_cycle_is_a_domain_error(self, tmp_path):
         odl = tmp_path / "cycle.odl"
         odl.write_text("interface A (extend B) {} interface B (extend A) {}", encoding="utf-8")
@@ -109,7 +124,7 @@ class TestBuild:
     def test_build_writes_store(self, built):
         _tmp, store = built
         header = json.loads(Path(store).read_text(encoding="utf-8").split("\n", 1)[0])
-        assert header["format"] == "tdw-store-v2"
+        assert header["format"] == "tdw-store-v3"
         assert header["last_refresh"] == "1990"
 
     def test_existing_store_rejected(self, built, tmp_path):
@@ -339,6 +354,60 @@ class TestDamagedObjectLine:
         else:  # a sound object: the damaged one is met when the store is saved
             args = ("patch", "--store", store, "--oid", "4", "--set", "année_création=1956",
                     "--at", "1990")
+        rc, _out, err = tdw(*args)
+        assert rc == 1
+        assert "h.store: malformed store document (JSONDecodeError: Expecting" in err
+        assert "Traceback" not in err
+        assert Path(store).read_bytes() == before
+        assert sorted(p.name for p in tmp.iterdir() if p.name.startswith("h.store")) == [
+            "h.store"
+        ]
+
+
+@pytest.fixture(params=["frozen", "untouched"])
+def damaged_unread(request, built):
+    """The built store refreshed at 1991 without service s2, which freezes
+    its Services object and its Etablissements composite, then saved with
+    one object line replaced by text that is not JSON: the frozen
+    composite's, which no later refresh reads, or the line of service s1,
+    which the next refresh carries without touching."""
+    tmp, store = built
+    records = [r for r in hospital_records(1991) if r["id"] != "s2"]
+    for r in records:
+        if r["id"] == "e1":
+            r["links"]["organisation"] = ["s1"]
+    snap = tmp / "s1991.jsonl"
+    snap.write_text("\n".join(snapshot_lines(records)) + "\n", encoding="utf-8")
+    rc, _out, err = tdw("refresh", "--store", store, "--snapshot", str(snap), "--at", "1991")
+    assert rc == 0, err
+    path = Path(store)
+    header, *lines = path.read_text(encoding="utf-8")[:-1].split("\n")
+    index = json.loads(header)["objects"]
+    wanted = (
+        ("Etablissements", "frozen", "s2") if request.param == "frozen"
+        else ("Services", "active", "s1")
+    )
+    (at,) = [i for i, (_oid, cname, status, key) in enumerate(index)
+             if (cname, status, key[-1][1]) == wanted]
+    lines[at] = "{damaged"
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    return tmp, store, index[at][0]
+
+
+class TestDamagedUnreadLine:
+    """A line the next save would write again as it was read is decoded,
+    and so checked, before it is written."""
+
+    @pytest.mark.parametrize("verb", ["refresh", "patch"])
+    def test_writers_leave_the_file_as_it_was(self, damaged_unread, verb):
+        tmp, store, _oid = damaged_unread
+        before = Path(store).read_bytes()
+        if verb == "refresh":
+            snap = write_snapshot(tmp / "s1992.jsonl", 1992)
+            args = ("refresh", "--store", store, "--snapshot", snap, "--at", "1992")
+        else:
+            args = ("patch", "--store", store, "--oid", "3", "--set", "année_création=1956",
+                    "--at", "1991")
         rc, _out, err = tdw(*args)
         assert rc == 1
         assert "h.store: malformed store document (JSONDecodeError: Expecting" in err

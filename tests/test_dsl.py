@@ -369,6 +369,15 @@ class TestGeneralizeResolution:
         with pytest.raises(ResolveError, match="lifts whole properties"):
             resolve(parse_warehouse_def(broken), src_schema)
 
+    def test_lifted_path_under_an_unknown_binder(self, src_schema, edw_text):
+        broken = edw_text.replace(
+            PERSONNES_MAPPING, PERSONNES_MAPPING.replace("c.nom,", "x.nom,", 1)
+        )
+        assert broken != edw_text
+        with pytest.raises(ResolveError) as err:
+            resolve(parse_warehouse_def(broken), src_schema)
+        assert str(err.value) == "generalize path x.nom names unknown binder 'x'"
+
     def test_operand_where_rejected(self, src_schema, edw_text):
         broken = edw_text.replace(
             PERSONNES_MAPPING,
@@ -389,3 +398,22 @@ class TestGeneralizeResolution:
         )
         _schema, violations = resolve_with_violations(wdef, src)
         assert [(v.kind, v.subject) for v in violations] == [("property-conflict", "O")]
+
+
+ETABLISSEMENTS_MAPPING = (
+    'mapping Etablissements = specialize(e: Hôpitaux_Publics where e.ville = "Toulouse", '
+    "s: Services,\n    e.organisation contains s);"
+)
+
+
+class TestSpecializeResolution:
+    def test_one_binder_for_two_operands_rejected(self, src_schema, edw_text):
+        assert ETABLISSEMENTS_MAPPING in edw_text
+        broken = edw_text.replace(
+            ETABLISSEMENTS_MAPPING,
+            'mapping Etablissements = specialize(e: Hôpitaux_Publics where e.ville = "Toulouse", '
+            "e: Services, e.organisation contains e);",
+        )
+        with pytest.raises(ResolveError) as err:
+            resolve(parse_warehouse_def(broken), src_schema)
+        assert str(err.value) == "specialize binder 'e' names more than one operand"

@@ -1,7 +1,10 @@
 """Lifecycle engine: load, refresh diffing, archival, freeze, persistence."""
 
+import contextlib
 import json
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import reference
 from conftest import (
-    assert_source_index,
+    assert_indexes,
     hospital_records,
     snapshot_lines,
     store_to_dict,
@@ -48,12 +51,12 @@ from tdw.temporal import Instant, domain
 
 
 # every initial load, store load and refresh in this module also checks the
-# store's source-id index against one rebuilt from its objects
+# store's indexes against ones rebuilt from its objects
 
 
 def initial_load(*args, **kwargs):
     store = engine.initial_load(*args, **kwargs)
-    assert_source_index(store)
+    assert_indexes(store)
     return store
 
 
@@ -61,12 +64,12 @@ def refresh(store, *args, **kwargs):
     try:
         return engine.refresh(store, *args, **kwargs)
     finally:
-        assert_source_index(store)
+        assert_indexes(store)
 
 
 def load_store(path):
     store = engine.load_store(path)
-    assert_source_index(store)
+    assert_indexes(store)
     return store
 
 
@@ -493,23 +496,19 @@ class TestMultiOperandGeneralize:
         assert check_subclass_laws(store.schema, "Labos", "Sites_Soins", exts) == []
 
     def test_common_property_type_must_match(self):
-        src = parse_source_schema(MULTI_LIFT_ODL)
-        broken = MULTI_LIFT_EDW.replace(
-            "interface Labos (extend Sites_Soins) { D_attribute Double surface; }",
-            "interface Labos (extend Sites_Soins) { D_attribute Double surface; "
-            "D_attribute Long nom_bis; }",
-        ).replace(
-            "mapping Sites_Soins = generalize(c.nom, c: Cliniques, l: Labos);",
-            "mapping Sites_Soins = generalize(c.fantôme, c: Cliniques, l: Labos);",
+        # the lifted nom is a String in CLINIQUE and a Long in LABO: the
+        # Labos operand cannot give Sites_Soins' String nom
+        odl = MULTI_LIFT_ODL.replace(
+            "interface LABO { attribute String nom;", "interface LABO { attribute Long nom;"
         )
-        from tdw.errors import ResolveError, UnresolvedSourceProperty
+        assert odl != MULTI_LIFT_ODL
+        src = parse_source_schema(odl)
+        from tdw.errors import UnresolvedSourceProperty
 
-        with pytest.raises((ResolveError, UnresolvedSourceProperty)):
-            initial_load(
-                parse_source_schema(MULTI_LIFT_ODL),
-                parse_warehouse_def(broken),
-                ingest_snapshot(src, [], year(1990)),
-            )
+        with pytest.raises(Error) as err:
+            initial_load(src, parse_warehouse_def(MULTI_LIFT_EDW), ingest_snapshot(src, [], year(1990)))
+        assert type(err.value) is UnresolvedSourceProperty
+        assert str(err.value) == "Labos.nom: declared String, source provides Long"
 
 
 FULL_LIFT_EDW = """
@@ -709,7 +708,7 @@ class TestPersistence:
         v1 = store_to_dict(store)
         assert [o["oid"] for o in v1["objects"]] == sorted(store.objects)
         assert header == {
-            "format": "tdw-store-v2",
+            "format": "tdw-store-v3",
             **{
                 k: v1[k]
                 for k in ("source_schema", "warehouse_def", "last_refresh", "oid_counter",
@@ -717,6 +716,13 @@ class TestPersistence:
             },
             "objects": [[o["oid"], o["class"], o["status"], o["source_key"]] for o in v1["objects"]],
         }
+        # an active object's current state ends at the last refresh, which
+        # its line leaves implied: the line's interval ends at its start
+        for o in v1["objects"]:
+            if o["status"] == "active":
+                ((start, end),) = o["current"]["domain"]["intervals"]
+                assert end == store.last_refresh.tick
+                o["current"]["domain"]["intervals"] = [[start, start]]
         assert lines == [
             {k: o[k] for k in ("current", "past", "archives")} for o in v1["objects"]
         ]
@@ -1017,7 +1023,7 @@ class TestLinkResolution:
         path = str(tmp_path / "h.store")
         save_store(store, path)
         loaded = load_store(path)
-        assert_source_index(loaded)
+        assert_indexes(loaded)
         snap = make_snapshot(1992, with_extra_surgeon=True)
         assert refresh(loaded, snap).to_dict() == refresh(store, snap).to_dict()
         assert dumps_store(loaded) == dumps_store(store)
@@ -1079,6 +1085,90 @@ class TestWorkingCopyAtomicity:
         assert dumps_store(store) == before
         assert all(store.objects[oid] is obj for oid, obj in held.items())
         assert object_forms(held) == forms
+
+
+class TestCopyOnWrite:
+    def test_refresh_touches_only_what_it_changes(self, store, make_snapshot):
+        refresh(store, make_snapshot(1991))
+        held, before = dict(store.objects), object_forms(store.objects)
+        with touch_spy() as touched:
+            report = refresh(store, make_snapshot(1992)).to_dict()
+        assert_touched_what_changed(before, store, touched, report)
+        carried = [oid for oid in held if oid not in touched]
+        assert carried and len(touched) < len(store.objects)
+        # a carried object is the very object the store held before, and
+        # reads its end from the store's last refresh
+        for oid in carried:
+            assert store.objects[oid] is held[oid]
+            assert store.objects[oid].current.domain.intervals[-1].end == year(1992)
+
+    def test_a_save_encodes_only_touched_objects(self, store, tmp_path, make_snapshot):
+        refresh(store, make_snapshot(1991))
+        path = str(tmp_path / "h.store")
+        save_store(store, path)
+        loaded = load_store(path)
+        assert loaded.lines.keys() == loaded.objects.keys()
+        with touch_spy() as touched:
+            refresh(loaded, make_snapshot(1992))
+        assert loaded.lines.keys() == loaded.objects.keys() - touched
+        encoded = []
+        real = engine._state_dict
+
+        def spy(state):
+            encoded.append(state)
+            return real(state)
+
+        with mock.patch.object(engine, "_state_dict", spy):
+            text = dumps_store(loaded)
+        # each encoded object writes its current state once
+        currents = [obj.current for obj in loaded.objects.values()]
+        assert sum(any(s is c for c in currents) for s in encoded) == len(touched)
+        assert text == dumps_store(replace(loaded, lines={}))
+        refresh(store, make_snapshot(1992))
+        assert text == dumps_store(store)
+
+    def test_a_patch_after_the_last_refresh_keeps_an_explicit_end(
+        self, store, tmp_path, make_snapshot
+    ):
+        refresh(store, make_snapshot(1991))
+        hop = by_key(store, "Hôpitaux_Publics", "e1")
+        patch_specific(store, hop.oid, "année_création", 1956, year(1994))
+        hop = store.objects[hop.oid]
+        assert hop.current.stored.intervals[-1].end == year(1994)
+        path = str(tmp_path / "h.store")
+        loaded = saved_and_loaded(store, path)
+        assert loaded.objects[hop.oid].current == hop.current
+        assert hop.current.domain.intervals[-1].end == year(1994)
+        snap = make_snapshot(1992)
+        assert refresh(loaded, snap).to_dict() == refresh(store, snap).to_dict()
+        assert dumps_store(loaded) == dumps_store(store)
+
+    def test_a_v2_file_reads_the_same_and_is_rewritten_whole(
+        self, store, tmp_path, make_snapshot
+    ):
+        for y in (1991, 1992, 1993):
+            refresh(store, make_snapshot(y))
+        e2 = by_key(store, "Hôpitaux_Publics", "e2")
+        patch_specific(store, e2.oid, "année_création", 1961, year(1995))
+        # the layout the previous store files had: every state's domain as
+        # it read at the last refresh
+        v1 = store_to_dict(store)
+        header = {k: v1[k] for k in ("source_schema", "warehouse_def", "last_refresh",
+                                     "oid_counter", "memberships")}
+        header["format"] = "tdw-store-v2"
+        header["objects"] = [[o["oid"], o["class"], o["status"], o["source_key"]]
+                             for o in v1["objects"]]
+        encode = partial(json.dumps, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        lines = [encode({k: o[k] for k in ("current", "past", "archives")}) for o in v1["objects"]]
+        path = tmp_path / "h.store"
+        path.write_text("\n".join([encode(header), *lines]) + "\n", encoding="utf-8")
+        loaded = load_store(str(path))
+        assert loaded.lines == {}
+        assert store_to_dict(loaded) == v1
+        save_store(loaded, str(path))
+        assert path.read_text(encoding="utf-8") == dumps_store(store)
+        snap = make_snapshot(1994)
+        assert refresh(load_store(str(path)), snap).to_dict() == refresh(store, snap).to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -1265,10 +1355,53 @@ def assert_engine_matches_model(store, model, ticks) -> None:
         assert {idents[oid] for oid in store.extension_of(name)} == members, name
 
 
+@contextlib.contextmanager
+def touch_spy():
+    """The oids passed to Store.touch while the block runs."""
+    touched: set = set()
+    real = engine.Store.touch
+
+    def spy(self, oid):
+        touched.add(oid)
+        return real(self, oid)
+
+    with mock.patch.object(engine.Store, "touch", spy):
+        yield touched
+
+
+def assert_touched_what_changed(before: dict, store, touched: set, report: dict) -> None:
+    """A refresh touched exactly the objects it changed: created, updated,
+    historized, newly frozen or evicting ones, not the whole store."""
+    after = object_forms(store.objects)
+    new = after.keys() - before.keys()
+    changed = {oid for oid in before if after[oid] != before[oid]}
+    assert touched - new == changed
+    counts = report["classes"].values()
+    assert len(new) == sum(c["created"] for c in counts)
+    frozen = sum(before[oid][3] != after[oid][3] for oid in before)
+    diffed = sum(c["updated"] + c["historized"] for c in counts) + frozen
+    assert diffed <= len(changed) <= diffed + sum(c["archived_evictions"] for c in counts)
+
+
+def saved_and_loaded(store, path: str):
+    """The store saved and loaded back, as each command does: the save
+    writes each untouched line as it was read and a from-scratch encoding
+    gives the same bytes, and a save of the loaded store gives them too."""
+    text = dumps_store(store)
+    assert text == dumps_store(replace(store, lines={}))
+    save_store(store, path)
+    loaded = load_store(path)
+    assert dumps_store(loaded).encode("utf-8") == Path(path).read_bytes()
+    return loaded
+
+
 class TestReferenceModel:
     @settings(max_examples=80, deadline=None)
     @given(hospital_histories())
-    def test_engine_follows_the_reference_model(self, src_schema, edw_text, history):
+    def test_engine_follows_the_reference_model(
+        self, src_schema, edw_text, tmp_path_factory, history
+    ):
+        path = str(tmp_path_factory.mktemp("steps") / "h.store")
         keep_count, keep_years, temporal_creation, years, patches = history
         text = history_edw(edw_text, keep_count, keep_years, temporal_creation)
         model = reference.ReferenceWarehouse(keep_count, keep_years, temporal_creation)
@@ -1288,7 +1421,10 @@ class TestReferenceModel:
                     outcome = "loaded"  # a load returns no report
                     expected = expected if isinstance(expected, str) else "loaded"
                 else:
-                    outcome = refresh(store, snap).to_dict()
+                    before = object_forms(store.objects)
+                    with touch_spy() as touched:
+                        outcome = refresh(store, snap).to_dict()
+                    assert_touched_what_changed(before, store, touched, outcome)
                     classes, warnings = expected
                     expected = {"at": str(1990 + step), "classes": classes, "warnings": warnings}
             except Error as exc:
@@ -1318,3 +1454,4 @@ class TestReferenceModel:
                 event(f"patch: {outcome}")
             ticks = range(min(seen) - 1, max(seen) + 2)
             assert_engine_matches_model(store, model, ticks)
+            store = saved_and_loaded(store, path)
