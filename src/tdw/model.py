@@ -469,8 +469,6 @@ class State:
             return NotImplemented
         return self.domain == other.domain and self.value == other.value
 
-    __hash__ = None  # type: ignore[assignment]  # mutable, like the dataclass it was
-
     def __repr__(self) -> str:
         return f"State(stored={self.stored!r}, value={self.value!r}, open={self.now is not None})"
 
