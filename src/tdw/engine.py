@@ -125,9 +125,9 @@ class Store:
     each class to the oids it owns. None is stored in a store file; all
     are rebuilt as objects are added.
 
-    now holds last_refresh, shared with every open current state. own
-    holds the oids whose object this store alone holds and so may change
-    in place; touch copies any other object first. lines holds the object
+    now holds last_refresh, shared with every open current state. shared
+    holds the oids of a working copy's objects that its store holds too
+    and that touch must copy before they change. lines holds the object
     lines read from the store file, which the next save writes again as
     they are while their object is untouched.
     """
@@ -144,7 +144,7 @@ class Store:
     memberships: dict[str, set[Oid]] = field(default_factory=dict)
     now: Now = field(default_factory=Now)
     oid_counter: int = 0
-    own: set[Oid] = field(default_factory=set, repr=False)
+    shared: set[Oid] = field(default_factory=set, repr=False)
     lines: dict[Oid, str] = field(default_factory=dict, repr=False)
 
     @property
@@ -210,21 +210,21 @@ class Store:
             source_index=dict(self.source_index),
             by_class={name: set(oids) for name, oids in self.by_class.items()},
             memberships=dict(self.memberships),
-            own=set(),
+            shared=set(self.objects),
             lines=dict(self.lines),
         )
 
     def touch(self, oid: Oid) -> WarehouseObject:
         """The object at oid, ready to change.
 
-        An object this store shares is copied first, so the store it is
-        shared with keeps its own. The object's line read from the store
+        An object this working copy shares is copied first, so the store it
+        is shared with keeps its own. The object's line read from the store
         file is dropped, so the next save encodes the object anew.
         """
         obj = self.objects[oid]
-        if oid not in self.own:
+        if oid in self.shared:
             obj = self.objects[oid] = obj.copy()
-            self.own.add(oid)
+            self.shared.discard(oid)
         self.lines.pop(oid, None)
         return obj
 
@@ -246,12 +246,15 @@ class Store:
 
     def add_object(self, obj: WarehouseObject) -> None:
         """Insert a new object and index its identity, source key and class."""
-        self.objects[obj.oid] = obj
-        self.own.add(obj.oid)
-        self.identity[(obj.class_name, obj.source_key)] = obj.oid
+        oid, cname, index = obj.oid, obj.class_name, self.source_index
+        self.objects[oid] = obj
+        self.identity[(cname, obj.source_key)] = oid
         for pair in obj.source_key:
-            self.source_index[pair] = self.source_index.get(pair, ()) + (obj.oid,)
-        self.by_class.setdefault(obj.class_name, set()).add(obj.oid)
+            index[pair] = index.get(pair, ()) + (oid,)
+        members = self.by_class.get(cname)
+        if members is None:
+            members = self.by_class[cname] = set()
+        members.add(oid)
 
     # -- queries -------------------------------------------------------------
 
@@ -914,20 +917,18 @@ def _store_from_lines(
         raise ValueError(
             f"the index holds {len(index)} objects but {complete} complete object lines follow"
         )
-    prior = 0
+    prior, now = 0, store.now
     for (oid, cname, status, key), line in zip(index, lines):
         # lines pair with index entries by position, which the oid order fixes
         if oid <= prior:
             raise ValueError(f"oid {oid} follows oid {prior} in the object index")
         prior = oid
-        now = store.now if status == "active" else None
+        load = partial(decoder.line, line, now if status == "active" else None)
         store.add_object(
-            WarehouseObject.deferred(
-                oid, cname, status, tuple(tuple(p) for p in key), partial(decoder.line, line, now)
-            )
+            WarehouseObject.deferred(oid, cname, status, tuple(tuple(p) for p in key), load)
         )
-        if reuse:
-            store.lines[oid] = line
+    if reuse:
+        store.lines = dict(zip(store.objects, lines))
     return store
 
 
