@@ -925,7 +925,7 @@ def _store_from_lines(
         prior = oid
         load = partial(decoder.line, line, now if status == "active" else None)
         store.add_object(
-            WarehouseObject.deferred(oid, cname, status, tuple(tuple(p) for p in key), load)
+            WarehouseObject.deferred(oid, cname, status, tuple(map(tuple, key)), load)
         )
     if reuse:
         store.lines = dict(zip(store.objects, lines))
