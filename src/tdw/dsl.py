@@ -731,10 +731,12 @@ def _resolve_hierarchization(schema: WarehouseSchema, src: SourceSchema, cls: Wa
                     f"of {op.class_name!r} belongs to {cls.name!r}"
                 )
     else:  # Specialize
+        # a row answers a binder for one operand only, so, as in a join,
+        # no binder may name two
         binders = [op.binder for op in expr.operands]
-        for binder in sorted({b for b in binders if binders.count(b) > 1}):
-            # one binder would answer for two operands, as in a join
-            raise ResolveError(f"specialize binder {binder!r} names more than one operand")
+        repeated = sorted({b for b in binders if binders.count(b) > 1})
+        if repeated:
+            raise ResolveError(f"specialize binder {repeated[0]!r} names more than one operand")
         builds: list[algebra.ClassBuild] = []
         for op in expr.operands:
             build = algebra.ClassBuild(class_structure(schema, op.class_name, op.binder))
