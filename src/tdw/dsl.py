@@ -563,9 +563,12 @@ def resolve_with_violations(
     wdef: WarehouseDef, src: SourceSchema
 ) -> tuple[WarehouseSchema, list[SchemaViolation]]:
     schema = _skeleton(wdef)
+    # resolution sets mappings, source origins and source paths, none of
+    # which a schema check reads, so the skeleton's violations are final
+    violations = validate_schema(schema)
     broken = {
         v.subject
-        for v in validate_schema(schema)
+        for v in violations
         if v.kind in ("inheritance-cycle", "unknown-super", "property-conflict")
     }
 
@@ -594,7 +597,7 @@ def resolve_with_violations(
         _match_declared(schema, src, cls, structures[decl.name])
 
     _check_warehouse_inverses(schema)
-    return schema, validate_schema(schema)
+    return schema, violations
 
 
 def _skeleton(wdef: WarehouseDef) -> WarehouseSchema:
@@ -848,8 +851,7 @@ def _check_derived(
     target_cls = schema.classes.get(decl.target)
     if target_cls is None:
         return  # reported by the derived-relation closure check
-    wanted = src.tables[out.target].subtypes if out.target in src.interfaces else (out.target,)
-    if not set(target_cls.source_origins).intersection(wanted):
+    if not set(target_cls.source_origins).intersection(src.tables[out.target].subtypes):
         raise UnresolvedSourceProperty(
             f"{cls.name}.{decl.name}: target class {decl.target!r} is not built "
             f"from source {out.target!r}"

@@ -1,13 +1,17 @@
 """Lifecycle engine: initial load, periodic refresh, archival, identity.
 
 The engine owns the store: every warehouse object, the identity index
-from (class, source key) to oid, and the resolved schema. Refreshes are
-driven by snapshots taken at extraction points; between two points the
-warehouse assumes nothing changed. A refresh diffs each class's mapping
-result against the stored extension: new keys create objects, equal
-values carry the current state forward, changes to temporal-filter
-properties push history, other changes overwrite in place, and vanished
-keys freeze their object one granule before the extraction point.
+from (class, source key) to oid, one class index holding each class's
+direct extension, and the resolved schema. Refreshes are driven by
+snapshots taken at extraction points; between two points the warehouse
+assumes nothing changed. A refresh diffs each class's mapping result
+against the stored extension: new keys create objects, equal values
+carry the current state forward, changes to temporal-filter properties
+push history, other changes overwrite in place, and vanished keys freeze
+their object one granule before the extraction point. Extraction classes
+and composite classes go through the same two steps: one allocates the
+new keys' objects, one settles every row and freezes what vanished. An
+initial load is the first extraction point, run like any other.
 
 Links resolve through the store's source-id index, which maps every
 (interface, source id) pair of an object's source key to its oids, so a
@@ -42,7 +46,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from . import model
 from .algebra import BuildProp, ClassBuild, Row, eval_extraction, eval_select, eval_specialize
@@ -122,8 +126,11 @@ class Store:
     (class, source key) to its oid; source_index maps each (interface,
     source id) pair of a source key to the oids whose key holds it, so a
     link is resolved without scanning an extension; and by_class maps
-    each class to the oids it owns. None is stored in a store file; all
-    are rebuilt as objects are added.
+    each class to its direct extension, the oids it owns. None of these
+    is stored in a store file; all are rebuilt as objects are added. A
+    membership class owns no objects: its by_class entry is the set of
+    its operand's objects that each refresh selects and replaces, and the
+    store file's header holds it.
 
     now holds last_refresh, shared with every open current state. shared
     holds the oids of a working copy's objects that its store holds too
@@ -141,7 +148,6 @@ class Store:
     identity: dict[tuple[str, tuple[tuple[str, str], ...]], Oid] = field(default_factory=dict)
     source_index: dict[tuple[str, str], tuple[Oid, ...]] = field(default_factory=dict)
     by_class: dict[str, set[Oid]] = field(default_factory=dict)
-    memberships: dict[str, set[Oid]] = field(default_factory=dict)
     now: Now = field(default_factory=Now)
     oid_counter: int = 0
     shared: set[Oid] = field(default_factory=set, repr=False)
@@ -188,10 +194,7 @@ class Store:
         return sorted(oids)
 
     def direct_extension(self, class_name: str) -> list[Oid]:
-        """The class's own members, subclasses left out: its membership
-        set, or else the objects it owns."""
-        if class_name in self.memberships:
-            return sorted(self.memberships[class_name])
+        """The class's own members, subclasses left out."""
         return sorted(self.by_class.get(class_name, ()))
 
     # -- refresh working copies ---------------------------------------------
@@ -200,8 +203,8 @@ class Store:
         """A store whose dynamic state can change without touching this one.
 
         Only the dicts and indexes are copied: every object is shared
-        until touch copies it. source_index entries are tuples and
-        membership sets are replaced, never changed in place.
+        until touch copies it. source_index entries are tuples, replaced
+        and never changed in place.
         """
         return replace(
             self,
@@ -209,7 +212,6 @@ class Store:
             identity=dict(self.identity),
             source_index=dict(self.source_index),
             by_class={name: set(oids) for name, oids in self.by_class.items()},
-            memberships=dict(self.memberships),
             shared=set(self.objects),
             lines=dict(self.lines),
         )
@@ -235,7 +237,6 @@ class Store:
         self.identity = work.identity
         self.source_index = work.source_index
         self.by_class = work.by_class
-        self.memberships = work.memberships
         self.lines = work.lines
         self.oid_counter = work.oid_counter
         self.last_refresh = t
@@ -294,7 +295,7 @@ def initial_load(
         print_warehouse_def(wdef),
     )
     # a store nobody else holds needs no working copy to stay atomic
-    _run_extraction_points(store, snapshot, t, initial=True)
+    _run_extraction_points(store, snapshot, t)
     store.last_refresh = t
     return store
 
@@ -313,7 +314,7 @@ def refresh(store: Store, snapshot: Snapshot, t: Instant | None = None) -> Refre
             f"refresh at {format_instant(t)} is not after {format_instant(store.last_refresh)}"
         )
     work = store.working_copy()
-    report = _run_extraction_points(work, snapshot, t, initial=False)
+    report = _run_extraction_points(work, snapshot, t)
     _check_refresh_period(store, t, report)
     store.publish(work, t)
     return report
@@ -330,70 +331,37 @@ def _instant_of(snapshot: Snapshot, t: Instant | None) -> Instant:
     return t
 
 
-def _run_extraction_points(
-    store: Store, snapshot: Snapshot, t: Instant, initial: bool
-) -> RefreshReport:
+def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> RefreshReport:
     report = RefreshReport(t)
-    schema = store.schema
+    schema, src = store.schema, store.source_schema
 
     extraction = [n for n in store.owning_classes() if is_extraction(schema.classes[n].mapping)]
     composites = [n for n in store.owning_classes() if n not in extraction]
 
-    # evaluate every extraction mapping over the snapshot
-    class_rows: dict[str, list[tuple[tuple, dict[str, Any]]]] = {}
-    rel_sources: dict[str, dict[str, tuple[str, tuple[str, ...]]]] = {}
+    # pass 1: evaluate every extraction mapping over the snapshot and
+    # create an object for each unknown source key, so that pass 2's links
+    # reach the objects this refresh creates
+    builds = {}
+    created: set[Oid] = set()
     for name in extraction:
-        build = eval_extraction(schema.classes[name].mapping, store.source_schema, snapshot)
-        # each relation's source interface, with the interfaces whose ids
-        # its links may name
-        rel_sources[name] = {
-            p.name: (p.target, _link_interfaces(store.source_schema, p.target))
-            for p in build.structure
-            if p.is_relation and p.target
-        }
-        class_rows[name] = [
-            (row.key, values) for row, values in zip(build.rows, build.to_dicts())
-        ]
-
-    # pass 1: allocate oids for unknown source keys
-    created_now: dict[str, set[Oid]] = {}
-    for name in extraction:
-        counts = report.classes.setdefault(name, ClassCounts())
-        created_now[name] = set()
-        for key, _values in class_rows[name]:
-            if (name, key) in store.identity:
-                continue
-            oid = store.fresh_oid()
-            state = State(domain(t.unit, (t.tick, t.tick)), {}, store.now)
-            store.add_object(WarehouseObject(oid, name, state, source_key=key))
-            created_now[name].add(oid)
-            counts.created += 1
+        build = builds[name] = eval_extraction(schema.classes[name].mapping, src, snapshot)
+        counts = report.classes[name] = ClassCounts()
+        created |= _allocate(store, name, [row.key for row in build.rows], t, counts)
 
     # pass 2: align values, rewrite links, and diff
-    for name in extraction:
-        flat = flatten_type(schema, name)
-        tempo, _archi = effective_filters(schema, name)
-        specific = [p.name for p in flat if p.origin == "specific"]
-        counts = report.classes[name]
-        result_keys = set()
-        for key, raw in class_rows[name]:
-            result_keys.add(key)
-            oid = store.identity[(name, key)]
-            obj = store.objects[oid]
-            if obj.status == "frozen":
-                continue  # a frozen object never thaws, even if its key returns
-            value = _aligned_value(store, name, flat, rel_sources[name], raw)
-            if oid in created_now[name]:
-                store.touch(oid).current.value = value
-                continue
-            # specific slots have no source origin: administrator values
-            # survive every refresh until the next patch
-            for slot in specific:
-                value[slot] = obj.current.value.get(slot)
-            _diff_object(store, obj, value, tempo, t, counts)
-        _freeze_vanished(store, name, result_keys, t)
+    for name, build in builds.items():
+        # each relation's source interface, with the interfaces whose ids
+        # its links may name
+        rel_sources = {
+            p.name: (p.target, src.tables[p.target].subtypes)
+            for p in build.structure
+            if p.is_relation
+        }
+        value_of = partial(_aligned_value, store, name, flatten_type(schema, name), rel_sources)
+        rows = zip([row.key for row in build.rows], build.to_dicts())
+        _settle(store, name, rows, value_of, created, t, report.classes[name])
 
-    # pass 3: single-operand specializations become membership sets
+    # pass 3: single-operand specializations select members of their operand
     for name in store.membership_classes():
         mapping = schema.classes[name].mapping
         (operand,) = mapping.operands
@@ -404,7 +372,7 @@ def _run_extraction_points(
         if operand.where is not None:
             build = eval_select(operand.where, build)
         result = eval_specialize([(operand.binder, build)], mapping.pred)
-        store.memberships[name] = {row.binder_id(operand.binder) for row in result.rows}
+        store.by_class[name] = {row.binder_id(operand.binder) for row in result.rows}
 
     # pass 4: multi-operand specializations own composite objects
     operands_of = {
@@ -412,7 +380,6 @@ def _run_extraction_points(
     }
     for name in dependency_order(operands_of):
         mapping = schema.classes[name].mapping
-        counts = report.classes.setdefault(name, ClassCounts())
         operands = []
         for op in mapping.operands:
             # the class's own members are what this evaluation produces;
@@ -426,46 +393,71 @@ def _run_extraction_points(
                 build = eval_select(op.where, build)
             operands.append((op.binder, build))
         result = eval_specialize(operands, mapping.pred)
-        flat = flatten_type(schema, name)
-        tempo, _archi = effective_filters(schema, name)
-        result_keys = set()
-        for row, values in zip(result.rows, result.to_dicts()):
-            aligned = {p.name: values.get(p.name) for p in flat}
-            result_keys.add(row.key)
-            oid = store.identity.get((name, row.key))
-            if oid is None:
-                oid = store.fresh_oid()
-                store.add_object(
-                    WarehouseObject(
-                        oid,
-                        name,
-                        State(domain(t.unit, (t.tick, t.tick)), aligned, store.now),
-                        source_key=row.key,
-                    )
-                )
-                counts.created += 1
-                continue
-            obj = store.objects[oid]
-            if obj.status == "frozen":
-                continue
-            _diff_object(store, obj, aligned, tempo, t, counts)
-        _freeze_vanished(store, name, result_keys, t)
+        keys = [row.key for row in result.rows]
+        counts = report.classes[name] = ClassCounts()
+        created |= _allocate(store, name, keys, t, counts)
+        value_of = partial(_projected, flatten_type(schema, name))
+        _settle(store, name, zip(keys, result.to_dicts()), value_of, created, t, counts)
 
     # pass 5: archival per environment
-    if not initial:
-        for env_name in sorted(schema.environments):
-            evictions = apply_archival_state(store, schema.environments[env_name], t)
-            for cname, n in evictions.items():
-                report.classes.setdefault(cname, ClassCounts()).archived_evictions += n
-
-    # frozen counts cover every frozen object so the per-class balance
-    # (carried + updated + historized + frozen = previous size) holds
-    for name in extraction + composites:
-        counts = report.classes.setdefault(name, ClassCounts())
-        counts.frozen = sum(
-            store.objects[oid].status == "frozen" for oid in store.by_class.get(name, ())
-        )
+    for env_name in sorted(schema.environments):
+        evictions = apply_archival_state(store, schema.environments[env_name], t)
+        for cname, n in evictions.items():
+            report.classes.setdefault(cname, ClassCounts()).archived_evictions += n
     return report
+
+
+def _allocate(
+    store: Store, class_name: str, keys: list[tuple], t: Instant, counts: ClassCounts
+) -> set[Oid]:
+    """Create an object, its value still empty, for each key the class
+    does not know yet; return their oids."""
+    created = set()
+    for key in keys:
+        if (class_name, key) in store.identity:
+            continue
+        oid = store.fresh_oid()
+        state = State(domain(t.unit, (t.tick, t.tick)), {}, store.now)
+        store.add_object(WarehouseObject(oid, class_name, state, source_key=key))
+        created.add(oid)
+    counts.created += len(created)
+    return created
+
+
+def _settle(
+    store: Store,
+    class_name: str,
+    rows: Iterable[tuple[tuple, dict[str, Any]]],
+    value_of: Callable[[dict[str, Any], dict[str, Any]], dict[str, Any]],
+    created: set[Oid],
+    t: Instant,
+    counts: ClassCounts,
+) -> None:
+    """Bring a class's objects in line with its mapping result at t.
+
+    rows pairs each result key with its row, and value_of(row, old) is
+    the value the row gives the object whose current value is old. An
+    object in created takes the value of the first row with its key;
+    every other row diffs against its active object's value. An active
+    object whose key left the result freezes. counts.frozen ends as the
+    number of the class's frozen objects, so the per-class balance
+    (carried + updated + historized + frozen = previous size) holds.
+    """
+    tempo, _archi = effective_filters(store.schema, class_name)
+    result_keys = set()
+    for key, row in rows:
+        result_keys.add(key)
+        oid = store.identity[(class_name, key)]
+        obj = store.objects[oid]
+        if obj.status == "frozen":
+            continue  # a frozen object never thaws, even if its key returns
+        value = value_of(row, obj.current.value)
+        if oid in created:
+            created.discard(oid)
+            store.touch(oid).current.value = value
+        else:
+            _diff_object(store, obj, value, tempo, t, counts)
+    counts.frozen = _freeze_vanished(store, class_name, result_keys, t)
 
 
 def _diff_object(
@@ -493,13 +485,18 @@ def _diff_object(
         counts.updated += 1
 
 
-def _freeze_vanished(store: Store, class_name: str, result_keys: set, t: Instant) -> None:
+def _freeze_vanished(store: Store, class_name: str, result_keys: set, t: Instant) -> int:
+    """Freeze the class's active objects whose keys are not in
+    result_keys; return how many of its objects are frozen."""
+    frozen = 0
     for oid in store.by_class.get(class_name, ()):
         obj = store.objects[oid]
         if obj.status == "active" and obj.source_key not in result_keys:
             obj = store.touch(oid)
             obj.status = "frozen"
             obj.current = State(extend_end(obj.current.domain, t.tick - 1), obj.current.value)
+        frozen += obj.status == "frozen"
+    return frozen
 
 
 def _aligned_value(
@@ -508,32 +505,30 @@ def _aligned_value(
     flat: list[model.PropertyDef],
     rel_sources: dict[str, tuple[str, tuple[str, ...]]],
     raw: dict[str, Any],
+    old: dict[str, Any],
 ) -> dict[str, Any]:
     """Restrict a mapping row to the declared structure and swap source
-    ids for oids in every relation slot."""
+    ids for oids in every relation slot. Specific slots have no source
+    origin: the administrator values in old survive every refresh until
+    the next patch, and a new object's are what the row gives, if any."""
     value: dict[str, Any] = {}
     for p in flat:
-        if p.name not in raw:
-            value[p.name] = None  # specific slot awaiting a patch
-            continue
-        v = raw[p.name]
-        if p.is_relation:
-            ids = list(v) if v else []
-            source_target, wanted = rel_sources.get(p.name, (None, (None,)))
+        v = raw.get(p.name)
+        if p.is_relation and p.name in raw:
+            source_target, wanted = rel_sources[p.name]
             oids = [
-                _relation_oid(store, class_name, p, source_target, wanted, rid) for rid in ids
+                _relation_oid(store, class_name, p, source_target, wanted, rid) for rid in v or ()
             ]
-            value[p.name] = sorted(oids) if p.cardinality == "many" else (oids[0] if oids else None)
-        else:
-            value[p.name] = v
+            v = sorted(oids) if p.cardinality == "many" else (oids[0] if oids else None)
+        value[p.name] = old.get(p.name, v) if p.origin == "specific" else v
     return value
 
 
-def _link_interfaces(src: SourceSchema, source_target: str) -> tuple[str, ...]:
-    """The interfaces whose records a link to source_target may name."""
-    if source_target in src.interfaces:
-        return src.tables[source_target].subtypes
-    return (source_target,)
+def _projected(
+    flat: list[model.PropertyDef], values: dict[str, Any], _old: dict[str, Any]
+) -> dict[str, Any]:
+    """A specialization row restricted to the declared structure."""
+    return {p.name: values.get(p.name) for p in flat}
 
 
 def _relation_oid(
@@ -547,14 +542,10 @@ def _relation_oid(
     candidates = {
         oid for iface in wanted for oid in store.source_index.get((iface, rid), ())
     }
-    # the object of the target class itself represents the source object;
-    # subclass members (e.g. composites) only stand in when the target
-    # class owns no objects of its own
-    members = store.memberships.get(prop.target)
-    if members is not None:
-        hits = [oid for oid in candidates if oid in members]
-    else:
-        hits = [oid for oid in candidates if store.objects[oid].class_name == prop.target]
+    # the target class's direct extension represents the source object;
+    # subclass members (e.g. composites) only stand in when it holds none
+    members = store.by_class.get(prop.target, ())
+    hits = [oid for oid in candidates if oid in members]
     if not hits:
         extension = set(store.extension_of(prop.target))
         hits = [oid for oid in candidates if oid in extension]
@@ -567,11 +558,7 @@ def _relation_oid(
 
 
 def _build_from_objects(
-    store: Store,
-    class_name: str,
-    binder: str,
-    include_frozen: bool,
-    exclude_class: str | None = None,
+    store: Store, class_name: str, binder: str, include_frozen: bool, exclude_class: str
 ) -> ClassBuild:
     """A warehouse class extension as an algebra build (current values)."""
     structure = class_structure(store.schema, class_name, binder)
@@ -580,7 +567,7 @@ def _build_from_objects(
         obj = store.objects[oid]
         if not include_frozen and obj.status != "active":
             continue
-        if exclude_class is not None and obj.class_name == exclude_class:
+        if obj.class_name == exclude_class:
             continue
         values = tuple(_as_list(obj.current.value.get(p.name), p) for p in structure)
         rows.append(Row(obj.source_key, values, ((binder, obj.oid),)))
@@ -789,7 +776,11 @@ def dumps_store(store: Store) -> str:
         "warehouse_def": store.warehouse_text,
         "last_refresh": format_instant(store.last_refresh) if store.last_refresh else None,
         "oid_counter": store.oid_counter,
-        "memberships": {name: sorted(oids) for name, oids in store.memberships.items()},
+        "memberships": {
+            name: sorted(store.by_class[name])
+            for name in store.membership_classes()
+            if name in store.by_class
+        },
         # json writes the source key's tuples as lists
         "objects": [[obj.oid, obj.class_name, obj.status, obj.source_key] for obj in objects],
     }
@@ -898,9 +889,7 @@ def _store_from_header(doc: dict[str, Any]) -> Store:
         now=Now(parse_instant(doc["last_refresh"]) if doc["last_refresh"] else None),
         oid_counter=doc["oid_counter"],
     )
-    store.memberships = {
-        name: set(oids) for name, oids in doc.get("memberships", {}).items()
-    }
+    store.by_class = {name: set(oids) for name, oids in doc.get("memberships", {}).items()}
     return store
 
 

@@ -413,44 +413,27 @@ class Now:
 
     One Now is shared by a store, its working copies and the open states
     of all their objects, so publishing a refresh moves the end of every
-    carried object at once, without writing to any of them. Like the
-    store decoder, it builds each distinct grown domain once per instant
-    and shares it among the states that read it.
+    carried object at once, without writing to any of them. instant is
+    None only while an initial load builds the store's first objects.
     """
 
-    __slots__ = ("_instant", "_grown")
+    __slots__ = ("instant",)
 
     def __init__(self, instant: Instant | None = None):
         self.instant = instant
-
-    @property
-    def instant(self) -> Instant | None:
-        return self._instant
-
-    @instant.setter
-    def instant(self, t: Instant | None) -> None:
-        self._instant = t
-        self._grown: dict[TemporalDomain, TemporalDomain] = {}
-
-    def grow(self, d: TemporalDomain) -> TemporalDomain:
-        """d with its last interval grown to end at now, if it ends before."""
-        if self._instant is None:
-            return d
-        grown = self._grown.get(d)
-        if grown is None:
-            grown = self._grown[d] = extend_end(d, self._instant.tick)
-        return grown
 
 
 class State:
     """A value and the granules it holds over.
 
     An active object's current state is open: it holds its store's Now,
-    and its domain is the stored one grown to end at now. The stored
-    domain is what the engine last wrote: the state's start, or a later
-    end that a patch dated after the last refresh set. Past states and a
-    frozen object's current state are closed: their domain is the stored
-    one. Equality compares the domains as read.
+    and its domain is the stored one grown to end at now, read anew on
+    each access, as a NOW-relative end is in Clifford et al., "On the
+    Semantics of 'Now' in Databases" (TODS 1997). The stored domain is
+    what the engine last wrote: the state's start, or a later end that a
+    patch dated after the last refresh set. Past states and a frozen
+    object's current state are closed: their domain is the stored one.
+    Equality compares the domains as read.
     """
 
     __slots__ = ("stored", "value", "now")
@@ -462,7 +445,9 @@ class State:
 
     @property
     def domain(self) -> TemporalDomain:
-        return self.stored if self.now is None else self.now.grow(self.stored)
+        if self.now is None or self.now.instant is None:
+            return self.stored
+        return extend_end(self.stored, self.now.instant.tick)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, State):

@@ -287,8 +287,9 @@ def make_snapshot(src_schema):
 
 
 def assert_indexes(store) -> None:
-    """The store's identity, source-id and class indexes equal ones
-    rebuilt from its objects."""
+    """The store's identity and source-id indexes, and its class index's
+    owning-class entries, equal ones rebuilt from its objects; each
+    membership class's entry holds only objects of the store."""
     rebuilt: dict = {}
     for oid in sorted(store.objects):
         for pair in store.objects[oid].source_key:
@@ -298,7 +299,10 @@ def assert_indexes(store) -> None:
     by_class: dict = {}
     for oid, obj in store.objects.items():
         by_class.setdefault(obj.class_name, set()).add(oid)
-    assert store.by_class == by_class
+    memberships = store.membership_classes()
+    assert {n: oids for n, oids in store.by_class.items() if n not in memberships} == by_class
+    for name in memberships:
+        assert store.by_class.get(name, set()) <= store.objects.keys()
 
 
 def store_to_dict(store) -> dict:
@@ -339,7 +343,11 @@ def store_to_dict(store) -> dict:
             [cname, [list(p) for p in key], oid]
             for (cname, key), oid in sorted(store.identity.items())
         ],
-        "memberships": {name: sorted(oids) for name, oids in sorted(store.memberships.items())},
+        "memberships": {
+            name: sorted(store.by_class[name])
+            for name in sorted(store.membership_classes())
+            if name in store.by_class
+        },
         "objects": objects,
     }
 

@@ -777,11 +777,16 @@ class TestPersistence:
         path = str(tmp_path / "h.store")
         save_store(store, path)
         loaded = load_store(path)
-        states = [s for o in loaded.objects.values() for s in [o.current, *o.past, *o.archives]]
+        # what the decoder builds: each state's stored domain, which an
+        # open state grows to end at now on each read, and each archive's
+        domains = []
+        for o in loaded.objects.values():
+            domains += [o.current.stored, *[s.stored for s in o.past]]
+            domains += [a.domain for a in o.archives]
         by_value: dict = {}
-        for s in states:
-            assert by_value.setdefault(s.domain, s.domain) is s.domain
-        assert len(by_value) < len(states)
+        for d in domains:
+            assert by_value.setdefault(d, d) is d
+        assert len(by_value) < len(domains)
 
     @pytest.mark.parametrize(
         "damage",
@@ -970,6 +975,24 @@ class TestLinkResolution:
             refresh(store, snap)
         assert dumps_store(store) == before
 
+    def test_team_naming_a_practitioner_outside_surgery(self, store, src_schema):
+        # p3 has always been a cardiologist, so no Chirurgiens object
+        # stands for them
+        records = hospital_records(1991)
+        for r in records:
+            if r["id"] == "p3":
+                r["links"]["travaille"] = ["s2"]
+            if r["id"] == "s2":
+                r["links"]["équipe"] = ["p3"]
+        snap = ingest_snapshot(src_schema, snapshot_lines(records), year(1991))
+        before = dumps_store(store)
+        with pytest.raises(
+            DanglingRelationTarget,
+            match="PRATICIEN:p3 has no counterpart\\(s\\) in class 'Chirurgiens'",
+        ):
+            refresh(store, snap)
+        assert dumps_store(store) == before
+
     def test_subclass_members_stand_in_when_target_owns_nothing(self):
         src = parse_source_schema(SUPER_TARGET_ODL)
         doctor = {"interface": "MEDECIN", "values": {"nom": "A"}, "links": {"unites": ["u1"]}}
@@ -1086,6 +1109,39 @@ class TestWorkingCopyAtomicity:
         assert all(store.objects[oid] is obj for oid, obj in held.items())
         assert object_forms(held) == forms
 
+    @pytest.mark.parametrize("failing_pass", [2, 5])
+    def test_failed_refresh_leaves_every_index_as_it_was(
+        self, store, tmp_path, make_snapshot, failing_pass
+    ):
+        for y in (1991, 1992):
+            refresh(store, make_snapshot(y))
+        store = saved_and_loaded(store, str(tmp_path / "h.store"))
+        # the extra surgeon is a new object and a new Jeunes_Chirurgiens
+        # member, which pass 1 and pass 3 add before each failure
+        if failing_pass == 2:
+            snap = make_snapshot(1993, with_extra_surgeon=True, extra_private_team=True)
+            error = DanglingRelationTarget
+        else:
+            corrupt_oldest_budget(store, "e2")
+            snap = make_snapshot(1993, with_extra_surgeon=True)
+            error = TypeMismatch
+        assert store.lines  # read from the store file, for the next save
+        before = index_forms(store)
+        with pytest.raises(error):
+            refresh(store, snap)
+        assert index_forms(store) == before
+
+
+def index_forms(store) -> tuple:
+    """Copies of the store's indexes, object lines and last refresh."""
+    return (
+        dict(store.identity),
+        dict(store.source_index),
+        {name: set(oids) for name, oids in store.by_class.items()},
+        dict(store.lines),
+        store.last_refresh,
+    )
+
 
 class TestCopyOnWrite:
     def test_refresh_touches_only_what_it_changes(self, store, make_snapshot):
@@ -1195,8 +1251,15 @@ _mostly = st.sampled_from((True, True, True, False))
 def hospital_sequences(draw):
     """Yearly record lists in which services vanish, return and now and
     then move to another hospital, and practitioners come and go, change
-    service and leave or rejoin surgery."""
+    service and leave or rejoin surgery.
+
+    Only a practitioner with a Chirurgiens object, a surgeon now or a
+    former one whose object is frozen, works in a service: the Services
+    mapping links a team to Chirurgiens, and a team naming anyone else
+    is rejected (see test_team_naming_a_practitioner_outside_surgery).
+    """
     homes = {s: draw(st.sampled_from(HOSPITALS)) for s in SERVICES}
+    surgeons: set[str] = set()  # practitioners who have been surgeons
     years = []
     for step in range(draw(st.integers(2, 5))):
         open_hospitals = {e for e in HOSPITALS if draw(_mostly)}
@@ -1211,8 +1274,10 @@ def hospital_sequences(draw):
         for p in SURGEONS:
             if draw(_mostly):
                 chosen = draw(st.sets(st.sampled_from(SERVICES), max_size=2))
-                works = [s for s in chosen if s in where]
                 surgeon = draw(_mostly)
+                if surgeon:
+                    surgeons.add(p)
+                works = [s for s in chosen if s in where and p in surgeons]
                 staff[p] = (sorted(works), surgeon)
         directors = {}
         for p, (works, _surgeon) in staff.items():
