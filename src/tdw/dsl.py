@@ -3,14 +3,17 @@
 An .edw file declares warehouse classes (property origins are spelled
 with D_/C_/S_ prefixes; a bare keyword means derived), per-class filter
 blocks, environments with retention configs, and one construction
-mapping per class. resolve() checks the declarations against a source
-schema and produces a validated WarehouseSchema. The full grammar is
-documented in docs/grammar.md.
+mapping per class. The class head, relation declarations and types are
+parsed by the source schema's parsers, so the two languages cannot drift
+apart. resolve() checks the declarations against a source schema and
+produces a validated WarehouseSchema. The full grammar is documented in
+docs/grammar.md.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 from . import algebra
 from .errors import (
@@ -60,7 +63,16 @@ from .model import (
     flatten_type,
     validate_schema,
 )
-from .source import TYPE_KEYWORDS, SourceSchema, SourceType, parse_type
+from .source import (
+    TYPE_KEYWORDS,
+    SourceSchema,
+    SourceType,
+    format_class_head,
+    format_relationship,
+    parse_class_head,
+    parse_relationship,
+    parse_type,
+)
 from .temporal import UNITS
 
 MAPPING_FUNCTIONS = ("select", "project", "hide", "augment", "join", "generalize", "specialize")
@@ -158,17 +170,7 @@ def parse_warehouse_def(text: str) -> WarehouseDef:
 
 
 def _parse_class_decl(ts: TokenStream) -> ClassDecl:
-    ts.expect("ident", "interface")
-    name = ts.expect("ident").value
-    extends: tuple[str, ...] = ()
-    if ts.accept("punct", "("):
-        ts.expect("ident", "extend")
-        supers = [ts.expect("ident").value]
-        while ts.accept("punct", ","):
-            supers.append(ts.expect("ident").value)
-        ts.expect("punct", ")")
-        extends = tuple(supers)
-    ts.expect("punct", "{")
+    name, extends, _line = parse_class_head(ts)
     decl = ClassDecl(name, extends)
     while not ts.accept("punct", "}"):
         decl.properties.append(_parse_property_decl(ts))
@@ -180,9 +182,7 @@ def _parse_class_decl(ts: TokenStream) -> ClassDecl:
         archi: list[tuple[str, str]] = []
         while not ts.accept("punct", "}"):
             if ts.accept("ident", "temporal"):
-                tempo.append(ts.expect("ident").value)
-                while ts.accept("punct", ","):
-                    tempo.append(ts.expect("ident").value)
+                tempo.extend(ts.idents())
                 ts.expect("punct", ";")
             elif ts.accept("ident", "archive"):
                 archi.append(_parse_archive_entry(ts))
@@ -217,24 +217,8 @@ def _parse_property_decl(ts: TokenStream) -> PropertyDecl:
     if tok.value in _REL_KEYWORDS:
         ts.next()
         origin, kind = _REL_KEYWORDS[tok.value]
-        cardinality = "one"
-        if ts.accept("ident", "Set"):
-            cardinality = "many"
-        ts.expect("punct", "<")
-        target = ts.expect("ident").value
-        ts.expect("punct", ">")
-        name = ts.expect("ident").value
-        inverse = None
-        if ts.accept("ident", "inverse"):
-            inv_class = ts.expect("ident").value
-            ts.expect("punct", "::")
-            inverse = ts.expect("ident").value
-            if inv_class != target:
-                raise InverseMismatch(
-                    f"{name!r} declares inverse on {inv_class!r} but targets {target!r}"
-                )
-        ts.expect("punct", ";")
-        return PropertyDecl(name, origin, kind, None, target, cardinality, inverse)
+        rel = parse_relationship(ts)
+        return PropertyDecl(rel.name, origin, kind, None, rel.target, rel.cardinality, rel.inverse)
     if tok.value in ("C_relationship", "C_composition", "S_composition"):
         raise ParseError(tok.line, tok.col, "an attribute or derived relation (computed "
                          "properties are attributes only)")
@@ -246,9 +230,7 @@ def _parse_environment(ts: TokenStream) -> EnvironmentDecl:
     name = ts.expect("ident").value
     ts.expect("punct", "{")
     ts.expect("ident", "class")
-    classes = [ts.expect("ident").value]
-    while ts.accept("punct", ","):
-        classes.append(ts.expect("ident").value)
+    classes = ts.idents()
     ts.expect("punct", ";")
     config = RetentionConfig()
     if ts.accept("ident", "config"):
@@ -479,10 +461,7 @@ def print_warehouse_def(wdef: WarehouseDef) -> str:
     """Canonical .edw text; parse(print(parse(x))) is a fixpoint."""
     lines: list[str] = [f"warehouse {wdef.name};", ""]
     for decl in wdef.classes:
-        head = f"interface {decl.name}"
-        if decl.extends:
-            head += " (extend " + ", ".join(decl.extends) + ")"
-        lines.append(head + " {")
+        lines.append(format_class_head(decl.name, decl.extends))
         for p in decl.properties:
             if p.kind == "attribute":
                 prefix = {"derived": "D_attribute", "computed": "C_attribute",
@@ -491,9 +470,7 @@ def print_warehouse_def(wdef: WarehouseDef) -> str:
             else:
                 base = "composition" if p.kind == "composition" else "relationship"
                 prefix = ("D_" if p.origin == "derived" else "S_") + base
-                card = f"Set<{p.target}>" if p.cardinality == "many" else f"<{p.target}>"
-                inv = f" inverse {p.target}::{p.inverse}" if p.inverse else ""
-                lines.append(f"    {prefix} {card} {p.name}{inv};")
+                lines.append(f"    {prefix} {format_relationship(p)}")
         lines.append("}")
         if decl.tempo or decl.archi:
             lines.append("with filters {")
@@ -585,7 +562,7 @@ def resolve_with_violations(
             cls.source_origins = frozenset(_source_interfaces(cls.mapping))
 
     # phase 2: hierarchization mappings, in operand dependency order
-    for name in _hierarchization_order(schema, broken):
+    for name in hierarchization_order(schema, broken):
         cls = schema.classes[name]
         _resolve_hierarchization(schema, src, cls)
 
@@ -663,7 +640,10 @@ def _source_interfaces(expr: MappingExpr) -> set[str]:
     return out
 
 
-def _hierarchization_order(schema: WarehouseSchema, broken: set[str]) -> list[str]:
+def hierarchization_order(schema: WarehouseSchema, broken: Iterable[str] = ()) -> list[str]:
+    """The classes with a hierarchization mapping, each after the classes
+    its operands name, leaving out broken classes and every mapping over
+    one."""
     # unknown operand classes are not keys, so they pass through and the
     # resolver reports them precisely instead of claiming a cycle
     deps = {

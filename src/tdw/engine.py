@@ -8,10 +8,16 @@ assumes nothing changed. A refresh diffs each class's mapping result
 against the stored extension: new keys create objects, equal values
 carry the current state forward, changes to temporal-filter properties
 push history, other changes overwrite in place, and vanished keys freeze
-their object one granule before the extraction point. Extraction classes
-and composite classes go through the same two steps: one allocates the
-new keys' objects, one settles every row and freezes what vanished. An
-initial load is the first extraction point, run like any other.
+their object one granule before the extraction point. An initial load
+is the first extraction point, run like any other.
+
+An extraction point runs four passes: (1) allocate an object for each
+new key of every extraction mapping; (2) settle every extraction row;
+(3) evaluate each specialization after the classes its operands name,
+selecting members of one operand or settling composites of several;
+(4) archive. Allocating new keys' objects, then settling every row and
+freezing what vanished, are the same two steps for every class that
+owns objects.
 
 Links resolve through the store's source-id index, which maps every
 (interface, source id) pair of an object's source key to its oids, so a
@@ -41,7 +47,6 @@ decoded and checked, so no line is written that was not checked first.
 from __future__ import annotations
 
 import contextlib
-import copy
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
@@ -50,7 +55,14 @@ from typing import Any, Callable, Iterable
 
 from . import model
 from .algebra import BuildProp, ClassBuild, Row, eval_extraction, eval_select, eval_specialize
-from .dsl import WarehouseDef, class_structure, parse_warehouse_def, print_warehouse_def, resolve
+from .dsl import (
+    WarehouseDef,
+    class_structure,
+    hierarchization_order,
+    parse_warehouse_def,
+    print_warehouse_def,
+    resolve,
+)
 from .errors import (
     DanglingRelationTarget,
     Error,
@@ -70,7 +82,6 @@ from .model import (
     State,
     WarehouseObject,
     WarehouseSchema,
-    dependency_order,
     effective_filters,
     flatten_type,
 )
@@ -162,19 +173,6 @@ class Store:
         self.now.instant = t
 
     # -- class categories ---------------------------------------------------
-
-    def owning_classes(self) -> list[str]:
-        """Classes whose extension holds objects of their own: extraction
-        results and multi-operand specializations."""
-        out = []
-        for name, cls in self.schema.classes.items():
-            if cls.mapping is None:
-                continue
-            if is_extraction(cls.mapping):
-                out.append(name)
-            elif isinstance(cls.mapping, Specialize) and len(cls.mapping.operands) > 1:
-                out.append(name)
-        return out
 
     def membership_classes(self) -> list[str]:
         return [
@@ -335,16 +333,15 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
     report = RefreshReport(t)
     schema, src = store.schema, store.source_schema
 
-    extraction = [n for n in store.owning_classes() if is_extraction(schema.classes[n].mapping)]
-    composites = [n for n in store.owning_classes() if n not in extraction]
-
     # pass 1: evaluate every extraction mapping over the snapshot and
     # create an object for each unknown source key, so that pass 2's links
     # reach the objects this refresh creates
     builds = {}
     created: set[Oid] = set()
-    for name in extraction:
-        build = builds[name] = eval_extraction(schema.classes[name].mapping, src, snapshot)
+    for name, cls in schema.classes.items():
+        if not is_extraction(cls.mapping):
+            continue
+        build = builds[name] = eval_extraction(cls.mapping, src, snapshot)
         counts = report.classes[name] = ClassCounts()
         created |= _allocate(store, name, [row.key for row in build.rows], t, counts)
 
@@ -361,25 +358,14 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
         rows = zip([row.key for row in build.rows], build.to_dicts())
         _settle(store, name, rows, value_of, created, t, report.classes[name])
 
-    # pass 3: single-operand specializations select members of their operand
-    for name in store.membership_classes():
+    # pass 3: specializations, each after every class its operands name; one
+    # with a single operand owns no objects but selects its operand's members,
+    # frozen ones included
+    for name in hierarchization_order(schema):
         mapping = schema.classes[name].mapping
-        (operand,) = mapping.operands
-        build = _build_from_objects(
-            store, operand.class_name, operand.binder,
-            include_frozen=True, exclude_class=name,
-        )
-        if operand.where is not None:
-            build = eval_select(operand.where, build)
-        result = eval_specialize([(operand.binder, build)], mapping.pred)
-        store.by_class[name] = {row.binder_id(operand.binder) for row in result.rows}
-
-    # pass 4: multi-operand specializations own composite objects
-    operands_of = {
-        n: [op.class_name for op in schema.classes[n].mapping.operands] for n in composites
-    }
-    for name in dependency_order(operands_of):
-        mapping = schema.classes[name].mapping
+        if not isinstance(mapping, Specialize):
+            continue  # a generalization's extension is its subclasses'
+        membership = len(mapping.operands) == 1
         operands = []
         for op in mapping.operands:
             # the class's own members are what this evaluation produces;
@@ -387,19 +373,23 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
             # composites of composites
             build = _build_from_objects(
                 store, op.class_name, op.binder,
-                include_frozen=False, exclude_class=name,
+                include_frozen=membership, exclude_class=name,
             )
             if op.where is not None:
                 build = eval_select(op.where, build)
             operands.append((op.binder, build))
         result = eval_specialize(operands, mapping.pred)
+        if membership:
+            binder = mapping.operands[0].binder
+            store.by_class[name] = {row.binder_id(binder) for row in result.rows}
+            continue
         keys = [row.key for row in result.rows]
         counts = report.classes[name] = ClassCounts()
         created |= _allocate(store, name, keys, t, counts)
         value_of = partial(_projected, flatten_type(schema, name))
         _settle(store, name, zip(keys, result.to_dicts()), value_of, created, t, counts)
 
-    # pass 5: archival per environment
+    # pass 4: archival per environment
     for env_name in sorted(schema.environments):
         evictions = apply_archival_state(store, schema.environments[env_name], t)
         for cname, n in evictions.items():
@@ -668,7 +658,8 @@ def merge_archive(
     count counts evictions; last keeps the most recently evicted value.
     Null markers are skipped by the numeric folds.
     """
-    aggregates = copy.deepcopy(archive.aggregates) if archive else {}
+    # entries are flat, so a copy of each leaves the archive as it was
+    aggregates = {p: dict(entry) for p, entry in archive.aggregates.items()} if archive else {}
     for prop in sorted(archi):
         fn = archi[prop]
         value = evicted.value.get(prop)
@@ -867,9 +858,27 @@ def load_store(path: str) -> Store:
             store = _store_from_v1(doc, decoder)
         if len(store.identity) != len(store.objects):
             raise ValueError("two objects share one class and source key")
+        _read_memberships(store, doc.get("memberships", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, exc) from None
     return store
+
+
+def _read_memberships(store: Store, memberships: Any) -> None:
+    """Enter a header's membership sets into the class index. Each must
+    name a single-operand specialization of the store's schema and hold
+    oids of the store's objects only."""
+    if not isinstance(memberships, dict):
+        raise TypeError(f"memberships is a {type(memberships).__name__}, not an object")
+    names = store.membership_classes()
+    for name, oids in memberships.items():
+        if name not in names:
+            raise ValueError(f"membership {name!r} is not a single-operand specialization")
+        members = set(oids)
+        missing = members - store.objects.keys()
+        if missing:
+            raise ValueError(f"membership {name!r} holds oid {min(missing)}, which no object has")
+        store.by_class[name] = members
 
 
 def _malformed(path: str, exc: Exception) -> Error:
@@ -889,7 +898,6 @@ def _store_from_header(doc: dict[str, Any]) -> Store:
         now=Now(parse_instant(doc["last_refresh"]) if doc["last_refresh"] else None),
         oid_counter=doc["oid_counter"],
     )
-    store.by_class = {name: set(oids) for name, oids in doc.get("memberships", {}).items()}
     return store
 
 

@@ -98,6 +98,13 @@ class TokenStream:
             raise ParseError(tok.line, tok.col, f"{want!r} (found {found!r})")
         return self.next()
 
+    def idents(self) -> list[str]:
+        """IDENT {, IDENT}: one or more comma-separated names."""
+        names = [self.expect("ident").value]
+        while self.accept("punct", ","):
+            names.append(self.expect("ident").value)
+        return names
+
     def error(self, expected: str) -> ParseError:
         tok = self.peek()
         return ParseError(tok.line, tok.col, expected)

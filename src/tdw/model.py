@@ -136,7 +136,7 @@ def flatten_type(schema: WarehouseSchema, class_name: str) -> list[PropertyDef]:
     one property; differing definitions under one name are a conflict.
     """
     cls = schema.get_class(class_name)
-    _check_acyclic(schema, class_name)
+    transitive_supers(schema, class_name)  # a cycle raises before the walk below
     out: list[PropertyDef] = []
     by_name: dict[str, PropertyDef] = {}
 
@@ -155,20 +155,6 @@ def flatten_type(schema: WarehouseSchema, class_name: str) -> list[PropertyDef]:
         add(flatten_type(schema, sup))
     add(cls.structure)
     return out
-
-
-def _check_acyclic(schema: WarehouseSchema, start: str) -> None:
-    seen: list[str] = []
-
-    def walk(name: str) -> None:
-        if name in seen:
-            raise InheritanceCycle(" -> ".join(seen + [name]))
-        seen.append(name)
-        for sup in schema.get_class(name).supers:
-            walk(sup)
-        seen.pop()
-
-    walk(start)
 
 
 def dependency_order(deps: dict[str, Iterable[str]]) -> list[str]:
@@ -195,11 +181,22 @@ def dependency_order(deps: dict[str, Iterable[str]]) -> list[str]:
 
 
 def transitive_supers(schema: WarehouseSchema, class_name: str) -> set[str]:
-    cls = schema.get_class(class_name)
+    """Every class class_name transitively extends. A class met again on
+    its own path raises InheritanceCycle naming the path, as "A -> B -> A";
+    an unknown class raises UnknownClass."""
     out: set[str] = set()
-    for sup in cls.supers:
-        out.add(sup)
-        out |= transitive_supers(schema, sup)
+    path: list[str] = []
+
+    def walk(name: str) -> None:
+        if name in path:
+            raise InheritanceCycle(" -> ".join(path + [name]))
+        path.append(name)
+        for sup in schema.get_class(name).supers:
+            out.add(sup)
+            walk(sup)
+        path.pop()
+
+    walk(class_name)
     return out
 
 
@@ -299,7 +296,7 @@ def validate_schema(schema: WarehouseSchema) -> list[SchemaViolation]:
     cyclic: set[str] = set()
     for name in sorted(schema.classes):
         try:
-            _check_acyclic(schema, name)
+            transitive_supers(schema, name)
         except InheritanceCycle as exc:
             cyclic.add(name)
             out.append(SchemaViolation("inheritance-cycle", name, str(exc)))
@@ -390,7 +387,9 @@ def validate_schema(schema: WarehouseSchema) -> list[SchemaViolation]:
     for env_name in sorted(schema.environments):
         env = schema.environments[env_name]
         needs = any(
-            effective_filters(schema, c)[1] for c in env.classes if c in schema.classes
+            effective_filters(schema, c)[1]
+            for c in env.classes
+            if c in schema.classes and c not in cyclic
         )
         cfg = schema.retention_for(env)
         if needs and cfg.keep_past_count is None and cfg.keep_past_duration is None:

@@ -31,6 +31,7 @@ from .errors import (
     InheritanceCycle,
     InverseMismatch,
     InverseViolation,
+    ParseError,
     TypeMismatch,
     UnknownInterface,
 )
@@ -140,8 +141,8 @@ def parse_source_schema(text: str) -> SourceSchema:
         if iface.name in schema.interfaces:
             raise DuplicateId(f"interface {iface.name!r} declared twice")
         schema.interfaces[iface.name] = iface
-    _check_schema(schema)
-    schema.tables = _derive_tables(schema)
+    lineage = _check_schema(schema)
+    schema.tables = _derive_tables(schema, lineage)
     return schema
 
 
@@ -166,16 +167,21 @@ def _flatten(schema: SourceSchema, name: str) -> list[tuple[str, Any, str]]:
     return out
 
 
-def _lineage(schema: SourceSchema, name: str) -> set[str]:
-    """name plus every interface it transitively extends."""
+def _lineage(schema: SourceSchema, name: str, path: tuple[str, ...] = ()) -> set[str]:
+    """name plus every interface it transitively extends; raises
+    InheritanceCycle at an interface met again on its own path."""
+    if name in path:
+        raise InheritanceCycle(f"inheritance cycle through {name!r}")
+    path += (name,)
     out = {name}
     for sup in schema.interfaces[name].supers:
-        out |= _lineage(schema, sup)
+        out |= _lineage(schema, sup, path)
     return out
 
 
-def _derive_tables(schema: SourceSchema) -> dict[str, InterfaceTables]:
-    lineage = {name: _lineage(schema, name) for name in schema.interfaces}
+def _derive_tables(
+    schema: SourceSchema, lineage: dict[str, set[str]]
+) -> dict[str, InterfaceTables]:
     tables = {}
     for name in schema.interfaces:
         flat = tuple(_flatten(schema, name))
@@ -189,18 +195,8 @@ def _derive_tables(schema: SourceSchema) -> dict[str, InterfaceTables]:
 
 
 def _parse_interface(ts: TokenStream) -> SourceInterface:
-    head = ts.expect("ident", "interface")
-    name = ts.expect("ident").value
-    supers: tuple[str, ...] = ()
-    if ts.accept("punct", "("):
-        ts.expect("ident", "extend")
-        names = [ts.expect("ident").value]
-        while ts.accept("punct", ","):
-            names.append(ts.expect("ident").value)
-        ts.expect("punct", ")")
-        supers = tuple(names)
-    ts.expect("punct", "{")
-    iface = SourceInterface(name, supers, line=head.line)
+    name, supers, line = parse_class_head(ts)
+    iface = SourceInterface(name, supers, line=line)
     while not ts.accept("punct", "}"):
         _parse_member(ts, iface)
     return iface
@@ -210,24 +206,22 @@ def _parse_member(ts: TokenStream, iface: SourceInterface) -> None:
     tok = ts.peek()
     if tok.value == "attribute":
         ts.next()
-        typ = _parse_type(ts)
+        typ = parse_type(ts)
         prop = ts.expect("ident").value
         ts.expect("punct", ";")
         iface.attributes.append((prop, typ))
     elif tok.value in ("relationship", "composition"):
         ts.next()
-        composition = tok.value == "composition"
-        iface_rel = _parse_relationship(ts, composition)
-        if iface_rel is None:
-            return  # Set<Image> link degrades to an attribute
-        kind, payload = iface_rel
-        if kind == "attr":
-            iface.attributes.append(payload)
+        rel = parse_relationship(ts, tok.value == "composition")
+        if rel.target == "Image":
+            # Media links are stored as opaque reference strings, not objects.
+            typ = scalar("image-ref")
+            iface.attributes.append((rel.name, set_of(typ) if rel.cardinality == "many" else typ))
         else:
-            iface.relationships.append(payload)
+            iface.relationships.append(rel)
     elif tok.kind == "ident":
         # operation: TYPE name();
-        _parse_type(ts)
+        parse_type(ts)
         opname = ts.expect("ident").value
         ts.expect("punct", "(")
         ts.expect("punct", ")")
@@ -237,7 +231,26 @@ def _parse_member(ts: TokenStream, iface: SourceInterface) -> None:
         raise ts.error("an interface member")
 
 
-def _parse_relationship(ts: TokenStream, composition: bool):
+# The warehouse definition language reuses the class head, the relation
+# and the type grammar below, and the two printers their spelling.
+
+
+def parse_class_head(ts: TokenStream) -> tuple[str, tuple[str, ...], int]:
+    """interface NAME [(extend NAME {, NAME})] {: the name, the supers and
+    the line of the head."""
+    head = ts.expect("ident", "interface")
+    name = ts.expect("ident").value
+    supers: tuple[str, ...] = ()
+    if ts.accept("punct", "("):
+        ts.expect("ident", "extend")
+        supers = tuple(ts.idents())
+        ts.expect("punct", ")")
+    ts.expect("punct", "{")
+    return name, supers, head.line
+
+
+def parse_relationship(ts: TokenStream, composition: bool = False) -> Relationship:
+    """[Set]<TARGET> NAME [inverse TARGET::NAME];"""
     cardinality = "one"
     if ts.accept("ident", "Set"):
         cardinality = "many"
@@ -257,18 +270,14 @@ def _parse_relationship(ts: TokenStream, composition: bool):
                 f"but targets {target!r}"
             )
     ts.expect("punct", ";")
-    # Media links are stored as opaque reference strings, not objects.
-    if target == "Image":
-        typ = set_of(scalar("image-ref")) if cardinality == "many" else scalar("image-ref")
-        return ("attr", (prop, typ))
-    return ("rel", Relationship(prop, target, cardinality, inverse, composition, target_tok.line))
+    return Relationship(prop, target, cardinality, inverse, composition, target_tok.line)
 
 
-def _parse_type(ts: TokenStream) -> SourceType:
+def parse_type(ts: TokenStream) -> SourceType:
     tok = ts.expect("ident")
     if tok.value == "Set":
         ts.expect("punct", "<")
-        elem = _parse_type(ts)
+        elem = parse_type(ts)
         ts.expect("punct", ">")
         return set_of(elem)
     if tok.value == "Struct":
@@ -276,7 +285,7 @@ def _parse_type(ts: TokenStream) -> SourceType:
         ts.expect("punct", "{")
         fields: list[tuple[str, SourceType]] = []
         while True:
-            ftype = _parse_type(ts)
+            ftype = parse_type(ts)
             fname = ts.expect("ident").value
             if any(n == fname for n, _ in fields):
                 raise DuplicateId(f"struct field {fname!r} declared twice")
@@ -287,35 +296,34 @@ def _parse_type(ts: TokenStream) -> SourceType:
         return SourceType("struct", struct_name, tuple(fields))
     if tok.value in TYPE_KEYWORDS:
         return scalar(TYPE_KEYWORDS[tok.value])
-    from .errors import ParseError
-
     raise ParseError(tok.line, tok.col, f"a type name (found {tok.value!r})")
 
 
-# The warehouse definition language reuses the same type grammar.
-parse_type = _parse_type
+def format_class_head(name: str, supers: tuple[str, ...]) -> str:
+    head = f"interface {name}"
+    if supers:
+        head += " (extend " + ", ".join(supers) + ")"
+    return head + " {"
 
 
-def _check_schema(schema: SourceSchema) -> None:
+def format_relationship(rel: Any) -> str:
+    """A Relationship, or anything with its target, cardinality, name and
+    inverse, as parse_relationship reads it."""
+    card = f"Set<{rel.target}>" if rel.cardinality == "many" else f"<{rel.target}>"
+    inv = f" inverse {rel.target}::{rel.inverse}" if rel.inverse else ""
+    return f"{card} {rel.name}{inv};"
+
+
+def _check_schema(schema: SourceSchema) -> dict[str, set[str]]:
+    """Run the schema checks; return each interface's lineage."""
     for iface in schema.interfaces.values():
         for sup in iface.supers:
             if sup not in schema.interfaces:
                 raise UnknownInterface(
                     f"line {iface.line}: {iface.name!r} extends unknown {sup!r}"
                 )
-    # before any check that follows the supers, as _lineage and _flatten do
-    for name in schema.interfaces:
-        seen: set[str] = set()
-
-        def walk(n: str):
-            if n in seen:
-                raise InheritanceCycle(f"inheritance cycle through {n!r}")
-            seen.add(n)
-            for s in schema.interfaces[n].supers:
-                walk(s)
-            seen.discard(n)
-
-        walk(name)
+    # before any check that follows the supers, as _flatten does
+    lineage = {name: _lineage(schema, name) for name in schema.interfaces}
     for iface in schema.interfaces.values():
         for rel in iface.relationships:
             if rel.target not in schema.interfaces:
@@ -335,30 +343,26 @@ def _check_schema(schema: SourceSchema) -> None:
         # each property name is declared once along the interface's lineage;
         # a super reached twice through a diamond is one declaration
         names: Counter[str] = Counter()
-        for owner in _lineage(schema, iface.name):
+        for owner in lineage[iface.name]:
             declared = schema.interfaces[owner]
             names.update(n for n, _t in declared.attributes)
             names.update(r.name for r in declared.relationships)
         dupes = sorted(n for n, count in names.items() if count > 1)
         if dupes:
             raise DuplicateId(f"{iface.name!r} has duplicate properties {dupes}")
+    return lineage
 
 
 def print_source_schema(schema: SourceSchema) -> str:
     """Canonical .odl text; parse(print(parse(x))) is a fixpoint."""
     blocks = []
     for iface in schema.interfaces.values():
-        head = f"interface {iface.name}"
-        if iface.supers:
-            head += " (extend " + ", ".join(iface.supers) + ")"
-        lines = [head + " {"]
+        lines = [format_class_head(iface.name, iface.supers)]
         for n, t in iface.attributes:
             lines.append(f"    attribute {t} {n};")
         for r in iface.relationships:
             kw = "composition" if r.composition else "relationship"
-            card = f"Set<{r.target}>" if r.cardinality == "many" else f"<{r.target}>"
-            inv = f" inverse {r.target}::{r.inverse}" if r.inverse else ""
-            lines.append(f"    {kw} {card} {r.name}{inv};")
+            lines.append(f"    {kw} {format_relationship(r)}")
         for op in iface.operations:
             lines.append(f"    String {op}();")
         lines.append("}")

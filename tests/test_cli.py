@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, hospital_records, snapshot_lines
+from tdw import cli
 from tdw.cli import _locked
+from tdw.dsl import parse_warehouse_def, print_warehouse_def
 
 ODL = str(FIXTURES / "hopital.odl")
 EDW = str(FIXTURES / "hopital.edw")
@@ -107,6 +109,20 @@ class TestValidate:
         assert rc == 1
         assert "specialize binder 'e' names more than one operand" in err
 
+    @pytest.mark.parametrize("verb", ["validate", "plan"])
+    def test_cycle_in_an_environment_is_two_violations(self, tmp_path, verb):
+        edw = tmp_path / "cycle.edw"
+        edw.write_text(
+            "interface A (extend B) { D_attribute String nom; } interface B (extend A) { }\n"
+            "Environment E { class A; config { keep 1 past states; } }\n",
+            encoding="utf-8",
+        )
+        rc, out, err = tdw(verb, "--source-schema", ODL, "--warehouse", str(edw))
+        assert rc == 1
+        assert f"{edw}: inheritance-cycle [A]: A -> B -> A\n" in out
+        assert f"{edw}: inheritance-cycle [B]: B -> A -> B\n" in out
+        assert err == ""
+
     def test_source_inheritance_cycle_is_a_domain_error(self, tmp_path):
         odl = tmp_path / "cycle.odl"
         odl.write_text("interface A (extend B) {} interface B (extend A) {}", encoding="utf-8")
@@ -118,6 +134,22 @@ class TestValidate:
         rc, _out, err = tdw("validate", "--source-schema", ODL, "--warehouse", "/nope.edw")
         assert rc == 2
         assert "nope.edw" in err
+
+
+class TestBenchInputs:
+    """The benchmark's definitions stay valid under the grammar: tier-1
+    reads them, and never writes under bench/."""
+
+    BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+    @pytest.mark.parametrize("name", ["hopital.edw", "hopital_long.edw"])
+    def test_bench_definition_validates_and_prints_a_fixpoint(self, name, capsys):
+        edw = self.BENCH / name
+        argv = ["validate", "--source-schema", str(self.BENCH / "hopital.odl"), "--warehouse"]
+        assert cli.main([*argv, str(edw)]) == 0
+        assert capsys.readouterr().out == "ok: 6 classes, 1 environment(s)\n"
+        printed = print_warehouse_def(parse_warehouse_def(edw.read_text(encoding="utf-8")))
+        assert print_warehouse_def(parse_warehouse_def(printed)) == printed
 
 
 class TestBuild:
@@ -308,6 +340,18 @@ class TestInspect:
             "--at", "1990",
         )
         assert rc == 0 and "current" in out and "2000000" in out
+
+    def test_header_membership_oid_that_no_object_has_is_malformed(self, built):
+        _tmp, store = built
+        path = Path(store)
+        header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        head = json.loads(header)
+        head["memberships"] = {"Jeunes_Chirurgiens": [999]}
+        path.write_text(json.dumps(head, ensure_ascii=False) + "\n" + rest, encoding="utf-8")
+        rc, out, err = tdw("inspect", "--store", store, "--class", "Jeunes_Chirurgiens")
+        assert rc == 1 and out == ""
+        assert "malformed store document (ValueError: membership 'Jeunes_Chirurgiens' holds " in err
+        assert "Traceback" not in err
 
 
 @pytest.fixture()

@@ -13,6 +13,7 @@ from tdw.dsl import (
     resolve_with_violations,
 )
 from tdw.errors import (
+    InverseMismatch,
     ParseError,
     ResolveError,
     TypeInferenceError,
@@ -96,6 +97,27 @@ class TestParseWarehouseDef:
     def test_computed_relationship_rejected(self):
         with pytest.raises(ParseError):
             parse_warehouse_def("interface A { C_relationship Set<A> r; }")
+
+    def test_inverse_on_another_class_names_its_line(self):
+        text = "interface B { }\ninterface A { D_relationship Set<B> r inverse C::s; }"
+        with pytest.raises(InverseMismatch, match=r"^line 2: 'r' declares inverse on 'C' but"):
+            parse_warehouse_def(text)
+
+    def test_name_lists(self):
+        wdef = parse_warehouse_def(
+            "interface A (extend B, C) { }\nwith filters { temporal x, y; }\n"
+            "Environment E { class A, B; }"
+        )
+        assert wdef.classes[0].extends == ("B", "C")
+        assert wdef.classes[0].tempo == ("x", "y")
+        assert wdef.environments[0].classes == ("A", "B")
+        for text in (
+            "interface A (extend B, ) { }",
+            "interface A { } with filters { temporal x y; }",
+            "Environment E { class ; }",
+        ):
+            with pytest.raises(ParseError):
+                parse_warehouse_def(text)
 
 
 class TestParseMapping:

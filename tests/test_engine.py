@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -82,6 +83,20 @@ def edited(change):
         return json.dumps(item)
 
     return damage
+
+
+# header memberships that name no single-operand specialization, or an oid
+# that no object has
+MEMBERSHIP_DAMAGE = [
+    lambda head: head.update(memberships={"Jeunes_Chirurgiens": [999]}),
+    lambda head: head.update(memberships={"Chirurgiens": [1]}),
+    lambda head: head.update(memberships={"Fantômes": []}),
+    lambda head: head.update(memberships=["Jeunes_Chirurgiens"]),
+]
+MEMBERSHIP_DAMAGE_IDS = [
+    "membership-oid-no-object-has", "membership-of-an-owning-class",
+    "membership-of-an-unknown-class", "memberships-not-an-object",
+]
 
 
 @pytest.fixture()
@@ -264,18 +279,16 @@ class TestRefresh:
 
     def test_report_balance_invariant(self, src_schema, wdef, make_snapshot):
         store = initial_load(src_schema, wdef, make_snapshot(1990, with_extra_surgeon=True))
-        sizes = {
-            name: len([o for o in store.objects.values() if o.class_name == name])
-            for name in store.owning_classes()
-        }
+        # the classes that own objects: every class a report counts
+        sizes = Counter(o.class_name for o in store.objects.values())
         for y, knobs in [
             (1991, dict(with_extra_surgeon=True)),
             (1992, dict(with_extra_surgeon=True, extra_surgeon_category="cardiologie")),
             (1993, dict(with_extra_surgeon=True, extra_surgeon_category="cardiologie")),
         ]:
             report = refresh(store, make_snapshot(y, **knobs))
-            for name in store.owning_classes():
-                c = report.classes[name]
+            assert set(sizes) <= set(report.classes), y
+            for name, c in report.classes.items():
                 assert (
                     c.carried + c.updated + c.historized + c.frozen == sizes[name]
                 ), f"{y}/{name}"
@@ -371,6 +384,49 @@ class TestRefresh:
         assert [(iv.start.tick, iv.end.tick) for iv in hop.past[0].domain.intervals] == [
             (240, 241)
         ]
+
+
+class TestSpecializationOrder:
+    """A specialization is evaluated after every class its operands name,
+    at the same extraction point, whatever the declaration order."""
+
+    @pytest.fixture()
+    def layered(self, src_schema, edw_text):
+        head = "interface Jeunes_Chirurgiens (extend Chirurgiens) {\n}\n"
+        assert edw_text.count(head) == 1
+        text = edw_text.replace(
+            head, "interface Tres_Jeunes (extend Jeunes_Chirurgiens) {\n}\n\n" + head
+        ) + (
+            "interface Riches (extend Etablissements) { }\n"
+            "mapping Tres_Jeunes = specialize(c: Jeunes_Chirurgiens,\n"
+            "    c.année_naissance >= 1975);\n"
+            "mapping Riches = specialize(e: Etablissements, e.budget > 0);\n"
+        )
+        return parse_warehouse_def(text)
+
+    # each added class, its operand and its predicate
+    SELECTIONS = {
+        "Tres_Jeunes": ("Jeunes_Chirurgiens", lambda v: v["année_naissance"] >= 1975),
+        "Riches": ("Etablissements", lambda v: v["budget"] > 0),
+    }
+
+    def test_each_specialization_follows_its_operands(self, src_schema, layered, make_snapshot):
+        knobs = dict(with_extra_surgeon=True)
+        store = initial_load(src_schema, layered, make_snapshot(1990, **knobs))
+        for y in (1990, 1991, 1992, 1993):
+            if y > 1990:
+                if y >= 1992:
+                    knobs["extra_surgeon_category"] = "cardiologie"
+                refresh(store, make_snapshot(y, **knobs))
+            for name, (operand, holds) in self.SELECTIONS.items():
+                expected = {
+                    oid
+                    for oid in store.extension_of(operand)
+                    if holds(store.objects[oid].current.value)
+                }
+                assert expected, name  # not vacuous
+                assert store.by_class[name] == expected, f"{y}/{name}"
+            assert_indexes(store)
 
 
 class TestArchival:
@@ -611,6 +667,15 @@ class TestMergeArchive:
             )
         assert arch.aggregates["x"] == {"function": "count", "value": 3}
 
+    def test_merging_leaves_the_prior_archive_unchanged(self):
+        archi = {"x": "avg", "y": "last", "z": "count"}
+        prior = merge_archive(None, State(domain("year", (20, 20)), {"x": 1, "y": "a"}), archi)
+        before = json.dumps(prior.aggregates, sort_keys=True)
+        merged = merge_archive(prior, State(domain("year", (21, 21)), {"x": 3, "y": "b"}), archi)
+        assert json.dumps(prior.aggregates, sort_keys=True) == before
+        assert merged.aggregates["x"] == {"function": "avg", "count": 2, "sum": 4, "value": 2.0}
+        assert merged.aggregates["y"]["value"] == "b" and merged.aggregates["z"]["value"] == 2
+
     def test_avg_of_one_hundred_then_two_hundred(self):
         arch = merge_archive(
             None, State(domain("year", (20, 20)), {"revenus": 100}), {"revenus": "avg"}
@@ -798,10 +863,12 @@ class TestPersistence:
             lambda doc: doc["objects"][0]["current"]["domain"].update(intervals=[[20]]),
             lambda doc: doc["objects"][0]["current"]["domain"].update(intervals=[[21, 20]]),
             lambda doc: doc.update(last_refresh="banana"),
+            *MEMBERSHIP_DAMAGE,
         ],
         ids=[
             "no-warehouse-def", "objects-not-a-list", "object-without-past",
             "domain-not-an-object", "one-bound-interval", "empty-interval", "bad-last-refresh",
+            *MEMBERSHIP_DAMAGE_IDS,
         ],
     )
     def test_malformed_store_document_is_a_domain_error(self, store, tmp_path, damage):
@@ -833,10 +900,12 @@ class TestPersistence:
             lambda head: head["objects"].reverse(),
             lambda head: head["objects"][1].__setitem__(3, head["objects"][0][3]),
             lambda head: head.update(last_refresh="banana"),
+            *MEMBERSHIP_DAMAGE,
         ],
         ids=[
             "no-warehouse-def", "index-not-a-list", "index-entry-of-three",
             "index-out-of-oid-order", "shared-identity", "bad-last-refresh",
+            *MEMBERSHIP_DAMAGE_IDS,
         ],
     )
     def test_malformed_v2_header_is_rejected_when_loaded(self, store, tmp_path, damage):

@@ -21,6 +21,7 @@ from tdw.model import (
     is_subclass,
     lifecycle_span,
     state_at,
+    transitive_supers,
     validate_schema,
 )
 from tdw.source import scalar
@@ -77,8 +78,19 @@ class TestFlattenType:
                 WarehouseClass("B", [], supers=("A",)),
             ]
         )
-        with pytest.raises(InheritanceCycle):
+        with pytest.raises(InheritanceCycle, match=r"^A -> B -> A$"):
             flatten_type(schema, "A")
+
+    def test_transitive_supers_names_the_cycle(self):
+        schema = mini_schema(
+            [
+                WarehouseClass("A", [], supers=("B",)),
+                WarehouseClass("B", [], supers=("C",)),
+                WarehouseClass("C", [], supers=("B",)),
+            ]
+        )
+        with pytest.raises(InheritanceCycle, match=r"^A -> B -> C -> B$"):
+            transitive_supers(schema, "A")
 
     def test_unknown_class(self, schema):
         with pytest.raises(UnknownClass):
@@ -191,6 +203,19 @@ class TestValidateSchema:
         schema = mini_schema([cls], [Environment("E", ("A",), RetentionConfig())])
         kinds = [v.kind for v in validate_schema(schema)]
         assert "retention-missing" in kinds
+
+    def test_cycle_in_an_environment_is_reported_not_walked(self):
+        schema = mini_schema(
+            [
+                WarehouseClass("A", [attr("nom")], supers=("B",)),
+                WarehouseClass("B", [], supers=("A",)),
+            ],
+            [Environment("E", ("A",), RetentionConfig(keep_past_count=1))],
+        )
+        assert [(v.kind, v.subject, v.detail) for v in validate_schema(schema)] == [
+            ("inheritance-cycle", "A", "A -> B -> A"),
+            ("inheritance-cycle", "B", "B -> A -> B"),
+        ]
 
     def test_violations_monotone_under_unrelated_additions(self, schema):
         schema.environments["Deuxième"] = Environment(
