@@ -1,9 +1,13 @@
 """Evaluator for the construction algebra.
 
-Every node yields a ClassBuild: a structure of binder-tagged properties
-plus rows carrying their originating source keys. Rows are kept sorted
-by source key so evaluation is reproducible. Intermediate builds play
-the role of temporary classes in a composed chain.
+Every node yields a ClassBuild: a structure of properties plus rows
+carrying their originating source keys. Its properties are the model's
+PropertyDef records, each tagged with the binder it came from, so a
+warehouse class's flattened type enters a build with only its binder
+set. Rows are kept sorted by source key so evaluation is reproducible.
+Intermediate builds play the role of temporary classes in a composed
+chain. A comparison atom reads its operator from expr.COMPARISON_OPS,
+the table the parser accepts operators from.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .errors import (
     UnknownProperty,
 )
 from .expr import (
+    COMPARISON_OPS,
     AggCall,
     Aliased,
     Augment,
@@ -40,29 +45,10 @@ from .expr import (
     Select,
     SourceRef,
 )
-from .model import merge_key
+from .model import PropertyDef, merge_key
 from .source import TYPE_KEYWORDS, Relationship, Snapshot, SourceSchema, SourceType, scalar
 
 _NUMERIC = ("short", "long", "double")
-
-
-@dataclass(frozen=True)
-class BuildProp:
-    """A property of a build, tagged with the binder it came from."""
-
-    name: str
-    binder: str | None
-    origin: str  # derived | computed | specific
-    kind: str  # attribute | association | composition
-    value_type: SourceType | None = None
-    target: str | None = None  # source interface (extraction) or class name
-    cardinality: str | None = None
-    inverse: str | None = None
-    source_path: tuple[str, ...] = ()
-
-    @property
-    def is_relation(self) -> bool:
-        return self.kind != "attribute"
 
 
 @dataclass(frozen=True)
@@ -80,7 +66,7 @@ class Row:
 
 @dataclass
 class ClassBuild:
-    structure: list[BuildProp]
+    structure: list[PropertyDef]
     rows: list[Row] = field(default_factory=list)
 
     def names(self) -> list[str]:
@@ -135,7 +121,7 @@ def locate(build: ClassBuild, path: Path) -> tuple[int, tuple[str, ...]]:
     return hits[0], segs[1:]
 
 
-def _drill_type(prop: BuildProp, tail: tuple[str, ...], path: Path) -> SourceType:
+def _drill_type(prop: PropertyDef, tail: tuple[str, ...], path: Path) -> SourceType:
     if prop.is_relation:
         if tail:
             raise UnknownPath(f"{path}: cannot drill into relation {prop.name!r}")
@@ -151,7 +137,7 @@ def _drill_type(prop: BuildProp, tail: tuple[str, ...], path: Path) -> SourceTyp
     return typ
 
 
-def path_prop(build: ClassBuild, path: Path) -> tuple[BuildProp, tuple[str, ...]]:
+def path_prop(build: ClassBuild, path: Path) -> tuple[PropertyDef, tuple[str, ...]]:
     idx, tail = locate(build, path)
     prop = build.structure[idx]
     _drill_type(prop, tail, path)  # validates the tail
@@ -206,29 +192,13 @@ def _row_test(build: ClassBuild, pred: Predicate) -> Callable[[Row], bool]:
         for atom, idx, tail in located:
             value = _drill(row.values[idx], tail)
             if isinstance(atom, Comparison):
-                if value is None or not _compare(atom.op, value, atom.literal):
+                if value is None or not COMPARISON_OPS[atom.op](value, atom.literal):
                     return False
             elif row.binder_id(atom.binder) not in (value or []):
                 return False
         return True
 
     return test
-
-
-def _compare(op: str, value: Any, literal: Any) -> bool:
-    if op == "=":
-        return value == literal
-    if op == "!=":
-        return value != literal
-    if op == "<":
-        return value < literal
-    if op == "<=":
-        return value <= literal
-    if op == ">":
-        return value > literal
-    if op == ">=":
-        return value >= literal
-    raise TypeMismatchInPredicate(f"unknown operator {op!r}")
 
 
 def agg_result_type(build: ClassBuild, agg: AggCall) -> SourceType:
@@ -276,13 +246,12 @@ def build_from_interface(
     schema: SourceSchema, interface: str, binder: str, snapshot: Snapshot | None
 ) -> ClassBuild:
     """One row per source record of the interface (subtypes included)."""
-    structure: list[BuildProp] = []
+    structure: list[PropertyDef] = []
     for name, item, _owner in schema.table(interface).flat:
         if isinstance(item, Relationship):
             structure.append(
-                BuildProp(
+                PropertyDef(
                     name,
-                    binder,
                     "derived",
                     "composition" if item.composition else "association",
                     None,
@@ -290,10 +259,13 @@ def build_from_interface(
                     item.cardinality,
                     item.inverse,
                     (name,),
+                    binder,
                 )
             )
         else:
-            structure.append(BuildProp(name, binder, "derived", "attribute", item, source_path=(name,)))
+            structure.append(
+                PropertyDef(name, "derived", "attribute", item, source_path=(name,), binder=binder)
+            )
     rows: list[Row] = []
     if snapshot is not None:
         for rec in snapshot.of_interface(schema, interface):
@@ -322,13 +294,13 @@ def eval_project(items, build: ClassBuild) -> ClassBuild:
         if tail:
             typ = _drill_type(prop, tail, Path(prop.source_path + tail))
             structure.append(
-                BuildProp(
+                PropertyDef(
                     name,
-                    prop.binder,
                     prop.origin,
                     "attribute",
                     typ,
                     source_path=prop.source_path + tail,
+                    binder=prop.binder,
                 )
             )
         else:
@@ -374,7 +346,7 @@ def eval_augment(bindings: Iterable[AugmentBinding], build: ClassBuild) -> Class
             plans.append((b, _declared_type(b.type_name)))
     for b, typ in plans:
         origin = "computed" if b.agg is not None else "specific"
-        structure.append(BuildProp(b.name, None, origin, "attribute", typ))
+        structure.append(PropertyDef(b.name, origin, "attribute", typ))
     rows = []
     for row in build.rows:
         extra = tuple(
@@ -519,13 +491,13 @@ def eval_specialize(operands: list[tuple[str, ClassBuild]], pred: Predicate) -> 
     tagged: list[ClassBuild] = []
     for binder, build in operands:
         tagged.append(eval_aliased(build, binder))
-    combined_structure: list[BuildProp] = []
+    combined_structure: list[PropertyDef] = []
     for b in tagged:
         combined_structure.extend(b.structure)
     combined = ClassBuild(combined_structure)
     check_predicate(combined, pred)
 
-    merged_structure: list[BuildProp] = []
+    merged_structure: list[PropertyDef] = []
     merged_index: list[int] = []  # combined index feeding each merged slot
     by_name: dict[str, int] = {}
     for idx, prop in enumerate(combined_structure):

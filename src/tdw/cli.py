@@ -27,6 +27,8 @@ from .expr import (
     Select,
     SourceRef,
     Specialize,
+    format_binding,
+    format_operand,
     format_predicate,
 )
 from .model import historization_level, lifecycle_span
@@ -293,13 +295,7 @@ def _pipeline(expr) -> list[str]:
             steps.append(f"hide {', '.join(str(p) for p in node.paths)}")
         elif isinstance(node, Augment):
             walk(node.child)
-            parts = []
-            for b in node.bindings:
-                if b.agg is not None:
-                    parts.append(f"{b.name} := {b.agg.function}({b.agg.path})")
-                else:
-                    parts.append(f"{b.name} : {b.type_name}")
-            steps.append(f"augment {', '.join(parts)}")
+            steps.append(f"augment {', '.join(map(format_binding, node.bindings))}")
         elif isinstance(node, Join):
             steps.append("join of:")
             for side in (node.left, node.right):
@@ -307,15 +303,11 @@ def _pipeline(expr) -> list[str]:
                     steps.append(f"  {s}")
             steps.append(f"on {format_predicate(node.pred)}")
         elif isinstance(node, Generalize):
-            ops = ", ".join(f"{o.binder}: {o.class_name}" for o in node.operands)
+            ops = ", ".join(map(format_operand, node.operands))
             props = ", ".join(str(p) for p in node.props)
             steps.append(f"generalize {props} from {ops}")
         elif isinstance(node, Specialize):
-            ops = ", ".join(
-                f"{o.binder}: {o.class_name}"
-                + (f" where {format_predicate(o.where)}" if o.where else "")
-                for o in node.operands
-            )
+            ops = ", ".join(map(format_operand, node.operands))
             steps.append(f"specialize {ops} on {format_predicate(node.pred)}")
 
     walk(expr)

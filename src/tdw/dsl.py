@@ -5,8 +5,12 @@ with D_/C_/S_ prefixes; a bare keyword means derived), per-class filter
 blocks, environments with retention configs, and one construction
 mapping per class. The class head, relation declarations and types are
 parsed by the source schema's parsers, so the two languages cannot drift
-apart. resolve() checks the declarations against a source schema and
-produces a validated WarehouseSchema. The full grammar is documented in
+apart. One table, PROPERTY_KEYWORDS, maps each property keyword to its
+origin and kind; the parser reads it, and the printer reads it inverted,
+writing the prefixed keyword. The parser builds the model's records,
+PropertyDef and Environment, so resolution takes them as they are.
+resolve() checks the declarations against a source schema and produces
+a validated WarehouseSchema. The full grammar is documented in
 docs/grammar.md.
 """
 
@@ -18,7 +22,6 @@ from typing import Iterable
 from . import algebra
 from .errors import (
     InheritanceCycle,
-    InverseMismatch,
     ParseError,
     PropertyConflict,
     ResolveError,
@@ -66,7 +69,7 @@ from .model import (
 from .source import (
     TYPE_KEYWORDS,
     SourceSchema,
-    SourceType,
+    check_inverse,
     format_class_head,
     format_relationship,
     parse_class_head,
@@ -77,19 +80,20 @@ from .temporal import UNITS
 
 MAPPING_FUNCTIONS = ("select", "project", "hide", "augment", "join", "generalize", "specialize")
 
-_ATTR_KEYWORDS = {
-    "attribute": "derived",
-    "D_attribute": "derived",
-    "C_attribute": "computed",
-    "S_attribute": "specific",
-}
-_REL_KEYWORDS = {
+# property keyword -> (origin, kind); a bare keyword means derived
+PROPERTY_KEYWORDS = {
+    "attribute": ("derived", "attribute"),
+    "D_attribute": ("derived", "attribute"),
+    "C_attribute": ("computed", "attribute"),
+    "S_attribute": ("specific", "attribute"),
     "relationship": ("derived", "association"),
     "D_relationship": ("derived", "association"),
     "S_relationship": ("specific", "association"),
     "composition": ("derived", "composition"),
     "D_composition": ("derived", "composition"),
 }
+# the printer's spelling: the prefixed keyword of each (origin, kind)
+_PREFIXED_KEYWORD = {v: k for k, v in PROPERTY_KEYWORDS.items() if "_" in k}
 
 
 # ---------------------------------------------------------------------------
@@ -97,37 +101,19 @@ _REL_KEYWORDS = {
 
 
 @dataclass
-class PropertyDecl:
-    name: str
-    origin: str
-    kind: str  # attribute | association | composition
-    value_type: SourceType | None = None
-    target: str | None = None
-    cardinality: str | None = None
-    inverse: str | None = None
-
-
-@dataclass
 class ClassDecl:
     name: str
     extends: tuple[str, ...] = ()
-    properties: list[PropertyDecl] = field(default_factory=list)
+    properties: list[PropertyDef] = field(default_factory=list)
     tempo: tuple[str, ...] = ()
     archi: tuple[tuple[str, str], ...] = ()  # (function, property)
-
-
-@dataclass
-class EnvironmentDecl:
-    name: str
-    classes: tuple[str, ...] = ()
-    config: RetentionConfig = RetentionConfig()
 
 
 @dataclass
 class WarehouseDef:
     name: str = "warehouse"
     classes: list[ClassDecl] = field(default_factory=list)
-    environments: list[EnvironmentDecl] = field(default_factory=list)
+    environments: list[Environment] = field(default_factory=list)
     mappings: dict[str, MappingExpr] = field(default_factory=dict)
     global_config: RetentionConfig = RetentionConfig()
 
@@ -173,7 +159,7 @@ def _parse_class_decl(ts: TokenStream) -> ClassDecl:
     name, extends, _line = parse_class_head(ts)
     decl = ClassDecl(name, extends)
     while not ts.accept("punct", "}"):
-        decl.properties.append(_parse_property_decl(ts))
+        decl.properties.append(_parse_property(ts))
     if ts.at("ident", "with"):
         ts.next()
         ts.expect("ident", "filters")
@@ -206,26 +192,25 @@ def _parse_archive_entry(ts: TokenStream) -> tuple[str, str]:
     return (fn_tok.value, prop)
 
 
-def _parse_property_decl(ts: TokenStream) -> PropertyDecl:
+def _parse_property(ts: TokenStream) -> PropertyDef:
     tok = ts.peek()
-    if tok.value in _ATTR_KEYWORDS:
+    if tok.value in PROPERTY_KEYWORDS:
         ts.next()
-        typ = parse_type(ts)
-        name = ts.expect("ident").value
-        ts.expect("punct", ";")
-        return PropertyDecl(name, _ATTR_KEYWORDS[tok.value], "attribute", typ)
-    if tok.value in _REL_KEYWORDS:
-        ts.next()
-        origin, kind = _REL_KEYWORDS[tok.value]
+        origin, kind = PROPERTY_KEYWORDS[tok.value]
+        if kind == "attribute":
+            typ = parse_type(ts)
+            name = ts.expect("ident").value
+            ts.expect("punct", ";")
+            return PropertyDef(name, origin, kind, typ)
         rel = parse_relationship(ts)
-        return PropertyDecl(rel.name, origin, kind, None, rel.target, rel.cardinality, rel.inverse)
+        return PropertyDef(rel.name, origin, kind, None, rel.target, rel.cardinality, rel.inverse)
     if tok.value in ("C_relationship", "C_composition", "S_composition"):
         raise ParseError(tok.line, tok.col, "an attribute or derived relation (computed "
                          "properties are attributes only)")
     raise ts.error("a property declaration")
 
 
-def _parse_environment(ts: TokenStream) -> EnvironmentDecl:
+def _parse_environment(ts: TokenStream) -> Environment:
     ts.expect("ident", "Environment")
     name = ts.expect("ident").value
     ts.expect("punct", "{")
@@ -236,7 +221,7 @@ def _parse_environment(ts: TokenStream) -> EnvironmentDecl:
     if ts.accept("ident", "config"):
         config = _parse_config_block(ts)
     ts.expect("punct", "}")
-    return EnvironmentDecl(name, tuple(classes), config)
+    return Environment(name, tuple(classes), config)
 
 
 def _parse_config_block(ts: TokenStream) -> RetentionConfig:
@@ -463,14 +448,11 @@ def print_warehouse_def(wdef: WarehouseDef) -> str:
     for decl in wdef.classes:
         lines.append(format_class_head(decl.name, decl.extends))
         for p in decl.properties:
-            if p.kind == "attribute":
-                prefix = {"derived": "D_attribute", "computed": "C_attribute",
-                          "specific": "S_attribute"}[p.origin]
-                lines.append(f"    {prefix} {p.value_type} {p.name};")
+            keyword = _PREFIXED_KEYWORD[(p.origin, p.kind)]
+            if p.is_relation:
+                lines.append(f"    {keyword} {format_relationship(p)}")
             else:
-                base = "composition" if p.kind == "composition" else "relationship"
-                prefix = ("D_" if p.origin == "derived" else "S_") + base
-                lines.append(f"    {prefix} {format_relationship(p)}")
+                lines.append(f"    {keyword} {p.value_type} {p.name};")
         lines.append("}")
         if decl.tempo or decl.archi:
             lines.append("with filters {")
@@ -580,18 +562,8 @@ def resolve_with_violations(
 def _skeleton(wdef: WarehouseDef) -> WarehouseSchema:
     schema = WarehouseSchema(wdef.name, global_config=wdef.global_config)
     for decl in wdef.classes:
-        props = [
-            PropertyDef(
-                p.name,
-                p.origin,
-                p.kind,
-                p.value_type,
-                p.target,
-                p.cardinality,
-                p.inverse,
-            )
-            for p in decl.properties
-        ]
+        # _match_declared rewrites the class's list; the parsed one stays
+        props = list(decl.properties)
         names = [p.name for p in props]
         dupes = sorted({n for n in names if names.count(n) > 1})
         if dupes:
@@ -607,7 +579,7 @@ def _skeleton(wdef: WarehouseDef) -> WarehouseSchema:
     for env in wdef.environments:
         if env.name in schema.environments:
             raise PropertyConflict(f"environment {env.name!r} declared twice")
-        schema.environments[env.name] = Environment(env.name, env.classes, env.config)
+        schema.environments[env.name] = env
     unknown = [c for c in wdef.mappings if c not in schema.classes]
     if unknown:
         raise UnknownClass(f"mapping declared for unknown class {unknown[0]!r}")
@@ -658,22 +630,9 @@ def hierarchization_order(schema: WarehouseSchema, broken: Iterable[str] = ()) -
     return dependency_order({n: ops for n, ops in deps.items() if n not in skipped})
 
 
-def class_structure(schema: WarehouseSchema, name: str, binder: str) -> list[algebra.BuildProp]:
-    """A warehouse class's flattened type as algebra properties under binder."""
-    return [
-        algebra.BuildProp(
-            p.name,
-            binder,
-            p.origin,
-            p.kind,
-            p.value_type,
-            p.target,
-            p.cardinality,
-            p.inverse,
-            p.source_path or (),
-        )
-        for p in flatten_type(schema, name)
-    ]
+def class_structure(schema: WarehouseSchema, name: str, binder: str) -> list[PropertyDef]:
+    """A warehouse class's flattened type as build properties under binder."""
+    return [replace(p, binder=binder) for p in flatten_type(schema, name)]
 
 
 def _resolve_hierarchization(schema: WarehouseSchema, src: SourceSchema, cls: WarehouseClass) -> None:
@@ -762,7 +721,7 @@ def _match_declared(
         declared = flatten_type(schema, cls.name)
     except (InheritanceCycle, PropertyConflict, UnknownClass):
         return
-    out_by_name: dict[str, list[algebra.BuildProp]] = {}
+    out_by_name: dict[str, list[PropertyDef]] = {}
     for p in build.structure:
         out_by_name.setdefault(p.name, []).append(p)
 
@@ -813,7 +772,7 @@ def _check_derived(
     src: SourceSchema,
     cls: WarehouseClass,
     decl: PropertyDef,
-    out: algebra.BuildProp,
+    out: PropertyDef,
 ) -> None:
     if decl.kind == "attribute":
         if out.is_relation or out.value_type != decl.value_type:
@@ -839,7 +798,7 @@ def _check_derived(
 
 
 def _check_computed(
-    cls: WarehouseClass, decl: PropertyDef, fn: str | None, out: "algebra.BuildProp"
+    cls: WarehouseClass, decl: PropertyDef, fn: str | None, out: PropertyDef
 ) -> None:
     if fn is None:
         raise TypeInferenceError(f"{cls.name}.{decl.name}: no augment binding found")
@@ -873,11 +832,5 @@ def _check_warehouse_inverses(schema: WarehouseSchema) -> None:
             if not p.is_relation or p.inverse is None:
                 continue
             target = schema.classes.get(p.target)
-            if target is None:
-                continue
-            back = next((q for q in target.structure if q.name == p.inverse), None)
-            if back is None or back.target != cls.name or back.inverse != p.name:
-                raise InverseMismatch(
-                    f"{cls.name}.{p.name} declares inverse {p.target}::{p.inverse}, "
-                    "which is missing or does not point back"
-                )
+            if target is not None:
+                check_inverse(cls.name, p, target.structure)

@@ -54,7 +54,7 @@ from functools import partial
 from typing import Any, Callable, Iterable
 
 from . import model
-from .algebra import BuildProp, ClassBuild, Row, eval_extraction, eval_select, eval_specialize
+from .algebra import ClassBuild, Row, eval_extraction, eval_select, eval_specialize
 from .dsl import (
     WarehouseDef,
     class_structure,
@@ -151,7 +151,6 @@ class Store:
     """
 
     source_schema: SourceSchema
-    wdef: WarehouseDef
     schema: WarehouseSchema
     source_text: str
     warehouse_text: str
@@ -285,13 +284,7 @@ def initial_load(
     """Build a fresh store from the first extraction point."""
     t = _instant_of(snapshot, t)
     schema = resolve(wdef, src, strict=True)
-    store = Store(
-        src,
-        wdef,
-        schema,
-        print_source_schema(src),
-        print_warehouse_def(wdef),
-    )
+    store = Store(src, schema, print_source_schema(src), print_warehouse_def(wdef))
     # a store nobody else holds needs no working copy to stay atomic
     _run_extraction_points(store, snapshot, t)
     store.last_refresh = t
@@ -565,7 +558,7 @@ def _build_from_objects(
     return ClassBuild(structure, rows)
 
 
-def _as_list(value: Any, prop: BuildProp) -> Any:
+def _as_list(value: Any, prop: model.PropertyDef) -> Any:
     if prop.is_relation and prop.cardinality == "many":
         return list(value) if value else []
     return value
@@ -825,13 +818,14 @@ def save_store(store: Store, path: str) -> None:
 def load_store(path: str) -> Store:
     """Read a store file; raise Error if it is not a well-formed store.
 
-    A tdw-store-v3 or v2 file's header and its number of object lines are
-    checked here; each object's line is decoded and checked when one of
-    its states is first read, and raises the same malformed-store Error
-    then. A v3 file's lines are kept for the next save to write again; a
-    v2 file's are not, so it is written whole as v3. A tdw-store-v1 file,
-    compact or indented, is decoded and checked whole, and is written as
-    v3 at its next save.
+    A tdw-store-v3 or v2 file's header, the class and status of each
+    entry of its object index, and its number of object lines are checked
+    here; each object's line is decoded and checked when one of its
+    states is first read, and raises the same malformed-store Error then.
+    A v3 file's lines are kept for the next save to write again; a v2
+    file's are not, so it is written whole as v3. A tdw-store-v1 file,
+    compact or indented, is decoded and checked whole, its objects' class
+    and status as a v3 index's, and is written as v3 at its next save.
     """
     # lines end at "\n" alone, the one line break the encoder writes raw
     with open(path, encoding="utf-8", newline="\n") as fh:
@@ -858,10 +852,30 @@ def load_store(path: str) -> Store:
             store = _store_from_v1(doc, decoder)
         if len(store.identity) != len(store.objects):
             raise ValueError("two objects share one class and source key")
+        _check_index(store)
         _read_memberships(store, doc.get("memberships", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, exc) from None
     return store
+
+
+def _check_index(store: Store) -> None:
+    """Each object must be of a class that owns objects in the store's
+    schema, one with an extraction mapping or a specialization of several
+    operands, and active or frozen. Run before the memberships enter the
+    class index, while it holds the classes of the objects only."""
+    owners = {
+        name
+        for name, cls in store.schema.classes.items()
+        if is_extraction(cls.mapping)
+        or (isinstance(cls.mapping, Specialize) and len(cls.mapping.operands) > 1)
+    }
+    for name, oids in store.by_class.items():
+        if name not in owners:
+            raise ValueError(f"oid {min(oids)} is of class {name!r}, which owns no objects")
+    for obj in store.objects.values():
+        if obj.status not in ("active", "frozen"):
+            raise ValueError(f"oid {obj.oid} has status {obj.status!r}, not active or frozen")
 
 
 def _read_memberships(store: Store, memberships: Any) -> None:
@@ -887,11 +901,9 @@ def _malformed(path: str, exc: Exception) -> Error:
 
 def _store_from_header(doc: dict[str, Any]) -> Store:
     src = parse_source_schema(doc["source_schema"])
-    wdef = parse_warehouse_def(doc["warehouse_def"])
-    schema = resolve(wdef, src, strict=True)
+    schema = resolve(parse_warehouse_def(doc["warehouse_def"]), src, strict=True)
     store = Store(
         src,
-        wdef,
         schema,
         doc["source_schema"],
         doc["warehouse_def"],

@@ -9,12 +9,20 @@ pure extraction chain or one hierarchization node.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Callable, Union
 
 Literal = Union[str, int, float]
 
-COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
+COMPARISON_OPS: dict[str, Callable[[Any, Any], bool]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 @dataclass(frozen=True)
@@ -31,7 +39,7 @@ class Path:
 @dataclass(frozen=True)
 class Comparison:
     path: Path
-    op: str  # one of COMPARISON_OPS
+    op: str  # a key of COMPARISON_OPS
     literal: Literal
 
 
@@ -172,13 +180,8 @@ def format_mapping(expr: MappingExpr) -> str:
         paths = ", ".join(str(p) for p in expr.paths)
         return f"hide({paths}, {format_mapping(expr.child)})"
     if isinstance(expr, Augment):
-        parts = []
-        for b in expr.bindings:
-            if b.agg is not None:
-                parts.append(f"{b.name} := {b.agg.function}({b.agg.path})")
-            else:
-                parts.append(f"{b.name} : {b.type_name}")
-        return f"augment({', '.join(parts)}, {format_mapping(expr.child)})"
+        parts = ", ".join(format_binding(b) for b in expr.bindings)
+        return f"augment({parts}, {format_mapping(expr.child)})"
     if isinstance(expr, Select):
         return f"select({format_mapping(expr.child)}, {format_predicate(expr.pred)})"
     if isinstance(expr, Join):
@@ -188,15 +191,24 @@ def format_mapping(expr: MappingExpr) -> str:
         )
     if isinstance(expr, Generalize):
         props = ", ".join(str(p) for p in expr.props)
-        ops = ", ".join(_format_operand(o) for o in expr.operands)
+        ops = ", ".join(format_operand(o) for o in expr.operands)
         return f"generalize({props}, {ops})"
     if isinstance(expr, Specialize):
-        ops = ", ".join(_format_operand(o) for o in expr.operands)
+        ops = ", ".join(format_operand(o) for o in expr.operands)
         return f"specialize({ops}, {format_predicate(expr.pred)})"
     raise TypeError(f"not a mapping node: {expr!r}")
 
 
-def _format_operand(op: ClassOperand) -> str:
+def format_binding(b: AugmentBinding) -> str:
+    """name := function(path) for a computed binding, name : Type for a
+    specific one."""
+    if b.agg is not None:
+        return f"{b.name} := {b.agg.function}({b.agg.path})"
+    return f"{b.name} : {b.type_name}"
+
+
+def format_operand(op: ClassOperand) -> str:
+    """binder: Class, with its where clause if it has one."""
     text = f"{op.binder}: {op.class_name}"
     if op.where is not None:
         text += f" where {format_predicate(op.where)}"

@@ -45,25 +45,26 @@ ARCHIVE_FUNCTIONS = AGG_FUNCTIONS + ("last",)
 
 @dataclass(frozen=True)
 class PropertyDef:
-    """One property of a warehouse class structure."""
+    """One property of a warehouse class structure, or of an algebra
+    build, where binder names the operand it came from."""
 
     name: str
     origin: str  # derived | computed | specific
     kind: str = "attribute"  # attribute | association | composition
     value_type: SourceType | None = None  # attributes only
-    target: str | None = None  # relations: warehouse class name
+    target: str | None = None  # relations: warehouse class (or, in a build, source interface)
     cardinality: str | None = None  # relations: one | many
     inverse: str | None = None
-    source_path: tuple[str, ...] | None = None  # derived: origin property path
+    source_path: tuple[str, ...] = ()  # derived: origin property path
+    binder: str | None = None  # builds only
 
     @property
     def is_relation(self) -> bool:
         return self.kind != "attribute"
 
 
-def merge_key(prop) -> tuple:
-    """What two definitions of one property name must share to merge; prop
-    is a PropertyDef or an algebra BuildProp."""
+def merge_key(prop: PropertyDef) -> tuple:
+    """What two definitions of one property name must share to merge."""
     return (prop.name, prop.origin, prop.kind, prop.value_type, prop.target, prop.cardinality)
 
 

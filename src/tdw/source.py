@@ -232,7 +232,8 @@ def _parse_member(ts: TokenStream, iface: SourceInterface) -> None:
 
 
 # The warehouse definition language reuses the class head, the relation
-# and the type grammar below, and the two printers their spelling.
+# and the type grammar below, the inverse rule, and the two printers
+# their spelling.
 
 
 def parse_class_head(ts: TokenStream) -> tuple[str, tuple[str, ...], int]:
@@ -299,6 +300,20 @@ def parse_type(ts: TokenStream) -> SourceType:
     raise ParseError(tok.line, tok.col, f"a type name (found {tok.value!r})")
 
 
+def check_inverse(owner: str, rel: Any, declared: Iterable[Any], prefix: str = "") -> None:
+    """Raise InverseMismatch, its message led by prefix, unless the
+    inverse that owner's relation rel declares is among declared, the
+    target's own properties, and points back at owner's rel. rel and
+    each of declared is a Relationship, or anything with its name,
+    target and inverse."""
+    back = next((d for d in declared if d.name == rel.inverse), None)
+    if back is None or back.target != owner or back.inverse != rel.name:
+        raise InverseMismatch(
+            f"{prefix}{owner}.{rel.name} declares inverse {rel.target}::{rel.inverse}, "
+            "which is missing or does not point back"
+        )
+
+
 def format_class_head(name: str, supers: tuple[str, ...]) -> str:
     head = f"interface {name}"
     if supers:
@@ -331,15 +346,10 @@ def _check_schema(schema: SourceSchema) -> dict[str, set[str]]:
                     f"line {rel.line}: {iface.name}.{rel.name} targets unknown {rel.target!r}"
                 )
             if rel.inverse is not None:
-                back = next(
-                    (r for r in schema.interfaces[rel.target].relationships if r.name == rel.inverse),
-                    None,
+                check_inverse(
+                    iface.name, rel, schema.interfaces[rel.target].relationships,
+                    f"line {rel.line}: ",
                 )
-                if back is None or back.target != iface.name or back.inverse != rel.name:
-                    raise InverseMismatch(
-                        f"line {rel.line}: {iface.name}.{rel.name} declares inverse "
-                        f"{rel.target}::{rel.inverse}, which is missing or does not point back"
-                    )
         # each property name is declared once along the interface's lineage;
         # a super reached twice through a diamond is one declaration
         names: Counter[str] = Counter()

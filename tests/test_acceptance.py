@@ -13,7 +13,6 @@ import time
 
 from conftest import hospital_records, snapshot_lines, store_to_dict, year
 from tdw.algebra import (
-    BuildProp,
     ClassBuild,
     Row,
     build_from_interface,
@@ -28,7 +27,7 @@ from tdw.algebra import (
 from tdw.dsl import parse_warehouse_def, resolve, resolve_with_violations
 from tdw.engine import dumps_store, initial_load, refresh, save_store
 from tdw.expr import AggCall, AugmentBinding, Comparison, Containment, Path, Predicate
-from tdw.model import effective_filters, flatten_type, is_subclass, validate_schema
+from tdw.model import PropertyDef, effective_filters, flatten_type, is_subclass, validate_schema
 from tdw.source import ingest_snapshot, parse_source_schema, scalar, set_of
 from tdw.temporal import Instant, coalesce, domain_contains, domain_union, interval, validate_domain
 
@@ -210,10 +209,10 @@ def test_criterion_2_mapping_semantics_vs_oracles(src_schema):
 
 def _random_build(rng: random.Random, binder: str = "x") -> ClassBuild:
     structure = [
-        BuildProp("a", binder, "derived", "attribute", scalar("long")),
-        BuildProp("b", binder, "derived", "attribute", scalar("string")),
-        BuildProp("bag", binder, "derived", "attribute", set_of(scalar("long"))),
-        BuildProp("r", binder, "derived", "association", None, "T", "many"),
+        PropertyDef("a", "derived", "attribute", scalar("long"), binder=binder),
+        PropertyDef("b", "derived", "attribute", scalar("string"), binder=binder),
+        PropertyDef("bag", "derived", "attribute", set_of(scalar("long")), binder=binder),
+        PropertyDef("r", "derived", "association", None, "T", "many", binder=binder),
     ]
     rows = []
     for i in range(rng.randrange(0, 7)):

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import hospital_records, snapshot_lines, year
 from tdw.algebra import (
-    BuildProp,
     ClassBuild,
     Row,
     build_from_interface,
@@ -35,6 +34,7 @@ from tdw.expr import (
     Path,
     Predicate,
 )
+from tdw.model import PropertyDef
 from tdw.source import ingest_snapshot, scalar, set_of
 
 
@@ -62,10 +62,10 @@ def comparison(path, op, lit):
 
 def random_build(rng: random.Random, binder: str, rows: int | None = None) -> ClassBuild:
     structure = [
-        BuildProp("a", binder, "derived", "attribute", scalar("long")),
-        BuildProp("b", binder, "derived", "attribute", scalar("string")),
-        BuildProp("bag", binder, "derived", "attribute", set_of(scalar("long"))),
-        BuildProp("r", binder, "derived", "association", None, "T", "many"),
+        PropertyDef("a", "derived", "attribute", scalar("long"), binder=binder),
+        PropertyDef("b", "derived", "attribute", scalar("string"), binder=binder),
+        PropertyDef("bag", "derived", "attribute", set_of(scalar("long")), binder=binder),
+        PropertyDef("r", "derived", "association", None, "T", "many", binder=binder),
     ]
     n = rng.randrange(0, 7) if rows is None else rows
     out = []
@@ -217,7 +217,7 @@ class TestAugment:
 
     def test_empty_set_conventions(self):
         structure = [
-            BuildProp("bag", "x", "derived", "attribute", set_of(scalar("double"))),
+            PropertyDef("bag", "derived", "attribute", set_of(scalar("double")), binder="x"),
         ]
         rows = [Row((("X", "x0"),), ([],), (("x", "x0"),))]
         build = ClassBuild(structure, rows)
@@ -360,8 +360,8 @@ class TestJoin:
 
         def linked_build(binder: str, n: int, targets: list[str]) -> ClassBuild:
             structure = [
-                BuildProp("a", binder, "derived", "attribute", scalar("long")),
-                BuildProp("r", binder, "derived", "association", None, "T", "many"),
+                PropertyDef("a", "derived", "attribute", scalar("long"), binder=binder),
+                PropertyDef("r", "derived", "association", None, "T", "many", binder=binder),
             ]
             rows = [
                 Row(
@@ -434,8 +434,8 @@ def linked(rng: random.Random, binder: str, n: int, targets: list[str], carried=
     """n rows whose set-valued r links to some of targets; every row also
     carries the binders in carried, as rows whose properties were hidden do."""
     structure = [
-        BuildProp("a", binder, "derived", "attribute", scalar("long")),
-        BuildProp("r", binder, "derived", "association", None, "T", "many"),
+        PropertyDef("a", "derived", "attribute", scalar("long"), binder=binder),
+        PropertyDef("r", "derived", "association", None, "T", "many", binder=binder),
     ]
     rows = [
         Row(

@@ -353,6 +353,24 @@ class TestInspect:
         assert "malformed store document (ValueError: membership 'Jeunes_Chirurgiens' holds " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "slot, value, detail",
+        [(1, "Fantômes", "is of class 'Fantômes', which owns no objects"),
+         (2, "zombie", "has status 'zombie', not active or frozen")],
+        ids=["class", "status"],
+    )
+    def test_header_index_entry_is_checked(self, built, slot, value, detail):
+        _tmp, store = built
+        path = Path(store)
+        header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        head = json.loads(header)
+        head["objects"][0][slot] = value  # oid 1, a young surgeon
+        path.write_text(json.dumps(head, ensure_ascii=False) + "\n" + rest, encoding="utf-8")
+        rc, out, err = tdw("inspect", "--store", store, "--class", "Chirurgiens")
+        assert rc == 1 and out == ""
+        assert f"malformed store document (ValueError: oid 1 {detail})" in err
+        assert "Traceback" not in err
+
 
 @pytest.fixture()
 def damaged(built):
@@ -521,6 +539,28 @@ class TestPlan:
         assert "keep 2 past state(s)" in out
         # supers precede subclasses in the creation order
         assert out.index("1. Personnes") < out.index("Chirurgiens extends Personnes")
+
+    def test_plan_step_lines(self):
+        rc, out, _ = tdw("plan", "--warehouse", EDW, "--source-schema", ODL)
+        assert rc == 0
+        lines = out.splitlines()
+        for step in (
+            "generalize c.nom, c.prénom, c.adresse, c.année_naissance from c: Chirurgiens",
+            "augment nb_services := count(h.organisation), année_création : Short",
+            'specialize e: Hôpitaux_Publics where e.ville = "Toulouse", s: Services '
+            "on e.organisation contains s",
+        ):
+            assert "       " + step in lines
+        join = lines.index("  5. Services") + 1
+        assert lines[join : join + 7] == [
+            "       join of:",
+            "         from ETABLISSEMENT as e",
+            '         select e.statut = "public"',
+            "         rebind as h",
+            "         from SERVICE as s",
+            "       on h.organisation contains s",
+            "       hide h.nom, h.statut, h.adresse, h.budget, h.organisation, s.téléphone",
+        ]
 
     def test_single_class_environment_attribute_level(self, tmp_path):
         odl = tmp_path / "mini.odl"

@@ -1,6 +1,7 @@
 """Warehouse definition language: parsing, printing, resolution."""
 
 import json
+import re
 
 import pytest
 
@@ -102,6 +103,35 @@ class TestParseWarehouseDef:
         text = "interface B { }\ninterface A { D_relationship Set<B> r inverse C::s; }"
         with pytest.raises(InverseMismatch, match=r"^line 2: 'r' declares inverse on 'C' but"):
             parse_warehouse_def(text)
+
+    @pytest.mark.parametrize(
+        "keyword, printed",
+        [
+            ("attribute", "D_attribute"), ("D_attribute", "D_attribute"),
+            ("C_attribute", "C_attribute"), ("S_attribute", "S_attribute"),
+            ("relationship", "D_relationship"), ("D_relationship", "D_relationship"),
+            ("S_relationship", "S_relationship"), ("composition", "D_composition"),
+            ("D_composition", "D_composition"),
+        ],
+    )
+    def test_property_keyword_prints_prefixed(self, keyword, printed):
+        member = "String x;" if keyword.endswith("attribute") else "Set<A> x;"
+        wdef = parse_warehouse_def(f"interface A {{ {keyword} {member} }}")
+        text = print_warehouse_def(wdef)
+        assert f"    {printed} {member}" in text.splitlines()
+        assert parse_warehouse_def(text).classes == wdef.classes
+
+    def test_inverse_rule_reads_alike_in_both_languages(self, src_schema):
+        decls = (
+            "interface A { %s Set<B> r inverse B::x; }\n"
+            "interface B { %s Set<A> x inverse A::y; }"
+        )
+        detail = "A.r declares inverse B::x, which is missing or does not point back"
+        with pytest.raises(InverseMismatch, match=f"^line 1: {re.escape(detail)}$"):
+            parse_source_schema(decls % ("relationship", "relationship"))
+        wdef = parse_warehouse_def(decls % ("S_relationship", "S_relationship"))
+        with pytest.raises(InverseMismatch, match=f"^{re.escape(detail)}$"):
+            resolve(wdef, src_schema)
 
     def test_name_lists(self):
         wdef = parse_warehouse_def(

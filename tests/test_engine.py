@@ -98,6 +98,38 @@ MEMBERSHIP_DAMAGE_IDS = [
     "membership-of-an-unknown-class", "memberships-not-an-object",
 ]
 
+# an object index entry (oid 1, a surgeon) naming a class that owns no
+# objects (unknown, a generalization, a membership class) or a status
+# that is neither active nor frozen
+INDEX_DAMAGE = [("class", "Fantômes"), ("class", "Personnes"),
+                ("class", "Jeunes_Chirurgiens"), ("status", "zombie")]
+INDEX_DAMAGE_IDS = [
+    "index-class-unknown", "index-class-a-generalization",
+    "index-class-a-membership", "index-status-unknown",
+]
+
+
+def v1_index_damage(field, value):
+    """Set oid 1's field in a v1 document, and a class in its identity
+    entry too, which must agree with the objects."""
+
+    def damage(doc):
+        obj = doc["objects"][0]
+        obj[field] = value
+        if field == "class":
+            for entry in doc["identity"]:
+                if entry[2] == obj["oid"]:
+                    entry[0] = value
+
+    return damage
+
+
+def v2_index_damage(field, value):
+    """Set oid 1's field in a v2 or v3 header's index entry [oid, class,
+    status, source key]."""
+    slot = {"class": 1, "status": 2}[field]
+    return lambda head: head["objects"][0].__setitem__(slot, value)
+
 
 @pytest.fixture()
 def store(src_schema, wdef, make_snapshot):
@@ -864,11 +896,13 @@ class TestPersistence:
             lambda doc: doc["objects"][0]["current"]["domain"].update(intervals=[[21, 20]]),
             lambda doc: doc.update(last_refresh="banana"),
             *MEMBERSHIP_DAMAGE,
+            *(v1_index_damage(*d) for d in INDEX_DAMAGE),
         ],
         ids=[
             "no-warehouse-def", "objects-not-a-list", "object-without-past",
             "domain-not-an-object", "one-bound-interval", "empty-interval", "bad-last-refresh",
             *MEMBERSHIP_DAMAGE_IDS,
+            *INDEX_DAMAGE_IDS,
         ],
     )
     def test_malformed_store_document_is_a_domain_error(self, store, tmp_path, damage):
@@ -901,11 +935,13 @@ class TestPersistence:
             lambda head: head["objects"][1].__setitem__(3, head["objects"][0][3]),
             lambda head: head.update(last_refresh="banana"),
             *MEMBERSHIP_DAMAGE,
+            *(v2_index_damage(*d) for d in INDEX_DAMAGE),
         ],
         ids=[
             "no-warehouse-def", "index-not-a-list", "index-entry-of-three",
             "index-out-of-oid-order", "shared-identity", "bad-last-refresh",
             *MEMBERSHIP_DAMAGE_IDS,
+            *INDEX_DAMAGE_IDS,
         ],
     )
     def test_malformed_v2_header_is_rejected_when_loaded(self, store, tmp_path, damage):

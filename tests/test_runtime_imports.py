@@ -1,5 +1,7 @@
 """The runtime stays stdlib-only: every import under src/tdw is relative
-or names a standard-library module."""
+or names a standard-library module. And every name a module there
+imports is used, so a fold that moves a name's last use leaves no
+import behind."""
 
 import ast
 import sys
@@ -50,3 +52,66 @@ def test_guard_flags_third_party_imports(tmp_path):
         "mod.py:4: yaml",
         "mod.py:7: requests",
     ]
+
+
+def unused_imports(path: Path) -> list[str]:
+    """path:line: name for each name a module imports and never reads. A
+    name read only in a string annotation, or listed in __all__, counts
+    as read; __future__ imports are directives, not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            read |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            read |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            read |= _annotation_names(node.annotation)
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ):
+            read |= {elt.value for elt in node.value.elts}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """The names an annotation reads, inside its quoted parts too."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def test_runtime_imports_only_names_it_uses():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    assert [hit for path in sources for hit in unused_imports(path)] == []
+
+
+def test_guard_flags_unused_imports(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import json, os.path\n"
+        "from . import engine\n"
+        "from .errors import Error, ParseError as PE\n"
+        "from .model import Oid, Store\n"
+        "__all__ = ['engine']\n"
+        "def f(x: 'Oid') -> list['Store']:\n"
+        "    return os.path.join(x)\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(module) == ["mod.py:2: json", "mod.py:4: Error", "mod.py:4: PE"]
