@@ -37,8 +37,7 @@ from .temporal import parse_instant
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except Error as exc:
@@ -160,6 +159,13 @@ def cmd_refresh(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    if args.oid is None and (args.at is not None or args.history):
+        print("error: --at and --history need --oid", file=sys.stderr)
+        return 2
+    if args.at is not None and args.history:
+        print("error: --at excludes --history", file=sys.stderr)
+        return 2
+    t = None if args.at is None else parse_instant(args.at)
     store = engine.load_store(args.store)
     if args.class_name not in store.schema.classes:
         print(f"error: unknown class {args.class_name!r}", file=sys.stderr)
@@ -178,8 +184,7 @@ def cmd_inspect(args) -> int:
     obj = store.objects[args.oid]
     span = lifecycle_span(obj)
     print(f"object {obj.oid} ({obj.class_name}, {obj.status}) lifecycle {span}")
-    if args.at is not None:
-        t = parse_instant(args.at)
+    if t is not None:
         located = store.value_at(args.oid, t)
         if located is None:
             print(f"at {args.at}: absent")
@@ -312,6 +317,10 @@ def _pipeline(expr) -> list[str]:
 
     walk(expr)
     return steps
+
+
+# built once: main only parses, and each parse fills a new namespace
+_PARSER = _build_parser()
 
 
 class _locked:

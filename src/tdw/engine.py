@@ -37,8 +37,10 @@ A store file (tdw-store-v3) is a header line with the schema texts and
 an index of every object's oid, class, status and source key, then one
 line per object with its states, an active object's current state
 written with its stored end rather than the last refresh. load_store
-builds every object from the index and decodes an object's line on the
-first read of its states, so a query decodes only the objects it shows.
+builds every object from the index as a deferred WarehouseObject, whose
+state slots stay empty until their first read decodes the object's
+line, so a query decodes only the objects it shows; objects are
+slotted, since a load builds one for every entry of the index.
 A save encodes the objects a command touched or created, and writes
 every other object's line as it was read, once that line has been
 decoded and checked, so no line is written that was not checked first.

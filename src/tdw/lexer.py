@@ -69,20 +69,24 @@ class TokenStream:
     """Cursor over a token list with expect/accept helpers."""
 
     def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+        # tokenize ends the list with eof and the cursor never moves past
+        # it; two more copies let peek(ahead) for ahead <= 2, the most the
+        # parsers look ahead, index the list without a bound check
+        eof = tokens[-1]
+        self._tokens = [*tokens, eof, eof]
         self._pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+        return self._tokens[self._pos + ahead]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self._tokens[self._pos]
         if tok.kind != "eof":
             self._pos += 1
         return tok
 
     def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self._tokens[self._pos]
         return tok.kind == kind and (value is None or tok.value == value)
 
     def accept(self, kind: str, value: str | None = None) -> Token | None:

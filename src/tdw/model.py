@@ -465,13 +465,15 @@ class ArchiveState:
     aggregates: dict[str, dict[str, Any]]
 
 
-@dataclass
+@dataclass(slots=True)
 class WarehouseObject:
     """An object and its states.
 
+    Objects are slotted, since a load builds one per object of the store.
     An object read from a store file may start deferred: it holds its
-    oid, class, status and source key, and its states are decoded when
-    current, past or archives is first read.
+    oid, class, status and source key, its current, past and archives
+    slots are empty, and _load, which an ordinary object leaves None,
+    decodes their states when one of them is first read.
     """
 
     oid: Oid
@@ -481,6 +483,9 @@ class WarehouseObject:
     archives: list[ArchiveState] = field(default_factory=list)
     status: str = "active"  # active | frozen
     source_key: tuple[tuple[str, str], ...] = ()
+    _load: Callable[[], tuple[State, list[State], list[ArchiveState]]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @classmethod
     def deferred(
@@ -494,9 +499,11 @@ class WarehouseObject:
         """An object whose current, past and archive states load() returns
         on their first read."""
         obj = cls.__new__(cls)
-        obj.__dict__.update(
-            oid=oid, class_name=class_name, status=status, source_key=source_key, _load=load
-        )
+        obj.oid = oid
+        obj.class_name = class_name
+        obj.status = status
+        obj.source_key = source_key
+        obj._load = load
         return obj
 
     def copy(self) -> WarehouseObject:
@@ -521,15 +528,16 @@ class WarehouseObject:
         getattr(self, "current")
 
     def __getattr__(self, name: str) -> Any:
-        # reached only for an attribute the instance lacks, so a decoded or
-        # ordinary object never comes here; a load that raises leaves the
-        # object deferred, and the next read raises again
-        load = self.__dict__.get("_load")
-        if load is None or name not in ("current", "past", "archives"):
+        # reached only for an empty slot or an unknown name, so a decoded or
+        # ordinary object never comes here for its states; the name is
+        # checked first, so an empty _load slot cannot recurse; a load that
+        # raises leaves the object deferred, and the next read raises again
+        load = self._load if name in ("current", "past", "archives") else None
+        if load is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self.current, self.past, self.archives = load()
-        del self._load
-        return self.__dict__[name]
+        self._load = None
+        return getattr(self, name)
 
     def all_domains(self) -> list[TemporalDomain]:
         out = [self.current.domain]

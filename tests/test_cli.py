@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, hospital_records, snapshot_lines
-from tdw import cli
+from tdw import cli, engine
 from tdw.cli import _locked
 from tdw.dsl import parse_warehouse_def, print_warehouse_def
 
@@ -370,6 +370,77 @@ class TestInspect:
         assert rc == 1 and out == ""
         assert f"malformed store document (ValueError: oid 1 {detail})" in err
         assert "Traceback" not in err
+
+    def test_malformed_at_fails_before_printing(self, built):
+        _tmp, store = built
+        rc, out, err = tdw(
+            "inspect", "--store", store, "--class", "Chirurgiens", "--oid", "1", "--at", "19x3"
+        )
+        assert (rc, out, err) == (2, "", "error: unrecognized instant notation '19x3'\n")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--at", "1990"], "--at and --history need --oid"),
+         (["--history"], "--at and --history need --oid"),
+         (["--oid", "1", "--at", "1990", "--history"], "--at excludes --history")],
+        ids=["at-without-oid", "history-without-oid", "at-with-history"],
+    )
+    def test_flags_that_would_be_ignored_are_usage_errors(self, tmp_path, flags, message):
+        # the store does not exist: the flags are checked before it is read
+        missing = str(tmp_path / "missing.store")
+        rc, out, err = tdw("inspect", "--store", missing, "--class", "Chirurgiens", *flags)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestInProcess:
+    """Several commands run through cli.main in one process, as the
+    benchmark drives them."""
+
+    @pytest.fixture()
+    def refreshed(self, built, capsys):
+        """The built store refreshed at 1991, which gives hospital oid 3
+        a past state."""
+        tmp, store = built
+        snap = write_snapshot(tmp / "s1991.jsonl", 1991)
+        assert cli.main(["refresh", "--store", store, "--snapshot", snap, "--at", "1991"]) == 0
+        capsys.readouterr()
+        return store
+
+    def test_one_call_leaves_no_flag_to_the_next(self, refreshed, capsys):
+        argv = ["inspect", "--store", refreshed, "--class", "Hôpitaux_Publics", "--oid", "3"]
+        assert cli.main([*argv, "--history"]) == 0
+        assert "\npast <[1990..1990]>:\n" in capsys.readouterr().out
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr().out
+        assert plain.startswith("object 3 (Hôpitaux_Publics, active) lifecycle [1990..1991]\n")
+        assert "past" not in plain
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["inspect", "--store", refreshed])  # --class is missing
+        assert exc.value.code == 2
+        assert "--class" in capsys.readouterr().err
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize(
+        "flags, decoded",
+        [([], 0), (["--oid", "3", "--history"], 1), (["--oid", "3", "--at", "1990"], 1)],
+        ids=["listing", "history", "at"],
+    )
+    def test_inspect_decodes_only_the_object_it_shows(
+        self, refreshed, capsys, monkeypatch, flags, decoded
+    ):
+        seen = []
+        line = engine._StateDecoder.line
+
+        def counted(self, *args):
+            seen.append(args)
+            return line(self, *args)
+
+        monkeypatch.setattr(engine._StateDecoder, "line", counted)
+        argv = ["inspect", "--store", refreshed, "--class", "Hôpitaux_Publics", *flags]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith(("class ", "object 3 "))
+        assert len(seen) == decoded
 
 
 @pytest.fixture()

@@ -149,6 +149,26 @@ class TestParseWarehouseDef:
             with pytest.raises(ParseError):
                 parse_warehouse_def(text)
 
+    @pytest.mark.parametrize(
+        "parse, text, position",
+        [
+            (parse_source_schema, "interface A (extend", (1, 20, "'ident' (found 'eof')")),
+            (parse_warehouse_def, "mapping X =", (2, 12, "a mapping expression")),
+            (parse_warehouse_def, "interface A {", (2, 14, "a property declaration")),
+            (parse_warehouse_def, "mapping X = select(p: P, p.a =",
+             (2, 31, "'number' (found 'eof')")),
+            (parse_warehouse_def, "mapping X = specialize(a",
+             (2, 25, "a comparison operator or 'contains'")),
+        ],
+        ids=["odl-extend", "edw-mapping", "edw-interface", "edw-comparison", "edw-lookahead"],
+    )
+    def test_text_cut_at_eof_names_where_and_what(self, parse, text, position):
+        if parse is parse_warehouse_def:
+            text = "warehouse W;\n" + text
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col, exc.value.expected) == position
+
 
 class TestParseMapping:
     def test_selection_over_source(self):

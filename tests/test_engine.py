@@ -998,9 +998,10 @@ class TestPersistence:
         damaged, other = loaded.objects[oids[2]], loaded.objects[oids[3]]
         assert other.current == store.objects[oids[3]].current
         assert damaged.status == store.objects[oids[2]].status
-        for _ in range(2):  # a failed decode leaves the object as it was
+        for name in ("past", "current", "archives"):  # a failed decode leaves it deferred
             with pytest.raises(Error, match="bad.store: malformed store document"):
-                damaged.past
+                getattr(damaged, name)
+            assert damaged._load is not None
         with pytest.raises(Error, match="bad.store: malformed store document"):
             dumps_store(loaded)
         with pytest.raises(Error, match="bad.store: malformed store document"):

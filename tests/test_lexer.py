@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES
 from tdw.errors import ParseError
-from tdw.lexer import tokenize
+from tdw.lexer import TokenStream, tokenize
 
 # The tokenizer before tokens became tuples and columns were counted from
 # the start of each line: it advanced a column counter over every match.
@@ -92,3 +92,14 @@ def test_texts_and_errors_keep_their_positions(text):
 @given(st.text(alphabet=' \t\r\n/"\\:<=>!-.,;(){}≠≤≥∋#@aé_Z09', max_size=40))
 def test_random_texts_tokenize_as_before(text):
     assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+
+@pytest.mark.parametrize("text", ["", "a", "a b"], ids=["empty", "one-token", "two-tokens"])
+def test_stream_rests_at_eof_and_looks_ahead_past_it(text):
+    ts = TokenStream(tokenize(text))
+    while not ts.at("eof"):
+        ts.next()
+    end = ts.peek()
+    for _ in range(2):  # next never moves past eof
+        assert [ts.peek(0), ts.peek(1), ts.peek(2), ts.next()] == [end] * 4
+    assert (end.kind, end.col) == ("eof", len(text) + 1)

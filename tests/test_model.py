@@ -343,6 +343,58 @@ class TestStates:
         ]
 
 
+def deferred_fig3(loads: list) -> WarehouseObject:
+    """fig3_object() deferred: its states load on first read, and each
+    load is counted in loads."""
+    whole = fig3_object()
+
+    def load():
+        loads.append(1)
+        return whole.current, whole.past, whole.archives
+
+    return WarehouseObject.deferred(
+        whole.oid, whole.class_name, whole.status, whole.source_key, load
+    )
+
+
+class TestDeferredObject:
+    def test_objects_are_slotted(self):
+        assert not hasattr(fig3_object(), "__dict__")
+        assert not hasattr(deferred_fig3([]), "__dict__")
+
+    def test_states_load_once_on_first_read(self):
+        loads = []
+        obj = deferred_fig3(loads)
+        assert (obj.oid, obj.status, loads) == (1, "active", [])
+        assert obj.past == fig3_object().past
+        assert obj.archives == fig3_object().archives and loads == [1]
+
+    def test_unknown_attribute_is_an_attribute_error(self):
+        empty = WarehouseObject.__new__(WarehouseObject)  # every slot empty, _load too
+        for obj in (fig3_object(), deferred_fig3([]), empty):
+            with pytest.raises(AttributeError, match="no attribute 'fantôme'"):
+                obj.fantôme
+        with pytest.raises(AttributeError):  # not a RecursionError
+            empty.current
+
+    def test_copy_of_a_deferred_object_decodes_it(self):
+        loads = []
+        obj = deferred_fig3(loads)
+        copied = obj.copy()
+        assert loads == [1]
+        assert copied == obj == fig3_object()
+        assert copied.current is not obj.current and copied.past is not obj.past
+
+    def test_equality_and_repr_ignore_the_loader(self):
+        obj = deferred_fig3([])
+        assert obj == fig3_object()
+        assert repr(obj) == repr(fig3_object())
+        assert "_load" not in repr(obj)
+        assert WarehouseObject(1, "A", fig3_object().current, _load=lambda: None) == (
+            WarehouseObject(1, "A", fig3_object().current)
+        )
+
+
 class TestRetentionConfig:
     def test_field_by_field_override(self):
         base = RetentionConfig((1, "year"), 5, (10, "year"))
