@@ -33,17 +33,25 @@ every object, and publishes it only on success. The passes call
 Store.touch before they change an object, which copies the object into
 the working copy on its first change.
 
-A store file (tdw-store-v3) is a header line with the schema texts and
+A store file (tdw-store-v4) is a header line with the schema texts and
 an index of every object's oid, class, status and source key, then one
-line per object with its states, an active object's current state
-written with its stored end rather than the last refresh. load_store
-builds every object from the index as a deferred WarehouseObject, whose
-state slots stay empty until their first read decodes the object's
-line, so a query decodes only the objects it shows; objects are
-slotted, since a load builds one for every entry of the index.
-A save encodes the objects a command touched or created, and writes
-every other object's line as it was read, once that line has been
-decoded and checked, so no line is written that was not checked first.
+line per object: a head document with its current and archive states,
+an active object's current state written with its stored end rather
+than the last refresh, then each past state as its own document, oldest
+first, each after a TAB. load_store builds every object from the index
+as a deferred WarehouseObject, whose state slots stay empty until their
+first read decodes the object's line, so a query decodes only the
+objects it shows; objects are slotted, since a load builds one for
+every entry of the index.
+
+A past state never changes once pushed, so it is encoded once. A save
+writes the line of each object the command left untouched as it was
+read, once that line has been decoded and checked, so no line is
+written that was not checked first. The line of a touched or created
+object is built anew from its head, which the save encodes, and its
+past states' texts: those read from its line, which touch hands to the
+states, and those the save encodes for the states that have none yet.
+So historizing or evicting re-encodes no past state.
 """
 
 from __future__ import annotations
@@ -56,7 +64,14 @@ from functools import partial
 from typing import Any, Callable, Iterable
 
 from . import model
-from .algebra import ClassBuild, Row, eval_extraction, eval_select, eval_specialize
+from .algebra import (
+    ClassBuild,
+    Row,
+    eval_extraction,
+    eval_select,
+    eval_specialize,
+    joined_key,
+)
 from .dsl import (
     WarehouseDef,
     class_structure,
@@ -149,7 +164,9 @@ class Store:
     holds the oids of a working copy's objects that its store holds too
     and that touch must copy before they change. lines holds the object
     lines read from the store file, which the next save writes again as
-    they are while their object is untouched.
+    they are while their object is untouched; touch hands a line's past
+    state texts to the object's past states and drops the line, so each
+    text is held once.
     """
 
     source_schema: SourceSchema
@@ -220,13 +237,19 @@ class Store:
 
         An object this working copy shares is copied first, so the store it
         is shared with keeps its own. The object's line read from the store
-        file is dropped, so the next save encodes the object anew.
+        file is dropped, so the next save encodes the object's head anew;
+        its past states take their texts from the line first, which that
+        save writes again. The line was decoded into these very states, and
+        a past state is never changed, so each text still encodes its state.
         """
         obj = self.objects[oid]
         if oid in self.shared:
             obj = self.objects[oid] = obj.copy()
             self.shared.discard(oid)
-        self.lines.pop(oid, None)
+        line = self.lines.pop(oid, None)
+        if line is not None:
+            for state, text in zip(obj.past, line[:-1].split("\t")[1:]):
+                state.text = text
         return obj
 
     def publish(self, work: Store, t: Instant) -> None:
@@ -734,26 +757,39 @@ def patch_specific(store: Store, oid: Oid, prop_name: str, value: Any, t: Instan
 # persistence
 
 
-STORE_FORMAT = "tdw-store-v3"
-# one line per object, an active object's current state written with the
-# end it had at the last refresh; still read, and rewritten whole
+STORE_FORMAT = "tdw-store-v4"
+# the older layouts are still read, and rewritten whole as v4: v3 holds an
+# object's past states in its one line document; v2 also writes an active
+# object's current state with the end it had at the last refresh; v1 is
+# the whole store as one document
+V3_FORMAT = "tdw-store-v3"
 V2_FORMAT = "tdw-store-v2"
-V1_FORMAT = "tdw-store-v1"  # the whole store as one document; still read
+V1_FORMAT = "tdw-store-v1"
 
 
 def dumps_store(store: Store) -> str:
     """Canonical, byte-stable serialization: a header line, then one line
-    per object in oid order, each compact JSON with sorted keys in UTF-8
-    text and a newline. The header holds the schema texts, last_refresh,
-    oid_counter, the membership sets and the object index [oid, class,
-    status, source key] in oid order; an object's line holds its states,
-    each with its stored domain, so an open current state's line does not
-    change as the last refresh moves on.
+    per object in oid order, in UTF-8 text, each line ending in a newline.
+    The header holds the schema texts, last_refresh, oid_counter, the
+    membership sets and the object index [oid, class, status, source key]
+    in oid order. An object's line is its head document {"archives",
+    "current"}, then each past state's document, oldest first, each after
+    a TAB. Every document is compact JSON with sorted keys, which holds no
+    raw TAB, and each state is written with its stored domain, so an open
+    current state's line does not change as the last refresh moves on.
 
     An object's line read from a store file is written again as it was,
     unless the object was touched since; it is decoded first, like every
     other object's states, so a store loaded from a file with a damaged
-    object line raises here instead of being written."""
+    object line raises here instead of being written. Any other line is
+    the head, encoded anew, and each past state's text, which a state
+    without one gets here."""
+    return "".join(_store_lines(store))
+
+
+def _store_lines(store: Store) -> list[str]:
+    """dumps_store's lines, each ending in its newline; save_store writes
+    them one by one, so the whole file's text is never built."""
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
     objects = [store.objects[oid] for oid in sorted(store.objects)]
     header = {
@@ -774,20 +810,26 @@ def dumps_store(store: Store) -> str:
     for obj in objects:
         line = store.lines.get(obj.oid)
         if line is None:
-            line = encode(
-                {
-                    "current": _state_dict(obj.current),
-                    "past": [_state_dict(s) for s in obj.past],
-                    "archives": [
-                        {"domain": _domain_dict(a.domain), "aggregates": a.aggregates}
-                        for a in obj.archives
-                    ],
-                }
-            ) + "\n"
+            parts = [
+                encode(
+                    {
+                        "current": _state_dict(obj.current),
+                        "archives": [
+                            {"domain": _domain_dict(a.domain), "aggregates": a.aggregates}
+                            for a in obj.archives
+                        ],
+                    }
+                )
+            ]
+            for state in obj.past:
+                if state.text is None:
+                    state.text = encode(_state_dict(state))
+                parts.append(state.text)
+            line = "\t".join(parts) + "\n"
         else:
             obj.decode()
         lines.append(line)
-    return "".join(lines)
+    return lines
 
 
 def _state_dict(state: State) -> dict[str, Any]:
@@ -805,11 +847,11 @@ def save_store(store: Store, path: str) -> None:
     """Write the store through a temporary file that replaces path, so a
     failed encoding, write or rename leaves the prior file as it was and
     no temporary file."""
-    text = dumps_store(store)
+    lines = _store_lines(store)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -820,14 +862,17 @@ def save_store(store: Store, path: str) -> None:
 def load_store(path: str) -> Store:
     """Read a store file; raise Error if it is not a well-formed store.
 
-    A tdw-store-v3 or v2 file's header, the class and status of each
+    A tdw-store-v4, v3 or v2 file's header, the class and status of each
     entry of its object index, and its number of object lines are checked
     here; each object's line is decoded and checked when one of its
     states is first read, and raises the same malformed-store Error then.
-    A v3 file's lines are kept for the next save to write again; a v2
-    file's are not, so it is written whole as v3. A tdw-store-v1 file,
+    A v4 file's lines are kept for the next save to write again; a v3 or
+    v2 file's are not, so it is written whole as v4. A tdw-store-v1 file,
     compact or indented, is decoded and checked whole, its objects' class
-    and status as a v3 index's, and is written as v3 at its next save.
+    and status as a v4 index's, and is written as v4 at its next save.
+    The older layouts' source keys are read with each (interface, id)
+    pair once, as algebra.joined_key builds them since, so a composite
+    that named a shared pair twice keeps its oid.
     """
     # lines end at "\n" alone, the one line break the encoder writes raw
     with open(path, encoding="utf-8", newline="\n") as fh:
@@ -837,7 +882,7 @@ def load_store(path: str) -> Store:
         except json.JSONDecodeError:
             doc = None  # the indented v1 layout spreads one document over lines
         fmt = doc.get("format") if isinstance(doc, dict) else None
-        lined = fmt in (STORE_FORMAT, V2_FORMAT)
+        lined = fmt in (STORE_FORMAT, V3_FORMAT, V2_FORMAT)
         rest = fh.readlines() if lined else fh.read()
     if not lined and (doc is None or rest.strip()):
         try:
@@ -845,11 +890,13 @@ def load_store(path: str) -> Store:
         except json.JSONDecodeError as exc:
             raise Error(f"{path}: not a valid store document ({exc})") from None
     if not lined and not (isinstance(doc, dict) and doc.get("format") == V1_FORMAT):
-        raise Error(f"{path}: not a {STORE_FORMAT}, {V2_FORMAT} or {V1_FORMAT} document")
-    decoder = _StateDecoder(path)
+        raise Error(
+            f"{path}: not a {STORE_FORMAT}, {V3_FORMAT}, {V2_FORMAT} or {V1_FORMAT} document"
+        )
+    decoder = _StateDecoder(path, doc["format"])
     try:
         if lined:
-            store = _store_from_lines(doc, rest, decoder, reuse=fmt == STORE_FORMAT)
+            store = _store_from_lines(doc, rest, decoder)
         else:
             store = _store_from_v1(doc, decoder)
         if len(store.identity) != len(store.objects):
@@ -915,11 +962,10 @@ def _store_from_header(doc: dict[str, Any]) -> Store:
     return store
 
 
-def _store_from_lines(
-    doc: dict[str, Any], lines: list[str], decoder: _StateDecoder, reuse: bool
-) -> Store:
+def _store_from_lines(doc: dict[str, Any], lines: list[str], decoder: _StateDecoder) -> Store:
     store = _store_from_header(doc)
-    if not reuse:
+    reuse = decoder.layout == STORE_FORMAT
+    if decoder.layout == V2_FORMAT:
         decoder.implied_end = store.last_refresh.tick if store.last_refresh else None
     index = doc["objects"]
     # only a file cut off inside its last line has a line without "\n"
@@ -935,9 +981,8 @@ def _store_from_lines(
             raise ValueError(f"oid {oid} follows oid {prior} in the object index")
         prior = oid
         load = partial(decoder.line, line, now if status == "active" else None)
-        store.add_object(
-            WarehouseObject.deferred(oid, cname, status, tuple(map(tuple, key)), load)
-        )
+        key = tuple(map(tuple, key)) if reuse else joined_key(map(tuple, key))
+        store.add_object(WarehouseObject.deferred(oid, cname, status, key, load))
     if reuse:
         store.lines = dict(zip(store.objects, lines))
     return store
@@ -952,19 +997,20 @@ def _store_from_v1(doc: dict[str, Any], decoder: _StateDecoder) -> Store:
             WarehouseObject(
                 item["oid"],
                 item["class"],
-                *decoder.states(item, now),
+                *decoder.states(item, item["past"], now),
                 item["status"],
-                tuple(tuple(p) for p in item["source_key"]),
+                joined_key(map(tuple, item["source_key"])),
             )
         )
-    stored = {(cname, tuple(tuple(p) for p in key)): oid for cname, key, oid in doc["identity"]}
+    stored = {(cname, joined_key(map(tuple, key))): oid for cname, key, oid in doc["identity"]}
     if stored != store.identity:
         raise ValueError("the identity table disagrees with the objects")
     return store
 
 
 class _StateDecoder:
-    """Builds objects' states from one store file's documents.
+    """Builds objects' states from one store file's documents; layout is
+    the file's format.
 
     Many states span the same granules, so each distinct domain is built
     and checked once and then shared: TemporalDomain is frozen, and the
@@ -977,22 +1023,38 @@ class _StateDecoder:
     it, while a later end, which only a patch sets, is kept.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, layout: str):
         self.path = path
+        self.layout = layout
         self.domains: dict[tuple[str, tuple[tuple[int, ...], ...]], TemporalDomain] = {}
         self.implied_end: int | None = None
 
     def line(
         self, line: str, now: Now | None
     ) -> tuple[State, list[State], list[ArchiveState]]:
-        """Decode one object line, raising the malformed-store Error."""
+        """Decode one object line, raising the malformed-store Error.
+
+        A v4 line's documents are decoded at once, as one array, each TAB
+        read as a comma before it. JSON allows a raw TAB only between two
+        tokens, where that comma is an error unless the TAB parts two
+        documents, and the documents must number one more than the TABs:
+        so the TABs are exactly the separators that Store.touch splits
+        the line at. A head holding past states is rejected too."""
         try:
-            return self.states(json.loads(line), now)
+            if self.layout != STORE_FORMAT:
+                item = json.loads(line)
+                return self.states(item, item["past"], now)
+            head, *past = docs = json.loads("[" + line.replace("\t", ",\t") + "]")
+            if len(docs) != line.count("\t") + 1:
+                raise ValueError("an object line parts its documents with more than TABs")
+            if "past" in head:  # a v3 line, whose past states would go unread
+                raise ValueError("an object's head document holds past states")
+            return self.states(head, past, now)
         except (KeyError, TypeError, ValueError) as exc:
             raise _malformed(self.path, exc) from None
 
     def states(
-        self, item: dict[str, Any], now: Now | None
+        self, item: dict[str, Any], past: list[dict[str, Any]], now: Now | None
     ) -> tuple[State, list[State], list[ArchiveState]]:
         current = item["current"]
         stored = self.domain(current["domain"])
@@ -1000,7 +1062,7 @@ class _StateDecoder:
             stored = self._open(stored)
         return (
             State(stored, current["value"], now),
-            [State(self.domain(s["domain"]), s["value"]) for s in item["past"]],
+            [State(self.domain(s["domain"]), s["value"]) for s in past],
             [ArchiveState(self.domain(a["domain"]), a["aggregates"]) for a in item["archives"]],
         )
 

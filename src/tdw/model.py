@@ -434,14 +434,19 @@ class State:
     patch dated after the last refresh set. Past states and a frozen
     object's current state are closed: their domain is the stored one.
     Equality compares the domains as read.
+
+    A past state never changes once pushed, so it is encoded once: text
+    holds its store-file form, read from the file or set at its first
+    save, and None until then. A state's text is never compared.
     """
 
-    __slots__ = ("stored", "value", "now")
+    __slots__ = ("stored", "value", "now", "text")
 
     def __init__(self, domain: TemporalDomain, value: dict[str, Any], now: Now | None = None):
         self.stored = domain
         self.value = value
         self.now = now
+        self.text: str | None = None
 
     @property
     def domain(self) -> TemporalDomain:

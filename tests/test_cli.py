@@ -156,7 +156,7 @@ class TestBuild:
     def test_build_writes_store(self, built):
         _tmp, store = built
         header = json.loads(Path(store).read_text(encoding="utf-8").split("\n", 1)[0])
-        assert header["format"] == "tdw-store-v3"
+        assert header["format"] == "tdw-store-v4"
         assert header["last_refresh"] == "1990"
 
     def test_existing_store_rejected(self, built, tmp_path):
@@ -429,8 +429,10 @@ class TestInProcess:
     def test_inspect_decodes_only_the_object_it_shows(
         self, refreshed, capsys, monkeypatch, flags, decoded
     ):
+        header = json.loads(Path(refreshed).read_text(encoding="utf-8").split("\n", 1)[0])
+        assert header["format"] == "tdw-store-v4"
         seen = []
-        line = engine._StateDecoder.line
+        line = engine._StateDecoder.line  # decodes one v4 object line
 
         def counted(self, *args):
             seen.append(args)
@@ -497,13 +499,35 @@ class TestDamagedObjectLine:
         ]
 
 
-@pytest.fixture(params=["frozen", "untouched"])
+# how damaged_unread damages an object line, and the error that reading
+# the line raises: the whole line replaced by text that is not JSON, or a
+# past state's document after a TAB that is not JSON or whose domain
+# starts after it ends
+LINE_DAMAGE = {
+    "": (lambda line: "{damaged", "JSONDecodeError: Expecting"),
+    "past-not-json": (lambda line: line + "\t{damaged", "JSONDecodeError: Expecting"),
+    "past-start-after-end": (
+        lambda line: line + '\t{"domain":{"intervals":[[21,20]],"unit":"year"},"value":{}}',
+        "ValueError: empty interval [1991, 1990]",
+    ),
+}
+
+
+@pytest.fixture(
+    params=[
+        f"{line}-{damage}" if damage else line
+        for damage in LINE_DAMAGE
+        for line in ("frozen", "untouched")
+    ]
+)
 def damaged_unread(request, built):
     """The built store refreshed at 1991 without service s2, which freezes
     its Services object and its Etablissements composite, then saved with
-    one object line replaced by text that is not JSON: the frozen
-    composite's, which no later refresh reads, or the line of service s1,
-    which the next refresh carries without touching."""
+    one object line damaged as LINE_DAMAGE says: the frozen composite's,
+    which no later refresh reads, or the line of service s1, which the
+    next refresh carries without touching. Returns the store's folder and
+    path, the damaged object's oid and class, and the error its first
+    read names."""
     tmp, store = built
     records = [r for r in hospital_records(1991) if r["id"] != "s2"]
     for r in records:
@@ -516,24 +540,34 @@ def damaged_unread(request, built):
     path = Path(store)
     header, *lines = path.read_text(encoding="utf-8")[:-1].split("\n")
     index = json.loads(header)["objects"]
+    which, _, damage = request.param.partition("-")
     wanted = (
-        ("Etablissements", "frozen", "s2") if request.param == "frozen"
+        ("Etablissements", "frozen", "s2") if which == "frozen"
         else ("Services", "active", "s1")
     )
     (at,) = [i for i, (_oid, cname, status, key) in enumerate(index)
              if (cname, status, key[-1][1]) == wanted]
-    lines[at] = "{damaged"
+    change, error = LINE_DAMAGE[damage]
+    lines[at] = change(lines[at])
     path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
-    return tmp, store, index[at][0]
+    return tmp, store, index[at][0], index[at][1], error
 
 
 class TestDamagedUnreadLine:
     """A line the next save would write again as it was read is decoded,
-    and so checked, before it is written."""
+    and so checked, before it is written: its head and each of its past
+    states' documents."""
+
+    def test_reading_the_damaged_object_is_a_domain_error(self, damaged_unread):
+        _tmp, store, oid, cname, error = damaged_unread
+        rc, out, err = tdw("inspect", "--store", store, "--class", cname, "--oid", str(oid))
+        assert rc == 1 and out == ""
+        assert f"h.store: malformed store document ({error}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("verb", ["refresh", "patch"])
     def test_writers_leave_the_file_as_it_was(self, damaged_unread, verb):
-        tmp, store, _oid = damaged_unread
+        tmp, store, _oid, _cname, error = damaged_unread
         before = Path(store).read_bytes()
         if verb == "refresh":
             snap = write_snapshot(tmp / "s1992.jsonl", 1992)
@@ -543,7 +577,7 @@ class TestDamagedUnreadLine:
                     "--at", "1991")
         rc, _out, err = tdw(*args)
         assert rc == 1
-        assert "h.store: malformed store document (JSONDecodeError: Expecting" in err
+        assert f"h.store: malformed store document ({error}" in err
         assert "Traceback" not in err
         assert Path(store).read_bytes() == before
         assert sorted(p.name for p in tmp.iterdir() if p.name.startswith("h.store")) == [

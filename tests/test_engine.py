@@ -75,14 +75,22 @@ def load_store(path):
 
 
 def edited(change):
-    """A damage to a store file's object line: decode it, change it, encode it."""
+    """A damage to a store file's object line: decode its head document,
+    change it, encode it, and keep the past states' documents after it."""
 
     def damage(line):
-        item = json.loads(line)
+        head, *past = line.split("\t")
+        item = json.loads(head)
         change(item)
-        return json.dumps(item)
+        return "\t".join([json.dumps(item), *past])
 
     return damage
+
+
+# a past state after a TAB whose domain starts after it ends
+PAST_START_AFTER_END = '{"domain":{"intervals":[[21,20]],"unit":"year"},"value":{}}'
+# a sound past state
+PAST_STATE = '{"domain":{"intervals":[[19,19]],"unit":"year"},"value":{}}'
 
 
 # header memberships that name no single-operand specialization, or an oid
@@ -801,11 +809,15 @@ class TestPersistence:
             refresh(store, make_snapshot(y))
         text = dumps_store(store)
         assert text.endswith("\n")
-        header, *lines = (json.loads(line) for line in text[:-1].split("\n"))
+        header, *lines = text[:-1].split("\n")
+        header = json.loads(header)
+        # an object's line: its head document, then each past state's
+        # document after a TAB, oldest first
+        lines = [[json.loads(doc) for doc in line.split("\t")] for line in lines]
         v1 = store_to_dict(store)
         assert [o["oid"] for o in v1["objects"]] == sorted(store.objects)
         assert header == {
-            "format": "tdw-store-v3",
+            "format": "tdw-store-v4",
             **{
                 k: v1[k]
                 for k in ("source_schema", "warehouse_def", "last_refresh", "oid_counter",
@@ -821,9 +833,10 @@ class TestPersistence:
                 assert end == store.last_refresh.tick
                 o["current"]["domain"]["intervals"] = [[start, start]]
         assert lines == [
-            {k: o[k] for k in ("current", "past", "archives")} for o in v1["objects"]
+            [{k: o[k] for k in ("current", "archives")}, *o["past"]] for o in v1["objects"]
         ]
         assert any(o["archives"] for o in v1["objects"])
+        assert any(o["past"] for o in v1["objects"])
 
     def test_dumps_of_a_loaded_store_equals_the_file(self, store, tmp_path, make_snapshot):
         for y in (1991, 1992, 1993):
@@ -974,16 +987,25 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "damage",
         [
-            edited(lambda item: item.pop("past")),
+            edited(lambda item: item.pop("current")),
+            edited(lambda item: item.update(past=[])),
             edited(lambda item: item["current"].update(domain=[1990])),
             edited(lambda item: item["current"]["domain"].update(intervals=[[20]])),
             edited(lambda item: item["current"]["domain"].update(intervals=[[21, 20]])),
             edited(lambda item: item.update(archives=None)),
             lambda line: "{not json",
+            lambda line: line + "\t{not json",
+            lambda line: line + "\t" + PAST_START_AFTER_END,
+            lambda line: line.replace('"CHU ', '"\tCHU ', 1),
+            lambda line: line.replace('"CHU ', '"\tCHU ', 1) + "," + PAST_STATE,
+            lambda line: line + "," + PAST_STATE,
+            lambda line: line + "\t",
         ],
         ids=[
-            "object-without-past", "domain-not-an-object", "one-bound-interval",
-            "empty-interval", "archives-not-a-list", "not-json",
+            "object-without-current", "past-in-the-head", "domain-not-an-object", "one-bound-interval",
+            "empty-interval", "archives-not-a-list", "not-json", "past-not-json",
+            "past-start-after-end", "tab-inside-a-document",
+            "tab-and-comma-as-separators", "comma-between-documents", "empty-past-document",
         ],
     )
     def test_malformed_object_line_is_rejected_when_first_read(
@@ -1275,9 +1297,44 @@ class TestCopyOnWrite:
         # the save encodes the touched objects and writes the others' lines
         assert loaded.lines.keys() == loaded.objects.keys() - touched
         text = dumps_store(loaded)
-        assert text == dumps_store(replace(loaded, lines={}))
+        assert text == dumps_anew(loaded)
         refresh(store, make_snapshot(1992))
         assert text == dumps_store(store)
+
+    def test_a_save_encodes_each_past_state_once(
+        self, store, tmp_path, make_snapshot, monkeypatch
+    ):
+        for y in (1991, 1992):
+            refresh(store, make_snapshot(y))
+        path = str(tmp_path / "h.store")
+        save_store(store, path)
+        encoded = []
+        real = engine._state_dict
+
+        def counted(state):
+            encoded.append(state)
+            return real(state)
+
+        monkeypatch.setattr(engine, "_state_dict", counted)
+        loaded = load_store(path)
+        held = {id(s) for o in loaded.objects.values() for s in o.past}
+        with touch_spy() as touched:
+            report = refresh(loaded, make_snapshot(1993)).to_dict()
+        counts = report["classes"].values()
+        assert sum(c["historized"] for c in counts) and sum(c["archived_evictions"] for c in counts)
+        assert encoded == []
+        save_store(loaded, path)
+        past = [s for o in loaded.objects.values() for s in o.past]
+        created = [s for s in past if id(s) not in held]
+        assert created and len(created) < len(past)
+        # one encode for each past state the refresh pushed, none for those
+        # read from the file, and one head for each object it touched
+        encoded_past = [s for s in encoded if any(s is p for p in past)]
+        assert sorted(map(id, encoded_past)) == sorted(map(id, created))
+        assert len(encoded) - len(encoded_past) == len(touched)
+        encoded.clear()
+        assert dumps_store(loaded) == Path(path).read_text(encoding="utf-8")
+        assert len(encoded) == len(touched)  # the heads again, and no past state
 
     def test_a_patch_after_the_last_refresh_keeps_an_explicit_end(
         self, store, tmp_path, make_snapshot
@@ -1321,6 +1378,91 @@ class TestCopyOnWrite:
         assert path.read_text(encoding="utf-8") == dumps_store(store)
         snap = make_snapshot(1994)
         assert refresh(load_store(str(path)), snap).to_dict() == refresh(store, snap).to_dict()
+
+    def test_a_v3_file_reads_the_same_and_is_rewritten_whole(
+        self, store, tmp_path, make_snapshot
+    ):
+        for y in (1991, 1992, 1993):
+            refresh(store, make_snapshot(y))
+        e2 = by_key(store, "Hôpitaux_Publics", "e2")
+        patch_specific(store, e2.oid, "année_création", 1961, year(1995))
+        path = tmp_path / "h.store"
+        path.write_text(v3_text(store), encoding="utf-8")
+        loaded = load_store(str(path))
+        assert loaded.lines == {}
+        assert store_to_dict(loaded) == store_to_dict(store)
+        save_store(loaded, str(path))
+        assert path.read_text(encoding="utf-8") == dumps_store(store)
+        assert json.loads(path.read_text(encoding="utf-8").split("\n", 1)[0])["format"] == (
+            "tdw-store-v4"
+        )
+        snap = make_snapshot(1994)
+        assert refresh(load_store(str(path)), snap).to_dict() == refresh(store, snap).to_dict()
+
+    def test_a_v3_composite_key_naming_a_pair_twice_is_read_with_it_once(
+        self, store, tmp_path, make_snapshot
+    ):
+        # before keys were joined with each pair once, a composite's key was
+        # its hospital's key followed by its service's, which repeats the
+        # establishment
+        def doubled(obj):
+            if obj.class_name == "Etablissements":
+                return obj.source_key[:1] + obj.source_key
+            return obj.source_key
+
+        composites = store.direct_extension("Etablissements")
+        assert composites
+        for oid in composites:
+            ((iface, _e), (iface2, _s)) = store.objects[oid].source_key
+            assert (iface, iface2) == ("ETABLISSEMENT", "SERVICE")
+        path = tmp_path / "h.store"
+        text = v3_text(store, doubled)
+        assert '[["ETABLISSEMENT","e1"],["ETABLISSEMENT","e1"],["SERVICE","s1"]]' in text
+        path.write_text(text, encoding="utf-8")
+        loaded = load_store(str(path))
+        assert store_to_dict(loaded) == store_to_dict(store)
+        for held in (loaded, store):
+            oids = held.source_index[("ETABLISSEMENT", "e1")]
+            assert len(oids) == len(set(oids)) and set(composites) <= set(oids)
+        snap = make_snapshot(1991)
+        report = refresh(loaded, snap).to_dict()
+        assert report == refresh(store, snap).to_dict()
+        assert report["classes"]["Etablissements"]["created"] == 0
+        assert report["classes"]["Etablissements"]["frozen"] == 0
+        assert loaded.direct_extension("Etablissements") == composites
+        oids = loaded.source_index[("ETABLISSEMENT", "e1")]
+        assert len(oids) == len(set(oids))
+        assert dumps_store(loaded) == dumps_store(store)
+
+
+def v3_text(store, key_of=lambda obj: obj.source_key) -> str:
+    """The store in the tdw-store-v3 layout, which held each object's past
+    states inside its one line document {"archives", "current", "past"};
+    key_of gives each object's source key as the file states it."""
+    encode = partial(json.dumps, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    v1 = store_to_dict(store)
+    header = {k: v1[k] for k in ("source_schema", "warehouse_def", "last_refresh",
+                                 "oid_counter", "memberships")}
+    objects = [store.objects[oid] for oid in sorted(store.objects)]
+    header["format"] = "tdw-store-v3"
+    header["objects"] = [[o.oid, o.class_name, o.status, key_of(o)] for o in objects]
+
+    def domain_of(d):
+        return {"unit": d.unit, "intervals": [[iv.start.tick, iv.end.tick] for iv in d.intervals]}
+
+    def state(s):  # a state as the engine stores it, an open one with its stored end
+        return {"domain": domain_of(s.stored), "value": s.value}
+
+    lines = [
+        encode({
+            "current": state(o.current),
+            "past": [state(s) for s in o.past],
+            "archives": [{"domain": domain_of(a.domain), "aggregates": a.aggregates}
+                         for a in o.archives],
+        })
+        for o in objects
+    ]
+    return "\n".join([encode(header), *lines]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1544,12 +1686,29 @@ def assert_touched_what_changed(before: dict, store, touched: set, report: dict)
     assert diffed <= len(changed) <= diffed + sum(c["archived_evictions"] for c in counts)
 
 
+def dumps_anew(store) -> str:
+    """dumps_store of the store with no line kept from its file and no
+    past state's text, so that every document is encoded anew."""
+
+    def anew(obj):
+        cur = obj.current
+        return replace(
+            obj.copy(),
+            current=State(cur.stored, cur.value, cur.now),
+            past=[State(s.stored, s.value) for s in obj.past],
+        )
+
+    objects = {oid: anew(obj) for oid, obj in store.objects.items()}
+    return dumps_store(replace(store, objects=objects, lines={}))
+
+
 def saved_and_loaded(store, path: str):
     """The store saved and loaded back, as each command does: the save
-    writes each untouched line as it was read and a from-scratch encoding
-    gives the same bytes, and a save of the loaded store gives them too."""
+    writes each untouched line and each past state's text as they were
+    read or first encoded, and a from-scratch encoding gives the same
+    bytes, and a save of the loaded store gives them too."""
     text = dumps_store(store)
-    assert text == dumps_store(replace(store, lines={}))
+    assert text == dumps_anew(store)
     save_store(store, path)
     loaded = load_store(path)
     assert dumps_store(loaded).encode("utf-8") == Path(path).read_bytes()
