@@ -84,14 +84,6 @@ class ClassBuild:
         return [dict(zip(names, r.values)) for r in self.rows]
 
 
-def joined_key(pairs: Iterable[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
-    """The source key of a row joined from several rows' keys: each
-    (interface, id) pair once, in the order it first occurs, so a
-    composite whose operands share a pair (a service's key holds its
-    establishment's) names it once."""
-    return tuple(dict.fromkeys(pairs))
-
-
 def _sorted_rows(rows: Iterable[Row]) -> list[Row]:
     out = sorted(rows, key=lambda r: r.key)
     seen = set()
@@ -394,8 +386,7 @@ def _matching_rows(
     sides: list[ClassBuild], combined: ClassBuild, pred: Predicate
 ) -> Iterator[Row]:
     """The concatenations of one row per side that satisfy pred; combined
-    is the sides' concatenated structure, and a row's key is joined_key
-    of the sides' keys.
+    is the sides' concatenated structure.
 
     A "set contains binder" atom whose set lies on an earlier side than
     the binder's makes a hash join: the binder's side is indexed by its
@@ -429,7 +420,7 @@ def _matching_rows(
         j = len(picked)
         if j == len(sides):
             row = Row(
-                joined_key(kv for r in picked for kv in r.key),
+                tuple(kv for r in picked for kv in r.key),
                 tuple(v for r in picked for v in r.values),
                 tuple(b for r in picked for b in r.binders),
             )

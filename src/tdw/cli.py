@@ -175,7 +175,10 @@ def cmd_inspect(args) -> int:
         print(f"class {args.class_name}: {len(extension)} object(s)")
         for oid in extension:
             obj = store.objects[oid]
-            key = ", ".join(f"{i}:{s}" for i, s in obj.source_key)
+            pairs = obj.source_key
+            if len(pairs) > 1:  # a composite's key names twice a pair its operands share
+                pairs = dict.fromkeys(pairs)
+            key = ", ".join(f"{i}:{s}" for i, s in pairs)
             print(f"  oid {oid}  [{key}]  {obj.status}")
         return 0
     if args.oid not in extension:

@@ -64,14 +64,7 @@ from functools import partial
 from typing import Any, Callable, Iterable
 
 from . import model
-from .algebra import (
-    ClassBuild,
-    Row,
-    eval_extraction,
-    eval_select,
-    eval_specialize,
-    joined_key,
-)
+from .algebra import ClassBuild, Row, eval_extraction, eval_select, eval_specialize
 from .dsl import (
     WarehouseDef,
     class_structure,
@@ -268,12 +261,21 @@ class Store:
         return self.oid_counter
 
     def add_object(self, obj: WarehouseObject) -> None:
-        """Insert a new object and index its identity, source key and class."""
+        """Insert a new object and index its identity, source key and class.
+
+        source_index holds the oid once under each pair of its key, which
+        names a pair twice when two operands of a composite share it: the
+        oid is new, so it is already under a pair only as the entry this
+        loop appended last."""
         oid, cname, index = obj.oid, obj.class_name, self.source_index
         self.objects[oid] = obj
         self.identity[(cname, obj.source_key)] = oid
         for pair in obj.source_key:
-            index[pair] = index.get(pair, ()) + (oid,)
+            held = index.get(pair)
+            if held is None:
+                index[pair] = (oid,)
+            elif held[-1] != oid:
+                index[pair] = held + (oid,)
         members = self.by_class.get(cname)
         if members is None:
             members = self.by_class[cname] = set()
@@ -870,9 +872,6 @@ def load_store(path: str) -> Store:
     v2 file's are not, so it is written whole as v4. A tdw-store-v1 file,
     compact or indented, is decoded and checked whole, its objects' class
     and status as a v4 index's, and is written as v4 at its next save.
-    The older layouts' source keys are read with each (interface, id)
-    pair once, as algebra.joined_key builds them since, so a composite
-    that named a shared pair twice keeps its oid.
     """
     # lines end at "\n" alone, the one line break the encoder writes raw
     with open(path, encoding="utf-8", newline="\n") as fh:
@@ -981,8 +980,9 @@ def _store_from_lines(doc: dict[str, Any], lines: list[str], decoder: _StateDeco
             raise ValueError(f"oid {oid} follows oid {prior} in the object index")
         prior = oid
         load = partial(decoder.line, line, now if status == "active" else None)
-        key = tuple(map(tuple, key)) if reuse else joined_key(map(tuple, key))
-        store.add_object(WarehouseObject.deferred(oid, cname, status, key, load))
+        store.add_object(
+            WarehouseObject.deferred(oid, cname, status, tuple(map(tuple, key)), load)
+        )
     if reuse:
         store.lines = dict(zip(store.objects, lines))
     return store
@@ -999,10 +999,10 @@ def _store_from_v1(doc: dict[str, Any], decoder: _StateDecoder) -> Store:
                 item["class"],
                 *decoder.states(item, item["past"], now),
                 item["status"],
-                joined_key(map(tuple, item["source_key"])),
+                tuple(tuple(p) for p in item["source_key"]),
             )
         )
-    stored = {(cname, joined_key(map(tuple, key))): oid for cname, key, oid in doc["identity"]}
+    stored = {(cname, tuple(tuple(p) for p in key)): oid for cname, key, oid in doc["identity"]}
     if stored != store.identity:
         raise ValueError("the identity table disagrees with the objects")
     return store

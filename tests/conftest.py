@@ -288,11 +288,12 @@ def make_snapshot(src_schema):
 
 def assert_indexes(store) -> None:
     """The store's identity and source-id indexes, and its class index's
-    owning-class entries, equal ones rebuilt from its objects; each
+    owning-class entries, equal ones rebuilt from its objects, the
+    source-id index holding an oid once under each pair of its key; each
     membership class's entry holds only objects of the store."""
     rebuilt: dict = {}
     for oid in sorted(store.objects):
-        for pair in store.objects[oid].source_key:
+        for pair in dict.fromkeys(store.objects[oid].source_key):
             rebuilt.setdefault(pair, []).append(oid)
     assert {pair: sorted(oids) for pair, oids in store.source_index.items()} == rebuilt
     assert store.identity == {(o.class_name, o.source_key): oid for oid, o in store.objects.items()}

@@ -236,11 +236,7 @@ class ReferenceWarehouse:
             for s, so in self.objects.items():
                 if s[0] != "Services" or so.frozen or s not in ho.current.value["organisation"]:
                     continue
-                # a composite's key holds each (interface, id) pair once, in
-                # first-occurrence order: the service's establishment is the
-                # hospital's own pair
-                key = h[1] + tuple(pair for pair in s[1] if pair not in h[1])
-                out[("Etablissements", key)] = {**ho.current.value, **so.current.value}
+                out[("Etablissements", h[1] + s[1])] = {**ho.current.value, **so.current.value}
         return out
 
     def _evict(self, ident: Identity, obj: MObject, t: int) -> int:

@@ -390,24 +390,24 @@ class TestJoin:
         assert [r.key for r in outer.rows] == expected
         assert len(outer.structure) == 6  # binder-qualified, nothing lost
 
-    def test_a_pair_both_sides_hold_is_keyed_once(self):
-        # a service's key holds its establishment's pair, as Services does
-        def build(binder, keys):
+    def test_operands_over_one_class_build_distinct_keys(self):
+        # a row's key is its operands' keys concatenated, so combinations
+        # that repeat a pair in different places stay apart
+        def build(binder):
             structure = [PropertyDef("a", "derived", "attribute", scalar("long"), binder=binder)]
-            rows = [Row(key, (1,), ((binder, key),)) for key in keys]
+            rows = [Row(key, (1,), ((binder, key),)) for key in [(("E", "1"),), (("E", "2"),)]]
             return ClassBuild(structure, rows)
 
-        hospitals = build("h", [(("E", "e1"),), (("E", "e2"),)])
-        services = build("s", [(("E", "e1"), ("S", "s1")), (("E", "e2"), ("S", "s1"))])
-        out = eval_join(hospitals, services, comparison(p("h", "a"), ">=", 1))
         keys = [
-            (("E", "e1"), ("E", "e2"), ("S", "s1")),
-            (("E", "e1"), ("S", "s1")),
-            (("E", "e2"), ("E", "e1"), ("S", "s1")),
-            (("E", "e2"), ("S", "s1")),
+            tuple(("E", i) for i in ids) for ids in itertools.product("12", repeat=3)
         ]
+        out = eval_specialize(
+            [("a", build("a")), ("b", build("b")), ("c", build("c"))],
+            comparison(p("a", "a"), ">=", 1),
+        )
         assert [r.key for r in out.rows] == keys
-        out = eval_specialize([("h", hospitals), ("s", services)], comparison(p("s", "a"), ">=", 1))
+        pairs = eval_join(build("a"), build("b"), comparison(p("a", "a"), ">=", 1))
+        out = eval_join(pairs, build("c"), comparison(p("c", "a"), ">=", 1))
         assert [r.key for r in out.rows] == keys
 
     def test_twenty_by_twenty_matches_nested_loop(self):
@@ -475,7 +475,7 @@ def naive_matches(sides: list[ClassBuild], pred: Predicate) -> list[tuple]:
     out = []
     for picked in itertools.product(*(side.rows for side in sides)):
         row = Row(
-            tuple(dict.fromkeys(kv for r in picked for kv in r.key)),  # each pair once
+            tuple(kv for r in picked for kv in r.key),
             tuple(v for r in picked for v in r.values),
             tuple(b for r in picked for b in r.binders),
         )

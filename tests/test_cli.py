@@ -304,6 +304,15 @@ class TestInspect:
         assert rc1 == rc2 == 0 and out1 == out2
         assert out1.startswith("class Chirurgiens: 2 object(s)")
 
+    def test_a_composite_lists_each_key_pair_once(self, built):
+        # a Services key holds its establishment's pair, so a composite's
+        # key, its hospital's key followed by its service's, holds it twice
+        _tmp, store = built
+        rc, out, err = tdw("inspect", "--store", store, "--class", "Etablissements")
+        assert rc == 0, err
+        assert "  oid 8  [ETABLISSEMENT:e1, SERVICE:s1]  active" in out
+        assert "ETABLISSEMENT:e1, ETABLISSEMENT:e1" not in out
+
     def test_history_blocks_after_eleven_yearly_refreshes(self, built):
         tmp, store = built
         for y in range(1991, 2002):

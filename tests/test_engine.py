@@ -87,6 +87,20 @@ def edited(change):
     return damage
 
 
+# damages to an object line's head document, which in the v3 layout is
+# the whole line
+HEAD_DAMAGE = {
+    "object-without-current": edited(lambda item: item.pop("current")),
+    "domain-not-an-object": edited(lambda item: item["current"].update(domain=[1990])),
+    "one-bound-interval": edited(
+        lambda item: item["current"]["domain"].update(intervals=[[20]])
+    ),
+    "empty-interval": edited(
+        lambda item: item["current"]["domain"].update(intervals=[[21, 20]])
+    ),
+    "archives-not-a-list": edited(lambda item: item.update(archives=None)),
+    "not-json": lambda line: "{not json",
+}
 # a past state after a TAB whose domain starts after it ends
 PAST_START_AFTER_END = '{"domain":{"intervals":[[21,20]],"unit":"year"},"value":{}}'
 # a sound past state
@@ -985,33 +999,31 @@ class TestPersistence:
             load_store(str(path))
 
     @pytest.mark.parametrize(
-        "damage",
+        ("layout", "damage"),
         [
-            edited(lambda item: item.pop("current")),
-            edited(lambda item: item.update(past=[])),
-            edited(lambda item: item["current"].update(domain=[1990])),
-            edited(lambda item: item["current"]["domain"].update(intervals=[[20]])),
-            edited(lambda item: item["current"]["domain"].update(intervals=[[21, 20]])),
-            edited(lambda item: item.update(archives=None)),
-            lambda line: "{not json",
-            lambda line: line + "\t{not json",
-            lambda line: line + "\t" + PAST_START_AFTER_END,
-            lambda line: line.replace('"CHU ', '"\tCHU ', 1),
-            lambda line: line.replace('"CHU ', '"\tCHU ', 1) + "," + PAST_STATE,
-            lambda line: line + "," + PAST_STATE,
-            lambda line: line + "\t",
+            *[("v4", damage) for damage in HEAD_DAMAGE.values()],
+            ("v4", edited(lambda item: item.update(past=[]))),
+            ("v4", lambda line: line + "\t{not json"),
+            ("v4", lambda line: line + "\t" + PAST_START_AFTER_END),
+            ("v4", lambda line: line.replace('"CHU ', '"\tCHU ', 1)),
+            ("v4", lambda line: line.replace('"CHU ', '"\tCHU ', 1) + "," + PAST_STATE),
+            ("v4", lambda line: line + "," + PAST_STATE),
+            ("v4", lambda line: line + "\t"),
+            # the one-document line of the older layout, decoded on its own path
+            ("v3", edited(lambda item: item.pop("past"))),
+            *[("v3", damage) for damage in HEAD_DAMAGE.values()],
         ],
         ids=[
-            "object-without-current", "past-in-the-head", "domain-not-an-object", "one-bound-interval",
-            "empty-interval", "archives-not-a-list", "not-json", "past-not-json",
-            "past-start-after-end", "tab-inside-a-document",
-            "tab-and-comma-as-separators", "comma-between-documents", "empty-past-document",
+            *HEAD_DAMAGE, "past-in-the-head", "past-not-json", "past-start-after-end",
+            "tab-inside-a-document", "tab-and-comma-as-separators", "comma-between-documents",
+            "empty-past-document", "v3-object-without-past", *(f"v3-{i}" for i in HEAD_DAMAGE),
         ],
     )
     def test_malformed_object_line_is_rejected_when_first_read(
-        self, store, tmp_path, make_snapshot, damage
+        self, store, tmp_path, make_snapshot, layout, damage
     ):
-        header, *lines = dumps_store(store)[:-1].split("\n")
+        text = dumps_store(store) if layout == "v4" else v3_text(store)
+        header, *lines = text[:-1].split("\n")
         lines[2] = damage(lines[2])
         path = tmp_path / "bad.store"
         path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
@@ -1399,53 +1411,41 @@ class TestCopyOnWrite:
         snap = make_snapshot(1994)
         assert refresh(load_store(str(path)), snap).to_dict() == refresh(store, snap).to_dict()
 
-    def test_a_v3_composite_key_naming_a_pair_twice_is_read_with_it_once(
+    def test_a_v3_composite_key_naming_a_pair_twice_refreshes_as_a_fresh_store(
         self, store, tmp_path, make_snapshot
     ):
-        # before keys were joined with each pair once, a composite's key was
-        # its hospital's key followed by its service's, which repeats the
-        # establishment
-        def doubled(obj):
-            if obj.class_name == "Etablissements":
-                return obj.source_key[:1] + obj.source_key
-            return obj.source_key
-
+        # a composite's key is its hospital's key followed by its
+        # service's, which holds the establishment again
         composites = store.direct_extension("Etablissements")
         assert composites
-        for oid in composites:
-            ((iface, _e), (iface2, _s)) = store.objects[oid].source_key
-            assert (iface, iface2) == ("ETABLISSEMENT", "SERVICE")
         path = tmp_path / "h.store"
-        text = v3_text(store, doubled)
+        text = v3_text(store)
         assert '[["ETABLISSEMENT","e1"],["ETABLISSEMENT","e1"],["SERVICE","s1"]]' in text
         path.write_text(text, encoding="utf-8")
         loaded = load_store(str(path))
         assert store_to_dict(loaded) == store_to_dict(store)
-        for held in (loaded, store):
-            oids = held.source_index[("ETABLISSEMENT", "e1")]
-            assert len(oids) == len(set(oids)) and set(composites) <= set(oids)
         snap = make_snapshot(1991)
         report = refresh(loaded, snap).to_dict()
         assert report == refresh(store, snap).to_dict()
         assert report["classes"]["Etablissements"]["created"] == 0
         assert report["classes"]["Etablissements"]["frozen"] == 0
         assert loaded.direct_extension("Etablissements") == composites
-        oids = loaded.source_index[("ETABLISSEMENT", "e1")]
-        assert len(oids) == len(set(oids))
+        for held in (loaded, store):
+            oids = held.source_index[("ETABLISSEMENT", "e1")]
+            assert len(oids) == len(set(oids)) and set(composites) & set(oids)
         assert dumps_store(loaded) == dumps_store(store)
 
 
-def v3_text(store, key_of=lambda obj: obj.source_key) -> str:
+def v3_text(store) -> str:
     """The store in the tdw-store-v3 layout, which held each object's past
-    states inside its one line document {"archives", "current", "past"};
-    key_of gives each object's source key as the file states it."""
+    states inside its one line document {"archives", "current", "past"}."""
     encode = partial(json.dumps, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     v1 = store_to_dict(store)
     header = {k: v1[k] for k in ("source_schema", "warehouse_def", "last_refresh",
                                  "oid_counter", "memberships")}
     objects = [store.objects[oid] for oid in sorted(store.objects)]
     header["format"] = "tdw-store-v3"
-    header["objects"] = [[o.oid, o.class_name, o.status, key_of(o)] for o in objects]
+    header["objects"] = [[o.oid, o.class_name, o.status, o.source_key] for o in objects]
 
     def domain_of(d):
         return {"unit": d.unit, "intervals": [[iv.start.tick, iv.end.tick] for iv in d.intervals]}
