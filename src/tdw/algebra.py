@@ -4,7 +4,7 @@ Every node yields a ClassBuild: a structure of properties plus rows
 carrying their originating source keys. Its properties are the model's
 PropertyDef records, each tagged with the binder it came from, so a
 warehouse class's flattened type enters a build with only its binder
-set. Rows are kept sorted by source key so evaluation is reproducible.
+set. Rows are in source-key order so evaluation is reproducible.
 Intermediate builds play the role of temporary classes in a composed
 chain. A comparison atom reads its operator from expr.COMPARISON_OPS,
 the table the parser accepts operators from.
@@ -66,6 +66,11 @@ class Row:
 
 @dataclass
 class ClassBuild:
+    """A structure and its rows in key order. Keys are distinct except in
+    the engine's build of a class with two objects made from one record.
+    build_from_interface, eval_join and eval_specialize order the keys
+    they make; every other node keeps its input's order."""
+
     structure: list[PropertyDef]
     rows: list[Row] = field(default_factory=list)
 
@@ -274,7 +279,7 @@ def build_from_interface(
                 for p in structure
             )
             rows.append(Row(((rec.interface, rec.id),), values, ((binder, rec.id),)))
-    return ClassBuild(structure, _sorted_rows(rows))
+    return ClassBuild(structure, rows)
 
 
 def eval_project(items, build: ClassBuild) -> ClassBuild:
@@ -309,7 +314,7 @@ def eval_project(items, build: ClassBuild) -> ClassBuild:
         Row(row.key, tuple(_drill(row.values[i], tail) for i, tail, _name in picked), row.binders)
         for row in build.rows
     ]
-    return ClassBuild(structure, _sorted_rows(rows))
+    return ClassBuild(structure, rows)
 
 
 def eval_hide(paths, build: ClassBuild) -> ClassBuild:
@@ -328,7 +333,7 @@ def eval_hide(paths, build: ClassBuild) -> ClassBuild:
         Row(r.key, tuple(v for i, v in enumerate(r.values) if i not in drop), r.binders)
         for r in build.rows
     ]
-    return ClassBuild(structure, _sorted_rows(rows))
+    return ClassBuild(structure, rows)
 
 
 def eval_augment(bindings: Iterable[AugmentBinding], build: ClassBuild) -> ClassBuild:
@@ -353,7 +358,7 @@ def eval_augment(bindings: Iterable[AugmentBinding], build: ClassBuild) -> Class
             eval_agg(build, b.agg, row) if b.agg is not None else None for b, _ in plans
         )
         rows.append(Row(row.key, row.values + extra, row.binders))
-    return ClassBuild(structure, _sorted_rows(rows))
+    return ClassBuild(structure, rows)
 
 
 def _declared_type(name: str | None) -> SourceType:
@@ -365,8 +370,7 @@ def _declared_type(name: str | None) -> SourceType:
 def eval_select(pred: Predicate, build: ClassBuild) -> ClassBuild:
     check_predicate(build, pred)
     test = _row_test(build, pred)
-    rows = [r for r in build.rows if test(r)]
-    return ClassBuild(list(build.structure), _sorted_rows(rows))
+    return ClassBuild(list(build.structure), [r for r in build.rows if test(r)])
 
 
 def eval_join(left: ClassBuild, right: ClassBuild, pred: Predicate) -> ClassBuild:
@@ -488,12 +492,8 @@ def eval_specialize(operands: list[tuple[str, ClassBuild]], pred: Predicate) -> 
     predicate. operands are (binder, build) pairs."""
     if not operands:
         raise EmptyOperands("specialize needs at least one operand")
-    tagged: list[ClassBuild] = []
-    for binder, build in operands:
-        tagged.append(eval_aliased(build, binder))
-    combined_structure: list[PropertyDef] = []
-    for b in tagged:
-        combined_structure.extend(b.structure)
+    tagged = [eval_aliased(build, binder) for binder, build in operands]
+    combined_structure = [p for b in tagged for p in b.structure]
     combined = ClassBuild(combined_structure)
     check_predicate(combined, pred)
 

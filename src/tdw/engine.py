@@ -13,11 +13,11 @@ is the first extraction point, run like any other.
 
 An extraction point runs four passes: (1) allocate an object for each
 new key of every extraction mapping; (2) settle every extraction row;
-(3) evaluate each specialization after the classes its operands name,
-selecting members of one operand or settling composites of several;
-(4) archive. Allocating new keys' objects, then settling every row and
-freezing what vanished, are the same two steps for every class that
-owns objects.
+(3) evaluate each specialization after the classes its operands name:
+over one operand, select members of its extension by oid; over several,
+settle composites, taking their rows as they are; (4) archive.
+Allocating new keys' objects, then settling every row and freezing what
+vanished, are the same two steps for every class that owns objects.
 
 Links resolve through the store's source-id index, which maps every
 (interface, source id) pair of an object's source key to its oids, so a
@@ -155,11 +155,8 @@ class Store:
 
     now holds last_refresh, shared with every open current state. shared
     holds the oids of a working copy's objects that its store holds too
-    and that touch must copy before they change. lines holds the object
-    lines read from the store file, which the next save writes again as
-    they are while their object is untouched; touch hands a line's past
-    state texts to the object's past states and drops the line, so each
-    text is held once.
+    and that touch must copy before they change; each object holds the
+    store file line it was read from (WarehouseObject.line).
     """
 
     source_schema: SourceSchema
@@ -173,7 +170,6 @@ class Store:
     now: Now = field(default_factory=Now)
     oid_counter: int = 0
     shared: set[Oid] = field(default_factory=set, repr=False)
-    lines: dict[Oid, str] = field(default_factory=dict, repr=False)
 
     @property
     def last_refresh(self) -> Instant | None:
@@ -222,25 +218,24 @@ class Store:
             source_index=dict(self.source_index),
             by_class={name: set(oids) for name, oids in self.by_class.items()},
             shared=set(self.objects),
-            lines=dict(self.lines),
         )
 
     def touch(self, oid: Oid) -> WarehouseObject:
         """The object at oid, ready to change.
 
         An object this working copy shares is copied first, so the store it
-        is shared with keeps its own. The object's line read from the store
-        file is dropped, so the next save encodes the object's head anew;
-        its past states take their texts from the line first, which that
-        save writes again. The line was decoded into these very states, and
-        a past state is never changed, so each text still encodes its state.
+        is shared with keeps its own. The object's line is dropped, so the
+        next save encodes its head anew; its past states take their texts
+        from the line first, which that save writes again. The line was
+        decoded into these states, and a past state never changes.
         """
         obj = self.objects[oid]
+        line = obj.line
         if oid in self.shared:
             obj = self.objects[oid] = obj.copy()
             self.shared.discard(oid)
-        line = self.lines.pop(oid, None)
         if line is not None:
+            obj.line = None
             for state, text in zip(obj.past, line[:-1].split("\t")[1:]):
                 state.text = text
         return obj
@@ -252,7 +247,6 @@ class Store:
         self.identity = work.identity
         self.source_index = work.source_index
         self.by_class = work.by_class
-        self.lines = work.lines
         self.oid_counter = work.oid_counter
         self.last_refresh = t
 
@@ -379,8 +373,8 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
         _settle(store, name, rows, value_of, created, t, report.classes[name])
 
     # pass 3: specializations, each after every class its operands name; one
-    # with a single operand owns no objects but selects its operand's members,
-    # frozen ones included
+    # with a single operand owns no objects but selects its operand's members
+    # by oid, frozen ones included
     for name in hierarchization_order(schema):
         mapping = schema.classes[name].mapping
         if not isinstance(mapping, Specialize):
@@ -392,22 +386,21 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
             # feeding them back through the operand extension would breed
             # composites of composites
             build = _build_from_objects(
-                store, op.class_name, op.binder,
-                include_frozen=membership, exclude_class=name,
+                store, op.class_name, op.binder, include_frozen=membership, exclude_class=name
             )
             if op.where is not None:
                 build = eval_select(op.where, build)
             operands.append((op.binder, build))
-        result = eval_specialize(operands, mapping.pred)
         if membership:
-            binder = mapping.operands[0].binder
-            store.by_class[name] = {row.binder_id(binder) for row in result.rows}
+            selected = eval_select(mapping.pred, operands[0][1])
+            store.by_class[name] = {row.binders[0][1] for row in selected.rows}
             continue
+        result = eval_specialize(operands, mapping.pred)
         keys = [row.key for row in result.rows]
         counts = report.classes[name] = ClassCounts()
         created |= _allocate(store, name, keys, t, counts)
-        value_of = partial(_projected, flatten_type(schema, name))
-        _settle(store, name, zip(keys, result.to_dicts()), value_of, created, t, counts)
+        # a composite's merged row holds exactly its class's flattened type
+        _settle(store, name, zip(keys, result.to_dicts()), None, created, t, counts)
 
     # pass 4: archival per environment
     for env_name in sorted(schema.environments):
@@ -438,20 +431,19 @@ def _settle(
     store: Store,
     class_name: str,
     rows: Iterable[tuple[tuple, dict[str, Any]]],
-    value_of: Callable[[dict[str, Any], dict[str, Any]], dict[str, Any]],
+    value_of: Callable[[dict[str, Any], dict[str, Any]], dict[str, Any]] | None,
     created: set[Oid],
     t: Instant,
     counts: ClassCounts,
 ) -> None:
     """Bring a class's objects in line with its mapping result at t.
 
-    rows pairs each result key with its row, and value_of(row, old) is
-    the value the row gives the object whose current value is old. An
-    object in created takes the value of the first row with its key;
-    every other row diffs against its active object's value. An active
-    object whose key left the result freezes. counts.frozen ends as the
-    number of the class's frozen objects, so the per-class balance
-    (carried + updated + historized + frozen = previous size) holds.
+    rows pairs each result key with its row; value_of(row, old), or the
+    row itself without value_of, is the value for an object whose current
+    value is old. An object in created takes its first row's value; every
+    other row diffs against its active object's value. An active object
+    whose key left the result freezes. counts.frozen ends as the class's
+    frozen count, so carried + updated + historized + frozen = prior size.
     """
     tempo, _archi = effective_filters(store.schema, class_name)
     result_keys = set()
@@ -461,7 +453,7 @@ def _settle(
         obj = store.objects[oid]
         if obj.status == "frozen":
             continue  # a frozen object never thaws, even if its key returns
-        value = value_of(row, obj.current.value)
+        value = row if value_of is None else value_of(row, obj.current.value)
         if oid in created:
             created.discard(oid)
             store.touch(oid).current.value = value
@@ -534,13 +526,6 @@ def _aligned_value(
     return value
 
 
-def _projected(
-    flat: list[model.PropertyDef], values: dict[str, Any], _old: dict[str, Any]
-) -> dict[str, Any]:
-    """A specialization row restricted to the declared structure."""
-    return {p.name: values.get(p.name) for p in flat}
-
-
 def _relation_oid(
     store: Store,
     class_name: str,
@@ -570,25 +555,20 @@ def _relation_oid(
 def _build_from_objects(
     store: Store, class_name: str, binder: str, include_frozen: bool, exclude_class: str
 ) -> ClassBuild:
-    """A warehouse class extension as an algebra build (current values)."""
+    """A warehouse class extension as an algebra build (current values) in
+    key order, sharing each value but an empty to-many relation's, as []."""
     structure = class_structure(store.schema, class_name, binder)
+    slots = [(p.name, p.is_relation and p.cardinality == "many") for p in structure]
     rows = []
     for oid in store.extension_of(class_name):
         obj = store.objects[oid]
-        if not include_frozen and obj.status != "active":
+        if obj.class_name == exclude_class or not (include_frozen or obj.status == "active"):
             continue
-        if obj.class_name == exclude_class:
-            continue
-        values = tuple(_as_list(obj.current.value.get(p.name), p) for p in structure)
+        value = obj.current.value
+        values = tuple(value.get(name) or [] if many else value.get(name) for name, many in slots)
         rows.append(Row(obj.source_key, values, ((binder, obj.oid),)))
     rows.sort(key=lambda r: r.key)
     return ClassBuild(structure, rows)
-
-
-def _as_list(value: Any, prop: model.PropertyDef) -> Any:
-    if prop.is_relation and prop.cardinality == "many":
-        return list(value) if value else []
-    return value
 
 
 def _check_refresh_period(store: Store, t: Instant, report: RefreshReport) -> None:
@@ -730,7 +710,9 @@ def patch_specific(store: Store, oid: Oid, prop_name: str, value: Any, t: Instan
         )
     if t.unit != obj.current.domain.unit:
         raise UnitMismatch(f"patch unit {t.unit!r} differs from store unit")
-    if value is not None and prop.value_type is not None:
+    if prop.is_relation:
+        value = _patched_relation(store, obj.class_name, prop, value)
+    elif value is not None and prop.value_type is not None:
         value = coerce(prop.value_type, value, obj.class_name, prop_name)
     tempo, _archi = effective_filters(store.schema, obj.class_name)
     new_value = dict(obj.current.value)
@@ -753,6 +735,21 @@ def patch_specific(store: Store, oid: Oid, prop_name: str, value: Any, t: Instan
             # the one explicit end: a patch dated after the last refresh
             # holds the state open to its own date
             obj.current.stored = extend_end(obj.current.stored, t.tick)
+
+
+def _patched_relation(store: Store, owner: str, prop: model.PropertyDef, value: Any) -> Any:
+    """A patch's value for a specific relation: null or the oid of an object
+    of the target class for a to-one relation, a list of such oids for a
+    to-many one, stored sorted without repeats as derived oids are."""
+    members = set(store.extension_of(prop.target))
+    many = prop.cardinality == "many"
+    oids = value if many else [] if value is None else [value]
+    if isinstance(oids, list) and all(type(oid) is int and oid in members for oid in oids):
+        return sorted(set(oids)) if many else value
+    expected = "a list of oids" if many else "null or an oid"
+    raise TypeMismatch(
+        f"{owner}.{prop.name}: expected {expected} of class {prop.target!r}, got {value!r}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +807,7 @@ def _store_lines(store: Store) -> list[str]:
     }
     lines = [encode(header) + "\n"]
     for obj in objects:
-        line = store.lines.get(obj.oid)
+        line = obj.line
         if line is None:
             parts = [
                 encode(
@@ -910,8 +907,8 @@ def load_store(path: str) -> Store:
 def _check_index(store: Store) -> None:
     """Each object must be of a class that owns objects in the store's
     schema, one with an extraction mapping or a specialization of several
-    operands, and active or frozen. Run before the memberships enter the
-    class index, while it holds the classes of the objects only."""
+    operands, active or frozen, and keyed by [source interface, string id]
+    pairs. Run before the memberships enter the class index."""
     owners = {
         name
         for name, cls in store.schema.classes.items()
@@ -921,9 +918,18 @@ def _check_index(store: Store) -> None:
     for name, oids in store.by_class.items():
         if name not in owners:
             raise ValueError(f"oid {min(oids)} is of class {name!r}, which owns no objects")
+    interfaces = store.source_schema.interfaces
     for obj in store.objects.values():
         if obj.status not in ("active", "frozen"):
             raise ValueError(f"oid {obj.oid} has status {obj.status!r}, not active or frozen")
+        try:
+            sound = bool(obj.source_key)
+            for interface, sid in obj.source_key:
+                sound = sound and interface in interfaces and isinstance(sid, str)
+        except ValueError:  # a pair of more or fewer than two items
+            sound = False
+        if not sound:
+            raise ValueError(f"oid {obj.oid} has a source key other than [interface, id] pairs")
 
 
 def _read_memberships(store: Store, memberships: Any) -> None:
@@ -950,7 +956,7 @@ def _malformed(path: str, exc: Exception) -> Error:
 def _store_from_header(doc: dict[str, Any]) -> Store:
     src = parse_source_schema(doc["source_schema"])
     schema = resolve(parse_warehouse_def(doc["warehouse_def"]), src, strict=True)
-    store = Store(
+    return Store(
         src,
         schema,
         doc["source_schema"],
@@ -958,7 +964,6 @@ def _store_from_header(doc: dict[str, Any]) -> Store:
         now=Now(parse_instant(doc["last_refresh"]) if doc["last_refresh"] else None),
         oid_counter=doc["oid_counter"],
     )
-    return store
 
 
 def _store_from_lines(doc: dict[str, Any], lines: list[str], decoder: _StateDecoder) -> Store:
@@ -981,10 +986,10 @@ def _store_from_lines(doc: dict[str, Any], lines: list[str], decoder: _StateDeco
         prior = oid
         load = partial(decoder.line, line, now if status == "active" else None)
         store.add_object(
-            WarehouseObject.deferred(oid, cname, status, tuple(map(tuple, key)), load)
+            WarehouseObject.deferred(
+                oid, cname, status, tuple(map(tuple, key)), load, line if reuse else None
+            )
         )
-    if reuse:
-        store.lines = dict(zip(store.objects, lines))
     return store
 
 
@@ -1006,6 +1011,12 @@ def _store_from_v1(doc: dict[str, Any], decoder: _StateDecoder) -> Store:
     if stored != store.identity:
         raise ValueError("the identity table disagrees with the objects")
     return store
+
+
+def _dict(doc: Any) -> dict[str, Any]:
+    if not isinstance(doc, dict):
+        raise TypeError(f"a state holds a {type(doc).__name__}, not an object")
+    return doc
 
 
 class _StateDecoder:
@@ -1061,9 +1072,9 @@ class _StateDecoder:
         if now is not None:
             stored = self._open(stored)
         return (
-            State(stored, current["value"], now),
-            [State(self.domain(s["domain"]), s["value"]) for s in past],
-            [ArchiveState(self.domain(a["domain"]), a["aggregates"]) for a in item["archives"]],
+            State(stored, _dict(current["value"]), now),
+            [State(self.domain(s["domain"]), _dict(s["value"])) for s in past],
+            [ArchiveState(self.domain(a["domain"]), _dict(a["aggregates"])) for a in item["archives"]],
         )
 
     def domain(self, d: dict[str, Any]) -> TemporalDomain:

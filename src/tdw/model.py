@@ -478,7 +478,8 @@ class WarehouseObject:
     An object read from a store file may start deferred: it holds its
     oid, class, status and source key, its current, past and archives
     slots are empty, and _load, which an ordinary object leaves None,
-    decodes their states when one of them is first read.
+    decodes their states when one of them is first read. line holds the
+    v4 store file line it was read from until Store.touch drops it.
     """
 
     oid: Oid
@@ -491,6 +492,7 @@ class WarehouseObject:
     _load: Callable[[], tuple[State, list[State], list[ArchiveState]]] | None = field(
         default=None, repr=False, compare=False
     )
+    line: str | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def deferred(
@@ -500,6 +502,7 @@ class WarehouseObject:
         status: str,
         source_key: tuple[tuple[str, str], ...],
         load: Callable[[], tuple[State, list[State], list[ArchiveState]]],
+        line: str | None = None,
     ) -> WarehouseObject:
         """An object whose current, past and archive states load() returns
         on their first read."""
@@ -509,6 +512,7 @@ class WarehouseObject:
         obj.status = status
         obj.source_key = source_key
         obj._load = load
+        obj.line = line
         return obj
 
     def copy(self) -> WarehouseObject:

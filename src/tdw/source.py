@@ -38,8 +38,6 @@ from .errors import (
 from .lexer import TokenStream, tokenize
 from .temporal import Instant
 
-_SCALAR_KINDS = ("string", "short", "long", "double", "date", "image-ref")
-
 TYPE_KEYWORDS = {
     "String": "string",
     "Short": "short",
@@ -55,7 +53,7 @@ _KEYWORD_BY_KIND = {v: k for k, v in TYPE_KEYWORDS.items()}
 class SourceType:
     """Semantic type of a property value."""
 
-    kind: str  # one of _SCALAR_KINDS, "struct", "set"
+    kind: str  # a scalar kind (a TYPE_KEYWORDS value), "struct" or "set"
     struct_name: str | None = None
     fields: tuple[tuple[str, "SourceType"], ...] = ()
     element: "SourceType | None" = None
@@ -146,45 +144,30 @@ def parse_source_schema(text: str) -> SourceSchema:
     return schema
 
 
-def _flatten(schema: SourceSchema, name: str) -> list[tuple[str, Any, str]]:
-    """See InterfaceTables.flat; a name met again further on is dropped."""
-    iface = schema.interfaces[name]
-    out: list[tuple[str, Any, str]] = []
-    seen: set[str] = set()
-    for sup in iface.supers:
-        for item in _flatten(schema, sup):
-            if item[0] not in seen:
-                seen.add(item[0])
-                out.append(item)
-    for n, t in iface.attributes:
-        if n not in seen:
-            seen.add(n)
-            out.append((n, t, name))
-    for rel in iface.relationships:
-        if rel.name not in seen:
-            seen.add(rel.name)
-            out.append((rel.name, rel, name))
-    return out
-
-
-def _lineage(schema: SourceSchema, name: str, path: tuple[str, ...] = ()) -> set[str]:
-    """name plus every interface it transitively extends; raises
-    InheritanceCycle at an interface met again on its own path."""
+def _lineage(schema: SourceSchema, name: str, path: tuple[str, ...] = ()) -> dict[str, None]:
+    """name and every interface it transitively extends, each after its
+    supers; raises InheritanceCycle at an interface met again on its path."""
     if name in path:
         raise InheritanceCycle(f"inheritance cycle through {name!r}")
     path += (name,)
-    out = {name}
+    out: dict[str, None] = {}
     for sup in schema.interfaces[name].supers:
-        out |= _lineage(schema, sup, path)
+        out.update(_lineage(schema, sup, path))
+    out[name] = None
     return out
 
 
 def _derive_tables(
-    schema: SourceSchema, lineage: dict[str, set[str]]
+    schema: SourceSchema, lineage: dict[str, dict[str, None]]
 ) -> dict[str, InterfaceTables]:
     tables = {}
     for name in schema.interfaces:
-        flat = tuple(_flatten(schema, name))
+        props: dict[str, tuple[str, Any, str]] = {}  # a name's first declaration wins
+        for owner in lineage[name]:
+            iface = schema.interfaces[owner]
+            for n, t in [*iface.attributes, *((r.name, r) for r in iface.relationships)]:
+                props.setdefault(n, (n, t, owner))
+        flat = tuple(props.values())
         tables[name] = InterfaceTables(
             flat,
             {n: t for n, t, _ in flat if isinstance(t, SourceType)},
@@ -329,7 +312,7 @@ def format_relationship(rel: Any) -> str:
     return f"{card} {rel.name}{inv};"
 
 
-def _check_schema(schema: SourceSchema) -> dict[str, set[str]]:
+def _check_schema(schema: SourceSchema) -> dict[str, dict[str, None]]:
     """Run the schema checks; return each interface's lineage."""
     for iface in schema.interfaces.values():
         for sup in iface.supers:
@@ -337,7 +320,7 @@ def _check_schema(schema: SourceSchema) -> dict[str, set[str]]:
                 raise UnknownInterface(
                     f"line {iface.line}: {iface.name!r} extends unknown {sup!r}"
                 )
-    # before any check that follows the supers, as _flatten does
+    # before any check that follows the supers, as the flattened tables do
     lineage = {name: _lineage(schema, name) for name in schema.interfaces}
     for iface in schema.interfaces.values():
         for rel in iface.relationships:

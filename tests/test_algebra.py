@@ -586,3 +586,62 @@ class TestCommutation:
             first = eval_project([(p(n), None) for n in names], eval_select(pred, build))
             second = eval_select(pred, eval_project([(p(n), None) for n in names], build))
             assert rows_as_dicts(first) == rows_as_dicts(second)
+
+
+def increasing(build: ClassBuild) -> bool:
+    keys = [r.key for r in build.rows]
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+class TestRowOrder:
+    """Rows are ordered where keys are made: build_from_interface reads
+    sorted records, eval_join and eval_specialize sort the keys they
+    concatenate, and every other node keeps its input's order."""
+
+    def test_interface_builds_are_in_key_order(self, src_schema, snap):
+        for name in src_schema.interfaces:
+            assert increasing(build_from_interface(src_schema, name, "x", snap))
+
+    def test_every_node_keeps_or_makes_key_order(self):
+        rng = random.Random(15)
+        for _ in range(60):
+            build, other = random_build(rng, "x"), random_build(rng, "y")
+            lit = rng.randrange(0, 5)
+            outs = [
+                eval_project([(p("b"), None), (p("x", "a"), "c")], build),
+                eval_hide([p("bag")], build),
+                eval_augment([AugmentBinding("n", agg=AggCall("count", p("x", "bag")))], build),
+                eval_select(comparison(p("x", "a"), ">=", lit), build),
+                eval_join(other, build, comparison(p("y", "a"), "<=", lit)),
+                eval_specialize([("y", other), ("x", build)], comparison(p("x", "a"), "!=", lit)),
+                eval_specialize([("x", build)], comparison(p("x", "a"), "<", lit)),
+            ]
+            assert increasing(build)
+            assert all(increasing(out) for out in outs)
+
+
+def random_predicate(rng: random.Random, binder: str) -> Predicate:
+    atoms = []
+    for _ in range(rng.randrange(0, 3)):
+        kind = rng.choice(["a", "b", "r"])
+        if kind == "a":
+            op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+            atoms.append(Comparison(p(binder, "a"), op, rng.randrange(0, 5)))
+        elif kind == "b":
+            atoms.append(Comparison(p(binder, "b"), rng.choice(["=", "!="]), rng.choice("xyz")))
+        else:
+            atoms.append(Containment(p(binder, "r"), binder))
+    return Predicate(tuple(atoms))
+
+
+def test_select_picks_what_a_one_operand_specialize_picks():
+    # the engine selects a membership's members with eval_select
+    rng = random.Random(16)
+    for _ in range(80):
+        build = random_build(rng, "x")
+        pred = random_predicate(rng, "x")
+        selected = eval_select(pred, build)
+        specialized = eval_specialize([("x", build)], pred)
+        assert [r.binder_id("x") for r in selected.rows] == [
+            r.binder_id("x") for r in specialized.rows
+        ]

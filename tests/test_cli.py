@@ -365,8 +365,11 @@ class TestInspect:
     @pytest.mark.parametrize(
         "slot, value, detail",
         [(1, "Fantômes", "is of class 'Fantômes', which owns no objects"),
-         (2, "zombie", "has status 'zombie', not active or frozen")],
-        ids=["class", "status"],
+         (2, "zombie", "has status 'zombie', not active or frozen"),
+         (3, "ab", "has a source key other than [interface, id] pairs"),
+         (3, [["PRATICIEN", "p1", "x"]],
+          "has a source key other than [interface, id] pairs")],
+        ids=["class", "status", "key-a-string", "key-pair-of-three"],
     )
     def test_header_index_entry_is_checked(self, built, slot, value, detail):
         _tmp, store = built
@@ -613,6 +616,40 @@ class TestPatch:
             "patch", "--store", store, "--oid", "3", "--set", "budget=1", "--at", "1990"
         )
         assert rc == 1 and "not a specific property" in err
+
+    def test_relation_value_must_be_target_oids(self, tmp_path):
+        # Services gains a specific to-many relation to surgeons
+        edw = tmp_path / "referents.edw"
+        text = Path(EDW).read_text(encoding="utf-8")
+        head = "interface Services {\n"
+        assert text.count(head) == 1
+        edw.write_text(
+            text.replace(head, head + "    S_relationship Set<Chirurgiens> référents;\n"),
+            encoding="utf-8",
+        )
+        store = str(tmp_path / "r.store")
+        snap = write_snapshot(tmp_path / "s1990.jsonl", 1990)
+        rc, _o, err = tdw(
+            "build", "--warehouse", str(edw), "--source-schema", ODL,
+            "--snapshot", snap, "--at", "1990", "--store", store,
+        )
+        assert rc == 0, err
+        before = Path(store).read_bytes()
+        rc, out, err = tdw(
+            "patch", "--store", store, "--oid", "5", "--set", 'référents="abc"', "--at", "1990"
+        )
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: Services.référents: expected a list of oids of class 'Chirurgiens', "
+            "got 'abc'\n"
+        )
+        assert Path(store).read_bytes() == before
+        rc, _o, err = tdw(
+            "patch", "--store", store, "--oid", "5", "--set", "référents=[2, 1, 2]", "--at", "1990"
+        )
+        assert rc == 0, err
+        rc, out, _ = tdw("inspect", "--store", store, "--class", "Services", "--oid", "5")
+        assert "  référents = [1, 2]\n" in out
 
     def test_frozen_object_rejected(self, tmp_path):
         store = str(tmp_path / "f.store")

@@ -100,11 +100,19 @@ HEAD_DAMAGE = {
     ),
     "archives-not-a-list": edited(lambda item: item.update(archives=None)),
     "not-json": lambda line: "{not json",
+    "value-not-an-object": edited(lambda item: item["current"].update(value=[])),
+    "aggregates-not-an-object": edited(
+        lambda item: item.update(
+            archives=[{"domain": {"intervals": [[18, 18]], "unit": "year"}, "aggregates": []}]
+        )
+    ),
 }
 # a past state after a TAB whose domain starts after it ends
 PAST_START_AFTER_END = '{"domain":{"intervals":[[21,20]],"unit":"year"},"value":{}}'
 # a sound past state
 PAST_STATE = '{"domain":{"intervals":[[19,19]],"unit":"year"},"value":{}}'
+# a past state whose value is not an object
+PAST_VALUE_A_LIST = '{"domain":{"intervals":[[19,19]],"unit":"year"},"value":[]}'
 
 
 # header memberships that name no single-operand specialization, or an oid
@@ -121,27 +129,34 @@ MEMBERSHIP_DAMAGE_IDS = [
 ]
 
 # an object index entry (oid 1, a surgeon) naming a class that owns no
-# objects (unknown, a generalization, a membership class) or a status
-# that is neither active nor frozen
+# objects (unknown, a generalization, a membership class), a status that
+# is neither active nor frozen, or a source key that is not one or more
+# pairs of a source interface and a string id
 INDEX_DAMAGE = [("class", "Fantômes"), ("class", "Personnes"),
-                ("class", "Jeunes_Chirurgiens"), ("status", "zombie")]
+                ("class", "Jeunes_Chirurgiens"), ("status", "zombie"),
+                ("key", []), ("key", "ab"), ("key", [["PRATICIEN", "p1", "x"]]),
+                ("key", [["PRATICIEN"]]), ("key", [["Fantômes", "p1"]]),
+                ("key", [["PRATICIEN", 1]])]
 INDEX_DAMAGE_IDS = [
     "index-class-unknown", "index-class-a-generalization",
     "index-class-a-membership", "index-status-unknown",
+    "index-key-empty", "index-key-a-string", "index-key-pair-of-three",
+    "index-key-pair-of-one", "index-key-interface-unknown", "index-key-id-not-a-string",
 ]
 
 
 def v1_index_damage(field, value):
-    """Set oid 1's field in a v1 document, and a class in its identity
-    entry too, which must agree with the objects."""
+    """Set oid 1's field in a v1 document, and a class or key in its
+    identity entry [class, source key, oid] too, which must agree with
+    the objects."""
 
     def damage(doc):
         obj = doc["objects"][0]
-        obj[field] = value
-        if field == "class":
+        obj[{"key": "source_key"}.get(field, field)] = value
+        if field in ("class", "key"):
             for entry in doc["identity"]:
                 if entry[2] == obj["oid"]:
-                    entry[0] = value
+                    entry[field == "key"] = value
 
     return damage
 
@@ -149,7 +164,7 @@ def v1_index_damage(field, value):
 def v2_index_damage(field, value):
     """Set oid 1's field in a v2 or v3 header's index entry [oid, class,
     status, source key]."""
-    slot = {"class": 1, "status": 2}[field]
+    slot = {"class": 1, "status": 2, "key": 3}[field]
     return lambda head: head["objects"][0].__setitem__(slot, value)
 
 
@@ -483,6 +498,47 @@ class TestSpecializationOrder:
             assert_indexes(store)
 
 
+def with_anciens(edw_text: str) -> str:
+    """The fixture definition plus a second subclass of Personnes, Anciens
+    (every practitioner born before 1990, so surgeons p1 and p2 are also
+    Anciens), and a membership of Personnes."""
+    head = "interface Jeunes_Chirurgiens (extend Chirurgiens) {\n}\n"
+    lift = "c.année_naissance, c: Chirurgiens);"
+    assert edw_text.count(head) == 1 and edw_text.count(lift) == 1
+    return edw_text.replace(
+        head,
+        head + "\ninterface Anciens (extend Personnes) {\n"
+        "    D_attribute String no_praticien;\n}\n"
+        "\ninterface Nés_Avant_1980 (extend Personnes) {\n}\n",
+    ).replace(lift, "c.année_naissance, c: Chirurgiens, a: Anciens);") + (
+        "mapping Anciens = project(p.nom, p.prénom, p.adresse, p.année_naissance,\n"
+        "    p.no_praticien, select(p: PRATICIEN, p.année_naissance < 1990));\n"
+        "mapping Nés_Avant_1980 = specialize(x: Personnes, x.année_naissance < 1980);\n"
+    )
+
+
+class TestMembership:
+    """A single-operand specialization selects members of its operand's
+    extension by oid."""
+
+    def test_members_may_share_a_source_record(
+        self, src_schema, edw_text, make_snapshot, tmp_path
+    ):
+        wdef = parse_warehouse_def(with_anciens(edw_text))
+        store = initial_load(src_schema, wdef, make_snapshot(1990))
+        p1 = sorted(
+            o.oid for o in store.objects.values() if o.source_key == (("PRATICIEN", "p1"),)
+        )
+        assert [store.objects[oid].class_name for oid in p1] == ["Chirurgiens", "Anciens"]
+        personnes = store.extension_of("Personnes")
+        assert len(personnes) == 5  # everyone is born before 1980
+        assert store.direct_extension("Nés_Avant_1980") == personnes
+        store = saved_and_loaded(store, str(tmp_path / "h.store"))
+        refresh(store, make_snapshot(1991))
+        assert store.direct_extension("Nés_Avant_1980") == store.extension_of("Personnes")
+        assert set(p1) <= store.by_class["Nés_Avant_1980"]
+
+
 class TestArchival:
     def test_count_bound_keeps_two(self, store, make_snapshot):
         for y in range(1991, 1994):
@@ -797,6 +853,47 @@ class TestPatchSpecific:
         )
         assert composite.current.value["année_création"] == 1956
 
+    @pytest.fixture()
+    def referents(self, src_schema, edw_text, make_snapshot):
+        """The fixture store with specific relations from Services to
+        Chirurgiens: a to-many référents and a to-one référent."""
+        head = "interface Services {\n"
+        assert edw_text.count(head) == 1
+        text = edw_text.replace(
+            head,
+            head + "    S_relationship Set<Chirurgiens> référents;\n"
+            "    S_relationship <Chirurgiens> référent;\n",
+        )
+        return initial_load(src_schema, parse_warehouse_def(text), make_snapshot(1990))
+
+    @pytest.mark.parametrize(
+        "prop, value",
+        [("référents", "abc"), ("référents", None), ("référents", 1), ("référents", [1, "2"]),
+         ("référents", [True]), ("référents", [3]), ("référents", [99]),
+         ("référent", "abc"), ("référent", [1]), ("référent", 3), ("référent", 1.0)],
+        ids=["many-a-string", "many-null", "many-an-oid", "many-a-string-oid", "many-a-bool",
+             "many-not-a-surgeon", "many-no-object", "one-a-string", "one-a-list",
+             "one-not-a-surgeon", "one-a-float"],
+    )
+    def test_relation_value_must_name_target_objects(self, referents, prop, value):
+        service = by_key(referents, "Services", "s1")
+        with pytest.raises(TypeMismatch, match=f"Services.{prop}: expected "):
+            patch_specific(referents, service.oid, prop, value, year(1990))
+        assert service.current.value[prop] is None
+
+    def test_relation_value_is_stored_as_derived_oids_are(self, referents, make_snapshot):
+        service = by_key(referents, "Services", "s1")
+        surgeons = referents.extension_of("Chirurgiens")
+        patch_specific(referents, service.oid, "référents", surgeons[::-1] * 2, year(1990))
+        patch_specific(referents, service.oid, "référent", surgeons[0], year(1990))
+        assert service.current.value["référents"] == surgeons
+        refresh(referents, make_snapshot(1991))
+        composite = by_key(referents, "Etablissements", "s1")
+        assert composite.current.value["référents"] == surgeons
+        assert composite.current.value["référent"] == surgeons[0]
+        patch_specific(referents, service.oid, "référent", None, year(1991))
+        assert referents.objects[service.oid].current.value["référent"] is None
+
 
 class TestPersistence:
     def test_save_load_round_trip(self, store, tmp_path, make_snapshot):
@@ -1009,6 +1106,7 @@ class TestPersistence:
             ("v4", lambda line: line.replace('"CHU ', '"\tCHU ', 1) + "," + PAST_STATE),
             ("v4", lambda line: line + "," + PAST_STATE),
             ("v4", lambda line: line + "\t"),
+            ("v4", lambda line: line + "\t" + PAST_VALUE_A_LIST),
             # the one-document line of the older layout, decoded on its own path
             ("v3", edited(lambda item: item.pop("past"))),
             *[("v3", damage) for damage in HEAD_DAMAGE.values()],
@@ -1016,7 +1114,7 @@ class TestPersistence:
         ids=[
             *HEAD_DAMAGE, "past-in-the-head", "past-not-json", "past-start-after-end",
             "tab-inside-a-document", "tab-and-comma-as-separators", "comma-between-documents",
-            "empty-past-document", "v3-object-without-past", *(f"v3-{i}" for i in HEAD_DAMAGE),
+            "empty-past-document", "past-value-not-an-object", "v3-object-without-past", *(f"v3-{i}" for i in HEAD_DAMAGE),
         ],
     )
     def test_malformed_object_line_is_rejected_when_first_read(
@@ -1265,7 +1363,7 @@ class TestWorkingCopyAtomicity:
             corrupt_oldest_budget(store, "e2")
             snap = make_snapshot(1993, with_extra_surgeon=True)
             error = TypeMismatch
-        assert store.lines  # read from the store file, for the next save
+        assert lined(store)  # read from the store file, for the next save
         before = index_forms(store)
         with pytest.raises(error):
             refresh(store, snap)
@@ -1278,9 +1376,14 @@ def index_forms(store) -> tuple:
         dict(store.identity),
         dict(store.source_index),
         {name: set(oids) for name, oids in store.by_class.items()},
-        dict(store.lines),
+        {oid: obj.line for oid, obj in store.objects.items()},
         store.last_refresh,
     )
+
+
+def lined(store) -> set:
+    """The oids of the objects that hold the line read from their store file."""
+    return {oid for oid, obj in store.objects.items() if obj.line is not None}
 
 
 class TestCopyOnWrite:
@@ -1303,11 +1406,11 @@ class TestCopyOnWrite:
         path = str(tmp_path / "h.store")
         save_store(store, path)
         loaded = load_store(path)
-        assert loaded.lines.keys() == loaded.objects.keys()
+        assert lined(loaded) == loaded.objects.keys()
         with touch_spy() as touched:
             refresh(loaded, make_snapshot(1992))
         # the save encodes the touched objects and writes the others' lines
-        assert loaded.lines.keys() == loaded.objects.keys() - touched
+        assert lined(loaded) == loaded.objects.keys() - touched
         text = dumps_store(loaded)
         assert text == dumps_anew(loaded)
         refresh(store, make_snapshot(1992))
@@ -1384,7 +1487,7 @@ class TestCopyOnWrite:
         path = tmp_path / "h.store"
         path.write_text("\n".join([encode(header), *lines]) + "\n", encoding="utf-8")
         loaded = load_store(str(path))
-        assert loaded.lines == {}
+        assert lined(loaded) == set()
         assert store_to_dict(loaded) == v1
         save_store(loaded, str(path))
         assert path.read_text(encoding="utf-8") == dumps_store(store)
@@ -1401,7 +1504,7 @@ class TestCopyOnWrite:
         path = tmp_path / "h.store"
         path.write_text(v3_text(store), encoding="utf-8")
         loaded = load_store(str(path))
-        assert loaded.lines == {}
+        assert lined(loaded) == set()
         assert store_to_dict(loaded) == store_to_dict(store)
         save_store(loaded, str(path))
         assert path.read_text(encoding="utf-8") == dumps_store(store)
@@ -1699,7 +1802,7 @@ def dumps_anew(store) -> str:
         )
 
     objects = {oid: anew(obj) for oid, obj in store.objects.items()}
-    return dumps_store(replace(store, objects=objects, lines={}))
+    return dumps_store(replace(store, objects=objects))
 
 
 def saved_and_loaded(store, path: str):

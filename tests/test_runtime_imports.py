@@ -1,7 +1,7 @@
 """The runtime stays stdlib-only: every import under src/tdw is relative
 or names a standard-library module. And every name a module there
-imports is used, so a fold that moves a name's last use leaves no
-import behind."""
+imports is used, and every private name it defines is referenced, so a
+fold that moves a name's last use leaves no import or helper behind."""
 
 import ast
 import sys
@@ -115,3 +115,74 @@ def test_guard_flags_unused_imports(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(module) == ["mod.py:2: json", "mod.py:4: Error", "mod.py:4: PE"]
+
+
+def unreferenced_private_names(paths: list[Path]) -> list[str]:
+    """path:line: name for each private (_-prefixed, not dunder)
+    module-level name or method defined in paths that nothing in paths
+    references outside its own definition. A reference is a name read,
+    an attribute read, or a name imported from another module."""
+    defined: list[tuple[str, str, int, int]] = []  # name, file, first and last line
+    refs: dict[str, list[tuple[str, int]]] = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            named: list[tuple[str, ast.stmt]] = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                named.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                named += [(sub.name, sub) for sub in node.body
+                          if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                named += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+            defined += [
+                (name, path.name, where.lineno, where.end_lineno)
+                for name, where in named
+                if name.startswith("_") and not name.startswith("__") and name != "_"
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                refs.setdefault(node.id, []).append((path.name, node.lineno))
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                refs.setdefault(node.attr, []).append((path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    refs.setdefault(alias.name, []).append((path.name, node.lineno))
+    return [
+        f"{file}:{first}: {name}"
+        for name, file, first, last in defined
+        if not any(f != file or not first <= line <= last for f, line in refs.get(name, ()))
+    ]
+
+
+def test_every_private_name_is_referenced():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    assert unreferenced_private_names(sources) == []
+
+
+def test_guard_flags_unreferenced_private_names(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from other import _imported\n"
+        "_USED = 1\n"
+        "_UNUSED = 2\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1) if n else _USED\n"
+        "def _called():\n"
+        "    return _imported\n"
+        "class _Box:\n"
+        "    def _method(self):\n"
+        "        return self._helper()\n"
+        "    def _helper(self):\n"
+        "        return _called()\n"
+        "    def __repr__(self):\n"
+        "        return ''\n",
+        encoding="utf-8",
+    )
+    other = tmp_path / "other.py"
+    other.write_text("def _imported():\n    return 0\n", encoding="utf-8")
+    assert unreferenced_private_names([module, other]) == [
+        "mod.py:3: _UNUSED", "mod.py:4: _recursive", "mod.py:8: _Box", "mod.py:9: _method",
+    ]
