@@ -176,7 +176,7 @@ def cmd_inspect(args) -> int:
         for oid in extension:
             obj = store.objects[oid]
             pairs = obj.source_key
-            if len(pairs) > 1:  # a composite's key names twice a pair its operands share
+            if len(pairs) > 1:  # a composite's or a self-join's key may name a pair twice
                 pairs = dict.fromkeys(pairs)
             key = ", ".join(f"{i}:{s}" for i, s in pairs)
             print(f"  oid {oid}  [{key}]  {obj.status}")

@@ -11,13 +11,14 @@ push history, other changes overwrite in place, and vanished keys freeze
 their object one granule before the extraction point. An initial load
 is the first extraction point, run like any other.
 
-An extraction point runs four passes: (1) allocate an object for each
-new key of every extraction mapping; (2) settle every extraction row;
-(3) evaluate each specialization after the classes its operands name:
-over one operand, select members of its extension by oid; over several,
-settle composites, taking their rows as they are; (4) archive.
-Allocating new keys' objects, then settling every row and freezing what
-vanished, are the same two steps for every class that owns objects.
+An extraction point runs four passes: (1) decide every extraction
+result's objects, creating new keys' and freezing vanished ones; (2)
+settle every extraction row; (3) evaluate each specialization after the
+classes its operands name, reading each operand without its subclasses'
+composites: over one operand, select members by oid; over several,
+decide and settle composites, taking their rows as they are; (4)
+archive. Deciding a result's objects, then settling its rows, are the
+same two steps for every class that owns objects.
 
 Links resolve through the store's source-id index, which maps every
 (interface, source id) pair of an object's source key to its oids, so a
@@ -94,6 +95,7 @@ from .model import (
     WarehouseSchema,
     effective_filters,
     flatten_type,
+    transitive_supers,
 )
 from .source import (
     Snapshot,
@@ -258,9 +260,9 @@ class Store:
         """Insert a new object and index its identity, source key and class.
 
         source_index holds the oid once under each pair of its key, which
-        names a pair twice when two operands of a composite share it: the
-        oid is new, so it is already under a pair only as the entry this
-        loop appended last."""
+        names a pair twice when two operands of a composite, or both sides
+        of an extraction self-join, share it: the oid is new, so it is
+        already under a pair only as the entry this loop appended last."""
         oid, cname, index = obj.oid, obj.class_name, self.source_index
         self.objects[oid] = obj
         self.identity[(cname, obj.source_key)] = oid
@@ -347,20 +349,20 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
     report = RefreshReport(t)
     schema, src = store.schema, store.source_schema
 
-    # pass 1: evaluate every extraction mapping over the snapshot and
-    # create an object for each unknown source key, so that pass 2's links
-    # reach the objects this refresh creates
+    # pass 1: evaluate every extraction mapping and decide its objects, so
+    # that pass 2's links know every result's objects, live, new ones too
     builds = {}
     created: set[Oid] = set()
     for name, cls in schema.classes.items():
         if not is_extraction(cls.mapping):
             continue
-        build = builds[name] = eval_extraction(cls.mapping, src, snapshot)
+        build = eval_extraction(cls.mapping, src, snapshot)
         counts = report.classes[name] = ClassCounts()
-        created |= _allocate(store, name, [row.key for row in build.rows], t, counts)
+        builds[name] = build, _allocate(store, name, build.rows, created, t, counts)
+    live = {oid for _build, oids in builds.values() for oid in oids}
 
     # pass 2: align values, rewrite links, and diff
-    for name, build in builds.items():
+    for name, (build, oids) in builds.items():
         # each relation's source interface, with the interfaces whose ids
         # its links may name
         rel_sources = {
@@ -368,8 +370,9 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
             for p in build.structure
             if p.is_relation
         }
-        value_of = partial(_aligned_value, store, name, flatten_type(schema, name), rel_sources)
-        rows = zip([row.key for row in build.rows], build.to_dicts())
+        flat = flatten_type(schema, name)
+        value_of = partial(_aligned_value, store, live, name, flat, rel_sources)
+        rows = zip(oids, build.to_dicts())
         _settle(store, name, rows, value_of, created, t, report.classes[name])
 
     # pass 3: specializations, each after every class its operands name; one
@@ -382,12 +385,7 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
         membership = len(mapping.operands) == 1
         operands = []
         for op in mapping.operands:
-            # the class's own members are what this evaluation produces;
-            # feeding them back through the operand extension would breed
-            # composites of composites
-            build = _build_from_objects(
-                store, op.class_name, op.binder, include_frozen=membership, exclude_class=name
-            )
+            build = _build_from_objects(store, op.class_name, op.binder, include_frozen=membership)
             if op.where is not None:
                 build = eval_select(op.where, build)
             operands.append((op.binder, build))
@@ -396,11 +394,10 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
             store.by_class[name] = {row.binders[0][1] for row in selected.rows}
             continue
         result = eval_specialize(operands, mapping.pred)
-        keys = [row.key for row in result.rows]
         counts = report.classes[name] = ClassCounts()
-        created |= _allocate(store, name, keys, t, counts)
+        oids = _allocate(store, name, result.rows, created, t, counts)
         # a composite's merged row holds exactly its class's flattened type
-        _settle(store, name, zip(keys, result.to_dicts()), None, created, t, counts)
+        _settle(store, name, zip(oids, result.to_dicts()), None, created, t, counts)
 
     # pass 4: archival per environment
     for env_name in sorted(schema.environments):
@@ -411,55 +408,59 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
 
 
 def _allocate(
-    store: Store, class_name: str, keys: list[tuple], t: Instant, counts: ClassCounts
-) -> set[Oid]:
-    """Create an object, its value still empty, for each key the class
-    does not know yet; return their oids."""
-    created = set()
-    for key in keys:
-        if (class_name, key) in store.identity:
-            continue
-        oid = store.fresh_oid()
-        state = State(domain(t.unit, (t.tick, t.tick)), {}, store.now)
-        store.add_object(WarehouseObject(oid, class_name, state, source_key=key))
-        created.add(oid)
-    counts.created += len(created)
-    return created
+    store: Store, class_name: str, rows: list, created: set[Oid], t: Instant, counts: ClassCounts
+) -> list[Oid]:
+    """Decide the class's objects for its result rows at t: return each
+    row's oid, creating an empty object, added to created, for each key
+    the class does not know yet, and freeze every active object of the
+    class outside the result. counts.frozen ends as the class's frozen
+    count, so carried + updated + historized + frozen = prior size."""
+    oids = []
+    for key in (row.key for row in rows):
+        oid = store.identity.get((class_name, key))
+        if oid is None:
+            oid = store.fresh_oid()
+            state = State(domain(t.unit, (t.tick, t.tick)), {}, store.now)
+            store.add_object(WarehouseObject(oid, class_name, state, source_key=key))
+            created.add(oid)
+            counts.created += 1
+        oids.append(oid)
+    result = set(oids)
+    for oid in store.by_class.get(class_name, ()):
+        obj = store.objects[oid]
+        if obj.status == "active" and oid not in result:
+            obj = store.touch(oid)
+            obj.status = "frozen"
+            obj.current = State(extend_end(obj.current.domain, t.tick - 1), obj.current.value)
+        counts.frozen += obj.status == "frozen"
+    return oids
 
 
 def _settle(
     store: Store,
     class_name: str,
-    rows: Iterable[tuple[tuple, dict[str, Any]]],
+    rows: Iterable[tuple[Oid, dict[str, Any]]],
     value_of: Callable[[dict[str, Any], dict[str, Any]], dict[str, Any]] | None,
     created: set[Oid],
     t: Instant,
     counts: ClassCounts,
 ) -> None:
-    """Bring a class's objects in line with its mapping result at t.
+    """Bring the objects _allocate decided in line with their rows.
 
-    rows pairs each result key with its row; value_of(row, old), or the
-    row itself without value_of, is the value for an object whose current
-    value is old. An object in created takes its first row's value; every
-    other row diffs against its active object's value. An active object
-    whose key left the result freezes. counts.frozen ends as the class's
-    frozen count, so carried + updated + historized + frozen = prior size.
-    """
+    rows pairs each oid with its row; value_of(row, old), or the row
+    itself without value_of, is the value for an object whose current
+    value is old. An object in created takes its row's value; every other
+    active object diffs against it."""
     tempo, _archi = effective_filters(store.schema, class_name)
-    result_keys = set()
-    for key, row in rows:
-        result_keys.add(key)
-        oid = store.identity[(class_name, key)]
+    for oid, row in rows:
         obj = store.objects[oid]
         if obj.status == "frozen":
             continue  # a frozen object never thaws, even if its key returns
         value = row if value_of is None else value_of(row, obj.current.value)
         if oid in created:
-            created.discard(oid)
             store.touch(oid).current.value = value
         else:
             _diff_object(store, obj, value, tempo, t, counts)
-    counts.frozen = _freeze_vanished(store, class_name, result_keys, t)
 
 
 def _diff_object(
@@ -487,22 +488,9 @@ def _diff_object(
         counts.updated += 1
 
 
-def _freeze_vanished(store: Store, class_name: str, result_keys: set, t: Instant) -> int:
-    """Freeze the class's active objects whose keys are not in
-    result_keys; return how many of its objects are frozen."""
-    frozen = 0
-    for oid in store.by_class.get(class_name, ()):
-        obj = store.objects[oid]
-        if obj.status == "active" and obj.source_key not in result_keys:
-            obj = store.touch(oid)
-            obj.status = "frozen"
-            obj.current = State(extend_end(obj.current.domain, t.tick - 1), obj.current.value)
-        frozen += obj.status == "frozen"
-    return frozen
-
-
 def _aligned_value(
     store: Store,
+    live: set[Oid],
     class_name: str,
     flat: list[model.PropertyDef],
     rel_sources: dict[str, tuple[str, tuple[str, ...]]],
@@ -519,7 +507,8 @@ def _aligned_value(
         if p.is_relation and p.name in raw:
             source_target, wanted = rel_sources[p.name]
             oids = [
-                _relation_oid(store, class_name, p, source_target, wanted, rid) for rid in v or ()
+                _relation_oid(store, live, class_name, p, source_target, wanted, rid)
+                for rid in v or ()
             ]
             v = sorted(oids) if p.cardinality == "many" else (oids[0] if oids else None)
         value[p.name] = old.get(p.name, v) if p.origin == "specific" else v
@@ -528,22 +517,29 @@ def _aligned_value(
 
 def _relation_oid(
     store: Store,
+    live: set[Oid],
     class_name: str,
     prop: model.PropertyDef,
     source_target: str | None,
     wanted: tuple[str, ...],
     rid: str,
 ) -> Oid:
+    """The target class's object standing for the linked record rid: the
+    one whose source key names it in the class's direct extension or,
+    when that holds none, in its whole extension. Of several, as a moved
+    service's old and new objects, the one in live, this refresh's
+    extraction result, wins; a former member outside live stands in only
+    when it is the one object naming rid."""
     candidates = {
         oid for iface in wanted for oid in store.source_index.get((iface, rid), ())
     }
-    # the target class's direct extension represents the source object;
-    # subclass members (e.g. composites) only stand in when it holds none
     members = store.by_class.get(prop.target, ())
     hits = [oid for oid in candidates if oid in members]
     if not hits:
         extension = set(store.extension_of(prop.target))
         hits = [oid for oid in candidates if oid in extension]
+    if len(hits) > 1:
+        hits = [oid for oid in hits if oid in live] or hits
     if len(hits) != 1:
         raise DanglingRelationTarget(
             f"{class_name}.{prop.name}: source object {source_target}:{rid} has "
@@ -553,16 +549,20 @@ def _relation_oid(
 
 
 def _build_from_objects(
-    store: Store, class_name: str, binder: str, include_frozen: bool, exclude_class: str
+    store: Store, class_name: str, binder: str, include_frozen: bool
 ) -> ClassBuild:
     """A warehouse class extension as an algebra build (current values) in
-    key order, sharing each value but an empty to-many relation's, as []."""
+    key order, sharing each value but an empty to-many relation's, as [].
+    It leaves out the composites of class_name's subclasses, so that a
+    specialization reads its operand alike whatever the declaration order."""
+    specs = [n for n, c in store.schema.classes.items() if isinstance(c.mapping, Specialize)]
+    theirs = {n for n in specs if class_name in transitive_supers(store.schema, n)}
     structure = class_structure(store.schema, class_name, binder)
     slots = [(p.name, p.is_relation and p.cardinality == "many") for p in structure]
     rows = []
     for oid in store.extension_of(class_name):
         obj = store.objects[oid]
-        if obj.class_name == exclude_class or not (include_frozen or obj.status == "active"):
+        if obj.class_name in theirs or not (include_frozen or obj.status == "active"):
             continue
         value = obj.current.value
         values = tuple(value.get(name) or [] if many else value.get(name) for name, many in slots)

@@ -1,12 +1,12 @@
 """A naive reference model of the refresh rules, for differential tests.
 
 It states README's "Semantics worth knowing" directly for the hospital
-warehouse of tests/fixtures/hopital.edw, and shares no code with
-tdw.engine: the mappings are written out over the raw snapshot records,
-each domain is a plain set of ticks, every refresh and patch works on a
-deep copy of every object, and nothing is indexed. Objects are named by
-their identity (class, source key), and relation slots hold identities,
-so the model never allocates an oid.
+warehouse of tests/fixtures/hopital.edw plus a membership, Riches, and
+shares no code with tdw.engine: the mappings are written out over the
+raw snapshot records, each domain is a plain set of ticks, every refresh
+and patch works on a deep copy of every object, and nothing is indexed.
+Objects are named by their identity (class, source key), and relation
+slots hold identities, so the model never allocates an oid.
 
 The rules it states:
 - equal values carry the current state forward to the refresh instant;
@@ -16,6 +16,13 @@ The rules it states:
   state closes at t-1 and a new current state opens at [t, t];
 - an object whose source vanishes, or leaves its selection, freezes for
   good, its current state closed at t-1;
+- a link names the target class's object whose source key names the
+  linked record, and of several, the one in this refresh's result: a
+  service that changed hospitals is linked through its new object, and
+  one that came back through its old, frozen one;
+- a membership holds every object of its operand's own class that meets
+  its predicate, frozen ones included, never a composite built by a
+  specialization of that operand, whatever the order of the declarations;
 - a past state beyond the retention bounds (by count, by duration or
   both) is evicted, and its archive-filter properties fold into one
   archive state with exact avg accumulators;
@@ -54,6 +61,10 @@ RELATIONS = {
     "Etablissements": {"organisation", "équipe", "est_dirigé"},
 }
 SPECIFIC = "année_création"
+# the budget above which a public hospital is a member of Riches, a
+# membership of Hôpitaux_Publics declared after the composite class
+# Etablissements, which extends it
+RICH = 1005
 
 
 class Rejected(Exception):
@@ -85,7 +96,7 @@ class ReferenceWarehouse:
     keep_years: int | None
     temporal_creation: bool = False  # année_création in the hospitals' temporal filter
     objects: dict[Identity, MObject] = field(default_factory=dict)
-    memberships: set[Identity] = field(default_factory=set)
+    memberships: dict[str, set[Identity]] = field(default_factory=dict)
     last: int | None = None
 
     # -- commands ------------------------------------------------------------
@@ -138,7 +149,8 @@ class ReferenceWarehouse:
         return {
             "Personnes": own["Chirurgiens"],
             "Chirurgiens": own["Chirurgiens"],
-            "Jeunes_Chirurgiens": set(self.memberships),
+            "Jeunes_Chirurgiens": self.memberships["Jeunes_Chirurgiens"],
+            "Riches": self.memberships["Riches"],
             "Hôpitaux_Publics": own["Hôpitaux_Publics"] | own["Etablissements"],
             "Services": own["Services"] | own["Etablissements"],
             "Etablissements": own["Etablissements"],
@@ -163,15 +175,16 @@ class ReferenceWarehouse:
                     continue
                 value = dict(values)
                 for prop, (target, iface, ids, many) in links.items():
-                    hits = [self._resolve(target, iface, rid) for rid in ids]
+                    hits = [self._resolve(target, iface, rid, rows) for rid in ids]
                     value[prop] = sorted(hits) if many else (hits[0] if hits else None)
                 if cname == "Hôpitaux_Publics":
                     value[SPECIFIC] = self.objects[ident].current.value.get(SPECIFIC)
                 self._diff(ident, value, t, ident in created, counts)
             self._freeze(cname, {i for i in rows if i[0] == cname}, t)
         self.memberships = {
-            i for i, o in self.objects.items()
-            if i[0] == "Chirurgiens" and o.current.value["année_naissance"] >= 1970
+            "Jeunes_Chirurgiens": self._members(
+                "Chirurgiens", lambda v: v["année_naissance"] >= 1970),
+            "Riches": self._members("Hôpitaux_Publics", lambda v: v["budget"] > RICH),
         }
         composite_rows = self._composite_rows()
         for ident, value in composite_rows.items():
@@ -189,14 +202,19 @@ class ReferenceWarehouse:
             counts[ident[0]]["frozen"] += obj.frozen
         return counts
 
-    def _resolve(self, target: str, iface: str, rid: str) -> Identity:
+    def _members(self, cname: str, holds) -> set[Identity]:
+        return {i for i, o in self.objects.items() if i[0] == cname and holds(o.current.value)}
+
+    def _resolve(self, target: str, iface: str, rid: str, result) -> Identity:
         """The one object of the target class (or, failing that, of its
-        extension) whose source key names the linked record."""
+        extension) whose source key names the linked record, the ones in
+        result, this refresh's extraction result, coming first."""
         named = [i for i in self.objects if (iface, rid) in i[1]]
         hits = [i for i in named if i[0] == target]
         if not hits:
             sub = {"Services": "Etablissements"}.get(target)
             hits = [i for i in named if i[0] == sub]
+        hits = [i for i in hits if i in result] or hits
         if len(hits) != 1:
             raise Rejected("DanglingRelationTarget")
         return hits[0]

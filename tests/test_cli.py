@@ -313,6 +313,26 @@ class TestInspect:
         assert "  oid 8  [ETABLISSEMENT:e1, SERVICE:s1]  active" in out
         assert "ETABLISSEMENT:e1, ETABLISSEMENT:e1" not in out
 
+    def test_a_self_join_lists_each_key_pair_once(self, tmp_path):
+        edw = tmp_path / "paires.edw"
+        edw.write_text(
+            "warehouse Paires;\n"
+            "interface Paires { D_attribute String nom; }\n"
+            'mapping Paires = project(a.nom, join(a: SERVICE, b: SERVICE, a.nom = "Urgences"));\n',
+            encoding="utf-8",
+        )
+        store = str(tmp_path / "p.store")
+        rc, _out, err = tdw(
+            "build", "--warehouse", str(edw), "--source-schema", ODL,
+            "--snapshot", write_snapshot(tmp_path / "s1990.jsonl", 1990),
+            "--at", "1990", "--store", store,
+        )
+        assert rc == 0, err
+        rc, out, err = tdw("inspect", "--store", store, "--class", "Paires")
+        assert rc == 0, err
+        assert "  oid 2  [SERVICE:s2]  active" in out
+        assert "SERVICE:s2, SERVICE:s2" not in out
+
     def test_history_blocks_after_eleven_yearly_refreshes(self, built):
         tmp, store = built
         for y in range(1991, 2002):

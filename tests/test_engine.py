@@ -408,6 +408,19 @@ class TestRefresh:
         report = refresh(store, make_snapshot(1992))  # declared period is 1 year
         assert any("refresh period" in w for w in report.warnings)
 
+    def test_incomparable_refresh_period_warns_and_refreshes(
+        self, src_schema, edw_text, make_snapshot
+    ):
+        text = edw_text.replace("refresh every 1 year;", "refresh every 1 week;")
+        assert text != edw_text
+        store = initial_load(src_schema, parse_warehouse_def(text), make_snapshot(1990))
+        report = refresh(store, make_snapshot(1991))
+        assert report.warnings == [
+            "environment 'Evolutions': refresh period unit 'week' is not comparable with 'year'"
+        ]
+        assert report.classes["Hôpitaux_Publics"].historized == 2
+        assert store.last_refresh == year(1991)
+
     def test_gap_refresh_extends_to_previous_granule(self, src_schema, wdef, make_snapshot):
         # nothing is known between extraction points: a change observed in
         # 1993 means the old value held through 1992
@@ -467,9 +480,11 @@ class TestSpecializationOrder:
             head, "interface Tres_Jeunes (extend Jeunes_Chirurgiens) {\n}\n\n" + head
         ) + (
             "interface Riches (extend Etablissements) { }\n"
+            "interface Tres_Riches (extend Riches) { }\n"
             "mapping Tres_Jeunes = specialize(c: Jeunes_Chirurgiens,\n"
             "    c.année_naissance >= 1975);\n"
             "mapping Riches = specialize(e: Etablissements, e.budget > 0);\n"
+            "mapping Tres_Riches = specialize(r: Riches, r.budget > 1000000);\n"
         )
         return parse_warehouse_def(text)
 
@@ -477,6 +492,9 @@ class TestSpecializationOrder:
     SELECTIONS = {
         "Tres_Jeunes": ("Jeunes_Chirurgiens", lambda v: v["année_naissance"] >= 1975),
         "Riches": ("Etablissements", lambda v: v["budget"] > 0),
+        # a membership of a membership reads the composites its operand
+        # selected
+        "Tres_Riches": ("Riches", lambda v: v["budget"] > 1000000),
     }
 
     def test_each_specialization_follows_its_operands(self, src_schema, layered, make_snapshot):
@@ -496,6 +514,48 @@ class TestSpecializationOrder:
                 assert expected, name  # not vacuous
                 assert store.by_class[name] == expected, f"{y}/{name}"
             assert_indexes(store)
+
+    def test_membership_reads_its_operand_without_subclass_composites(
+        self, src_schema, edw_text, make_snapshot
+    ):
+        # Hôpitaux_Publics's extension holds its subclass Etablissements's
+        # composites; Riches2 selects none of them, declared before
+        # Etablissements or after it
+        interface = "interface Etablissements (extend"
+        mapping = "mapping Etablissements ="
+        riches = (
+            "interface Riches2 (extend Hôpitaux_Publics) { }\n",
+            "mapping Riches2 = specialize(h: Hôpitaux_Publics, h.budget > 0);\n",
+        )
+        assert edw_text.count(interface) == edw_text.count(mapping) == 1
+        texts = [
+            edw_text.replace(interface, riches[0] + interface).replace(
+                mapping, riches[1] + mapping
+            ),
+            edw_text + "".join(riches),
+        ]
+        stores = [
+            initial_load(src_schema, parse_warehouse_def(text), make_snapshot(1990))
+            for text in texts
+        ]
+        for y in (1990, 1991, 1992):
+            if y > 1990:
+                for store in stores:
+                    refresh(store, make_snapshot(y))
+            hospitals = [by_key(stores[0], "Hôpitaux_Publics", e).oid for e in ("e1", "e2")]
+            assert [s.direct_extension("Riches2") for s in stores] == [hospitals] * 2
+            assert stores[0].direct_extension("Etablissements")  # not vacuous
+            before, after = (without_definition(dumps_store(s)) for s in stores)
+            assert before == after
+
+
+def without_definition(text: str) -> tuple[dict, str]:
+    """A store file's header, without the warehouse definition's text,
+    and its object lines."""
+    header, lines = text.split("\n", 1)
+    doc = json.loads(header)
+    del doc["warehouse_def"]
+    return doc, lines
 
 
 def with_anciens(edw_text: str) -> str:
@@ -553,6 +613,22 @@ class TestArchival:
             "count": 1,
             "sum": 2000000.0,
             "value": 2000000.0,
+        }
+
+    def test_membership_in_an_environment_archives_under_its_objects_class(
+        self, src_schema, edw_text, make_snapshot
+    ):
+        # Jeunes_Chirurgiens's extension is a set of Chirurgiens objects, so
+        # p1, a young surgeon, evicts under Chirurgiens only
+        envs = "class Personnes, Chirurgiens,"
+        assert edw_text.count(envs) == 1
+        text = edw_text.replace(envs, "class Jeunes_Chirurgiens, Personnes, Chirurgiens,")
+        store = initial_load(src_schema, parse_warehouse_def(text), make_snapshot(1990))
+        for y in range(1991, 1996):
+            report = refresh(store, make_snapshot(y))
+        evictions = {c: n.archived_evictions for c, n in report.classes.items()}
+        assert {c: n for c, n in evictions.items() if n} == {
+            "Chirurgiens": 2, "Hôpitaux_Publics": 2
         }
 
     def test_unbounded_env_without_archives_never_evicts(
@@ -1197,21 +1273,72 @@ mapping Unites = u: UNITE;
 """
 
 
+def snapshot_with_s1_at(src_schema, at_year: int, *homes: str):
+    """The hospital source at at_year, service s1 in the organisation of
+    exactly the given hospitals."""
+    records = hospital_records(at_year)
+    for r in records:
+        if r["interface"] == "ETABLISSEMENT":
+            others = [s for s in r["links"]["organisation"] if s != "s1"]
+            r["links"]["organisation"] = sorted(others + ["s1"] * (r["id"] in homes))
+    return ingest_snapshot(src_schema, snapshot_lines(records), year(at_year))
+
+
+def service(store, hospital: str, sid: str):
+    key = (("ETABLISSEMENT", hospital), ("SERVICE", sid))
+    return store.objects[store.identity[("Services", key)]]
+
+
+# every pair of services whose first is the emergency ward: the pair
+# (s2, s2) names SERVICE:s2 twice
+SELF_JOIN_EDW = """
+warehouse Paires;
+interface Paires { D_attribute String nom; }
+mapping Paires = project(a.nom, join(a: SERVICE, b: SERVICE, a.nom = "Urgences"));
+"""
+
+
 class TestLinkResolution:
     def test_source_id_with_several_counterparts(self, store, src_schema):
-        # s1 moves from e1 to e2: pass 1 creates the (e2, s1) service while
-        # (e1, s1) is still active, so links to s1 have two counterparts
-        records = hospital_records(1991)
-        for r in records:
-            if r["id"] == "e1":
-                r["links"]["organisation"] = ["s2"]
-            if r["id"] == "e2":
-                r["links"]["organisation"] = ["s1", "s3"]
-        snap = ingest_snapshot(src_schema, snapshot_lines(records), year(1991))
+        # s1 moves from e1 to e2: pass 1 creates the (e2, s1) service and
+        # freezes (e1, s1), so links to s1 name the one in the result
+        refresh(store, snapshot_with_s1_at(src_schema, 1991, "e2"))
+        old, new = service(store, "e1", "s1"), service(store, "e2", "s1")
+        assert (old.status, new.status) == ("frozen", "active")
+        p1 = by_key(store, "Chirurgiens", "p1").current.value
+        assert (p1["travaille"], p1["dirige"]) == ([new.oid], new.oid)
+        assert new.oid in by_key(store, "Hôpitaux_Publics", "e2").current.value["organisation"]
+
+    def test_moved_back_service_links_to_its_old_frozen_object(self, store, src_schema):
+        # back at e1, s1's key is in the result again, held by the frozen
+        # (e1, s1), which the link names though it never thaws
+        for y, home in ((1991, "e2"), (1992, "e1"), (1993, "e1")):
+            refresh(store, snapshot_with_s1_at(src_schema, y, home))
+        old, new = service(store, "e1", "s1"), service(store, "e2", "s1")
+        assert (old.status, new.status) == ("frozen", "frozen")
+        p1 = by_key(store, "Chirurgiens", "p1").current.value
+        assert (p1["travaille"], p1["dirige"]) == ([old.oid], old.oid)
+
+    def test_several_counterparts_none_in_the_result(self, store, src_schema):
+        # s1 leaves every hospital after its move, but p1 still works
+        # there: both its objects are frozen, and neither stands in
+        refresh(store, snapshot_with_s1_at(src_schema, 1991, "e2"))
         before = dumps_store(store)
         with pytest.raises(DanglingRelationTarget, match="SERVICE:s1 has several counterpart"):
-            refresh(store, snap)
+            refresh(store, snapshot_with_s1_at(src_schema, 1992))
         assert dumps_store(store) == before
+
+    def test_self_join_key_holds_its_oid_once_under_a_repeated_pair(
+        self, src_schema, make_snapshot, tmp_path
+    ):
+        # a composite is not the only key to name one pair twice
+        store = initial_load(src_schema, parse_warehouse_def(SELF_JOIN_EDW), make_snapshot(1990))
+        twice = (("SERVICE", "s2"), ("SERVICE", "s2"))
+        oid = store.identity[("Paires", twice)]
+        assert store.source_index[("SERVICE", "s2")].count(oid) == 1
+        loaded = saved_and_loaded(store, str(tmp_path / "h.store"))
+        assert loaded.source_index == store.source_index
+        assert_indexes(loaded)
 
     def test_team_naming_a_practitioner_outside_surgery(self, store, src_schema):
         # p3 has always been a cardiologist, so no Chirurgiens object
@@ -1572,9 +1699,10 @@ def v3_text(store) -> str:
 # the index against the whole-extension scan it replaced
 
 
-def scan_relation_oid(store, class_name, prop, source_target, _wanted, rid):
+def scan_relation_oid(store, live, class_name, prop, source_target, _wanted, rid):
     """Link resolution before the source-id index: scan the target class's
-    extension for an object whose source key names the linked record."""
+    extension for an object whose source key names the linked record, the
+    one in live, this refresh's extraction result, winning over others."""
     src = store.source_schema
     wanted = subtypes(src, source_target) if source_target in src.interfaces else {source_target}
 
@@ -1584,6 +1712,8 @@ def scan_relation_oid(store, class_name, prop, source_target, _wanted, rid):
     hits = [oid for oid in store.direct_extension(prop.target) if matches(oid)]
     if not hits:
         hits = [oid for oid in store.extension_of(prop.target) if matches(oid)]
+    if len(hits) > 1:
+        hits = [oid for oid in hits if oid in live] or hits
     if len(hits) != 1:
         raise DanglingRelationTarget(
             f"{class_name}.{prop.name}: source object {source_target}:{rid} has "
@@ -1726,7 +1856,12 @@ def history_edw(edw_text, keep_count, keep_years, temporal_creation) -> str:
     text = edw_text.replace("keep 2 past states;", " ".join(bounds))
     if temporal_creation:
         text = text.replace("temporal budget,", "temporal année_création, budget,")
-    return text
+    # a membership of Hôpitaux_Publics declared after Etablissements, a
+    # composite subclass of Hôpitaux_Publics
+    return text + (
+        "interface Riches (extend Hôpitaux_Publics) { }\n"
+        f"mapping Riches = specialize(h: Hôpitaux_Publics, h.budget > {reference.RICH});\n"
+    )
 
 
 def engine_value(store, payload, relations):
