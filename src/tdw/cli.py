@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 domain error (validation failure, refresh
 rejected, bad oid, ...), 2 I/O or usage problems. Mutating commands
-take an advisory lock file next to the store so two writers cannot
-interleave.
+take an advisory lock file next to the store, and read or test the
+store only while they hold it, so two writers cannot interleave.
 """
 
 from __future__ import annotations
@@ -129,13 +129,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_build(args) -> int:
-    if os.path.exists(args.store):
-        print(f"error: store {args.store} already exists", file=sys.stderr)
-        return 1
-    src, wdef = _load_pair(args)
-    at = parse_instant(args.at)
-    snapshot = ingest_snapshot(src, _read(args.snapshot).splitlines(), at)
     with _locked(args.store):
+        if os.path.exists(args.store):
+            print(f"error: store {args.store} already exists", file=sys.stderr)
+            return 1
+        src, wdef = _load_pair(args)
+        at = parse_instant(args.at)
+        snapshot = ingest_snapshot(src, _read(args.snapshot).splitlines(), at)
         store = engine.initial_load(src, wdef, snapshot, at)
         engine.save_store(store, args.store)
     counts = {name: len(store.extension_of(name)) for name in sorted(store.schema.classes)}

@@ -9,7 +9,7 @@ against the stored extension: new keys create objects, equal values
 carry the current state forward, changes to temporal-filter properties
 push history, other changes overwrite in place, and vanished keys freeze
 their object one granule before the extraction point. An initial load
-is the first extraction point, run like any other.
+is the first extraction point, and a patch one for a single object.
 
 An extraction point runs four passes: (1) decide every extraction
 result's objects, creating new keys' and freezing vanished ones; (2)
@@ -26,8 +26,8 @@ link costs one lookup per interface it may name, whatever the size of
 the target class's extension.
 
 A refresh's writes follow its change set. An active object's current
-state ends at the store's last refresh, which every open state reads
-from the store's shared Now, so an object carried over a refresh is not
+state ends at the store's now, which every open state reads from the
+store's shared Now, so an object carried over a refresh is not
 written to at all. A store is single-writer, and refresh() is atomic: it
 works on a working copy, which copies the dicts and indexes but shares
 every object, and publishes it only on success. The passes call
@@ -107,6 +107,7 @@ from .source import (
 from .temporal import (
     Instant,
     TemporalDomain,
+    compare_units,
     convert_count,
     domain,
     domain_union,
@@ -304,9 +305,16 @@ class Store:
 def initial_load(
     src: SourceSchema, wdef: WarehouseDef, snapshot: Snapshot, t: Instant | None = None
 ) -> Store:
-    """Build a fresh store from the first extraction point."""
+    """Build a fresh store, in t's unit for life, from the first extraction point."""
     t = _instant_of(snapshot, t)
     schema = resolve(wdef, src, strict=True)
+    for name, env in sorted(schema.environments.items()):
+        duration = schema.retention_for(env).keep_past_duration
+        if duration and compare_units(duration[1], t.unit) == "incomparable":
+            raise MixedUnits(
+                f"environment {name!r}: retention unit {duration[1]!r} is not "
+                f"comparable with {t.unit!r}"
+            )
     store = Store(src, schema, print_source_schema(src), print_warehouse_def(wdef))
     # a store nobody else holds needs no working copy to stay atomic
     _run_extraction_points(store, snapshot, t)
@@ -317,8 +325,6 @@ def initial_load(
 def refresh(store: Store, snapshot: Snapshot, t: Instant | None = None) -> RefreshReport:
     """Apply one extraction point; atomic on failure."""
     t = _instant_of(snapshot, t)
-    if store.last_refresh is None:
-        raise NonMonotonicInstant("store was never loaded")
     if t.unit != store.last_refresh.unit:
         raise UnitMismatch(
             f"refresh unit {t.unit!r} differs from store unit {store.last_refresh.unit!r}"
@@ -572,17 +578,15 @@ def _build_from_objects(
 
 
 def _check_refresh_period(store: Store, t: Instant, report: RefreshReport) -> None:
-    for env_name in sorted(store.schema.environments):
-        env = store.schema.environments[env_name]
-        cfg = store.schema.retention_for(env)
-        if cfg.refresh_period is None:
+    for env_name, env in sorted(store.schema.environments.items()):
+        period = store.schema.retention_for(env).refresh_period
+        if period is None:
             continue
-        count, unit = cfg.refresh_period
         try:
-            expected = convert_count(count, unit, t.unit)
+            expected = convert_count(*period, t.unit)
         except MixedUnits:
             report.warnings.append(
-                f"environment {env_name!r}: refresh period unit {unit!r} is not "
+                f"environment {env_name!r}: refresh period unit {period[1]!r} is not "
                 f"comparable with {t.unit!r}"
             )
             continue
@@ -628,16 +632,12 @@ def apply_archival_state(store: Store, env: model.Environment, t: Instant) -> di
 
 def _evictions(past: list[State], cfg: model.RetentionConfig, t: Instant) -> int:
     """How many of the oldest past states lie beyond the retention bounds."""
-    for evicted, state in enumerate(past):
-        over_count = cfg.keep_past_count is not None and len(past) - evicted > cfg.keep_past_count
-        over_age = False
-        if cfg.keep_past_duration is not None:
-            count, unit = cfg.keep_past_duration
-            bound = convert_count(count, unit, t.unit)
-            over_age = (t.tick - state.domain.intervals[-1].end.tick) > bound
-        if not (over_count or over_age):
-            return evicted
-    return len(past)
+    n = 0 if cfg.keep_past_count is None else max(0, len(past) - cfg.keep_past_count)
+    if cfg.keep_past_duration is not None:
+        bound = convert_count(*cfg.keep_past_duration, t.unit)
+        while n < len(past) and t.tick - past[n].domain.intervals[-1].end.tick > bound:
+            n += 1
+    return n
 
 
 def _archive_object(obj: WarehouseObject, n: int, archi: dict[str, str]) -> None:
@@ -698,7 +698,8 @@ def merge_archive(
 
 
 def patch_specific(store: Store, oid: Oid, prop_name: str, value: Any, t: Instant) -> None:
-    """Set a specific property; history follows the temporal-filter rule."""
+    """Set a specific property at t as a refresh at t sets a derived one;
+    a patch dated after the last refresh moves the store's now to t."""
     obj = store.get_object(oid)
     if obj.status != "active":
         raise FrozenObject(f"object {oid} is frozen and cannot be patched")
@@ -719,22 +720,11 @@ def patch_specific(store: Store, oid: Oid, prop_name: str, value: Any, t: Instan
     new_value[prop_name] = value
     if new_value == obj.current.value:
         return
-    end = obj.current.domain.intervals[-1].end.tick
-    if prop_name in tempo:
-        if t.tick <= end:
-            raise NonMonotonicInstant(
-                "a temporal patch must be dated after the current state"
-            )
-        obj = store.touch(oid)
-        obj.past.append(State(obj.current.domain, obj.current.value))
-        obj.current = State(domain(t.unit, (t.tick, t.tick)), new_value, store.now)
-    else:
-        obj = store.touch(oid)
-        obj.current.value = new_value
-        if t.tick > end:
-            # the one explicit end: a patch dated after the last refresh
-            # holds the state open to its own date
-            obj.current.stored = extend_end(obj.current.stored, t.tick)
+    if prop_name in tempo and t.tick <= obj.current.domain.intervals[-1].end.tick:
+        raise NonMonotonicInstant("a temporal patch must be dated after the current state")
+    _diff_object(store, obj, new_value, tempo, t, ClassCounts())
+    if t.tick > store.last_refresh.tick:
+        store.last_refresh = t
 
 
 def _patched_relation(store: Store, owner: str, prop: model.PropertyDef, value: Any) -> Any:
@@ -845,13 +835,20 @@ def _domain_dict(d: TemporalDomain) -> dict[str, Any]:
 def save_store(store: Store, path: str) -> None:
     """Write the store through a temporary file that replaces path, so a
     failed encoding, write or rename leaves the prior file as it was and
-    no temporary file."""
+    no temporary file; both are synced, so a crash leaves one of them."""
     lines = _store_lines(store)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        folder = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(folder)
+        finally:
+            os.close(folder)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
@@ -961,7 +958,7 @@ def _store_from_header(doc: dict[str, Any]) -> Store:
         schema,
         doc["source_schema"],
         doc["warehouse_def"],
-        now=Now(parse_instant(doc["last_refresh"]) if doc["last_refresh"] else None),
+        now=Now(parse_instant(doc["last_refresh"])),
         oid_counter=doc["oid_counter"],
     )
 
@@ -970,7 +967,7 @@ def _store_from_lines(doc: dict[str, Any], lines: list[str], decoder: _StateDeco
     store = _store_from_header(doc)
     reuse = decoder.layout == STORE_FORMAT
     if decoder.layout == V2_FORMAT:
-        decoder.implied_end = store.last_refresh.tick if store.last_refresh else None
+        decoder.implied_end = store.last_refresh.tick
     index = doc["objects"]
     # only a file cut off inside its last line has a line without "\n"
     complete = len(lines) - (bool(lines) and not lines[-1].endswith("\n"))
@@ -995,7 +992,7 @@ def _store_from_lines(doc: dict[str, Any], lines: list[str], decoder: _StateDeco
 
 def _store_from_v1(doc: dict[str, Any], decoder: _StateDecoder) -> Store:
     store = _store_from_header(doc)
-    decoder.implied_end = store.last_refresh.tick if store.last_refresh else None
+    decoder.implied_end = store.last_refresh.tick
     for item in doc["objects"]:
         now = store.now if item["status"] == "active" else None
         store.add_object(
@@ -1031,7 +1028,7 @@ class _StateDecoder:
     v1 and v2 files wrote an open state's end as it read at the last
     refresh; the loader sets implied_end to that refresh, and an end no
     later than it is dropped to the state's start, as the engine stores
-    it, while a later end, which only a patch sets, is kept.
+    it, while a later end, which older builds let a patch set, is kept.
     """
 
     def __init__(self, path: str, layout: str):

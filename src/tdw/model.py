@@ -409,11 +409,11 @@ def validate_schema(schema: WarehouseSchema) -> list[SchemaViolation]:
 
 
 class Now:
-    """A store's last refresh: the end of every open current state in it.
+    """A store's now: the end of every open current state in it.
 
     One Now is shared by a store, its working copies and the open states
-    of all their objects, so publishing a refresh moves the end of every
-    carried object at once, without writing to any of them. instant is
+    of all their objects, so a refresh, or a later patch, moves the end
+    of every open state at once, without writing to any. instant is
     None only while an initial load builds the store's first objects.
     """
 
@@ -431,7 +431,7 @@ class State:
     each access, as a NOW-relative end is in Clifford et al., "On the
     Semantics of 'Now' in Databases" (TODS 1997). The stored domain is
     what the engine last wrote: the state's start, or a later end that a
-    patch dated after the last refresh set. Past states and a frozen
+    patch set in a file an older build wrote. Past states and a frozen
     object's current state are closed: their domain is the stored one.
     Equality compares the domains as read.
 

@@ -424,6 +424,8 @@ def ingest_snapshot(schema: SourceSchema, lines: Iterable[str], at: Instant) -> 
 def _typed_record(tables: dict[str, InterfaceTables], doc: Any, lineno: int) -> SourceRecord:
     if not isinstance(doc, dict) or "interface" not in doc or "id" not in doc:
         raise TypeMismatch(f"record line {lineno}: missing interface/id")
+    if not all(map(_is_str, (doc["interface"], doc["id"]))):
+        raise TypeMismatch(f"record line {lineno}: interface and id must be strings")
     iface_name = doc["interface"]
     table = tables.get(iface_name)
     if table is None:
@@ -453,7 +455,7 @@ def _typed_record(tables: dict[str, InterfaceTables], doc: Any, lineno: int) -> 
         links[name] = tuple(sorted(set(ids)))
     for name in rels:
         links.setdefault(name, ())
-    return SourceRecord(iface_name, str(doc["id"]), values, links)
+    return SourceRecord(iface_name, doc["id"], values, links)
 
 
 def _member(doc: dict[str, Any], part: str, lineno: int) -> dict[str, Any]:

@@ -26,9 +26,13 @@ The rules it states:
 - a past state beyond the retention bounds (by count, by duration or
   both) is evicted, and its archive-filter properties fold into one
   archive state with exact avg accumulators;
-- a patch of the specific property follows the same filter rule, is
-  refused on a frozen object, and a temporal patch must be dated after
-  the current state.
+- a patch of the specific property is a refresh of one object at its
+  date t: it is refused on a frozen object, a temporal patch must be
+  dated after the current state and closes it at t-1, another overwrites
+  the current value; a patch dated after the last refresh becomes the
+  store's now: every active object's current state extends to t, the
+  next refresh must be dated after t, and its declared period counts
+  from t.
 """
 
 from __future__ import annotations
@@ -105,6 +109,8 @@ class ReferenceWarehouse:
         """Apply one snapshot at tick t (the first one loads); return the
         counts per class and the warnings. Raises Rejected and changes
         nothing on refusal."""
+        if self.last is not None and t <= self.last:
+            raise Rejected("NonMonotonicInstant")
         work = copy.deepcopy(self)
         counts = work._apply(records, t)
         warnings = []
@@ -125,10 +131,15 @@ class ReferenceWarehouse:
         if self.temporal_creation:
             if t <= max(obj.current.ticks):
                 raise Rejected("NonMonotonicInstant")
-            obj.past.append(obj.current)
+            obj.past.append(MState(_extend(obj.current.ticks, t - 1), obj.current.value))
             obj.current = MState({t}, new)
         else:
-            obj.current = MState(_extend(obj.current.ticks, t), new)
+            obj.current = MState(obj.current.ticks, new)
+        if t > self.last:
+            for other in work.values():
+                if not other.frozen:
+                    other.current = MState(_extend(other.current.ticks, t), other.current.value)
+            self.last = t
         self.objects = work
 
     # -- queries -------------------------------------------------------------

@@ -168,6 +168,35 @@ class TestBuild:
         )
         assert rc == 1 and "already exists" in err
 
+    def test_store_made_before_the_lock_is_taken_is_kept(self, tmp_path, monkeypatch, capsys):
+        # another build creates the store between this one's start and its
+        # taking the lock, simulated as the lock's enter
+        snap = write_snapshot(tmp_path / "s.jsonl", 1990)
+        store = tmp_path / "h.store"
+
+        class racing(_locked):
+            def __enter__(self):
+                held = super().__enter__()
+                store.write_text("another build's store\n", encoding="utf-8")
+                return held
+
+        monkeypatch.setattr(cli, "_locked", racing)
+        rc = cli.main([
+            "build", "--warehouse", EDW, "--source-schema", ODL,
+            "--snapshot", snap, "--at", "1990", "--store", str(store),
+        ])
+        assert rc == 1 and "already exists" in capsys.readouterr().err
+        assert store.read_text(encoding="utf-8") == "another build's store\n"
+        assert not Path(str(store) + ".lock").exists()
+
+    def test_existing_store_is_reported_before_input_errors(self, built, tmp_path):
+        _tmp, store = built
+        rc, _out, err = tdw(
+            "build", "--warehouse", EDW_BROKEN, "--source-schema", ODL,
+            "--snapshot", str(tmp_path / "missing.jsonl"), "--at", "1990", "--store", store,
+        )
+        assert rc == 1 and "already exists" in err
+
     def test_invalid_schema_writes_nothing(self, tmp_path):
         snap = write_snapshot(tmp_path / "s.jsonl", 1990)
         store = tmp_path / "broken.store"

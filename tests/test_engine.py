@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import os
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -33,6 +34,7 @@ from tdw.errors import (
     DanglingRelationTarget,
     Error,
     FrozenObject,
+    MixedUnits,
     NonMonotonicInstant,
     NotSpecificProperty,
     TypeMismatch,
@@ -48,7 +50,7 @@ from tdw.model import (
     lifecycle_span,
 )
 from tdw.source import ingest_snapshot, parse_source_schema
-from tdw.temporal import Instant, domain
+from tdw.temporal import Instant, domain, extend_end
 
 
 # every initial load, store load and refresh in this module also checks the
@@ -420,6 +422,24 @@ class TestRefresh:
         ]
         assert report.classes["Hôpitaux_Publics"].historized == 2
         assert store.last_refresh == year(1991)
+
+    def test_incomparable_retention_unit_is_rejected_at_the_build(
+        self, src_schema, edw_text, make_snapshot
+    ):
+        text = edw_text.replace("keep 2 past states;", "keep past 2 weeks;")
+        assert text != edw_text
+        with pytest.raises(MixedUnits) as err:
+            initial_load(src_schema, parse_warehouse_def(text), make_snapshot(1990))
+        assert str(err.value) == (
+            "environment 'Evolutions': retention unit 'week' is not comparable with 'year'"
+        )
+        # a comparable unit is converted, rounding up to whole years
+        text = edw_text.replace("keep 2 past states;", "keep past 13 months;")
+        store = initial_load(src_schema, parse_warehouse_def(text), make_snapshot(1990))
+        for y in (1991, 1992, 1993):
+            refresh(store, make_snapshot(y))
+        hop = by_key(store, "Hôpitaux_Publics", "e1")
+        assert [s.domain.intervals[-1].end for s in hop.past] == [year(1991), year(1992)]
 
     def test_gap_refresh_extends_to_previous_granule(self, src_schema, wdef, make_snapshot):
         # nothing is known between extraction points: a change observed in
@@ -905,6 +925,44 @@ class TestPatchSpecific:
         assert hop.past[0].value["année_création"] is None
         assert hop.current.value["année_création"] == 1956
 
+    def test_a_patch_after_the_last_refresh_forces_the_next_refresh_after_it(
+        self, store, make_snapshot
+    ):
+        hop = by_key(store, "Hôpitaux_Publics", "e1")
+        patch_specific(store, hop.oid, "année_création", 1956, year(1993))
+        assert store.last_refresh == year(1993)
+        e2 = by_key(store, "Hôpitaux_Publics", "e2")
+        assert e2.current.domain.intervals[-1].end == year(1993)
+        text = dumps_store(store)
+        # a refresh at 1991 would historize e1 inside its patched state
+        with pytest.raises(NonMonotonicInstant, match="refresh at 1991 is not after 1993"):
+            refresh(store, make_snapshot(1991))
+        assert dumps_store(store) == text
+        # the refresh period counts from the patch's date
+        assert refresh(store, make_snapshot(1994)).warnings == []
+        assert_states_disjoint(store)
+
+    def test_a_temporal_patch_closes_the_old_state_before_its_date(
+        self, src_schema, edw_text, make_snapshot
+    ):
+        text = edw_text.replace(
+            "temporal budget, nb_services, organisation;",
+            "temporal budget, nb_services, organisation, année_création;",
+        )
+        store = initial_load(src_schema, parse_warehouse_def(text), make_snapshot(1990))
+        hop = by_key(store, "Hôpitaux_Publics", "e1")
+        old = dict(hop.current.value)
+        patch_specific(store, hop.oid, "année_création", 1956, year(1992))
+        hop = store.objects[hop.oid]
+        assert store.value_at(hop.oid, year(1991)) == ("past", old)
+        assert [(iv.start.tick, iv.end.tick) for iv in hop.past[0].domain.intervals] == [
+            (20, 21)
+        ]
+        assert store.value_at(hop.oid, year(1992)) == ("current", {**old, "année_création": 1956})
+        assert_states_disjoint(store)
+        with pytest.raises(NonMonotonicInstant):
+            refresh(store, make_snapshot(1991))
+
     def test_ill_typed_value_rejected(self, store):
         hop = by_key(store, "Hôpitaux_Publics", "e1")
         with pytest.raises(TypeMismatch) as err:
@@ -1095,12 +1153,14 @@ class TestPersistence:
             lambda doc: doc["objects"][0]["current"]["domain"].update(intervals=[[20]]),
             lambda doc: doc["objects"][0]["current"]["domain"].update(intervals=[[21, 20]]),
             lambda doc: doc.update(last_refresh="banana"),
+            lambda doc: doc.update(last_refresh=None),
             *MEMBERSHIP_DAMAGE,
             *(v1_index_damage(*d) for d in INDEX_DAMAGE),
         ],
         ids=[
             "no-warehouse-def", "objects-not-a-list", "object-without-past",
             "domain-not-an-object", "one-bound-interval", "empty-interval", "bad-last-refresh",
+            "no-last-refresh",
             *MEMBERSHIP_DAMAGE_IDS,
             *INDEX_DAMAGE_IDS,
         ],
@@ -1134,12 +1194,13 @@ class TestPersistence:
             lambda head: head["objects"].reverse(),
             lambda head: head["objects"][1].__setitem__(3, head["objects"][0][3]),
             lambda head: head.update(last_refresh="banana"),
+            lambda head: head.update(last_refresh=None),
             *MEMBERSHIP_DAMAGE,
             *(v2_index_damage(*d) for d in INDEX_DAMAGE),
         ],
         ids=[
             "no-warehouse-def", "index-not-a-list", "index-entry-of-three",
-            "index-out-of-oid-order", "shared-identity", "bad-last-refresh",
+            "index-out-of-oid-order", "shared-identity", "bad-last-refresh", "no-last-refresh",
             *MEMBERSHIP_DAMAGE_IDS,
             *INDEX_DAMAGE_IDS,
         ],
@@ -1223,6 +1284,44 @@ class TestPersistence:
         before = path.read_bytes()
         refresh(store, make_snapshot(1991))
         with mock.patch.object(engine.os, "replace", side_effect=OSError("disk gone")):
+            with pytest.raises(OSError, match="disk gone"):
+                save_store(store, str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.store"]
+
+    def test_a_save_syncs_the_file_before_the_rename_and_the_folder_after(
+        self, store, tmp_path
+    ):
+        path = tmp_path / "h.store"
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            calls.append(("fsync", st.st_ino, st.st_size))
+            real_fsync(fd)
+
+        def rename(src, dst):
+            calls.append(("replace", src, dst))
+            real_replace(src, dst)
+
+        with mock.patch.object(engine.os, "fsync", fsync), \
+                mock.patch.object(engine.os, "replace", rename):
+            save_store(store, str(path))
+        written = path.stat()
+        folder = tmp_path.stat()
+        assert calls == [
+            ("fsync", written.st_ino, written.st_size),
+            ("replace", f"{path}.tmp", str(path)),
+            ("fsync", folder.st_ino, folder.st_size),
+        ]
+        assert written.st_size == len(dumps_store(store).encode("utf-8"))
+
+    def test_failed_sync_keeps_the_prior_file_and_no_temporary(self, store, tmp_path):
+        path = tmp_path / "h.store"
+        save_store(store, str(path))
+        before = path.read_bytes()
+        with mock.patch.object(engine.os, "fsync", side_effect=OSError("disk gone")):
             with pytest.raises(OSError, match="disk gone"):
                 save_store(store, str(path))
         assert path.read_bytes() == before
@@ -1578,19 +1677,29 @@ class TestCopyOnWrite:
         assert dumps_store(loaded) == Path(path).read_text(encoding="utf-8")
         assert len(encoded) == len(touched)  # the heads again, and no past state
 
-    def test_a_patch_after_the_last_refresh_keeps_an_explicit_end(
+    def test_a_patch_after_the_last_refresh_moves_the_store_now(
         self, store, tmp_path, make_snapshot
     ):
         refresh(store, make_snapshot(1991))
         hop = by_key(store, "Hôpitaux_Publics", "e1")
-        patch_specific(store, hop.oid, "année_création", 1956, year(1994))
-        hop = store.objects[hop.oid]
-        assert hop.current.stored.intervals[-1].end == year(1994)
+        with touch_spy() as touched:
+            patch_specific(store, hop.oid, "année_création", 1956, year(1994))
+        assert touched == {hop.oid}
+        assert store.last_refresh == year(1994)
+        # every open state runs to the patch's date, and none stores an end
+        # past its start
+        for obj in store.objects.values():
+            if obj.status == "active":
+                last = obj.current.stored.intervals[-1]
+                assert last.end == last.start
+                assert obj.current.domain.intervals[-1].end == year(1994)
         path = str(tmp_path / "h.store")
         loaded = saved_and_loaded(store, path)
-        assert loaded.objects[hop.oid].current == hop.current
-        assert hop.current.domain.intervals[-1].end == year(1994)
-        snap = make_snapshot(1992)
+        assert loaded.last_refresh == year(1994)
+        assert loaded.objects[hop.oid].current == store.objects[hop.oid].current
+        with pytest.raises(NonMonotonicInstant, match="refresh at 1992 is not after 1994"):
+            refresh(loaded, make_snapshot(1992))
+        snap = make_snapshot(1995)
         assert refresh(loaded, snap).to_dict() == refresh(store, snap).to_dict()
         assert dumps_store(loaded) == dumps_store(store)
 
@@ -1599,10 +1708,9 @@ class TestCopyOnWrite:
     ):
         for y in (1991, 1992, 1993):
             refresh(store, make_snapshot(y))
-        e2 = by_key(store, "Hôpitaux_Publics", "e2")
-        patch_specific(store, e2.oid, "année_création", 1961, year(1995))
+        patched_late(store, "e2", 1961, year(1995))
         # the layout the previous store files had: every state's domain as
-        # it read at the last refresh
+        # it read at the last refresh, and a later end as it was stored
         v1 = store_to_dict(store)
         header = {k: v1[k] for k in ("source_schema", "warehouse_def", "last_refresh",
                                      "oid_counter", "memberships")}
@@ -1626,8 +1734,7 @@ class TestCopyOnWrite:
     ):
         for y in (1991, 1992, 1993):
             refresh(store, make_snapshot(y))
-        e2 = by_key(store, "Hôpitaux_Publics", "e2")
-        patch_specific(store, e2.oid, "année_création", 1961, year(1995))
+        patched_late(store, "e2", 1961, year(1995))
         path = tmp_path / "h.store"
         path.write_text(v3_text(store), encoding="utf-8")
         loaded = load_store(str(path))
@@ -1664,6 +1771,18 @@ class TestCopyOnWrite:
             oids = held.source_index[("ETABLISSEMENT", "e1")]
             assert len(oids) == len(set(oids)) and set(composites) & set(oids)
         assert dumps_store(loaded) == dumps_store(store)
+
+
+def patched_late(store, hospital: str, created: int, t: Instant) -> None:
+    """A patch of the hospital's année_création dated t, after the last
+    refresh, as older builds stored it: the patched value, and the end of
+    the object's current state moved to t while the store's now stays.
+    Store files those builds wrote hold such a later end, read as written."""
+    hop = store.touch(by_key(store, "Hôpitaux_Publics", hospital).oid)
+    assert t.tick > store.last_refresh.tick
+    hop.current.value["année_création"] = created
+    hop.current.stored = extend_end(hop.current.stored, t.tick)
+    assert hop.current.domain.intervals[-1].end == t
 
 
 def v3_text(store) -> str:
@@ -1896,6 +2015,12 @@ def assert_engine_matches_model(store, model, ticks) -> None:
         assert {idents[oid] for oid in store.extension_of(name)} == members, name
 
 
+def assert_states_disjoint(store) -> None:
+    """No two states of any object hold one granule."""
+    for oid, obj in store.objects.items():
+        assert check_state_disjointness(obj) == [], oid
+
+
 @contextlib.contextmanager
 def touch_spy():
     """The oids passed to Store.touch while the block runs."""
@@ -1991,6 +2116,7 @@ class TestReferenceModel:
             event(f"step {step}: {outcome if isinstance(outcome, str) else 'refreshed'}")
             if store is None:
                 continue
+            assert_states_disjoint(store)
             for sid, value, offset in patches[step]:
                 tick = store.last_refresh.tick + offset
                 seen.add(tick)
@@ -2009,6 +2135,7 @@ class TestReferenceModel:
                 except Error as exc:
                     outcome = type(exc).__name__
                 assert outcome == expected
+                assert_states_disjoint(store)
                 event(f"patch: {outcome}")
             ticks = range(min(seen) - 1, max(seen) + 2)
             assert_engine_matches_model(store, model, ticks)

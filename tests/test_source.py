@@ -331,6 +331,21 @@ class TestRejectionMessages:
         lines = snapshot_lines(hospital_records(1990)[:1]) + [json.dumps(doc)]
         self.check(src_schema, None, TypeMismatch, "record line 2: missing interface/id", lines)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"interface": ["PRATICIEN"], "id": "p1"}, {"interface": 7, "id": "p1"},
+         {"interface": "PRATICIEN", "id": 7}, {"interface": "PRATICIEN", "id": None},
+         {"interface": "PRATICIEN", "id": True}, {"interface": None, "id": ["p1"]}],
+        ids=["interface-a-list", "interface-a-number", "id-a-number", "id-null", "id-true",
+             "both"],
+    )
+    def test_interface_or_id_not_a_string(self, src_schema, doc):
+        lines = snapshot_lines(hospital_records(1990)[:1]) + [json.dumps(doc)]
+        self.check(
+            src_schema, None, TypeMismatch, "record line 2: interface and id must be strings",
+            lines,
+        )
+
     def test_unknown_interface(self, src_schema):
         records = with_record("p2", lambda r: r.update(interface="GHOST"))
         self.check(
@@ -702,10 +717,15 @@ def outcome(typed_record, schema_arg, doc):
 
 
 def expected_outcome(schema, doc):
-    """The reference's outcome, except where a values or links member is
-    present but neither an object nor null: the reference reads a falsy
-    one as {} and crashes on a truthy one, and ingestion now rejects it
-    when it reaches the member, values first."""
+    """The reference's outcome, except in two cases. An interface or id
+    that is not a string is rejected: the reference crashes on an
+    unhashable interface, calls any other unknown, and turns any id into
+    its str(). A values or links member present but neither an object
+    nor null is rejected when ingestion reaches it, values first: the
+    reference reads a falsy one as {} and crashes on a truthy one."""
+    if isinstance(doc, dict) and "interface" in doc and "id" in doc:
+        if not (isinstance(doc["interface"], str) and isinstance(doc["id"], str)):
+            return ("raised", "TypeMismatch", "record line 7: interface and id must be strings")
     got = outcome(reference_typed_record, schema, copy.deepcopy(doc))
     known = (
         isinstance(doc, dict) and "id" in doc
