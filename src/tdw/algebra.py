@@ -80,14 +80,6 @@ class ClassBuild:
     def binder_names(self) -> set[str]:
         return {p.binder for p in self.structure if p.binder}
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """Rows as plain name -> value maps (names must be unambiguous)."""
-        names = self.names()
-        dupes = {n for n in names if names.count(n) > 1}
-        if dupes:
-            raise AmbiguousProperty(f"build has colliding property names {sorted(dupes)}")
-        return [dict(zip(names, r.values)) for r in self.rows]
-
 
 def _sorted_rows(rows: Iterable[Row]) -> list[Row]:
     out = sorted(rows, key=lambda r: r.key)

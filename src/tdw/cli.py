@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 domain error (validation failure, refresh
 rejected, bad oid, ...), 2 I/O or usage problems. Mutating commands
-take an advisory lock file next to the store, and read or test the
-store only while they hold it, so two writers cannot interleave.
+take an exclusive lock on a file next to the store, and read or test
+the store only while they hold it, so two writers cannot interleave.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import sys
@@ -327,45 +328,32 @@ _PARSER = _build_parser()
 
 
 class _locked:
-    """Advisory lock file preventing concurrent writers on one store.
+    """An exclusive lock on <store>.lock preventing concurrent writers on
+    one store.
 
-    The lock file holds the writer's pid, so a lock left by a process
-    that died can be told from a live one before it is removed.
+    The kernel holds the lock for the open file and drops it when the
+    writer's process ends, however it ends, so a dead writer leaves no
+    lock behind. The file is created if missing and never removed, since
+    two writers could otherwise lock two files of one name.
     """
 
     def __init__(self, store_path: str):
         self.path = store_path + ".lock"
-        self.fd: int | None = None
 
     def __enter__(self):
+        self.fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StoreLocked(
-                f"store is locked by another writer, {_lock_owner(self.path)} "
-                f"(remove {self.path} if stale)"
-            ) from None
-        try:
-            os.write(self.fd, f"{os.getpid()}\n".encode("ascii"))
-        except OSError:
-            self.__exit__()
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            os.close(self.fd)
+            if isinstance(exc, BlockingIOError):
+                raise StoreLocked(f"store is locked by another writer ({self.path})") from None
             raise
         return self
 
     def __exit__(self, *exc_info):
-        if self.fd is not None:
-            os.close(self.fd)
-            os.unlink(self.path)
+        os.close(self.fd)  # which releases the lock
         return False
-
-
-def _lock_owner(path: str) -> str:
-    try:
-        with open(path, encoding="ascii", errors="replace") as fh:
-            pid = fh.read().strip()
-    except OSError:
-        pid = ""
-    return f"pid {pid}" if pid.isdigit() else "pid unknown"
 
 
 if __name__ == "__main__":

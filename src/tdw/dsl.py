@@ -716,7 +716,9 @@ def _match_declared(
     build: algebra.ClassBuild,
 ) -> None:
     """Check a class's declared flattened structure against its mapping
-    output, then restrict the mapping to the declared properties."""
+    output. The mapping stays as written: each declared property comes
+    from the one output slot that produces it, and every other output is
+    ignored."""
     try:
         declared = flatten_type(schema, cls.name)
     except (InheritanceCycle, PropertyConflict, UnknownClass):
@@ -726,7 +728,6 @@ def _match_declared(
         out_by_name.setdefault(p.name, []).append(p)
 
     agg_by_name = _augment_functions(cls.mapping)
-    present: list[str] = []
     for p in declared:
         candidates = out_by_name.get(p.name, [])
         if len(candidates) > 1:
@@ -751,20 +752,12 @@ def _match_declared(
                 raise TypeInferenceError(
                     f"{cls.name}.{p.name}: declared {p.value_type}, mapping says {out.value_type}"
                 )
-        if out is not None:
-            present.append(p.name)
 
     # record derived provenance on the owning class's own structure
     for i, p in enumerate(cls.structure):
         candidates = out_by_name.get(p.name, [])
         if p.origin == "derived" and len(candidates) == 1:
             cls.structure[i] = replace(p, source_path=candidates[0].source_path)
-
-    declared_names = {p.name for p in declared}
-    if present and {p.name for p in build.structure} - declared_names:
-        cls.mapping = Project(
-            tuple((Path((n,)), None) for n in present), cls.mapping
-        )
 
 
 def _check_derived(

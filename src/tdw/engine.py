@@ -4,12 +4,14 @@ The engine owns the store: every warehouse object, the identity index
 from (class, source key) to oid, one class index holding each class's
 direct extension, and the resolved schema. Refreshes are driven by
 snapshots taken at extraction points; between two points the warehouse
-assumes nothing changed. A refresh diffs each class's mapping result
-against the stored extension: new keys create objects, equal values
-carry the current state forward, changes to temporal-filter properties
-push history, other changes overwrite in place, and vanished keys freeze
-their object one granule before the extraction point. An initial load
-is the first extraction point, and a patch one for a single object.
+assumes nothing changed. A refresh diffs each class's mapping result,
+each declared property read from the one slot producing it and every
+undeclared one ignored, against the stored extension: new keys create
+objects, equal values carry the current state forward, changes to
+temporal-filter properties push history, other changes overwrite in
+place, and vanished keys freeze their object one granule before the
+extraction point. An initial load is the first extraction point, and a
+patch one for a single object.
 
 An extraction point runs four passes: (1) decide every extraction
 result's objects, creating new keys' and freezing vanished ones; (2)
@@ -308,13 +310,7 @@ def initial_load(
     """Build a fresh store, in t's unit for life, from the first extraction point."""
     t = _instant_of(snapshot, t)
     schema = resolve(wdef, src, strict=True)
-    for name, env in sorted(schema.environments.items()):
-        duration = schema.retention_for(env).keep_past_duration
-        if duration and compare_units(duration[1], t.unit) == "incomparable":
-            raise MixedUnits(
-                f"environment {name!r}: retention unit {duration[1]!r} is not "
-                f"comparable with {t.unit!r}"
-            )
+    _check_retention_units(schema, t)
     store = Store(src, schema, print_source_schema(src), print_warehouse_def(wdef))
     # a store nobody else holds needs no working copy to stay atomic
     _run_extraction_points(store, snapshot, t)
@@ -333,11 +329,24 @@ def refresh(store: Store, snapshot: Snapshot, t: Instant | None = None) -> Refre
         raise NonMonotonicInstant(
             f"refresh at {format_instant(t)} is not after {format_instant(store.last_refresh)}"
         )
+    # older builds made stores without this check
+    _check_retention_units(store.schema, t)
     work = store.working_copy()
     report = _run_extraction_points(work, snapshot, t)
     _check_refresh_period(store, t, report)
     store.publish(work, t)
     return report
+
+
+def _check_retention_units(schema: WarehouseSchema, t: Instant) -> None:
+    """Each environment's keep-past duration must convert to t's unit."""
+    for name, env in sorted(schema.environments.items()):
+        duration = schema.retention_for(env).keep_past_duration
+        if duration and compare_units(duration[1], t.unit) == "incomparable":
+            raise MixedUnits(
+                f"environment {name!r}: retention unit {duration[1]!r} is not "
+                f"comparable with {t.unit!r}"
+            )
 
 
 def _instant_of(snapshot: Snapshot, t: Instant | None) -> Instant:
@@ -369,17 +378,12 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
 
     # pass 2: align values, rewrite links, and diff
     for name, (build, oids) in builds.items():
-        # each relation's source interface, with the interfaces whose ids
-        # its links may name
-        rel_sources = {
-            p.name: (p.target, src.tables[p.target].subtypes)
-            for p in build.structure
-            if p.is_relation
-        }
-        flat = flatten_type(schema, name)
-        value_of = partial(_aligned_value, store, live, name, flat, rel_sources)
-        rows = zip(oids, build.to_dicts())
-        _settle(store, name, rows, value_of, created, t, report.classes[name])
+        # each flattened property's slot, None for a specific one the
+        # mapping leaves out; resolution let one slot at most produce it
+        slot_of = {p.name: i for i, p in enumerate(build.structure)}
+        slots = [(p, slot_of.get(p.name)) for p in flatten_type(schema, name)]
+        value_of = partial(_aligned_value, store, live, name, build.structure, slots)
+        _settle(store, name, zip(oids, build.rows), value_of, created, t, report.classes[name])
 
     # pass 3: specializations, each after every class its operands name; one
     # with a single operand owns no objects but selects its operand's members
@@ -402,8 +406,10 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
         result = eval_specialize(operands, mapping.pred)
         counts = report.classes[name] = ClassCounts()
         oids = _allocate(store, name, result.rows, created, t, counts)
-        # a composite's merged row holds exactly its class's flattened type
-        _settle(store, name, zip(oids, result.to_dicts()), None, created, t, counts)
+        # a composite's merged row holds exactly its class's flattened type,
+        # its operands' values as they are
+        value_of = partial(_row_value, result.names())
+        _settle(store, name, zip(oids, result.rows), value_of, created, t, counts)
 
     # pass 4: archival per environment
     for env_name in sorted(schema.environments):
@@ -437,7 +443,7 @@ def _allocate(
         if obj.status == "active" and oid not in result:
             obj = store.touch(oid)
             obj.status = "frozen"
-            obj.current = State(extend_end(obj.current.domain, t.tick - 1), obj.current.value)
+            obj.current = State(_closed_before(obj, t), obj.current.value)
         counts.frozen += obj.status == "frozen"
     return oids
 
@@ -445,24 +451,23 @@ def _allocate(
 def _settle(
     store: Store,
     class_name: str,
-    rows: Iterable[tuple[Oid, dict[str, Any]]],
-    value_of: Callable[[dict[str, Any], dict[str, Any]], dict[str, Any]] | None,
+    rows: Iterable[tuple[Oid, Row]],
+    value_of: Callable[[tuple[Any, ...], dict[str, Any]], dict[str, Any]],
     created: set[Oid],
     t: Instant,
     counts: ClassCounts,
 ) -> None:
     """Bring the objects _allocate decided in line with their rows.
 
-    rows pairs each oid with its row; value_of(row, old), or the row
-    itself without value_of, is the value for an object whose current
-    value is old. An object in created takes its row's value; every other
-    active object diffs against it."""
+    rows pairs each oid with its row; value_of(row values, old) is the
+    value for an object whose current value is old. An object in created
+    takes its row's value; every other active object diffs against it."""
     tempo, _archi = effective_filters(store.schema, class_name)
     for oid, row in rows:
         obj = store.objects[oid]
         if obj.status == "frozen":
             continue  # a frozen object never thaws, even if its key returns
-        value = row if value_of is None else value_of(row, obj.current.value)
+        value = value_of(row.values, obj.current.value)
         if oid in created:
             store.touch(oid).current.value = value
         else:
@@ -485,7 +490,7 @@ def _diff_object(
     obj = store.touch(obj.oid)
     if changed & tempo:
         # temporal change: the whole old value becomes a past state
-        obj.past.append(State(extend_end(obj.current.domain, t.tick - 1), old))
+        obj.past.append(State(_closed_before(obj, t), old))
         obj.current = State(domain(t.unit, (t.tick, t.tick)), value, store.now)
         counts.historized += 1
     else:
@@ -494,24 +499,40 @@ def _diff_object(
         counts.updated += 1
 
 
+def _closed_before(obj: WarehouseObject, t: Instant) -> TemporalDomain:
+    """obj's current domain closed at the granule before extraction point
+    t, which must follow its end, as it must follow a patch: older builds
+    let a patch move one object's end past the store's now."""
+    d = obj.current.domain
+    end = d.intervals[-1].end
+    if end.tick >= t.tick:
+        raise NonMonotonicInstant(
+            f"refresh at {format_instant(t)} is not after {format_instant(end)}, "
+            f"where the current state of object {obj.oid} ends"
+        )
+    return extend_end(d, t.tick - 1)
+
+
 def _aligned_value(
     store: Store,
     live: set[Oid],
     class_name: str,
-    flat: list[model.PropertyDef],
-    rel_sources: dict[str, tuple[str, tuple[str, ...]]],
-    raw: dict[str, Any],
+    structure: list[model.PropertyDef],
+    slots: list[tuple[model.PropertyDef, int | None]],
+    values: tuple[Any, ...],
     old: dict[str, Any],
 ) -> dict[str, Any]:
-    """Restrict a mapping row to the declared structure and swap source
-    ids for oids in every relation slot. Specific slots have no source
+    """Read the declared structure from a mapping row's slots and swap
+    source ids for oids in every relation. Specific slots have no source
     origin: the administrator values in old survive every refresh until
     the next patch, and a new object's are what the row gives, if any."""
     value: dict[str, Any] = {}
-    for p in flat:
-        v = raw.get(p.name)
-        if p.is_relation and p.name in raw:
-            source_target, wanted = rel_sources[p.name]
+    for p, i in slots:
+        v = None if i is None else values[i]
+        if p.is_relation and i is not None:
+            # the slot's own property names the source interface it links to
+            source_target = structure[i].target
+            wanted = store.source_schema.tables[source_target].subtypes
             oids = [
                 _relation_oid(store, live, class_name, p, source_target, wanted, rid)
                 for rid in v or ()
@@ -519,6 +540,10 @@ def _aligned_value(
             v = sorted(oids) if p.cardinality == "many" else (oids[0] if oids else None)
         value[p.name] = old.get(p.name, v) if p.origin == "specific" else v
     return value
+
+
+def _row_value(names: list[str], values: tuple[Any, ...], _old: dict[str, Any]) -> dict[str, Any]:
+    return dict(zip(names, values))
 
 
 def _relation_oid(
@@ -607,7 +632,7 @@ def apply_archival(store: Store, env: model.Environment, t: Instant) -> dict[str
     folding archived properties into each object's archive state."""
     work = store.working_copy()
     evictions = apply_archival_state(work, env, t)
-    store.publish(work, store.last_refresh or t)
+    store.publish(work, store.last_refresh)
     return evictions
 
 
@@ -785,7 +810,7 @@ def _store_lines(store: Store) -> list[str]:
         "format": STORE_FORMAT,
         "source_schema": store.source_text,
         "warehouse_def": store.warehouse_text,
-        "last_refresh": format_instant(store.last_refresh) if store.last_refresh else None,
+        "last_refresh": format_instant(store.last_refresh),
         "oid_counter": store.oid_counter,
         "memberships": {
             name: sorted(store.by_class[name])

@@ -1,7 +1,9 @@
 """Command line contract: flags, exit codes, deterministic output."""
 
+import fcntl
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +31,15 @@ def tdw(*args: str, hash_seed: str | None = None):
         env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def assert_lock_released(store: str) -> None:
+    """Nothing holds the store's lock: it can be taken at once."""
+    fd = os.open(store + ".lock", os.O_WRONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    finally:
+        os.close(fd)
 
 
 def write_snapshot(path: Path, at_year: int, **knobs) -> str:
@@ -187,7 +198,7 @@ class TestBuild:
         ])
         assert rc == 1 and "already exists" in capsys.readouterr().err
         assert store.read_text(encoding="utf-8") == "another build's store\n"
-        assert not Path(str(store) + ".lock").exists()
+        assert_lock_released(str(store))
 
     def test_existing_store_is_reported_before_input_errors(self, built, tmp_path):
         _tmp, store = built
@@ -257,20 +268,44 @@ class TestRefresh:
 
     def test_lock_prevents_second_writer(self, built, tmp_path):
         tmp, store = built
-        Path(store + ".lock").touch()
         snap = write_snapshot(tmp / "s1991.jsonl", 1991)
+        before = Path(store).read_bytes()
+        fd = os.open(store + ".lock", os.O_CREAT | os.O_WRONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            rc, _out, err = tdw("refresh", "--store", store, "--snapshot", snap, "--at", "1991")
+        finally:
+            os.close(fd)
+        assert rc == 1 and f"store is locked by another writer ({store}.lock)" in err
+        assert Path(store).read_bytes() == before
         rc, _out, err = tdw("refresh", "--store", store, "--snapshot", snap, "--at", "1991")
-        assert rc == 1 and "locked" in err
-        Path(store + ".lock").unlink()
+        assert rc == 0, err
 
-    def test_lock_error_names_the_holding_pid(self, built):
+    def test_a_writer_killed_holding_the_lock_leaves_the_store_writable(self, built):
         tmp, store = built
         snap = write_snapshot(tmp / "s1991.jsonl", 1991)
-        with _locked(store):
-            assert Path(store + ".lock").read_text(encoding="ascii") == f"{os.getpid()}\n"
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys, time\n"
+             "from tdw.cli import _locked\n"
+             "with _locked(sys.argv[1]):\n"
+             "    print('locked', flush=True)\n"
+             "    time.sleep(120)\n",
+             store],
+            cwd=SRC, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            assert holder.stdout.readline() == "locked\n"
             rc, _out, err = tdw("refresh", "--store", store, "--snapshot", snap, "--at", "1991")
-        assert rc == 1 and f"locked by another writer, pid {os.getpid()} " in err
-        assert not Path(store + ".lock").exists()
+            assert rc == 1 and "locked by another writer" in err
+        finally:
+            holder.kill()  # SIGKILL: the holder runs no cleanup
+            holder.wait()
+            holder.stdout.close()
+        assert holder.returncode == -signal.SIGKILL
+        assert Path(store + ".lock").exists()
+        rc, _out, err = tdw("refresh", "--store", store, "--snapshot", snap, "--at", "1991")
+        assert rc == 0, err
 
     def test_malformed_at_is_usage_error(self, built):
         tmp, store = built
@@ -555,9 +590,11 @@ class TestDamagedObjectLine:
         assert "h.store: malformed store document (JSONDecodeError: Expecting" in err
         assert "Traceback" not in err
         assert Path(store).read_bytes() == before
+        # no temporary file is left; the lock file stays, as it always does
         assert sorted(p.name for p in tmp.iterdir() if p.name.startswith("h.store")) == [
-            "h.store"
+            "h.store", "h.store.lock"
         ]
+        assert_lock_released(store)
 
 
 # how damaged_unread damages an object line, and the error that reading
@@ -641,9 +678,11 @@ class TestDamagedUnreadLine:
         assert f"h.store: malformed store document ({error}" in err
         assert "Traceback" not in err
         assert Path(store).read_bytes() == before
+        # no temporary file is left; the lock file stays, as it always does
         assert sorted(p.name for p in tmp.iterdir() if p.name.startswith("h.store")) == [
-            "h.store"
+            "h.store", "h.store.lock"
         ]
+        assert_lock_released(store)
 
 
 class TestPatch:

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from conftest import find_property, schema_to_dict
+from conftest import FIXTURES, find_property, schema_to_dict
 from tdw.dsl import (
     parse_mapping,
     parse_warehouse_def,
@@ -320,11 +320,17 @@ class TestResolve:
         )
         assert ville.source_path == ("adresse", "ville")
 
-    def test_implicit_projection_restricts_extraction(self, schema):
-        mapping = schema.classes["Chirurgiens"].mapping
-        text = format_mapping(mapping)
-        assert text.startswith("project(")
-        assert "catégorie" not in text.split("select")[0]
+    def test_resolved_mapping_is_the_parsed_one(self, src_schema):
+        # a mapping may produce properties its class does not declare, as
+        # Chirurgiens's select over PRATICIEN does; resolution ignores them
+        bench = FIXTURES.parents[1] / "bench"
+        paths = [FIXTURES / "hopital.edw", bench / "hopital.edw", bench / "hopital_long.edw"]
+        for path in paths:
+            wdef = parse_warehouse_def(path.read_text(encoding="utf-8"))
+            schema = resolve(wdef, src_schema)
+            assert "Chirurgiens" in wdef.mappings, path
+            for name, cls in schema.classes.items():
+                assert cls.mapping is wdef.mappings.get(name), (path, name)
 
     def test_computed_without_binding(self, src_schema, edw_text):
         broken = edw_text.replace("nb_services := count(h.organisation), ", "")

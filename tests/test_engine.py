@@ -441,6 +441,76 @@ class TestRefresh:
         hop = by_key(store, "Hôpitaux_Publics", "e1")
         assert [s.domain.intervals[-1].end for s in hop.past] == [year(1991), year(1992)]
 
+    def test_undeclared_colliding_names_are_ignored(
+        self, src_schema, edw_text, make_snapshot, tmp_path
+    ):
+        # the join exposes both h.nom and s.nom, neither declared
+        text = edw_text + (
+            "\ninterface Téléphones {\n    D_attribute String téléphone;\n}\n"
+            "mapping Téléphones = join(h: ETABLISSEMENT, s: SERVICE, h.organisation contains s);\n"
+        )
+        store = initial_load(src_schema, parse_warehouse_def(text), make_snapshot(1990))
+        phones = {
+            store.objects[oid].source_key: store.objects[oid].current.value
+            for oid in store.direct_extension("Téléphones")
+        }
+        assert phones[(("ETABLISSEMENT", "e1"), ("SERVICE", "s1"))] == {
+            "téléphone": "05 61 11 22 33"
+        }
+        assert len(phones) >= 3
+        store = saved_and_loaded(store, str(tmp_path / "h.store"))
+        report = refresh(store, make_snapshot(1991))
+        assert report.classes["Téléphones"].carried == len(phones)
+        assert store.objects[store.direct_extension("Téléphones")[0]].current.value.keys() == {
+            "téléphone"
+        }
+
+    def test_incomparable_retention_unit_in_a_stored_definition_is_rejected_at_refresh(
+        self, store, tmp_path, make_snapshot
+    ):
+        # older builds made such a store, the build not checking the unit
+        header, lines = dumps_store(store).split("\n", 1)
+        doc = json.loads(header)
+        doc["warehouse_def"] = doc["warehouse_def"].replace(
+            "keep 2 past states;", "keep past 2 weeks;"
+        )
+        assert "keep past 2 weeks;" in doc["warehouse_def"]
+        path = tmp_path / "weeks.store"
+        path.write_text(json.dumps(doc, ensure_ascii=False) + "\n" + lines, encoding="utf-8")
+        loaded = load_store(str(path))
+        text = dumps_store(loaded)
+        with pytest.raises(MixedUnits) as err:
+            refresh(loaded, make_snapshot(1991))
+        assert str(err.value) == (
+            "environment 'Evolutions': retention unit 'week' is not comparable with 'year'"
+        )
+        assert dumps_store(loaded) == text and loaded.last_refresh == year(1990)
+
+    def test_a_stored_current_state_ending_at_the_refresh_rejects_it(
+        self, store, tmp_path, make_snapshot
+    ):
+        # older builds stored a patch dated after the last refresh as a
+        # later end of the object's current state, the store's now staying
+        header, *lines = dumps_store(store)[:-1].split("\n")
+        assert store.objects[3].class_name == "Hôpitaux_Publics"
+        lines[2] = edited(
+            lambda item: item["current"]["domain"].update(intervals=[[20, 23]])
+        )(lines[2])
+        path = tmp_path / "late.store"
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        loaded = load_store(str(path))
+        text = path.read_text(encoding="utf-8")
+        with pytest.raises(
+            NonMonotonicInstant,
+            match="^refresh at 1991 is not after 1993, where the current state of object 3 ends$",
+        ):
+            refresh(loaded, make_snapshot(1991))
+        assert dumps_store(loaded) == text
+        report = refresh(loaded, make_snapshot(1994))
+        assert report.classes["Hôpitaux_Publics"].historized == 2
+        assert [s.domain for s in loaded.objects[3].past] == [domain("year", (20, 23))]
+        assert_states_disjoint(loaded)
+
     def test_gap_refresh_extends_to_previous_granule(self, src_schema, wdef, make_snapshot):
         # nothing is known between extraction points: a change observed in
         # 1993 means the old value held through 1992
@@ -1726,8 +1796,7 @@ class TestCopyOnWrite:
         assert store_to_dict(loaded) == v1
         save_store(loaded, str(path))
         assert path.read_text(encoding="utf-8") == dumps_store(store)
-        snap = make_snapshot(1994)
-        assert refresh(load_store(str(path)), snap).to_dict() == refresh(store, snap).to_dict()
+        assert_refreshes_alike_after_the_late_end(store, str(path), make_snapshot)
 
     def test_a_v3_file_reads_the_same_and_is_rewritten_whole(
         self, store, tmp_path, make_snapshot
@@ -1745,8 +1814,7 @@ class TestCopyOnWrite:
         assert json.loads(path.read_text(encoding="utf-8").split("\n", 1)[0])["format"] == (
             "tdw-store-v4"
         )
-        snap = make_snapshot(1994)
-        assert refresh(load_store(str(path)), snap).to_dict() == refresh(store, snap).to_dict()
+        assert_refreshes_alike_after_the_late_end(store, str(path), make_snapshot)
 
     def test_a_v3_composite_key_naming_a_pair_twice_refreshes_as_a_fresh_store(
         self, store, tmp_path, make_snapshot
@@ -1783,6 +1851,18 @@ def patched_late(store, hospital: str, created: int, t: Instant) -> None:
     hop.current.value["année_création"] = created
     hop.current.stored = extend_end(hop.current.stored, t.tick)
     assert hop.current.domain.intervals[-1].end == t
+
+
+def assert_refreshes_alike_after_the_late_end(store, path: str, make_snapshot) -> None:
+    """The store patched_late left at 1995, and the file it was written
+    to: both reject a refresh at 1994, which would close the current state
+    inside it, and report alike at 1996."""
+    for held in (load_store(path), store):
+        with pytest.raises(NonMonotonicInstant, match="not after 1995, where the current state"):
+            refresh(held, make_snapshot(1994))
+    snap = make_snapshot(1996)
+    assert refresh(load_store(path), snap).to_dict() == refresh(store, snap).to_dict()
+    assert_states_disjoint(store)
 
 
 def v3_text(store) -> str:
