@@ -4,10 +4,11 @@ Every node yields a ClassBuild: a structure of properties plus rows
 carrying their originating source keys. Its properties are the model's
 PropertyDef records, each tagged with the binder it came from, so a
 warehouse class's flattened type enters a build with only its binder
-set. Rows are in source-key order so evaluation is reproducible.
-Intermediate builds play the role of temporary classes in a composed
-chain. A comparison atom reads its operator from expr.COMPARISON_OPS,
-the table the parser accepts operators from.
+set. Rows made from source records are in source-key order, so
+evaluation is reproducible. Intermediate builds play the role of
+temporary classes in a composed chain. A comparison atom reads its
+operator from expr.COMPARISON_OPS, the table the parser accepts
+operators from.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from typing import Any, Callable, Iterable, Iterator
 
 from .errors import (
     AmbiguousProperty,
-    EmptyOperands,
     NameCollision,
     NonNumericAggregate,
-    PropertyConflict,
     TypeInferenceError,
     TypeMismatchInPredicate,
     UnknownPath,
@@ -45,7 +44,7 @@ from .expr import (
     Select,
     SourceRef,
 )
-from .model import PropertyDef, merge_key
+from .model import PropertyDef
 from .source import TYPE_KEYWORDS, Relationship, Snapshot, SourceSchema, SourceType, scalar
 
 _NUMERIC = ("short", "long", "double")
@@ -66,10 +65,10 @@ class Row:
 
 @dataclass
 class ClassBuild:
-    """A structure and its rows in key order. Keys are distinct except in
-    the engine's build of a class with two objects made from one record.
-    build_from_interface, eval_join and eval_specialize order the keys
-    they make; every other node keeps its input's order."""
+    """A structure and its rows. build_from_interface and eval_product
+    make distinct keys in order; every other node keeps its input's
+    order. The engine's build of a class extension is in oid order and
+    repeats a key where two objects come from one record."""
 
     structure: list[PropertyDef]
     rows: list[Row] = field(default_factory=list)
@@ -366,16 +365,22 @@ def eval_select(pred: Predicate, build: ClassBuild) -> ClassBuild:
 
 
 def eval_join(left: ClassBuild, right: ClassBuild, pred: Predicate) -> ClassBuild:
+    return eval_product([left, right], pred)
+
+
+def eval_product(sides: list[ClassBuild], pred: Predicate) -> ClassBuild:
     """Predicate-filtered cartesian product; structures concatenate and
     colliding names stay distinguishable through binder qualification."""
-    overlap = left.binder_names() & right.binder_names()
-    if overlap:
-        raise NameCollision(f"binders {sorted(overlap)} appear on both join sides")
-    structure = list(left.structure) + list(right.structure)
+    seen: set[str] = set()
+    for side in sides:
+        overlap = seen & side.binder_names()
+        if overlap:
+            raise NameCollision(f"binders {sorted(overlap)} appear on two sides")
+        seen |= side.binder_names()
+    structure = [p for side in sides for p in side.structure]
     combined = ClassBuild(structure)
     check_predicate(combined, pred)
-    rows = list(_matching_rows([left, right], combined, pred))
-    return ClassBuild(structure, _sorted_rows(rows))
+    return ClassBuild(structure, _sorted_rows(_matching_rows(sides, combined, pred)))
 
 
 def _matching_rows(
@@ -473,40 +478,3 @@ def eval_extraction(
             expr.pred,
         )
     raise TypeInferenceError(f"not an extraction node: {type(expr).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# specialization (a generalization's extension is Store.extension_of)
-
-
-def eval_specialize(operands: list[tuple[str, ClassBuild]], pred: Predicate) -> ClassBuild:
-    """Build a subclass from tuples of operand rows satisfying the
-    predicate. operands are (binder, build) pairs."""
-    if not operands:
-        raise EmptyOperands("specialize needs at least one operand")
-    tagged = [eval_aliased(build, binder) for binder, build in operands]
-    combined_structure = [p for b in tagged for p in b.structure]
-    combined = ClassBuild(combined_structure)
-    check_predicate(combined, pred)
-
-    merged_structure: list[PropertyDef] = []
-    merged_index: list[int] = []  # combined index feeding each merged slot
-    by_name: dict[str, int] = {}
-    for idx, prop in enumerate(combined_structure):
-        prior = by_name.get(prop.name)
-        if prior is None:
-            by_name[prop.name] = len(merged_structure)
-            merged_structure.append(replace(prop, binder=None))
-            merged_index.append(idx)
-        else:
-            if merge_key(merged_structure[prior])[1:] != merge_key(prop)[1:]:
-                raise PropertyConflict(
-                    f"operands declare incompatible property {prop.name!r}"
-                )
-            merged_index[prior] = idx  # later operand wins the shared slot
-
-    rows = [
-        Row(row.key, tuple(row.values[i] for i in merged_index), row.binders)
-        for row in _matching_rows(tagged, combined, pred)
-    ]
-    return ClassBuild(merged_structure, _sorted_rows(rows))

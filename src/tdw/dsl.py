@@ -694,8 +694,7 @@ def _resolve_hierarchization(schema: WarehouseSchema, src: SourceSchema, cls: Wa
             raise ResolveError(
                 f"{cls.name!r} must extend exactly its specialize operands"
             )
-        combined = algebra.ClassBuild([p for b in builds for p in b.structure])
-        algebra.check_predicate(combined, expr.pred)
+        algebra.eval_product(builds, expr.pred)
 
 
 def _lifted_name(binders: set[str], path: Path) -> str:

@@ -67,7 +67,7 @@ from functools import partial
 from typing import Any, Callable, Iterable
 
 from . import model
-from .algebra import ClassBuild, Row, eval_extraction, eval_select, eval_specialize
+from .algebra import ClassBuild, Row, eval_extraction, eval_product, eval_select
 from .dsl import (
     WarehouseDef,
     class_structure,
@@ -398,16 +398,17 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
             build = _build_from_objects(store, op.class_name, op.binder, include_frozen=membership)
             if op.where is not None:
                 build = eval_select(op.where, build)
-            operands.append((op.binder, build))
+            operands.append(build)
         if membership:
-            selected = eval_select(mapping.pred, operands[0][1])
+            selected = eval_select(mapping.pred, operands[0])
             store.by_class[name] = {row.binders[0][1] for row in selected.rows}
             continue
-        result = eval_specialize(operands, mapping.pred)
+        result = eval_product(operands, mapping.pred)
         counts = report.classes[name] = ClassCounts()
         oids = _allocate(store, name, result.rows, created, t, counts)
-        # a composite's merged row holds exactly its class's flattened type,
-        # its operands' values as they are
+        # a composite's value is its operands' values as they are, which
+        # name exactly its class's flattened type; a later operand wins a
+        # name that two share
         value_of = partial(_row_value, result.names())
         _settle(store, name, zip(oids, result.rows), value_of, created, t, counts)
 
@@ -582,8 +583,8 @@ def _relation_oid(
 def _build_from_objects(
     store: Store, class_name: str, binder: str, include_frozen: bool
 ) -> ClassBuild:
-    """A warehouse class extension as an algebra build (current values) in
-    key order, sharing each value but an empty to-many relation's, as [].
+    """A warehouse class extension as an algebra build (current values),
+    sharing each value but an empty to-many relation's, as [].
     It leaves out the composites of class_name's subclasses, so that a
     specialization reads its operand alike whatever the declaration order."""
     specs = [n for n, c in store.schema.classes.items() if isinstance(c.mapping, Specialize)]
@@ -598,7 +599,6 @@ def _build_from_objects(
         value = obj.current.value
         values = tuple(value.get(name) or [] if many else value.get(name) for name, many in slots)
         rows.append(Row(obj.source_key, values, ((binder, obj.oid),)))
-    rows.sort(key=lambda r: r.key)
     return ClassBuild(structure, rows)
 
 
@@ -733,6 +733,12 @@ def patch_specific(store: Store, oid: Oid, prop_name: str, value: Any, t: Instan
     if prop is None or prop.origin != "specific":
         raise NotSpecificProperty(
             f"{obj.class_name}.{prop_name} is not a specific property"
+        )
+    if isinstance(store.schema.classes[obj.class_name].mapping, Specialize):
+        # only a composite owns objects among specializations, and each
+        # refresh sets its value again from its operands'
+        raise NotSpecificProperty(
+            f"{obj.class_name}.{prop_name} mirrors its operands; patch an operand's object"
         )
     if t.unit != obj.current.domain.unit:
         raise UnitMismatch(f"patch unit {t.unit!r} differs from store unit")

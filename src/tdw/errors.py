@@ -124,10 +124,6 @@ class TypeMismatchInPredicate(Error):
     pass
 
 
-class EmptyOperands(Error):
-    pass
-
-
 # refresh engine
 class DanglingRelationTarget(Error):
     pass

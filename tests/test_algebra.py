@@ -10,17 +10,17 @@ from tdw.algebra import (
     ClassBuild,
     Row,
     build_from_interface,
+    eval_aliased,
     eval_augment,
     eval_extraction,
     eval_hide,
     eval_join,
+    eval_product,
     eval_project,
     eval_select,
-    eval_specialize,
 )
 from tdw.errors import (
     AmbiguousProperty,
-    EmptyOperands,
     NameCollision,
     NonNumericAggregate,
     TypeInferenceError,
@@ -403,10 +403,7 @@ class TestJoin:
         keys = [
             tuple(("E", i) for i in ids) for ids in itertools.product("12", repeat=3)
         ]
-        out = eval_specialize(
-            [("a", build("a")), ("b", build("b")), ("c", build("c"))],
-            comparison(p("a", "a"), ">=", 1),
-        )
+        out = eval_product([build("a"), build("b"), build("c")], comparison(p("a", "a"), ">=", 1))
         assert [r.key for r in out.rows] == keys
         pairs = eval_join(build("a"), build("b"), comparison(p("a", "a"), ">=", 1))
         out = eval_join(pairs, build("c"), comparison(p("c", "a"), ">=", 1))
@@ -507,7 +504,7 @@ def naive_matches(sides: list[ClassBuild], pred: Predicate) -> list[tuple]:
 
 
 class TestContainmentHashJoin:
-    """Joins and specializations driven by a containment atom build only
+    """Products of two or more sides driven by a containment atom build only
     the tuples that can match; each case is checked against brute force."""
 
     def test_join_both_directions_and_extra_atoms(self):
@@ -549,25 +546,22 @@ class TestContainmentHashJoin:
                     Containment(p("c", "r"), "a"),  # set after its binder: tested
                 )
             )
-            out = eval_specialize([("a", a), ("b", b), ("c", c)], pred)
+            out = eval_product([a, b, c], pred)
             assert [r.key for r in out.rows] == naive_matches([a, b, c], pred)
 
 
 class TestSpecialize:
     def test_young_surgeons(self, schema, src_schema, snap):
         build = surgeons_build(schema, src_schema, snap)
-        out = eval_specialize(
-            [("c", build)],
-            comparison(p("c", "année_naissance"), ">=", 1970),
+        out = eval_select(
+            comparison(p("c", "année_naissance"), ">=", 1970), eval_aliased(build, "c")
         )
         assert [r.key for r in out.rows] == [((("PRATICIEN", "p1"),))]
         assert {r.key for r in out.rows} <= {r.key for r in build.rows}
 
     def test_tautology_single_operand_keeps_extension(self, schema, src_schema, snap):
         build = surgeons_build(schema, src_schema, snap)
-        out = eval_specialize(
-            [("c", build)], comparison(p("c", "revenus"), ">=", 0)
-        )
+        out = eval_select(comparison(p("c", "revenus"), ">=", 0), eval_aliased(build, "c"))
         assert [r.key for r in out.rows] == [r.key for r in build.rows]
 
     def test_two_operand_composite(self, schema, src_schema, snap):
@@ -577,15 +571,11 @@ class TestSpecialize:
         toulouse = eval_select(comparison(p("ville"), "=", "Toulouse"), hospitals)
         services = eval_extraction(schema.classes["Services"].mapping, src_schema, snap)
         # at the build level, containment matches the right row's own id
-        out = eval_specialize(
-            [("e", toulouse), ("s", services)],
+        out = eval_product(
+            [eval_aliased(toulouse, "e"), eval_aliased(services, "s")],
             Predicate((Containment(p("e", "organisation"), "s"),)),
         )
         assert set(out.names()) == set(hospitals.names()) | set(services.names())
-
-    def test_empty_operands(self):
-        with pytest.raises(EmptyOperands):
-            eval_specialize([], comparison(p("x"), "=", 1))
 
 
 class TestCommutation:
@@ -607,8 +597,8 @@ def increasing(build: ClassBuild) -> bool:
 
 class TestRowOrder:
     """Rows are ordered where keys are made: build_from_interface reads
-    sorted records, eval_join and eval_specialize sort the keys they
-    concatenate, and every other node keeps its input's order."""
+    sorted records, eval_product (eval_join with it) sorts the keys it
+    concatenates, and every other node keeps its input's order."""
 
     def test_interface_builds_are_in_key_order(self, src_schema, snap):
         for name in src_schema.interfaces:
@@ -625,35 +615,8 @@ class TestRowOrder:
                 eval_augment([AugmentBinding("n", agg=AggCall("count", p("x", "bag")))], build),
                 eval_select(comparison(p("x", "a"), ">=", lit), build),
                 eval_join(other, build, comparison(p("y", "a"), "<=", lit)),
-                eval_specialize([("y", other), ("x", build)], comparison(p("x", "a"), "!=", lit)),
-                eval_specialize([("x", build)], comparison(p("x", "a"), "<", lit)),
+                eval_product([other, build], comparison(p("x", "a"), "!=", lit)),
+                eval_product([build], comparison(p("x", "a"), "<", lit)),
             ]
             assert increasing(build)
             assert all(increasing(out) for out in outs)
-
-
-def random_predicate(rng: random.Random, binder: str) -> Predicate:
-    atoms = []
-    for _ in range(rng.randrange(0, 3)):
-        kind = rng.choice(["a", "b", "r"])
-        if kind == "a":
-            op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
-            atoms.append(Comparison(p(binder, "a"), op, rng.randrange(0, 5)))
-        elif kind == "b":
-            atoms.append(Comparison(p(binder, "b"), rng.choice(["=", "!="]), rng.choice("xyz")))
-        else:
-            atoms.append(Containment(p(binder, "r"), binder))
-    return Predicate(tuple(atoms))
-
-
-def test_select_picks_what_a_one_operand_specialize_picks():
-    # the engine selects a membership's members with eval_select
-    rng = random.Random(16)
-    for _ in range(80):
-        build = random_build(rng, "x")
-        pred = random_predicate(rng, "x")
-        selected = eval_select(pred, build)
-        specialized = eval_specialize([("x", build)], pred)
-        assert [r.binder_id("x") for r in selected.rows] == [
-            r.binder_id("x") for r in specialized.rows
-        ]

@@ -134,6 +134,32 @@ class TestValidate:
         assert f"{edw}: inheritance-cycle [B]: B -> A -> B\n" in out
         assert err == ""
 
+    def test_environment_naming_an_undeclared_class(self, tmp_path):
+        edw = tmp_path / "env.edw"
+        edw.write_text(
+            "interface A { D_attribute String nom; }\n"
+            "Environment E { class A, Q; config { keep 1 past states; } }\n",
+            encoding="utf-8",
+        )
+        rc, out, err = tdw("validate", "--source-schema", ODL, "--warehouse", str(edw))
+        assert rc == 1
+        assert out == (
+            f"{edw}: environment-unknown-class [E]: unknown class 'Q'\n"
+            "invalid: 1 violation(s)\n"
+        )
+        assert err == ""
+
+    def test_class_extending_an_undeclared_class(self, tmp_path):
+        edw = tmp_path / "super.edw"
+        edw.write_text("interface A (extend Z) { D_attribute String nom; }\n", encoding="utf-8")
+        rc, out, err = tdw("validate", "--source-schema", ODL, "--warehouse", str(edw))
+        assert rc == 1
+        assert out == (
+            f"{edw}: unknown-super [A]: unknown warehouse class 'Z'\n"
+            "invalid: 1 violation(s)\n"
+        )
+        assert err == ""
+
     def test_source_inheritance_cycle_is_a_domain_error(self, tmp_path):
         odl = tmp_path / "cycle.odl"
         odl.write_text("interface A (extend B) {} interface B (extend A) {}", encoding="utf-8")
@@ -704,6 +730,19 @@ class TestPatch:
             "patch", "--store", store, "--oid", "3", "--set", "budget=1", "--at", "1990"
         )
         assert rc == 1 and "not a specific property" in err
+
+    def test_composite_object_rejected(self, built):
+        _tmp, store = built
+        rc, out, _ = tdw("inspect", "--store", store, "--class", "Etablissements")
+        assert rc == 0 and "oid 8 " in out
+        before = Path(store).read_bytes()
+        rc, out, err = tdw(
+            "patch", "--store", store, "--oid", "8", "--set", "année_création=1950",
+            "--at", "1990",
+        )
+        assert (rc, out) == (1, "")
+        assert "Etablissements.année_création mirrors its operands" in err
+        assert Path(store).read_bytes() == before
 
     def test_relation_value_must_be_target_oids(self, tmp_path):
         # Services gains a specific to-many relation to surgeons

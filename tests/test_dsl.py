@@ -238,6 +238,10 @@ class TestParseMapping:
         assert expr.operands[0].where is not None
         assert expr.operands[1].where is None
 
+    def test_specialize_without_operands(self):
+        with pytest.raises(ParseError, match="specialize needs at least one operand"):
+            parse_mapping("specialize(x.a = 1)")
+
     def test_unknown_function(self):
         with pytest.raises(UnknownFunction):
             parse_mapping("frobnicate(p: X)")

@@ -341,6 +341,12 @@ class TestRefresh:
         with pytest.raises(UnitMismatch):
             refresh(store, snap)
 
+    def test_instant_other_than_the_snapshot_rejected(self, store, make_snapshot):
+        before = dumps_store(store)
+        with pytest.raises(Error, match="snapshot was taken at 1991, not at 1992"):
+            refresh(store, make_snapshot(1991), year(1992))
+        assert dumps_store(store) == before
+
     def test_failed_refresh_leaves_store_untouched(self, src_schema, wdef, make_snapshot):
         store = initial_load(src_schema, wdef, make_snapshot(1990))
         before = dumps_store(store)
@@ -975,6 +981,16 @@ class TestPatchSpecific:
         with pytest.raises(NotSpecificProperty):
             patch_specific(store, hop.oid, "budget", 1.0, year(1990))
 
+    def test_composite_object_rejected(self, store):
+        # a composite's value mirrors its operands', set again at every refresh
+        composite = by_key(store, "Etablissements", "s1")
+        text = dumps_store(store)
+        with pytest.raises(
+            NotSpecificProperty, match="Etablissements.année_création mirrors its operands"
+        ):
+            patch_specific(store, composite.oid, "année_création", 1950, year(1990))
+        assert dumps_store(store) == text
+
     def test_frozen_object_rejected(self, src_schema, wdef, make_snapshot):
         store = initial_load(src_schema, wdef, make_snapshot(1990, with_extra_surgeon=True))
         refresh(store, make_snapshot(1991, with_extra_surgeon=True,
@@ -1038,6 +1054,12 @@ class TestPatchSpecific:
         with pytest.raises(TypeMismatch) as err:
             patch_specific(store, hop.oid, "année_création", "1956", year(1990))
         assert str(err.value) == "Hôpitaux_Publics.année_création: expected an integer, got '1956'"
+        assert hop.current.value["année_création"] is None
+
+    def test_other_unit_rejected(self, store):
+        hop = by_key(store, "Hôpitaux_Publics", "e1")
+        with pytest.raises(UnitMismatch, match="patch unit 'month' differs from store unit"):
+            patch_specific(store, hop.oid, "année_création", 1956, Instant("month", 240))
         assert hop.current.value["année_création"] is None
 
     def test_unknown_oid(self, store):
@@ -1314,6 +1336,7 @@ class TestPersistence:
             ("v4", lambda line: line + "," + PAST_STATE),
             ("v4", lambda line: line + "\t"),
             ("v4", lambda line: line + "\t" + PAST_VALUE_A_LIST),
+            ("v4", edited(lambda item: item["current"]["domain"].update(intervals=[]))),
             # the one-document line of the older layout, decoded on its own path
             ("v3", edited(lambda item: item.pop("past"))),
             *[("v3", damage) for damage in HEAD_DAMAGE.values()],
@@ -1321,7 +1344,8 @@ class TestPersistence:
         ids=[
             *HEAD_DAMAGE, "past-in-the-head", "past-not-json", "past-start-after-end",
             "tab-inside-a-document", "tab-and-comma-as-separators", "comma-between-documents",
-            "empty-past-document", "past-value-not-an-object", "v3-object-without-past", *(f"v3-{i}" for i in HEAD_DAMAGE),
+            "empty-past-document", "past-value-not-an-object", "active-current-spans-no-granule",
+            "v3-object-without-past", *(f"v3-{i}" for i in HEAD_DAMAGE),
         ],
     )
     def test_malformed_object_line_is_rejected_when_first_read(

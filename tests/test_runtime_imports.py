@@ -1,7 +1,8 @@
 """The runtime stays stdlib-only: every import under src/tdw is relative
 or names a standard-library module. And every name a module there
-imports is used, and every private name it defines is referenced, so a
-fold that moves a name's last use leaves no import or helper behind."""
+imports is used, every private name it defines is referenced, and every
+error class is raised or caught, so a fold that moves a name's last use
+leaves no import, helper or error class behind."""
 
 import ast
 import sys
@@ -185,4 +186,76 @@ def test_guard_flags_unreferenced_private_names(tmp_path):
     other.write_text("def _imported():\n    return 0\n", encoding="utf-8")
     assert unreferenced_private_names([module, other]) == [
         "mod.py:3: _UNUSED", "mod.py:4: _recursive", "mod.py:8: _Box", "mod.py:9: _method",
+    ]
+
+
+def unraised_errors(errors: Path, others: list[Path]) -> list[str]:
+    """path:line: name for each class defined in errors that no module in
+    others raises or catches, by its bare name or as an attribute."""
+    tree = ast.parse(errors.read_text(encoding="utf-8"), filename=str(errors))
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    used: set[str] = set()
+    for path in others:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Raise):
+                used |= _exception_names(node.exc)
+            elif isinstance(node, ast.ExceptHandler):
+                used |= _exception_names(node.type)
+    return [f"{errors.name}:{c.lineno}: {c.name}" for c in classes if c.name not in used]
+
+
+def _exception_names(node: ast.expr | None) -> set[str]:
+    """The class names a raise or an except clause names."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return {name for elt in node.elts for name in _exception_names(elt)}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def test_every_error_class_is_raised_or_caught():
+    errors = PACKAGE / "errors.py"
+    others = [path for path in sorted(PACKAGE.glob("*.py")) if path != errors]
+    assert others
+    assert unraised_errors(errors, others) == []
+
+
+def test_guard_flags_unraised_errors(tmp_path):
+    errors = tmp_path / "errors.py"
+    errors.write_text(
+        "class Error(Exception):\n"
+        "    pass\n"
+        "class Raised(Error):\n"
+        "    pass\n"
+        "class Caught(Error):\n"
+        "    pass\n"
+        "class Qualified(Error):\n"
+        "    pass\n"
+        "class OnlyImported(Error):\n"
+        "    pass\n"
+        "class OnlyRaisedHere(Error):\n"
+        "    pass\n"
+        "def f():\n"
+        "    raise OnlyRaisedHere()\n",
+        encoding="utf-8",
+    )
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from . import errors\n"
+        "from .errors import Caught, Error, OnlyImported, Raised\n"
+        "def f(x):\n"
+        "    try:\n"
+        "        raise Raised(x)\n"
+        "    except (Caught, KeyError):\n"
+        "        raise errors.Qualified from None\n"
+        "    except Error:\n"
+        "        raise\n",
+        encoding="utf-8",
+    )
+    assert unraised_errors(errors, [module]) == [
+        "errors.py:9: OnlyImported", "errors.py:11: OnlyRaisedHere",
     ]
