@@ -140,11 +140,6 @@ def path_prop(build: ClassBuild, path: Path) -> tuple[PropertyDef, tuple[str, ..
     return prop, tail
 
 
-def path_value(build: ClassBuild, row: Row, path: Path) -> Any:
-    idx, tail = locate(build, path)
-    return _drill(row.values[idx], tail)
-
-
 def _drill(value: Any, tail: tuple[str, ...]) -> Any:
     for seg in tail:
         value = None if value is None else value.get(seg)
@@ -218,18 +213,17 @@ def agg_result_type(build: ClassBuild, agg: AggCall) -> SourceType:
     return element  # min / max
 
 
-def eval_agg(build: ClassBuild, agg: AggCall, row: Row) -> Any:
-    members = path_value(build, row, agg.path)
+def eval_agg(function: str, members: Any) -> Any:
     members = list(members) if members else []
-    if agg.function == "count":
+    if function == "count":
         return len(members)
-    if agg.function == "sum":
+    if function == "sum":
         return sum(members) if members else 0
     if not members:
         return None  # empty-set avg/min/max carries the null marker
-    if agg.function == "avg":
+    if function == "avg":
         return sum(members) / len(members)
-    if agg.function == "max":
+    if function == "max":
         return max(members)
     return min(members)
 
@@ -273,56 +267,50 @@ def build_from_interface(
     return ClassBuild(structure, rows)
 
 
+def _locate_property(build: ClassBuild, path: Path) -> tuple[int, tuple[str, ...]]:
+    """locate, naming an unknown path an unknown property."""
+    try:
+        return locate(build, path)
+    except UnknownPath as exc:
+        raise UnknownProperty(str(exc)) from None
+
+
 def eval_project(items, build: ClassBuild) -> ClassBuild:
     """Restrict the structure to the chosen properties ("items" pairs a
     path with an optional rename); rows keep their source keys."""
     picked: list[tuple[int, tuple[str, ...], str]] = []
     for path, rename in items:
-        try:
-            idx, tail = locate(build, path)
-        except UnknownPath as exc:
-            raise UnknownProperty(str(exc)) from None
+        idx, tail = _locate_property(build, path)
         _drill_type(build.structure[idx], tail, path)
         picked.append((idx, tail, rename or path.segments[-1]))
-    structure = []
-    for idx, tail, name in picked:
-        prop = build.structure[idx]
-        if tail:
-            typ = _drill_type(prop, tail, Path(prop.source_path + tail))
-            structure.append(
-                PropertyDef(
-                    name,
-                    prop.origin,
-                    "attribute",
-                    typ,
-                    source_path=prop.source_path + tail,
-                    binder=prop.binder,
-                )
-            )
-        else:
-            structure.append(replace(prop, name=name))
-    rows = [
-        Row(row.key, tuple(_drill(row.values[i], tail) for i, tail, _name in picked), row.binders)
-        for row in build.rows
-    ]
-    return ClassBuild(structure, rows)
+    return _project_slots(picked, build)
 
 
 def eval_hide(paths, build: ClassBuild) -> ClassBuild:
-    """Drop the named properties: project onto the complement."""
+    """Project onto every property the paths do not name; each path must
+    name a whole property."""
     drop = set()
     for path in paths:
-        try:
-            idx, tail = locate(build, path)
-        except UnknownPath as exc:
-            raise UnknownProperty(str(exc)) from None
+        idx, tail = _locate_property(build, path)
         if tail:
             raise UnknownProperty(f"cannot hide struct field {path}; hide whole properties")
         drop.add(idx)
-    structure = [p for i, p in enumerate(build.structure) if i not in drop]
+    kept = [(i, (), p.name) for i, p in enumerate(build.structure) if i not in drop]
+    return _project_slots(kept, build)
+
+
+def _project_slots(picked: list[tuple[int, tuple[str, ...], str]], build: ClassBuild) -> ClassBuild:
+    """The build restricted to the picked (slot, struct-field tail, name)s."""
+    structure = []
+    for idx, tail, name in picked:
+        prop = build.structure[idx]
+        if tail:  # a struct field, an attribute of its own
+            path = prop.source_path + tail
+            prop = replace(prop, value_type=_drill_type(prop, tail, Path(path)), source_path=path)
+        structure.append(replace(prop, name=name))
     rows = [
-        Row(r.key, tuple(v for i, v in enumerate(r.values) if i not in drop), r.binders)
-        for r in build.rows
+        Row(row.key, tuple(_drill(row.values[i], tail) for i, tail, _name in picked), row.binders)
+        for row in build.rows
     ]
     return ClassBuild(structure, rows)
 
@@ -331,22 +319,25 @@ def eval_augment(bindings: Iterable[AugmentBinding], build: ClassBuild) -> Class
     """Extend the structure with computed aggregates and specific slots."""
     structure = list(build.structure)
     names = {p.name for p in structure}
-    plans: list[tuple[AugmentBinding, SourceType]] = []
+    # per binding, an aggregate's (function, slot, tail) or None
+    plans: list[tuple[str, int, tuple[str, ...]] | None] = []
     for b in bindings:
         if b.name in names:
             raise NameCollision(f"augment name {b.name!r} already exists")
         names.add(b.name)
         if b.agg is not None:
-            plans.append((b, agg_result_type(build, b.agg)))
+            typ = agg_result_type(build, b.agg)
+            plans.append((b.agg.function, *locate(build, b.agg.path)))
         else:
-            plans.append((b, _declared_type(b.type_name)))
-    for b, typ in plans:
+            typ = _declared_type(b.type_name)
+            plans.append(None)
         origin = "computed" if b.agg is not None else "specific"
         structure.append(PropertyDef(b.name, origin, "attribute", typ))
     rows = []
     for row in build.rows:
         extra = tuple(
-            eval_agg(build, b.agg, row) if b.agg is not None else None for b, _ in plans
+            None if plan is None else eval_agg(plan[0], _drill(row.values[plan[1]], plan[2]))
+            for plan in plans
         )
         rows.append(Row(row.key, row.values + extra, row.binders))
     return ClassBuild(structure, rows)

@@ -17,11 +17,10 @@ docs/grammar.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import algebra
 from .errors import (
-    InheritanceCycle,
     ParseError,
     PropertyConflict,
     ResolveError,
@@ -538,10 +537,13 @@ def resolve_with_violations(
         if cls.mapping is None or decl.name in broken:
             continue
         if is_extraction(cls.mapping):
-            _check_pure_extraction(cls.mapping)
-            build = algebra.eval_extraction(cls.mapping, src)
-            structures[decl.name] = build
-            cls.source_origins = frozenset(_source_interfaces(cls.mapping))
+            nodes = list(_nodes(cls.mapping))
+            if not all(map(is_extraction, nodes)):
+                raise ResolveError(
+                    "hierarchization nodes cannot appear inside an extraction chain"
+                )
+            structures[decl.name] = algebra.eval_extraction(cls.mapping, src)
+            cls.source_origins = frozenset(n.interface for n in nodes if isinstance(n, SourceRef))
 
     # phase 2: hierarchization mappings, in operand dependency order
     for name in hierarchization_order(schema, broken):
@@ -586,30 +588,15 @@ def _skeleton(wdef: WarehouseDef) -> WarehouseSchema:
     return schema
 
 
-def _check_pure_extraction(expr: MappingExpr) -> None:
-    for child in _children(expr):
-        if not is_extraction(child):
-            raise ResolveError(
-                "hierarchization nodes cannot appear inside an extraction chain"
-            )
-        _check_pure_extraction(child)
-
-
-def _children(expr: MappingExpr):
+def _nodes(expr: MappingExpr) -> Iterator[MappingExpr]:
+    """expr and every node of its extraction chain, outermost first; a
+    generalize or specialize node is yielded but not walked into."""
+    yield expr
     if isinstance(expr, (Project, Hide, Augment, Select, Aliased)):
-        return [expr.child]
-    if isinstance(expr, Join):
-        return [expr.left, expr.right]
-    return []
-
-
-def _source_interfaces(expr: MappingExpr) -> set[str]:
-    if isinstance(expr, SourceRef):
-        return {expr.interface}
-    out: set[str] = set()
-    for child in _children(expr):
-        out |= _source_interfaces(child)
-    return out
+        yield from _nodes(expr.child)
+    elif isinstance(expr, Join):
+        yield from _nodes(expr.left)
+        yield from _nodes(expr.right)
 
 
 def hierarchization_order(schema: WarehouseSchema, broken: Iterable[str] = ()) -> list[str]:
@@ -718,15 +705,18 @@ def _match_declared(
     output. The mapping stays as written: each declared property comes
     from the one output slot that produces it, and every other output is
     ignored."""
-    try:
-        declared = flatten_type(schema, cls.name)
-    except (InheritanceCycle, PropertyConflict, UnknownClass):
-        return
+    declared = flatten_type(schema, cls.name)
     out_by_name: dict[str, list[PropertyDef]] = {}
     for p in build.structure:
         out_by_name.setdefault(p.name, []).append(p)
 
-    agg_by_name = _augment_functions(cls.mapping)
+    agg_by_name = {
+        b.name: b.agg.function
+        for node in _nodes(cls.mapping)
+        if isinstance(node, Augment)
+        for b in node.bindings
+        if b.agg is not None
+    }
     for p in declared:
         candidates = out_by_name.get(p.name, [])
         if len(candidates) > 1:
@@ -805,17 +795,6 @@ def _check_computed(
         raise TypeInferenceError(
             f"{cls.name}.{decl.name}: {fn} result cannot be stored as {decl.value_type}"
         )
-
-
-def _augment_functions(expr: MappingExpr) -> dict[str, str]:
-    out: dict[str, str] = {}
-    if isinstance(expr, Augment):
-        for b in expr.bindings:
-            if b.agg is not None:
-                out[b.name] = b.agg.function
-    for child in _children(expr):
-        out.update(_augment_functions(child))
-    return out
 
 
 def _check_warehouse_inverses(schema: WarehouseSchema) -> None:

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import operator
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -584,22 +585,30 @@ def _build_from_objects(
     store: Store, class_name: str, binder: str, include_frozen: bool
 ) -> ClassBuild:
     """A warehouse class extension as an algebra build (current values),
-    sharing each value but an empty to-many relation's, as [].
-    It leaves out the composites of class_name's subclasses, so that a
-    specialization reads its operand alike whatever the declaration order."""
-    specs = [n for n, c in store.schema.classes.items() if isinstance(c.mapping, Specialize)]
-    theirs = {n for n in specs if class_name in transitive_supers(store.schema, n)}
+    sharing each value but an empty to-many relation's, as []; its rows
+    are the objects of _operand_oids."""
     structure = class_structure(store.schema, class_name, binder)
     slots = [(p.name, p.is_relation and p.cardinality == "many") for p in structure]
     rows = []
-    for oid in store.extension_of(class_name):
+    for oid in _operand_oids(store, class_name):
         obj = store.objects[oid]
-        if obj.class_name in theirs or not (include_frozen or obj.status == "active"):
+        if not (include_frozen or obj.status == "active"):
             continue
         value = obj.current.value
         values = tuple(value.get(name) or [] if many else value.get(name) for name, many in slots)
         rows.append(Row(obj.source_key, values, ((binder, obj.oid),)))
     return ClassBuild(structure, rows)
+
+
+def _operand_oids(store: Store, class_name: str) -> list[Oid]:
+    """The oids a specialization over class_name reads: its extension
+    without the composites of its subclasses, so that a specialization
+    reads its operand alike whatever the declaration order. Only the
+    object index is read."""
+    specs = [n for n, c in store.schema.classes.items() if isinstance(c.mapping, Specialize)]
+    theirs = {n for n in specs if class_name in transitive_supers(store.schema, n)}
+    objects = store.objects
+    return [oid for oid in store.extension_of(class_name) if objects[oid].class_name not in theirs]
 
 
 def _check_refresh_period(store: Store, t: Instant, report: RefreshReport) -> None:
@@ -674,6 +683,9 @@ def _archive_object(obj: WarehouseObject, n: int, archi: dict[str, str]) -> None
     del obj.past[:n]
 
 
+_FOLDS = {"sum": operator.add, "min": min, "max": max}
+
+
 def merge_archive(
     archive: ArchiveState | None, evicted: State, archi: dict[str, str]
 ) -> ArchiveState:
@@ -704,14 +716,9 @@ def merge_archive(
             entry["count"] = entry.get("count", 0) + 1
             entry["sum"] = entry.get("sum", 0) + value
             entry["value"] = entry["sum"] / entry["count"]
-        elif fn == "sum":
-            entry["value"] = entry.get("value", 0) + value
-        elif fn == "min":
+        else:  # sum, min or max over the values folded so far, if any
             prior = entry.get("value")
-            entry["value"] = value if prior is None else min(prior, value)
-        elif fn == "max":
-            prior = entry.get("value")
-            entry["value"] = value if prior is None else max(prior, value)
+            entry["value"] = value if prior is None else _FOLDS[fn](prior, value)
     new_domain = (
         domain_union(archive.domain, evicted.domain) if archive else evicted.domain
     )
@@ -936,7 +943,9 @@ def _check_index(store: Store) -> None:
     """Each object must be of a class that owns objects in the store's
     schema, one with an extraction mapping or a specialization of several
     operands, active or frozen, and keyed by [source interface, string id]
-    pairs. Run before the memberships enter the class index."""
+    pairs; and the oid counter must be an integer no lower than any
+    oid, or the next new object would take a held oid. Run before the
+    memberships enter the class index."""
     owners = {
         name
         for name, cls in store.schema.classes.items()
@@ -946,6 +955,9 @@ def _check_index(store: Store) -> None:
     for name, oids in store.by_class.items():
         if name not in owners:
             raise ValueError(f"oid {min(oids)} is of class {name!r}, which owns no objects")
+    counter = store.oid_counter
+    if type(counter) is not int or counter < max(store.objects, default=0):
+        raise ValueError(f"oid_counter {counter!r} is not an integer at least the largest oid")
     interfaces = store.source_schema.interfaces
     for obj in store.objects.values():
         if obj.status not in ("active", "frozen"):
@@ -963,17 +975,27 @@ def _check_index(store: Store) -> None:
 def _read_memberships(store: Store, memberships: Any) -> None:
     """Enter a header's membership sets into the class index. Each must
     name a single-operand specialization of the store's schema and hold
-    oids of the store's objects only."""
+    only oids that a refresh could select from its operand. They enter
+    operands first, so each is checked against operands already checked."""
     if not isinstance(memberships, dict):
         raise TypeError(f"memberships is a {type(memberships).__name__}, not an object")
     names = store.membership_classes()
-    for name, oids in memberships.items():
-        if name not in names:
-            raise ValueError(f"membership {name!r} is not a single-operand specialization")
-        members = set(oids)
+    unknown = [name for name in memberships if name not in names]
+    if unknown:
+        raise ValueError(f"membership {unknown[0]!r} is not a single-operand specialization")
+    for name in hierarchization_order(store.schema):
+        if name not in memberships:
+            continue
+        members = set(memberships[name])
         missing = members - store.objects.keys()
         if missing:
             raise ValueError(f"membership {name!r} holds oid {min(missing)}, which no object has")
+        operand = store.schema.classes[name].mapping.operands[0].class_name
+        foreign = members.difference(_operand_oids(store, operand))
+        if foreign:
+            raise ValueError(
+                f"membership {name!r} holds oid {min(foreign)}, which {operand!r} cannot select"
+            )
         store.by_class[name] = members
 
 

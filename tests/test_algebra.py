@@ -19,11 +19,15 @@ from tdw.algebra import (
     eval_project,
     eval_select,
 )
+from tdw.dsl import parse_mapping
 from tdw.errors import (
     AmbiguousProperty,
+    Error,
     NameCollision,
     NonNumericAggregate,
     TypeInferenceError,
+    TypeMismatchInPredicate,
+    UnknownPath,
     UnknownProperty,
 )
 from tdw.expr import (
@@ -304,6 +308,28 @@ class TestSelect:
     def test_structure_unchanged(self, etab):
         out = eval_select(comparison(p("h", "statut"), "=", "public"), etab)
         assert out.structure == etab.structure
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ('select(p: PRATICIEN, p.travaille = "x")', TypeMismatchInPredicate,
+             "p.travaille is a relation, not a value"),
+            ('select(p: PRATICIEN, p.adresse = "x")', TypeMismatchInPredicate,
+             "p.adresse is not a scalar"),
+            ("select(p: PRATICIEN, p.nom = 3)", TypeMismatchInPredicate,
+             "p.nom (string) compared with 3"),
+            ("join(p: PRATICIEN, s: SERVICE, p.nom contains s)", TypeMismatchInPredicate,
+             "p.nom must be a set-valued relation for containment"),
+            ("select(e: ETABLISSEMENT, e.organisation contains z)", UnknownPath,
+             "containment names unknown binder 'z'"),
+        ],
+        ids=["relation-compared", "struct-compared", "string-compared-with-a-number",
+             "containment-in-an-attribute", "containment-of-an-unknown-binder"],
+    )
+    def test_ill_typed_predicate_rejected(self, src_schema, text, error, message):
+        with pytest.raises(Error) as err:
+            eval_extraction(parse_mapping(text), src_schema)
+        assert (type(err.value), str(err.value)) == (error, message)
 
 
 class TestJoin:

@@ -14,6 +14,7 @@ from conftest import FIXTURES, hospital_records, snapshot_lines
 from tdw import cli, engine
 from tdw.cli import _locked
 from tdw.dsl import parse_warehouse_def, print_warehouse_def
+from tdw.errors import StoreLocked
 
 ODL = str(FIXTURES / "hopital.odl")
 EDW = str(FIXTURES / "hopital.edw")
@@ -48,6 +49,14 @@ def write_snapshot(path: Path, at_year: int, **knobs) -> str:
         encoding="utf-8",
     )
     return str(path)
+
+
+def rewrite_header(store: str, **fields) -> None:
+    """Set fields of a store file's header line."""
+    path = Path(store)
+    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    head = {**json.loads(header), **fields}
+    path.write_text(json.dumps(head, ensure_ascii=False) + "\n" + rest, encoding="utf-8")
 
 
 @pytest.fixture()
@@ -333,6 +342,19 @@ class TestRefresh:
         rc, _out, err = tdw("refresh", "--store", store, "--snapshot", snap, "--at", "1991")
         assert rc == 0, err
 
+    @pytest.mark.parametrize("counter", [0, "x"], ids=["zero", "a-string"])
+    def test_header_oid_counter_below_an_oid_is_malformed(self, built, counter):
+        # with 0, the new surgeon would take oid 1 and overwrite surgeon p1
+        tmp, store = built
+        rewrite_header(store, oid_counter=counter)
+        before = Path(store).read_bytes()
+        snap = write_snapshot(tmp / "s1991.jsonl", 1991, with_extra_surgeon=True)
+        rc, out, err = tdw("refresh", "--store", store, "--snapshot", snap, "--at", "1991")
+        assert rc == 1 and out == ""
+        assert f"malformed store document (ValueError: oid_counter {counter!r} is not " in err
+        assert "Traceback" not in err
+        assert Path(store).read_bytes() == before
+
     def test_malformed_at_is_usage_error(self, built):
         tmp, store = built
         snap = write_snapshot(tmp / "s1991.jsonl", 1991)
@@ -472,6 +494,17 @@ class TestInspect:
         assert "malformed store document (ValueError: membership 'Jeunes_Chirurgiens' holds " in err
         assert "Traceback" not in err
 
+    def test_header_membership_oid_its_operand_cannot_select_is_malformed(self, built):
+        _tmp, store = built
+        rewrite_header(store, memberships={"Jeunes_Chirurgiens": [3]})  # a hospital
+        rc, out, err = tdw("inspect", "--store", store, "--class", "Chirurgiens")
+        assert rc == 1 and out == ""
+        assert (
+            "malformed store document (ValueError: membership 'Jeunes_Chirurgiens' holds "
+            "oid 3, which 'Chirurgiens' cannot select)" in err
+        )
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "slot, value, detail",
         [(1, "Fantômes", "is of class 'Fantômes', which owns no objects"),
@@ -542,6 +575,15 @@ class TestInProcess:
         assert "--class" in capsys.readouterr().err
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == plain
+
+    def test_a_held_lock_refuses_a_second_writer(self, built):
+        _tmp, store = built
+        with _locked(store):
+            with pytest.raises(StoreLocked) as err:
+                with _locked(store):
+                    pass
+        assert str(err.value) == f"store is locked by another writer ({store}.lock)"
+        assert_lock_released(store)
 
     @pytest.mark.parametrize(
         "flags, decoded",

@@ -451,6 +451,21 @@ class TestGeneralizeResolution:
         with pytest.raises(ResolveError, match="lifts whole properties"):
             resolve(parse_warehouse_def(broken), src_schema)
 
+    def test_bare_property_names_lift_as_qualified_ones(self, src_schema, edw_text, schema):
+        bare = edw_text.replace(
+            PERSONNES_MAPPING,
+            "mapping Personnes = generalize(nom, prénom, adresse, année_naissance, "
+            "c: Chirurgiens);",
+        )
+        assert bare != edw_text
+        got = schema_to_dict(resolve(parse_warehouse_def(bare), src_schema))
+        want = schema_to_dict(schema)
+        assert got["classes"]["Personnes"].pop("mapping") == (
+            "generalize(nom, prénom, adresse, année_naissance, c: Chirurgiens)"
+        )
+        want["classes"]["Personnes"].pop("mapping")
+        assert got == want
+
     def test_lifted_path_under_an_unknown_binder(self, src_schema, edw_text):
         broken = edw_text.replace(
             PERSONNES_MAPPING, PERSONNES_MAPPING.replace("c.nom,", "x.nom,", 1)

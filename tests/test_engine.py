@@ -117,17 +117,48 @@ PAST_STATE = '{"domain":{"intervals":[[19,19]],"unit":"year"},"value":{}}'
 PAST_VALUE_A_LIST = '{"domain":{"intervals":[[19,19]],"unit":"year"},"value":[]}'
 
 
-# header memberships that name no single-operand specialization, or an oid
-# that no object has
+# a membership over Hôpitaux_Publics, whose extension holds the
+# Etablissements composites 8 and 9 besides the hospitals 3 and 4
+GRANDS_HOPITAUX = (
+    "\ninterface Grands_Hôpitaux (extend Hôpitaux_Publics) {\n}\n"
+    "mapping Grands_Hôpitaux = specialize(h: Hôpitaux_Publics, h.budget > 0);\n"
+)
+
+
+def with_grands_hopitaux(oids):
+    """Declare Grands_Hôpitaux in a store header and give it oids."""
+
+    def change(head):
+        head["warehouse_def"] += GRANDS_HOPITAUX
+        head["memberships"] = {**head["memberships"], "Grands_Hôpitaux": oids}
+
+    return change
+
+
+# header memberships that name no single-operand specialization, an oid
+# that no object has, or an oid that a refresh could not select from the
+# membership's operand: a hospital among the young surgeons, or a
+# composite of the operand's subclass
 MEMBERSHIP_DAMAGE = [
     lambda head: head.update(memberships={"Jeunes_Chirurgiens": [999]}),
     lambda head: head.update(memberships={"Chirurgiens": [1]}),
     lambda head: head.update(memberships={"Fantômes": []}),
     lambda head: head.update(memberships=["Jeunes_Chirurgiens"]),
+    lambda head: head.update(memberships={"Jeunes_Chirurgiens": [3]}),
+    with_grands_hopitaux([3, 8]),
 ]
 MEMBERSHIP_DAMAGE_IDS = [
     "membership-oid-no-object-has", "membership-of-an-owning-class",
     "membership-of-an-unknown-class", "memberships-not-an-object",
+    "membership-oid-outside-its-operand", "membership-oid-a-composite-of-its-operand",
+]
+
+# header oid counters that are not an integer at least the largest oid (9):
+# the next new object would take a held oid, or an oid that is no integer
+OID_COUNTER_DAMAGE = [0, 8, "x", None, 9.0]
+OID_COUNTER_DAMAGE_IDS = [
+    "oid-counter-zero", "oid-counter-below-the-largest-oid", "oid-counter-a-string",
+    "oid-counter-null", "oid-counter-a-float",
 ]
 
 # an object index entry (oid 1, a surgeon) naming a class that owns no
@@ -161,6 +192,11 @@ def v1_index_damage(field, value):
                     entry[field == "key"] = value
 
     return damage
+
+
+def oid_counter_damage(value):
+    """Set the oid counter of a v1 document or of a later header."""
+    return lambda head: head.update(oid_counter=value)
 
 
 def v2_index_damage(field, value):
@@ -908,7 +944,7 @@ class TestMergeArchive:
     def test_fold_order_irrelevant_for_min_max_sum(self):
         import itertools
 
-        values = [7, 3, 11]
+        values = [7, 3, None, 11]  # a null marker, skipped by every fold
         archi = {"x": "sum", "y": "min", "z": "max"}
         results = set()
         for perm in itertools.permutations(values):
@@ -927,11 +963,12 @@ class TestMergeArchive:
 
     def test_avg_is_exact_not_mean_of_means(self):
         arch = None
-        for i, v in enumerate([100, 200, 250]):
+        for i, v in enumerate([None, 100, 200, None, 250]):
             arch = merge_archive(
                 arch, State(domain("year", (20 + i, 20 + i)), {"x": v}), {"x": "avg"}
             )
-        # arithmetic mean of the three values, not a mean of partial means
+        # arithmetic mean of the three values, not a mean of partial means,
+        # and the null markers counted in neither
         assert arch.aggregates["x"]["value"] == (100 + 200 + 250) / 3
         assert arch.aggregates["x"]["count"] == 3
         assert arch.aggregates["x"]["sum"] == 550
@@ -1248,6 +1285,7 @@ class TestPersistence:
             lambda doc: doc.update(last_refresh=None),
             *MEMBERSHIP_DAMAGE,
             *(v1_index_damage(*d) for d in INDEX_DAMAGE),
+            *(oid_counter_damage(v) for v in OID_COUNTER_DAMAGE),
         ],
         ids=[
             "no-warehouse-def", "objects-not-a-list", "object-without-past",
@@ -1255,6 +1293,7 @@ class TestPersistence:
             "no-last-refresh",
             *MEMBERSHIP_DAMAGE_IDS,
             *INDEX_DAMAGE_IDS,
+            *OID_COUNTER_DAMAGE_IDS,
         ],
     )
     def test_malformed_store_document_is_a_domain_error(self, store, tmp_path, damage):
@@ -1289,12 +1328,14 @@ class TestPersistence:
             lambda head: head.update(last_refresh=None),
             *MEMBERSHIP_DAMAGE,
             *(v2_index_damage(*d) for d in INDEX_DAMAGE),
+            *(oid_counter_damage(v) for v in OID_COUNTER_DAMAGE),
         ],
         ids=[
             "no-warehouse-def", "index-not-a-list", "index-entry-of-three",
             "index-out-of-oid-order", "shared-identity", "bad-last-refresh", "no-last-refresh",
             *MEMBERSHIP_DAMAGE_IDS,
             *INDEX_DAMAGE_IDS,
+            *OID_COUNTER_DAMAGE_IDS,
         ],
     )
     def test_malformed_v2_header_is_rejected_when_loaded(self, store, tmp_path, damage):
@@ -1305,6 +1346,16 @@ class TestPersistence:
         path.write_text(json.dumps(head) + "\n" + rest, encoding="utf-8")
         with pytest.raises(Error, match="bad.store: malformed store document"):
             load_store(str(path))
+
+    def test_membership_over_an_operand_with_composites_loads(self, store, tmp_path):
+        header, rest = dumps_store(store).split("\n", 1)
+        head = json.loads(header)
+        with_grands_hopitaux([3, 4])(head)
+        path = tmp_path / "h.store"
+        path.write_text(json.dumps(head) + "\n" + rest, encoding="utf-8")
+        loaded = load_store(str(path))
+        assert loaded.extension_of("Grands_Hôpitaux") == [3, 4]
+        assert loaded.extension_of("Etablissements") == [8, 9]
 
     @pytest.mark.parametrize(
         "damage",

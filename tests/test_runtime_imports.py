@@ -2,13 +2,15 @@
 or names a standard-library module. And every name a module there
 imports is used, every private name it defines is referenced, and every
 error class is raised or caught, so a fold that moves a name's last use
-leaves no import, helper or error class behind."""
+leaves no import, helper or error class behind. Every error class is
+also named by a test, so no rejection goes untested by name."""
 
 import ast
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tdw"
+TESTS = Path(__file__).resolve().parent
 
 
 def foreign_imports(path: Path) -> list[str]:
@@ -258,4 +260,62 @@ def test_guard_flags_unraised_errors(tmp_path):
     )
     assert unraised_errors(errors, [module]) == [
         "errors.py:9: OnlyImported", "errors.py:11: OnlyRaisedHere",
+    ]
+
+
+def untested_errors(errors: Path, tests: list[Path]) -> list[str]:
+    """path:line: name for each class defined in errors that no code in
+    tests names, by its bare name or as an attribute; importing it does
+    not count."""
+    tree = ast.parse(errors.read_text(encoding="utf-8"), filename=str(errors))
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    named: set[str] = set()
+    for path in tests:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return [f"{errors.name}:{c.lineno}: {c.name}" for c in classes if c.name not in named]
+
+
+def test_every_error_class_is_named_by_a_test():
+    tests = sorted(TESTS.rglob("*.py"))
+    assert tests
+    assert untested_errors(PACKAGE / "errors.py", tests) == []
+
+
+def test_guard_flags_untested_errors(tmp_path):
+    errors = tmp_path / "errors.py"
+    errors.write_text(
+        "class Error(Exception):\n"
+        "    pass\n"
+        "class Raised(Error):\n"
+        "    pass\n"
+        "class Qualified(Error):\n"
+        "    pass\n"
+        "class Nested(Error):\n"
+        "    pass\n"
+        "class OnlyImported(Error):\n"
+        "    pass\n"
+        "class OnlyInAString(Error):\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    tests = tmp_path / "tests"
+    (tests / "deep").mkdir(parents=True)
+    (tests / "test_a.py").write_text(
+        "import pytest\n"
+        "from tdw import errors\n"
+        "from tdw.errors import Error, OnlyImported, Raised\n"
+        "def test_a():\n"
+        "    with pytest.raises(Raised, match='OnlyInAString'):\n"
+        "        raise errors.Qualified()\n",
+        encoding="utf-8",
+    )
+    (tests / "deep" / "test_b.py").write_text(
+        "def test_b(err):\n    assert isinstance(err, Nested)\n", encoding="utf-8"
+    )
+    assert untested_errors(errors, sorted(tests.rglob("*.py"))) == [
+        "errors.py:1: Error", "errors.py:9: OnlyImported", "errors.py:11: OnlyInAString",
     ]
