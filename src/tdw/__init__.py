@@ -10,7 +10,6 @@ from . import algebra, dsl, engine, model, source, temporal
 from .engine import (
     RefreshReport,
     Store,
-    apply_archival,
     initial_load,
     load_store,
     merge_archive,
@@ -55,7 +54,6 @@ __all__ = [
     "temporal",
     "RefreshReport",
     "Store",
-    "apply_archival",
     "initial_load",
     "load_store",
     "merge_archive",

@@ -328,11 +328,11 @@ def eval_augment(bindings: Iterable[AugmentBinding], build: ClassBuild) -> Class
         if b.agg is not None:
             typ = agg_result_type(build, b.agg)
             plans.append((b.agg.function, *locate(build, b.agg.path)))
+            prop = PropertyDef(b.name, "computed", value_type=typ, function=b.agg.function)
         else:
-            typ = _declared_type(b.type_name)
             plans.append(None)
-        origin = "computed" if b.agg is not None else "specific"
-        structure.append(PropertyDef(b.name, origin, "attribute", typ))
+            prop = PropertyDef(b.name, "specific", value_type=_declared_type(b.type_name))
+        structure.append(prop)
     rows = []
     for row in build.rows:
         extra = tuple(

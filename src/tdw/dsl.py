@@ -710,13 +710,6 @@ def _match_declared(
     for p in build.structure:
         out_by_name.setdefault(p.name, []).append(p)
 
-    agg_by_name = {
-        b.name: b.agg.function
-        for node in _nodes(cls.mapping)
-        if isinstance(node, Augment)
-        for b in node.bindings
-        if b.agg is not None
-    }
     for p in declared:
         candidates = out_by_name.get(p.name, [])
         if len(candidates) > 1:
@@ -735,7 +728,7 @@ def _match_declared(
                 raise TypeInferenceError(
                     f"{cls.name}.{p.name}: computed property has no augment binding"
                 )
-            _check_computed(cls, p, agg_by_name.get(p.name), out)
+            _check_computed(cls, p, out)
         else:  # specific
             if out is not None and out.value_type != p.value_type:
                 raise TypeInferenceError(
@@ -779,11 +772,8 @@ def _check_derived(
         )
 
 
-def _check_computed(
-    cls: WarehouseClass, decl: PropertyDef, fn: str | None, out: PropertyDef
-) -> None:
-    if fn is None:
-        raise TypeInferenceError(f"{cls.name}.{decl.name}: no augment binding found")
+def _check_computed(cls: WarehouseClass, decl: PropertyDef, out: PropertyDef) -> None:
+    fn = out.function
     kind = decl.value_type.kind if decl.value_type else None
     if fn == "count":
         ok = kind in _INTEGER_KINDS  # any integer type can hold a count

@@ -636,22 +636,13 @@ def _check_refresh_period(store: Store, t: Instant, report: RefreshReport) -> No
 # archival
 
 
-def apply_archival(store: Store, env: model.Environment, t: Instant) -> dict[str, int]:
+def apply_archival_state(store: Store, env: model.Environment, t: Instant) -> dict[str, int]:
     """Evict past states beyond the environment's retention bounds,
     folding archived properties into each object's archive state."""
-    work = store.working_copy()
-    evictions = apply_archival_state(work, env, t)
-    store.publish(work, store.last_refresh)
-    return evictions
-
-
-def apply_archival_state(store: Store, env: model.Environment, t: Instant) -> dict[str, int]:
     schema = store.schema
     cfg = schema.retention_for(env)
     evictions: dict[str, int] = {}
     for class_name in env.classes:
-        if class_name not in schema.classes:
-            continue
         _tempo, archi = effective_filters(schema, class_name)
         for oid in store.direct_extension(class_name):
             obj = store.objects[oid]

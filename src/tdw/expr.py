@@ -142,7 +142,6 @@ class Specialize(MappingExpr):
 
 
 EXTRACTION_NODES = (SourceRef, Aliased, Project, Hide, Augment, Select, Join)
-HIERARCHIZATION_NODES = (Generalize, Specialize)
 
 
 def is_extraction(expr: MappingExpr) -> bool:

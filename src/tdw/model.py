@@ -46,7 +46,8 @@ ARCHIVE_FUNCTIONS = AGG_FUNCTIONS + ("last",)
 @dataclass(frozen=True)
 class PropertyDef:
     """One property of a warehouse class structure, or of an algebra
-    build, where binder names the operand it came from."""
+    build, where binder names the operand it came from and function a
+    computed slot's aggregate."""
 
     name: str
     origin: str  # derived | computed | specific
@@ -57,6 +58,7 @@ class PropertyDef:
     inverse: str | None = None
     source_path: tuple[str, ...] = ()  # derived: origin property path
     binder: str | None = None  # builds only
+    function: str | None = None  # builds only
 
     @property
     def is_relation(self) -> bool:
@@ -131,31 +133,20 @@ class WarehouseSchema:
 
 
 def flatten_type(schema: WarehouseSchema, class_name: str) -> list[PropertyDef]:
-    """Own plus inherited properties, supers first, duplicates merged.
+    """Own plus inherited properties, in lineage order, duplicates merged.
 
     Identical definitions arriving from distinct supers collapse into
     one property; differing definitions under one name are a conflict.
     """
-    cls = schema.get_class(class_name)
-    transitive_supers(schema, class_name)  # a cycle raises before the walk below
-    out: list[PropertyDef] = []
-    by_name: dict[str, PropertyDef] = {}
-
-    def add(props: Iterable[PropertyDef]) -> None:
-        for p in props:
-            prior = by_name.get(p.name)
-            if prior is None:
-                by_name[p.name] = p
-                out.append(p)
-            elif merge_key(prior) != merge_key(p):
+    out: dict[str, PropertyDef] = {}
+    for owner in (*transitive_supers(schema, class_name), class_name):
+        for p in schema.get_class(owner).structure:
+            prior = out.setdefault(p.name, p)
+            if merge_key(prior) != merge_key(p):
                 raise PropertyConflict(
                     f"{class_name!r} inherits conflicting definitions of {p.name!r}"
                 )
-
-    for sup in cls.supers:
-        add(flatten_type(schema, sup))
-    add(cls.structure)
-    return out
+    return list(out.values())
 
 
 def dependency_order(deps: dict[str, Iterable[str]]) -> list[str]:
@@ -181,11 +172,12 @@ def dependency_order(deps: dict[str, Iterable[str]]) -> list[str]:
     return ordered
 
 
-def transitive_supers(schema: WarehouseSchema, class_name: str) -> set[str]:
-    """Every class class_name transitively extends. A class met again on
-    its own path raises InheritanceCycle naming the path, as "A -> B -> A";
+def transitive_supers(schema: WarehouseSchema, class_name: str) -> tuple[str, ...]:
+    """Every class class_name transitively extends, each once and after
+    its own supers, supers in declared order. A class met again on its
+    own path raises InheritanceCycle naming the path, as "A -> B -> A";
     an unknown class raises UnknownClass."""
-    out: set[str] = set()
+    out: dict[str, None] = {}
     path: list[str] = []
 
     def walk(name: str) -> None:
@@ -193,12 +185,12 @@ def transitive_supers(schema: WarehouseSchema, class_name: str) -> set[str]:
             raise InheritanceCycle(" -> ".join(path + [name]))
         path.append(name)
         for sup in schema.get_class(name).supers:
-            out.add(sup)
             walk(sup)
+            out[sup] = None
         path.pop()
 
     walk(class_name)
-    return out
+    return tuple(out)
 
 
 def is_subclass(schema: WarehouseSchema, ci: str, cj: str) -> bool:
@@ -248,21 +240,21 @@ def effective_filters(
 ) -> tuple[frozenset[str], dict[str, str]]:
     """Filters in force for a class: own plus same-environment supers'.
 
+    Temporal filters are the union. Of several archive functions for one
+    property, the class's own wins, then the later entry in its lineage.
     A class outside every environment has empty effective filters, no
     matter what it or its supers declare.
     """
     env = schema.environment_of(class_name)
     if env is None:
         return frozenset(), {}
-    cls = schema.get_class(class_name)
-    tempo = set(cls.tempo)
-    archi = dict(cls.archi)
-    for sup in transitive_supers(schema, class_name):
-        if schema.environment_of(sup) is env:
-            sup_cls = schema.get_class(sup)
-            tempo |= sup_cls.tempo
-            for prop, fn in sup_cls.archi.items():
-                archi.setdefault(prop, fn)
+    tempo: set[str] = set()
+    archi: dict[str, str] = {}
+    for owner in (*transitive_supers(schema, class_name), class_name):
+        if schema.environment_of(owner) is env:
+            cls = schema.get_class(owner)
+            tempo |= cls.tempo
+            archi.update(cls.archi)
     return frozenset(tempo), archi
 
 
@@ -363,7 +355,7 @@ def validate_schema(schema: WarehouseSchema) -> list[SchemaViolation]:
         cls = schema.classes[cname]
         try:
             flat = {p.name for p in flatten_type(schema, cname)}
-        except (PropertyConflict, UnknownClass) as exc:
+        except PropertyConflict as exc:
             out.append(SchemaViolation("property-conflict", cname, str(exc)))
             continue
         for prop in sorted(cls.tempo | set(cls.archi)):

@@ -376,6 +376,47 @@ class TestRefresh:
         assert "Traceback" not in err
 
 
+def build_and_refresh(store: str, build_args: list[str], snaps: dict[int, str], seed: str):
+    """Each command's output and the store's bytes after it, for a build
+    at the first year of snaps and a refresh at each later one, all under
+    one interpreter hash seed."""
+    first, *later = sorted(snaps)
+    rc, out, err = tdw(
+        "build", *build_args, "--snapshot", snaps[first], "--at", str(first),
+        "--store", store, hash_seed=seed,
+    )
+    assert rc == 0, err
+    seen = [out, Path(store).read_bytes()]
+    for y in later:
+        rc, out, err = tdw(
+            "refresh", "--store", store, "--snapshot", snaps[y], "--at", str(y),
+            hash_seed=seed,
+        )
+        assert rc == 0, err
+        seen += [out, Path(store).read_bytes()]
+    return seen
+
+
+LINEAGE_ODL = (
+    "interface P { attribute String nom; attribute Long x; }\n"
+    "interface Q { attribute String nom; attribute Long x; }\n"
+)
+LINEAGE_EDW = """warehouse Lignees;
+interface A { D_attribute String nom; D_attribute Long x; }
+with filters { temporal x; archive avg(x); }
+interface B { D_attribute String nom; D_attribute Long x; }
+with filters { temporal x; archive sum(x); }
+interface K (extend A, B) { }
+Environment E {
+    class A, B, K;
+    config { keep 1 past states; }
+}
+mapping A = select(p: P, p.x > 0);
+mapping B = select(q: Q, q.x > 0);
+mapping K = specialize(a: A, b: B, a.x > 0);
+"""
+
+
 class TestDeterminism:
     def test_store_and_reports_independent_of_hash_seed(self, tmp_path):
         """A build and two refreshes give the same bytes whatever the
@@ -386,26 +427,42 @@ class TestDeterminism:
             1992: {},
         }
         snaps = {y: write_snapshot(tmp_path / f"s{y}.jsonl", y, **k) for y, k in years.items()}
-        outputs = {}
-        for seed in ("0", "1"):
-            store = str(tmp_path / f"h{seed}.store")
-            rc, out, err = tdw(
-                "build", "--warehouse", EDW, "--source-schema", ODL,
-                "--snapshot", snaps[1990], "--at", "1990", "--store", store, hash_seed=seed,
+        outputs = {
+            seed: build_and_refresh(
+                str(tmp_path / f"h{seed}.store"), ["--warehouse", EDW, "--source-schema", ODL],
+                snaps, seed,
             )
-            assert rc == 0, err
-            seen = [out, Path(store).read_bytes()]
-            for y in (1991, 1992):
-                rc, out, err = tdw(
-                    "refresh", "--store", store, "--snapshot", snaps[y], "--at", str(y),
-                    hash_seed=seed,
-                )
-                assert rc == 0, err
-                seen += [out, Path(store).read_bytes()]
-            outputs[seed] = seen
+            for seed in ("0", "1")
+        }
         assert outputs["0"] == outputs["1"]
         report = json.loads(outputs["0"][4])
         assert report["classes"]["Chirurgiens"]["frozen"] == 1
+
+    def test_inherited_archive_function_independent_of_hash_seed(self, tmp_path):
+        """K inherits x's archive filter from A (avg) and from B (sum): the
+        later declared super wins under every hash seed."""
+        odl, edw = tmp_path / "pq.odl", tmp_path / "k.edw"
+        odl.write_text(LINEAGE_ODL, encoding="utf-8")
+        edw.write_text(LINEAGE_EDW, encoding="utf-8")
+        snaps = {}
+        for y in range(1990, 1994):
+            records = [
+                {"interface": "P", "id": "p1", "values": {"nom": "p", "x": y - 1985}},
+                {"interface": "Q", "id": "q1", "values": {"nom": "q", "x": 10 * (y - 1985)}},
+            ]
+            snaps[y] = str(tmp_path / f"s{y}.jsonl")
+            Path(snaps[y]).write_text("\n".join(snapshot_lines(records)) + "\n", encoding="utf-8")
+        args = ["--warehouse", str(edw), "--source-schema", str(odl)]
+        outputs = {
+            seed: build_and_refresh(str(tmp_path / f"h{seed}.store"), args, snaps, seed)
+            for seed in ("0", "3")
+        }
+        assert outputs["0"] == outputs["3"]
+        rc, out, err = tdw("inspect", "--store", str(tmp_path / "h0.store"), "--class", "K",
+                           "--oid", "3", "--history")
+        assert rc == 0, err
+        assert out.startswith("object 3 (K, active)")
+        assert 'archive <[1990..1991]>:\n  x = {"function": "sum", "value": 110}\n' in out
 
 
 class TestInspect:

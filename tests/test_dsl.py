@@ -14,10 +14,13 @@ from tdw.dsl import (
     resolve_with_violations,
 )
 from tdw.errors import (
+    Error,
     InverseMismatch,
     ParseError,
+    PropertyConflict,
     ResolveError,
     TypeInferenceError,
+    UnknownClass,
     UnknownFunction,
     UnresolvedSourceProperty,
 )
@@ -420,6 +423,109 @@ class TestResolve:
                         t = dict(t.fields)[seg]
                     matches.append(t)
                 assert p.value_type in matches, f"{cls.name}.{p.name}"
+
+    @pytest.mark.parametrize(
+        "decl, mapping, message",
+        [
+            ("C_attribute Short n", "augment(n := count(p.notes), p: P)", None),
+            ("C_attribute Long n", "augment(n := count(p.notes), p: P)", None),
+            ("C_attribute Double n", "augment(n := sum(p.notes), p: P)", None),
+            ("C_attribute Double n", "augment(n := avg(p.notes), p: P)", None),
+            ("C_attribute Long n", "augment(n := max(p.notes), p: P)", None),
+            ("C_attribute Long n", "augment(n := min(p.notes), p: P)", None),
+            ("C_attribute Double n", "augment(n := count(p.notes), p: P)",
+             "W.n: count result cannot be stored as Double"),
+            ("C_attribute Long n", "augment(n := sum(p.notes), p: P)",
+             "W.n: sum result cannot be stored as Long"),
+            ("C_attribute Short n", "augment(n := avg(p.notes), p: P)",
+             "W.n: avg result cannot be stored as Short"),
+            ("C_attribute Short n", "augment(n := max(p.notes), p: P)",
+             "W.n: max result cannot be stored as Short"),
+            # the slot that produces n is the outer augment's, not the hidden one's
+            ("C_attribute Short n",
+             "augment(n := avg(p.notes), hide(n, augment(n := count(p.notes), p: P)))",
+             "W.n: avg result cannot be stored as Short"),
+            ("C_attribute Short n",
+             "augment(n := count(p.notes), hide(n, augment(n := avg(p.notes), p: P)))", None),
+            ("C_attribute Long m", "project(p.nom, n as m, augment(n := count(p.notes), p: P))",
+             None),
+        ],
+        ids=["count-short", "count-long", "sum-double", "avg-double", "max-long", "min-long",
+             "count-double", "sum-long", "avg-short", "max-short", "avg-over-hidden-count",
+             "count-over-hidden-avg", "renamed-count"],
+    )
+    def test_computed_type_rule(self, decl, mapping, message):
+        """A computed property is checked against the aggregate of the
+        output slot that produces it."""
+        src = parse_source_schema(
+            "interface P { attribute String nom; attribute Set<Long> notes; }"
+        )
+        wdef = parse_warehouse_def(f"interface W {{ {decl}; }}\nmapping W = {mapping};\n")
+        if message is None:
+            resolve(wdef, src)
+        else:
+            with pytest.raises(TypeInferenceError) as err:
+                resolve(wdef, src)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("interface W { D_attribute String nom; D_attribute String nom; }\n"
+             "mapping W = project(p.nom, p: P);",
+             PropertyConflict, "'W' declares 'nom' twice"),
+            ("interface W { D_attribute String nom; }\n"
+             "Environment E { class W; }\nEnvironment E { class W; }\n"
+             "mapping W = project(p.nom, p: P);",
+             PropertyConflict, "environment 'E' declared twice"),
+            ("interface W { D_attribute String nom; }\n"
+             "mapping W = project(p.nom, p: P);\nmapping Z = project(p.nom, p: P);",
+             UnknownClass, "mapping declared for unknown class 'Z'"),
+            ('interface V { }\nmapping V = specialize(f: Fantome, f.nom = "x");',
+             UnknownClass, "mapping of 'V' names unknown class 'Fantome'"),
+            ("interface G { D_attribute String nom; }\n"
+             "interface O (extend G) { D_attribute String nom; }\n"
+             "mapping G = generalize(o.nom, o: O);\nmapping O = project(p.nom, p: P);",
+             ResolveError, "'O' must inherit 'nom' from 'G', not declare it"),
+            ("interface W { D_attribute String nom; D_attribute Short age; }\n"
+             "interface V (extend W) { D_attribute Short age; }\n"
+             "mapping W = project(p.nom, p.age, p: P);\n"
+             "mapping V = specialize(w: W, w.age > 30);",
+             ResolveError,
+             "'V' specializes its operands and must not declare own properties "
+             "(declares ['age'])"),
+            ("interface W { D_attribute String nom; }\n"
+             "mapping W = join(p: P, s: S, p.sv contains s);",
+             UnresolvedSourceProperty, "W.nom: mapping produces several properties named 'nom'"),
+            ("interface W { D_attribute String nom; S_attribute Short k; }\n"
+             "mapping W = augment(k : Long, project(p.nom, p: P));",
+             TypeInferenceError, "W.k: declared Short, mapping says Long"),
+            ("interface Wp { D_attribute String nom; D_relationship <Wq> sv; }\n"
+             "interface Wq { D_attribute String nom; }\n"
+             "mapping Wp = project(p.nom, p.sv, p: P);\nmapping Wq = project(s.nom, s: S);",
+             UnresolvedSourceProperty,
+             "Wp.sv: declared relation does not match the source relation"),
+            ("interface Wp { D_attribute String nom; D_relationship Set<Wq> sv; }\n"
+             "interface Wq { D_attribute String nom; }\n"
+             "mapping Wp = project(p.nom, p.sv, p: P);\nmapping Wq = project(p.nom, p: P);",
+             UnresolvedSourceProperty,
+             "Wp.sv: target class 'Wq' is not built from source 'S'"),
+        ],
+        ids=["property-declared-twice", "environment-declared-twice",
+             "mapping-of-an-unknown-class", "operand-of-an-unknown-class",
+             "lifted-property-declared", "specialization-declares-its-own",
+             "unhidden-join-duplicates-a-name", "specific-type-differs",
+             "to-one-over-a-set-relation", "target-built-from-another-source"],
+    )
+    def test_rejected_definition(self, text, error, message):
+        src = parse_source_schema(
+            "interface P { attribute String nom; attribute Short age; "
+            "relationship Set<S> sv inverse S::eq; }\n"
+            "interface S { attribute String nom; relationship Set<P> eq inverse P::sv; }\n"
+        )
+        with pytest.raises(Error) as err:
+            resolve(parse_warehouse_def(text), src)
+        assert (type(err.value), str(err.value)) == (error, message)
 
 
 PERSONNES_MAPPING = (

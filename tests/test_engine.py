@@ -24,7 +24,7 @@ from conftest import (
 from tdw import engine
 from tdw.dsl import parse_warehouse_def
 from tdw.engine import (
-    apply_archival,
+    apply_archival_state,
     dumps_store,
     merge_archive,
     patch_specific,
@@ -1698,7 +1698,7 @@ class TestWorkingCopyAtomicity:
         keep_none = replace(env, config=RetentionConfig(keep_past_count=0))
         # keeping no past state evicts surgeons and e1 before e2 fails
         with pytest.raises(TypeMismatch):
-            apply_archival(store, keep_none, year(1992))
+            apply_archival_state(store.working_copy(), keep_none, year(1992))
         assert dumps_store(store) == before
         assert all(store.objects[oid] is obj for oid, obj in held.items())
         assert object_forms(held) == forms

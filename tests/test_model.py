@@ -71,6 +71,19 @@ class TestFlattenType:
         with pytest.raises(PropertyConflict):
             flatten_type(schema, "C")
 
+    def test_lineage_lists_each_super_once_after_its_own_supers(self):
+        # D extends B and C, which both extend A
+        schema = mini_schema(
+            [
+                WarehouseClass("A", [attr("a")]),
+                WarehouseClass("B", [attr("b")], supers=("A",)),
+                WarehouseClass("C", [attr("c")], supers=("A",)),
+                WarehouseClass("D", [attr("d")], supers=("B", "C")),
+            ]
+        )
+        assert transitive_supers(schema, "D") == ("A", "B", "C")
+        assert [p.name for p in flatten_type(schema, "D")] == ["a", "b", "c", "d"]
+
     def test_cycle_detected(self):
         schema = mini_schema(
             [
@@ -119,6 +132,31 @@ class TestEffectiveFilters:
         schema = mini_schema([sup, sub], [Environment("E", ("C",), RetentionConfig())])
         tempo, _ = effective_filters(schema, "C")
         assert tempo == {"y"}
+
+    @pytest.mark.parametrize(
+        "supers, own, function",
+        [(("A", "B"), {}, "sum"), (("B", "A"), {}, "avg"), (("A", "B"), {"x": "min"}, "min"),
+         (("L",), {}, "max")],
+        ids=["later-super", "later-super-reversed", "own", "nearer-super"],
+    )
+    def test_archive_function_follows_the_lineage(self, supers, own, function):
+        """Of several archive functions for one property, the class's own
+        wins, then the later entry in its lineage."""
+        def filtered(name, fn, supers=()):
+            return WarehouseClass(
+                name, [attr("x", "long")], supers=supers, tempo=frozenset({"x"}), archi={"x": fn}
+            )
+
+        schema = mini_schema(
+            [
+                filtered("A", "avg"),
+                filtered("B", "sum"),
+                filtered("L", "max", supers=("A",)),  # L is nearer to K than A
+                WarehouseClass("K", [], supers=supers, archi=own),
+            ],
+            [Environment("E", ("A", "B", "L", "K"), RetentionConfig(keep_past_count=1))],
+        )
+        assert effective_filters(schema, "K")[1] == {"x": function}
 
 
 class TestDependencyOrder:
@@ -215,6 +253,20 @@ class TestValidateSchema:
         assert [(v.kind, v.subject, v.detail) for v in validate_schema(schema)] == [
             ("inheritance-cycle", "A", "A -> B -> A"),
             ("inheritance-cycle", "B", "B -> A -> B"),
+        ]
+
+    def test_conflict_inside_a_super_is_reported_under_each_class(self):
+        schema = mini_schema(
+            [
+                WarehouseClass("X", [attr("x", "string")]),
+                WarehouseClass("Y", [attr("x", "long")]),
+                WarehouseClass("A", [], supers=("X", "Y")),
+                WarehouseClass("C", [], supers=("A",)),
+            ]
+        )
+        assert [(v.kind, v.subject, v.detail) for v in validate_schema(schema)] == [
+            ("property-conflict", "A", "'A' inherits conflicting definitions of 'x'"),
+            ("property-conflict", "C", "'C' inherits conflicting definitions of 'x'"),
         ]
 
     def test_violations_monotone_under_unrelated_additions(self, schema):
