@@ -7,16 +7,17 @@ mapping per class. The class head, relation declarations and types are
 parsed by the source schema's parsers, so the two languages cannot drift
 apart. One table, PROPERTY_KEYWORDS, maps each property keyword to its
 origin and kind; the parser reads it, and the printer reads it inverted,
-writing the prefixed keyword. The parser builds the model's records,
-PropertyDef and Environment, so resolution takes them as they are.
-resolve() checks the declarations against a source schema and produces
-a validated WarehouseSchema. The full grammar is documented in
-docs/grammar.md.
+writing the prefixed keyword. The parser builds the model's records:
+a WarehouseSchema of WarehouseClass records, each holding its parsed
+mapping, over PropertyDef and Environment records; the printer reads
+the same records. resolve() checks a copy of them against a source
+schema and returns it validated, with source origins and source paths
+filled in. The full grammar is documented in docs/grammar.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Iterable, Iterator
 
 from . import algebra
@@ -96,99 +97,90 @@ _PREFIXED_KEYWORD = {v: k for k, v in PROPERTY_KEYWORDS.items() if "_" in k}
 
 
 # ---------------------------------------------------------------------------
-# unresolved AST
-
-
-@dataclass
-class ClassDecl:
-    name: str
-    extends: tuple[str, ...] = ()
-    properties: list[PropertyDef] = field(default_factory=list)
-    tempo: tuple[str, ...] = ()
-    archi: tuple[tuple[str, str], ...] = ()  # (function, property)
-
-
-@dataclass
-class WarehouseDef:
-    name: str = "warehouse"
-    classes: list[ClassDecl] = field(default_factory=list)
-    environments: list[Environment] = field(default_factory=list)
-    mappings: dict[str, MappingExpr] = field(default_factory=dict)
-    global_config: RetentionConfig = RetentionConfig()
-
-
-# ---------------------------------------------------------------------------
 # parsing
 
 
-def parse_warehouse_def(text: str) -> WarehouseDef:
+def parse_warehouse_def(text: str) -> WarehouseSchema:
     ts = TokenStream(tokenize(text))
-    wdef = WarehouseDef()
+    schema = WarehouseSchema("warehouse")
+    mappings: dict[str, MappingExpr] = {}
     if ts.at("ident", "warehouse"):
         ts.next()
-        wdef.name = ts.expect("ident").value
+        schema.name = ts.expect("ident").value
         ts.expect("punct", ";")
     while not ts.at("eof"):
         tok = ts.peek()
         if tok.value == "interface":
-            decl = _parse_class_decl(ts)
-            if any(c.name == decl.name for c in wdef.classes):
-                raise ParseError(tok.line, tok.col, f"a unique class name ({decl.name!r} repeats)")
-            wdef.classes.append(decl)
+            cls = _parse_class_decl(ts)
+            if cls.name in schema.classes:
+                raise ParseError(tok.line, tok.col, f"a unique class name ({cls.name!r} repeats)")
+            schema.classes[cls.name] = cls
         elif tok.value == "Environment":
-            wdef.environments.append(_parse_environment(ts))
+            env = _parse_environment(ts)
+            if env.name in schema.environments:
+                raise PropertyConflict(f"environment {env.name!r} declared twice")
+            schema.environments[env.name] = env
         elif tok.value == "mapping":
             ts.next()
             cname = ts.expect("ident").value
             ts.expect("punct", "=")
             expr = _parse_mapping_expr(ts)
             ts.expect("punct", ";")
-            if cname in wdef.mappings:
+            if cname in mappings:
                 raise ParseError(tok.line, tok.col, f"a single mapping for {cname!r}")
-            wdef.mappings[cname] = expr
+            mappings[cname] = expr
         elif tok.value == "config":
             ts.next()
-            wdef.global_config = _parse_config_block(ts)
+            schema.global_config = _parse_config_block(ts)
         else:
             raise ts.error("'interface', 'Environment', 'mapping', or 'config'")
-    return wdef
+    # a mapping may come before its class
+    for cname, expr in mappings.items():
+        if cname not in schema.classes:
+            raise UnknownClass(f"mapping declared for unknown class {cname!r}")
+        schema.classes[cname].mapping = expr
+    return schema
 
 
-def _parse_class_decl(ts: TokenStream) -> ClassDecl:
-    name, extends, _line = parse_class_head(ts)
-    decl = ClassDecl(name, extends)
+def _parse_class_decl(ts: TokenStream) -> WarehouseClass:
+    name, supers, _line = parse_class_head(ts)
+    cls = WarehouseClass(name, supers=supers)
     while not ts.accept("punct", "}"):
-        decl.properties.append(_parse_property(ts))
+        cls.structure.append(_parse_property(ts))
+    names = [p.name for p in cls.structure]
+    dupes = sorted({n for n in names if names.count(n) > 1})
+    if dupes:
+        raise PropertyConflict(f"{name!r} declares {dupes[0]!r} twice")
     if ts.at("ident", "with"):
         ts.next()
         ts.expect("ident", "filters")
         ts.expect("punct", "{")
         tempo: list[str] = []
-        archi: list[tuple[str, str]] = []
         while not ts.accept("punct", "}"):
             if ts.accept("ident", "temporal"):
                 tempo.extend(ts.idents())
                 ts.expect("punct", ";")
             elif ts.accept("ident", "archive"):
-                archi.append(_parse_archive_entry(ts))
+                _parse_archive_entry(ts, cls.archi)
                 while ts.accept("punct", ","):
-                    archi.append(_parse_archive_entry(ts))
+                    _parse_archive_entry(ts, cls.archi)
                 ts.expect("punct", ";")
             else:
                 raise ts.error("'temporal' or 'archive'")
-        decl.tempo = tuple(tempo)
-        decl.archi = tuple(archi)
-    return decl
+        cls.tempo = tuple(tempo)
+    return cls
 
 
-def _parse_archive_entry(ts: TokenStream) -> tuple[str, str]:
+def _parse_archive_entry(ts: TokenStream, archi: dict[str, str]) -> None:
     fn_tok = ts.expect("ident")
     if fn_tok.value not in ARCHIVE_FUNCTIONS:
         raise ParseError(fn_tok.line, fn_tok.col, f"an archive function (found {fn_tok.value!r})")
     ts.expect("punct", "(")
     prop = ts.expect("ident").value
     ts.expect("punct", ")")
-    return (fn_tok.value, prop)
+    if prop in archi:
+        raise ParseError(fn_tok.line, fn_tok.col, f"a single archive function for {prop!r}")
+    archi[prop] = fn_tok.value
 
 
 def _parse_property(ts: TokenStream) -> PropertyDef:
@@ -441,29 +433,29 @@ def _parse_literal(ts: TokenStream):
 # printing
 
 
-def print_warehouse_def(wdef: WarehouseDef) -> str:
-    """Canonical .edw text; parse(print(parse(x))) is a fixpoint."""
-    lines: list[str] = [f"warehouse {wdef.name};", ""]
-    for decl in wdef.classes:
-        lines.append(format_class_head(decl.name, decl.extends))
-        for p in decl.properties:
+def print_warehouse_def(schema: WarehouseSchema) -> str:
+    """Canonical .edw text, mappings in class order; parse(print(parse(x)))
+    is a fixpoint."""
+    lines: list[str] = [f"warehouse {schema.name};", ""]
+    for cls in schema.classes.values():
+        lines.append(format_class_head(cls.name, cls.supers))
+        for p in cls.structure:
             keyword = _PREFIXED_KEYWORD[(p.origin, p.kind)]
             if p.is_relation:
                 lines.append(f"    {keyword} {format_relationship(p)}")
             else:
                 lines.append(f"    {keyword} {p.value_type} {p.name};")
         lines.append("}")
-        if decl.tempo or decl.archi:
+        if cls.tempo or cls.archi:
             lines.append("with filters {")
-            if decl.tempo:
-                lines.append("    temporal " + ", ".join(decl.tempo) + ";")
-            if decl.archi:
-                lines.append(
-                    "    archive " + ", ".join(f"{fn}({prop})" for fn, prop in decl.archi) + ";"
-                )
+            if cls.tempo:
+                lines.append("    temporal " + ", ".join(cls.tempo) + ";")
+            if cls.archi:
+                entries = ", ".join(f"{fn}({prop})" for prop, fn in cls.archi.items())
+                lines.append(f"    archive {entries};")
             lines.append("}")
         lines.append("")
-    for env in wdef.environments:
+    for env in schema.environments.values():
         lines.append(f"Environment {env.name} {{")
         lines.append("    class " + ", ".join(env.classes) + ";")
         cfg_lines = _config_lines(env.config)
@@ -473,14 +465,15 @@ def print_warehouse_def(wdef: WarehouseDef) -> str:
             lines.append("    }")
         lines.append("}")
         lines.append("")
-    cfg_lines = _config_lines(wdef.global_config)
+    cfg_lines = _config_lines(schema.global_config)
     if cfg_lines:
         lines.append("config {")
         lines.extend("    " + c for c in cfg_lines)
         lines.append("}")
         lines.append("")
-    for cname, expr in wdef.mappings.items():
-        lines.append(f"mapping {cname} = {format_mapping(expr)};")
+    for cls in schema.classes.values():
+        if cls.mapping is not None:
+            lines.append(f"mapping {cls.name} = {format_mapping(cls.mapping)};")
     return "\n".join(lines).rstrip() + "\n"
 
 
@@ -504,13 +497,14 @@ def _config_lines(cfg: RetentionConfig) -> list[str]:
 _INTEGER_KINDS = ("short", "long")
 
 
-def resolve(wdef: WarehouseDef, src: SourceSchema, strict: bool = True) -> WarehouseSchema:
-    """Resolve a parsed definition against the source schema.
+def resolve(parsed: WarehouseSchema, src: SourceSchema, strict: bool = True) -> WarehouseSchema:
+    """Resolve a parsed definition against the source schema, in a copy
+    that leaves the parsed one as it was parsed.
 
     With strict=True any schema violation is promoted to ResolveError;
     hard mismatches between declarations and mappings raise regardless.
     """
-    schema, violations = resolve_with_violations(wdef, src)
+    schema, violations = resolve_with_violations(parsed, src)
     if strict and violations:
         detail = "; ".join(f"{v.kind}({v.subject}): {v.detail}" for v in violations)
         raise ResolveError(f"invalid warehouse schema: {detail}", violations)
@@ -518,11 +512,17 @@ def resolve(wdef: WarehouseDef, src: SourceSchema, strict: bool = True) -> Wareh
 
 
 def resolve_with_violations(
-    wdef: WarehouseDef, src: SourceSchema
+    parsed: WarehouseSchema, src: SourceSchema
 ) -> tuple[WarehouseSchema, list[SchemaViolation]]:
-    schema = _skeleton(wdef)
-    # resolution sets mappings, source origins and source paths, none of
-    # which a schema check reads, so the skeleton's violations are final
+    # resolution fills in a copy, whose structure lists _match_declared
+    # rewrites, so the parsed records stay as parsed; the parser set the
+    # mappings, and the source origins and source paths set here are read
+    # by no schema check, so the copy's violations are final
+    classes = {
+        name: WarehouseClass(name, list(c.structure), c.supers, c.mapping, c.tempo, c.archi)
+        for name, c in parsed.classes.items()
+    }
+    schema = WarehouseSchema(parsed.name, classes, dict(parsed.environments), parsed.global_config)
     violations = validate_schema(schema)
     broken = {
         v.subject
@@ -532,9 +532,8 @@ def resolve_with_violations(
 
     structures: dict[str, algebra.ClassBuild] = {}
     # phase 1: extraction mappings fix each class's source origins
-    for decl in wdef.classes:
-        cls = schema.classes[decl.name]
-        if cls.mapping is None or decl.name in broken:
+    for cls in schema.classes.values():
+        if cls.mapping is None or cls.name in broken:
             continue
         if is_extraction(cls.mapping):
             nodes = list(_nodes(cls.mapping))
@@ -542,7 +541,7 @@ def resolve_with_violations(
                 raise ResolveError(
                     "hierarchization nodes cannot appear inside an extraction chain"
                 )
-            structures[decl.name] = algebra.eval_extraction(cls.mapping, src)
+            structures[cls.name] = algebra.eval_extraction(cls.mapping, src)
             cls.source_origins = frozenset(n.interface for n in nodes if isinstance(n, SourceRef))
 
     # phase 2: hierarchization mappings, in operand dependency order
@@ -551,41 +550,13 @@ def resolve_with_violations(
         _resolve_hierarchization(schema, src, cls)
 
     # phase 3: declared structures checked against extraction results
-    for decl in wdef.classes:
-        cls = schema.classes[decl.name]
-        if decl.name in broken or decl.name not in structures:
+    for cls in schema.classes.values():
+        if cls.name in broken or cls.name not in structures:
             continue
-        _match_declared(schema, src, cls, structures[decl.name])
+        _match_declared(schema, src, cls, structures[cls.name])
 
     _check_warehouse_inverses(schema)
     return schema, violations
-
-
-def _skeleton(wdef: WarehouseDef) -> WarehouseSchema:
-    schema = WarehouseSchema(wdef.name, global_config=wdef.global_config)
-    for decl in wdef.classes:
-        # _match_declared rewrites the class's list; the parsed one stays
-        props = list(decl.properties)
-        names = [p.name for p in props]
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        if dupes:
-            raise PropertyConflict(f"{decl.name!r} declares {dupes[0]!r} twice")
-        schema.classes[decl.name] = WarehouseClass(
-            decl.name,
-            props,
-            decl.extends,
-            wdef.mappings.get(decl.name),
-            frozenset(decl.tempo),
-            {prop: fn for fn, prop in decl.archi},
-        )
-    for env in wdef.environments:
-        if env.name in schema.environments:
-            raise PropertyConflict(f"environment {env.name!r} declared twice")
-        schema.environments[env.name] = env
-    unknown = [c for c in wdef.mappings if c not in schema.classes]
-    if unknown:
-        raise UnknownClass(f"mapping declared for unknown class {unknown[0]!r}")
-    return schema
 
 
 def _nodes(expr: MappingExpr) -> Iterator[MappingExpr]:
@@ -765,6 +736,12 @@ def _check_derived(
     target_cls = schema.classes.get(decl.target)
     if target_cls is None:
         return  # reported by the derived-relation closure check
+    # a refresh rewrites links before it decides a specialization's members
+    if isinstance(target_cls.mapping, Specialize):
+        raise UnresolvedSourceProperty(
+            f"{cls.name}.{decl.name}: target class {decl.target!r} is a specialization, "
+            "whose members are decided after links"
+        )
     if not set(target_cls.source_origins).intersection(src.tables[out.target].subtypes):
         raise UnresolvedSourceProperty(
             f"{cls.name}.{decl.name}: target class {decl.target!r} is not built "

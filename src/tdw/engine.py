@@ -70,7 +70,6 @@ from typing import Any, Callable, Iterable
 from . import model
 from .algebra import ClassBuild, Row, eval_extraction, eval_product, eval_select
 from .dsl import (
-    WarehouseDef,
     class_structure,
     hierarchization_order,
     parse_warehouse_def,
@@ -117,6 +116,7 @@ from .temporal import (
     extend_end,
     format_instant,
     parse_instant,
+    validate_domain,
 )
 
 
@@ -306,7 +306,7 @@ class Store:
 
 
 def initial_load(
-    src: SourceSchema, wdef: WarehouseDef, snapshot: Snapshot, t: Instant | None = None
+    src: SourceSchema, wdef: WarehouseSchema, snapshot: Snapshot, t: Instant | None = None
 ) -> Store:
     """Build a fresh store, in t's unit for life, from the first extraction point."""
     t = _instant_of(snapshot, t)
@@ -1124,7 +1124,12 @@ class _StateDecoder:
     def _shared(self, unit: str, bounds: tuple[tuple[int, ...], ...]) -> TemporalDomain:
         found = self.domains.get((unit, bounds))
         if found is None:
-            found = self.domains[(unit, bounds)] = domain(unit, *bounds)
+            found = domain(unit, *bounds)
+            # Interval checks a single interval; several must be canonical
+            problems = validate_domain(found) if len(bounds) > 1 else ()
+            if problems:
+                raise ValueError(f"a domain's {problems[0].message}")
+            self.domains[(unit, bounds)] = found
         return found
 
     def _open(self, d: TemporalDomain) -> TemporalDomain:

@@ -75,8 +75,8 @@ class WarehouseClass:
     name: str
     structure: list[PropertyDef] = field(default_factory=list)  # own, declared
     supers: tuple[str, ...] = ()
-    mapping: Any = None  # expr.MappingExpr once resolved
-    tempo: frozenset[str] = frozenset()
+    mapping: Any = None  # expr.MappingExpr
+    tempo: tuple[str, ...] = ()  # in declared order
     archi: dict[str, str] = field(default_factory=dict)  # property -> function
     source_origins: frozenset[str] = frozenset()  # source interfaces feeding rows
 
@@ -253,7 +253,7 @@ def effective_filters(
     for owner in (*transitive_supers(schema, class_name), class_name):
         if schema.environment_of(owner) is env:
             cls = schema.get_class(owner)
-            tempo |= cls.tempo
+            tempo.update(cls.tempo)
             archi.update(cls.archi)
     return frozenset(tempo), archi
 
@@ -358,7 +358,7 @@ def validate_schema(schema: WarehouseSchema) -> list[SchemaViolation]:
         except PropertyConflict as exc:
             out.append(SchemaViolation("property-conflict", cname, str(exc)))
             continue
-        for prop in sorted(cls.tempo | set(cls.archi)):
+        for prop in sorted({*cls.tempo, *cls.archi}):
             if prop not in flat:
                 out.append(
                     SchemaViolation(

@@ -41,7 +41,7 @@ def src_schema(odl_text):
 
 @pytest.fixture()
 def wdef(edw_text):
-    # function-scoped: resolution annotates the parsed definition's classes
+    # function-scoped, so a test may change the parsed records
     return parse_warehouse_def(edw_text)
 
 

@@ -129,6 +129,24 @@ class TestValidate:
         assert rc == 1
         assert "specialize binder 'e' names more than one operand" in err
 
+    def test_relation_to_a_specialization_is_a_domain_error(self, tmp_path):
+        """A refresh rewrites links before it decides a specialization's
+        members, so no derived relation may target one."""
+        text = Path(EDW).read_text(encoding="utf-8")
+        membership = text.replace(" inverse Services::est_dirigé;", ";").replace(
+            "<Chirurgiens> est_dirigé inverse Chirurgiens::dirige;",
+            "<Jeunes_Chirurgiens> est_dirigé;",
+        )
+        assert membership.count("inverse") == text.count("inverse") - 2
+        edw = tmp_path / "membership.edw"
+        edw.write_text(membership, encoding="utf-8")
+        rc, _out, err = tdw("validate", "--source-schema", ODL, "--warehouse", str(edw))
+        assert rc == 1
+        assert err == (
+            "error: Services.est_dirigé: target class 'Jeunes_Chirurgiens' is a "
+            "specialization, whose members are decided after links\n"
+        )
+
     @pytest.mark.parametrize("verb", ["validate", "plan"])
     def test_cycle_in_an_environment_is_two_violations(self, tmp_path, verb):
         edw = tmp_path / "cycle.edw"

@@ -1,11 +1,13 @@
 """Warehouse definition language: parsing, printing, resolution."""
 
+import hashlib
 import json
 import re
 
 import pytest
 
 from conftest import FIXTURES, find_property, schema_to_dict
+from tdw import cli
 from tdw.dsl import (
     parse_mapping,
     parse_warehouse_def,
@@ -46,7 +48,7 @@ from tdw.source import parse_source_schema
 class TestParseWarehouseDef:
     def test_fixture_shape(self, edw_text):
         wdef = parse_warehouse_def(edw_text)
-        assert [c.name for c in wdef.classes] == [
+        assert list(wdef.classes) == [
             "Personnes",
             "Chirurgiens",
             "Jeunes_Chirurgiens",
@@ -55,33 +57,33 @@ class TestParseWarehouseDef:
             "Etablissements",
         ]
         assert len(wdef.environments) == 1
-        env = wdef.environments[0]
+        env = wdef.environments["Evolutions"]
         assert env.name == "Evolutions" and len(env.classes) == 4
         assert env.config.refresh_period == (1, "year")
         assert env.config.keep_past_count == 2
-        assert set(wdef.mappings) == {c.name for c in wdef.classes}
+        assert all(c.mapping is not None for c in wdef.classes.values())
 
     def test_origin_prefixes(self, edw_text):
         wdef = parse_warehouse_def(edw_text)
-        hop = next(c for c in wdef.classes if c.name == "Hôpitaux_Publics")
-        origins = {p.name: p.origin for p in hop.properties}
+        hop = wdef.classes["Hôpitaux_Publics"]
+        origins = {p.name: p.origin for p in hop.structure}
         assert origins["budget"] == "derived"
         assert origins["nb_services"] == "computed"
         assert origins["année_création"] == "specific"
         assert origins["organisation"] == "derived"
-        kinds = {p.name: p.kind for p in hop.properties}
+        kinds = {p.name: p.kind for p in hop.structure}
         assert kinds["organisation"] == "composition"
 
     def test_bare_attribute_defaults_to_derived(self, edw_text):
         wdef = parse_warehouse_def(edw_text)
-        personnes = next(c for c in wdef.classes if c.name == "Personnes")
-        adresse = next(p for p in personnes.properties if p.name == "adresse")
+        personnes = wdef.classes["Personnes"]
+        adresse = next(p for p in personnes.structure if p.name == "adresse")
         assert adresse.origin == "derived"
 
     def test_minimal_class(self):
         wdef = parse_warehouse_def("interface X { }")
         assert len(wdef.classes) == 1
-        assert wdef.classes[0].tempo == () and wdef.classes[0].archi == ()
+        assert wdef.classes["X"].tempo == () and wdef.classes["X"].archi == {}
 
     def test_archive_outside_filters_block_is_syntax_error(self):
         with pytest.raises(ParseError):
@@ -89,9 +91,26 @@ class TestParseWarehouseDef:
 
     def test_filters_block_contents(self, edw_text):
         wdef = parse_warehouse_def(edw_text)
-        chir = next(c for c in wdef.classes if c.name == "Chirurgiens")
+        chir = wdef.classes["Chirurgiens"]
         assert chir.tempo == ("spécialité", "revenus", "travaille", "dirige")
-        assert chir.archi == (("last", "spécialité"), ("avg", "revenus"))
+        assert list(chir.archi.items()) == [("spécialité", "last"), ("revenus", "avg")]
+
+    @pytest.mark.parametrize(
+        "archive, col",
+        [("archive avg(x), sum(x);", 32), ("archive avg(x); archive last(x);", 40)],
+        ids=["one-list", "two-lists"],
+    )
+    def test_property_archived_twice_rejected(self, tmp_path, capsys, archive, col):
+        text = f"interface A {{ D_attribute Double x; }}\nwith filters {{ {archive} }}"
+        with pytest.raises(ParseError) as exc:
+            parse_warehouse_def(text)
+        expected = "a single archive function for 'x'"
+        assert (exc.value.line, exc.value.col, exc.value.expected) == (2, col, expected)
+        edw = tmp_path / "twice.edw"
+        edw.write_text(text, encoding="utf-8")
+        odl = str(FIXTURES / "hopital.odl")
+        assert cli.main(["validate", "--source-schema", odl, "--warehouse", str(edw)]) == 1
+        assert capsys.readouterr().err == f"error: {edw}:2:{col}: expected {expected}\n"
 
     def test_unknown_archive_function(self):
         text = 'interface A { D_attribute Double x; }\nwith filters { archive median(x); }'
@@ -141,9 +160,9 @@ class TestParseWarehouseDef:
             "interface A (extend B, C) { }\nwith filters { temporal x, y; }\n"
             "Environment E { class A, B; }"
         )
-        assert wdef.classes[0].extends == ("B", "C")
-        assert wdef.classes[0].tempo == ("x", "y")
-        assert wdef.environments[0].classes == ("A", "B")
+        assert wdef.classes["A"].supers == ("B", "C")
+        assert wdef.classes["A"].tempo == ("x", "y")
+        assert wdef.environments["E"].classes == ("A", "B")
         for text in (
             "interface A (extend B, ) { }",
             "interface A { } with filters { temporal x y; }",
@@ -292,13 +311,48 @@ class TestRoundTrips:
             printed = print_warehouse_def(wdef)
             again = parse_warehouse_def(printed)
             assert print_warehouse_def(again) == printed
-            assert [c.name for c in again.classes] == [c.name for c in wdef.classes]
-            assert again.mappings == wdef.mappings
+            assert list(again.classes) == list(wdef.classes)
+            assert [c.mapping for c in again.classes.values()] == [
+                c.mapping for c in wdef.classes.values()
+            ]
+
+    @pytest.mark.parametrize(
+        "path, digest",
+        [
+            (FIXTURES / "hopital.edw",
+             "290722ac22a1fa869a7015858438ba9ad19997ea14ad6fba5c066fd9179c1090"),
+            (FIXTURES.parents[1] / "bench" / "hopital.edw",
+             "290722ac22a1fa869a7015858438ba9ad19997ea14ad6fba5c066fd9179c1090"),
+            (FIXTURES.parents[1] / "bench" / "hopital_long.edw",
+             "1148f8d1e3ddaaa585c5d88ba267b44326ceb6461c5819f04259bfbdbe5a4695"),
+            (FIXTURES / "hopital_sans_services.edw",
+             "50ed1b006dc83f39ffcec95285120bb12c7cfb2456b43b7fbbd030c1ec63236e"),
+        ],
+        ids=["fixture", "bench", "bench-long", "fixture-sans-services"],
+    )
+    def test_canonical_text_is_pinned(self, path, digest):
+        """The printed text is what a new store's header holds."""
+        printed = print_warehouse_def(parse_warehouse_def(path.read_text(encoding="utf-8")))
+        assert hashlib.sha256(printed.encode("utf-8")).hexdigest() == digest
+
+    def test_mappings_print_in_class_order(self):
+        text = (
+            "mapping B = project(p.nom, p: P);\n"
+            "interface A { D_attribute String nom; }\n"
+            "interface B { D_attribute String nom; }\n"
+            "mapping A = project(p.nom, p: P);\n"
+        )
+        printed = print_warehouse_def(parse_warehouse_def(text))
+        assert printed.splitlines()[-2:] == [
+            "mapping A = project(p.nom, p: P);",
+            "mapping B = project(p.nom, p: P);",
+        ]
+        assert print_warehouse_def(parse_warehouse_def(printed)) == printed
 
     def test_mapping_format_fixpoint(self, edw_text):
         wdef = parse_warehouse_def(edw_text)
-        for expr in wdef.mappings.values():
-            assert parse_mapping(format_mapping(expr)) == expr
+        for cls in wdef.classes.values():
+            assert parse_mapping(format_mapping(cls.mapping)) == cls.mapping
 
 
 class TestResolve:
@@ -327,6 +381,14 @@ class TestResolve:
         )
         assert ville.source_path == ("adresse", "ville")
 
+    def test_resolve_leaves_the_parsed_definition(self, src_schema, edw_text):
+        wdef = parse_warehouse_def(edw_text)
+        parsed = schema_to_dict(wdef)
+        schema = resolve(wdef, src_schema)
+        assert schema is not wdef
+        assert schema_to_dict(wdef) == parsed
+        assert schema_to_dict(schema) != parsed  # source origins and paths filled in
+
     def test_resolved_mapping_is_the_parsed_one(self, src_schema):
         # a mapping may produce properties its class does not declare, as
         # Chirurgiens's select over PRATICIEN does; resolution ignores them
@@ -335,9 +397,9 @@ class TestResolve:
         for path in paths:
             wdef = parse_warehouse_def(path.read_text(encoding="utf-8"))
             schema = resolve(wdef, src_schema)
-            assert "Chirurgiens" in wdef.mappings, path
+            assert wdef.classes["Chirurgiens"].mapping is not None, path
             for name, cls in schema.classes.items():
-                assert cls.mapping is wdef.mappings.get(name), (path, name)
+                assert cls.mapping is wdef.classes[name].mapping, (path, name)
 
     def test_computed_without_binding(self, src_schema, edw_text):
         broken = edw_text.replace("nb_services := count(h.organisation), ", "")
@@ -510,12 +572,31 @@ class TestResolve:
              "mapping Wp = project(p.nom, p.sv, p: P);\nmapping Wq = project(p.nom, p: P);",
              UnresolvedSourceProperty,
              "Wp.sv: target class 'Wq' is not built from source 'S'"),
+            ("interface Wp { D_attribute String nom; D_relationship Set<Vq> sv; }\n"
+             "interface Wq { D_attribute String nom; }\n"
+             "interface Vq (extend Wq) { }\n"
+             "mapping Wp = project(p.nom, p.sv, p: P);\nmapping Wq = project(s.nom, s: S);\n"
+             'mapping Vq = specialize(q: Wq, q.nom = "x");',
+             UnresolvedSourceProperty,
+             "Wp.sv: target class 'Vq' is a specialization, whose members are decided "
+             "after links"),
+            ("interface Wp { D_attribute String nom; D_relationship Set<Vc> sv; }\n"
+             "interface Wq { D_attribute String nom; }\n"
+             "interface Wr { D_attribute Short age; }\n"
+             "interface Vc (extend Wq, Wr) { }\n"
+             "mapping Wp = project(p.nom, p.sv, p: P);\nmapping Wq = project(s.nom, s: S);\n"
+             "mapping Wr = project(p.age, p: P);\n"
+             "mapping Vc = specialize(q: Wq, r: Wr, r.age > 0);",
+             UnresolvedSourceProperty,
+             "Wp.sv: target class 'Vc' is a specialization, whose members are decided "
+             "after links"),
         ],
         ids=["property-declared-twice", "environment-declared-twice",
              "mapping-of-an-unknown-class", "operand-of-an-unknown-class",
              "lifted-property-declared", "specialization-declares-its-own",
              "unhidden-join-duplicates-a-name", "specific-type-differs",
-             "to-one-over-a-set-relation", "target-built-from-another-source"],
+             "to-one-over-a-set-relation", "target-built-from-another-source",
+             "target-a-membership", "target-a-composite"],
     )
     def test_rejected_definition(self, text, error, message):
         src = parse_source_schema(

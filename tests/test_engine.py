@@ -115,6 +115,30 @@ PAST_START_AFTER_END = '{"domain":{"intervals":[[21,20]],"unit":"year"},"value":
 PAST_STATE = '{"domain":{"intervals":[[19,19]],"unit":"year"},"value":{}}'
 # a past state whose value is not an object
 PAST_VALUE_A_LIST = '{"domain":{"intervals":[[19,19]],"unit":"year"},"value":[]}'
+# domains of two intervals, each sound alone, that are not canonical together
+NON_CANONICAL = {
+    "overlapping": [[16, 17], [17, 18]],
+    "out-of-order": [[18, 18], [16, 16]],
+    "contiguous": [[16, 16], [17, 18]],
+}
+
+
+def non_canonical(place, bounds):
+    """A damage giving an object line's current state, a past state after
+    a TAB, or an archive state a domain of the given intervals."""
+    doc = {"intervals": bounds, "unit": "year"}
+    if place == "current":
+        return edited(lambda item: item["current"].update(domain=doc))
+    if place == "archive":
+        return edited(lambda item: item.update(archives=[{"domain": doc, "aggregates": {}}]))
+    return lambda line: line + "\t" + json.dumps({"domain": doc, "value": {}})
+
+
+NON_CANONICAL_DAMAGE = {
+    f"{name}-{place}-domain": non_canonical(place, bounds)
+    for place in ("current", "past", "archive")
+    for name, bounds in NON_CANONICAL.items()
+}
 
 
 # a membership over Hôpitaux_Publics, whose extension holds the
@@ -1388,6 +1412,7 @@ class TestPersistence:
             ("v4", lambda line: line + "\t"),
             ("v4", lambda line: line + "\t" + PAST_VALUE_A_LIST),
             ("v4", edited(lambda item: item["current"]["domain"].update(intervals=[]))),
+            *[("v4", damage) for damage in NON_CANONICAL_DAMAGE.values()],
             # the one-document line of the older layout, decoded on its own path
             ("v3", edited(lambda item: item.pop("past"))),
             *[("v3", damage) for damage in HEAD_DAMAGE.values()],
@@ -1396,6 +1421,7 @@ class TestPersistence:
             *HEAD_DAMAGE, "past-in-the-head", "past-not-json", "past-start-after-end",
             "tab-inside-a-document", "tab-and-comma-as-separators", "comma-between-documents",
             "empty-past-document", "past-value-not-an-object", "active-current-spans-no-granule",
+            *NON_CANONICAL_DAMAGE,
             "v3-object-without-past", *(f"v3-{i}" for i in HEAD_DAMAGE),
         ],
     )
