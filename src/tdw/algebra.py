@@ -9,6 +9,11 @@ evaluation is reproducible. Intermediate builds play the role of
 temporary classes in a composed chain. A comparison atom reads its
 operator from expr.COMPARISON_OPS, the table the parser accepts
 operators from.
+
+Each predicate atom and each aggregate path is located and type-checked
+once per evaluation, before any row is read, and its rows are read from
+the slot found then. The resolver types every node by evaluating it over
+no rows, so a mapping is checked by the code that runs it.
 """
 
 from __future__ import annotations
@@ -133,13 +138,6 @@ def _drill_type(prop: PropertyDef, tail: tuple[str, ...], path: Path) -> SourceT
     return typ
 
 
-def path_prop(build: ClassBuild, path: Path) -> tuple[PropertyDef, tuple[str, ...]]:
-    idx, tail = locate(build, path)
-    prop = build.structure[idx]
-    _drill_type(prop, tail, path)  # validates the tail
-    return prop, tail
-
-
 def _drill(value: Any, tail: tuple[str, ...]) -> Any:
     for seg in tail:
         value = None if value is None else value.get(seg)
@@ -150,13 +148,20 @@ def _drill(value: Any, tail: tuple[str, ...]) -> Any:
 # predicates and aggregates
 
 
-def check_predicate(build: ClassBuild, pred: Predicate) -> None:
+Checked = tuple[Comparison | Containment, int, tuple[str, ...]]
+
+
+def _checked_atoms(build: ClassBuild, pred: Predicate) -> list[Checked]:
+    """Each atom of pred, in order, with its located slot and struct-field
+    tail; each atom is located and typed once, before any row is read."""
+    checked = []
     for atom in pred.atoms:
+        idx, tail = locate(build, atom.path)
+        prop = build.structure[idx]
+        typ = _drill_type(prop, tail, atom.path)
         if isinstance(atom, Comparison):
-            prop, tail = path_prop(build, atom.path)
             if prop.is_relation:
                 raise TypeMismatchInPredicate(f"{atom.path} is a relation, not a value")
-            typ = _drill_type(prop, tail, atom.path)
             if typ.kind in ("set", "struct"):
                 raise TypeMismatchInPredicate(f"{atom.path} is not a scalar")
             literal_numeric = isinstance(atom.literal, (int, float))
@@ -165,22 +170,21 @@ def check_predicate(build: ClassBuild, pred: Predicate) -> None:
                     f"{atom.path} ({typ.kind}) compared with {atom.literal!r}"
                 )
         else:
-            prop, tail = path_prop(build, atom.path)
             if tail or not prop.is_relation or prop.cardinality != "many":
                 raise TypeMismatchInPredicate(
                     f"{atom.path} must be a set-valued relation for containment"
                 )
             if atom.binder not in build.binder_names():
                 raise UnknownPath(f"containment names unknown binder {atom.binder!r}")
+        checked.append((atom, idx, tail))
+    return checked
 
 
-def _row_test(build: ClassBuild, pred: Predicate) -> Callable[[Row], bool]:
-    """The predicate as a test on the build's rows; each atom's path is
-    resolved once, not once per row."""
-    located = [(atom, *locate(build, atom.path)) for atom in pred.atoms]
+def _row_test(checked: list[Checked]) -> Callable[[Row], bool]:
+    """The checked atoms as a test on a build's rows."""
 
     def test(row: Row) -> bool:
-        for atom, idx, tail in located:
+        for atom, idx, tail in checked:
             value = _drill(row.values[idx], tail)
             if isinstance(atom, Comparison):
                 if value is None or not COMPARISON_OPS[atom.op](value, atom.literal):
@@ -192,25 +196,22 @@ def _row_test(build: ClassBuild, pred: Predicate) -> Callable[[Row], bool]:
     return test
 
 
-def agg_result_type(build: ClassBuild, agg: AggCall) -> SourceType:
-    """Inferred result type of an aggregate over one row's set value."""
-    prop, tail = path_prop(build, agg.path)
-    if prop.is_relation:
-        if prop.cardinality != "many":
-            raise TypeInferenceError(f"{agg.path} is not set-valued")
-        element: SourceType | None = None
-    else:
-        typ = _drill_type(prop, tail, agg.path)
-        if typ.kind != "set":
-            raise TypeInferenceError(f"{agg.path} is not set-valued")
-        element = typ.element
+def agg_result_type(build: ClassBuild, agg: AggCall) -> tuple[SourceType, int, tuple[str, ...]]:
+    """Inferred result type of an aggregate over one row's set value, with
+    the set's located slot and struct-field tail."""
+    idx, tail = locate(build, agg.path)
+    prop = build.structure[idx]
+    typ = _drill_type(prop, tail, agg.path)
+    if not (prop.cardinality == "many" if prop.is_relation else typ.kind == "set"):
+        raise TypeInferenceError(f"{agg.path} is not set-valued")
+    element = typ.element  # None for a relation, whose members are identities
     if agg.function == "count":
-        return scalar("long")
-    if element is None or element.kind not in _NUMERIC:
+        typ = scalar("long")
+    elif element is None or element.kind not in _NUMERIC:
         raise NonNumericAggregate(f"{agg.function} needs numeric elements at {agg.path}")
-    if agg.function in ("sum", "avg"):
-        return scalar("double")
-    return element  # min / max
+    else:  # sum / avg make a double, min / max keep the element type
+        typ = scalar("double") if agg.function in ("sum", "avg") else element
+    return typ, idx, tail
 
 
 def eval_agg(function: str, members: Any) -> Any:
@@ -326,8 +327,8 @@ def eval_augment(bindings: Iterable[AugmentBinding], build: ClassBuild) -> Class
             raise NameCollision(f"augment name {b.name!r} already exists")
         names.add(b.name)
         if b.agg is not None:
-            typ = agg_result_type(build, b.agg)
-            plans.append((b.agg.function, *locate(build, b.agg.path)))
+            typ, idx, tail = agg_result_type(build, b.agg)
+            plans.append((b.agg.function, idx, tail))
             prop = PropertyDef(b.name, "computed", value_type=typ, function=b.agg.function)
         else:
             plans.append(None)
@@ -350,8 +351,7 @@ def _declared_type(name: str | None) -> SourceType:
 
 
 def eval_select(pred: Predicate, build: ClassBuild) -> ClassBuild:
-    check_predicate(build, pred)
-    test = _row_test(build, pred)
+    test = _row_test(_checked_atoms(build, pred))
     return ClassBuild(list(build.structure), [r for r in build.rows if test(r)])
 
 
@@ -369,16 +369,13 @@ def eval_product(sides: list[ClassBuild], pred: Predicate) -> ClassBuild:
             raise NameCollision(f"binders {sorted(overlap)} appear on two sides")
         seen |= side.binder_names()
     structure = [p for side in sides for p in side.structure]
-    combined = ClassBuild(structure)
-    check_predicate(combined, pred)
-    return ClassBuild(structure, _sorted_rows(_matching_rows(sides, combined, pred)))
+    checked = _checked_atoms(ClassBuild(structure), pred)
+    return ClassBuild(structure, _sorted_rows(_matching_rows(sides, checked)))
 
 
-def _matching_rows(
-    sides: list[ClassBuild], combined: ClassBuild, pred: Predicate
-) -> Iterator[Row]:
-    """The concatenations of one row per side that satisfy pred; combined
-    is the sides' concatenated structure.
+def _matching_rows(sides: list[ClassBuild], checked: list[Checked]) -> Iterator[Row]:
+    """The concatenations of one row per side that satisfy the checked
+    atoms, located in the sides' concatenated structure.
 
     A "set contains binder" atom whose set lies on an earlier side than
     the binder's makes a hash join: the binder's side is indexed by its
@@ -393,10 +390,9 @@ def _matching_rows(
     carried: set[str] = set()  # binders carried by rows of earlier sides
     for j, side in enumerate(sides):
         own = side.binder_names() - carried
-        for atom in pred.atoms:
+        for atom, idx, _tail in checked:
             if not isinstance(atom, Containment) or atom.binder not in own:
                 continue
-            idx, _tail = locate(combined, atom.path)
             i = bisect_right(ends, idx)  # the side holding the set
             if i < j:
                 index: dict[Any, list[Row]] = {}
@@ -406,7 +402,7 @@ def _matching_rows(
                 drivers.append(atom)
                 break
         carried |= {b for row in side.rows for b, _tok in row.binders}
-    test = _row_test(combined, Predicate(tuple(a for a in pred.atoms if a not in drivers)))
+    test = _row_test([c for c in checked if c[0] not in drivers])
 
     def extend(picked: list[Row]) -> Iterator[Row]:
         j = len(picked)

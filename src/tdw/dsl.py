@@ -75,6 +75,7 @@ from .source import (
     parse_class_head,
     parse_relationship,
     parse_type,
+    scalar,
 )
 from .temporal import UNITS
 
@@ -223,29 +224,34 @@ def _parse_config_block(ts: TokenStream) -> RetentionConfig:
     while not ts.accept("punct", "}"):
         if ts.accept("ident", "refresh"):
             ts.expect("ident", "every")
-            count = int(ts.expect("number").value)
-            refresh = (count, _parse_unit(ts))
+            refresh = (_parse_count(ts), _parse_unit(ts))
             ts.expect("punct", ";")
         elif ts.accept("ident", "keep"):
             if ts.at("number"):
-                keep_count = int(ts.next().value)
+                keep_count = _parse_count(ts)
                 ts.expect("ident", "past")
                 state_tok = ts.expect("ident")
                 if state_tok.value not in ("state", "states"):
                     raise ParseError(state_tok.line, state_tok.col, "'states'")
             else:
                 ts.expect("ident", "past")
-                count = int(ts.expect("number").value)
-                keep_duration = (count, _parse_unit(ts))
+                keep_duration = (_parse_count(ts), _parse_unit(ts))
             ts.expect("punct", ";")
         else:
             raise ts.error("'refresh' or 'keep'")
     return RetentionConfig(refresh, keep_count, keep_duration)
 
 
+def _parse_count(ts: TokenStream) -> int:
+    tok = ts.expect("number")
+    if "." in tok.value:
+        raise ParseError(tok.line, tok.col, f"an integer count (found {tok.value!r})")
+    return int(tok.value)
+
+
 def _parse_unit(ts: TokenStream) -> str:
     tok = ts.expect("ident")
-    unit = tok.value.rstrip("s") if tok.value.endswith("s") else tok.value
+    unit = tok.value.removesuffix("s")
     if unit not in UNITS:
         raise ParseError(tok.line, tok.col, f"a time unit (found {tok.value!r})")
     return unit
@@ -494,9 +500,6 @@ def _config_lines(cfg: RetentionConfig) -> list[str]:
 # resolution
 
 
-_INTEGER_KINDS = ("short", "long")
-
-
 def resolve(parsed: WarehouseSchema, src: SourceSchema, strict: bool = True) -> WarehouseSchema:
     """Resolve a parsed definition against the source schema, in a copy
     that leaves the parsed one as it was parsed.
@@ -641,7 +644,7 @@ def _resolve_hierarchization(schema: WarehouseSchema, src: SourceSchema, cls: Wa
         for op in expr.operands:
             build = algebra.ClassBuild(class_structure(schema, op.class_name, op.binder))
             if op.where is not None:
-                algebra.check_predicate(build, op.where)
+                algebra.eval_select(op.where, build)
             builds.append(build)
         if own_names:
             raise ResolveError(
@@ -750,17 +753,13 @@ def _check_derived(
 
 
 def _check_computed(cls: WarehouseClass, decl: PropertyDef, out: PropertyDef) -> None:
-    fn = out.function
-    kind = decl.value_type.kind if decl.value_type else None
-    if fn == "count":
-        ok = kind in _INTEGER_KINDS  # any integer type can hold a count
-    elif fn in ("sum", "avg"):
-        ok = kind == "double"
-    else:  # min / max keep the argument's element type
-        ok = decl.value_type == out.value_type
-    if not ok:
+    # the slot holds its aggregate's result type, and any integer type can
+    # hold a count
+    if decl.value_type != out.value_type and not (
+        out.function == "count" and decl.value_type in (scalar("short"), scalar("long"))
+    ):
         raise TypeInferenceError(
-            f"{cls.name}.{decl.name}: {fn} result cannot be stored as {decl.value_type}"
+            f"{cls.name}.{decl.name}: {out.function} result cannot be stored as {decl.value_type}"
         )
 
 

@@ -368,13 +368,13 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
     # pass 1: evaluate every extraction mapping and decide its objects, so
     # that pass 2's links know every result's objects, live, new ones too
     builds = {}
-    created: set[Oid] = set()
+    filled: set[Oid] = set()  # new and thawed objects
     for name, cls in schema.classes.items():
         if not is_extraction(cls.mapping):
             continue
         build = eval_extraction(cls.mapping, src, snapshot)
         counts = report.classes[name] = ClassCounts()
-        builds[name] = build, _allocate(store, name, build.rows, created, t, counts)
+        builds[name] = build, _allocate(store, name, build.rows, filled, t, counts)
     live = {oid for _build, oids in builds.values() for oid in oids}
 
     # pass 2: align values, rewrite links, and diff
@@ -384,7 +384,7 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
         slot_of = {p.name: i for i, p in enumerate(build.structure)}
         slots = [(p, slot_of.get(p.name)) for p in flatten_type(schema, name)]
         value_of = partial(_aligned_value, store, live, name, build.structure, slots)
-        _settle(store, name, zip(oids, build.rows), value_of, created, t, report.classes[name])
+        _settle(store, name, zip(oids, build.rows), value_of, filled, t, report.classes[name])
 
     # pass 3: specializations, each after every class its operands name; one
     # with a single operand owns no objects but selects its operand's members
@@ -406,12 +406,12 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
             continue
         result = eval_product(operands, mapping.pred)
         counts = report.classes[name] = ClassCounts()
-        oids = _allocate(store, name, result.rows, created, t, counts)
+        oids = _allocate(store, name, result.rows, filled, t, counts)
         # a composite's value is its operands' values as they are, which
         # name exactly its class's flattened type; a later operand wins a
         # name that two share
         value_of = partial(_row_value, result.names())
-        _settle(store, name, zip(oids, result.rows), value_of, created, t, counts)
+        _settle(store, name, zip(oids, result.rows), value_of, filled, t, counts)
 
     # pass 4: archival per environment
     for env_name in sorted(schema.environments):
@@ -422,13 +422,16 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
 
 
 def _allocate(
-    store: Store, class_name: str, rows: list, created: set[Oid], t: Instant, counts: ClassCounts
+    store: Store, class_name: str, rows: list, filled: set[Oid], t: Instant, counts: ClassCounts
 ) -> list[Oid]:
     """Decide the class's objects for its result rows at t: return each
-    row's oid, creating an empty object, added to created, for each key
-    the class does not know yet, and freeze every active object of the
-    class outside the result. counts.frozen ends as the class's frozen
-    count, so carried + updated + historized + frozen = prior size."""
+    row's oid, creating an empty object for each key the class does not
+    know yet, thawing the frozen object of each key that returns, and
+    freezing every active object of the class outside the result. New
+    and thawed oids are added to filled. A thaw pushes the closed current
+    state to the past and opens one at [t, t] that keeps the old value
+    until _settle fills it, and counts as historized, so carried +
+    updated + historized + frozen = prior size."""
     oids = []
     for key in (row.key for row in rows):
         oid = store.identity.get((class_name, key))
@@ -436,8 +439,15 @@ def _allocate(
             oid = store.fresh_oid()
             state = State(domain(t.unit, (t.tick, t.tick)), {}, store.now)
             store.add_object(WarehouseObject(oid, class_name, state, source_key=key))
-            created.add(oid)
+            filled.add(oid)
             counts.created += 1
+        elif store.objects[oid].status == "frozen":
+            obj = store.touch(oid)
+            obj.past.append(obj.current)
+            obj.current = State(domain(t.unit, (t.tick, t.tick)), obj.current.value, store.now)
+            obj.status = "active"
+            filled.add(oid)
+            counts.historized += 1
         oids.append(oid)
     result = set(oids)
     for oid in store.by_class.get(class_name, ()):
@@ -455,22 +465,20 @@ def _settle(
     class_name: str,
     rows: Iterable[tuple[Oid, Row]],
     value_of: Callable[[tuple[Any, ...], dict[str, Any]], dict[str, Any]],
-    created: set[Oid],
+    filled: set[Oid],
     t: Instant,
     counts: ClassCounts,
 ) -> None:
     """Bring the objects _allocate decided in line with their rows.
 
     rows pairs each oid with its row; value_of(row values, old) is the
-    value for an object whose current value is old. An object in created
-    takes its row's value; every other active object diffs against it."""
+    value for an object whose current value is old. An object in filled
+    takes its row's value; every other object diffs against it."""
     tempo, _archi = effective_filters(store.schema, class_name)
     for oid, row in rows:
         obj = store.objects[oid]
-        if obj.status == "frozen":
-            continue  # a frozen object never thaws, even if its key returns
         value = value_of(row.values, obj.current.value)
-        if oid in created:
+        if oid in filled:
             store.touch(oid).current.value = value
         else:
             _diff_object(store, obj, value, tempo, t, counts)

@@ -354,7 +354,7 @@ def validate_schema(schema: WarehouseSchema) -> list[SchemaViolation]:
             continue
         cls = schema.classes[cname]
         try:
-            flat = {p.name for p in flatten_type(schema, cname)}
+            flat = {p.name: p for p in flatten_type(schema, cname)}
         except PropertyConflict as exc:
             out.append(SchemaViolation("property-conflict", cname, str(exc)))
             continue
@@ -373,6 +373,18 @@ def validate_schema(schema: WarehouseSchema) -> list[SchemaViolation]:
                         "archive-not-temporal",
                         cname,
                         f"archived property {prop!r} is not in the temporal filter",
+                    )
+                )
+            fn, p = cls.archi[prop], flat.get(prop)
+            # count and last take any property; the other folds need numbers
+            if fn not in ("count", "last") and p is not None and (
+                p.is_relation or p.value_type.kind not in ("short", "long", "double")
+            ):
+                out.append(
+                    SchemaViolation(
+                        "archive-not-numeric",
+                        cname,
+                        f"archive {fn}({prop}) needs a Short, Long or Double attribute",
                     )
                 )
 

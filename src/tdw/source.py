@@ -532,8 +532,8 @@ def _canonical(typ: SourceType, value: Any) -> Any:
             raise
         try:
             return sorted(set(items))
-        except TypeError:
-            return sorted(items, key=json.dumps)
+        except TypeError:  # structs or sets, distinct and ordered by their JSON text
+            return [v for _text, v in sorted({json.dumps(v): v for v in items}.items())]
     raise _Misfit(f"unsupported type {kind!r}")
 
 

@@ -14,12 +14,16 @@ The rules it states:
   the current state extends to the refresh instant;
 - a change to a temporal-filter property historizes: the old value's
   state closes at t-1 and a new current state opens at [t, t];
-- an object whose source vanishes, or leaves its selection, freezes for
-  good, its current state closed at t-1;
+- an object whose source vanishes, or leaves its selection, freezes, its
+  current state closed at t-1;
+- a frozen object whose key returns to its class's result thaws: its
+  closed current state becomes a past state as it is, a current state
+  opens at [t, t] with the row's value, specific values carried over,
+  the object is active again, and it counts as historized;
 - a link names the target class's object whose source key names the
   linked record, and of several, the one in this refresh's result: a
   service that changed hospitals is linked through its new object, and
-  one that came back through its old, frozen one;
+  one that came back through its old one, which thaws;
 - a membership holds every object of its operand's own class that meets
   its predicate, frozen ones included, never a composite built by a
   specialization of that operand, whatever the order of the declarations;
@@ -174,15 +178,19 @@ class ReferenceWarehouse:
         counts = {c: dict.fromkeys(("created", "carried", "updated", "historized", "frozen",
                                     "archived_evictions"), 0) for c in OWNING}
         rows = _extraction_rows(records)
-        created = set()
-        for ident in rows:  # every new object exists before any link resolves
+        filled = set()  # new and thawed objects, which take their row's value
+        for ident in rows:  # every object is active before any link resolves
             if ident not in self.objects:
                 self.objects[ident] = MObject(MState({t}, {}))
-                created.add(ident)
                 counts[ident[0]]["created"] += 1
+            elif self.objects[ident].frozen:
+                self._thaw(ident, t, counts)
+            else:
+                continue
+            filled.add(ident)
         for cname in EXTRACTED:
             for ident, (values, links) in rows.items():
-                if ident[0] != cname or self.objects[ident].frozen:
+                if ident[0] != cname:
                     continue
                 value = dict(values)
                 for prop, (target, iface, ids, many) in links.items():
@@ -190,7 +198,7 @@ class ReferenceWarehouse:
                     value[prop] = sorted(hits) if many else (hits[0] if hits else None)
                 if cname == "Hôpitaux_Publics":
                     value[SPECIFIC] = self.objects[ident].current.value.get(SPECIFIC)
-                self._diff(ident, value, t, ident in created, counts)
+                self._diff(ident, value, t, ident in filled, counts)
             self._freeze(cname, {i for i in rows if i[0] == cname}, t)
         self.memberships = {
             "Jeunes_Chirurgiens": self._members(
@@ -202,7 +210,10 @@ class ReferenceWarehouse:
             if ident not in self.objects:
                 self.objects[ident] = MObject(MState({t}, value))
                 counts["Etablissements"]["created"] += 1
-            elif not self.objects[ident].frozen:
+            elif self.objects[ident].frozen:
+                self._thaw(ident, t, counts)
+                self._diff(ident, value, t, True, counts)
+            else:
                 self._diff(ident, value, t, False, counts)
         self._freeze("Etablissements", set(composite_rows), t)
         if not initial:
@@ -250,6 +261,13 @@ class ReferenceWarehouse:
     def _temporal(self, cname: str) -> set[str]:
         extra = {SPECIFIC} if self.temporal_creation and cname == "Hôpitaux_Publics" else set()
         return TEMPORAL[cname] | extra
+
+    def _thaw(self, ident: Identity, t: int, counts) -> None:
+        obj = self.objects[ident]
+        obj.past.append(obj.current)
+        obj.current = MState({t}, dict(obj.current.value))
+        obj.frozen = False
+        counts[ident[0]]["historized"] += 1
 
     def _freeze(self, cname: str, present: set[Identity], t: int) -> None:
         for ident, obj in self.objects.items():

@@ -355,6 +355,25 @@ class TestJoin:
         assert len(out.rows) == 3
         assert all(len(r.key) == 2 for r in out.rows)
 
+    def test_each_path_located_once_per_evaluation(self, src_schema, snap, monkeypatch):
+        from tdw import algebra
+
+        located = []
+        locate = algebra.locate
+        monkeypatch.setattr(
+            algebra, "locate", lambda build, path: located.append(path) or locate(build, path)
+        )
+        hospitals = build_from_interface(src_schema, "ETABLISSEMENT", "e", snap)
+        services = build_from_interface(src_schema, "SERVICE", "s", snap)
+        public = Comparison(p("e", "statut"), "=", "public")
+        pred = Predicate((public, Containment(p("e", "organisation"), "s")))
+        out = eval_join(hospitals, services, pred)
+        assert len(out.rows) == 3 and located == [p("e", "statut"), p("e", "organisation")]
+        located.clear()
+        eval_select(Predicate((public,)), hospitals)
+        eval_augment([AugmentBinding("n", agg=AggCall("count", p("e", "organisation")))], hospitals)
+        assert located == [p("e", "statut"), p("e", "organisation")]
+
     def test_false_predicate_empty(self, src_schema, snap):
         left = build_from_interface(src_schema, "ETABLISSEMENT", "e", snap)
         right = build_from_interface(src_schema, "SERVICE", "s", snap)

@@ -147,6 +147,33 @@ class TestValidate:
             "specialization, whose members are decided after links\n"
         )
 
+    def test_archive_avg_of_a_string_is_a_violation(self, tmp_path):
+        """avg folds numbers: over a String it would fail every refresh
+        from the first eviction of a surgeon's past state on."""
+        text = Path(EDW).read_text(encoding="utf-8")
+        assert text.count("archive last(spécialité)") == 1
+        edw = tmp_path / "avg.edw"
+        edw.write_text(text.replace("archive last(spécialité)", "archive avg(spécialité)"),
+                       encoding="utf-8")
+        rc, out, err = tdw("validate", "--source-schema", ODL, "--warehouse", str(edw))
+        assert rc == 1
+        assert out == (
+            f"{edw}: archive-not-numeric [Chirurgiens]: archive avg(spécialité) needs a "
+            "Short, Long or Double attribute\ninvalid: 1 violation(s)\n"
+        )
+        assert err == ""
+
+    def test_fractional_config_count_names_its_position(self, tmp_path):
+        text = Path(EDW).read_text(encoding="utf-8")
+        assert text.count("keep 2 past states;") == 1
+        edw = tmp_path / "count.edw"
+        edw.write_text(text.replace("keep 2 past states;", "keep 1.5 past states;"),
+                       encoding="utf-8")
+        line = text[: text.index("keep 2 past")].count("\n") + 1
+        rc, out, err = tdw("validate", "--source-schema", ODL, "--warehouse", str(edw))
+        assert (rc, out) == (1, "")
+        assert err == f"error: {edw}:{line}:14: expected an integer count (found '1.5')\n"
+
     @pytest.mark.parametrize("verb", ["validate", "plan"])
     def test_cycle_in_an_environment_is_two_violations(self, tmp_path, verb):
         edw = tmp_path / "cycle.edw"

@@ -112,6 +112,28 @@ class TestParseWarehouseDef:
         assert cli.main(["validate", "--source-schema", odl, "--warehouse", str(edw)]) == 1
         assert capsys.readouterr().err == f"error: {edw}:2:{col}: expected {expected}\n"
 
+    @pytest.mark.parametrize(
+        "entry, position",
+        [
+            ("keep 1.5 past states;", (15, "an integer count (found '1.5')")),
+            ("refresh every 1.5 years;", (24, "an integer count (found '1.5')")),
+            ("keep past 1.5 years;", (20, "an integer count (found '1.5')")),
+            ("keep past 2 yearss;", (22, "a time unit (found 'yearss')")),
+            ("refresh every 1 s;", (26, "a time unit (found 's')")),
+        ],
+        ids=["count", "period", "duration", "two-s", "bare-s"],
+    )
+    def test_config_entry_rejected_at_its_token(self, entry, position):
+        text = f"Environment E {{ class A;\nconfig {{ {entry} }} }}"
+        with pytest.raises(ParseError) as exc:
+            parse_warehouse_def(text)
+        assert (exc.value.line, exc.value.col, exc.value.expected) == (2, *position)
+
+    def test_config_unit_takes_one_optional_s(self):
+        text = "Environment E { class A; config { refresh every 2 months; keep past 1 year; } }"
+        config = parse_warehouse_def(text).environments["E"].config
+        assert (config.refresh_period, config.keep_past_duration) == ((2, "month"), (1, "year"))
+
     def test_unknown_archive_function(self):
         text = 'interface A { D_attribute Double x; }\nwith filters { archive median(x); }'
         with pytest.raises(ParseError):

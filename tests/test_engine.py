@@ -369,23 +369,29 @@ class TestRefresh:
             (20, 20)
         ]
 
-    def _frozen_form(self, store):
-        p4 = by_key(store, "Chirurgiens", "p4")
-        return json.dumps(
-            {"v": p4.current.value, "d": str(p4.current.domain), "s": p4.status},
-            sort_keys=True, ensure_ascii=False,
-        )
-
-    def test_frozen_object_never_mutates(self, src_schema, wdef, make_snapshot):
+    def test_returning_key_thaws_its_frozen_object(self, src_schema, wdef, make_snapshot):
         store = initial_load(src_schema, wdef, make_snapshot(1990, with_extra_surgeon=True))
         refresh(store, make_snapshot(1991, with_extra_surgeon=True,
                                      extra_surgeon_category="cardiologie"))
-        before = self._frozen_form(store)
-        assert json.loads(before)["s"] == "frozen"
-        # the key reappears inside the selection: a frozen object stays frozen
-        refresh(store, make_snapshot(1992, with_extra_surgeon=True))
+        p4 = by_key(store, "Chirurgiens", "p4")
+        assert p4.status == "frozen"
+        frozen, past = p4.current, len(p4.past)
+        # the key reappears inside the selection: the frozen state is pushed
+        # as it is and a current state opens at the refresh
+        report = refresh(store, make_snapshot(1992, with_extra_surgeon=True))
+        p4 = by_key(store, "Chirurgiens", "p4")
+        assert p4.status == "active"
+        assert len(p4.past) == past + 1 and p4.past[-1] == frozen
+        assert [(iv.start.tick, iv.end.tick) for iv in p4.current.domain.intervals] == [(22, 22)]
+        assert p4.current.value["spécialité"] == "viscérale"
+        assert check_state_disjointness(p4) == []
+        covered = {t for s in (p4.current, *p4.past) for iv in s.domain.intervals
+                   for t in range(iv.start.tick, iv.end.tick + 1)}
+        assert 21 not in covered and {20, 22} <= covered  # a lifecycle with a gap
+        c = report.classes["Chirurgiens"]  # the thaw counts as historized
+        assert (c.created, c.frozen, c.carried + c.updated + c.historized) == (0, 0, 3)
         refresh(store, make_snapshot(1993, with_extra_surgeon=True))
-        assert self._frozen_form(store) == before
+        assert by_key(store, "Chirurgiens", "p4").status == "active"
         assert len([o for o in store.objects.values() if o.class_name == "Chirurgiens"]) == 3
 
     def test_non_monotonic_instant_rejected_and_atomic(self, store, make_snapshot):
@@ -1579,15 +1585,22 @@ class TestLinkResolution:
         assert (p1["travaille"], p1["dirige"]) == ([new.oid], new.oid)
         assert new.oid in by_key(store, "Hôpitaux_Publics", "e2").current.value["organisation"]
 
-    def test_moved_back_service_links_to_its_old_frozen_object(self, store, src_schema):
-        # back at e1, s1's key is in the result again, held by the frozen
-        # (e1, s1), which the link names though it never thaws
-        for y, home in ((1991, "e2"), (1992, "e1"), (1993, "e1")):
-            refresh(store, snapshot_with_s1_at(src_schema, y, home))
+    def test_moved_back_service_links_to_its_thawed_object(self, store, src_schema):
+        # back at e1, s1's key is in the result again: the frozen (e1, s1)
+        # thaws, and the link names it
+        refresh(store, snapshot_with_s1_at(src_schema, 1991, "e2"))
+        past = len(service(store, "e1", "s1").past)
+        for y in (1992, 1993):
+            refresh(store, snapshot_with_s1_at(src_schema, y, "e1"))
         old, new = service(store, "e1", "s1"), service(store, "e2", "s1")
-        assert (old.status, new.status) == ("frozen", "frozen")
+        assert (old.status, new.status) == ("active", "frozen")
+        assert len(old.past) == past + 1
+        assert [[(iv.start.tick, iv.end.tick) for iv in s.domain.intervals]
+                for s in (old.past[-1], old.current)] == [[(20, 20)], [(22, 23)]]
+        assert check_state_disjointness(old) == []
         p1 = by_key(store, "Chirurgiens", "p1").current.value
         assert (p1["travaille"], p1["dirige"]) == ([old.oid], old.oid)
+        assert old.oid in by_key(store, "Hôpitaux_Publics", "e1").current.value["organisation"]
 
     def test_several_counterparts_none_in_the_result(self, store, src_schema):
         # s1 leaves every hospital after its move, but p1 still works
@@ -2225,7 +2238,8 @@ def assert_touched_what_changed(before: dict, store, touched: set, report: dict)
     assert touched - new == changed
     counts = report["classes"].values()
     assert len(new) == sum(c["created"] for c in counts)
-    frozen = sum(before[oid][3] != after[oid][3] for oid in before)
+    # a thawed object changes status too, but counts as historized
+    frozen = sum(before[oid][3] != after[oid][3] == "frozen" for oid in before)
     diffed = sum(c["updated"] + c["historized"] for c in counts) + frozen
     assert diffed <= len(changed) <= diffed + sum(c["archived_evictions"] for c in counts)
 

@@ -228,6 +228,27 @@ class TestValidateSchema:
         kinds = [v.kind for v in validate_schema(schema)]
         assert "archive-not-temporal" in kinds
 
+    @pytest.mark.parametrize("fn", ["sum", "avg", "min", "max"])
+    def test_numeric_archive_function_needs_a_number(self, fn):
+        rel = PropertyDef("r", "derived", "association", None, "A", "many")
+        cls = WarehouseClass(
+            "A", [attr("n", "short"), rel, attr("s")],
+            tempo=frozenset({"n", "r", "s"}), archi={"n": fn, "r": fn, "s": fn},
+        )
+        schema = mini_schema([cls], [Environment("E", ("A",), RetentionConfig(keep_past_count=1))])
+        detail = "archive {}({}) needs a Short, Long or Double attribute"
+        assert [(v.kind, v.subject, v.detail) for v in validate_schema(schema)] == [
+            ("archive-not-numeric", "A", detail.format(fn, name)) for name in ("r", "s")
+        ]
+
+    def test_count_and_last_archive_any_property(self):
+        rel = PropertyDef("r", "derived", "association", None, "A", "many")
+        cls = WarehouseClass(
+            "A", [rel, attr("s")], tempo=frozenset({"r", "s"}), archi={"r": "count", "s": "last"}
+        )
+        schema = mini_schema([cls], [Environment("E", ("A",), RetentionConfig(keep_past_count=1))])
+        assert validate_schema(schema) == []
+
     def test_filter_unknown_property(self):
         cls = WarehouseClass("A", [attr("x")], tempo=frozenset({"ghost"}))
         schema = mini_schema([cls], [Environment("E", ("A",), RetentionConfig())])
