@@ -32,9 +32,9 @@ from .expr import (
     format_operand,
     format_predicate,
 )
-from .model import historization_level, lifecycle_span
+from .model import historization_level
 from .source import ingest_snapshot, parse_source_schema
-from .temporal import parse_instant
+from .temporal import coalesce, parse_instant
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -186,8 +186,12 @@ def cmd_inspect(args) -> int:
         print(f"error: oid {args.oid} is not in class {args.class_name!r}", file=sys.stderr)
         return 1
     obj = store.objects[args.oid]
-    span = lifecycle_span(obj)
-    print(f"object {obj.oid} ({obj.class_name}, {obj.status}) lifecycle {span}")
+    # the union of its states' domains, with a gap where it was frozen
+    lifecycle = coalesce(
+        (iv for d in obj.all_domains() for iv in d.intervals), obj.current.domain.unit
+    )
+    spans = "; ".join(map(str, lifecycle.intervals))
+    print(f"object {obj.oid} ({obj.class_name}, {obj.status}) lifecycle {spans}")
     if t is not None:
         located = store.value_at(args.oid, t)
         if located is None:

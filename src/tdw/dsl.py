@@ -224,7 +224,13 @@ def _parse_config_block(ts: TokenStream) -> RetentionConfig:
     while not ts.accept("punct", "}"):
         if ts.accept("ident", "refresh"):
             ts.expect("ident", "every")
-            refresh = (_parse_count(ts), _parse_unit(ts))
+            tok = ts.peek()
+            count = _parse_count(ts)
+            if count < 1:
+                raise ParseError(
+                    tok.line, tok.col, f"a positive refresh period (found {tok.value!r})"
+                )
+            refresh = (count, _parse_unit(ts))
             ts.expect("punct", ";")
         elif ts.accept("ident", "keep"):
             if ts.at("number"):
@@ -334,12 +340,8 @@ def _parse_call(ts: TokenStream) -> MappingExpr:
                 ts.expect("punct", ")")
                 bindings.append(AugmentBinding(name, agg=AggCall(agg_tok.value, path)))
             elif ts.accept("punct", ":"):
-                type_tok = ts.expect("ident")
-                if type_tok.value not in TYPE_KEYWORDS:
-                    raise ParseError(
-                        type_tok.line, type_tok.col, f"a type name (found {type_tok.value!r})"
-                    )
-                bindings.append(AugmentBinding(name, type_name=type_tok.value))
+                # a type keyword: _at_expr_start took any other name as a child
+                bindings.append(AugmentBinding(name, type_name=ts.expect("ident").value))
             else:
                 raise ts.error("':=' or ':' in augment binding")
             ts.expect("punct", ",")
@@ -367,17 +369,16 @@ def _parse_call(ts: TokenStream) -> MappingExpr:
         if not props or not operands:
             raise ts.error("generalize needs properties and operands")
         return Generalize(tuple(props), tuple(operands))
-    if fn == "specialize":
-        operands = []
-        while ts.at("ident") and ts.peek(1).value == ":":
-            operands.append(_parse_operand(ts))
-            ts.expect("punct", ",")
-        pred = _parse_predicate(ts)
-        ts.expect("punct", ")")
-        if not operands:
-            raise ts.error("specialize needs at least one operand")
-        return Specialize(tuple(operands), pred)
-    raise UnknownFunction(f"unknown mapping function {fn!r}")
+    # specialize, the last of MAPPING_FUNCTIONS, the only names called here
+    operands = []
+    while ts.at("ident") and ts.peek(1).value == ":":
+        operands.append(_parse_operand(ts))
+        ts.expect("punct", ",")
+    pred = _parse_predicate(ts)
+    ts.expect("punct", ")")
+    if not operands:
+        raise ts.error("specialize needs at least one operand")
+    return Specialize(tuple(operands), pred)
 
 
 def _at_expr_start(ts: TokenStream) -> bool:

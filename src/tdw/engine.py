@@ -41,11 +41,11 @@ an index of every object's oid, class, status and source key, then one
 line per object: a head document with its current and archive states,
 an active object's current state written with its stored end rather
 than the last refresh, then each past state as its own document, oldest
-first, each after a TAB. load_store builds every object from the index
-as a deferred WarehouseObject, whose state slots stay empty until their
-first read decodes the object's line, so a query decodes only the
-objects it shows; objects are slotted, since a load builds one for
-every entry of the index.
+first, each after a TAB. load_store builds every object, of any layout,
+from its index entry as a deferred WarehouseObject, whose state slots
+stay empty until their first read decodes the object's line, so a query
+decodes only the objects it shows; objects are slotted, since a load
+builds one for every entry of the index.
 
 A past state never changes once pushed, so it is encoded once. A save
 writes the line of each object the command left untouched as it was
@@ -895,14 +895,17 @@ def save_store(store: Store, path: str) -> None:
 def load_store(path: str) -> Store:
     """Read a store file; raise Error if it is not a well-formed store.
 
-    A tdw-store-v4, v3 or v2 file's header, the class and status of each
-    entry of its object index, and its number of object lines are checked
-    here; each object's line is decoded and checked when one of its
-    states is first read, and raises the same malformed-store Error then.
-    A v4 file's lines are kept for the next save to write again; a v3 or
-    v2 file's are not, so it is written whole as v4. A tdw-store-v1 file,
-    compact or indented, is decoded and checked whole, its objects' class
-    and status as a v4 index's, and is written as v4 at its next save.
+    One loop builds every object of every layout from its index entry (a
+    v1 object's oid, class, status and source key) as a deferred
+    WarehouseObject, after checking the entry: its oid follows the last,
+    its class owns objects (an extraction or a composite), its status is
+    active or frozen, and its key is [interface, string id] pairs. A v4,
+    v3 or v2 file's object lines are counted here, and each is decoded
+    and checked on its object's first read, raising the same
+    malformed-store Error; only a v4 file's are kept for the next save to
+    write again. A v1 file, compact or indented, is decoded and checked
+    whole. The oid counter must be an integer no lower than the last oid,
+    or a new object would take a held oid.
     """
     # lines end at "\n" alone, the one line break the encoder writes raw
     with open(path, encoding="utf-8", newline="\n") as fh:
@@ -925,50 +928,69 @@ def load_store(path: str) -> Store:
         )
     decoder = _StateDecoder(path, doc["format"])
     try:
+        store = _store_from_header(doc)
+        if decoder.layout in (V2_FORMAT, V1_FORMAT):
+            decoder.implied_end = store.last_refresh.tick
         if lined:
-            store = _store_from_lines(doc, rest, decoder)
+            index = doc["objects"]
+            # only a file cut off inside its last line has a line without "\n"
+            complete = len(rest) - (bool(rest) and not rest[-1].endswith("\n"))
+            if len(rest) != len(index) or complete != len(rest):
+                raise ValueError(
+                    f"the index holds {len(index)} objects"
+                    f" but {complete} complete object lines follow"
+                )
+            entries = zip(index, rest)
         else:
-            store = _store_from_v1(doc, decoder)
+            entries = (
+                ([o["oid"], o["class"], o["status"], o["source_key"]], o) for o in doc["objects"]
+            )
+        owners = {
+            name
+            for name, cls in store.schema.classes.items()
+            if is_extraction(cls.mapping)
+            or (isinstance(cls.mapping, Specialize) and len(cls.mapping.operands) > 1)
+        }
+        interfaces = store.source_schema.interfaces
+        reuse = decoder.layout == STORE_FORMAT
+        last, now = 0, store.now
+        for (oid, cname, status, key), line in entries:
+            # lines pair with index entries by position, which the oid order fixes
+            if oid <= last:
+                raise ValueError(f"oid {oid} follows oid {last} in the object index")
+            last = oid
+            if cname not in owners:
+                raise ValueError(f"oid {oid} is of class {cname!r}, which owns no objects")
+            if status not in ("active", "frozen"):
+                raise ValueError(f"oid {oid} has status {status!r}, not active or frozen")
+            key = tuple(map(tuple, key))
+            try:
+                sound = bool(key)
+                for interface, sid in key:
+                    sound = sound and interface in interfaces and isinstance(sid, str)
+            except ValueError:  # a pair of more or fewer than two items
+                sound = False
+            if not sound:
+                raise ValueError(f"oid {oid} has a source key other than [interface, id] pairs")
+            load = partial(decoder.line, line, now if status == "active" else None)
+            store.add_object(
+                WarehouseObject.deferred(oid, cname, status, key, load, line if reuse else None)
+            )
+        if not lined:
+            for obj in store.objects.values():
+                obj.decode()
+            stored = {(c, tuple(map(tuple, key))): oid for c, key, oid in doc["identity"]}
+            if stored != store.identity:
+                raise ValueError("the identity table disagrees with the objects")
         if len(store.identity) != len(store.objects):
             raise ValueError("two objects share one class and source key")
-        _check_index(store)
+        counter = store.oid_counter
+        if type(counter) is not int or counter < last:
+            raise ValueError(f"oid_counter {counter!r} is not an integer at least the largest oid")
         _read_memberships(store, doc.get("memberships", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, exc) from None
     return store
-
-
-def _check_index(store: Store) -> None:
-    """Each object must be of a class that owns objects in the store's
-    schema, one with an extraction mapping or a specialization of several
-    operands, active or frozen, and keyed by [source interface, string id]
-    pairs; and the oid counter must be an integer no lower than any
-    oid, or the next new object would take a held oid. Run before the
-    memberships enter the class index."""
-    owners = {
-        name
-        for name, cls in store.schema.classes.items()
-        if is_extraction(cls.mapping)
-        or (isinstance(cls.mapping, Specialize) and len(cls.mapping.operands) > 1)
-    }
-    for name, oids in store.by_class.items():
-        if name not in owners:
-            raise ValueError(f"oid {min(oids)} is of class {name!r}, which owns no objects")
-    counter = store.oid_counter
-    if type(counter) is not int or counter < max(store.objects, default=0):
-        raise ValueError(f"oid_counter {counter!r} is not an integer at least the largest oid")
-    interfaces = store.source_schema.interfaces
-    for obj in store.objects.values():
-        if obj.status not in ("active", "frozen"):
-            raise ValueError(f"oid {obj.oid} has status {obj.status!r}, not active or frozen")
-        try:
-            sound = bool(obj.source_key)
-            for interface, sid in obj.source_key:
-                sound = sound and interface in interfaces and isinstance(sid, str)
-        except ValueError:  # a pair of more or fewer than two items
-            sound = False
-        if not sound:
-            raise ValueError(f"oid {obj.oid} has a source key other than [interface, id] pairs")
 
 
 def _read_memberships(store: Store, memberships: Any) -> None:
@@ -1015,53 +1037,6 @@ def _store_from_header(doc: dict[str, Any]) -> Store:
     )
 
 
-def _store_from_lines(doc: dict[str, Any], lines: list[str], decoder: _StateDecoder) -> Store:
-    store = _store_from_header(doc)
-    reuse = decoder.layout == STORE_FORMAT
-    if decoder.layout == V2_FORMAT:
-        decoder.implied_end = store.last_refresh.tick
-    index = doc["objects"]
-    # only a file cut off inside its last line has a line without "\n"
-    complete = len(lines) - (bool(lines) and not lines[-1].endswith("\n"))
-    if len(lines) != len(index) or complete != len(lines):
-        raise ValueError(
-            f"the index holds {len(index)} objects but {complete} complete object lines follow"
-        )
-    prior, now = 0, store.now
-    for (oid, cname, status, key), line in zip(index, lines):
-        # lines pair with index entries by position, which the oid order fixes
-        if oid <= prior:
-            raise ValueError(f"oid {oid} follows oid {prior} in the object index")
-        prior = oid
-        load = partial(decoder.line, line, now if status == "active" else None)
-        store.add_object(
-            WarehouseObject.deferred(
-                oid, cname, status, tuple(map(tuple, key)), load, line if reuse else None
-            )
-        )
-    return store
-
-
-def _store_from_v1(doc: dict[str, Any], decoder: _StateDecoder) -> Store:
-    store = _store_from_header(doc)
-    decoder.implied_end = store.last_refresh.tick
-    for item in doc["objects"]:
-        now = store.now if item["status"] == "active" else None
-        store.add_object(
-            WarehouseObject(
-                item["oid"],
-                item["class"],
-                *decoder.states(item, item["past"], now),
-                item["status"],
-                tuple(tuple(p) for p in item["source_key"]),
-            )
-        )
-    stored = {(cname, tuple(tuple(p) for p in key)): oid for cname, key, oid in doc["identity"]}
-    if stored != store.identity:
-        raise ValueError("the identity table disagrees with the objects")
-    return store
-
-
 def _dict(doc: Any) -> dict[str, Any]:
     if not isinstance(doc, dict):
         raise TypeError(f"a state holds a {type(doc).__name__}, not an object")
@@ -1090,9 +1065,9 @@ class _StateDecoder:
         self.implied_end: int | None = None
 
     def line(
-        self, line: str, now: Now | None
+        self, line: str | dict[str, Any], now: Now | None
     ) -> tuple[State, list[State], list[ArchiveState]]:
-        """Decode one object line, raising the malformed-store Error.
+        """Decode one object's line or v1 document, raising the malformed-store Error.
 
         A v4 line's documents are decoded at once, as one array, each TAB
         read as a comma before it. JSON allows a raw TAB only between two
@@ -1102,7 +1077,7 @@ class _StateDecoder:
         the line at. A head holding past states is rejected too."""
         try:
             if self.layout != STORE_FORMAT:
-                item = json.loads(line)
+                item = line if self.layout == V1_FORMAT else json.loads(line)
                 return self.states(item, item["past"], now)
             head, *past = docs = json.loads("[" + line.replace("\t", ",\t") + "]")
             if len(docs) != line.count("\t") + 1:

@@ -174,6 +174,17 @@ class TestValidate:
         assert (rc, out) == (1, "")
         assert err == f"error: {edw}:{line}:14: expected an integer count (found '1.5')\n"
 
+    def test_zero_refresh_period_names_its_position(self, tmp_path):
+        text = Path(EDW).read_text(encoding="utf-8")
+        assert text.count("refresh every 1 year;") == 1
+        edw = tmp_path / "zero.edw"
+        edw.write_text(text.replace("refresh every 1 year;", "refresh every 0 years;"),
+                       encoding="utf-8")
+        line = text[: text.index("refresh every 1")].count("\n") + 1
+        rc, out, err = tdw("validate", "--source-schema", ODL, "--warehouse", str(edw))
+        assert (rc, out) == (1, "")
+        assert err == f"error: {edw}:{line}:23: expected a positive refresh period (found '0')\n"
+
     @pytest.mark.parametrize("verb", ["validate", "plan"])
     def test_cycle_in_an_environment_is_two_violations(self, tmp_path, verb):
         edw = tmp_path / "cycle.edw"
@@ -241,6 +252,25 @@ class TestBenchInputs:
         assert capsys.readouterr().out == "ok: 6 classes, 1 environment(s)\n"
         printed = print_warehouse_def(parse_warehouse_def(edw.read_text(encoding="utf-8")))
         assert print_warehouse_def(parse_warehouse_def(printed)) == printed
+
+
+    def test_traced_replay_runs(self, tmp_path):
+        """The benchmark's replay calls the library directly; one traced
+        run in a copy keeps its .bench_work out of the checkout."""
+        bench = tmp_path / "bench"
+        bench.mkdir()
+        for f in self.BENCH.iterdir():
+            if f.is_file():
+                (bench / f.name).write_bytes(f.read_bytes())
+        (tmp_path / "src").symlink_to(SRC)
+        proc = subprocess.run(
+            [sys.executable, "bench/run.py", "--workload", "large_store", "--seed", "1",
+             "--seconds", "0", "--trace", "1"],
+            capture_output=True, text=True, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert (result["correct"], result["failed"]) == (True, 0)
 
 
 class TestBuild:
@@ -627,6 +657,28 @@ class TestInspect:
         assert rc == 1 and out == ""
         assert f"malformed store document (ValueError: oid 1 {detail})" in err
         assert "Traceback" not in err
+
+    def test_a_thawed_object_shows_its_lifecycle_gap(self, built):
+        # service s1 moves from hospital e1 to e2 at 1991 and back at 1992:
+        # its (e1, s1) object, oid 5, is frozen over 1991 and then thaws
+        tmp, store = built
+        for y, home in ((1991, "e2"), (1992, "e1"), (1993, "e1")):
+            records = hospital_records(y)
+            for r in records:
+                if r["interface"] == "ETABLISSEMENT":
+                    others = [s for s in r["links"]["organisation"] if s != "s1"]
+                    r["links"]["organisation"] = sorted(others + ["s1"] * (r["id"] == home))
+            snap = tmp / f"s{y}.jsonl"
+            snap.write_text("\n".join(snapshot_lines(records)) + "\n", encoding="utf-8")
+            rc, _o, err = tdw("refresh", "--store", store, "--snapshot", str(snap), "--at", str(y))
+            assert rc == 0, err
+        argv = ["inspect", "--store", store, "--class", "Services", "--oid", "5"]
+        rc, out, err = tdw(*argv)
+        assert rc == 0, err
+        assert out.startswith("object 5 (Services, active) lifecycle [1990..1990]; [1992..1993]\n")
+        rc, out, err = tdw(*argv, "--at", "1991")
+        assert rc == 0, err
+        assert out.endswith("at 1991: absent\n")
 
     def test_malformed_at_fails_before_printing(self, built):
         _tmp, store = built

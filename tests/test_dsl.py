@@ -42,7 +42,17 @@ from tdw.expr import (
     Specialize,
     format_mapping,
 )
+from tdw.model import RetentionConfig
 from tdw.source import parse_source_schema
+
+
+def with_warehouse_config(edw_text: str) -> str:
+    """The definition with a warehouse-wide config block before its mappings."""
+    assert edw_text.count("mapping Personnes") == 1
+    return edw_text.replace(
+        "mapping Personnes",
+        "config { refresh every 1 year; keep past 3 years; }\nmapping Personnes",
+    )
 
 
 class TestParseWarehouseDef:
@@ -120,14 +130,52 @@ class TestParseWarehouseDef:
             ("keep past 1.5 years;", (20, "an integer count (found '1.5')")),
             ("keep past 2 yearss;", (22, "a time unit (found 'yearss')")),
             ("refresh every 1 s;", (26, "a time unit (found 's')")),
+            ("refresh every 0 years;", (24, "a positive refresh period (found '0')")),
         ],
-        ids=["count", "period", "duration", "two-s", "bare-s"],
+        ids=["count", "period", "duration", "two-s", "bare-s", "zero-period"],
     )
     def test_config_entry_rejected_at_its_token(self, entry, position):
         text = f"Environment E {{ class A;\nconfig {{ {entry} }} }}"
         with pytest.raises(ParseError) as exc:
             parse_warehouse_def(text)
         assert (exc.value.line, exc.value.col, exc.value.expected) == (2, *position)
+
+    @pytest.mark.parametrize(
+        "text, error, message, line, col",
+        [
+            ("interface A { }\ninterface A { }",
+             ParseError, "a unique class name ('A' repeats)", 2, 1),
+            ("interface A { }\nmapping A = p: P;\nmapping A = p: P;",
+             ParseError, "a single mapping for 'A'", 3, 1),
+            ("interface A { } with filters { keep x; }",
+             ParseError, "'temporal' or 'archive'", 1, 32),
+            ("Environment E { class A; config { keep 2 past stat; } }",
+             ParseError, "'states'", 1, 47),
+            ("config { hold 1; }", ParseError, "'refresh' or 'keep'", 1, 10),
+            ("config { refresh every 0 years; }",
+             ParseError, "a positive refresh period (found '0')", 1, 24),
+            ("mapping A = select;", ParseError, "'(' after 'select'", 1, 13),
+            ("mapping A = hide(a.x as y, a: P);", ParseError, "no rename inside hide", 1, 26),
+            ("mapping A = augment(p: P);", ParseError, "at least one augment binding", 1, 26),
+            # a name after ':' that is no type keyword starts the child
+            ("mapping A = augment(x : Foo, p: P);", ParseError, "')' (found ',')", 1, 28),
+            ("mapping A = augment(x, p: P);",
+             ParseError, "':=' or ':' in augment binding", 1, 22),
+            ("mapping A = generalize(a: X, a.nom, b: Y);",
+             ParseError, "another operand (properties come before operands)", 1, 30),
+        ],
+        ids=[
+            "class-repeated", "second-mapping", "filters-keyword", "keep-past-stat",
+            "config-keyword", "warehouse-zero-period", "function-without-paren",
+            "rename-inside-hide", "augment-without-binding", "specific-binding-not-a-type",
+            "binding-without-colon", "operand-before-property",
+        ],
+    )
+    def test_rejection_names_its_error_and_position(self, text, error, message, line, col):
+        with pytest.raises(Error) as exc:
+            parse_warehouse_def(text)
+        e = exc.value
+        assert (type(e), e.expected, e.line, e.col) == (error, message, line, col)
 
     def test_config_unit_takes_one_optional_s(self):
         text = "Environment E { class A; config { refresh every 2 months; keep past 1 year; } }"
@@ -337,6 +385,17 @@ class TestRoundTrips:
             assert [c.mapping for c in again.classes.values()] == [
                 c.mapping for c in wdef.classes.values()
             ]
+
+    def test_warehouse_config_block_prints_a_fixpoint(self, edw_text):
+        printed = print_warehouse_def(parse_warehouse_def(with_warehouse_config(edw_text)))
+        assert "\n\nconfig {\n    refresh every 1 year;\n    keep past 3 years;\n}\n" in printed
+        assert print_warehouse_def(parse_warehouse_def(printed)) == printed
+
+    def test_warehouse_config_fills_what_an_environment_leaves_out(self, edw_text):
+        wdef = parse_warehouse_def(with_warehouse_config(edw_text))
+        assert wdef.retention_for(wdef.environments["Evolutions"]) == RetentionConfig(
+            (1, "year"), 2, (3, "year")
+        )
 
     @pytest.mark.parametrize(
         "path, digest",

@@ -1346,6 +1346,18 @@ class TestPersistence:
         ):
             load_store(str(path))
 
+    def test_v1_objects_out_of_oid_order_are_rejected(self, store, tmp_path):
+        doc = store_to_dict(store)
+        doc["objects"].reverse()
+        path = tmp_path / "bad.store"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(
+            Error,
+            match=r"bad.store: malformed store document \(ValueError: oid 8 follows oid 9 in "
+            r"the object index\)",
+        ):
+            load_store(str(path))
+
     @pytest.mark.parametrize(
         "damage",
         [

@@ -214,6 +214,13 @@ class TestValidateSchema:
         kinds = [v.kind for v in validate_schema(schema)]
         assert "environment-disjoint" in kinds
 
+    def test_environment_without_classes(self, schema):
+        # the parser needs a class name after 'class', so only the API builds one
+        schema.environments["Vide"] = Environment("Vide", ())
+        assert [(v.kind, v.subject, v.detail) for v in validate_schema(schema)] == [
+            ("environment-empty", "Vide", "no classes")
+        ]
+
     def test_filtered_class_needs_environment(self):
         cls = WarehouseClass("A", [attr("x")], tempo=frozenset({"x"}))
         schema = mini_schema([cls])

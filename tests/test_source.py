@@ -16,6 +16,7 @@ from tdw.errors import (
     CompositionViolation,
     DanglingReference,
     DuplicateId,
+    Error,
     InheritanceCycle,
     InverseMismatch,
     InverseViolation,
@@ -108,6 +109,26 @@ class TestParseSourceSchema:
     def test_dangling_relation_target(self):
         with pytest.raises(UnknownInterface):
             parse_source_schema("interface A { relationship <GHOST> r; }")
+
+    @pytest.mark.parametrize(
+        "text, error, message, line, col",
+        [
+            ("interface A {}\ninterface A {}",
+             DuplicateId, "interface 'A' declared twice", None, None),
+            ("interface A { 3; }", ParseError, "an interface member", 1, 15),
+            ("interface A { attribute Struct S { String a, Long a } s; }",
+             DuplicateId, "struct field 'a' declared twice", None, None),
+            ("interface A { attribute Foo x; }", ParseError, "a type name (found 'Foo')", 1, 25),
+        ],
+        ids=["interface-twice", "bad-member", "struct-field-twice", "bad-type-name"],
+    )
+    def test_rejection_names_its_error_and_position(self, text, error, message, line, col):
+        with pytest.raises(Error) as exc:
+            parse_source_schema(text)
+        e = exc.value
+        found = e.expected if isinstance(e, ParseError) else str(e)
+        position = (getattr(e, "line", None), getattr(e, "col", None))
+        assert (type(e), found, *position) == (error, message, line, col)
 
     def test_inheritance_cycle_rejected_before_flattening(self):
         with pytest.raises(InheritanceCycle, match=r"^inheritance cycle through 'A'$"):
