@@ -30,7 +30,6 @@ from .errors import (
     TypeInferenceError,
     TypeMismatchInPredicate,
     UnknownPath,
-    UnknownProperty,
 )
 from .expr import (
     COMPARISON_OPS,
@@ -50,9 +49,9 @@ from .expr import (
     SourceRef,
 )
 from .model import PropertyDef
-from .source import TYPE_KEYWORDS, Relationship, Snapshot, SourceSchema, SourceType, scalar
-
-_NUMERIC = ("short", "long", "double")
+from .source import (
+    NUMERIC_KINDS, TYPE_KEYWORDS, Relationship, Snapshot, SourceSchema, SourceType, scalar
+)
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,7 @@ def _checked_atoms(build: ClassBuild, pred: Predicate) -> list[Checked]:
             if typ.kind in ("set", "struct"):
                 raise TypeMismatchInPredicate(f"{atom.path} is not a scalar")
             literal_numeric = isinstance(atom.literal, (int, float))
-            if literal_numeric != (typ.kind in _NUMERIC):
+            if literal_numeric != (typ.kind in NUMERIC_KINDS):
                 raise TypeMismatchInPredicate(
                     f"{atom.path} ({typ.kind}) compared with {atom.literal!r}"
                 )
@@ -207,7 +206,7 @@ def agg_result_type(build: ClassBuild, agg: AggCall) -> tuple[SourceType, int, t
     element = typ.element  # None for a relation, whose members are identities
     if agg.function == "count":
         typ = scalar("long")
-    elif element is None or element.kind not in _NUMERIC:
+    elif element is None or element.kind not in NUMERIC_KINDS:
         raise NonNumericAggregate(f"{agg.function} needs numeric elements at {agg.path}")
     else:  # sum / avg make a double, min / max keep the element type
         typ = scalar("double") if agg.function in ("sum", "avg") else element
@@ -268,20 +267,12 @@ def build_from_interface(
     return ClassBuild(structure, rows)
 
 
-def _locate_property(build: ClassBuild, path: Path) -> tuple[int, tuple[str, ...]]:
-    """locate, naming an unknown path an unknown property."""
-    try:
-        return locate(build, path)
-    except UnknownPath as exc:
-        raise UnknownProperty(str(exc)) from None
-
-
 def eval_project(items, build: ClassBuild) -> ClassBuild:
     """Restrict the structure to the chosen properties ("items" pairs a
     path with an optional rename); rows keep their source keys."""
     picked: list[tuple[int, tuple[str, ...], str]] = []
     for path, rename in items:
-        idx, tail = _locate_property(build, path)
+        idx, tail = locate(build, path)
         _drill_type(build.structure[idx], tail, path)
         picked.append((idx, tail, rename or path.segments[-1]))
     return _project_slots(picked, build)
@@ -292,9 +283,9 @@ def eval_hide(paths, build: ClassBuild) -> ClassBuild:
     name a whole property."""
     drop = set()
     for path in paths:
-        idx, tail = _locate_property(build, path)
+        idx, tail = locate(build, path)
         if tail:
-            raise UnknownProperty(f"cannot hide struct field {path}; hide whole properties")
+            raise UnknownPath(f"cannot hide struct field {path}; hide whole properties")
         drop.add(idx)
     kept = [(i, (), p.name) for i, p in enumerate(build.structure) if i not in drop]
     return _project_slots(kept, build)

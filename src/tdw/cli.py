@@ -17,7 +17,7 @@ from typing import Any
 
 from . import engine, model
 from .dsl import parse_warehouse_def, resolve_with_violations
-from .errors import Error, ParseError, StoreLocked
+from .errors import Error, ParseError, StoreLocked, UnknownClass, UnknownOid
 from .expr import (
     Aliased,
     Augment,
@@ -44,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:  # bad flag values (a malformed --at), I/O
+    except (ValueError, OSError) as exc:  # bad flag values or combinations, I/O
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -132,8 +132,7 @@ def cmd_validate(args) -> int:
 def cmd_build(args) -> int:
     with _locked(args.store):
         if os.path.exists(args.store):
-            print(f"error: store {args.store} already exists", file=sys.stderr)
-            return 1
+            raise Error(f"store {args.store} already exists")
         src, wdef = _load_pair(args)
         at = parse_instant(args.at)
         snapshot = ingest_snapshot(src, _read(args.snapshot).splitlines(), at)
@@ -161,16 +160,13 @@ def cmd_refresh(args) -> int:
 
 def cmd_inspect(args) -> int:
     if args.oid is None and (args.at is not None or args.history):
-        print("error: --at and --history need --oid", file=sys.stderr)
-        return 2
+        raise ValueError("--at and --history need --oid")
     if args.at is not None and args.history:
-        print("error: --at excludes --history", file=sys.stderr)
-        return 2
+        raise ValueError("--at excludes --history")
     t = None if args.at is None else parse_instant(args.at)
     store = engine.load_store(args.store)
     if args.class_name not in store.schema.classes:
-        print(f"error: unknown class {args.class_name!r}", file=sys.stderr)
-        return 1
+        raise UnknownClass(f"unknown class {args.class_name!r}")
     extension = store.extension_of(args.class_name)
     if args.oid is None:
         print(f"class {args.class_name}: {len(extension)} object(s)")
@@ -183,8 +179,7 @@ def cmd_inspect(args) -> int:
             print(f"  oid {oid}  [{key}]  {obj.status}")
         return 0
     if args.oid not in extension:
-        print(f"error: oid {args.oid} is not in class {args.class_name!r}", file=sys.stderr)
-        return 1
+        raise UnknownOid(f"oid {args.oid} is not in class {args.class_name!r}")
     obj = store.objects[args.oid]
     # the union of its states' domains, with a gap where it was frozen
     lifecycle = coalesce(
@@ -223,8 +218,7 @@ def _print_slots(payload: dict[str, Any]) -> None:
 def cmd_patch(args) -> int:
     prop, sep, raw = args.assignment.partition("=")
     if not sep:
-        print("error: --set expects PROP=VALUE", file=sys.stderr)
-        return 2
+        raise ValueError("--set expects PROP=VALUE")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:

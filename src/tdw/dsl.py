@@ -22,6 +22,7 @@ from typing import Iterable, Iterator
 
 from . import algebra
 from .errors import (
+    Error,
     ParseError,
     PropertyConflict,
     ResolveError,
@@ -545,7 +546,7 @@ def resolve_with_violations(
                 raise ResolveError(
                     "hierarchization nodes cannot appear inside an extraction chain"
                 )
-            structures[cls.name] = algebra.eval_extraction(cls.mapping, src)
+            structures[cls.name] = _evaluate(cls, algebra.eval_extraction, cls.mapping, src)
             cls.source_origins = frozenset(n.interface for n in nodes if isinstance(n, SourceRef))
 
     # phase 2: hierarchization mappings, in operand dependency order
@@ -645,7 +646,7 @@ def _resolve_hierarchization(schema: WarehouseSchema, src: SourceSchema, cls: Wa
         for op in expr.operands:
             build = algebra.ClassBuild(class_structure(schema, op.class_name, op.binder))
             if op.where is not None:
-                algebra.eval_select(op.where, build)
+                _evaluate(cls, algebra.eval_select, op.where, build)
             builds.append(build)
         if own_names:
             raise ResolveError(
@@ -656,7 +657,17 @@ def _resolve_hierarchization(schema: WarehouseSchema, src: SourceSchema, cls: Wa
             raise ResolveError(
                 f"{cls.name!r} must extend exactly its specialize operands"
             )
-        algebra.eval_product(builds, expr.pred)
+        _evaluate(cls, algebra.eval_product, builds, expr.pred)
+
+
+def _evaluate(cls: WarehouseClass, evaluate, *args):
+    """evaluate(*args), which evaluates part of cls's mapping to type it;
+    an Error it raises is raised again as its class, the message led by
+    the mapping's class."""
+    try:
+        return evaluate(*args)
+    except Error as exc:
+        raise type(exc)(f"mapping of {cls.name!r}: {exc}") from None
 
 
 def _lifted_name(binders: set[str], path: Path) -> str:

@@ -928,7 +928,10 @@ def load_store(path: str) -> Store:
         )
     decoder = _StateDecoder(path, doc["format"])
     try:
-        store = _store_from_header(doc)
+        try:
+            store = _store_from_header(doc)
+        except Error as exc:  # a stored definition that no longer parses or resolves
+            raise _malformed(path, exc) from None
         if decoder.layout in (V2_FORMAT, V1_FORMAT):
             decoder.implied_end = store.last_refresh.tick
         if lined:

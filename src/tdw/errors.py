@@ -100,10 +100,6 @@ class ResolveError(Error):
 
 
 # mapping algebra
-class UnknownProperty(Error):
-    pass
-
-
 class UnknownPath(Error):
     pass
 

@@ -26,7 +26,7 @@ from .errors import (
     UnknownClass,
     UnknownEnvironment,
 )
-from .source import SourceType
+from .source import NUMERIC_KINDS, SourceType, lineage
 from .temporal import (
     Instant,
     Interval,
@@ -177,20 +177,7 @@ def transitive_supers(schema: WarehouseSchema, class_name: str) -> tuple[str, ..
     its own supers, supers in declared order. A class met again on its
     own path raises InheritanceCycle naming the path, as "A -> B -> A";
     an unknown class raises UnknownClass."""
-    out: dict[str, None] = {}
-    path: list[str] = []
-
-    def walk(name: str) -> None:
-        if name in path:
-            raise InheritanceCycle(" -> ".join(path + [name]))
-        path.append(name)
-        for sup in schema.get_class(name).supers:
-            walk(sup)
-            out[sup] = None
-        path.pop()
-
-    walk(class_name)
-    return tuple(out)
+    return lineage(class_name, lambda n: schema.get_class(n).supers)[:-1]
 
 
 def is_subclass(schema: WarehouseSchema, ci: str, cj: str) -> bool:
@@ -378,7 +365,7 @@ def validate_schema(schema: WarehouseSchema) -> list[SchemaViolation]:
             fn, p = cls.archi[prop], flat.get(prop)
             # count and last take any property; the other folds need numbers
             if fn not in ("count", "last") and p is not None and (
-                p.is_relation or p.value_type.kind not in ("short", "long", "double")
+                p.is_relation or p.value_type.kind not in NUMERIC_KINDS
             ):
                 out.append(
                     SchemaViolation(

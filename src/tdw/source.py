@@ -6,6 +6,10 @@ the whole source, read from line-delimited records; ingestion re-checks
 typing, referential integrity, inverse consistency, and composition
 exclusivity, so everything downstream can trust a Snapshot.
 
+``lineage`` is the one inheritance walk, which the warehouse model's
+class hierarchy follows too: a name and everything it transitively
+extends, each after its supers, with a cycle named by its path.
+
 ``parse_source_schema`` runs the schema checks and then derives, once
 per interface, the tables that ingestion and the extraction mappings
 read (``InterfaceTables``): the flattened property list, the attribute
@@ -18,11 +22,10 @@ label is formatted only when the value is rejected.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .errors import (
     CompositionViolation,
@@ -47,6 +50,7 @@ TYPE_KEYWORDS = {
     "Image": "image-ref",
 }
 _KEYWORD_BY_KIND = {v: k for k, v in TYPE_KEYWORDS.items()}
+NUMERIC_KINDS = ("short", "long", "double")
 
 
 @dataclass(frozen=True)
@@ -139,40 +143,53 @@ def parse_source_schema(text: str) -> SourceSchema:
         if iface.name in schema.interfaces:
             raise DuplicateId(f"interface {iface.name!r} declared twice")
         schema.interfaces[iface.name] = iface
-    lineage = _check_schema(schema)
-    schema.tables = _derive_tables(schema, lineage)
+    schema.tables = _derive_tables(schema, _check_schema(schema))
     return schema
 
 
-def _lineage(schema: SourceSchema, name: str, path: tuple[str, ...] = ()) -> dict[str, None]:
-    """name and every interface it transitively extends, each after its
-    supers; raises InheritanceCycle at an interface met again on its path."""
-    if name in path:
-        raise InheritanceCycle(f"inheritance cycle through {name!r}")
-    path += (name,)
-    out: dict[str, None] = {}
-    for sup in schema.interfaces[name].supers:
-        out.update(_lineage(schema, sup, path))
-    out[name] = None
-    return out
+def lineage(name: str, supers_of: Callable[[str], Iterable[str]]) -> tuple[str, ...]:
+    """name and every name it transitively extends, supers_of giving each
+    name's declared supers. Each comes once, after its own supers, with
+    supers in declared order, so name comes last; a name already placed
+    is not walked again. A name met again on its own path raises
+    InheritanceCycle naming the path, as "A -> B -> A"."""
+    placed: dict[str, None] = {}
+
+    def walk(n: str, path: tuple[str, ...]) -> None:
+        if n in path:
+            raise InheritanceCycle(" -> ".join((*path, n)))
+        if n not in placed:
+            for sup in supers_of(n):
+                walk(sup, (*path, n))
+            placed[n] = None
+
+    walk(name, ())
+    return tuple(placed)
 
 
 def _derive_tables(
-    schema: SourceSchema, lineage: dict[str, dict[str, None]]
+    schema: SourceSchema, lineages: dict[str, tuple[str, ...]]
 ) -> dict[str, InterfaceTables]:
     tables = {}
     for name in schema.interfaces:
-        props: dict[str, tuple[str, Any, str]] = {}  # a name's first declaration wins
-        for owner in lineage[name]:
+        # each property name is declared once along the lineage, where a
+        # super reached twice through a diamond is one declaration
+        props: dict[str, tuple[str, Any, str]] = {}
+        dupes = set()
+        for owner in lineages[name]:
             iface = schema.interfaces[owner]
             for n, t in [*iface.attributes, *((r.name, r) for r in iface.relationships)]:
-                props.setdefault(n, (n, t, owner))
+                if n in props:
+                    dupes.add(n)
+                props[n] = (n, t, owner)
+        if dupes:
+            raise DuplicateId(f"{name!r} has duplicate properties {sorted(dupes)}")
         flat = tuple(props.values())
         tables[name] = InterfaceTables(
             flat,
             {n: t for n, t, _ in flat if isinstance(t, SourceType)},
             {n: t for n, t, _ in flat if isinstance(t, Relationship)},
-            tuple(sorted(sub for sub in schema.interfaces if name in lineage[sub])),
+            tuple(sorted(sub for sub in schema.interfaces if name in lineages[sub])),
         )
     return tables
 
@@ -312,7 +329,7 @@ def format_relationship(rel: Any) -> str:
     return f"{card} {rel.name}{inv};"
 
 
-def _check_schema(schema: SourceSchema) -> dict[str, dict[str, None]]:
+def _check_schema(schema: SourceSchema) -> dict[str, tuple[str, ...]]:
     """Run the schema checks; return each interface's lineage."""
     for iface in schema.interfaces.values():
         for sup in iface.supers:
@@ -321,7 +338,9 @@ def _check_schema(schema: SourceSchema) -> dict[str, dict[str, None]]:
                     f"line {iface.line}: {iface.name!r} extends unknown {sup!r}"
                 )
     # before any check that follows the supers, as the flattened tables do
-    lineage = {name: _lineage(schema, name) for name in schema.interfaces}
+    lineages = {
+        name: lineage(name, lambda n: schema.interfaces[n].supers) for name in schema.interfaces
+    }
     for iface in schema.interfaces.values():
         for rel in iface.relationships:
             if rel.target not in schema.interfaces:
@@ -333,17 +352,7 @@ def _check_schema(schema: SourceSchema) -> dict[str, dict[str, None]]:
                     iface.name, rel, schema.interfaces[rel.target].relationships,
                     f"line {rel.line}: ",
                 )
-        # each property name is declared once along the interface's lineage;
-        # a super reached twice through a diamond is one declaration
-        names: Counter[str] = Counter()
-        for owner in lineage[iface.name]:
-            declared = schema.interfaces[owner]
-            names.update(n for n, _t in declared.attributes)
-            names.update(r.name for r in declared.relationships)
-        dupes = sorted(n for n, count in names.items() if count > 1)
-        if dupes:
-            raise DuplicateId(f"{iface.name!r} has duplicate properties {dupes}")
-    return lineage
+    return lineages
 
 
 def print_source_schema(schema: SourceSchema) -> str:

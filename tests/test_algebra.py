@@ -28,7 +28,6 @@ from tdw.errors import (
     TypeInferenceError,
     TypeMismatchInPredicate,
     UnknownPath,
-    UnknownProperty,
 )
 from tdw.expr import (
     AggCall,
@@ -142,8 +141,21 @@ class TestProject:
             assert rows_as_dicts(out) == oracle_project(build, names)
 
     def test_unknown_property(self, etab):
-        with pytest.raises(UnknownProperty):
+        with pytest.raises(UnknownPath):
             eval_project([(p("h", "fantôme"), None)], etab)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("project(p.fantome, p: PRATICIEN)", "no property 'fantome' under binder 'p'"),
+         ("project(p.adresse.nope, p: PRATICIEN)", "p.adresse.nope: struct has no field 'nope'"),
+         ("hide(e.adresse.ville, e: ETABLISSEMENT)",
+          "cannot hide struct field e.adresse.ville; hide whole properties")],
+        ids=["project-property", "project-struct-field", "hide-struct-field"],
+    )
+    def test_every_unknown_path_is_one_error(self, src_schema, text, message):
+        with pytest.raises(UnknownPath) as err:
+            eval_extraction(parse_mapping(text), src_schema)
+        assert str(err.value) == message
 
 
 class TestHide:
@@ -322,9 +334,17 @@ class TestSelect:
              "p.nom must be a set-valued relation for containment"),
             ("select(e: ETABLISSEMENT, e.organisation contains z)", UnknownPath,
              "containment names unknown binder 'z'"),
+            ("select(p: PRATICIEN, nope = 1)", UnknownPath, "no property 'nope' in build"),
+            ("select(p: PRATICIEN, p.travaille.x = 1)", UnknownPath,
+             "p.travaille.x: cannot drill into relation 'travaille'"),
+            ('select(p: PRATICIEN, p.nom.x = "a")', UnknownPath, "p.nom.x: 'nom' has no field 'x'"),
+            ('select(p: PRATICIEN, p.adresse.nope = "a")', UnknownPath,
+             "p.adresse.nope: struct has no field 'nope'"),
         ],
         ids=["relation-compared", "struct-compared", "string-compared-with-a-number",
-             "containment-in-an-attribute", "containment-of-an-unknown-binder"],
+             "containment-in-an-attribute", "containment-of-an-unknown-binder",
+             "unknown-property", "field-of-a-relation", "field-of-a-scalar",
+             "unknown-struct-field"],
     )
     def test_ill_typed_predicate_rejected(self, src_schema, text, error, message):
         with pytest.raises(Error) as err:

@@ -147,6 +147,26 @@ class TestValidate:
             "specialization, whose members are decided after links\n"
         )
 
+    @pytest.mark.parametrize(
+        "written, edited, message",
+        [("p.catégorie", "p.catégori",
+          "mapping of 'Chirurgiens': no property 'catégori' under binder 'p'"),
+         ("c.année_naissance >= 1970", "c.année >= 1970",
+          "mapping of 'Jeunes_Chirurgiens': no property 'année' under binder 'c'"),
+         ('e.ville = "Toulouse"', 'e.vile = "Toulouse"',
+          "mapping of 'Etablissements': no property 'vile' under binder 'e'"),
+         ("p: PRATICIEN", "p: NOPE",
+          "mapping of 'Chirurgiens': unknown source interface 'NOPE'")],
+        ids=["extraction-path", "specialize-predicate", "specialize-where", "unknown-interface"],
+    )
+    def test_a_mapping_error_names_its_class(self, tmp_path, written, edited, message):
+        text = Path(EDW).read_text(encoding="utf-8")
+        assert text.count(written) == 1
+        edw = tmp_path / "mapping.edw"
+        edw.write_text(text.replace(written, edited), encoding="utf-8")
+        rc, out, err = tdw("validate", "--source-schema", ODL, "--warehouse", str(edw))
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
+
     def test_archive_avg_of_a_string_is_a_violation(self, tmp_path):
         """avg folds numbers: over a String it would fail every refresh
         from the first eviction of a surgeon's past state on."""
@@ -230,7 +250,7 @@ class TestValidate:
         odl.write_text("interface A (extend B) {} interface B (extend A) {}", encoding="utf-8")
         rc, _out, err = tdw("validate", "--source-schema", str(odl), "--warehouse", EDW)
         assert rc == 1
-        assert err == "error: inheritance cycle through 'A'\n"
+        assert err == "error: A -> B -> A\n"
 
     def test_missing_file_is_io_error(self):
         rc, _out, err = tdw("validate", "--source-schema", ODL, "--warehouse", "/nope.edw")
@@ -317,6 +337,13 @@ class TestBuild:
             "--snapshot", str(tmp_path / "missing.jsonl"), "--at", "1990", "--store", store,
         )
         assert rc == 1 and "already exists" in err
+
+    def test_existing_store_failure_is_one_line_on_stderr(self, built):
+        tmp, store = built
+        snap = str(tmp / "s1990.jsonl")
+        argv = ["--snapshot", snap, "--at", "1990", "--store", store]
+        rc, out, err = tdw("build", "--warehouse", EDW, "--source-schema", ODL, *argv)
+        assert (rc, out, err) == (1, "", f"error: store {store} already exists\n")
 
     def test_invalid_schema_writes_nothing(self, tmp_path):
         snap = write_snapshot(tmp_path / "s.jsonl", 1990)
@@ -449,6 +476,35 @@ class TestRefresh:
         assert rc == 1
         assert "malformed store document (KeyError: 'warehouse_def')" in err
         assert "Traceback" not in err
+
+    def test_unknown_store_format_names_the_known_ones(self, tmp_path):
+        bad = tmp_path / "v9.store"
+        bad.write_text('{"format": "tdw-store-v9"}\n', encoding="utf-8")
+        rc, out, err = tdw("inspect", "--store", str(bad), "--class", "X")
+        assert (rc, out) == (1, "")
+        assert err == (
+            f"error: {bad}: not a tdw-store-v4, tdw-store-v3, tdw-store-v2 "
+            "or tdw-store-v1 document\n"
+        )
+
+    @pytest.mark.parametrize(
+        "written, edited, detail",
+        [("refresh every 1 year;", "refresh every 0 years;",
+          "ParseError: line {line}, col 23: expected a positive refresh period (found '0')"),
+         ("mapping Services", "mapping Servicez",
+          "UnknownClass: mapping declared for unknown class 'Servicez'")],
+        ids=["no-longer-parses", "no-longer-resolves"],
+    )
+    def test_a_stored_definition_that_fails_names_its_store(self, built, written, edited, detail):
+        _tmp, store = built
+        header = json.loads(Path(store).read_text(encoding="utf-8").split("\n", 1)[0])
+        text = header["warehouse_def"]
+        assert text.count(written) == 1
+        rewrite_header(store, warehouse_def=text.replace(written, edited))
+        line = text[: text.index(written)].count("\n") + 1
+        rc, out, err = tdw("inspect", "--store", store, "--class", "Services")
+        assert (rc, out) == (1, "")
+        assert err == f"error: {store}: malformed store document ({detail.format(line=line)})\n"
 
 
 def build_and_refresh(store: str, build_args: list[str], snaps: dict[int, str], seed: str):
@@ -597,6 +653,17 @@ class TestInspect:
             "inspect", "--store", store, "--class", "Chirurgiens", "--oid", "999"
         )
         assert rc == 1 and "999" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--class", "Nope"], "unknown class 'Nope'"),
+         (["--class", "Chirurgiens", "--oid", "999"], "oid 999 is not in class 'Chirurgiens'")],
+        ids=["unknown-class", "oid-not-in-class"],
+    )
+    def test_unknown_name_is_one_line_on_stderr(self, built, flags, message):
+        _tmp, store = built
+        rc, out, err = tdw("inspect", "--store", store, *flags)
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
 
     def test_at_before_creation_prints_absent(self, built):
         _tmp, store = built
@@ -927,6 +994,22 @@ class TestPatch:
         )
         assert rc == 1 and "not a specific property" in err
 
+    @pytest.mark.parametrize(
+        "assignment, code, message",
+        [("année_création", 2, "--set expects PROP=VALUE"),
+         ("année_création=abc", 1,
+          "Hôpitaux_Publics.année_création: expected an integer, got 'abc'")],
+        ids=["without-equals", "not-json-is-a-string"],
+    )
+    def test_bad_assignment_leaves_the_store(self, built, assignment, code, message):
+        _tmp, store = built
+        before = Path(store).read_bytes()
+        rc, out, err = tdw(
+            "patch", "--store", store, "--oid", "3", "--set", assignment, "--at", "1991"
+        )
+        assert (rc, out, err) == (code, "", f"error: {message}\n")
+        assert Path(store).read_bytes() == before
+
     def test_composite_object_rejected(self, built):
         _tmp, store = built
         rc, out, _ = tdw("inspect", "--store", store, "--class", "Etablissements")
@@ -1054,6 +1137,27 @@ class TestPlan:
         rc, out, err = tdw("plan", "--warehouse", str(edw), "--source-schema", str(odl))
         assert rc == 0, err
         assert "historization level: attribute" in out
+
+    def test_no_environment_is_listed_as_none(self, tmp_path):
+        odl = tmp_path / "mini.odl"
+        odl.write_text("interface P { attribute String nom; }", encoding="utf-8")
+        edw = tmp_path / "mini.edw"
+        edw.write_text(
+            "interface W { D_attribute String nom; }\nmapping W = p: P;\n", encoding="utf-8"
+        )
+        rc, out, err = tdw("plan", "--warehouse", str(edw), "--source-schema", str(odl))
+        assert (rc, err) == (0, "")
+        assert out.endswith("\nenvironments:\n  (none)\n")
+
+    def test_retention_lists_a_kept_duration(self, tmp_path):
+        text = Path(EDW).read_text(encoding="utf-8")
+        assert text.count("keep 2 past states;") == 1
+        edw = tmp_path / "duration.edw"
+        edw.write_text(text.replace("keep 2 past states;", "keep past 3 years;"),
+                       encoding="utf-8")
+        rc, out, err = tdw("plan", "--warehouse", str(edw), "--source-schema", ODL)
+        assert rc == 0, err
+        assert "       retention: refresh every 1 year(s); keep past 3 year(s)\n" in out
 
     def test_cyclic_supers_fail(self, tmp_path):
         edw = tmp_path / "cycle.edw"

@@ -163,12 +163,13 @@ class TestParseWarehouseDef:
              ParseError, "':=' or ':' in augment binding", 1, 22),
             ("mapping A = generalize(a: X, a.nom, b: Y);",
              ParseError, "another operand (properties come before operands)", 1, 30),
+            ("mapping A = project(1, p: P);", ParseError, "'ident' (found '1')", 1, 21),
         ],
         ids=[
             "class-repeated", "second-mapping", "filters-keyword", "keep-past-stat",
             "config-keyword", "warehouse-zero-period", "function-without-paren",
             "rename-inside-hide", "augment-without-binding", "specific-binding-not-a-type",
-            "binding-without-colon", "operand-before-property",
+            "binding-without-colon", "operand-before-property", "project-a-number",
         ],
     )
     def test_rejection_names_its_error_and_position(self, text, error, message, line, col):

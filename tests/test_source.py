@@ -30,6 +30,7 @@ from tdw.source import (
     SourceType,
     _typed_record,
     ingest_snapshot,
+    lineage,
     parse_source_schema,
     print_source_schema,
 )
@@ -131,8 +132,16 @@ class TestParseSourceSchema:
         assert (type(e), found, *position) == (error, message, line, col)
 
     def test_inheritance_cycle_rejected_before_flattening(self):
-        with pytest.raises(InheritanceCycle, match=r"^inheritance cycle through 'A'$"):
+        with pytest.raises(InheritanceCycle, match=r"^A -> B -> A$"):
             parse_source_schema("interface A (extend B) {} interface B (extend A) {}")
+
+    def test_duplicate_property_is_reported_after_every_relationship_check(self):
+        text = (
+            "interface A { attribute String x; attribute Long x; }\n"
+            "interface B { relationship <GHOST> r; }"
+        )
+        with pytest.raises(UnknownInterface, match=r"^line 2: B\.r targets unknown 'GHOST'$"):
+            parse_source_schema(text)
 
     @pytest.mark.parametrize(
         "text",
@@ -171,6 +180,22 @@ class TestParseSourceSchema:
         )
         assert [n for n, _t, owner in flattened(schema, "D")] == ["x", "y", "z"]
         assert [owner for _n, _t, owner in flattened(schema, "D")] == ["A", "B", "C"]
+
+    def test_lineage_places_each_name_once_after_its_supers(self):
+        supers = {"A": (), "B": ("A",), "C": ("A",), "D": ("B", "C"), "E": ("D", "A")}
+        asked = []
+
+        def supers_of(name):
+            asked.append(name)
+            return supers[name]
+
+        assert lineage("E", supers_of) == ("A", "B", "C", "D", "E")
+        assert sorted(asked) == ["A", "B", "C", "D", "E"]  # a diamond's A is walked once
+
+    def test_lineage_cycle_names_its_path(self):
+        supers = {"C": ("A",), "A": ("B",), "B": ("A",)}
+        with pytest.raises(InheritanceCycle, match=r"^C -> A -> B -> A$"):
+            lineage("C", supers.__getitem__)
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as err:
@@ -500,6 +525,21 @@ class TestRejectionMessages:
         self.check(
             src_schema, records, DanglingReference,
             "CONSULTATION:c1 links patient to missing PATIENT:pa1",
+        )
+
+    def test_link_naming_records_of_two_subtypes(self):
+        schema = parse_source_schema(
+            "interface P { } interface A (extend P) { } interface B (extend P) { }\n"
+            "interface L { relationship <P> ref; }"
+        )
+        records = [
+            {"interface": "A", "id": "x"},
+            {"interface": "B", "id": "x"},
+            {"interface": "L", "id": "l1", "links": {"ref": ["x"]}},
+        ]
+        self.check(
+            schema, records, DanglingReference,
+            "L:l1 links ref to P:x, which names several records: A:x, B:x",
         )
 
     def test_inverse_violation(self, src_schema):
