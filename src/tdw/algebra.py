@@ -236,8 +236,9 @@ def build_from_interface(
     schema: SourceSchema, interface: str, binder: str, snapshot: Snapshot | None
 ) -> ClassBuild:
     """One row per source record of the interface (subtypes included)."""
+    table = schema.table(interface)
     structure: list[PropertyDef] = []
-    for name, item, _owner in schema.table(interface).flat:
+    for name, item, _owner in table.flat:
         if isinstance(item, Relationship):
             structure.append(
                 PropertyDef(
@@ -258,7 +259,9 @@ def build_from_interface(
             )
     rows: list[Row] = []
     if snapshot is not None:
-        for rec in snapshot.of_interface(schema, interface):
+        for rec in snapshot.records.values():
+            if rec.interface not in table.subtypes:
+                continue
             values = tuple(
                 list(rec.links.get(p.name, ())) if p.is_relation else rec.values.get(p.name)
                 for p in structure

@@ -1051,9 +1051,11 @@ class _StateDecoder:
     the file's format.
 
     Many states span the same granules, so each distinct domain is built
-    and checked once and then shared: TemporalDomain is frozen, and the
-    engine only ever replaces a state's domain. An active object's
-    current state is decoded open, reading its end from the store's Now.
+    and checked once, to be canonical and to span a granule, and then
+    shared: TemporalDomain is frozen, and the engine only ever replaces a
+    state's domain. Each line's current state must start after its newest
+    past state ends. An active object's current state is decoded open,
+    reading its end from the store's Now.
 
     v1 and v2 files wrote an open state's end as it read at the last
     refresh; the loader sets implied_end to that refresh, and an end no
@@ -1096,11 +1098,14 @@ class _StateDecoder:
     ) -> tuple[State, list[State], list[ArchiveState]]:
         current = item["current"]
         stored = self.domain(current["domain"])
+        older = [State(self.domain(s["domain"]), _dict(s["value"])) for s in past]
+        if older and stored.intervals[0].start.tick <= older[-1].domain.intervals[-1].end.tick:
+            raise ValueError("a current state starts before its newest past state ends")
         if now is not None:
             stored = self._open(stored)
         return (
             State(stored, _dict(current["value"]), now),
-            [State(self.domain(s["domain"]), _dict(s["value"])) for s in past],
+            older,
             [ArchiveState(self.domain(a["domain"]), _dict(a["aggregates"])) for a in item["archives"]],
         )
 
@@ -1110,17 +1115,16 @@ class _StateDecoder:
     def _shared(self, unit: str, bounds: tuple[tuple[int, ...], ...]) -> TemporalDomain:
         found = self.domains.get((unit, bounds))
         if found is None:
+            if not bounds:
+                raise ValueError("a domain spans no granule")
             found = domain(unit, *bounds)
-            # Interval checks a single interval; several must be canonical
-            problems = validate_domain(found) if len(bounds) > 1 else ()
+            problems = validate_domain(found)
             if problems:
                 raise ValueError(f"a domain's {problems[0].message}")
             self.domains[(unit, bounds)] = found
         return found
 
     def _open(self, d: TemporalDomain) -> TemporalDomain:
-        if not d.intervals:
-            raise ValueError("an active object's current state spans no granule")
         last = d.intervals[-1]
         if self.implied_end is None or last.end.tick > self.implied_end:
             return d

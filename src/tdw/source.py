@@ -4,7 +4,9 @@ The source is described in an ODMG-flavoured object definition language
 extended with compositions. Snapshots are point-in-time extractions of
 the whole source, read from line-delimited records; ingestion re-checks
 typing, referential integrity, inverse consistency, and composition
-exclusivity, so everything downstream can trust a Snapshot.
+exclusivity, so everything downstream can trust a Snapshot. Its
+records, kept in (interface, id) key order, are the one index that the
+link checks look targets up in and extraction reads in order.
 
 ``lineage`` is the one inheritance walk, which the warehouse model's
 class hierarchy follows too: a name and everything it transitively
@@ -24,7 +26,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
 from typing import Any, Callable, Iterable
 
 from .errors import (
@@ -390,18 +391,14 @@ class SourceRecord:
 
 @dataclass(frozen=True)
 class Snapshot:
+    """The source at one instant; records is kept in (interface, id) key
+    order, so a hand-built snapshot yields rows and oids as an ingested one."""
+
     at: Instant
     records: dict[tuple[str, str], SourceRecord]
 
-    def of_interface(self, schema: SourceSchema, name: str) -> list[SourceRecord]:
-        """Records whose interface is name or a transitive subtype of it."""
-        wanted = schema.table(name).subtypes
-        out = [r for r in self.records.values() if r.interface in wanted]
-        out.sort(key=_record_order)
-        return out
-
-
-_record_order = attrgetter("interface", "id")
+    def __post_init__(self):
+        object.__setattr__(self, "records", dict(sorted(self.records.items())))
 
 
 def ingest_snapshot(schema: SourceSchema, lines: Iterable[str], at: Instant) -> Snapshot:
@@ -425,9 +422,8 @@ def ingest_snapshot(schema: SourceSchema, lines: Iterable[str], at: Instant) -> 
         if key in records:
             raise DuplicateId(f"record line {lineno}: duplicate id {key}")
         records[key] = rec
-    snap = Snapshot(at, records)
-    _check_snapshot(tables, snap)
-    return snap
+    _check_snapshot(tables, records)
+    return Snapshot(at, records)
 
 
 def _typed_record(tables: dict[str, InterfaceTables], doc: Any, lineno: int) -> SourceRecord:
@@ -546,29 +542,18 @@ def _canonical(typ: SourceType, value: Any) -> Any:
     raise _Misfit(f"unsupported type {kind!r}")
 
 
-def _check_snapshot(tables: dict[str, InterfaceTables], snap: Snapshot) -> None:
+def _check_snapshot(
+    tables: dict[str, InterfaceTables], records: dict[tuple[str, str], SourceRecord]
+) -> None:
     """Every link names exactly one record among its target's subtypes,
-    compositions are exclusive and declared inverses point back."""
-    by_id: dict[str, dict[str, SourceRecord]] = {name: {} for name in tables}
-    for rec in snap.records.values():
-        by_id[rec.interface][rec.id] = rec
-    # per interface: each relationship with the records its ids may name,
-    # by id, one map per interface of the target's subtype closure
-    linked = {
-        name: [
-            (rel, [by_id[sub] for sub in tables[rel.target].subtypes])
-            for rel in table.relationships.values()
-        ]
-        for name, table in tables.items()
-    }
+    compositions are exclusive and declared inverses point back, in line order."""
     composed_by: dict[tuple[str, str], tuple[str, str]] = {}
-    for rec in snap.records.values():
-        for rel, scopes in linked[rec.interface]:
-            name = rel.name
-            for rid in rec.links.get(name, ()):
+    for rec in records.values():
+        for name, rel in tables[rec.interface].relationships.items():
+            for rid in rec.links[name]:
                 target = None
-                for scope in scopes:
-                    found = scope.get(rid)
+                for sub in tables[rel.target].subtypes:
+                    found = records.get((sub, rid))
                     if found is not None:
                         if target is not None:
                             raise DanglingReference(

@@ -974,6 +974,95 @@ class TestDamagedUnreadLine:
         assert_lock_released(store)
 
 
+# how damaged_states changes the line of oid 1, a surgeon with three past
+# states, and the error that reading the line raises
+STATE_DAMAGE = {
+    "past-empty": (
+        lambda head, past: past[0]["domain"].update(intervals=[]),
+        "ValueError: a domain spans no granule",
+    ),
+    "archive-empty": (
+        lambda head, past: head.update(
+            archives=[{"aggregates": {}, "domain": {"intervals": [], "unit": "year"}}]
+        ),
+        "ValueError: a domain spans no granule",
+    ),
+    "current-empty": (
+        lambda head, past: head["current"]["domain"].update(intervals=[]),
+        "ValueError: a domain spans no granule",
+    ),
+    "current-overlaps-past": (
+        lambda head, past: head["current"]["domain"].update(
+            intervals=[[past[-1]["domain"]["intervals"][-1][1], 23]]
+        ),
+        "ValueError: a current state starts before its newest past state ends",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def long_store(tmp_path_factory):
+    """A store of the benchmark's hopital_long.edw, which keeps past states
+    for 20 years, built at 1990 and refreshed yearly to 1993."""
+    tmp = tmp_path_factory.mktemp("long")
+    store = str(tmp / "h.store")
+    edw = str(TestBenchInputs.BENCH / "hopital_long.edw")
+    snap = write_snapshot(tmp / "s1990.jsonl", 1990)
+    rc, _out, err = tdw(
+        "build", "--warehouse", edw, "--source-schema", ODL,
+        "--snapshot", snap, "--at", "1990", "--store", store,
+    )
+    assert rc == 0, err
+    for y in (1991, 1992, 1993):
+        snap = write_snapshot(tmp / f"s{y}.jsonl", y)
+        rc, _out, err = tdw("refresh", "--store", store, "--snapshot", snap, "--at", str(y))
+        assert rc == 0, err
+    return Path(store).read_bytes()
+
+
+@pytest.fixture(params=list(STATE_DAMAGE))
+def damaged_states(request, tmp_path, long_store):
+    """long_store with oid 1's line damaged as STATE_DAMAGE says; returns
+    the store's folder and path, and the error its first read names."""
+    path = tmp_path / "h.store"
+    header, *lines = long_store.decode("utf-8")[:-1].split("\n")
+    at = [entry[0] for entry in json.loads(header)["objects"]].index(1)
+    head, *past = map(json.loads, lines[at].split("\t"))
+    assert len(past) == 3 and head["current"]["domain"]["intervals"] == [[23, 23]]
+    change, error = STATE_DAMAGE[request.param]
+    change(head, past)
+    lines[at] = "\t".join(json.dumps(d, ensure_ascii=False) for d in (head, *past))
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    return tmp_path, str(path), error
+
+
+class TestDamagedStates:
+    """An empty domain, or a current state that starts before its newest
+    past state ends, is the malformed-store error at the line's first
+    read, not a traceback or a refresh that saves the damage."""
+
+    def test_inspect_names_the_damage(self, damaged_states):
+        _tmp, store, error = damaged_states
+        rc, out, err = tdw("inspect", "--store", store, "--class", "Chirurgiens", "--oid", "1")
+        assert (rc, out) == (1, "")
+        assert err == f"error: {store}: malformed store document ({error})\n"
+
+    @pytest.mark.parametrize("verb", ["refresh", "patch"])
+    def test_writers_leave_the_file_as_it_was(self, damaged_states, verb):
+        tmp, store, error = damaged_states
+        before = Path(store).read_bytes()
+        if verb == "refresh":
+            snap = write_snapshot(tmp / "s1994.jsonl", 1994)
+            args = ("refresh", "--store", store, "--snapshot", snap, "--at", "1994")
+        else:  # a sound object: the damaged one is met when the store is saved
+            args = ("patch", "--store", store, "--oid", "3", "--set", "année_création=1956",
+                    "--at", "1993")
+        rc, out, err = tdw(*args)
+        assert (rc, out) == (1, "")
+        assert err == f"error: {store}: malformed store document ({error})\n"
+        assert Path(store).read_bytes() == before
+
+
 class TestPatch:
     def test_specific_patch_read_back(self, built):
         _tmp, store = built

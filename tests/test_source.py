@@ -12,6 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import flattened, hospital_records, snapshot_lines, snapshot_to_lines, year
+from tdw.algebra import build_from_interface
+from tdw.dsl import parse_warehouse_def
+from tdw.engine import dumps_store, initial_load
 from tdw.errors import (
     CompositionViolation,
     DanglingReference,
@@ -26,6 +29,7 @@ from tdw.errors import (
 )
 from tdw.source import (
     Relationship,
+    Snapshot,
     SourceRecord,
     SourceType,
     _typed_record,
@@ -556,6 +560,44 @@ class TestRejectionMessages:
             "SERVICE:s1 is a component of both ('ETABLISSEMENT', 'e1') and "
             "('ETABLISSEMENT', 'e2')",
         )
+
+    def test_earliest_faulty_line_is_reported(self, src_schema):
+        # line 2 comes after line 5 in key order, ETABLISSEMENT before PRATICIEN
+        records = hospital_records(1990)
+        records[1]["links"]["dirige"] = ["s9"]
+        records[4]["links"]["organisation"] = ["s8"]
+        self.check(
+            src_schema, records, DanglingReference,
+            "PRATICIEN:p2 links dirige to missing SERVICE:s9",
+        )
+
+
+class TestKeyOrder:
+    """A snapshot's records are in (interface, id) order however it was
+    built, so a hand-built snapshot reads as an ingested one."""
+
+    @pytest.fixture()
+    def snaps(self, src_schema):
+        snap = ingest_snapshot(src_schema, snapshot_lines(hospital_records(1990)), year(1990))
+        return snap, Snapshot(snap.at, dict(reversed(snap.records.items())))
+
+    def test_records_are_in_key_order(self, snaps):
+        for snap in snaps:
+            assert list(snap.records) == sorted(snap.records)
+
+    @pytest.mark.parametrize("interface", ["PRATICIEN", "PERSONNE", "SERVICE"])
+    def test_reversed_records_extract_the_same_rows(self, src_schema, snaps, interface):
+        ingested, reversed_ = (
+            build_from_interface(src_schema, interface, "x", snap).rows for snap in snaps
+        )
+        assert reversed_ == ingested
+
+    def test_reversed_records_load_the_same_store(self, src_schema, edw_text, snaps):
+        ingested, reversed_ = (
+            dumps_store(initial_load(src_schema, parse_warehouse_def(edw_text), snap))
+            for snap in snaps
+        )
+        assert reversed_ == ingested
 
 
 # ---------------------------------------------------------------------------
