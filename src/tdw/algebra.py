@@ -259,14 +259,16 @@ def build_from_interface(
             )
     rows: list[Row] = []
     if snapshot is not None:
+        slots = [(p.name, p.is_relation) for p in structure]
         for rec in snapshot.records.values():
             if rec.interface not in table.subtypes:
                 continue
-            values = tuple(
-                list(rec.links.get(p.name, ())) if p.is_relation else rec.values.get(p.name)
-                for p in structure
+            links, values = rec.links, rec.values
+            row = tuple(
+                list(links.get(name, ())) if relation else values.get(name)
+                for name, relation in slots
             )
-            rows.append(Row(((rec.interface, rec.id),), values, ((binder, rec.id),)))
+            rows.append(Row(((rec.interface, rec.id),), row, ((binder, rec.id),)))
     return ClassBuild(structure, rows)
 
 

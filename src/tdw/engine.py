@@ -65,6 +65,7 @@ import operator
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from json.scanner import make_scanner
 from typing import Any, Callable, Iterable
 
 from . import model
@@ -364,6 +365,7 @@ def _instant_of(snapshot: Snapshot, t: Instant | None) -> Instant:
 def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> RefreshReport:
     report = RefreshReport(t)
     schema, src = store.schema, store.source_schema
+    opened = domain(t.unit, (t.tick, t.tick))  # shared by every state opened at t
 
     # pass 1: evaluate every extraction mapping and decide its objects, so
     # that pass 2's links know every result's objects, live, new ones too
@@ -374,7 +376,7 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
             continue
         build = eval_extraction(cls.mapping, src, snapshot)
         counts = report.classes[name] = ClassCounts()
-        builds[name] = build, _allocate(store, name, build.rows, filled, t, counts)
+        builds[name] = build, _allocate(store, name, build.rows, filled, t, opened, counts)
     live = {oid for _build, oids in builds.values() for oid in oids}
 
     # pass 2: align values, rewrite links, and diff
@@ -384,7 +386,8 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
         slot_of = {p.name: i for i, p in enumerate(build.structure)}
         slots = [(p, slot_of.get(p.name)) for p in flatten_type(schema, name)]
         value_of = partial(_aligned_value, store, live, name, build.structure, slots)
-        _settle(store, name, zip(oids, build.rows), value_of, filled, t, report.classes[name])
+        counts = report.classes[name]
+        _settle(store, name, zip(oids, build.rows), value_of, filled, t, opened, counts)
 
     # pass 3: specializations, each after every class its operands name; one
     # with a single operand owns no objects but selects its operand's members
@@ -406,12 +409,12 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
             continue
         result = eval_product(operands, mapping.pred)
         counts = report.classes[name] = ClassCounts()
-        oids = _allocate(store, name, result.rows, filled, t, counts)
+        oids = _allocate(store, name, result.rows, filled, t, opened, counts)
         # a composite's value is its operands' values as they are, which
         # name exactly its class's flattened type; a later operand wins a
         # name that two share
         value_of = partial(_row_value, result.names())
-        _settle(store, name, zip(oids, result.rows), value_of, filled, t, counts)
+        _settle(store, name, zip(oids, result.rows), value_of, filled, t, opened, counts)
 
     # pass 4: archival per environment
     for env_name in sorted(schema.environments):
@@ -422,29 +425,35 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
 
 
 def _allocate(
-    store: Store, class_name: str, rows: list, filled: set[Oid], t: Instant, counts: ClassCounts
+    store: Store,
+    class_name: str,
+    rows: list,
+    filled: set[Oid],
+    t: Instant,
+    opened: TemporalDomain,
+    counts: ClassCounts,
 ) -> list[Oid]:
     """Decide the class's objects for its result rows at t: return each
     row's oid, creating an empty object for each key the class does not
     know yet, thawing the frozen object of each key that returns, and
     freezing every active object of the class outside the result. New
     and thawed oids are added to filled. A thaw pushes the closed current
-    state to the past and opens one at [t, t] that keeps the old value
-    until _settle fills it, and counts as historized, so carried +
+    state to the past and opens one at opened, [t, t], that keeps the old
+    value until _settle fills it, and counts as historized, so carried +
     updated + historized + frozen = prior size."""
     oids = []
     for key in (row.key for row in rows):
         oid = store.identity.get((class_name, key))
         if oid is None:
             oid = store.fresh_oid()
-            state = State(domain(t.unit, (t.tick, t.tick)), {}, store.now)
+            state = State(opened, {}, store.now)
             store.add_object(WarehouseObject(oid, class_name, state, source_key=key))
             filled.add(oid)
             counts.created += 1
         elif store.objects[oid].status == "frozen":
             obj = store.touch(oid)
             obj.past.append(obj.current)
-            obj.current = State(domain(t.unit, (t.tick, t.tick)), obj.current.value, store.now)
+            obj.current = State(opened, obj.current.value, store.now)
             obj.status = "active"
             filled.add(oid)
             counts.historized += 1
@@ -467,6 +476,7 @@ def _settle(
     value_of: Callable[[tuple[Any, ...], dict[str, Any]], dict[str, Any]],
     filled: set[Oid],
     t: Instant,
+    opened: TemporalDomain,
     counts: ClassCounts,
 ) -> None:
     """Bring the objects _allocate decided in line with their rows.
@@ -481,7 +491,7 @@ def _settle(
         if oid in filled:
             store.touch(oid).current.value = value
         else:
-            _diff_object(store, obj, value, tempo, t, counts)
+            _diff_object(store, obj, value, tempo, t, opened, counts)
 
 
 def _diff_object(
@@ -490,8 +500,12 @@ def _diff_object(
     value: dict[str, Any],
     tempo: frozenset[str],
     t: Instant,
+    opened: TemporalDomain,
     counts: ClassCounts,
 ) -> None:
+    """Diff obj against its value at t: carry it, update its current state
+    in place, or, on a change of a property in tempo, push that state to
+    the past and open one at opened, the domain [t, t]."""
     old = obj.current.value
     if old == value:
         counts.carried += 1  # its open current state runs on to t by itself
@@ -501,7 +515,7 @@ def _diff_object(
     if changed & tempo:
         # temporal change: the whole old value becomes a past state
         obj.past.append(State(_closed_before(obj, t), old))
-        obj.current = State(domain(t.unit, (t.tick, t.tick)), value, store.now)
+        obj.current = State(opened, value, store.now)
         counts.historized += 1
     else:
         # evolutions outside the temporal filter are not worth history
@@ -759,7 +773,7 @@ def patch_specific(store: Store, oid: Oid, prop_name: str, value: Any, t: Instan
         return
     if prop_name in tempo and t.tick <= obj.current.domain.intervals[-1].end.tick:
         raise NonMonotonicInstant("a temporal patch must be dated after the current state")
-    _diff_object(store, obj, new_value, tempo, t, ClassCounts())
+    _diff_object(store, obj, new_value, tempo, t, domain(t.unit, (t.tick, t.tick)), ClassCounts())
     if t.tick > store.last_refresh.tick:
         store.last_refresh = t
 
@@ -1046,6 +1060,28 @@ def _dict(doc: Any) -> dict[str, Any]:
     return doc
 
 
+_scan = make_scanner(json.JSONDecoder())
+
+
+def _documents(line: str) -> list[Any]:
+    """The JSON documents of a v4 object line, each after one TAB but the
+    first, with its newline after the last; anything else between or after
+    them is the ValueError that _StateDecoder.line names."""
+    docs, end = [], 0
+    while True:
+        try:
+            doc, end = _scan(line, end)
+        except StopIteration as stop:  # as raw_decode reports it
+            raise json.JSONDecodeError("Expecting value", line, stop.value) from None
+        docs.append(doc)
+        if not line.startswith("\t", end):
+            break
+        end += 1
+    if line[end:] != "\n":
+        raise ValueError("an object line parts its documents with more than TABs")
+    return docs
+
+
 class _StateDecoder:
     """Builds objects' states from one store file's documents; layout is
     the file's format.
@@ -1074,18 +1110,18 @@ class _StateDecoder:
     ) -> tuple[State, list[State], list[ArchiveState]]:
         """Decode one object's line or v1 document, raising the malformed-store Error.
 
-        A v4 line's documents are decoded at once, as one array, each TAB
-        read as a comma before it. JSON allows a raw TAB only between two
-        tokens, where that comma is an error unless the TAB parts two
-        documents, and the documents must number one more than the TABs:
-        so the TABs are exactly the separators that Store.touch splits
-        the line at. A head holding past states is rejected too."""
+        A v4 line's documents are scanned in order, each where the one
+        before it ends: exactly one TAB parts two whole documents, the
+        newline follows the last, and the TABs number one fewer than the
+        documents, so none sits inside a document. So the TABs are exactly
+        the separators that Store.touch splits the line at. A head holding
+        past states is rejected too."""
         try:
             if self.layout != STORE_FORMAT:
                 item = line if self.layout == V1_FORMAT else json.loads(line)
                 return self.states(item, item["past"], now)
-            head, *past = docs = json.loads("[" + line.replace("\t", ",\t") + "]")
-            if len(docs) != line.count("\t") + 1:
+            head, *past = docs = _documents(line)
+            if line.count("\t") != len(docs) - 1:
                 raise ValueError("an object line parts its documents with more than TABs")
             if "past" in head:  # a v3 line, whose past states would go unread
                 raise ValueError("an object's head document holds past states")

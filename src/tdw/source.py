@@ -16,9 +16,13 @@ extends, each after its supers, with a cycle named by its path.
 per interface, the tables that ingestion and the extraction mappings
 read (``InterfaceTables``): the flattened property list, the attribute
 types and the relationships by name, and the subtype closure in sorted
-order. A struct type builds its field map once, on first use. So
-ingesting a record costs a few lookups per value, and a value's slot
-label is formatted only when the value is rejected.
+order. Each type builds its checker once, on first use: a closure that
+checks a value and puts it in canonical form, a struct's over its field
+checkers and a set's over its element checker. Ingestion and ``coerce``,
+which checks a patched value, call that one checker, so ingested and
+patched values keep one set of type rules. So ingesting a record costs a
+few lookups and one call per value, and a value's slot label is
+formatted only when the value is rejected.
 """
 
 from __future__ import annotations
@@ -67,6 +71,12 @@ class SourceType:
     def field_types(self) -> dict[str, "SourceType"]:
         """A struct's field types by name, in sorted name order."""
         return dict(sorted(self.fields))
+
+    @cached_property
+    def check(self) -> Callable[[Any], Any]:
+        """This type's checker: it returns a value in canonical form, or
+        raises _Misfit if the value does not fit."""
+        return _checker(self)
 
     def __str__(self) -> str:
         if self.kind == "set":
@@ -414,7 +424,7 @@ def ingest_snapshot(schema: SourceSchema, lines: Iterable[str], at: Instant) -> 
         if not raw:
             continue
         try:
-            doc = json.loads(raw)
+            doc = _document(raw)
         except json.JSONDecodeError as exc:
             raise TypeMismatch(f"record line {lineno}: not a valid document ({exc})") from None
         rec = _typed_record(tables, doc, lineno)
@@ -424,6 +434,30 @@ def ingest_snapshot(schema: SourceSchema, lines: Iterable[str], at: Instant) -> 
         records[key] = rec
     _check_snapshot(tables, records)
     return Snapshot(at, records)
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+_skip_blanks = json.decoder.WHITESPACE.match
+
+
+def _document(raw: str) -> Any:
+    """The one JSON document of a stripped line, raising what
+    json.loads(raw) raises, without its per-call dispatch: a line led by
+    a byte order mark, and data after the document and its trailing
+    blanks, are the errors that raw_decode alone would name otherwise."""
+    try:
+        doc, end = _raw_decode(raw)
+    except json.JSONDecodeError:
+        if raw.startswith("\ufeff"):
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0
+            ) from None
+        raise
+    if end != len(raw):
+        end = _skip_blanks(raw, end).end()
+        if end != len(raw):
+            raise json.JSONDecodeError("Extra data", raw, end)
+    return doc
 
 
 def _typed_record(tables: dict[str, InterfaceTables], doc: Any, lineno: int) -> SourceRecord:
@@ -439,11 +473,16 @@ def _typed_record(tables: dict[str, InterfaceTables], doc: Any, lineno: int) -> 
     rels = table.relationships
 
     values: dict[str, Any] = {}
-    for name, value in sorted(_member(doc, "values", lineno).items()):
-        typ = attrs.get(name)
-        if typ is None:
-            raise TypeMismatch(f"record line {lineno}: {iface_name!r} has no attribute {name!r}")
-        values[name] = coerce(typ, value, iface_name, name)
+    try:
+        for name, value in sorted(_member(doc, "values", lineno).items()):
+            typ = attrs.get(name)
+            if typ is None:
+                raise TypeMismatch(
+                    f"record line {lineno}: {iface_name!r} has no attribute {name!r}"
+                )
+            values[name] = typ.check(value)
+    except _Misfit as misfit:
+        raise TypeMismatch(f"{iface_name}.{name}{misfit.path}: {misfit.reason}") from None
     if len(values) != len(attrs):
         missing = next(n for n in attrs if n not in values)
         raise TypeMismatch(f"record line {lineno}: missing value for {iface_name}.{missing}")
@@ -490,56 +529,86 @@ def coerce(typ: SourceType, value: Any, owner: str, name: str) -> Any:
     does not fit raises TypeMismatch labelled with its slot, owner.name
     and the steps below it, formatted only then."""
     try:
-        return _canonical(typ, value)
+        return typ.check(value)
     except _Misfit as misfit:
         raise TypeMismatch(f"{owner}.{name}{misfit.path}: {misfit.reason}") from None
 
 
-def _canonical(typ: SourceType, value: Any) -> Any:
+def _checker(typ: SourceType) -> Callable[[Any], Any]:
+    """The closure that SourceType.check holds, its kind decided here once."""
     kind = typ.kind
     if kind in ("string", "date", "image-ref"):
-        if not isinstance(value, str):
-            raise _Misfit(f"expected a string, got {value!r}")
-        return value
+
+        def check_string(value: Any) -> Any:
+            if not isinstance(value, str):
+                raise _Misfit(f"expected a string, got {value!r}")
+            return value
+
+        return check_string
     if kind in ("short", "long"):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise _Misfit(f"expected an integer, got {value!r}")
-        return value
+
+        def check_integer(value: Any) -> Any:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise _Misfit(f"expected an integer, got {value!r}")
+            return value
+
+        return check_integer
     if kind == "double":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _Misfit(f"expected a number, got {value!r}")
-        return float(value)
-    if kind == "struct":
-        if not isinstance(value, dict):
-            raise _Misfit(f"expected a struct value, got {value!r}")
-        known = typ.field_types
-        out = {}
-        for fname, fval in value.items():
-            if fname not in known:
-                raise _Misfit("unknown struct field", f".{fname}")
+
+        def check_double(value: Any) -> Any:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise _Misfit(f"expected a number, got {value!r}")
             try:
-                out[fname] = _canonical(known[fname], fval)
-            except _Misfit as misfit:
-                misfit.path = f".{fname}{misfit.path}"
-                raise
-        if len(out) != len(known):
-            missing = next(f for f, _ in typ.fields if f not in out)
-            raise _Misfit("missing struct field", f".{missing}")
-        return {f: out[f] for f in known}
+                return float(value)
+            except OverflowError:  # an integer beyond every double
+                too_large = "expected a number, got an integer too large for a double"
+                raise _Misfit(too_large) from None
+
+        return check_double
+    if kind == "struct":
+        fields = {fname: ftype.check for fname, ftype in typ.field_types.items()}
+
+        def check_struct(value: Any) -> Any:
+            if not isinstance(value, dict):
+                raise _Misfit(f"expected a struct value, got {value!r}")
+            out = {}
+            for fname, fval in value.items():
+                check = fields.get(fname)
+                if check is None:
+                    raise _Misfit("unknown struct field", f".{fname}")
+                try:
+                    out[fname] = check(fval)
+                except _Misfit as misfit:
+                    misfit.path = f".{fname}{misfit.path}"
+                    raise
+            if len(out) != len(fields):
+                missing = next(f for f, _ in typ.fields if f not in out)
+                raise _Misfit("missing struct field", f".{missing}")
+            return {f: out[f] for f in fields}
+
+        return check_struct
     if kind == "set":
-        if not isinstance(value, list):
-            raise _Misfit(f"expected a set (list), got {value!r}")
-        element = typ.element
-        try:
-            items = [_canonical(element, v) for v in value]
-        except _Misfit as misfit:
-            misfit.path = f"[]{misfit.path}"
-            raise
-        try:
-            return sorted(set(items))
-        except TypeError:  # structs or sets, distinct and ordered by their JSON text
-            return [v for _text, v in sorted({json.dumps(v): v for v in items}.items())]
-    raise _Misfit(f"unsupported type {kind!r}")
+        check_element = typ.element.check
+
+        def check_set(value: Any) -> Any:
+            if not isinstance(value, list):
+                raise _Misfit(f"expected a set (list), got {value!r}")
+            try:
+                items = [check_element(v) for v in value]
+            except _Misfit as misfit:
+                misfit.path = f"[]{misfit.path}"
+                raise
+            try:
+                return sorted(set(items))
+            except TypeError:  # structs or sets, distinct and ordered by their JSON text
+                return [v for _text, v in sorted({json.dumps(v): v for v in items}.items())]
+
+        return check_set
+
+    def check_unsupported(value: Any) -> Any:
+        raise _Misfit(f"unsupported type {kind!r}")
+
+    return check_unsupported
 
 
 def _check_snapshot(

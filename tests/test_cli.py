@@ -372,6 +372,23 @@ class TestBuild:
             )
         }
 
+    def test_double_beyond_every_float_names_its_slot(self, tmp_path):
+        records = hospital_records(1990)
+        next(r for r in records if r["id"] == "e1")["values"]["budget"] = 10**400
+        snap = tmp_path / "s.jsonl"
+        snap.write_text("\n".join(snapshot_lines(records)) + "\n", encoding="utf-8")
+        store = tmp_path / "h.store"
+        rc, out, err = tdw(
+            "build", "--warehouse", EDW, "--source-schema", ODL,
+            "--snapshot", str(snap), "--at", "1990", "--store", str(store),
+        )
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: ETABLISSEMENT.budget: expected a number, "
+            "got an integer too large for a double\n"
+        )
+        assert not store.exists()
+
 
 class TestRefresh:
     def test_refresh_updates_store(self, built):
@@ -1060,6 +1077,57 @@ class TestDamagedStates:
         rc, out, err = tdw(*args)
         assert (rc, out) == (1, "")
         assert err == f"error: {store}: malformed store document ({error})\n"
+        assert Path(store).read_bytes() == before
+
+
+@pytest.fixture()
+def moved_tab(tmp_path, long_store):
+    """long_store with oid 1's line damaged so that its TAB count still
+    matches its documents: the comma before the head's "current" member
+    becomes a TAB, and the TAB between its first two past documents a
+    comma. Returns the store's folder and path."""
+    path = tmp_path / "h.store"
+    header, *lines = long_store.decode("utf-8")[:-1].split("\n")
+    at = [entry[0] for entry in json.loads(header)["objects"]].index(1)
+    head, first, rest = lines[at].split("\t", 2)
+    assert head.count(',"current"') == 1
+    lines[at] = "\t".join([head.replace(',"current"', '\t"current"'), f"{first},{rest}"])
+    assert lines[at].count("\t") == long_store.decode("utf-8").split("\n")[at + 1].count("\t")
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    return tmp_path, str(path)
+
+
+class TestMovedTab:
+    """A TAB inside a document is the malformed-store error at the line's
+    first read, even where a comma stands in for the separator it left:
+    otherwise Store.touch would split the line at the wrong places and
+    the next save would write a file that no longer loads."""
+
+    PREFIX = "malformed store document (JSONDecodeError: Expecting"
+
+    def test_inspect_names_the_damage(self, moved_tab):
+        _tmp, store = moved_tab
+        rc, out, err = tdw(
+            "inspect", "--store", store, "--class", "Chirurgiens", "--oid", "1", "--history"
+        )
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: {store}: {self.PREFIX}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["refresh", "patch"])
+    def test_writers_leave_the_file_as_it_was(self, moved_tab, verb):
+        tmp, store = moved_tab
+        before = Path(store).read_bytes()
+        if verb == "refresh":
+            snap = write_snapshot(tmp / "s1994.jsonl", 1994)
+            args = ("refresh", "--store", store, "--snapshot", snap, "--at", "1994")
+        else:  # a sound object: the damaged one is met when the store is saved
+            args = ("patch", "--store", store, "--oid", "3", "--set", "année_création=1956",
+                    "--at", "1993")
+        rc, out, err = tdw(*args)
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: {store}: {self.PREFIX}")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert Path(store).read_bytes() == before
 
 

@@ -33,10 +33,13 @@ from tdw.source import (
     SourceRecord,
     SourceType,
     _typed_record,
+    coerce,
     ingest_snapshot,
     lineage,
     parse_source_schema,
     print_source_schema,
+    scalar,
+    set_of,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -572,6 +575,33 @@ class TestRejectionMessages:
         )
 
 
+FIRST_LINE = snapshot_lines(hospital_records(1990)[:1])[0]
+
+
+class TestDocumentDecoding:
+    """Each line is decoded as json.loads decodes it, and a line that it
+    rejects is rejected with its error, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["\ufeff" + FIRST_LINE, FIRST_LINE + "  x", FIRST_LINE + " \t\u00a0x", "{}{}",
+         FIRST_LINE[:-9], "  " + FIRST_LINE + " ]  "],
+        ids=["byte-order-mark", "data-after-blanks", "data-after-a-non-json-blank",
+             "two-documents", "cut-off", "stripped-then-extra"],
+    )
+    def test_error_is_the_one_json_loads_raises(self, src_schema, raw):
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(raw.strip())
+        exc = rejection(src_schema, None, [FIRST_LINE, raw])
+        assert type(exc) is TypeMismatch
+        assert str(exc) == f"record line 2: not a valid document ({expected.value})"
+
+    def test_an_array_is_a_document_without_interface(self, src_schema):
+        exc = rejection(src_schema, None, [FIRST_LINE, "[]"])
+        assert type(exc) is TypeMismatch
+        assert str(exc) == "record line 2: missing interface/id"
+
+
 class TestKeyOrder:
     """A snapshot's records are in (interface, id) order however it was
     built, so a hand-built snapshot reads as an ingested one."""
@@ -879,3 +909,49 @@ def test_ingestion_matches_per_record_flattening(src_schema, data):
     schema = data.draw(st.sampled_from([src_schema, NESTED_SCHEMA]))
     doc = data.draw(record_documents(schema))
     assert outcome(_typed_record, schema.tables, doc) == expected_outcome(schema, doc)
+
+
+def nested_types(typ):
+    """typ and every type within it."""
+    yield typ
+    if typ.kind == "struct":
+        for _name, field_type in typ.fields:
+            yield from nested_types(field_type)
+    if typ.kind == "set":
+        yield from nested_types(typ.element)
+
+
+NESTED_TYPES = [
+    inner for typ in NESTED_SCHEMA.table("N").attributes.values() for inner in nested_types(typ)
+]
+
+
+def coerced(check, *args):
+    """What check returns, as canonical JSON text, or the text it raises."""
+    try:
+        return ("value", json.dumps(distinct_members(check(*args))))
+    except TypeMismatch as exc:
+        return ("raised", str(exc))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_coerce_matches_reference(data):
+    typ = data.draw(st.sampled_from(NESTED_TYPES))
+    value = data.draw(JSON_VALUES | valid_values(typ))
+    assert coerced(coerce, typ, copy.deepcopy(value), "N", "x") == coerced(
+        reference_coerce, typ, copy.deepcopy(value), "N.x"
+    )
+
+
+@pytest.mark.parametrize(
+    "typ, value, path",
+    [(scalar("double"), 10**400, ""), (set_of(scalar("double")), [1, -(10**400)], "[]")],
+    ids=["double", "set-member"],
+)
+def test_coerce_names_a_double_beyond_every_float(typ, value, path):
+    with pytest.raises(TypeMismatch) as err:
+        coerce(typ, value, "ETABLISSEMENT", "budget")
+    assert str(err.value) == (
+        f"ETABLISSEMENT.budget{path}: expected a number, got an integer too large for a double"
+    )
