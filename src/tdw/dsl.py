@@ -65,6 +65,7 @@ from .model import (
     WarehouseSchema,
     dependency_order,
     flatten_type,
+    transitive_supers,
     validate_schema,
 )
 from .source import (
@@ -521,8 +522,8 @@ def resolve_with_violations(
 ) -> tuple[WarehouseSchema, list[SchemaViolation]]:
     # resolution fills in a copy, whose structure lists _match_declared
     # rewrites, so the parsed records stay as parsed; the parser set the
-    # mappings, and the source origins and source paths set here are read
-    # by no schema check, so the copy's violations are final
+    # mappings, and the subtrees, source origins and source paths set here
+    # are read by no schema check, so the copy's violations are final
     classes = {
         name: WarehouseClass(name, list(c.structure), c.supers, c.mapping, c.tempo, c.archi)
         for name, c in parsed.classes.items()
@@ -535,19 +536,21 @@ def resolve_with_violations(
         if v.kind in ("inheritance-cycle", "unknown-super", "property-conflict")
     }
 
+    # the class lattice; a broken class, whose lineage may not walk, is in no subtree
+    for name in schema.classes.keys() - broken:
+        for owner in (*transitive_supers(schema, name), name):
+            schema.classes[owner].subtree |= {name}
+
     structures: dict[str, algebra.ClassBuild] = {}
     # phase 1: extraction mappings fix each class's source origins
     for cls in schema.classes.values():
-        if cls.mapping is None or cls.name in broken:
+        if cls.role != "extraction" or cls.name in broken:
             continue
-        if is_extraction(cls.mapping):
-            nodes = list(_nodes(cls.mapping))
-            if not all(map(is_extraction, nodes)):
-                raise ResolveError(
-                    "hierarchization nodes cannot appear inside an extraction chain"
-                )
-            structures[cls.name] = _evaluate(cls, algebra.eval_extraction, cls.mapping, src)
-            cls.source_origins = frozenset(n.interface for n in nodes if isinstance(n, SourceRef))
+        nodes = list(_nodes(cls.mapping))
+        if not all(map(is_extraction, nodes)):
+            raise ResolveError("hierarchization nodes cannot appear inside an extraction chain")
+        structures[cls.name] = _evaluate(cls, algebra.eval_extraction, cls.mapping, src)
+        cls.source_origins = frozenset(n.interface for n in nodes if isinstance(n, SourceRef))
 
     # phase 2: hierarchization mappings, in operand dependency order
     for name in hierarchization_order(schema, broken):
@@ -752,7 +755,7 @@ def _check_derived(
     if target_cls is None:
         return  # reported by the derived-relation closure check
     # a refresh rewrites links before it decides a specialization's members
-    if isinstance(target_cls.mapping, Specialize):
+    if target_cls.role in ("membership", "composite"):
         raise UnresolvedSourceProperty(
             f"{cls.name}.{decl.name}: target class {decl.target!r} is a specialization, "
             "whose members are decided after links"

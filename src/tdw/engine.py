@@ -16,11 +16,14 @@ patch one for a single object.
 An extraction point runs four passes: (1) decide every extraction
 result's objects, creating new keys' and freezing vanished ones; (2)
 settle every extraction row; (3) evaluate each specialization after the
-classes its operands name, reading each operand without its subclasses'
-composites: over one operand, select members by oid; over several,
-decide and settle composites, taking their rows as they are; (4)
-archive. Deciding a result's objects, then settling its rows, are the
-same two steps for every class that owns objects.
+classes its operands name, reading each operand as the objects of the
+class and its subclasses that are no specialization: over one operand,
+select members by oid; over several, decide and settle composites,
+taking their rows as they are; (4) archive. Deciding a result's objects,
+then settling its rows, are the same two steps for every class that
+owns objects. Every pass reads which classes own objects, and which an
+extension spans, from the class lattice that resolve fixes on each
+class: its role and its subtree.
 
 Links resolve through the store's source-id index, which maps every
 (interface, source id) pair of an object's source key to its oids, so a
@@ -65,7 +68,6 @@ import operator
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from json.scanner import make_scanner
 from typing import Any, Callable, Iterable
 
 from . import model
@@ -88,7 +90,6 @@ from .errors import (
     UnknownOid,
     UnitMismatch,
 )
-from .expr import Specialize, is_extraction
 from .model import (
     ArchiveState,
     Now,
@@ -98,7 +99,6 @@ from .model import (
     WarehouseSchema,
     effective_filters,
     flatten_type,
-    transitive_supers,
 )
 from .source import (
     Snapshot,
@@ -154,11 +154,12 @@ class Store:
     (class, source key) to its oid; source_index maps each (interface,
     source id) pair of a source key to the oids whose key holds it, so a
     link is resolved without scanning an extension; and by_class maps
-    each class to its direct extension, the oids it owns. None of these
-    is stored in a store file; all are rebuilt as objects are added. A
-    membership class owns no objects: its by_class entry is the set of
-    its operand's objects that each refresh selects and replaces, and the
-    store file's header holds it.
+    each class to the oids it owns, and the union over a class's subtree
+    is its extension. None of these is stored in a store file; all are
+    rebuilt as objects are added. A membership owns no objects: its
+    by_class entry is the set of its operand's objects that each refresh
+    selects and replaces, and the store file's header holds it. The
+    schema's classes hold the class lattice, each one's role and subtree.
 
     now holds last_refresh, shared with every open current state. shared
     holds the oids of a working copy's objects that its store holds too
@@ -189,21 +190,13 @@ class Store:
     # -- class categories ---------------------------------------------------
 
     def membership_classes(self) -> list[str]:
-        return [
-            name
-            for name, cls in self.schema.classes.items()
-            if isinstance(cls.mapping, Specialize) and len(cls.mapping.operands) == 1
-        ]
+        return [name for name, cls in self.schema.classes.items() if cls.role == "membership"]
 
     def extension_of(self, class_name: str) -> list[Oid]:
-        """Extension including every subclass's members (a superclass's
-        extension is computed, never stored)."""
-        self.schema.get_class(class_name)
-        oids = set(self.direct_extension(class_name))
-        for sub, sub_cls in self.schema.classes.items():
-            if class_name in sub_cls.supers:
-                oids.update(self.extension_of(sub))
-        return sorted(oids)
+        """Extension including every subclass's members: by_class over the
+        class's subtree (a superclass's extension is computed, never stored)."""
+        subtree = self.schema.get_class(class_name).subtree
+        return sorted(set().union(*(self.by_class.get(name, ()) for name in subtree)))
 
     def direct_extension(self, class_name: str) -> list[Oid]:
         """The class's own members, subclasses left out."""
@@ -372,7 +365,7 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
     builds = {}
     filled: set[Oid] = set()  # new and thawed objects
     for name, cls in schema.classes.items():
-        if not is_extraction(cls.mapping):
+        if cls.role != "extraction":
             continue
         build = eval_extraction(cls.mapping, src, snapshot)
         counts = report.classes[name] = ClassCounts()
@@ -389,14 +382,13 @@ def _run_extraction_points(store: Store, snapshot: Snapshot, t: Instant) -> Refr
         counts = report.classes[name]
         _settle(store, name, zip(oids, build.rows), value_of, filled, t, opened, counts)
 
-    # pass 3: specializations, each after every class its operands name; one
-    # with a single operand owns no objects but selects its operand's members
-    # by oid, frozen ones included
+    # pass 3: specializations, each after every class its operands name; a
+    # membership selects its operand's members by oid, frozen ones included
     for name in hierarchization_order(schema):
-        mapping = schema.classes[name].mapping
-        if not isinstance(mapping, Specialize):
-            continue  # a generalization's extension is its subclasses'
-        membership = len(mapping.operands) == 1
+        cls = schema.classes[name]
+        if cls.role == "generalization":
+            continue  # its extension is its subclasses'
+        mapping, membership = cls.mapping, cls.role == "membership"
         operands = []
         for op in mapping.operands:
             build = _build_from_objects(store, op.class_name, op.binder, include_frozen=membership)
@@ -581,18 +573,19 @@ def _relation_oid(
 ) -> Oid:
     """The target class's object standing for the linked record rid: the
     one whose source key names it in the class's direct extension or,
-    when that holds none, in its whole extension. Of several, as a moved
-    service's old and new objects, the one in live, this refresh's
-    extraction result, wins; a former member outside live stands in only
-    when it is the one object naming rid."""
+    when that holds none, owned by a class of its subtree, which is its
+    whole extension as a derived relation targets no specialization. Of
+    several, as a moved service's old and new objects, the one in live,
+    this refresh's extraction result, wins; a former member outside live
+    stands in only when it is the one object naming rid."""
     candidates = {
         oid for iface in wanted for oid in store.source_index.get((iface, rid), ())
     }
     members = store.by_class.get(prop.target, ())
     hits = [oid for oid in candidates if oid in members]
     if not hits:
-        extension = set(store.extension_of(prop.target))
-        hits = [oid for oid in candidates if oid in extension]
+        subtree = store.schema.classes[prop.target].subtree
+        hits = [oid for oid in candidates if store.objects[oid].class_name in subtree]
     if len(hits) > 1:
         hits = [oid for oid in hits if oid in live] or hits
     if len(hits) != 1:
@@ -623,14 +616,13 @@ def _build_from_objects(
 
 
 def _operand_oids(store: Store, class_name: str) -> list[Oid]:
-    """The oids a specialization over class_name reads: its extension
-    without the composites of its subclasses, so that a specialization
-    reads its operand alike whatever the declaration order. Only the
-    object index is read."""
-    specs = [n for n, c in store.schema.classes.items() if isinstance(c.mapping, Specialize)]
-    theirs = {n for n in specs if class_name in transitive_supers(store.schema, n)}
-    objects = store.objects
-    return [oid for oid in store.extension_of(class_name) if objects[oid].class_name not in theirs]
+    """The oids a specialization over class_name reads: the objects of the
+    class and of its subclasses that are no specialization, so that a
+    specialization reads its operand alike whatever the declaration
+    order. Only the class index is read."""
+    classes = store.schema.classes
+    readers = [n for n in classes[class_name].subtree if classes[n].role == "extraction"]
+    return sorted(set().union(*(store.by_class.get(n, ()) for n in (class_name, *readers))))
 
 
 def _check_refresh_period(store: Store, t: Instant, report: RefreshReport) -> None:
@@ -665,12 +657,11 @@ def apply_archival_state(store: Store, env: model.Environment, t: Instant) -> di
     cfg = schema.retention_for(env)
     evictions: dict[str, int] = {}
     for class_name in env.classes:
+        if schema.classes[class_name].role not in ("extraction", "composite"):
+            continue  # its members archive under the classes owning them
         _tempo, archi = effective_filters(schema, class_name)
         for oid in store.direct_extension(class_name):
-            obj = store.objects[oid]
-            if obj.class_name != class_name:
-                continue  # membership sets archive under their own class
-            n = _evictions(obj.past, cfg, t)
+            n = _evictions(store.objects[oid].past, cfg, t)
             if n:
                 _archive_object(store.touch(oid), n, archi)
                 evictions[class_name] = evictions.get(class_name, 0) + n
@@ -754,9 +745,8 @@ def patch_specific(store: Store, oid: Oid, prop_name: str, value: Any, t: Instan
         raise NotSpecificProperty(
             f"{obj.class_name}.{prop_name} is not a specific property"
         )
-    if isinstance(store.schema.classes[obj.class_name].mapping, Specialize):
-        # only a composite owns objects among specializations, and each
-        # refresh sets its value again from its operands'
+    if store.schema.classes[obj.class_name].role == "composite":
+        # each refresh sets a composite's value again from its operands'
         raise NotSpecificProperty(
             f"{obj.class_name}.{prop_name} mirrors its operands; patch an operand's object"
         )
@@ -926,7 +916,7 @@ def load_store(path: str) -> Store:
         head = fh.readline()
         try:
             doc = json.loads(head)
-        except json.JSONDecodeError:
+        except ValueError:  # an integer past the conversion limit included
             doc = None  # the indented v1 layout spreads one document over lines
         fmt = doc.get("format") if isinstance(doc, dict) else None
         lined = fmt in (STORE_FORMAT, V3_FORMAT, V2_FORMAT)
@@ -934,7 +924,7 @@ def load_store(path: str) -> Store:
     if not lined and (doc is None or rest.strip()):
         try:
             doc = json.loads(head + rest)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise Error(f"{path}: not a valid store document ({exc})") from None
     if not lined and not (isinstance(doc, dict) and doc.get("format") == V1_FORMAT):
         raise Error(
@@ -962,12 +952,8 @@ def load_store(path: str) -> Store:
             entries = (
                 ([o["oid"], o["class"], o["status"], o["source_key"]], o) for o in doc["objects"]
             )
-        owners = {
-            name
-            for name, cls in store.schema.classes.items()
-            if is_extraction(cls.mapping)
-            or (isinstance(cls.mapping, Specialize) and len(cls.mapping.operands) > 1)
-        }
+        classes = store.schema.classes
+        owners = {n for n in classes if classes[n].role in ("extraction", "composite")}
         interfaces = store.source_schema.interfaces
         reuse = decoder.layout == STORE_FORMAT
         last, now = 0, store.now
@@ -1060,7 +1046,7 @@ def _dict(doc: Any) -> dict[str, Any]:
     return doc
 
 
-_scan = make_scanner(json.JSONDecoder())
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _documents(line: str) -> list[Any]:
@@ -1069,10 +1055,7 @@ def _documents(line: str) -> list[Any]:
     them is the ValueError that _StateDecoder.line names."""
     docs, end = [], 0
     while True:
-        try:
-            doc, end = _scan(line, end)
-        except StopIteration as stop:  # as raw_decode reports it
-            raise json.JSONDecodeError("Expecting value", line, stop.value) from None
+        doc, end = _raw_decode(line, end)
         docs.append(doc)
         if not line.startswith("\t", end):
             break

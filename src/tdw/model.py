@@ -26,6 +26,7 @@ from .errors import (
     UnknownClass,
     UnknownEnvironment,
 )
+from .expr import Specialize, is_extraction
 from .source import NUMERIC_KINDS, SourceType, lineage
 from .temporal import (
     Instant,
@@ -79,6 +80,19 @@ class WarehouseClass:
     tempo: tuple[str, ...] = ()  # in declared order
     archi: dict[str, str] = field(default_factory=dict)  # property -> function
     source_origins: frozenset[str] = frozenset()  # source interfaces feeding rows
+    subtree: frozenset[str] = frozenset()  # itself and every class extending it
+
+    @property
+    def role(self) -> str:
+        """What the mapping makes of the class's extension: an extraction
+        or a composite (a specialize over several operands) owns objects,
+        a membership (a specialize over one) selects its operand's, and a
+        generalization, like a class without a mapping, owns none."""
+        if is_extraction(self.mapping):
+            return "extraction"
+        if not isinstance(self.mapping, Specialize):
+            return "generalization"
+        return "membership" if len(self.mapping.operands) == 1 else "composite"
 
 
 @dataclass(frozen=True)

@@ -425,7 +425,7 @@ def ingest_snapshot(schema: SourceSchema, lines: Iterable[str], at: Instant) -> 
             continue
         try:
             doc = _document(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # an integer past the conversion limit included
             raise TypeMismatch(f"record line {lineno}: not a valid document ({exc})") from None
         rec = _typed_record(tables, doc, lineno)
         key = rec.key

@@ -389,6 +389,27 @@ class TestBuild:
         )
         assert not store.exists()
 
+    def test_integer_past_the_conversion_limit_names_its_line(self, tmp_path):
+        records = hospital_records(1990)
+        at = next(i for i, r in enumerate(records) if r["id"] == "e1")
+        records[at]["values"]["budget"] = 0
+        lines = snapshot_lines(records)
+        assert lines[at].count('"budget": 0') == 1
+        lines[at] = lines[at].replace('"budget": 0', '"budget": ' + "1" * 5001)
+        snap = tmp_path / "s.jsonl"
+        snap.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        store = tmp_path / "h.store"
+        rc, out, err = tdw(
+            "build", "--warehouse", EDW, "--source-schema", ODL,
+            "--snapshot", str(snap), "--at", "1990", "--store", str(store),
+        )
+        assert (rc, out) == (1, "")
+        assert err.startswith(
+            f"error: record line {at + 1}: not a valid document (Exceeds the limit"
+        )
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not store.exists()
+
 
 class TestRefresh:
     def test_refresh_updates_store(self, built):
@@ -1077,6 +1098,50 @@ class TestDamagedStates:
         rc, out, err = tdw(*args)
         assert (rc, out) == (1, "")
         assert err == f"error: {store}: malformed store document ({error})\n"
+        assert Path(store).read_bytes() == before
+
+
+@pytest.fixture()
+def huge_counter(built):
+    """The fixture store with a header oid_counter of 5,001 digits, past the
+    JSON decoder's integer conversion limit. Returns the store's folder,
+    path and the plain ValueError that decoding its header raises."""
+    tmp, store = built
+    path = Path(store)
+    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    counter = f'"oid_counter":{json.loads(header)["oid_counter"]},'
+    assert header.count(counter) == 1
+    header = header.replace(counter, '"oid_counter":' + "1" * 5001 + ",")
+    path.write_text(header + "\n" + rest, encoding="utf-8")
+    with pytest.raises(ValueError) as error:
+        json.loads(header)
+    assert not isinstance(error.value, json.JSONDecodeError)
+    return tmp, store, error.value
+
+
+class TestHugeHeaderInteger:
+    """A header integer past the decoder's limit is the invalid-store error
+    naming the file, not a message that names none."""
+
+    def test_inspect_names_the_file(self, huge_counter):
+        _tmp, store, error = huge_counter
+        rc, out, err = tdw("inspect", "--store", store, "--class", "Chirurgiens")
+        assert (rc, out) == (1, "")
+        assert err == f"error: {store}: not a valid store document ({error})\n"
+
+    @pytest.mark.parametrize("verb", ["refresh", "patch"])
+    def test_writers_leave_the_file_as_it_was(self, huge_counter, verb):
+        tmp, store, error = huge_counter
+        before = Path(store).read_bytes()
+        if verb == "refresh":
+            snap = write_snapshot(tmp / "s1991.jsonl", 1991)
+            args = ("refresh", "--store", store, "--snapshot", snap, "--at", "1991")
+        else:
+            args = ("patch", "--store", store, "--oid", "3", "--set", "année_création=1956",
+                    "--at", "1990")
+        rc, out, err = tdw(*args)
+        assert (rc, out) == (1, "")
+        assert err == f"error: {store}: not a valid store document ({error})\n"
         assert Path(store).read_bytes() == before
 
 

@@ -41,6 +41,7 @@ from tdw.errors import (
     UnknownOid,
     UnitMismatch,
 )
+from tdw.expr import Specialize
 from tdw.model import (
     RetentionConfig,
     State,
@@ -48,6 +49,7 @@ from tdw.model import (
     check_subclass_laws,
     flatten_type,
     lifecycle_span,
+    transitive_supers,
 )
 from tdw.source import ingest_snapshot, parse_source_schema
 from tdw.temporal import Instant, domain, extend_end
@@ -630,25 +632,32 @@ class TestRefresh:
         ]
 
 
+def layered_text(edw_text: str) -> str:
+    """The fixture with chained specializations: Tres_Jeunes, a membership
+    over the membership Jeunes_Chirurgiens, declared before it; Riches, a
+    membership over the composite Etablissements; and Tres_Riches, one
+    over Riches."""
+    head = "interface Jeunes_Chirurgiens (extend Chirurgiens) {\n}\n"
+    assert edw_text.count(head) == 1
+    return edw_text.replace(
+        head, "interface Tres_Jeunes (extend Jeunes_Chirurgiens) {\n}\n\n" + head
+    ) + (
+        "interface Riches (extend Etablissements) { }\n"
+        "interface Tres_Riches (extend Riches) { }\n"
+        "mapping Tres_Jeunes = specialize(c: Jeunes_Chirurgiens,\n"
+        "    c.année_naissance >= 1975);\n"
+        "mapping Riches = specialize(e: Etablissements, e.budget > 0);\n"
+        "mapping Tres_Riches = specialize(r: Riches, r.budget > 1000000);\n"
+    )
+
+
 class TestSpecializationOrder:
     """A specialization is evaluated after every class its operands name,
     at the same extraction point, whatever the declaration order."""
 
     @pytest.fixture()
     def layered(self, src_schema, edw_text):
-        head = "interface Jeunes_Chirurgiens (extend Chirurgiens) {\n}\n"
-        assert edw_text.count(head) == 1
-        text = edw_text.replace(
-            head, "interface Tres_Jeunes (extend Jeunes_Chirurgiens) {\n}\n\n" + head
-        ) + (
-            "interface Riches (extend Etablissements) { }\n"
-            "interface Tres_Riches (extend Riches) { }\n"
-            "mapping Tres_Jeunes = specialize(c: Jeunes_Chirurgiens,\n"
-            "    c.année_naissance >= 1975);\n"
-            "mapping Riches = specialize(e: Etablissements, e.budget > 0);\n"
-            "mapping Tres_Riches = specialize(r: Riches, r.budget > 1000000);\n"
-        )
-        return parse_warehouse_def(text)
+        return parse_warehouse_def(layered_text(edw_text))
 
     # each added class, its operand and its predicate
     SELECTIONS = {
@@ -709,6 +718,74 @@ class TestSpecializationOrder:
             assert stores[0].direct_extension("Etablissements")  # not vacuous
             before, after = (without_definition(dumps_store(s)) for s in stores)
             assert before == after
+
+
+def walked_extension(store, class_name: str) -> list:
+    """Store.extension_of as it was before the class lattice: the class's
+    own members and, recursively, each direct subclass's extension."""
+    oids = set(store.direct_extension(class_name))
+    for sub, cls in store.schema.classes.items():
+        if class_name in cls.supers:
+            oids.update(walked_extension(store, sub))
+    return sorted(oids)
+
+
+def walked_operand(store, class_name: str) -> list:
+    """The operand read before the class lattice: the class's extension
+    without the objects of its specialization subclasses."""
+    schema = store.schema
+    theirs = {
+        name
+        for name, cls in schema.classes.items()
+        if isinstance(cls.mapping, Specialize) and class_name in transitive_supers(schema, name)
+    }
+    return [
+        oid
+        for oid in walked_extension(store, class_name)
+        if store.objects[oid].class_name not in theirs
+    ]
+
+
+class TestLatticeReads:
+    """Each class's subtree and role, which resolve fixes, answer the
+    extension and operand reads as the walks over the schema they
+    replaced did."""
+
+    BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+    # a composite three levels below Hôpitaux_Publics, whose extension
+    # holds it only through the subtree's transitive closure
+    DEEP = (
+        "interface Riches_Services (extend Riches, Services) { }\n"
+        "mapping Riches_Services = specialize(r: Riches, s: Services, r.organisation contains s);\n"
+    )
+
+    @pytest.fixture(params=["fixture", "hopital.edw", "hopital_long.edw", "layered", "deep"])
+    def definition(self, request, edw_text):
+        if request.param == "fixture":
+            return parse_warehouse_def(edw_text)
+        if request.param in ("layered", "deep"):
+            deep = self.DEEP if request.param == "deep" else ""
+            return parse_warehouse_def(layered_text(edw_text) + deep)
+        return parse_warehouse_def((self.BENCH / request.param).read_text(encoding="utf-8"))
+
+    def test_reads_equal_the_walks(self, src_schema, definition, make_snapshot):
+        store = initial_load(src_schema, definition, make_snapshot(1990, with_extra_surgeon=True))
+        for y in (1990, 1991):
+            if y > 1990:
+                # the extra surgeon leaves surgery: their object freezes
+                knobs = dict(with_extra_surgeon=True, extra_surgeon_category="cardiologie")
+                refresh(store, make_snapshot(y, **knobs))
+            for name in store.schema.classes:
+                assert store.extension_of(name) == walked_extension(store, name), (y, name)
+                assert engine._operand_oids(store, name) == walked_operand(store, name), (y, name)
+            # not vacuous: some class's composite subclass is left out of its
+            # operand read, and every class has members
+            assert any(
+                engine._operand_oids(store, name) != store.extension_of(name)
+                for name in store.schema.classes
+            )
+            assert all(store.extension_of(name) for name in store.schema.classes)
 
 
 def without_definition(text: str) -> tuple[dict, str]:

@@ -596,6 +596,16 @@ class TestDocumentDecoding:
         assert type(exc) is TypeMismatch
         assert str(exc) == f"record line 2: not a valid document ({expected.value})"
 
+    def test_integer_past_the_conversion_limit_names_its_line(self, src_schema):
+        # the decoder's int() raises a plain ValueError, no JSONDecodeError
+        raw = '{"interface": "ETABLISSEMENT", "id": "e9", "budget": ' + "1" * 5001 + "}"
+        with pytest.raises(ValueError) as expected:
+            json.loads(raw)
+        assert not isinstance(expected.value, json.JSONDecodeError)
+        exc = rejection(src_schema, None, [FIRST_LINE, raw])
+        assert type(exc) is TypeMismatch
+        assert str(exc) == f"record line 2: not a valid document ({expected.value})"
+
     def test_an_array_is_a_document_without_interface(self, src_schema):
         exc = rejection(src_schema, None, [FIRST_LINE, "[]"])
         assert type(exc) is TypeMismatch
