@@ -56,7 +56,7 @@ from .source import (
 
 @dataclass(frozen=True)
 class Row:
-    key: tuple[tuple[str, str], ...]  # ordered (interface, id) provenance
+    key: tuple[tuple[str, Any], ...]  # ordered (interface, id) or (class, oid) provenance
     values: tuple[Any, ...]  # aligned with the build structure
     binders: tuple[tuple[str, Any], ...] = ()  # binder -> identity token
 
@@ -71,8 +71,8 @@ class Row:
 class ClassBuild:
     """A structure and its rows. build_from_interface and eval_product
     make distinct keys in order; every other node keeps its input's
-    order. The engine's build of a class extension is in oid order and
-    repeats a key where two objects come from one record."""
+    order. The engine's build of a class extension keys each row by its
+    object, (class, oid), in oid order."""
 
     structure: list[PropertyDef]
     rows: list[Row] = field(default_factory=list)
@@ -82,16 +82,6 @@ class ClassBuild:
 
     def binder_names(self) -> set[str]:
         return {p.binder for p in self.structure if p.binder}
-
-
-def _sorted_rows(rows: Iterable[Row]) -> list[Row]:
-    out = sorted(rows, key=lambda r: r.key)
-    seen = set()
-    for r in out:
-        if r.key in seen:
-            raise NameCollision(f"duplicate source key {r.key} in build")
-        seen.add(r.key)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +356,7 @@ def eval_product(sides: list[ClassBuild], pred: Predicate) -> ClassBuild:
         seen |= side.binder_names()
     structure = [p for side in sides for p in side.structure]
     checked = _checked_atoms(ClassBuild(structure), pred)
-    return ClassBuild(structure, _sorted_rows(_matching_rows(sides, checked)))
+    return ClassBuild(structure, sorted(_matching_rows(sides, checked), key=lambda r: r.key))
 
 
 def _matching_rows(sides: list[ClassBuild], checked: list[Checked]) -> Iterator[Row]:

@@ -17,7 +17,7 @@ from typing import Any
 
 from . import engine, model
 from .dsl import parse_warehouse_def, resolve_with_violations
-from .errors import Error, ParseError, StoreLocked, UnknownClass, UnknownOid
+from .errors import Error, ParseError, StoreLocked, TypeMismatch, UnknownClass, UnknownOid
 from .expr import (
     Aliased,
     Augment,
@@ -173,7 +173,7 @@ def cmd_inspect(args) -> int:
         for oid in extension:
             obj = store.objects[oid]
             pairs = obj.source_key
-            if len(pairs) > 1:  # a composite's or a self-join's key may name a pair twice
+            if len(pairs) > 1:  # a self-join's key may name a pair twice
                 pairs = dict.fromkeys(pairs)
             key = ", ".join(f"{i}:{s}" for i, s in pairs)
             print(f"  oid {oid}  [{key}]  {obj.status}")
@@ -223,6 +223,8 @@ def cmd_patch(args) -> int:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except ValueError as exc:  # an integer past the conversion limit
+        raise TypeMismatch(f"--set {prop}: not a valid value ({exc})") from None
     at = parse_instant(args.at)
     with _locked(args.store):
         store = engine.load_store(args.store)

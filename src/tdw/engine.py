@@ -1,8 +1,8 @@
 """Lifecycle engine: initial load, periodic refresh, archival, identity.
 
 The engine owns the store: every warehouse object, the identity index
-from (class, source key) to oid, one class index holding each class's
-direct extension, and the resolved schema. Refreshes are driven by
+from (class, key) to oid, one class index holding each class's direct
+extension, and the resolved schema. Refreshes are driven by
 snapshots taken at extraction points; between two points the warehouse
 assumes nothing changed. A refresh diffs each class's mapping result,
 each declared property read from the one slot producing it and every
@@ -18,17 +18,17 @@ result's objects, creating new keys' and freezing vanished ones; (2)
 settle every extraction row; (3) evaluate each specialization after the
 classes its operands name, reading each operand as the objects of the
 class and its subclasses that are no specialization: over one operand,
-select members by oid; over several, decide and settle composites,
-taking their rows as they are; (4) archive. Deciding a result's objects,
+select members by oid; over several, decide and settle composites, each
+keyed by its operand objects; (4) archive. Deciding a result's objects,
 then settling its rows, are the same two steps for every class that
 owns objects. Every pass reads which classes own objects, and which an
 extension spans, from the class lattice that resolve fixes on each
 class: its role and its subtree.
 
 Links resolve through the store's source-id index, which maps every
-(interface, source id) pair of an object's source key to its oids, so a
-link costs one lookup per interface it may name, whatever the size of
-the target class's extension.
+(interface, source id) pair of an extraction object's key to its oids,
+so a link costs one lookup per interface it may name, whatever the size
+of the target class's extension.
 
 A refresh's writes follow its change set. An active object's current
 state ends at the store's now, which every open state reads from the
@@ -40,7 +40,7 @@ Store.touch before they change an object, which copies the object into
 the working copy on its first change.
 
 A store file (tdw-store-v4) is a header line with the schema texts and
-an index of every object's oid, class, status and source key, then one
+an index of every object's oid, class, status and key, then one
 line per object: a head document with its current and archive states,
 an active object's current state written with its stored end rather
 than the last refresh, then each past state as its own document, oldest
@@ -68,7 +68,7 @@ import operator
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from . import model
 from .algebra import ClassBuild, Row, eval_extraction, eval_product, eval_select
@@ -151,9 +151,9 @@ class Store:
 
     objects is the only place an object lives. Three indexes over it are
     kept by add_object, the only way objects enter a store: identity maps
-    (class, source key) to its oid; source_index maps each (interface,
-    source id) pair of a source key to the oids whose key holds it, so a
-    link is resolved without scanning an extension; and by_class maps
+    (class, key) to its oid; source_index maps each (interface, source
+    id) pair of an extraction object's key to the oids whose key holds it,
+    so a link is resolved without scanning an extension; and by_class maps
     each class to the oids it owns, and the union over a class's subtree
     is its extension. None of these is stored in a store file; all are
     rebuilt as objects are added. A membership owns no objects: its
@@ -172,7 +172,7 @@ class Store:
     source_text: str
     warehouse_text: str
     objects: dict[Oid, WarehouseObject] = field(default_factory=dict)
-    identity: dict[tuple[str, tuple[tuple[str, str], ...]], Oid] = field(default_factory=dict)
+    identity: dict[tuple[str, tuple[tuple[str, Any], ...]], Oid] = field(default_factory=dict)
     source_index: dict[tuple[str, str], tuple[Oid, ...]] = field(default_factory=dict)
     by_class: dict[str, set[Oid]] = field(default_factory=dict)
     now: Now = field(default_factory=Now)
@@ -254,17 +254,17 @@ class Store:
         self.oid_counter += 1
         return self.oid_counter
 
-    def add_object(self, obj: WarehouseObject) -> None:
-        """Insert a new object and index its identity, source key and class.
+    def add_object(self, obj: WarehouseObject, extracted: bool) -> None:
+        """Insert a new object and index its identity, key and class.
 
-        source_index holds the oid once under each pair of its key, which
-        names a pair twice when two operands of a composite, or both sides
-        of an extraction self-join, share it: the oid is new, so it is
-        already under a pair only as the entry this loop appended last."""
+        source_index holds an extracted object's oid once under each pair
+        of its key, which names a pair twice when a self-join's sides share
+        it: the oid is new, so it is already under a pair only as the entry
+        this loop appended last. A composite's key names no record."""
         oid, cname, index = obj.oid, obj.class_name, self.source_index
         self.objects[oid] = obj
         self.identity[(cname, obj.source_key)] = oid
-        for pair in obj.source_key:
+        for pair in obj.source_key if extracted else ():
             held = index.get(pair)
             if held is None:
                 index[pair] = (oid,)
@@ -434,12 +434,13 @@ def _allocate(
     value until _settle fills it, and counts as historized, so carried +
     updated + historized + frozen = prior size."""
     oids = []
+    extracted = store.schema.classes[class_name].role == "extraction"
     for key in (row.key for row in rows):
         oid = store.identity.get((class_name, key))
         if oid is None:
             oid = store.fresh_oid()
             state = State(opened, {}, store.now)
-            store.add_object(WarehouseObject(oid, class_name, state, source_key=key))
+            store.add_object(WarehouseObject(oid, class_name, state, source_key=key), extracted)
             filled.add(oid)
             counts.created += 1
         elif store.objects[oid].status == "frozen":
@@ -573,11 +574,11 @@ def _relation_oid(
 ) -> Oid:
     """The target class's object standing for the linked record rid: the
     one whose source key names it in the class's direct extension or,
-    when that holds none, owned by a class of its subtree, which is its
-    whole extension as a derived relation targets no specialization. Of
-    several, as a moved service's old and new objects, the one in live,
-    this refresh's extraction result, wins; a former member outside live
-    stands in only when it is the one object naming rid."""
+    when that holds none, owned by an extraction class of its subtree, as
+    source_index holds extraction objects only. Of several, as a moved
+    service's old and new objects, the one in live, this refresh's
+    extraction result, wins; a former member outside live stands in only
+    when it is the one object naming rid."""
     candidates = {
         oid for iface in wanted for oid in store.source_index.get((iface, rid), ())
     }
@@ -601,7 +602,7 @@ def _build_from_objects(
 ) -> ClassBuild:
     """A warehouse class extension as an algebra build (current values),
     sharing each value but an empty to-many relation's, as []; its rows
-    are the objects of _operand_oids."""
+    are the objects of _operand_oids, each keyed by its (class, oid)."""
     structure = class_structure(store.schema, class_name, binder)
     slots = [(p.name, p.is_relation and p.cardinality == "many") for p in structure]
     rows = []
@@ -611,7 +612,7 @@ def _build_from_objects(
             continue
         value = obj.current.value
         values = tuple(value.get(name) or [] if many else value.get(name) for name, many in slots)
-        rows.append(Row(obj.source_key, values, ((binder, obj.oid),)))
+        rows.append(Row(((obj.class_name, oid),), values, ((binder, oid),)))
     return ClassBuild(structure, rows)
 
 
@@ -903,9 +904,10 @@ def load_store(path: str) -> Store:
     v1 object's oid, class, status and source key) as a deferred
     WarehouseObject, after checking the entry: its oid follows the last,
     its class owns objects (an extraction or a composite), its status is
-    active or frozen, and its key is [interface, string id] pairs. A v4,
-    v3 or v2 file's object lines are counted here, and each is decoded
-    and checked on its object's first read, raising the same
+    active or frozen, and an extraction's key is [interface, string id]
+    pairs. Composites are added last, each key as _Composites reads
+    it. A v4, v3 or v2 file's object lines are counted here, and each is
+    decoded and checked on its object's first read, raising the same
     malformed-store Error; only a v4 file's are kept for the next save to
     write again. A v1 file, compact or indented, is decoded and checked
     whole. The oid counter must be an integer no lower than the last oid,
@@ -953,16 +955,18 @@ def load_store(path: str) -> Store:
                 ([o["oid"], o["class"], o["status"], o["source_key"]], o) for o in doc["objects"]
             )
         classes = store.schema.classes
-        owners = {n for n in classes if classes[n].role in ("extraction", "composite")}
+        extractions = {n for n in classes if classes[n].role == "extraction"}
         interfaces = store.source_schema.interfaces
         reuse = decoder.layout == STORE_FORMAT
         last, now = 0, store.now
+        composites = _Composites(store)
         for (oid, cname, status, key), line in entries:
             # lines pair with index entries by position, which the oid order fixes
             if oid <= last:
                 raise ValueError(f"oid {oid} follows oid {last} in the object index")
             last = oid
-            if cname not in owners:
+            extracted = cname in extractions
+            if not (extracted or cname in composites.operands):
                 raise ValueError(f"oid {oid} is of class {cname!r}, which owns no objects")
             if status not in ("active", "frozen"):
                 raise ValueError(f"oid {oid} has status {status!r}, not active or frozen")
@@ -973,17 +977,20 @@ def load_store(path: str) -> Store:
                     sound = sound and interface in interfaces and isinstance(sid, str)
             except ValueError:  # a pair of more or fewer than two items
                 sound = False
-            if not sound:
+            if not sound and extracted:
                 raise ValueError(f"oid {oid} has a source key other than [interface, id] pairs")
             load = partial(decoder.line, line, now if status == "active" else None)
-            store.add_object(
-                WarehouseObject.deferred(oid, cname, status, key, load, line if reuse else None)
-            )
+            obj = WarehouseObject.deferred(oid, cname, status, key, load, line if reuse else None)
+            if extracted:
+                store.add_object(obj, True)
+            else:
+                composites.held[oid] = obj
+        composites.add()
         if not lined:
             for obj in store.objects.values():
                 obj.decode()
-            stored = {(c, tuple(map(tuple, key))): oid for c, key, oid in doc["identity"]}
-            if stored != store.identity:
+            written = sorted([o["class"], o["source_key"], o["oid"]] for o in doc["objects"])
+            if sorted(doc["identity"]) != written:
                 raise ValueError("the identity table disagrees with the objects")
         if len(store.identity) != len(store.objects):
             raise ValueError("two objects share one class and source key")
@@ -994,6 +1001,129 @@ def load_store(path: str) -> Store:
     except (KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, exc) from None
     return store
+
+
+class _Composites:
+    """The composites of a store's object index, held by load_store until
+    every other object is added, each with its key as its entry holds it;
+    add reads each key and adds them.
+
+    A key holds one [class, oid] pair per operand, in order, each naming
+    an object of the index, of that class, which the operand reads. Older
+    builds keyed a composite by its operands' source pairs one after the
+    other. Such a key, any key not of [class, oid] pairs, is split among
+    the objects its operands read, each standing for its source pairs (a
+    composite for its operands'). It splits more than one way where a
+    record has an object in two classes an operand reads, as a surgeon
+    who moved between two subclasses, and then reads as the objects an
+    older build read last: those of the split with the most active
+    objects, then the highest oids. An older build read active operand
+    objects only, and a newer object of a record replaces a frozen one."""
+
+    def __init__(self, store: Store):
+        self.store, self.objects = store, store.objects
+        self.held: dict[Oid, WarehouseObject] = {}
+        classes = store.schema.classes
+        self.operands = {
+            name: [_operand_classes(classes, op.class_name) for op in cls.mapping.operands]
+            for name, cls in classes.items()
+            if cls.role == "composite"
+        }
+        self.keys: dict[Oid, tuple[tuple[str, Oid], ...]] = {}
+        # per class, its objects under their source pairs, built only for
+        # a key of the older form
+        self.by_pairs: dict[str, dict[tuple[tuple[str, str], ...], list[Oid]]] = {}
+
+    def add(self) -> None:
+        for oid, obj in self.held.items():
+            obj.source_key = self.key(oid)
+            self.store.add_object(obj, False)
+
+    def key(self, oid: Oid) -> tuple[tuple[str, Oid], ...]:
+        """The composite oid's key: its operand objects, one per operand."""
+        read = self.keys.get(oid)
+        if read is None:
+            obj = self.held[oid]
+            read = self.keys[oid] = self._read(oid, obj.source_key, self.operands[obj.class_name])
+        return read
+
+    def _object(self, oid: Oid) -> WarehouseObject | None:
+        return self.objects.get(oid) or self.held.get(oid)
+
+    def _read(self, oid: Oid, key: tuple, operands: list[set[str]]) -> tuple[tuple[str, Oid], ...]:
+        if not (key and all(len(ref) == 2 and type(ref[1]) is int for ref in key)):
+            ways = self._ways(key, 0, operands)
+            refs = max(ways, key=self._recency, default=None)
+            if refs is None:
+                raise ValueError(
+                    f"oid {oid}'s source key splits no way among its operands' objects"
+                )
+            return tuple((self._object(ref).class_name, ref) for ref in refs)
+        if len(key) != len(operands):
+            raise ValueError(f"oid {oid} names {len(key)} objects for {len(operands)} operands")
+        for (ref_class, ref), readable in zip(key, operands):
+            obj = self.objects.get(ref)  # a later composite is not added yet
+            if obj is not None and obj.class_name == ref_class and ref_class in readable:
+                continue
+            obj = self._object(ref)
+            if obj is None:
+                problem = "which no object has"
+            elif obj.class_name != ref_class:
+                problem = f"which is of class {obj.class_name!r}"
+            elif ref_class not in readable:
+                problem = "of a class its operand does not read"
+            else:
+                continue
+            raise ValueError(f"oid {oid} names {ref_class}:{ref}, {problem}")
+        return key
+
+    def _recency(self, refs: tuple[Oid, ...]) -> tuple[int, tuple[Oid, ...]]:
+        return sum(self._object(ref).status == "active" for ref in refs), refs
+
+    def _ways(self, key: tuple, start: int, operands: list[set[str]]) -> Iterator[tuple[Oid, ...]]:
+        """Each choice of one object per operand whose source pairs, one
+        after the other, are key[start:]."""
+        if not operands:
+            if start == len(key):
+                yield ()
+            return
+        for end in range(start + 1, len(key) + 1):
+            for cname in operands[0]:
+                for ref in self._by_pairs(cname).get(key[start:end], ()):
+                    for rest in self._ways(key, end, operands[1:]):
+                        yield (ref, *rest)
+
+    def _by_pairs(self, cname: str) -> dict[tuple[tuple[str, str], ...], list[Oid]]:
+        held = self.by_pairs.get(cname)
+        if held is None:
+            held = self.by_pairs[cname] = {}
+            if cname in self.operands:
+                oids = [oid for oid, obj in self.held.items() if obj.class_name == cname]
+            else:
+                oids = self.store.by_class.get(cname, ())
+            for oid in oids:
+                held.setdefault(self._pairs(oid), []).append(oid)
+        return held
+
+    def _pairs(self, oid: Oid) -> tuple[tuple[str, str], ...]:
+        """The source pairs oid stands for: an extraction object's key, or
+        a composite's operand objects' pairs one after the other."""
+        if oid not in self.held:
+            return self.objects[oid].source_key
+        return tuple(pair for _c, ref in self.key(oid) for pair in self._pairs(ref))
+
+
+def _operand_classes(classes: dict[str, model.WarehouseClass], name: str) -> set[str]:
+    """The classes of the objects that _operand_oids(name) may hold: the
+    class's own if it owns objects, its extraction subclasses', and a
+    membership's operand's."""
+    cls = classes[name]
+    read = {n for n in cls.subtree if classes[n].role == "extraction"}
+    if cls.role == "composite":
+        read.add(name)
+    elif cls.role == "membership":
+        read |= _operand_classes(classes, cls.mapping.operands[0].class_name)
+    return read
 
 
 def _read_memberships(store: Store, memberships: Any) -> None:

@@ -493,7 +493,7 @@ class WarehouseObject:
     past: list[State] = field(default_factory=list)
     archives: list[ArchiveState] = field(default_factory=list)
     status: str = "active"  # active | frozen
-    source_key: tuple[tuple[str, str], ...] = ()
+    source_key: tuple[tuple[str, str | Oid], ...] = ()
     _load: Callable[[], tuple[State, list[State], list[ArchiveState]]] | None = field(
         default=None, repr=False, compare=False
     )
@@ -505,7 +505,7 @@ class WarehouseObject:
         oid: Oid,
         class_name: str,
         status: str,
-        source_key: tuple[tuple[str, str], ...],
+        source_key: tuple[tuple[str, str | Oid], ...],
         load: Callable[[], tuple[State, list[State], list[ArchiveState]]],
         line: str | None = None,
     ) -> WarehouseObject:

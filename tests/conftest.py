@@ -289,12 +289,15 @@ def make_snapshot(src_schema):
 def assert_indexes(store) -> None:
     """The store's identity and source-id indexes, and its class index's
     owning-class entries, equal ones rebuilt from its objects, the
-    source-id index holding an oid once under each pair of its key; each
-    membership class's entry holds only objects of the store."""
+    source-id index holding an extraction object's oid once under each
+    pair of its key, and no composite's; each membership class's entry
+    holds only objects of the store."""
     rebuilt: dict = {}
     for oid in sorted(store.objects):
-        for pair in dict.fromkeys(store.objects[oid].source_key):
-            rebuilt.setdefault(pair, []).append(oid)
+        obj = store.objects[oid]
+        if store.schema.classes[obj.class_name].role == "extraction":
+            for pair in dict.fromkeys(obj.source_key):
+                rebuilt.setdefault(pair, []).append(oid)
     assert {pair: sorted(oids) for pair, oids in store.source_index.items()} == rebuilt
     assert store.identity == {(o.class_name, o.source_key): oid for oid, o in store.objects.items()}
     by_class: dict = {}

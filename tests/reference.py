@@ -2,10 +2,14 @@
 
 It states README's "Semantics worth knowing" directly for the hospital
 warehouse of tests/fixtures/hopital.edw plus a membership, Riches, and
-shares no code with tdw.engine: the mappings are written out over the
-raw snapshot records, each domain is a plain set of ticks, every refresh
-and patch works on a deep copy of every object, and nothing is indexed.
-Objects are named by their identity (class, source key), and relation
+test_engine.with_anciens's second subclass of Personnes, Anciens, and
+its membership Nés_Avant_1980, plus Equipiers, a composite over the
+generalization Personnes and Services. It shares no code with
+tdw.engine: the mappings are written out over the raw snapshot records,
+each domain is a plain set of ticks, every refresh and patch works on a
+deep copy of every object, and nothing is indexed. Objects are named by
+their identity (class, key), an extraction object's key its source
+pairs and a composite's its operand objects' identities, and relation
 slots hold identities, so the model never allocates an oid.
 
 The rules it states:
@@ -21,12 +25,18 @@ The rules it states:
   opens at [t, t] with the row's value, specific values carried over,
   the object is active again, and it counts as historized;
 - a link names the target class's object whose source key names the
-  linked record, and of several, the one in this refresh's result: a
+  linked record, never a composite, and of several, the one in this
+  refresh's result: a
   service that changed hospitals is linked through its new object, and
   one that came back through its old one, which thaws;
-- a membership holds every object of its operand's own class that meets
-  its predicate, frozen ones included, never a composite built by a
-  specialization of that operand, whatever the order of the declarations;
+- a membership holds every object of its operand's own class, or of its
+  subclasses that are no specialization, that meets its predicate, frozen
+  ones included, never a composite built by a specialization of that
+  operand, whatever the order of the declarations;
+- a composite stands for one active object per operand, an operand
+  reading the objects of its class's extraction subclasses: two objects
+  of one record, a surgeon and the same practitioner as an Ancien, stand
+  in distinct composites;
 - a past state beyond the retention bounds (by count, by duration or
   both) is evicted, and its archive-filter properties fold into one
   archive state with exact avg accumulators;
@@ -45,29 +55,35 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any
 
-Identity = tuple[str, tuple[tuple[str, str], ...]]
+Identity = tuple[str, tuple]
 
-# effective filters of hopital.edw's classes; Etablissements belongs to
-# no environment, so it has none
+# effective filters of the classes; Anciens, Etablissements and Equipiers
+# belong to no environment, so they have none
 TEMPORAL = {
     "Chirurgiens": {"adresse", "spécialité", "revenus", "travaille", "dirige"},
+    "Anciens": set(),
     "Hôpitaux_Publics": {"budget", "nb_services", "organisation"},
     "Services": {"équipe", "est_dirigé"},
     "Etablissements": set(),
+    "Equipiers": set(),
 }
 ARCHIVE = {
     "Chirurgiens": {"spécialité": "last", "revenus": "avg"},
     "Hôpitaux_Publics": {"budget": "avg", "nb_services": "avg"},
     "Services": {},
 }
-EXTRACTED = ("Chirurgiens", "Hôpitaux_Publics", "Services")
-OWNING = EXTRACTED + ("Etablissements",)
+EXTRACTED = ("Chirurgiens", "Anciens", "Hôpitaux_Publics", "Services")
+COMPOSITES = ("Etablissements", "Equipiers")
+OWNING = EXTRACTED + COMPOSITES
 RELATIONS = {
     "Chirurgiens": {"travaille", "dirige"},
+    "Anciens": set(),
     "Hôpitaux_Publics": {"organisation"},
     "Services": {"équipe", "est_dirigé"},
     "Etablissements": {"organisation", "équipe", "est_dirigé"},
+    "Equipiers": {"équipe", "est_dirigé"},
 }
+PERSONNES = ("nom", "prénom", "adresse", "année_naissance")
 SPECIFIC = "année_création"
 # the budget above which a public hospital is a member of Riches, a
 # membership of Hôpitaux_Publics declared after the composite class
@@ -162,13 +178,14 @@ class ReferenceWarehouse:
     def extensions(self) -> dict[str, set[Identity]]:
         own = {c: {i for i in self.objects if i[0] == c} for c in OWNING}
         return {
-            "Personnes": own["Chirurgiens"],
+            "Personnes": own["Chirurgiens"] | own["Anciens"] | own["Equipiers"],
             "Chirurgiens": own["Chirurgiens"],
-            "Jeunes_Chirurgiens": self.memberships["Jeunes_Chirurgiens"],
-            "Riches": self.memberships["Riches"],
+            "Anciens": own["Anciens"],
+            **self.memberships,
             "Hôpitaux_Publics": own["Hôpitaux_Publics"] | own["Etablissements"],
-            "Services": own["Services"] | own["Etablissements"],
+            "Services": own["Services"] | own["Etablissements"] | own["Equipiers"],
             "Etablissements": own["Etablissements"],
+            "Equipiers": own["Equipiers"],
         }
 
     # -- one extraction point ------------------------------------------------
@@ -202,20 +219,23 @@ class ReferenceWarehouse:
             self._freeze(cname, {i for i in rows if i[0] == cname}, t)
         self.memberships = {
             "Jeunes_Chirurgiens": self._members(
-                "Chirurgiens", lambda v: v["année_naissance"] >= 1970),
-            "Riches": self._members("Hôpitaux_Publics", lambda v: v["budget"] > RICH),
+                ("Chirurgiens",), lambda v: v["année_naissance"] >= 1970),
+            "Riches": self._members(("Hôpitaux_Publics",), lambda v: v["budget"] > RICH),
+            "Nés_Avant_1980": self._members(
+                ("Chirurgiens", "Anciens"), lambda v: v["année_naissance"] < 1980),
         }
-        composite_rows = self._composite_rows()
-        for ident, value in composite_rows.items():
-            if ident not in self.objects:
-                self.objects[ident] = MObject(MState({t}, value))
-                counts["Etablissements"]["created"] += 1
-            elif self.objects[ident].frozen:
-                self._thaw(ident, t, counts)
-                self._diff(ident, value, t, True, counts)
-            else:
-                self._diff(ident, value, t, False, counts)
-        self._freeze("Etablissements", set(composite_rows), t)
+        for cname in COMPOSITES:
+            composite_rows = self._composite_rows(cname)
+            for ident, value in composite_rows.items():
+                if ident not in self.objects:
+                    self.objects[ident] = MObject(MState({t}, value))
+                    counts[cname]["created"] += 1
+                elif self.objects[ident].frozen:
+                    self._thaw(ident, t, counts)
+                    self._diff(ident, value, t, True, counts)
+                else:
+                    self._diff(ident, value, t, False, counts)
+            self._freeze(cname, set(composite_rows), t)
         if not initial:
             for ident, obj in self.objects.items():
                 if ident[0] in ARCHIVE:
@@ -224,18 +244,14 @@ class ReferenceWarehouse:
             counts[ident[0]]["frozen"] += obj.frozen
         return counts
 
-    def _members(self, cname: str, holds) -> set[Identity]:
-        return {i for i, o in self.objects.items() if i[0] == cname and holds(o.current.value)}
+    def _members(self, cnames: tuple[str, ...], holds) -> set[Identity]:
+        return {i for i, o in self.objects.items() if i[0] in cnames and holds(o.current.value)}
 
     def _resolve(self, target: str, iface: str, rid: str, result) -> Identity:
-        """The one object of the target class (or, failing that, of its
-        extension) whose source key names the linked record, the ones in
-        result, this refresh's extraction result, coming first."""
-        named = [i for i in self.objects if (iface, rid) in i[1]]
-        hits = [i for i in named if i[0] == target]
-        if not hits:
-            sub = {"Services": "Etablissements"}.get(target)
-            hits = [i for i in named if i[0] == sub]
+        """The one object of the target class whose source key names the
+        linked record, the ones in result, this refresh's extraction
+        result, coming first."""
+        hits = [i for i in self.objects if i[0] == target and (iface, rid) in i[1]]
         hits = [i for i in hits if i in result] or hits
         if len(hits) != 1:
             raise Rejected("DanglingRelationTarget")
@@ -275,15 +291,26 @@ class ReferenceWarehouse:
                 obj.frozen = True
                 obj.current = MState(_extend(obj.current.ticks, t - 1), obj.current.value)
 
-    def _composite_rows(self) -> dict[Identity, dict]:
+    def _composite_rows(self, cname: str) -> dict[Identity, dict]:
+        """Each composite's identity, its operand objects', and its value,
+        its operands' values with the later one winning a shared name:
+        every public hospital of Toulouse with each service it organises,
+        and every person born before 1970, surgeon or Ancien, with every
+        service."""
+        active = [(i, o.current.value) for i, o in self.objects.items() if not o.frozen]
+        services = [(s, v) for s, v in active if s[0] == "Services"]
         out = {}
-        for h, ho in self.objects.items():
-            if h[0] != "Hôpitaux_Publics" or ho.frozen or ho.current.value["ville"] != "Toulouse":
-                continue
-            for s, so in self.objects.items():
-                if s[0] != "Services" or so.frozen or s not in ho.current.value["organisation"]:
-                    continue
-                out[("Etablissements", h[1] + s[1])] = {**ho.current.value, **so.current.value}
+        if cname == "Etablissements":
+            for h, hv in active:
+                if h[0] == "Hôpitaux_Publics" and hv["ville"] == "Toulouse":
+                    for s, sv in services:
+                        if s in hv["organisation"]:
+                            out[(cname, (h, s))] = {**hv, **sv}
+        else:
+            for x, xv in active:
+                if x[0] in ("Chirurgiens", "Anciens") and xv["année_naissance"] < 1970:
+                    for s, sv in services:
+                        out[(cname, (x, s))] = {**{p: xv[p] for p in PERSONNES}, **sv}
         return out
 
     def _evict(self, ident: Identity, obj: MObject, t: int) -> int:
@@ -326,6 +353,10 @@ def _extraction_rows(records: list[dict]) -> dict[Identity, tuple[dict, dict]]:
     by_id = {(r["interface"], r["id"]): r for r in records}
     for r in records:
         v, links = r["values"], r["links"]
+        if r["interface"] == "PRATICIEN" and v["année_naissance"] < 1990:
+            values = {p: v[p] for p in ("nom", "prénom", "adresse", "année_naissance",
+                                        "no_praticien")}
+            rows[("Anciens", (("PRATICIEN", r["id"]),))] = (values, {})
         if r["interface"] == "PRATICIEN" and v["catégorie"] == "chirurgie":
             key = (("PRATICIEN", r["id"]),)
             values = {p: v[p] for p in ("nom", "prénom", "adresse", "année_naissance",

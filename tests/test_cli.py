@@ -643,13 +643,13 @@ class TestInspect:
         assert out1.startswith("class Chirurgiens: 2 object(s)")
 
     def test_a_composite_lists_each_key_pair_once(self, built):
-        # a Services key holds its establishment's pair, so a composite's
-        # key, its hospital's key followed by its service's, holds it twice
+        # a composite's key is its operand objects, hospital 3 and service
+        # 5, not their source keys, which both hold the establishment e1
         _tmp, store = built
         rc, out, err = tdw("inspect", "--store", store, "--class", "Etablissements")
         assert rc == 0, err
-        assert "  oid 8  [ETABLISSEMENT:e1, SERVICE:s1]  active" in out
-        assert "ETABLISSEMENT:e1, ETABLISSEMENT:e1" not in out
+        assert "  oid 8  [Hôpitaux_Publics:3, Services:5]  active" in out
+        assert "ETABLISSEMENT:e1" not in out
 
     def test_a_self_join_lists_each_key_pair_once(self, tmp_path):
         edw = tmp_path / "paires.edw"
@@ -966,8 +966,10 @@ def damaged_unread(request, built):
     header, *lines = path.read_text(encoding="utf-8")[:-1].split("\n")
     index = json.loads(header)["objects"]
     which, _, damage = request.param.partition("-")
+    # a composite's key ends with its service's object, [class, oid]
+    (s2,) = [oid for oid, cname, _status, key in index if (cname, key[-1][1]) == ("Services", "s2")]
     wanted = (
-        ("Etablissements", "frozen", "s2") if which == "frozen"
+        ("Etablissements", "frozen", s2) if which == "frozen"
         else ("Services", "active", "s1")
     )
     (at,) = [i for i, (_oid, cname, status, key) in enumerate(index)
@@ -1162,6 +1164,38 @@ def moved_tab(tmp_path, long_store):
     return tmp_path, str(path)
 
 
+class TestDamagedCompositeKey:
+    """A composite's index entry naming an oid that no object has is the
+    malformed-store error naming the file, whatever the command, and no
+    writer changes the file."""
+
+    @pytest.mark.parametrize("verb", ["inspect", "refresh", "patch"])
+    def test_each_command_exits_1_and_leaves_the_file(self, built, verb):
+        tmp, store = built
+        path = Path(store)
+        header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        head = json.loads(header)
+        (entry,) = [e for e in head["objects"] if e[0] == 8]
+        assert entry[3] == [["Hôpitaux_Publics", 3], ["Services", 5]]
+        entry[3] = [["Hôpitaux_Publics", 0], ["Services", 5]]
+        path.write_text(json.dumps(head, ensure_ascii=False) + "\n" + rest, encoding="utf-8")
+        before = path.read_bytes()
+        args = {
+            "inspect": ("inspect", "--store", store, "--class", "Etablissements"),
+            "refresh": ("refresh", "--store", store, "--snapshot",
+                        write_snapshot(tmp / "s1991.jsonl", 1991), "--at", "1991"),
+            "patch": ("patch", "--store", store, "--oid", "3", "--set", "année_création=1956",
+                      "--at", "1991"),
+        }[verb]
+        rc, out, err = tdw(*args)
+        assert (rc, out) == (1, "")
+        assert err == (
+            f"error: {store}: malformed store document (ValueError: oid 8 names "
+            "Hôpitaux_Publics:0, which no object has)\n"
+        )
+        assert path.read_bytes() == before
+
+
 class TestMovedTab:
     """A TAB inside a document is the malformed-store error at the line's
     first read, even where a comma stands in for the separator it left:
@@ -1230,6 +1264,18 @@ class TestPatch:
             "patch", "--store", store, "--oid", "3", "--set", assignment, "--at", "1991"
         )
         assert (rc, out, err) == (code, "", f"error: {message}\n")
+        assert Path(store).read_bytes() == before
+
+    def test_integer_past_the_conversion_limit_names_the_flag_and_property(self, built):
+        _tmp, store = built
+        before = Path(store).read_bytes()
+        rc, out, err = tdw(
+            "patch", "--store", store, "--oid", "3",
+            "--set", "année_création=" + "1" * 5001, "--at", "1991",
+        )
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: --set année_création: not a valid value (Exceeds the limit")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert Path(store).read_bytes() == before
 
     def test_composite_object_rejected(self, built):

@@ -22,7 +22,7 @@ from conftest import (
     year,
 )
 from tdw import engine
-from tdw.dsl import parse_warehouse_def
+from tdw.dsl import parse_warehouse_def, print_warehouse_def
 from tdw.engine import (
     apply_archival_state,
     dumps_store,
@@ -204,6 +204,62 @@ INDEX_DAMAGE_IDS = [
 ]
 
 
+# the key of composite oid 8, which stands for hospital 3 and service 5,
+# naming a missing oid, an object of another class than the one named, a
+# class its operand does not read, or one object too many or too few; a
+# string where an oid belongs, which makes it a key of the older form,
+# its operands' source pairs one after the other; an older key that
+# splits among the operands' objects no way; and older keys of oids 8
+# and 9 that both read as hospital 3 and service 5
+OLDER_KEY = [["ETABLISSEMENT", "e1"], ["ETABLISSEMENT", "e1"], ["SERVICE", "s1"]]
+COMPOSITE_DAMAGE = {
+    "composite-ref-missing-oid": (
+        {8: [["Hôpitaux_Publics", 0], ["Services", 5]]},
+        "oid 8 names Hôpitaux_Publics:0, which no object has"),
+    "composite-ref-another-class": (
+        {8: [["Services", 3], ["Services", 5]]},
+        "oid 8 names Services:3, which is of class 'Hôpitaux_Publics'"),
+    "composite-ref-class-not-read": (
+        {8: [["Chirurgiens", 1], ["Services", 5]]},
+        "oid 8 names Chirurgiens:1, of a class its operand does not read"),
+    "composite-one-ref-too-many": (
+        {8: [["Hôpitaux_Publics", 3], ["Services", 5], ["Services", 6]]},
+        "oid 8 names 3 objects for 2 operands"),
+    "composite-one-ref-too-few": (
+        {8: [["Hôpitaux_Publics", 3]]}, "oid 8 names 1 objects for 2 operands"),
+    "composite-ref-a-string-oid": (
+        {8: [["Hôpitaux_Publics", "3"], ["Services", 5]]},
+        "oid 8's source key splits no way among its operands' objects"),
+    "composite-older-key-splitting-no-way": (
+        {8: [["ETABLISSEMENT", "e1"], ["SERVICE", "s1"]]},
+        "oid 8's source key splits no way among its operands' objects"),
+    "composite-older-keys-reading-as-one": (
+        {8: OLDER_KEY, 9: OLDER_KEY}, "two objects share one class and source key"),
+}
+
+
+def v1_keys_damage(keys):
+    """Set the given oids' keys in a v1 document, in its identity table too."""
+
+    def damage(doc):
+        for obj in doc["objects"]:
+            obj["source_key"] = keys.get(obj["oid"], obj["source_key"])
+        for entry in doc["identity"]:
+            entry[1] = keys.get(entry[2], entry[1])
+
+    return damage
+
+
+def header_keys_damage(keys):
+    """Set the given oids' keys in a v2, v3 or v4 header's object index."""
+
+    def damage(head):
+        for entry in head["objects"]:
+            entry[3] = keys.get(entry[0], entry[3])
+
+    return damage
+
+
 def v1_index_damage(field, value):
     """Set oid 1's field in a v1 document, and a class or key in its
     identity entry [class, source key, oid] too, which must agree with
@@ -238,10 +294,21 @@ def store(src_schema, wdef, make_snapshot):
 
 
 def by_key(store, class_name, sid):
-    for obj in store.objects.values():
-        if obj.class_name == class_name and any(s == sid for _i, s in obj.source_key):
+    """The first object of the class whose source pairs name the source id."""
+    for oid, obj in store.objects.items():
+        if obj.class_name == class_name and any(s == sid for _i, s in source_pairs(store, oid)):
             return obj
     raise AssertionError(f"no {class_name} object for {sid}")
+
+
+def source_pairs(store, oid) -> list:
+    """The object's source pairs: an extraction object's key, and a
+    composite's operand objects' source pairs one after the other, the key
+    that builds before composites were keyed by their operand objects wrote."""
+    obj = store.objects[oid]
+    if store.schema.classes[obj.class_name].role != "composite":
+        return [list(pair) for pair in obj.source_key]
+    return [pair for _cname, ref in obj.source_key for pair in source_pairs(store, ref)]
 
 
 class TestInitialLoad:
@@ -797,6 +864,14 @@ def without_definition(text: str) -> tuple[dict, str]:
     return doc, lines
 
 
+# a composite over the generalization Personnes, whose subclasses
+# Chirurgiens and Anciens hold two objects of one surgeon
+EQUIPIERS = (
+    "interface Equipiers (extend Personnes, Services) { }\n"
+    "mapping Equipiers = specialize(x: Personnes, s: Services, x.année_naissance < 1970);\n"
+)
+
+
 def with_anciens(edw_text: str) -> str:
     """The fixture definition plus a second subclass of Personnes, Anciens
     (every practitioner born before 1990, so surgeons p1 and p2 are also
@@ -814,6 +889,33 @@ def with_anciens(edw_text: str) -> str:
         "    p.no_praticien, select(p: PRATICIEN, p.année_naissance < 1990));\n"
         "mapping Nés_Avant_1980 = specialize(x: Personnes, x.année_naissance < 1980);\n"
     )
+
+
+def with_medecins(edw_text: str) -> str:
+    """The fixture definition plus Médecins, a subclass of Personnes
+    selecting the practitioners Chirurgiens does not: of category
+    "médecine" rather than "chirurgie"."""
+    head = "interface Jeunes_Chirurgiens (extend Chirurgiens) {\n}\n"
+    lift = "c.année_naissance, c: Chirurgiens);"
+    assert edw_text.count(head) == 1 and edw_text.count(lift) == 1
+    return edw_text.replace(
+        head,
+        head + "\ninterface Médecins (extend Personnes) {\n"
+        "    D_attribute String no_praticien;\n}\n",
+    ).replace(lift, "c.année_naissance, c: Chirurgiens, m: Médecins);") + (
+        "mapping Médecins = project(p.nom, p.prénom, p.adresse, p.année_naissance,\n"
+        "    p.no_praticien, select(p: PRATICIEN, p.catégorie = \"médecine\"));\n"
+    )
+
+
+# a composite over the generalization Personnes: each practitioner born
+# in 1980 or later, p4 alone, with each public hospital of a budget over
+# 1,600,000 (e1 from the start, e2 from 1994)
+TUTELLES = (
+    "interface Tutelles (extend Personnes, Hôpitaux_Publics) { }\n"
+    "mapping Tutelles = specialize(x: Personnes, h: Hôpitaux_Publics where h.budget > 1600000,\n"
+    "    x.année_naissance >= 1980);\n"
+)
 
 
 class TestMembership:
@@ -836,6 +938,48 @@ class TestMembership:
         refresh(store, make_snapshot(1991))
         assert store.direct_extension("Nés_Avant_1980") == store.extension_of("Personnes")
         assert set(p1) <= store.by_class["Nés_Avant_1980"]
+
+
+class TestCompositeIdentity:
+    """A composite is keyed by its operand objects, one per operand."""
+
+    def test_two_objects_of_one_record_stand_in_distinct_composites(
+        self, src_schema, edw_text, make_snapshot, tmp_path
+    ):
+        # Personnes reads surgeon p2 as a Chirurgiens object and as an
+        # Anciens one, both with p2's source key
+        wdef = parse_warehouse_def(with_anciens(edw_text) + EQUIPIERS)
+        store = initial_load(src_schema, wdef, make_snapshot(1990))
+        for y in (1991, 1992):
+            refresh(store, make_snapshot(y))
+        p2 = [by_key(store, cname, "p2").oid for cname in ("Chirurgiens", "Anciens")]
+        assert store.objects[p2[0]].source_key == store.objects[p2[1]].source_key
+        s1 = service(store, "e1", "s1").oid
+        equipiers = {
+            store.objects[oid].source_key: oid for oid in store.direct_extension("Equipiers")
+        }
+        pair = [equipiers[((cname, oid), ("Services", s1))]
+                for cname, oid in zip(("Chirurgiens", "Anciens"), p2)]
+        assert pair[0] != pair[1]
+        assert all(store.objects[oid].status == "active" for oid in pair)
+        loaded = saved_and_loaded(store, str(tmp_path / "h.store"))
+        assert dumps_store(loaded) == dumps_store(store)
+
+    def test_a_composite_over_a_membership_names_its_members(
+        self, src_schema, edw_text, make_snapshot, tmp_path
+    ):
+        # Riches_Services's first operand, the membership Riches, selects
+        # Etablissements composites, which its keys name; a key of the
+        # older form splits among them too
+        wdef = parse_warehouse_def(layered_text(edw_text) + TestLatticeReads.DEEP)
+        store = initial_load(src_schema, wdef, make_snapshot(1990))
+        keys = [store.objects[oid].source_key for oid in store.direct_extension("Riches_Services")]
+        assert keys and all(key[0][0] == "Etablissements" for key in keys)
+        path = tmp_path / "h.store"
+        loaded = saved_and_loaded(store, str(path))
+        assert store_to_dict(loaded) == store_to_dict(store)
+        path.write_text(v4_text(store), encoding="utf-8")
+        assert store_to_dict(load_store(str(path))) == store_to_dict(store)
 
 
 class TestArchival:
@@ -1393,6 +1537,7 @@ class TestPersistence:
             *MEMBERSHIP_DAMAGE,
             *(v1_index_damage(*d) for d in INDEX_DAMAGE),
             *(oid_counter_damage(v) for v in OID_COUNTER_DAMAGE),
+            *(v1_keys_damage(keys) for keys, _detail in COMPOSITE_DAMAGE.values()),
         ],
         ids=[
             "no-warehouse-def", "objects-not-a-list", "object-without-past",
@@ -1401,6 +1546,7 @@ class TestPersistence:
             *MEMBERSHIP_DAMAGE_IDS,
             *INDEX_DAMAGE_IDS,
             *OID_COUNTER_DAMAGE_IDS,
+            *COMPOSITE_DAMAGE,
         ],
     )
     def test_malformed_store_document_is_a_domain_error(self, store, tmp_path, damage):
@@ -1410,6 +1556,24 @@ class TestPersistence:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(Error, match="bad.store: malformed store document"):
             load_store(str(path))
+
+    @pytest.mark.parametrize("layout", ["v4", "v1"])
+    @pytest.mark.parametrize("name", list(COMPOSITE_DAMAGE))
+    def test_a_damaged_composite_key_names_its_fault(self, store, tmp_path, name, layout):
+        keys, detail = COMPOSITE_DAMAGE[name]
+        path = tmp_path / "bad.store"
+        if layout == "v1":
+            doc = store_to_dict(store)
+            v1_keys_damage(keys)(doc)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        else:
+            header, rest = dumps_store(store).split("\n", 1)
+            head = json.loads(header)
+            header_keys_damage(keys)(head)
+            path.write_text(json.dumps(head) + "\n" + rest, encoding="utf-8")
+        with pytest.raises(Error) as error:
+            load_store(str(path))
+        assert str(error.value) == f"{path}: malformed store document (ValueError: {detail})"
 
     def test_v1_identity_table_must_match_the_objects(self, store, tmp_path):
         doc = store_to_dict(store)
@@ -1448,6 +1612,7 @@ class TestPersistence:
             *MEMBERSHIP_DAMAGE,
             *(v2_index_damage(*d) for d in INDEX_DAMAGE),
             *(oid_counter_damage(v) for v in OID_COUNTER_DAMAGE),
+            *(header_keys_damage(keys) for keys, _detail in COMPOSITE_DAMAGE.values()),
         ],
         ids=[
             "no-warehouse-def", "index-not-a-list", "index-entry-of-three",
@@ -1455,6 +1620,7 @@ class TestPersistence:
             *MEMBERSHIP_DAMAGE_IDS,
             *INDEX_DAMAGE_IDS,
             *OID_COUNTER_DAMAGE_IDS,
+            *COMPOSITE_DAMAGE,
         ],
     )
     def test_malformed_v2_header_is_rejected_when_loaded(self, store, tmp_path, damage):
@@ -1703,7 +1869,7 @@ class TestLinkResolution:
     def test_self_join_key_holds_its_oid_once_under_a_repeated_pair(
         self, src_schema, make_snapshot, tmp_path
     ):
-        # a composite is not the only key to name one pair twice
+        # only a self-join's key names a pair twice; a composite's names objects
         store = initial_load(src_schema, parse_warehouse_def(SELF_JOIN_EDW), make_snapshot(1990))
         twice = (("SERVICE", "s2"), ("SERVICE", "s2"))
         oid = store.identity[("Paires", twice)]
@@ -1982,21 +2148,11 @@ class TestCopyOnWrite:
         for y in (1991, 1992, 1993):
             refresh(store, make_snapshot(y))
         patched_late(store, "e2", 1961, year(1995))
-        # the layout the previous store files had: every state's domain as
-        # it read at the last refresh, and a later end as it was stored
-        v1 = store_to_dict(store)
-        header = {k: v1[k] for k in ("source_schema", "warehouse_def", "last_refresh",
-                                     "oid_counter", "memberships")}
-        header["format"] = "tdw-store-v2"
-        header["objects"] = [[o["oid"], o["class"], o["status"], o["source_key"]]
-                             for o in v1["objects"]]
-        encode = partial(json.dumps, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-        lines = [encode({k: o[k] for k in ("current", "past", "archives")}) for o in v1["objects"]]
         path = tmp_path / "h.store"
-        path.write_text("\n".join([encode(header), *lines]) + "\n", encoding="utf-8")
+        path.write_text(v2_text(store), encoding="utf-8")
         loaded = load_store(str(path))
         assert lined(loaded) == set()
-        assert store_to_dict(loaded) == v1
+        assert store_to_dict(loaded) == store_to_dict(store)
         save_store(loaded, str(path))
         assert path.read_text(encoding="utf-8") == dumps_store(store)
         assert_refreshes_alike_after_the_late_end(store, str(path), make_snapshot)
@@ -2019,29 +2175,81 @@ class TestCopyOnWrite:
         )
         assert_refreshes_alike_after_the_late_end(store, str(path), make_snapshot)
 
-    def test_a_v3_composite_key_naming_a_pair_twice_refreshes_as_a_fresh_store(
-        self, store, tmp_path, make_snapshot
+    @pytest.mark.parametrize("layout", ["v4", "v3", "v2", "v1"])
+    def test_an_older_composite_key_reads_as_its_operand_objects(
+        self, src_schema, edw_text, tmp_path, make_snapshot, layout
     ):
-        # a composite's key is its hospital's key followed by its
-        # service's, which holds the establishment again
-        composites = store.direct_extension("Etablissements")
-        assert composites
+        # older builds keyed a composite by its operands' source pairs one
+        # after the other: an Etablissements key holds its hospital's pair
+        # and its service's, which holds the establishment again, and an
+        # Equipes key is an Etablissements key and then a surgeon's
+        store = initial_load(
+            src_schema, parse_warehouse_def(edw_text + EQUIPES), make_snapshot(1990)
+        )
+        refresh(store, make_snapshot(1991))
+        composites = {name: store.direct_extension(name) for name in ("Etablissements", "Equipes")}
+        assert all(composites.values())
         path = tmp_path / "h.store"
-        text = v3_text(store)
-        assert '[["ETABLISSEMENT","e1"],["ETABLISSEMENT","e1"],["SERVICE","s1"]]' in text
+        text = OLDER_WRITERS[layout](store)
+        assert '[["ETABLISSEMENT","e1"],["ETABLISSEMENT","e1"],["SERVICE","s1"],' \
+            '["PRATICIEN","p1"]]' in text
         path.write_text(text, encoding="utf-8")
         loaded = load_store(str(path))
         assert store_to_dict(loaded) == store_to_dict(store)
-        snap = make_snapshot(1991)
+        assert_indexes(loaded)
+        snap = make_snapshot(1992)
         report = refresh(loaded, snap).to_dict()
         assert report == refresh(store, snap).to_dict()
-        assert report["classes"]["Etablissements"]["created"] == 0
-        assert report["classes"]["Etablissements"]["frozen"] == 0
-        assert loaded.direct_extension("Etablissements") == composites
-        for held in (loaded, store):
-            oids = held.source_index[("ETABLISSEMENT", "e1")]
-            assert len(oids) == len(set(oids)) and set(composites) & set(oids)
-        assert dumps_store(loaded) == dumps_store(store)
+        for name in composites:
+            assert report["classes"][name]["created"] == report["classes"][name]["frozen"] == 0
+            assert loaded.direct_extension(name) == composites[name]
+        save_store(loaded, str(path))
+        # the next save writes each composite's key as its operand objects
+        index = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[0])["objects"]
+        refs = [ref for _oid, cname, _status, key in index if cname in composites for ref in key]
+        assert refs and all(type(oid) is int for _cname, oid in refs)
+        assert path.read_text(encoding="utf-8") == dumps_store(store)
+
+    def test_a_record_moved_between_subclasses_keeps_its_composites(
+        self, edw_text, tmp_path, make_snapshot
+    ):
+        # written by a build that keyed a composite by its operands' source
+        # pairs: with_medecins + TUTELLES built at 1990 with p4 a surgeon,
+        # then refreshed at 1991 to 1994 with p4 of category "médecine".
+        # The surgeon, oid 3, froze at 1991 and Médecins oid 12 took the
+        # same source key; Tutelles oid 11, p4 with e1, was kept through the
+        # move, and oid 13, p4 with e2, was made at 1994. Each key splits
+        # two ways, through the frozen surgeon or the active physician
+        path = tmp_path / "h.store"
+        path.write_bytes((STORES / "tutelles_1994.store").read_bytes())
+        head = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[0])
+        wdef = parse_warehouse_def(with_medecins(edw_text) + TUTELLES)
+        assert head["warehouse_def"] == print_warehouse_def(wdef)
+        assert [entry[3] for entry in head["objects"] if entry[0] in (11, 13)] == [
+            [["PRATICIEN", "p4"], ["ETABLISSEMENT", "e1"]],
+            [["PRATICIEN", "p4"], ["ETABLISSEMENT", "e2"]],
+        ]
+        loaded = load_store(str(path))
+        assert [loaded.objects[oid].status for oid in (3, 12)] == ["frozen", "active"]
+        # each reads as the physician, the object that build read last,
+        # though oid 12 follows oid 11
+        assert [loaded.objects[oid].source_key for oid in (11, 13)] == [
+            (("Médecins", 12), ("Hôpitaux_Publics", 4)),
+            (("Médecins", 12), ("Hôpitaux_Publics", 5)),
+        ]
+        snap = make_snapshot(1995, with_extra_surgeon=True, extra_surgeon_category="médecine")
+        # the counts that build reported at 1995
+        names = ["created", "carried", "updated", "historized", "frozen", "archived_evictions"]
+        counts = {
+            "Chirurgiens": [0, 0, 0, 2, 1, 2], "Etablissements": [0, 0, 2, 0, 0, 0],
+            "Hôpitaux_Publics": [0, 0, 0, 2, 0, 2], "Médecins": [0, 1, 0, 0, 0, 0],
+            "Services": [0, 3, 0, 0, 0, 0], "Tutelles": [0, 0, 2, 0, 0, 0],
+        }
+        report = refresh(loaded, snap).to_dict()
+        assert report["classes"] == {
+            name: dict(zip(names, row)) for name, row in counts.items()
+        }
+        assert saved_and_loaded(loaded, str(path)).objects[11].source_key[0] == ("Médecins", 12)
 
 
 def patched_late(store, hospital: str, created: int, t: Instant) -> None:
@@ -2068,16 +2276,65 @@ def assert_refreshes_alike_after_the_late_end(store, path: str, make_snapshot) -
     assert_states_disjoint(store)
 
 
+# a composite over the composite Etablissements
+EQUIPES = (
+    "interface Equipes (extend Etablissements, Chirurgiens) { }\n"
+    "mapping Equipes = specialize(e: Etablissements, c: Chirurgiens, e.équipe contains c);\n"
+)
+
+# store files written by older builds
+STORES = Path(__file__).parent / "stores"
+
+encode = partial(json.dumps, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
+def older_index(store) -> list:
+    """The object index [oid, class, status, key] as older builds wrote
+    it: a composite's key its source pairs, not its operand objects."""
+    return [[oid, o.class_name, o.status, source_pairs(store, oid)]
+            for oid, o in sorted(store.objects.items())]
+
+
+def v4_text(store) -> str:
+    """The store in the tdw-store-v4 layout as older builds wrote it."""
+    header, rest = dumps_store(store).split("\n", 1)
+    head = json.loads(header)
+    head["objects"] = older_index(store)
+    return encode(head) + "\n" + rest
+
+
+def v2_text(store) -> str:
+    """The store in the tdw-store-v2 layout: every state's domain as it
+    read at the last refresh, and a later end as it was stored."""
+    v1 = store_to_dict(store)
+    header = {k: v1[k] for k in ("source_schema", "warehouse_def", "last_refresh",
+                                 "oid_counter", "memberships")}
+    header["format"] = "tdw-store-v2"
+    header["objects"] = older_index(store)
+    lines = [encode({k: o[k] for k in ("current", "past", "archives")}) for o in v1["objects"]]
+    return "\n".join([encode(header), *lines]) + "\n"
+
+
+def v1_text(store) -> str:
+    """The store as one compact tdw-store-v1 document, with the identity
+    table that layout held."""
+    doc = store_to_dict(store)
+    keys = {oid: key for oid, _cname, _status, key in older_index(store)}
+    for o in doc["objects"]:
+        o["source_key"] = keys[o["oid"]]
+    doc["identity"] = sorted([o["class"], o["source_key"], o["oid"]] for o in doc["objects"])
+    return encode(doc) + "\n"
+
+
 def v3_text(store) -> str:
     """The store in the tdw-store-v3 layout, which held each object's past
     states inside its one line document {"archives", "current", "past"}."""
-    encode = partial(json.dumps, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     v1 = store_to_dict(store)
     header = {k: v1[k] for k in ("source_schema", "warehouse_def", "last_refresh",
                                  "oid_counter", "memberships")}
     objects = [store.objects[oid] for oid in sorted(store.objects)]
     header["format"] = "tdw-store-v3"
-    header["objects"] = [[o.oid, o.class_name, o.status, o.source_key] for o in objects]
+    header["objects"] = older_index(store)
 
     def domain_of(d):
         return {"unit": d.unit, "intervals": [[iv.start.tick, iv.end.tick] for iv in d.intervals]}
@@ -2095,6 +2352,9 @@ def v3_text(store) -> str:
         for o in objects
     ]
     return "\n".join([encode(header), *lines]) + "\n"
+
+
+OLDER_WRITERS = {"v4": v4_text, "v3": v3_text, "v2": v2_text, "v1": v1_text}
 
 
 # ---------------------------------------------------------------------------
@@ -2259,33 +2519,40 @@ def history_edw(edw_text, keep_count, keep_years, temporal_creation) -> str:
     if temporal_creation:
         text = text.replace("temporal budget,", "temporal année_création, budget,")
     # a membership of Hôpitaux_Publics declared after Etablissements, a
-    # composite subclass of Hôpitaux_Publics
-    return text + (
+    # composite subclass of Hôpitaux_Publics, and a composite over the
+    # generalization Personnes, whose two subclasses hold two objects of
+    # one surgeon
+    return with_anciens(text) + (
         "interface Riches (extend Hôpitaux_Publics) { }\n"
         f"mapping Riches = specialize(h: Hôpitaux_Publics, h.budget > {reference.RICH});\n"
+        + EQUIPIERS
     )
+
+
+def model_identity(store, oid):
+    """The object's identity as the reference model names it: its class
+    and key, a composite's key its operand objects' identities."""
+    obj = store.objects[oid]
+    if store.schema.classes[obj.class_name].role != "composite":
+        return (obj.class_name, obj.source_key)
+    return (obj.class_name, tuple(model_identity(store, ref) for _cname, ref in obj.source_key))
 
 
 def engine_value(store, payload, relations):
     """A value read from the store, with each oid named by its identity."""
-
-    def ident(oid):
-        obj = store.objects[oid]
-        return (obj.class_name, obj.source_key)
-
     out = dict(payload)
     for prop in relations:
         v = out.get(prop)
         if isinstance(v, list):
-            out[prop] = sorted(ident(oid) for oid in v)
+            out[prop] = sorted(model_identity(store, oid) for oid in v)
         elif v is not None:
-            out[prop] = ident(v)
+            out[prop] = model_identity(store, v)
     return out
 
 
 def assert_engine_matches_model(store, model, ticks) -> None:
     """Every object's state at every tick, and every class's extension."""
-    idents = {oid: (o.class_name, o.source_key) for oid, o in store.objects.items()}
+    idents = {oid: model_identity(store, oid) for oid in store.objects}
     assert sorted(idents.values()) == sorted(model.objects)
     for oid, ident in idents.items():
         relations = reference.RELATIONS[ident[0]]
