@@ -39,25 +39,37 @@ every object, and publishes it only on success. The passes call
 Store.touch before they change an object, which copies the object into
 the working copy on its first change.
 
-A store file (tdw-store-v4) is a header line with the schema texts and
-an index of every object's oid, class, status and key, then one
-line per object: a head document with its current and archive states,
-an active object's current state written with its stored end rather
-than the last refresh, then each past state as its own document, oldest
-first, each after a TAB. load_store builds every object, of any layout,
-from its index entry as a deferred WarehouseObject, whose state slots
-stay empty until their first read decodes the object's line, so a query
-decodes only the objects it shows; objects are slotted, since a load
-builds one for every entry of the index.
+A store file (tdw-store-v5) is a header line with the schema texts and
+an index of every object's oid, class, status, key and the CRC-32 of
+its line, sealed by the header's own CRC-32, then one line per object:
+a head document with its current and archive states, an active
+object's current state written with its stored end rather than the
+last refresh, then each past state as its own document, oldest first,
+each after a TAB. A domain is written as its intervals, in the store's
+one unit. load_store builds every object, of any layout, from its index
+entry as a deferred WarehouseObject, whose state slots stay empty until
+their first read decodes the object's line, so a query decodes only the
+objects it shows; objects are slotted, since a load builds one for
+every entry of the index.
+
+A first read checks a v5 line's CRC-32 and decodes its head and the
+newest past state's domain; the other past states stay deferred, each
+holding its document, until a read of its domain or value decodes it.
+A refresh reads current values and, of the past, only the oldest
+states that retention tests, so it decodes little history.
+A line that fails its checksum is decoded whole, so it raises what it
+raised before lines had checksums, or the checksum error if it parses.
+Older files have no checksums: their lines are decoded whole.
 
 A past state never changes once pushed, so it is encoded once. A save
 writes the line of each object the command left untouched as it was
-read, once that line has been decoded and checked, so no line is
-written that was not checked first. The line of a touched or created
-object is built anew from its head, which the save encodes, and its
-past states' texts: those read from its line, which touch hands to the
-states, and those the save encodes for the states that have none yet.
-So historizing or evicting re-encodes no past state.
+read, once its CRC-32 has been checked, at the object's first read or
+by the save, so no line is written that was not checked first and none
+is decoded again. The line of a touched or created object is built
+anew from its head, which the save encodes, and its past states'
+texts: those read from its line, which the deferred states hold, and
+those the save encodes for the states that have none yet. So
+historizing or evicting re-encodes no past state.
 """
 
 from __future__ import annotations
@@ -66,6 +78,7 @@ import contextlib
 import json
 import operator
 import os
+import zlib
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator
@@ -225,19 +238,15 @@ class Store:
 
         An object this working copy shares is copied first, so the store it
         is shared with keeps its own. The object's line is dropped, so the
-        next save encodes its head anew; its past states take their texts
-        from the line first, which that save writes again. The line was
-        decoded into these states, and a past state never changes.
+        next save encodes its head anew; its past states read from the line
+        hold their texts, which that save writes again, as a past state
+        never changes.
         """
         obj = self.objects[oid]
-        line = obj.line
         if oid in self.shared:
             obj = self.objects[oid] = obj.copy()
             self.shared.discard(oid)
-        if line is not None:
-            obj.line = None
-            for state, text in zip(obj.past, line[:-1].split("\t")[1:]):
-                state.text = text
+        obj.line = None
         return obj
 
     def publish(self, work: Store, t: Instant) -> None:
@@ -788,11 +797,13 @@ def _patched_relation(store: Store, owner: str, prop: model.PropertyDef, value: 
 # persistence
 
 
-STORE_FORMAT = "tdw-store-v4"
-# the older layouts are still read, and rewritten whole as v4: v3 holds an
-# object's past states in its one line document; v2 also writes an active
-# object's current state with the end it had at the last refresh; v1 is
-# the whole store as one document
+STORE_FORMAT = "tdw-store-v5"
+# the older layouts are still read, and rewritten whole as v5: v4 has no
+# checksums and writes each domain with its unit; v3 holds an object's
+# past states in its one line document; v2 also writes an active object's
+# current state with the end it had at the last refresh; v1 is the whole
+# store as one document
+V4_FORMAT = "tdw-store-v4"
 V3_FORMAT = "tdw-store-v3"
 V2_FORMAT = "tdw-store-v2"
 V1_FORMAT = "tdw-store-v1"
@@ -801,77 +812,82 @@ V1_FORMAT = "tdw-store-v1"
 def dumps_store(store: Store) -> str:
     """Canonical, byte-stable serialization: a header line, then one line
     per object in oid order, in UTF-8 text, each line ending in a newline.
-    The header holds the schema texts, last_refresh, oid_counter, the
-    membership sets and the object index [oid, class, status, source key]
-    in oid order. An object's line is its head document {"archives",
-    "current"}, then each past state's document, oldest first, each after
-    a TAB. Every document is compact JSON with sorted keys, which holds no
-    raw TAB, and each state is written with its stored domain, so an open
-    current state's line does not change as the last refresh moves on.
+    The header line is the header document, a TAB and the CRC-32 of the
+    document's UTF-8 bytes in decimal. The header document holds the
+    schema texts, last_refresh, oid_counter, the membership sets and the
+    object index [oid, class, status, source key, crc] in oid order, crc
+    being the CRC-32 of the object's line as written, its newline
+    included. An object's line is its head document {"archives",
+    "current"}, archives left out when there are none, then each past
+    state's document {"domain", "value"}, oldest first, each after a TAB.
+    A domain is its list of [start, end] ticks in the store's unit, the
+    unit of last_refresh. Every document is compact JSON with sorted keys,
+    which holds no raw TAB, and each state is written with its stored
+    domain, so an open current state's line does not change as the last
+    refresh moves on.
 
     An object's line read from a store file is written again as it was,
-    unless the object was touched since; it is decoded first, like every
-    other object's states, so a store loaded from a file with a damaged
-    object line raises here instead of being written. Any other line is
-    the head, encoded anew, and each past state's text, which a state
-    without one gets here."""
-    return "".join(_store_lines(store))
+    unless the object was touched since, once its CRC-32 is checked: at
+    its first read, or here for an object never read. So a store loaded
+    from a file with a damaged object line raises here instead of being
+    written. Any other line is the head, encoded anew, and each past
+    state's text, which a state without one gets here."""
+    return b"".join(_store_lines(store)).decode("utf-8")
 
 
-def _store_lines(store: Store) -> list[str]:
-    """dumps_store's lines, each ending in its newline; save_store writes
-    them one by one, so the whole file's text is never built."""
+def _store_lines(store: Store) -> list[bytes]:
+    """dumps_store's lines in UTF-8, each ending in its newline and each
+    encoded once; save_store writes them one by one, so the whole file is
+    never built."""
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
-    objects = [store.objects[oid] for oid in sorted(store.objects)]
-    header = {
-        "format": STORE_FORMAT,
-        "source_schema": store.source_text,
-        "warehouse_def": store.warehouse_text,
-        "last_refresh": format_instant(store.last_refresh),
-        "oid_counter": store.oid_counter,
-        "memberships": {
-            name: sorted(store.by_class[name])
-            for name in store.membership_classes()
-            if name in store.by_class
-        },
-        # json writes the source key's tuples as lists
-        "objects": [[obj.oid, obj.class_name, obj.status, obj.source_key] for obj in objects],
-    }
-    lines = [encode(header) + "\n"]
-    for obj in objects:
-        line = obj.line
+    lines = [b""]  # the header, which follows the index
+    index = []
+    for oid in sorted(store.objects):
+        obj = store.objects[oid]
+        line, crc = obj.line, obj.crc
         if line is None:
-            parts = [
-                encode(
-                    {
-                        "current": _state_dict(obj.current),
-                        "archives": [
-                            {"domain": _domain_dict(a.domain), "aggregates": a.aggregates}
-                            for a in obj.archives
-                        ],
-                    }
-                )
-            ]
+            head: dict[str, Any] = {"current": _state_dict(obj.current)}
+            if obj.archives:
+                head["archives"] = [
+                    {"aggregates": a.aggregates, "domain": _bounds(a.domain)} for a in obj.archives
+                ]
+            parts = [encode(head).encode()]
             for state in obj.past:
                 if state.text is None:
-                    state.text = encode(_state_dict(state))
+                    state.text = encode(_state_dict(state)).encode()
                 parts.append(state.text)
-            line = "\t".join(parts) + "\n"
-        else:
-            obj.decode()
+            line = b"\t".join(parts) + b"\n"
+            crc = zlib.crc32(line)
+        elif not obj.decoded and zlib.crc32(line) != crc:
+            obj.decode()  # raises what the line's first read raises
         lines.append(line)
+        # json writes the source key's tuples as lists
+        index.append([oid, obj.class_name, obj.status, obj.source_key, crc])
+    header = encode(
+        {
+            "format": STORE_FORMAT,
+            "source_schema": store.source_text,
+            "warehouse_def": store.warehouse_text,
+            "last_refresh": format_instant(store.last_refresh),
+            "oid_counter": store.oid_counter,
+            "memberships": {
+                name: sorted(store.by_class[name])
+                for name in store.membership_classes()
+                if name in store.by_class
+            },
+            "objects": index,
+        }
+    ).encode()
+    lines[0] = b"%s\t%d\n" % (header, zlib.crc32(header))
     return lines
 
 
 def _state_dict(state: State) -> dict[str, Any]:
-    return {"domain": _domain_dict(state.stored), "value": state.value}
+    return {"domain": _bounds(state.stored), "value": state.value}
 
 
-def _domain_dict(d: TemporalDomain) -> dict[str, Any]:
-    return {
-        "unit": d.unit,
-        "intervals": [[iv.start.tick, iv.end.tick] for iv in d.intervals],
-    }
+def _bounds(d: TemporalDomain) -> list[list[int]]:
+    return [[iv.start.tick, iv.end.tick] for iv in d.intervals]
 
 
 def save_store(store: Store, path: str) -> None:
@@ -881,7 +897,7 @@ def save_store(store: Store, path: str) -> None:
     lines = _store_lines(store)
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") as fh:
             fh.writelines(lines)
             fh.flush()
             os.fsync(fh.fileno())
@@ -900,50 +916,54 @@ def save_store(store: Store, path: str) -> None:
 def load_store(path: str) -> Store:
     """Read a store file; raise Error if it is not a well-formed store.
 
-    One loop builds every object of every layout from its index entry (a
-    v1 object's oid, class, status and source key) as a deferred
+    A v5 header must match its CRC-32 before anything but its format is
+    read. One loop builds every object of every layout from its index
+    entry (a v1 object's oid, class, status and source key) as a deferred
     WarehouseObject, after checking the entry: its oid follows the last,
     its class owns objects (an extraction or a composite), its status is
     active or frozen, and an extraction's key is [interface, string id]
     pairs. Composites are added last, each key as _Composites reads
-    it. A v4, v3 or v2 file's object lines are counted here, and each is
-    decoded and checked on its object's first read, raising the same
-    malformed-store Error; only a v4 file's are kept for the next save to
-    write again. A v1 file, compact or indented, is decoded and checked
-    whole. The oid counter must be an integer no lower than the last oid,
-    or a new object would take a held oid.
+    it. A v5, v4, v3 or v2 file's object lines are counted here, and each
+    is checked and decoded on its object's first read, raising the same
+    malformed-store Error; only a v5 file's are kept, with their CRC-32s,
+    for the next save to write again. A v1 file, compact or indented, is
+    decoded and checked whole. The oid counter must be an integer no
+    lower than the last oid, or a new object would take a held oid.
     """
     # lines end at "\n" alone, the one line break the encoder writes raw
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        head = fh.readline()
-        try:
-            doc = json.loads(head)
-        except ValueError:  # an integer past the conversion limit included
-            doc = None  # the indented v1 layout spreads one document over lines
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        doc, tail = _first_document(first)
         fmt = doc.get("format") if isinstance(doc, dict) else None
-        lined = fmt in (STORE_FORMAT, V3_FORMAT, V2_FORMAT)
+        if fmt != STORE_FORMAT and tail.strip():
+            doc = fmt = None  # only whitespace follows an older header
+        lined = fmt in (STORE_FORMAT, V4_FORMAT, V3_FORMAT, V2_FORMAT)
         rest = fh.readlines() if lined else fh.read()
     if not lined and (doc is None or rest.strip()):
-        try:
-            doc = json.loads(head + rest)
-        except ValueError as exc:
+        try:  # the indented v1 layout spreads one document over lines
+            doc = json.loads((first + rest).decode("utf-8"))
+        except ValueError as exc:  # an integer past the conversion limit included
             raise Error(f"{path}: not a valid store document ({exc})") from None
     if not lined and not (isinstance(doc, dict) and doc.get("format") == V1_FORMAT):
         raise Error(
-            f"{path}: not a {STORE_FORMAT}, {V3_FORMAT}, {V2_FORMAT} or {V1_FORMAT} document"
+            f"{path}: not a {STORE_FORMAT}, {V4_FORMAT}, {V3_FORMAT}, {V2_FORMAT} "
+            f"or {V1_FORMAT} document"
         )
-    decoder = _StateDecoder(path, doc["format"])
+    sealed = fmt == STORE_FORMAT
     try:
+        if sealed and tail != b"\t%d\n" % zlib.crc32(first[: len(first) - len(tail)]):
+            raise ValueError("the header fails its checksum")
         try:
             store = _store_from_header(doc)
         except Error as exc:  # a stored definition that no longer parses or resolves
             raise _malformed(path, exc) from None
+        decoder = _StateDecoder(path, doc["format"], store.last_refresh.unit)
         if decoder.layout in (V2_FORMAT, V1_FORMAT):
             decoder.implied_end = store.last_refresh.tick
         if lined:
             index = doc["objects"]
             # only a file cut off inside its last line has a line without "\n"
-            complete = len(rest) - (bool(rest) and not rest[-1].endswith("\n"))
+            complete = len(rest) - (bool(rest) and not rest[-1].endswith(b"\n"))
             if len(rest) != len(index) or complete != len(rest):
                 raise ValueError(
                     f"the index holds {len(index)} objects"
@@ -957,10 +977,10 @@ def load_store(path: str) -> Store:
         classes = store.schema.classes
         extractions = {n for n in classes if classes[n].role == "extraction"}
         interfaces = store.source_schema.interfaces
-        reuse = decoder.layout == STORE_FORMAT
         last, now = 0, store.now
         composites = _Composites(store)
-        for (oid, cname, status, key), line in entries:
+        for entry, line in entries:
+            oid, cname, status, key, crc = entry if sealed else (*entry, None)
             # lines pair with index entries by position, which the oid order fixes
             if oid <= last:
                 raise ValueError(f"oid {oid} follows oid {last} in the object index")
@@ -979,8 +999,10 @@ def load_store(path: str) -> Store:
                 sound = False
             if not sound and extracted:
                 raise ValueError(f"oid {oid} has a source key other than [interface, id] pairs")
-            load = partial(decoder.line, line, now if status == "active" else None)
-            obj = WarehouseObject.deferred(oid, cname, status, key, load, line if reuse else None)
+            load = partial(decoder.line, oid, line, now if status == "active" else None, crc)
+            obj = WarehouseObject.deferred(
+                oid, cname, status, key, load, line if sealed else None, crc
+            )
             if extracted:
                 store.add_object(obj, True)
             else:
@@ -1001,6 +1023,17 @@ def load_store(path: str) -> Store:
     except (KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, exc) from None
     return store
+
+
+def _first_document(first: bytes) -> tuple[Any, bytes]:
+    """The JSON document that a store file's first line begins with, or
+    None where it holds no whole one, and the bytes after it."""
+    try:
+        text = first.decode("utf-8")
+        doc, end = _raw_decode(text, json.decoder.WHITESPACE.match(text).end())
+    except ValueError:  # an integer past the conversion limit included
+        return None, b""
+    return doc, text[end:].encode("utf-8")
 
 
 class _Composites:
@@ -1180,9 +1213,9 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def _documents(line: str) -> list[Any]:
-    """The JSON documents of a v4 object line, each after one TAB but the
-    first, with its newline after the last; anything else between or after
-    them is the ValueError that _StateDecoder.line names."""
+    """The JSON documents of a v5 or v4 object line, each after one TAB
+    but the first, with its newline after the last; anything else between
+    or after them is the ValueError that _StateDecoder.line names."""
     docs, end = [], 0
     while True:
         doc, end = _raw_decode(line, end)
@@ -1195,9 +1228,14 @@ def _documents(line: str) -> list[Any]:
     return docs
 
 
+# how a past state's document begins, its keys sorted, so that its
+# domain can be decoded alone
+_PAST_DOMAIN = b'{"domain":'
+
+
 class _StateDecoder:
     """Builds objects' states from one store file's documents; layout is
-    the file's format.
+    the file's format, unit the store's.
 
     Many states span the same granules, so each distinct domain is built
     and checked once, to be canonical and to span a granule, and then
@@ -1212,65 +1250,117 @@ class _StateDecoder:
     it, while a later end, which older builds let a patch set, is kept.
     """
 
-    def __init__(self, path: str, layout: str):
+    def __init__(self, path: str, layout: str, unit: str):
         self.path = path
         self.layout = layout
-        self.domains: dict[tuple[str, tuple[tuple[int, ...], ...]], TemporalDomain] = {}
+        self.unit = unit
+        self.domains: dict[tuple[tuple[int, ...], ...], TemporalDomain] = {}
         self.implied_end: int | None = None
 
     def line(
-        self, line: str | dict[str, Any], now: Now | None
+        self, oid: Oid, line: bytes | dict[str, Any], now: Now | None, crc: int | None
     ) -> tuple[State, list[State], list[ArchiveState]]:
         """Decode one object's line or v1 document, raising the malformed-store Error.
 
-        A v4 line's documents are scanned in order, each where the one
-        before it ends: exactly one TAB parts two whole documents, the
-        newline follows the last, and the TABs number one fewer than the
-        documents, so none sits inside a document. So the TABs are exactly
-        the separators that Store.touch splits the line at. A head holding
-        past states is rejected too."""
+        A v5 line that matches crc, its CRC-32 in the index, is what the
+        writer wrote: its head is decoded, and its past states are left
+        deferred, each holding its document, but for the newest one's
+        domain, which the current state must start after. Any other line
+        is decoded whole, so a damaged line raises what it raised before
+        lines had checksums, and a v5 line that still parses fails its
+        checksum. A v5 or v4 line's documents are scanned in order, each
+        where the one before it ends: exactly one TAB parts two whole
+        documents, the newline follows the last, and the TABs number one
+        fewer than the documents, so none sits inside a document. A head
+        holding past states is rejected too."""
         try:
-            if self.layout != STORE_FORMAT:
-                item = line if self.layout == V1_FORMAT else json.loads(line)
-                return self.states(item, item["past"], now)
-            head, *past = docs = _documents(line)
-            if line.count("\t") != len(docs) - 1:
-                raise ValueError("an object line parts its documents with more than TABs")
-            if "past" in head:  # a v3 line, whose past states would go unread
-                raise ValueError("an object's head document holds past states")
-            return self.states(head, past, now)
+            if crc is not None and zlib.crc32(line) == crc:
+                return self._head(line, now)
+            states = self._whole(line, now)
+            if self.layout == STORE_FORMAT:
+                raise ValueError(f"the line of oid {oid} fails its checksum")
+            return states
         except (KeyError, TypeError, ValueError) as exc:
             raise _malformed(self.path, exc) from None
 
-    def states(
-        self, item: dict[str, Any], past: list[dict[str, Any]], now: Now | None
+    def _head(self, line: bytes, now: Now | None) -> tuple[State, list[State], list[ArchiveState]]:
+        head_end = line.find(b"\t")
+        texts = line[head_end + 1 : -1].split(b"\t") if head_end >= 0 else []
+        head = _dict(json.loads(line[:head_end].decode("utf-8")))
+        load = self.past
+        past = [State.deferred(text, load) for text in texts]
+        return self.states(head, past, now)
+
+    def _whole(
+        self, line: bytes | dict[str, Any], now: Now | None
     ) -> tuple[State, list[State], list[ArchiveState]]:
+        if self.layout in (STORE_FORMAT, V4_FORMAT):
+            text = line.decode("utf-8")
+            head, *past = docs = _documents(text)
+            if text.count("\t") != len(docs) - 1:
+                raise ValueError("an object line parts its documents with more than TABs")
+        else:
+            head = line if self.layout == V1_FORMAT else json.loads(line.decode("utf-8"))
+            past = head["past"]
+        return self.states(head, [self._state(doc) for doc in past], now)
+
+    def states(
+        self, item: dict[str, Any], older: list[State], now: Now | None
+    ) -> tuple[State, list[State], list[ArchiveState]]:
+        if self.layout in (STORE_FORMAT, V4_FORMAT) and "past" in item:
+            # a v3 line, whose past states would go unread
+            raise ValueError("an object's head document holds past states")
         current = item["current"]
         stored = self.domain(current["domain"])
-        older = [State(self.domain(s["domain"]), _dict(s["value"])) for s in past]
-        if older and stored.intervals[0].start.tick <= older[-1].domain.intervals[-1].end.tick:
+        if older and stored.intervals[0].start.tick <= older[-1].stored.intervals[-1].end.tick:
             raise ValueError("a current state starts before its newest past state ends")
         if now is not None:
             stored = self._open(stored)
+        # a v5 head leaves out an empty archives list
+        archives = item.get("archives", ()) if self.layout == STORE_FORMAT else item["archives"]
         return (
             State(stored, _dict(current["value"]), now),
             older,
-            [ArchiveState(self.domain(a["domain"]), _dict(a["aggregates"])) for a in item["archives"]],
+            [ArchiveState(self.domain(a["domain"]), _dict(a["aggregates"])) for a in archives],
         )
 
-    def domain(self, d: dict[str, Any]) -> TemporalDomain:
-        return self._shared(d["unit"], tuple(map(tuple, d["intervals"])))
+    def past(self, state: State, name: str) -> None:
+        """Decode a deferred past state's document: its domain alone when
+        only the domain is read, else its domain and value."""
+        text = state.text
+        try:
+            if name == "stored" and text.startswith(_PAST_DOMAIN):
+                state.stored = self.domain(_raw_decode(text.decode("utf-8"), len(_PAST_DOMAIN))[0])
+                return
+            decoded = self._state(json.loads(text.decode("utf-8")))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _malformed(self.path, exc) from None
+        state.stored, state.value = decoded.stored, decoded.value
 
-    def _shared(self, unit: str, bounds: tuple[tuple[int, ...], ...]) -> TemporalDomain:
-        found = self.domains.get((unit, bounds))
+    def _state(self, doc: Any) -> State:
+        return State(self.domain(_dict(doc)["domain"]), _dict(doc["value"]))
+
+    def domain(self, d: Any) -> TemporalDomain:
+        """A v5 domain is its [start, end] list, in the store's unit; an
+        older one {"unit", "intervals"} must name the store's unit."""
+        if self.layout != STORE_FORMAT:
+            if d["unit"] != self.unit:
+                raise ValueError(f"a domain is in {d['unit']!r}, not the store's {self.unit!r}")
+            d = d["intervals"]
+        elif type(d) is not list:
+            raise TypeError(f"a domain is a {type(d).__name__}, not a list")
+        return self._shared(tuple(map(tuple, d)))
+
+    def _shared(self, bounds: tuple[tuple[int, ...], ...]) -> TemporalDomain:
+        found = self.domains.get(bounds)
         if found is None:
             if not bounds:
                 raise ValueError("a domain spans no granule")
-            found = domain(unit, *bounds)
+            found = domain(self.unit, *bounds)
             problems = validate_domain(found)
             if problems:
                 raise ValueError(f"a domain's {problems[0].message}")
-            self.domains[(unit, bounds)] = found
+            self.domains[bounds] = found
         return found
 
     def _open(self, d: TemporalDomain) -> TemporalDomain:
@@ -1278,4 +1368,4 @@ class _StateDecoder:
         if self.implied_end is None or last.end.tick > self.implied_end:
             return d
         bounds = tuple((iv.start.tick, iv.end.tick) for iv in d.intervals[:-1])
-        return self._shared(d.unit, bounds + ((last.start.tick, last.start.tick),))
+        return self._shared(bounds + ((last.start.tick, last.start.tick),))

@@ -442,16 +442,38 @@ class State:
 
     A past state never changes once pushed, so it is encoded once: text
     holds its store-file form, read from the file or set at its first
-    save, and None until then. A state's text is never compared.
+    save, and None until then. A state's text is never compared. A past
+    state read from a store file starts deferred: it holds its text, its
+    domain and value slots are empty, and _load(state, name), which only
+    a deferred state holds, fills them on the first read of either; a
+    read of the domain alone may decode the domain alone.
     """
 
-    __slots__ = ("stored", "value", "now", "text")
+    __slots__ = ("stored", "value", "now", "text", "_load")
 
     def __init__(self, domain: TemporalDomain, value: dict[str, Any], now: Now | None = None):
         self.stored = domain
         self.value = value
         self.now = now
-        self.text: str | None = None
+        self.text: bytes | None = None
+
+    @classmethod
+    def deferred(cls, text: bytes, load: Callable[[State, str], None]) -> State:
+        """A closed state whose domain and value load decodes from text."""
+        state = cls.__new__(cls)
+        state.now = None
+        state.text = text
+        state._load = load
+        return state
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only for an empty slot or an unknown name, so only a
+        # deferred state comes here for its domain or value; a load that
+        # raises leaves the slot empty, and the next read raises again
+        if name not in ("stored", "value"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._load(self, name)
+        return object.__getattribute__(self, name)
 
     @property
     def domain(self) -> TemporalDomain:
@@ -484,7 +506,8 @@ class WarehouseObject:
     oid, class, status and source key, its current, past and archives
     slots are empty, and _load, which an ordinary object leaves None,
     decodes their states when one of them is first read. line holds the
-    v4 store file line it was read from until Store.touch drops it.
+    store file line it was read from, and crc the CRC-32 that the file's
+    index gives that line, until Store.touch drops the line.
     """
 
     oid: Oid
@@ -497,7 +520,8 @@ class WarehouseObject:
     _load: Callable[[], tuple[State, list[State], list[ArchiveState]]] | None = field(
         default=None, repr=False, compare=False
     )
-    line: str | None = field(default=None, repr=False, compare=False)
+    line: bytes | None = field(default=None, repr=False, compare=False)
+    crc: int | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def deferred(
@@ -507,7 +531,8 @@ class WarehouseObject:
         status: str,
         source_key: tuple[tuple[str, str | Oid], ...],
         load: Callable[[], tuple[State, list[State], list[ArchiveState]]],
-        line: str | None = None,
+        line: bytes | None = None,
+        crc: int | None = None,
     ) -> WarehouseObject:
         """An object whose current, past and archive states load() returns
         on their first read."""
@@ -518,6 +543,7 @@ class WarehouseObject:
         obj.source_key = source_key
         obj._load = load
         obj.line = line
+        obj.crc = crc
         return obj
 
     def copy(self) -> WarehouseObject:
@@ -535,6 +561,12 @@ class WarehouseObject:
             self.status,
             self.source_key,
         )
+
+    @property
+    def decoded(self) -> bool:
+        """Whether the object's states are decoded; an object that was not
+        read from a store file always is."""
+        return self._load is None
 
     def decode(self) -> None:
         """Decode a deferred object's states now; raises as their first

@@ -10,7 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, hospital_records, snapshot_lines
+from conftest import (
+    FIXTURES,
+    hospital_records,
+    sealed_header,
+    snapshot_lines,
+    store_header,
+)
 from tdw import cli, engine
 from tdw.cli import _locked
 from tdw.dsl import parse_warehouse_def, print_warehouse_def
@@ -55,8 +61,8 @@ def rewrite_header(store: str, **fields) -> None:
     """Set fields of a store file's header line."""
     path = Path(store)
     header, rest = path.read_text(encoding="utf-8").split("\n", 1)
-    head = {**json.loads(header), **fields}
-    path.write_text(json.dumps(head, ensure_ascii=False) + "\n" + rest, encoding="utf-8")
+    head = {**store_header(header), **fields}
+    path.write_text(sealed_header(head) + "\n" + rest, encoding="utf-8")
 
 
 @pytest.fixture()
@@ -296,8 +302,8 @@ class TestBenchInputs:
 class TestBuild:
     def test_build_writes_store(self, built):
         _tmp, store = built
-        header = json.loads(Path(store).read_text(encoding="utf-8").split("\n", 1)[0])
-        assert header["format"] == "tdw-store-v4"
+        header = store_header(Path(store).read_text(encoding="utf-8").split("\n", 1)[0])
+        assert header["format"] == "tdw-store-v5"
         assert header["last_refresh"] == "1990"
 
     def test_existing_store_rejected(self, built, tmp_path):
@@ -521,7 +527,7 @@ class TestRefresh:
         rc, out, err = tdw("inspect", "--store", str(bad), "--class", "X")
         assert (rc, out) == (1, "")
         assert err == (
-            f"error: {bad}: not a tdw-store-v4, tdw-store-v3, tdw-store-v2 "
+            f"error: {bad}: not a tdw-store-v5, tdw-store-v4, tdw-store-v3, tdw-store-v2 "
             "or tdw-store-v1 document\n"
         )
 
@@ -535,7 +541,7 @@ class TestRefresh:
     )
     def test_a_stored_definition_that_fails_names_its_store(self, built, written, edited, detail):
         _tmp, store = built
-        header = json.loads(Path(store).read_text(encoding="utf-8").split("\n", 1)[0])
+        header = store_header(Path(store).read_text(encoding="utf-8").split("\n", 1)[0])
         text = header["warehouse_def"]
         assert text.count(written) == 1
         rewrite_header(store, warehouse_def=text.replace(written, edited))
@@ -723,9 +729,9 @@ class TestInspect:
         _tmp, store = built
         path = Path(store)
         header, rest = path.read_text(encoding="utf-8").split("\n", 1)
-        head = json.loads(header)
+        head = store_header(header)
         head["memberships"] = {"Jeunes_Chirurgiens": [999]}
-        path.write_text(json.dumps(head, ensure_ascii=False) + "\n" + rest, encoding="utf-8")
+        path.write_text(sealed_header(head) + "\n" + rest, encoding="utf-8")
         rc, out, err = tdw("inspect", "--store", store, "--class", "Jeunes_Chirurgiens")
         assert rc == 1 and out == ""
         assert "malformed store document (ValueError: membership 'Jeunes_Chirurgiens' holds " in err
@@ -755,9 +761,9 @@ class TestInspect:
         _tmp, store = built
         path = Path(store)
         header, rest = path.read_text(encoding="utf-8").split("\n", 1)
-        head = json.loads(header)
+        head = store_header(header)
         head["objects"][0][slot] = value  # oid 1, a young surgeon
-        path.write_text(json.dumps(head, ensure_ascii=False) + "\n" + rest, encoding="utf-8")
+        path.write_text(sealed_header(head) + "\n" + rest, encoding="utf-8")
         rc, out, err = tdw("inspect", "--store", store, "--class", "Chirurgiens")
         assert rc == 1 and out == ""
         assert f"malformed store document (ValueError: oid 1 {detail})" in err
@@ -852,10 +858,10 @@ class TestInProcess:
     def test_inspect_decodes_only_the_object_it_shows(
         self, refreshed, capsys, monkeypatch, flags, decoded
     ):
-        header = json.loads(Path(refreshed).read_text(encoding="utf-8").split("\n", 1)[0])
-        assert header["format"] == "tdw-store-v4"
+        header = store_header(Path(refreshed).read_text(encoding="utf-8").split("\n", 1)[0])
+        assert header["format"] == "tdw-store-v5"
         seen = []
-        line = engine._StateDecoder.line  # decodes one v4 object line
+        line = engine._StateDecoder.line  # decodes one object line
 
         def counted(self, *args):
             seen.append(args)
@@ -875,7 +881,7 @@ def damaged(built):
     tmp, store = built
     path = Path(store)
     header, *lines = path.read_text(encoding="utf-8")[:-1].split("\n")
-    oids = [entry[0] for entry in json.loads(header)["objects"]]
+    oids = [entry[0] for entry in store_header(header)["objects"]]
     lines[oids.index(3)] = "{damaged"
     path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
     return tmp, store
@@ -932,7 +938,7 @@ LINE_DAMAGE = {
     "": (lambda line: "{damaged", "JSONDecodeError: Expecting"),
     "past-not-json": (lambda line: line + "\t{damaged", "JSONDecodeError: Expecting"),
     "past-start-after-end": (
-        lambda line: line + '\t{"domain":{"intervals":[[21,20]],"unit":"year"},"value":{}}',
+        lambda line: line + '\t{"domain":[[21,20]],"value":{}}',
         "ValueError: empty interval [1991, 1990]",
     ),
 }
@@ -964,15 +970,16 @@ def damaged_unread(request, built):
     assert rc == 0, err
     path = Path(store)
     header, *lines = path.read_text(encoding="utf-8")[:-1].split("\n")
-    index = json.loads(header)["objects"]
+    index = store_header(header)["objects"]
     which, _, damage = request.param.partition("-")
     # a composite's key ends with its service's object, [class, oid]
-    (s2,) = [oid for oid, cname, _status, key in index if (cname, key[-1][1]) == ("Services", "s2")]
+    (s2,) = [oid for oid, cname, _status, key, _crc in index
+             if (cname, key[-1][1]) == ("Services", "s2")]
     wanted = (
         ("Etablissements", "frozen", s2) if which == "frozen"
         else ("Services", "active", "s1")
     )
-    (at,) = [i for i, (_oid, cname, status, key) in enumerate(index)
+    (at,) = [i for i, (_oid, cname, status, key, _crc) in enumerate(index)
              if (cname, status, key[-1][1]) == wanted]
     change, error = LINE_DAMAGE[damage]
     lines[at] = change(lines[at])
@@ -981,9 +988,9 @@ def damaged_unread(request, built):
 
 
 class TestDamagedUnreadLine:
-    """A line the next save would write again as it was read is decoded,
-    and so checked, before it is written: its head and each of its past
-    states' documents."""
+    """A line the next save would write again as it was read is checked
+    by its CRC-32 before it is written, and a line that fails it is
+    decoded whole: its head and each of its past states' documents."""
 
     def test_reading_the_damaged_object_is_a_domain_error(self, damaged_unread):
         _tmp, store, oid, cname, error = damaged_unread
@@ -1015,26 +1022,29 @@ class TestDamagedUnreadLine:
 
 
 # how damaged_states changes the line of oid 1, a surgeon with three past
-# states, and the error that reading the line raises
+# states, and the error that reading the line raises: a line that still
+# parses fails its checksum
 STATE_DAMAGE = {
     "past-empty": (
-        lambda head, past: past[0]["domain"].update(intervals=[]),
+        lambda head, past: past[0].update(domain=[]),
         "ValueError: a domain spans no granule",
     ),
     "archive-empty": (
         lambda head, past: head.update(
-            archives=[{"aggregates": {}, "domain": {"intervals": [], "unit": "year"}}]
+            archives=[{"aggregates": {}, "domain": []}]
         ),
         "ValueError: a domain spans no granule",
     ),
     "current-empty": (
-        lambda head, past: head["current"]["domain"].update(intervals=[]),
+        lambda head, past: head["current"].update(domain=[]),
         "ValueError: a domain spans no granule",
     ),
+    "past-value-changed": (
+        lambda head, past: past[0]["value"].update(nom=past[0]["value"]["nom"] + "!"),
+        "ValueError: the line of oid 1 fails its checksum",
+    ),
     "current-overlaps-past": (
-        lambda head, past: head["current"]["domain"].update(
-            intervals=[[past[-1]["domain"]["intervals"][-1][1], 23]]
-        ),
+        lambda head, past: head["current"].update(domain=[[past[-1]["domain"][-1][1], 23]]),
         "ValueError: a current state starts before its newest past state ends",
     ),
 }
@@ -1066,9 +1076,9 @@ def damaged_states(request, tmp_path, long_store):
     the store's folder and path, and the error its first read names."""
     path = tmp_path / "h.store"
     header, *lines = long_store.decode("utf-8")[:-1].split("\n")
-    at = [entry[0] for entry in json.loads(header)["objects"]].index(1)
+    at = [entry[0] for entry in store_header(header)["objects"]].index(1)
     head, *past = map(json.loads, lines[at].split("\t"))
-    assert len(past) == 3 and head["current"]["domain"]["intervals"] == [[23, 23]]
+    assert len(past) == 3 and head["current"]["domain"] == [[23, 23]]
     change, error = STATE_DAMAGE[request.param]
     change(head, past)
     lines[at] = "\t".join(json.dumps(d, ensure_ascii=False) for d in (head, *past))
@@ -1101,6 +1111,7 @@ class TestDamagedStates:
         assert (rc, out) == (1, "")
         assert err == f"error: {store}: malformed store document ({error})\n"
         assert Path(store).read_bytes() == before
+        assert not Path(store + ".tmp").exists()
 
 
 @pytest.fixture()
@@ -1111,12 +1122,12 @@ def huge_counter(built):
     tmp, store = built
     path = Path(store)
     header, rest = path.read_text(encoding="utf-8").split("\n", 1)
-    counter = f'"oid_counter":{json.loads(header)["oid_counter"]},'
+    counter = f'"oid_counter":{store_header(header)["oid_counter"]},'
     assert header.count(counter) == 1
     header = header.replace(counter, '"oid_counter":' + "1" * 5001 + ",")
     path.write_text(header + "\n" + rest, encoding="utf-8")
     with pytest.raises(ValueError) as error:
-        json.loads(header)
+        store_header(header)
     assert not isinstance(error.value, json.JSONDecodeError)
     return tmp, store, error.value
 
@@ -1150,15 +1161,15 @@ class TestHugeHeaderInteger:
 @pytest.fixture()
 def moved_tab(tmp_path, long_store):
     """long_store with oid 1's line damaged so that its TAB count still
-    matches its documents: the comma before the head's "current" member
-    becomes a TAB, and the TAB between its first two past documents a
-    comma. Returns the store's folder and path."""
+    matches its documents: the comma before the current state's "value"
+    member becomes a TAB, and the TAB between its first two past documents
+    a comma. Returns the store's folder and path."""
     path = tmp_path / "h.store"
     header, *lines = long_store.decode("utf-8")[:-1].split("\n")
-    at = [entry[0] for entry in json.loads(header)["objects"]].index(1)
+    at = [entry[0] for entry in store_header(header)["objects"]].index(1)
     head, first, rest = lines[at].split("\t", 2)
-    assert head.count(',"current"') == 1
-    lines[at] = "\t".join([head.replace(',"current"', '\t"current"'), f"{first},{rest}"])
+    assert head.count(',"value"') == 1
+    lines[at] = "\t".join([head.replace(',"value"', '\t"value"'), f"{first},{rest}"])
     assert lines[at].count("\t") == long_store.decode("utf-8").split("\n")[at + 1].count("\t")
     path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
     return tmp_path, str(path)
@@ -1174,11 +1185,11 @@ class TestDamagedCompositeKey:
         tmp, store = built
         path = Path(store)
         header, rest = path.read_text(encoding="utf-8").split("\n", 1)
-        head = json.loads(header)
+        head = store_header(header)
         (entry,) = [e for e in head["objects"] if e[0] == 8]
         assert entry[3] == [["Hôpitaux_Publics", 3], ["Services", 5]]
         entry[3] = [["Hôpitaux_Publics", 0], ["Services", 5]]
-        path.write_text(json.dumps(head, ensure_ascii=False) + "\n" + rest, encoding="utf-8")
+        path.write_text(sealed_header(head) + "\n" + rest, encoding="utf-8")
         before = path.read_bytes()
         args = {
             "inspect": ("inspect", "--store", store, "--class", "Etablissements"),

@@ -3,6 +3,8 @@
 import contextlib
 import json
 import os
+import random
+import zlib
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -16,7 +18,10 @@ import reference
 from conftest import (
     assert_indexes,
     hospital_records,
+    resealed,
+    sealed_header,
     snapshot_lines,
+    store_header,
     store_to_dict,
     subtypes,
     year,
@@ -91,32 +96,42 @@ def edited(change):
     return damage
 
 
+def in_layout(like, bounds):
+    """A domain document of the given intervals in the layout of like, a
+    domain document: v5's [start, end] list, or the older {"unit",
+    "intervals"}."""
+    return {"intervals": bounds, "unit": "year"} if isinstance(like, dict) else bounds
+
+
+def with_domain(bounds):
+    """A damage to a head document: its current state's domain set to the
+    given intervals, in the layout it holds."""
+    return lambda item: item["current"].update(domain=in_layout(item["current"]["domain"], bounds))
+
+
 # damages to an object line's head document, which in the v3 layout is
 # the whole line
 HEAD_DAMAGE = {
     "object-without-current": edited(lambda item: item.pop("current")),
     "domain-not-an-object": edited(lambda item: item["current"].update(domain=[1990])),
-    "one-bound-interval": edited(
-        lambda item: item["current"]["domain"].update(intervals=[[20]])
-    ),
-    "empty-interval": edited(
-        lambda item: item["current"]["domain"].update(intervals=[[21, 20]])
-    ),
+    "one-bound-interval": edited(with_domain([[20]])),
+    "empty-interval": edited(with_domain([[21, 20]])),
     "archives-not-a-list": edited(lambda item: item.update(archives=None)),
     "not-json": lambda line: "{not json",
     "value-not-an-object": edited(lambda item: item["current"].update(value=[])),
     "aggregates-not-an-object": edited(
         lambda item: item.update(
-            archives=[{"domain": {"intervals": [[18, 18]], "unit": "year"}, "aggregates": []}]
+            archives=[{"domain": in_layout(item["current"]["domain"], [[18, 18]]),
+                       "aggregates": []}]
         )
     ),
 }
 # a past state after a TAB whose domain starts after it ends
-PAST_START_AFTER_END = '{"domain":{"intervals":[[21,20]],"unit":"year"},"value":{}}'
+PAST_START_AFTER_END = '{"domain":[[21,20]],"value":{}}'
 # a sound past state
-PAST_STATE = '{"domain":{"intervals":[[19,19]],"unit":"year"},"value":{}}'
+PAST_STATE = '{"domain":[[19,19]],"value":{}}'
 # a past state whose value is not an object
-PAST_VALUE_A_LIST = '{"domain":{"intervals":[[19,19]],"unit":"year"},"value":[]}'
+PAST_VALUE_A_LIST = '{"domain":[[19,19]],"value":[]}'
 # domains of two intervals, each sound alone, that are not canonical together
 NON_CANONICAL = {
     "overlapping": [[16, 17], [17, 18]],
@@ -128,12 +143,11 @@ NON_CANONICAL = {
 def non_canonical(place, bounds):
     """A damage giving an object line's current state, a past state after
     a TAB, or an archive state a domain of the given intervals."""
-    doc = {"intervals": bounds, "unit": "year"}
     if place == "current":
-        return edited(lambda item: item["current"].update(domain=doc))
+        return edited(with_domain(bounds))
     if place == "archive":
-        return edited(lambda item: item.update(archives=[{"domain": doc, "aggregates": {}}]))
-    return lambda line: line + "\t" + json.dumps({"domain": doc, "value": {}})
+        return edited(lambda item: item.update(archives=[{"domain": bounds, "aggregates": {}}]))
+    return lambda line: line + "\t" + json.dumps({"domain": bounds, "value": {}})
 
 
 NON_CANONICAL_DAMAGE = {
@@ -611,13 +625,13 @@ class TestRefresh:
     ):
         # older builds made such a store, the build not checking the unit
         header, lines = dumps_store(store).split("\n", 1)
-        doc = json.loads(header)
+        doc = store_header(header)
         doc["warehouse_def"] = doc["warehouse_def"].replace(
             "keep 2 past states;", "keep past 2 weeks;"
         )
         assert "keep past 2 weeks;" in doc["warehouse_def"]
         path = tmp_path / "weeks.store"
-        path.write_text(json.dumps(doc, ensure_ascii=False) + "\n" + lines, encoding="utf-8")
+        path.write_text(sealed_header(doc) + "\n" + lines, encoding="utf-8")
         loaded = load_store(str(path))
         text = dumps_store(loaded)
         with pytest.raises(MixedUnits) as err:
@@ -634,11 +648,11 @@ class TestRefresh:
         # later end of the object's current state, the store's now staying
         header, *lines = dumps_store(store)[:-1].split("\n")
         assert store.objects[3].class_name == "Hôpitaux_Publics"
-        lines[2] = edited(
-            lambda item: item["current"]["domain"].update(intervals=[[20, 23]])
-        )(lines[2])
+        lines[2] = edited(with_domain([[20, 23]]))(lines[2])
         path = tmp_path / "late.store"
-        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        # such a line read from an older file is written as it was stored
+        # by this build's next save, so with its CRC-32
+        path.write_text(resealed("\n".join([header, *lines]) + "\n"), encoding="utf-8")
         loaded = load_store(str(path))
         text = path.read_text(encoding="utf-8")
         with pytest.raises(
@@ -859,7 +873,7 @@ def without_definition(text: str) -> tuple[dict, str]:
     """A store file's header, without the warehouse definition's text,
     and its object lines."""
     header, lines = text.split("\n", 1)
-    doc = json.loads(header)
+    doc = store_header(header)
     del doc["warehouse_def"]
     return doc, lines
 
@@ -1423,7 +1437,7 @@ class TestPersistence:
         a = dumps_store(store)
         b = dumps_store(store)
         assert a == b
-        header, first = (json.loads(line) for line in a.split("\n")[:2])
+        header, first = (store_header(line) for line in a.split("\n")[:2])
         assert list(header.keys()) == sorted(header.keys())
         assert list(first.keys()) == sorted(first.keys())
 
@@ -1435,20 +1449,28 @@ class TestPersistence:
         text = dumps_store(store)
         assert text.endswith("\n")
         header, *lines = text[:-1].split("\n")
+        # the header document, then a TAB and the document's CRC-32
+        header, crc = header.split("\t")
+        assert int(crc) == zlib.crc32(header.encode("utf-8"))
         header = json.loads(header)
         # an object's line: its head document, then each past state's
         # document after a TAB, oldest first
-        lines = [[json.loads(doc) for doc in line.split("\t")] for line in lines]
+        docs = [[json.loads(doc) for doc in line.split("\t")] for line in lines]
         v1 = store_to_dict(store)
         assert [o["oid"] for o in v1["objects"]] == sorted(store.objects)
         assert header == {
-            "format": "tdw-store-v4",
+            "format": "tdw-store-v5",
             **{
                 k: v1[k]
                 for k in ("source_schema", "warehouse_def", "last_refresh", "oid_counter",
                           "memberships")
             },
-            "objects": [[o["oid"], o["class"], o["status"], o["source_key"]] for o in v1["objects"]],
+            # each entry ends with the CRC-32 of its object's line
+            "objects": [
+                [o["oid"], o["class"], o["status"], o["source_key"],
+                 zlib.crc32((line + "\n").encode("utf-8"))]
+                for o, line in zip(v1["objects"], lines)
+            ],
         }
         # an active object's current state ends at the last refresh, which
         # its line leaves implied: the line's interval ends at its start
@@ -1457,11 +1479,19 @@ class TestPersistence:
                 ((start, end),) = o["current"]["domain"]["intervals"]
                 assert end == store.last_refresh.tick
                 o["current"]["domain"]["intervals"] = [[start, start]]
-        assert lines == [
-            [{k: o[k] for k in ("current", "archives")}, *o["past"]] for o in v1["objects"]
-        ]
+        # a domain is written as its intervals, in the unit of last_refresh
+        for o in v1["objects"]:
+            for state in (o["current"], *o["past"], *o["archives"]):
+                assert state["domain"].pop("unit") == "year"
+                state["domain"] = state["domain"]["intervals"]
         assert any(o["archives"] for o in v1["objects"])
         assert any(o["past"] for o in v1["objects"])
+        # a head leaves out an empty archives list
+        assert docs == [
+            [{"current": o["current"], **({"archives": o["archives"]} if o["archives"] else {})},
+             *o["past"]]
+            for o in v1["objects"]
+        ]
 
     def test_dumps_of_a_loaded_store_equals_the_file(self, store, tmp_path, make_snapshot):
         for y in (1991, 1992, 1993):
@@ -1557,7 +1587,7 @@ class TestPersistence:
         with pytest.raises(Error, match="bad.store: malformed store document"):
             load_store(str(path))
 
-    @pytest.mark.parametrize("layout", ["v4", "v1"])
+    @pytest.mark.parametrize("layout", ["v5", "v4", "v1"])
     @pytest.mark.parametrize("name", list(COMPOSITE_DAMAGE))
     def test_a_damaged_composite_key_names_its_fault(self, store, tmp_path, name, layout):
         keys, detail = COMPOSITE_DAMAGE[name]
@@ -1566,11 +1596,16 @@ class TestPersistence:
             doc = store_to_dict(store)
             v1_keys_damage(keys)(doc)
             path.write_text(json.dumps(doc), encoding="utf-8")
-        else:
-            header, rest = dumps_store(store).split("\n", 1)
+        elif layout == "v4":
+            header, rest = v4_text(store, older_keys=False).split("\n", 1)
             head = json.loads(header)
             header_keys_damage(keys)(head)
             path.write_text(json.dumps(head) + "\n" + rest, encoding="utf-8")
+        else:
+            header, rest = dumps_store(store).split("\n", 1)
+            head = store_header(header)
+            header_keys_damage(keys)(head)
+            path.write_text(sealed_header(head) + "\n" + rest, encoding="utf-8")
         with pytest.raises(Error) as error:
             load_store(str(path))
         assert str(error.value) == f"{path}: malformed store document (ValueError: {detail})"
@@ -1604,7 +1639,7 @@ class TestPersistence:
         [
             lambda head: head.pop("warehouse_def"),
             lambda head: head.update(objects=7),
-            lambda head: head["objects"][0].pop(),
+            lambda head: head["objects"][0].__delitem__(slice(3, None)),
             lambda head: head["objects"].reverse(),
             lambda head: head["objects"][1].__setitem__(3, head["objects"][0][3]),
             lambda head: head.update(last_refresh="banana"),
@@ -1625,19 +1660,19 @@ class TestPersistence:
     )
     def test_malformed_v2_header_is_rejected_when_loaded(self, store, tmp_path, damage):
         header, rest = dumps_store(store).split("\n", 1)
-        head = json.loads(header)
+        head = store_header(header)
         damage(head)
         path = tmp_path / "bad.store"
-        path.write_text(json.dumps(head) + "\n" + rest, encoding="utf-8")
+        path.write_text(sealed_header(head) + "\n" + rest, encoding="utf-8")
         with pytest.raises(Error, match="bad.store: malformed store document"):
             load_store(str(path))
 
     def test_membership_over_an_operand_with_composites_loads(self, store, tmp_path):
         header, rest = dumps_store(store).split("\n", 1)
-        head = json.loads(header)
+        head = store_header(header)
         with_grands_hopitaux([3, 4])(head)
         path = tmp_path / "h.store"
-        path.write_text(json.dumps(head) + "\n" + rest, encoding="utf-8")
+        path.write_text(sealed_header(head) + "\n" + rest, encoding="utf-8")
         loaded = load_store(str(path))
         assert loaded.extension_of("Grands_Hôpitaux") == [3, 4]
         assert loaded.extension_of("Etablissements") == [8, 9]
@@ -1663,17 +1698,17 @@ class TestPersistence:
     @pytest.mark.parametrize(
         ("layout", "damage"),
         [
-            *[("v4", damage) for damage in HEAD_DAMAGE.values()],
-            ("v4", edited(lambda item: item.update(past=[]))),
-            ("v4", lambda line: line + "\t{not json"),
-            ("v4", lambda line: line + "\t" + PAST_START_AFTER_END),
-            ("v4", lambda line: line.replace('"CHU ', '"\tCHU ', 1)),
-            ("v4", lambda line: line.replace('"CHU ', '"\tCHU ', 1) + "," + PAST_STATE),
-            ("v4", lambda line: line + "," + PAST_STATE),
-            ("v4", lambda line: line + "\t"),
-            ("v4", lambda line: line + "\t" + PAST_VALUE_A_LIST),
-            ("v4", edited(lambda item: item["current"]["domain"].update(intervals=[]))),
-            *[("v4", damage) for damage in NON_CANONICAL_DAMAGE.values()],
+            *[("v5", damage) for damage in HEAD_DAMAGE.values()],
+            ("v5", edited(lambda item: item.update(past=[]))),
+            ("v5", lambda line: line + "\t{not json"),
+            ("v5", lambda line: line + "\t" + PAST_START_AFTER_END),
+            ("v5", lambda line: line.replace('"CHU ', '"\tCHU ', 1)),
+            ("v5", lambda line: line.replace('"CHU ', '"\tCHU ', 1) + "," + PAST_STATE),
+            ("v5", lambda line: line + "," + PAST_STATE),
+            ("v5", lambda line: line + "\t"),
+            ("v5", lambda line: line + "\t" + PAST_VALUE_A_LIST),
+            ("v5", edited(with_domain([]))),
+            *[("v5", damage) for damage in NON_CANONICAL_DAMAGE.values()],
             # the one-document line of the older layout, decoded on its own path
             ("v3", edited(lambda item: item.pop("past"))),
             *[("v3", damage) for damage in HEAD_DAMAGE.values()],
@@ -1689,7 +1724,7 @@ class TestPersistence:
     def test_malformed_object_line_is_rejected_when_first_read(
         self, store, tmp_path, make_snapshot, layout, damage
     ):
-        text = dumps_store(store) if layout == "v4" else v3_text(store)
+        text = dumps_store(store) if layout == "v5" else v3_text(store)
         header, *lines = text[:-1].split("\n")
         lines[2] = damage(lines[2])
         path = tmp_path / "bad.store"
@@ -1776,6 +1811,120 @@ class TestPersistence:
         assert kind == "current" and value["nom"] == "CHU Purpan"
         with pytest.raises(UnknownOid):
             store.value_at(424242, year(1990))
+
+
+def mutants(data: bytes, rng: random.Random):
+    """Torn and damaged copies of a store file's bytes, each named: cut at
+    every line boundary and at 40 sampled offsets, and 60 sampled bytes
+    each changed to another value."""
+    ends = [at + 1 for at, byte in enumerate(data[:-1]) if byte == 0x0A]
+    for end in sorted({0, *ends, *rng.sample(range(1, len(data)), 40)}):
+        yield f"cut at {end}", data[:end]
+    for at in rng.sample(range(len(data)), 60):
+        changed = bytearray(data)
+        changed[at] ^= rng.randrange(1, 256)
+        yield f"byte {at} changed", bytes(changed)
+
+
+class TestChecksums:
+    """Every byte of a v5 store file is under a CRC-32: the header's own,
+    or its object line's in the header's index."""
+
+    def test_a_torn_or_damaged_file_never_loads_as_another_store(
+        self, store, tmp_path, make_snapshot
+    ):
+        refresh(store, make_snapshot(1991))
+        data = dumps_store(store).encode("utf-8")
+        path = tmp_path / "torn.store"
+        snap = make_snapshot(1992)
+        escaped = []
+        for name, mutant in mutants(data, random.Random("torn writes")):
+            path.write_bytes(mutant)
+            try:
+                loaded = engine.load_store(str(path))
+                for obj in loaded.objects.values():  # read every object whole
+                    [(s.domain, s.value) for s in (obj.current, *obj.past)]
+                    [a.aggregates for a in obj.archives]
+                engine.refresh(loaded, snap)
+            except Error as exc:
+                if not str(exc).startswith(f"{path}: "):
+                    escaped.append((name, str(exc)))
+            else:
+                escaped.append((name, "loaded and refreshed"))
+        assert escaped == []
+
+    def test_a_header_that_fails_its_checksum_is_rejected(self, store, tmp_path):
+        # a change that leaves another sound store: one more past state kept
+        text = dumps_store(store)
+        assert text.count("keep 2 past states;") == 1
+        path = tmp_path / "bad.store"
+        path.write_text(text.replace("keep 2 past states;", "keep 3 past states;"), encoding="utf-8")
+        with pytest.raises(Error) as error:
+            load_store(str(path))
+        assert str(error.value) == (
+            f"{path}: malformed store document (ValueError: the header fails its checksum)"
+        )
+
+    def test_a_line_that_still_parses_fails_its_checksum(self, store, tmp_path, make_snapshot):
+        header, *lines = dumps_store(store)[:-1].split("\n")
+        assert '"nom":"CHU Purpan"' in lines[2]
+        lines[2] = lines[2].replace('"nom":"CHU Purpan"', '"nom":"CHU Rangueil"')
+        path = tmp_path / "bad.store"
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        loaded = load_store(str(path))
+        error = f"{path}: malformed store document (ValueError: the line of oid 3 fails its checksum)"
+        for read in (lambda: loaded.objects[3].current, lambda: dumps_store(loaded),
+                     lambda: refresh(loaded, make_snapshot(1991))):
+            with pytest.raises(Error) as raised:
+                read()
+            assert str(raised.value) == error
+        assert loaded.objects[4].current == store.objects[4].current
+
+    def test_a_deferred_past_state_that_fails_its_checks_names_the_file(
+        self, store, tmp_path, make_snapshot
+    ):
+        # a writer that sealed what it was handed: the checksums hold, the
+        # oldest past state of oid 3 does not
+        for y in (1991, 1992):
+            refresh(store, make_snapshot(y))
+        header, *lines = dumps_store(store)[:-1].split("\n")
+        head, oldest, *newer = lines[2].split("\t")
+        assert newer and json.loads(oldest)["domain"] == [[20, 20]]
+        lines[2] = "\t".join([head, '{"domain":[],"value":[]}', *newer])
+        path = tmp_path / "bad.store"
+        path.write_text(resealed("\n".join([header, *lines]) + "\n"), encoding="utf-8")
+        loaded = load_store(str(path))
+        obj = loaded.objects[3]
+        assert obj.current == store.objects[3].current
+        assert obj.past[-1] == store.objects[3].past[-1]
+        for _ in range(2):  # a failed decode leaves the state deferred
+            with pytest.raises(Error) as error:
+                obj.past[0].domain
+            assert str(error.value) == (
+                f"{path}: malformed store document (ValueError: a domain spans no granule)"
+            )
+        lines[2] = "\t".join([head, '{"domain":[[20,20]],"value":[]}', *newer])
+        path.write_text(resealed("\n".join([header, *lines]) + "\n"), encoding="utf-8")
+        oldest = load_store(str(path)).objects[3].past[0]
+        assert oldest.domain == domain("year", (20, 20))  # decoded alone
+        with pytest.raises(Error) as error:
+            oldest.value
+        assert str(error.value) == (
+            f"{path}: malformed store document (TypeError: a state holds a list, not an object)"
+        )
+
+    def test_an_older_domain_in_another_unit_than_the_store_is_rejected(self, store, tmp_path):
+        text = v4_text(store)
+        assert text.count('"unit":"year"') > 1
+        path = tmp_path / "bad.store"
+        path.write_text(text.replace('"unit":"year"', '"unit":"month"', 1), encoding="utf-8")
+        loaded = load_store(str(path))
+        with pytest.raises(Error) as error:
+            loaded.objects[1].current
+        assert str(error.value) == (
+            f"{path}: malformed store document "
+            "(ValueError: a domain is in 'month', not the store's 'year')"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -2170,8 +2319,8 @@ class TestCopyOnWrite:
         assert store_to_dict(loaded) == store_to_dict(store)
         save_store(loaded, str(path))
         assert path.read_text(encoding="utf-8") == dumps_store(store)
-        assert json.loads(path.read_text(encoding="utf-8").split("\n", 1)[0])["format"] == (
-            "tdw-store-v4"
+        assert store_header(path.read_text(encoding="utf-8").split("\n", 1)[0])["format"] == (
+            "tdw-store-v5"
         )
         assert_refreshes_alike_after_the_late_end(store, str(path), make_snapshot)
 
@@ -2205,8 +2354,9 @@ class TestCopyOnWrite:
             assert loaded.direct_extension(name) == composites[name]
         save_store(loaded, str(path))
         # the next save writes each composite's key as its operand objects
-        index = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[0])["objects"]
-        refs = [ref for _oid, cname, _status, key in index if cname in composites for ref in key]
+        index = store_header(path.read_text(encoding="utf-8").split("\n", 1)[0])["objects"]
+        refs = [ref for _oid, cname, _status, key, _crc in index if cname in composites
+                for ref in key]
         assert refs and all(type(oid) is int for _cname, oid in refs)
         assert path.read_text(encoding="utf-8") == dumps_store(store)
 
@@ -2222,7 +2372,7 @@ class TestCopyOnWrite:
         # two ways, through the frozen surgeon or the active physician
         path = tmp_path / "h.store"
         path.write_bytes((STORES / "tutelles_1994.store").read_bytes())
-        head = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[0])
+        head = store_header(path.read_text(encoding="utf-8").split("\n", 1)[0])
         wdef = parse_warehouse_def(with_medecins(edw_text) + TUTELLES)
         assert head["warehouse_def"] == print_warehouse_def(wdef)
         assert [entry[3] for entry in head["objects"] if entry[0] in (11, 13)] == [
@@ -2250,6 +2400,71 @@ class TestCopyOnWrite:
             name: dict(zip(names, row)) for name, row in counts.items()
         }
         assert saved_and_loaded(loaded, str(path)).objects[11].source_key[0] == ("Médecins", 12)
+
+
+    def test_a_committed_v4_store_reads_the_same_and_is_rewritten_whole(
+        self, store, tmp_path, make_snapshot
+    ):
+        # written by a build of the v4 layout from the hospital fixture:
+        # built at 1990, refreshed at 1991 and 1992 with the extra surgeon
+        # p4 and at 1993 without him
+        path = tmp_path / "h.store"
+        path.write_bytes((STORES / "hopital_1993.store").read_bytes())
+        header = path.read_text(encoding="utf-8").split("\n", 1)[0]
+        assert store_header(header)["format"] == "tdw-store-v4"
+        for y, extra in ((1991, True), (1992, True), (1993, False)):
+            refresh(store, make_snapshot(y, with_extra_surgeon=extra))
+        loaded = load_store(str(path))
+        assert lined(loaded) == set()
+        assert store_to_dict(loaded) == store_to_dict(store)
+        snap = make_snapshot(1994)
+        report = refresh(loaded, snap).to_dict()
+        assert report == refresh(store, snap).to_dict()
+        # the counts that build reported at 1994
+        names = ["created", "carried", "updated", "historized", "frozen", "archived_evictions"]
+        counts = {
+            "Chirurgiens": [0, 0, 0, 2, 1, 2], "Etablissements": [0, 0, 2, 0, 0, 0],
+            "Hôpitaux_Publics": [0, 0, 0, 2, 0, 2], "Services": [0, 3, 0, 0, 0, 0],
+        }
+        assert report["classes"] == {name: dict(zip(names, row)) for name, row in counts.items()}
+        save_store(loaded, str(path))
+        text = path.read_text(encoding="utf-8")
+        assert text == dumps_store(store)
+        assert store_header(text.split("\n", 1)[0])["format"] == "tdw-store-v5"
+
+    def test_a_refresh_that_historizes_and_evicts_nothing_decodes_no_past_state(
+        self, store, src_schema, tmp_path, make_snapshot, monkeypatch
+    ):
+        for y in (1991, 1992):
+            refresh(store, make_snapshot(y))
+        path = str(tmp_path / "h.store")
+        save_store(store, path)
+        decoded = []
+        real = engine._StateDecoder.past
+
+        def counted(self, state, name):
+            decoded.append((state, name))
+            return real(self, state, name)
+
+        monkeypatch.setattr(engine._StateDecoder, "past", counted)
+        loaded = load_store(path)
+        # the sources of 1992 again, a year later
+        snap = ingest_snapshot(src_schema, snapshot_lines(hospital_records(1992)), year(1993))
+        with touch_spy() as touched:
+            report = refresh(loaded, snap).to_dict()
+        save_store(loaded, path)
+        counts = report["classes"].values()
+        assert not any(c["historized"] or c["archived_evictions"] for c in counts)
+        untouched = [obj for oid, obj in loaded.objects.items() if oid not in touched]
+        assert any(len(obj.past) > 1 for obj in untouched)
+        # a first read decodes the newest past state's domain, which the
+        # current state must start after, and no other past document
+        newest = [obj.past[-1] for obj in loaded.objects.values() if obj.past]
+        assert sorted(map(id, (state for state, _name in decoded))) == sorted(map(id, newest))
+        assert {name for _state, name in decoded} == {"stored"}
+        assert lined(loaded) == {obj.oid for obj in untouched}
+        refresh(store, snap)
+        assert Path(path).read_text(encoding="utf-8") == dumps_store(store)
 
 
 def patched_late(store, hospital: str, created: int, t: Instant) -> None:
@@ -2295,24 +2510,55 @@ def older_index(store) -> list:
             for oid, o in sorted(store.objects.items())]
 
 
-def v4_text(store) -> str:
-    """The store in the tdw-store-v4 layout as older builds wrote it."""
-    header, rest = dumps_store(store).split("\n", 1)
-    head = json.loads(header)
-    head["objects"] = older_index(store)
-    return encode(head) + "\n" + rest
+def older_header(store, layout: str) -> dict:
+    """A v4, v3 or v2 header: the v1 document's fields and the older index."""
+    v1 = store_to_dict(store)
+    header = {k: v1[k] for k in ("source_schema", "warehouse_def", "last_refresh",
+                                 "oid_counter", "memberships")}
+    header["format"] = f"tdw-store-{layout}"
+    header["objects"] = older_index(store)
+    return header
+
+
+def older_domain(d) -> dict:
+    return {"unit": d.unit, "intervals": [[iv.start.tick, iv.end.tick] for iv in d.intervals]}
+
+
+def older_state(s) -> dict:
+    """A state as v4 and v3 files held it, an open one with its stored end."""
+    return {"domain": older_domain(s.stored), "value": s.value}
+
+
+def older_head(o) -> dict:
+    return {
+        "current": older_state(o.current),
+        "archives": [{"domain": older_domain(a.domain), "aggregates": a.aggregates}
+                     for a in o.archives],
+    }
+
+
+def v4_text(store, older_keys: bool = True) -> str:
+    """The store in the tdw-store-v4 layout as older builds wrote it: no
+    checksums, each domain with its unit, every head with its archives,
+    and each past state after a TAB; older_keys=False keys composites by
+    their operand objects, as the last v4 builds did."""
+    header = older_header(store, "v4")
+    if not older_keys:
+        header["objects"] = [[oid, o.class_name, o.status, o.source_key]
+                             for oid, o in sorted(store.objects.items())]
+    lines = [
+        "\t".join([encode(older_head(o)), *(encode(older_state(s)) for s in o.past)])
+        for _oid, o in sorted(store.objects.items())
+    ]
+    return "\n".join([encode(header), *lines]) + "\n"
 
 
 def v2_text(store) -> str:
     """The store in the tdw-store-v2 layout: every state's domain as it
     read at the last refresh, and a later end as it was stored."""
     v1 = store_to_dict(store)
-    header = {k: v1[k] for k in ("source_schema", "warehouse_def", "last_refresh",
-                                 "oid_counter", "memberships")}
-    header["format"] = "tdw-store-v2"
-    header["objects"] = older_index(store)
     lines = [encode({k: o[k] for k in ("current", "past", "archives")}) for o in v1["objects"]]
-    return "\n".join([encode(header), *lines]) + "\n"
+    return "\n".join([encode(older_header(store, "v2")), *lines]) + "\n"
 
 
 def v1_text(store) -> str:
@@ -2329,29 +2575,11 @@ def v1_text(store) -> str:
 def v3_text(store) -> str:
     """The store in the tdw-store-v3 layout, which held each object's past
     states inside its one line document {"archives", "current", "past"}."""
-    v1 = store_to_dict(store)
-    header = {k: v1[k] for k in ("source_schema", "warehouse_def", "last_refresh",
-                                 "oid_counter", "memberships")}
-    objects = [store.objects[oid] for oid in sorted(store.objects)]
-    header["format"] = "tdw-store-v3"
-    header["objects"] = older_index(store)
-
-    def domain_of(d):
-        return {"unit": d.unit, "intervals": [[iv.start.tick, iv.end.tick] for iv in d.intervals]}
-
-    def state(s):  # a state as the engine stores it, an open one with its stored end
-        return {"domain": domain_of(s.stored), "value": s.value}
-
     lines = [
-        encode({
-            "current": state(o.current),
-            "past": [state(s) for s in o.past],
-            "archives": [{"domain": domain_of(a.domain), "aggregates": a.aggregates}
-                         for a in o.archives],
-        })
-        for o in objects
+        encode({**older_head(o), "past": [older_state(s) for s in o.past]})
+        for _oid, o in sorted(store.objects.items())
     ]
-    return "\n".join([encode(header), *lines]) + "\n"
+    return "\n".join([encode(older_header(store, "v3")), *lines]) + "\n"
 
 
 OLDER_WRITERS = {"v4": v4_text, "v3": v3_text, "v2": v2_text, "v1": v1_text}
