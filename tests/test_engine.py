@@ -110,33 +110,63 @@ def with_domain(bounds):
 
 
 # damages to an object line's head document, which in the v3 layout is
-# the whole line
+# the whole line, each with the start of the error's detail
 HEAD_DAMAGE = {
-    "object-without-current": edited(lambda item: item.pop("current")),
-    "domain-not-an-object": edited(lambda item: item["current"].update(domain=[1990])),
-    "one-bound-interval": edited(with_domain([[20]])),
-    "empty-interval": edited(with_domain([[21, 20]])),
-    "archives-not-a-list": edited(lambda item: item.update(archives=None)),
-    "not-json": lambda line: "{not json",
-    "value-not-an-object": edited(lambda item: item["current"].update(value=[])),
-    "aggregates-not-an-object": edited(
-        lambda item: item.update(
-            archives=[{"domain": in_layout(item["current"]["domain"], [[18, 18]]),
-                       "aggregates": []}]
-        )
+    "object-without-current": (edited(lambda item: item.pop("current")), "KeyError: 'current'"),
+    "domain-not-an-object": (
+        edited(lambda item: item["current"].update(domain=[1990])),
+        "TypeError: 'int' object is not iterable",
+    ),
+    "one-bound-interval": (
+        edited(with_domain([[20]])), "ValueError: not enough values to unpack (expected 2, got 1)"
+    ),
+    "empty-interval": (edited(with_domain([[21, 20]])), "ValueError: empty interval [1991, 1990]"),
+    "archives-not-a-list": (
+        edited(lambda item: item.update(archives=None)),
+        "TypeError: 'NoneType' object is not iterable",
+    ),
+    "not-json": (
+        lambda line: "{not json",
+        "JSONDecodeError: Expecting property name enclosed in double quotes",
+    ),
+    "value-not-an-object": (
+        edited(lambda item: item["current"].update(value=[])),
+        "TypeError: a state holds a list, not an object",
+    ),
+    "aggregates-not-an-object": (
+        edited(
+            lambda item: item.update(
+                archives=[{"domain": in_layout(item["current"]["domain"], [[18, 18]]),
+                           "aggregates": []}]
+            )
+        ),
+        "TypeError: a state holds a list, not an object",
     ),
 }
-# a past state after a TAB whose domain starts after it ends
-PAST_START_AFTER_END = '{"domain":[[21,20]],"value":{}}'
-# a sound past state
-PAST_STATE = '{"domain":[[19,19]],"value":{}}'
-# a past state whose value is not an object
-PAST_VALUE_A_LIST = '{"domain":[[19,19]],"value":[]}'
-# domains of two intervals, each sound alone, that are not canonical together
+
+
+def past_doc(line, bounds, value):
+    """A past state's document of the given intervals and value, in the
+    layout of the object line's domains."""
+    like = json.loads(line.split("\t", 1)[0])["current"]["domain"]
+    return encode({"domain": in_layout(like, bounds), "value": value})
+
+
+# domains of two intervals, each sound alone, that are not canonical
+# together, and the detail of the error each raises
 NON_CANONICAL = {
-    "overlapping": [[16, 17], [17, 18]],
-    "out-of-order": [[18, 18], [16, 16]],
-    "contiguous": [[16, 16], [17, 18]],
+    "overlapping": (
+        [[16, 17], [17, 18]],
+        "ValueError: a domain's intervals [1986..1987] and [1987..1988] overlap",
+    ),
+    "out-of-order": (
+        [[18, 18], [16, 16]],
+        "ValueError: a domain's intervals [1988..1988] and [1986..1986] are out of order",
+    ),
+    "contiguous": (
+        [[16, 16], [17, 18]],
+        "ValueError: a domain's intervals [1986..1986] and [1987..1988] are contiguous",
+    ),
 }
 
 
@@ -146,14 +176,71 @@ def non_canonical(place, bounds):
     if place == "current":
         return edited(with_domain(bounds))
     if place == "archive":
-        return edited(lambda item: item.update(archives=[{"domain": bounds, "aggregates": {}}]))
-    return lambda line: line + "\t" + json.dumps({"domain": bounds, "value": {}})
+        return edited(lambda item: item.update(
+            archives=[{"domain": in_layout(item["current"]["domain"], bounds), "aggregates": {}}]
+        ))
+    return lambda line: line + "\t" + past_doc(line, bounds, {})
 
 
-NON_CANONICAL_DAMAGE = {
-    f"{name}-{place}-domain": non_canonical(place, bounds)
-    for place in ("current", "past", "archive")
-    for name, bounds in NON_CANONICAL.items()
+# damages to a v5 or v4 object line, each with the start of the detail of
+# the error that decoding the line whole raises
+OBJECT_LINE_DAMAGE = {
+    **HEAD_DAMAGE,
+    "past-in-the-head": (
+        edited(lambda item: item.update(past=[])),
+        "ValueError: an object's head document holds past states",
+    ),
+    "past-not-json": (
+        lambda line: line + "\t{not json",
+        "JSONDecodeError: Expecting property name enclosed in double quotes",
+    ),
+    "past-start-after-end": (
+        lambda line: line + "\t" + past_doc(line, [[21, 20]], {}),
+        "ValueError: empty interval [1991, 1990]",
+    ),
+    "tab-inside-a-document": (
+        lambda line: line.replace('"CHU ', '"\tCHU ', 1),
+        "JSONDecodeError: Invalid control character",
+    ),
+    "tab-and-comma-as-separators": (
+        lambda line: line.replace('"CHU ', '"\tCHU ', 1) + "," + past_doc(line, [[19, 19]], {}),
+        "JSONDecodeError: Invalid control character",
+    ),
+    # a TAB that JSON reads as white space inside the head document
+    "tab-between-tokens": (
+        lambda line: line.replace(":", ":\t", 1),
+        "ValueError: an object line parts its documents with more than TABs",
+    ),
+    "comma-between-documents": (
+        lambda line: line + "," + past_doc(line, [[19, 19]], {}),
+        "ValueError: an object line parts its documents with more than TABs",
+    ),
+    "empty-past-document": (lambda line: line + "\t", "JSONDecodeError: Expecting value"),
+    "past-value-not-an-object": (
+        lambda line: line + "\t" + past_doc(line, [[19, 19]], []),
+        "TypeError: a state holds a list, not an object",
+    ),
+    "active-current-spans-no-granule": (
+        edited(with_domain([])), "ValueError: a domain spans no granule"
+    ),
+    **{
+        f"{name}-{place}-domain": (non_canonical(place, bounds), detail)
+        for place in ("current", "past", "archive")
+        for name, (bounds, detail) in NON_CANONICAL.items()
+    },
+}
+# where a sealed v5 line, whose head alone is decoded at first read and
+# its past states one by one, raises another error than decoded whole
+SEALED_DETAIL = {
+    "tab-inside-a-document": "JSONDecodeError: Unterminated string",
+    "tab-and-comma-as-separators": "JSONDecodeError: Unterminated string",
+    "tab-between-tokens": "JSONDecodeError: Expecting value",
+    "comma-between-documents": "JSONDecodeError: Extra data",
+}
+# where v4 to v1 lines, whose domains are {"intervals", "unit"}
+# objects, raise another error
+OLDER_DETAIL = {
+    "domain-not-an-object": "TypeError: list indices must be integers or slices, not str",
 }
 
 
@@ -1696,52 +1783,64 @@ class TestPersistence:
             load_store(str(path))
 
     @pytest.mark.parametrize(
-        ("layout", "damage"),
+        ("layout", "name"),
         [
-            *[("v5", damage) for damage in HEAD_DAMAGE.values()],
-            ("v5", edited(lambda item: item.update(past=[]))),
-            ("v5", lambda line: line + "\t{not json"),
-            ("v5", lambda line: line + "\t" + PAST_START_AFTER_END),
-            ("v5", lambda line: line.replace('"CHU ', '"\tCHU ', 1)),
-            ("v5", lambda line: line.replace('"CHU ', '"\tCHU ', 1) + "," + PAST_STATE),
-            ("v5", lambda line: line + "," + PAST_STATE),
-            ("v5", lambda line: line + "\t"),
-            ("v5", lambda line: line + "\t" + PAST_VALUE_A_LIST),
-            ("v5", edited(with_domain([]))),
-            *[("v5", damage) for damage in NON_CANONICAL_DAMAGE.values()],
+            *[pytest.param("v5", name, id=name) for name in OBJECT_LINE_DAMAGE],
+            # a sealed line whose newest past value alone is damaged decodes
+            # whole but for that value, whose read raises, as a deferred
+            # state's does in TestChecksums
+            *[pytest.param("sealed", name, id=f"sealed-{name}") for name in OBJECT_LINE_DAMAGE
+              if name != "past-value-not-an-object"],
+            *[pytest.param("v4", name, id=f"v4-{name}") for name in OBJECT_LINE_DAMAGE],
             # the one-document line of the older layout, decoded on its own path
-            ("v3", edited(lambda item: item.pop("past"))),
-            *[("v3", damage) for damage in HEAD_DAMAGE.values()],
-        ],
-        ids=[
-            *HEAD_DAMAGE, "past-in-the-head", "past-not-json", "past-start-after-end",
-            "tab-inside-a-document", "tab-and-comma-as-separators", "comma-between-documents",
-            "empty-past-document", "past-value-not-an-object", "active-current-spans-no-granule",
-            *NON_CANONICAL_DAMAGE,
-            "v3-object-without-past", *(f"v3-{i}" for i in HEAD_DAMAGE),
+            *[pytest.param("v3", name, id=f"v3-{name}")
+              for name in ("object-without-past", *HEAD_DAMAGE)],
         ],
     )
     def test_malformed_object_line_is_rejected_when_first_read(
-        self, store, tmp_path, make_snapshot, layout, damage
+        self, store, tmp_path, make_snapshot, layout, name
     ):
-        text = dumps_store(store) if layout == "v5" else v3_text(store)
-        header, *lines = text[:-1].split("\n")
+        # a damaged v5 line fails its checksum and is decoded whole; a
+        # sealed one, its index entry holding the damaged line's CRC-32 as
+        # a writer handed that line would write it, is decoded head first;
+        # v4 and v3 lines have no checksums and are decoded whole
+        if name == "object-without-past":
+            damage, detail = edited(lambda item: item.pop("past")), "KeyError: 'past'"
+        else:
+            damage, detail = OBJECT_LINE_DAMAGE[name]
+        if layout == "sealed":
+            detail = SEALED_DETAIL.get(name, detail)
+        elif layout in ("v4", "v3"):
+            detail = OLDER_DETAIL.get(name, detail)
+        writer = {"v4": partial(v4_text, older_keys=False), "v3": v3_text}.get(layout, dumps_store)
+        header, *lines = writer(store)[:-1].split("\n")
         lines[2] = damage(lines[2])
+        text = "\n".join([header, *lines]) + "\n"
         path = tmp_path / "bad.store"
-        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        path.write_text(resealed(text) if layout == "sealed" else text, encoding="utf-8")
         loaded = load_store(str(path))  # the header is sound
         oids = sorted(loaded.objects)
         damaged, other = loaded.objects[oids[2]], loaded.objects[oids[3]]
         assert other.current == store.objects[oids[3]].current
         assert damaged.status == store.objects[oids[2]].status
-        for name in ("past", "current", "archives"):  # a failed decode leaves it deferred
-            with pytest.raises(Error, match="bad.store: malformed store document"):
-                getattr(damaged, name)
-            assert damaged._load is not None
-        with pytest.raises(Error, match="bad.store: malformed store document"):
-            dumps_store(loaded)
-        with pytest.raises(Error, match="bad.store: malformed store document"):
-            refresh(loaded, make_snapshot(1991))
+        error = f"{path}: malformed store document ({detail}"
+
+        def first_read():
+            # a sealed line's past states are decoded on their first read
+            [(s.stored, s.value) for s in damaged.past]
+
+        reads = [first_read, lambda: damaged.current, lambda: damaged.archives]
+        if layout == "sealed":
+            # a save checks an unread line's CRC-32 alone, and writes it as read
+            assert dumps_store(loaded) == path.read_text(encoding="utf-8")
+        else:
+            reads.append(lambda: dumps_store(loaded))
+        reads.append(lambda: refresh(loaded, make_snapshot(1991)))
+        for read in reads:
+            with pytest.raises(Error) as raised:
+                read()
+            assert str(raised.value).startswith(error)
+            assert damaged._load is not None  # a failed decode leaves it deferred
 
     def test_failed_replace_keeps_the_prior_file_and_no_temporary(
         self, store, tmp_path, make_snapshot
