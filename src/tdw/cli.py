@@ -149,12 +149,19 @@ def cmd_refresh(args) -> int:
         store = engine.load_store(args.store)
         snapshot = ingest_snapshot(store.source_schema, _read(args.snapshot).splitlines(), at)
         report = engine.refresh(store, snapshot, at)
-        engine.save_store(store, args.store)
-    text = json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True, indent=1)
+        text = json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True, indent=1)
+        tmp = f"{args.report}.tmp" if args.report else None
+        try:  # the report first, so that one that cannot be written saves nothing
+            if tmp:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            engine.save_store(store, args.store)
+            if tmp:
+                os.replace(tmp, args.report)
+        finally:  # after a failure, the report's temporary file goes too
+            if tmp and os.path.exists(tmp):
+                os.unlink(tmp)
     print(text)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     return 0
 
 

@@ -46,11 +46,11 @@ a head document with its current and archive states, an active
 object's current state written with its stored end rather than the
 last refresh, then each past state as its own document, oldest first,
 each after a TAB. A domain is written as its intervals, in the store's
-one unit. load_store builds every object, of any layout, from its index
-entry as a deferred WarehouseObject, whose state slots stay empty until
-their first read decodes the object's line, so a query decodes only the
-objects it shows; objects are slotted, since a load builds one for
-every entry of the index.
+one unit. load_store builds every object from its index entry as a
+deferred WarehouseObject, whose state slots stay empty until their first
+read decodes the object's line, so a query decodes only the objects it
+shows; objects are slotted, since a load builds one for every entry of
+the index.
 
 A first read checks a v5 line's CRC-32 and decodes its head and the
 newest past state's domain; the other past states stay deferred, each
@@ -59,7 +59,8 @@ A refresh reads current values and, of the past, only the oldest
 states that retention tests, so it decodes little history.
 A line that fails its checksum is decoded whole, so it raises what it
 raised before lines had checksums, or the checksum error if it parses.
-Older files have no checksums: their lines are decoded whole.
+Older files have no checksums: each line is translated into v5 documents
+and decoded whole, so a new layout adds a translator, not a decoder branch.
 
 A past state never changes once pushed, so it is encoded once. A save
 writes the line of each object the command left untouched as it was
@@ -798,11 +799,7 @@ def _patched_relation(store: Store, owner: str, prop: model.PropertyDef, value: 
 
 
 STORE_FORMAT = "tdw-store-v5"
-# the older layouts are still read, and rewritten whole as v5: v4 has no
-# checksums and writes each domain with its unit; v3 holds an object's
-# past states in its one line document; v2 also writes an active object's
-# current state with the end it had at the last refresh; v1 is the whole
-# store as one document
+# the older layouts, read through _older and rewritten whole as v5
 V4_FORMAT = "tdw-store-v4"
 V3_FORMAT = "tdw-store-v3"
 V2_FORMAT = "tdw-store-v2"
@@ -957,9 +954,9 @@ def load_store(path: str) -> Store:
             store = _store_from_header(doc)
         except Error as exc:  # a stored definition that no longer parses or resolves
             raise _malformed(path, exc) from None
-        decoder = _StateDecoder(path, doc["format"], store.last_refresh.unit)
-        if decoder.layout in (V2_FORMAT, V1_FORMAT):
-            decoder.implied_end = store.last_refresh.tick
+        unit = store.last_refresh.unit
+        older = None if sealed else partial(_older, doc["format"], unit, store.last_refresh.tick)
+        decoder = _StateDecoder(path, unit, older)
         if lined:
             index = doc["objects"]
             # only a file cut off inside its last line has a line without "\n"
@@ -990,6 +987,8 @@ def load_store(path: str) -> Store:
                 raise ValueError(f"oid {oid} is of class {cname!r}, which owns no objects")
             if status not in ("active", "frozen"):
                 raise ValueError(f"oid {oid} has status {status!r}, not active or frozen")
+            if sealed and type(crc) is not int:  # a line without one would go unchecked
+                raise ValueError(f"oid {oid} has CRC-32 {crc!r}, not an integer")
             key = tuple(map(tuple, key))
             try:
                 sound = bool(key)
@@ -1212,19 +1211,48 @@ def _dict(doc: Any) -> dict[str, Any]:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _documents(line: str) -> list[Any]:
+def _documents(line: bytes) -> list[Any]:
     """The JSON documents of a v5 or v4 object line, each after one TAB
-    but the first, with its newline after the last; anything else between
-    or after them is the ValueError that _StateDecoder.line names."""
+    but the first, with its newline after the last and no TAB inside one;
+    anything else is the ValueError that _StateDecoder.line names."""
+    text = line.decode("utf-8")
     docs, end = [], 0
     while True:
-        doc, end = _raw_decode(line, end)
+        doc, end = _raw_decode(text, end)
         docs.append(doc)
-        if not line.startswith("\t", end):
+        if not text.startswith("\t", end):
             break
         end += 1
-    if line[end:] != "\n":
+    if text[end:] != "\n" or text.count("\t") != len(docs) - 1:
         raise ValueError("an object line parts its documents with more than TABs")
+    return docs
+
+
+def _older(layout: str, unit: str, last_refresh: int, line: Any, active: bool) -> list[Any]:
+    """An older object line, or v1 object document, as v5 documents, head
+    first. A v3 to v1 head holds its past states; a domain {"unit",
+    "intervals"} must be in the store's unit. v2 and v1 wrote an active
+    current state's end as it read at the last refresh: it drops to the
+    start, unless later (an older build's patch). Other shapes pass as read."""
+    if layout == V4_FORMAT:
+        docs = _documents(line)
+    else:
+        head = line if layout == V1_FORMAT else json.loads(line.decode("utf-8"))
+        docs = [head]
+        docs.extend(head["past"])
+        del head["past"]
+    states = [docs[0]["current"], *docs[1:]]
+    states.extend(docs[0]["archives"])
+    for state in states:
+        if type(state) is dict and "domain" in state:
+            d = state["domain"]
+            if d["unit"] != unit:
+                raise ValueError(f"a domain is in {d['unit']!r}, not the store's {unit!r}")
+            state["domain"] = d["intervals"]
+    if active and layout in (V2_FORMAT, V1_FORMAT):
+        match states[0]:  # an empty interval is left for the decoder to reject
+            case {"domain": [*_, [int() as s, int() as e] as last]} if s <= e <= last_refresh:
+                last[1] = s
     return docs
 
 
@@ -1234,8 +1262,8 @@ _PAST_DOMAIN = b'{"domain":'
 
 
 class _StateDecoder:
-    """Builds objects' states from one store file's documents; layout is
-    the file's format, unit the store's.
+    """Builds objects' states from one store file's v5 documents, which
+    translate (_older) makes of an older file's lines; unit is the store's.
 
     Many states span the same granules, so each distinct domain is built
     and checked once, to be canonical and to span a granule, and then
@@ -1243,41 +1271,32 @@ class _StateDecoder:
     state's domain. Each line's current state must start after its newest
     past state ends. An active object's current state is decoded open,
     reading its end from the store's Now.
-
-    v1 and v2 files wrote an open state's end as it read at the last
-    refresh; the loader sets implied_end to that refresh, and an end no
-    later than it is dropped to the state's start, as the engine stores
-    it, while a later end, which older builds let a patch set, is kept.
     """
 
-    def __init__(self, path: str, layout: str, unit: str):
+    def __init__(self, path: str, unit: str, translate: Callable[..., list[Any]] | None):
         self.path = path
-        self.layout = layout
         self.unit = unit
+        self.translate = translate
         self.domains: dict[tuple[tuple[int, ...], ...], TemporalDomain] = {}
-        self.implied_end: int | None = None
 
     def line(
         self, oid: Oid, line: bytes | dict[str, Any], now: Now | None, crc: int | None
     ) -> tuple[State, list[State], list[ArchiveState]]:
         """Decode one object's line or v1 document, raising the malformed-store Error.
 
-        A v5 line that matches crc, its CRC-32 in the index, is what the
+        A line that matches crc, its CRC-32 in the index, is what the
         writer wrote: its head is decoded, and its past states are left
         deferred, each holding its document, but for the newest one's
         domain, which the current state must start after. Any other line
         is decoded whole, so a damaged line raises what it raised before
-        lines had checksums, and a v5 line that still parses fails its
-        checksum. A v5 or v4 line's documents are scanned in order, each
-        where the one before it ends: exactly one TAB parts two whole
-        documents, the newline follows the last, and the TABs number one
-        fewer than the documents, so none sits inside a document. A head
-        holding past states is rejected too."""
+        lines had checksums, and one with a CRC-32 that still parses
+        fails its checksum. A head holding past states is rejected too."""
         try:
             if crc is not None and zlib.crc32(line) == crc:
                 return self._head(line, now)
-            states = self._whole(line, now)
-            if self.layout == STORE_FORMAT:
+            docs = self.translate(line, now is not None) if self.translate else _documents(line)
+            states = self.states(docs[0], [self._state(doc) for doc in docs[1:]], now)
+            if crc is not None:
                 raise ValueError(f"the line of oid {oid} fails its checksum")
             return states
         except (KeyError, TypeError, ValueError) as exc:
@@ -1291,33 +1310,18 @@ class _StateDecoder:
         past = [State.deferred(text, load) for text in texts]
         return self.states(head, past, now)
 
-    def _whole(
-        self, line: bytes | dict[str, Any], now: Now | None
-    ) -> tuple[State, list[State], list[ArchiveState]]:
-        if self.layout in (STORE_FORMAT, V4_FORMAT):
-            text = line.decode("utf-8")
-            head, *past = docs = _documents(text)
-            if text.count("\t") != len(docs) - 1:
-                raise ValueError("an object line parts its documents with more than TABs")
-        else:
-            head = line if self.layout == V1_FORMAT else json.loads(line.decode("utf-8"))
-            past = head["past"]
-        return self.states(head, [self._state(doc) for doc in past], now)
-
     def states(
         self, item: dict[str, Any], older: list[State], now: Now | None
     ) -> tuple[State, list[State], list[ArchiveState]]:
-        if self.layout in (STORE_FORMAT, V4_FORMAT) and "past" in item:
-            # a v3 line, whose past states would go unread
+        if "past" in item:
+            # a v3 line under a newer header, whose past states would go unread
             raise ValueError("an object's head document holds past states")
         current = item["current"]
         stored = self.domain(current["domain"])
         if older and stored.intervals[0].start.tick <= older[-1].stored.intervals[-1].end.tick:
             raise ValueError("a current state starts before its newest past state ends")
-        if now is not None:
-            stored = self._open(stored)
-        # a v5 head leaves out an empty archives list
-        archives = item.get("archives", ()) if self.layout == STORE_FORMAT else item["archives"]
+        # a head leaves out an empty archives list
+        archives = item.get("archives", ())
         return (
             State(stored, _dict(current["value"]), now),
             older,
@@ -1341,13 +1345,8 @@ class _StateDecoder:
         return State(self.domain(_dict(doc)["domain"]), _dict(doc["value"]))
 
     def domain(self, d: Any) -> TemporalDomain:
-        """A v5 domain is its [start, end] list, in the store's unit; an
-        older one {"unit", "intervals"} must name the store's unit."""
-        if self.layout != STORE_FORMAT:
-            if d["unit"] != self.unit:
-                raise ValueError(f"a domain is in {d['unit']!r}, not the store's {self.unit!r}")
-            d = d["intervals"]
-        elif type(d) is not list:
+        """A domain is its [start, end] list, in the store's unit."""
+        if type(d) is not list:
             raise TypeError(f"a domain is a {type(d).__name__}, not a list")
         return self._shared(tuple(map(tuple, d)))
 
@@ -1362,10 +1361,3 @@ class _StateDecoder:
                 raise ValueError(f"a domain's {problems[0].message}")
             self.domains[bounds] = found
         return found
-
-    def _open(self, d: TemporalDomain) -> TemporalDomain:
-        last = d.intervals[-1]
-        if self.implied_end is None or last.end.tick > self.implied_end:
-            return d
-        bounds = tuple((iv.start.tick, iv.end.tick) for iv in d.intervals[:-1])
-        return self._shared(bounds + ((last.start.tick, last.start.tick),))

@@ -600,8 +600,9 @@ def _checker(typ: SourceType) -> Callable[[Any], Any]:
                 raise
             try:
                 return sorted(set(items))
-            except TypeError:  # structs or sets, distinct and ordered by their JSON text
-                return [v for _text, v in sorted({json.dumps(v): v for v in items}.items())]
+            except TypeError:  # structs or sets, ordered by their JSON text; a member
+                items.sort(key=json.dumps)  # equal to the one before, as -0.0 to 0.0, goes
+                return [v for i, v in enumerate(items) if i == 0 or v != items[i - 1]]
 
         return check_set
 

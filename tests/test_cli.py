@@ -17,6 +17,7 @@ from conftest import (
     snapshot_lines,
     store_header,
 )
+from test_engine import v3_text, v4_text
 from tdw import cli, engine
 from tdw.cli import _locked
 from tdw.dsl import parse_warehouse_def, print_warehouse_def
@@ -447,6 +448,36 @@ class TestRefresh:
         assert rc == 0
         assert json.loads(report_path.read_text(encoding="utf-8")) == json.loads(out)
 
+    def test_a_report_that_cannot_be_written_saves_nothing(self, built):
+        # else the store moves on, and a retry of the refresh is refused
+        tmp, store = built
+        snap = write_snapshot(tmp / "s1991.jsonl", 1991)
+        before = Path(store).read_bytes()
+        argv = ["refresh", "--store", store, "--snapshot", snap, "--at", "1991"]
+        rc, _out, err = tdw(*argv, "--report", str(tmp / "missing" / "r.json"))
+        assert rc != 0
+        assert "missing" in err
+        assert Path(store).read_bytes() == before
+        assert list(tmp.rglob("*.tmp")) == []
+        rc, out, err = tdw(*argv, "--report", str(tmp / "r.json"))
+        assert rc == 0, err
+        assert json.loads((tmp / "r.json").read_text(encoding="utf-8")) == json.loads(out)
+
+    def test_a_store_that_cannot_be_saved_leaves_no_report(self, built, monkeypatch, capsys):
+        tmp, store = built
+        snap = write_snapshot(tmp / "s1991.jsonl", 1991)
+        before = Path(store).read_bytes()
+
+        def fail(*_args):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(engine, "save_store", fail)
+        argv = ["refresh", "--store", store, "--snapshot", snap, "--at", "1991"]
+        assert cli.main([*argv, "--report", str(tmp / "r.json")]) == 2
+        assert "disk gone" in capsys.readouterr().err
+        assert Path(store).read_bytes() == before
+        assert list(tmp.glob("r.json*")) == []
+
     def test_lock_prevents_second_writer(self, built, tmp_path):
         tmp, store = built
         snap = write_snapshot(tmp / "s1991.jsonl", 1991)
@@ -873,6 +904,29 @@ class TestInProcess:
         assert capsys.readouterr().out.startswith(("class ", "object 3 "))
         assert len(seen) == decoded
 
+    @pytest.mark.parametrize("writer", [v4_text, v3_text], ids=["v4", "v3"])
+    @pytest.mark.parametrize(
+        "flags, decoded", [([], 0), (["--oid", "3", "--history"], 1)], ids=["listing", "history"]
+    )
+    def test_inspect_of_an_older_file_translates_only_the_object_it_shows(
+        self, refreshed, capsys, monkeypatch, writer, flags, decoded
+    ):
+        argv = ["inspect", "--store", refreshed, "--class", "Hôpitaux_Publics", *flags]
+        assert cli.main(argv) == 0
+        shown = capsys.readouterr().out
+        Path(refreshed).write_text(writer(engine.load_store(refreshed)), encoding="utf-8")
+        seen = []
+        line = engine._StateDecoder.line  # translates and decodes one object line
+
+        def counted(self, *args):
+            seen.append(args)
+            return line(self, *args)
+
+        monkeypatch.setattr(engine._StateDecoder, "line", counted)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == shown
+        assert len(seen) == decoded
+
 
 @pytest.fixture()
 def damaged(built):
@@ -1253,6 +1307,31 @@ class TestPatch:
             "inspect", "--store", store, "--class", "Hôpitaux_Publics", "--oid", "3"
         )
         assert "année_création = 1956" in out
+
+    def test_a_short_holds_an_integer_of_any_size(self, tmp_path):
+        # tdw's integers are unbounded: no 16- or 32-bit range is checked
+        big = 10**20
+        records = hospital_records(1990)
+        [p1] = [r for r in records if r["id"] == "p1"]
+        p1["values"]["année_naissance"] = big
+        snap = tmp_path / "s1990.jsonl"
+        snap.write_text("\n".join(snapshot_lines(records)) + "\n", encoding="utf-8")
+        store = str(tmp_path / "h.store")
+        rc, _out, err = tdw(
+            "build", "--warehouse", EDW, "--source-schema", ODL,
+            "--snapshot", str(snap), "--at", "1990", "--store", store,
+        )
+        assert rc == 0, err
+        assert engine.load_store(store).objects[1].current.value["année_naissance"] == big
+        rc, _out, err = tdw(
+            "patch", "--store", store, "--oid", "3", "--set", f"année_création={big}", "--at", "1990"
+        )
+        assert rc == 0, err
+        rc, out, err = tdw(
+            "inspect", "--store", store, "--class", "Hôpitaux_Publics", "--oid", "3"
+        )
+        assert rc == 0, err
+        assert f"année_création = {big}\n" in out
 
     def test_derived_property_rejected(self, built):
         _tmp, store = built

@@ -1979,6 +1979,21 @@ class TestChecksums:
             assert str(raised.value) == error
         assert loaded.objects[4].current == store.objects[4].current
 
+    @pytest.mark.parametrize("crc", [None, "0", 1.5, True], ids=["null", "string", "float", "bool"])
+    def test_an_index_entry_whose_crc_is_no_integer_is_rejected(self, store, tmp_path, crc):
+        # a line that the index gives no CRC-32 would be read unchecked
+        header, rest = dumps_store(store).split("\n", 1)
+        head = store_header(header)
+        head["objects"][2][4] = crc
+        path = tmp_path / "bad.store"
+        path.write_text(sealed_header(head) + "\n" + rest, encoding="utf-8")
+        with pytest.raises(Error) as error:
+            load_store(str(path))
+        assert str(error.value) == (
+            f"{path}: malformed store document (ValueError: oid 3 has CRC-32 {crc!r},"
+            " not an integer)"
+        )
+
     def test_a_deferred_past_state_that_fails_its_checks_names_the_file(
         self, store, tmp_path, make_snapshot
     ):

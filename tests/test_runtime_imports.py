@@ -3,7 +3,9 @@ or names a standard-library module. And every name a module there
 imports is used, every private name it defines is referenced, and every
 error class is raised or caught, so a fold that moves a name's last use
 leaves no import, helper or error class behind. Every error class is
-also named by a test, so no rejection goes untested by name."""
+also named by a test, so no rejection goes untested by name. And the
+store's state decoder names no file layout, so a new layout adds a
+translator, not a decoder branch."""
 
 import ast
 import sys
@@ -318,4 +320,66 @@ def test_guard_flags_untested_errors(tmp_path):
     )
     assert untested_errors(errors, sorted(tests.rglob("*.py"))) == [
         "errors.py:1: Error", "errors.py:9: OnlyImported", "errors.py:11: OnlyInAString",
+    ]
+
+
+# what a decoder that branches on a store file's layout names: the
+# layout itself, v1 and v2's implied current end, or a format
+LAYOUT_NAMES = {"layout", "implied_end", "_open"}
+
+
+def layout_names(path: Path, class_name: str) -> list[str]:
+    """path:line: name for each format constant (*_FORMAT), format
+    string ("tdw-store-…") or name in LAYOUT_NAMES, as a name, an
+    attribute, a parameter or a definition, in the body of class_name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    [cls] = [node for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == class_name]
+    found = []
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.arg):
+            name = node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name.endswith("_FORMAT") or name in LAYOUT_NAMES or name.startswith("tdw-store-"):
+            found.append((node.lineno, name))
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_state_decoder_reads_one_layout():
+    # an older layout is translated into v5 documents before the decoder
+    # reads it, so a new format adds a translator and no decoder branch
+    assert layout_names(PACKAGE / "engine.py", "_StateDecoder") == []
+
+
+def test_guard_flags_layout_branches(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "V4_FORMAT = 'tdw-store-v4'\n"
+        "class _Other:\n"
+        "    layout = V4_FORMAT\n"
+        "class _StateDecoder:\n"
+        "    '''Reads tdw-store-v5 documents.'''\n"
+        "    def __init__(self, unit, layout):\n"
+        "        self.unit = unit\n"
+        "        self.implied_end = None\n"
+        "    def line(self, doc):\n"
+        "        if engine.STORE_FORMAT == 'tdw-store-v3':\n"
+        "            return self._open(doc)\n"
+        "        return doc['format']\n"
+        "    def _open(self, doc):\n"
+        "        return doc\n",
+        encoding="utf-8",
+    )
+    assert layout_names(module, "_StateDecoder") == [
+        "mod.py:6: layout", "mod.py:8: implied_end", "mod.py:10: STORE_FORMAT",
+        "mod.py:10: tdw-store-v3", "mod.py:11: _open", "mod.py:13: _open",
     ]

@@ -340,6 +340,14 @@ class TestIngestSnapshot:
         snap = ingest_snapshot(schema, [line], year(1990))
         assert snap.records[("P", "1")].values == {"xs": [{"a": 1}, {"a": 2}], "ns": [1, 2]}
 
+    def test_set_of_structs_holds_members_equal_but_for_a_signed_zero_once(self):
+        # -0.0 == 0.0, though their JSON texts differ
+        schema = parse_source_schema("interface P { attribute Set<Struct T { Set<Double> b }> xs; }")
+        line = json.dumps({"interface": "P", "id": "1",
+                           "values": {"xs": [{"b": [0, 1]}, {"b": [1, -0.0]}]}})
+        snap = ingest_snapshot(schema, [line], year(1990))
+        assert json.dumps(snap.records[("P", "1")].values) == '{"xs": [{"b": [-0.0, 1.0]}]}'
+
     def test_canonical_output_sorts_keys_and_records(self, src_schema):
         records = list(reversed(hospital_records(1990)))
         snap = ingest_snapshot(src_schema, snapshot_lines(records), year(1990))
