@@ -82,7 +82,7 @@ import os
 import zlib
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from . import model
 from .algebra import ClassBuild, Row, eval_extraction, eval_product, eval_select
@@ -618,12 +618,31 @@ def _build_from_objects(
     rows = []
     for oid in _operand_oids(store, class_name):
         obj = store.objects[oid]
-        if not (include_frozen or obj.status == "active"):
-            continue
+        if obj.status != "active":
+            if not include_frozen:
+                continue
+            _check_frozen(obj, structure)
         value = obj.current.value
         values = tuple(value.get(name) or [] if many else value.get(name) for name, many in slots)
         rows.append(Row(((obj.class_name, oid),), values, ((binder, oid),)))
     return ClassBuild(structure, rows)
+
+
+def _check_frozen(obj: WarehouseObject, structure: list[model.PropertyDef]) -> None:
+    """Raise TypeMismatch unless a frozen object's stored value, which no
+    refresh derives again, fits each slot read: an attribute its source
+    type, a relation null, an oid or a list of oids, as its cardinality says."""
+    owner = f"oid {obj.oid}: {obj.class_name}"
+    for prop in structure:
+        value = obj.current.value.get(prop.name)
+        if value is not None and not prop.is_relation:
+            coerce(prop.value_type, value, owner, prop.name)
+        elif value is not None:
+            many = prop.cardinality == "many"
+            oids = value if many else [value]
+            if not (isinstance(oids, list) and all(type(oid) is int for oid in oids)):
+                expected = "null or a list of oids" if many else "null or an oid"
+                raise TypeMismatch(f"{owner}.{prop.name}: expected {expected}, got {value!r}")
 
 
 def _operand_oids(store: Store, class_name: str) -> list[Oid]:
@@ -919,8 +938,9 @@ def load_store(path: str) -> Store:
     WarehouseObject, after checking the entry: its oid follows the last,
     its class owns objects (an extraction or a composite), its status is
     active or frozen, and an extraction's key is [interface, string id]
-    pairs. Composites are added last, each key as _Composites reads
-    it. A v5, v4, v3 or v2 file's object lines are counted here, and each
+    pairs. Composites are added last, each key as _Composites reads it,
+    an older key over the keys the index holds. A v5, v4, v3 or v2 file's
+    object lines are counted here, and each
     is checked and decoded on its object's first read, raising the same
     malformed-store Error; only a v5 file's are kept, with their CRC-32s,
     for the next save to write again. A v1 file, compact or indented, is
@@ -1042,15 +1062,16 @@ class _Composites:
 
     A key holds one [class, oid] pair per operand, in order, each naming
     an object of the index, of that class, which the operand reads. Older
-    builds keyed a composite by its operands' source pairs one after the
-    other. Such a key, any key not of [class, oid] pairs, is split among
-    the objects its operands read, each standing for its source pairs (a
-    composite for its operands'). It splits more than one way where a
-    record has an object in two classes an operand reads, as a surgeon
-    who moved between two subclasses, and then reads as the objects an
-    older build read last: those of the split with the most active
-    objects, then the highest oids. An older build read active operand
-    objects only, and a newer object of a record replaces a frozen one."""
+    builds keyed a composite by its operands' keys one after the other.
+    Such a key, any key not of [class, oid] pairs, is split among the
+    objects its operands read, each standing for its key as its entry
+    holds it, so one through a composite keyed by [class, oid] pairs
+    splits no way. It splits more than one way where a record has an
+    object in two classes an operand reads, as a surgeon who moved
+    between two subclasses, and then reads as the objects an older build
+    read last: those of the split with the most active objects, then the
+    highest oids. An older build read active operand objects only, and a
+    newer object of a record replaces a frozen one."""
 
     def __init__(self, store: Store):
         self.store, self.objects = store, store.objects
@@ -1061,31 +1082,20 @@ class _Composites:
             for name, cls in classes.items()
             if cls.role == "composite"
         }
-        self.keys: dict[Oid, tuple[tuple[str, Oid], ...]] = {}
-        # per class, its objects under their source pairs, built only for
-        # a key of the older form
-        self.by_pairs: dict[str, dict[tuple[tuple[str, str], ...], list[Oid]]] = {}
+        # operand objects under (class, key as written), at the first older key
+        self.written: dict[tuple[str, tuple], list[Oid]] = {}
 
     def add(self) -> None:
         for oid, obj in self.held.items():
-            obj.source_key = self.key(oid)
+            obj.source_key = self._read(oid, obj.source_key, self.operands[obj.class_name])
             self.store.add_object(obj, False)
-
-    def key(self, oid: Oid) -> tuple[tuple[str, Oid], ...]:
-        """The composite oid's key: its operand objects, one per operand."""
-        read = self.keys.get(oid)
-        if read is None:
-            obj = self.held[oid]
-            read = self.keys[oid] = self._read(oid, obj.source_key, self.operands[obj.class_name])
-        return read
 
     def _object(self, oid: Oid) -> WarehouseObject | None:
         return self.objects.get(oid) or self.held.get(oid)
 
     def _read(self, oid: Oid, key: tuple, operands: list[set[str]]) -> tuple[tuple[str, Oid], ...]:
         if not (key and all(len(ref) == 2 and type(ref[1]) is int for ref in key)):
-            ways = self._ways(key, 0, operands)
-            refs = max(ways, key=self._recency, default=None)
+            refs = max(self._ways(key, operands), key=self._recency, default=None)
             if refs is None:
                 raise ValueError(
                     f"oid {oid}'s source key splits no way among its operands' objects"
@@ -1112,37 +1122,23 @@ class _Composites:
     def _recency(self, refs: tuple[Oid, ...]) -> tuple[int, tuple[Oid, ...]]:
         return sum(self._object(ref).status == "active" for ref in refs), refs
 
-    def _ways(self, key: tuple, start: int, operands: list[set[str]]) -> Iterator[tuple[Oid, ...]]:
-        """Each choice of one object per operand whose source pairs, one
-        after the other, are key[start:]."""
-        if not operands:
-            if start == len(key):
-                yield ()
-            return
-        for end in range(start + 1, len(key) + 1):
-            for cname in operands[0]:
-                for ref in self._by_pairs(cname).get(key[start:end], ()):
-                    for rest in self._ways(key, end, operands[1:]):
-                        yield (ref, *rest)
-
-    def _by_pairs(self, cname: str) -> dict[tuple[tuple[str, str], ...], list[Oid]]:
-        held = self.by_pairs.get(cname)
-        if held is None:
-            held = self.by_pairs[cname] = {}
-            if cname in self.operands:
-                oids = [oid for oid, obj in self.held.items() if obj.class_name == cname]
-            else:
-                oids = self.store.by_class.get(cname, ())
-            for oid in oids:
-                held.setdefault(self._pairs(oid), []).append(oid)
-        return held
-
-    def _pairs(self, oid: Oid) -> tuple[tuple[str, str], ...]:
-        """The source pairs oid stands for: an extraction object's key, or
-        a composite's operand objects' pairs one after the other."""
-        if oid not in self.held:
-            return self.objects[oid].source_key
-        return tuple(pair for _c, ref in self.key(oid) for pair in self._pairs(ref))
+    def _ways(self, key: tuple, operands: list[set[str]]) -> list[tuple[Oid, ...]]:
+        """Each choice of one object per operand whose keys as written, in turn, are key."""
+        if not self.written:  # no held key is rewritten before the first older one
+            read = set().union(*(r for classes in self.operands.values() for r in classes))
+            for obj in {**self.objects, **self.held}.values():
+                if obj.class_name in read:
+                    self.written.setdefault((obj.class_name, obj.source_key), []).append(obj.oid)
+        ways: list[tuple[tuple[Oid, ...], int]] = [((), 0)]
+        for readable in operands:
+            ways = [
+                ((*refs, ref), end)
+                for refs, start in ways
+                for end in range(start + 1, len(key) + 1)
+                for cname in readable
+                for ref in self.written.get((cname, key[start:end]), ())
+            ]
+        return [refs for refs, end in ways if end == len(key)]
 
 
 def _operand_classes(classes: dict[str, model.WarehouseClass], name: str) -> set[str]:
@@ -1355,6 +1351,9 @@ class _StateDecoder:
         if found is None:
             if not bounds:
                 raise ValueError("a domain spans no granule")
+            odd = [tick for pair in bounds for tick in pair if type(tick) is not int]
+            if odd:  # a bool included
+                raise TypeError(f"a domain bound is a {type(odd[0]).__name__}, not an integer")
             found = domain(self.unit, *bounds)
             problems = validate_domain(found)
             if problems:

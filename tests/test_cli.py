@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     FIXTURES,
     hospital_records,
+    resealed,
     sealed_header,
     snapshot_lines,
     store_header,
@@ -1164,6 +1165,121 @@ class TestDamagedStates:
         rc, out, err = tdw(*args)
         assert (rc, out) == (1, "")
         assert err == f"error: {store}: malformed store document ({error})\n"
+        assert Path(store).read_bytes() == before
+        assert not Path(store + ".tmp").exists()
+
+
+def edited_line(text: str, oid: int, change) -> str:
+    """A store file's text with the line of oid split into its documents,
+    passed to change(head, past) and joined again in the writer's form."""
+    header, *lines = text[:-1].split("\n")
+    at = [entry[0] for entry in store_header(header)["objects"]].index(oid)
+    head, *past = map(json.loads, lines[at].split("\t"))
+    change(head, past)
+    lines[at] = "\t".join(
+        json.dumps(d, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        for d in (head, *past)
+    )
+    return "\n".join([header, *lines]) + "\n"
+
+
+# a domain bound that is no integer, as the current, the newest past or an
+# archive state's domain of a resealed v5 line, or as the current domain
+# of a v4 line, and the error the line's first read raises
+FRACTIONAL = [[29.5, 30]]
+FRACTIONAL_TICK = {
+    "current": lambda head, past: head["current"].update(domain=FRACTIONAL),
+    "past": lambda head, past: past[-1].update(domain=FRACTIONAL),
+    "archive": lambda head, past: head.update(
+        archives=[{"aggregates": {}, "domain": FRACTIONAL}]
+    ),
+    "v4-current": lambda head, past: head["current"]["domain"].update(intervals=FRACTIONAL),
+}
+
+
+@pytest.fixture(params=list(FRACTIONAL_TICK))
+def fractional_tick(request, tmp_path, long_store):
+    """long_store with a bound of oid 1's line made fractional as
+    FRACTIONAL_TICK says, resealed, or in a v4 file. Returns its path."""
+    path = tmp_path / "h.store"
+    path.write_bytes(long_store)
+    text = long_store.decode("utf-8")
+    if request.param.startswith("v4"):
+        text = v4_text(engine.load_store(str(path)))
+    text = edited_line(text, 1, FRACTIONAL_TICK[request.param])
+    path.write_text(text if request.param.startswith("v4") else resealed(text), encoding="utf-8")
+    return str(path)
+
+
+class TestFractionalTick:
+    """A domain bound that is no integer is the malformed-store error at
+    its line's first read, not a lifecycle with a fractional year."""
+
+    def test_inspect_names_the_damage(self, fractional_tick):
+        store = fractional_tick
+        rc, out, err = tdw("inspect", "--store", store, "--class", "Chirurgiens", "--oid", "1")
+        assert (rc, out) == (1, "")
+        assert err == (
+            f"error: {store}: malformed store document"
+            " (TypeError: a domain bound is a float, not an integer)\n"
+        )
+
+
+# a value of the frozen surgeon p4 that does not fit its slot, and the
+# detail of the TypeMismatch a refresh raises, after the object's oid
+MISTYPED = {
+    "attribute": (
+        ("année_naissance", {}), "Chirurgiens.année_naissance: expected an integer, got {}"
+    ),
+    "to-many-relation": (
+        ("travaille", "s1"), "Chirurgiens.travaille: expected null or a list of oids, got 's1'"
+    ),
+    "to-one-relation": (("dirige", [5]), "Chirurgiens.dirige: expected null or an oid, got [5]"),
+}
+
+
+@pytest.fixture(params=[(name, layout) for name in MISTYPED for layout in ("v5", "v4")],
+                ids=lambda param: "-".join(param))
+def mistyped(request, tmp_path):
+    """The fixture store built at 1990 with the extra surgeon p4 and
+    refreshed at 1991 without him, so that his object is frozen, and a
+    value of that object set as MISTYPED says, in a resealed v5 line or
+    in a v4 file. Returns the store's folder and path, and the error."""
+    name, layout = request.param
+    store = tmp_path / "h.store"
+    snap = write_snapshot(tmp_path / "s1990.jsonl", 1990, with_extra_surgeon=True)
+    rc, _out, err = tdw(
+        "build", "--warehouse", EDW, "--source-schema", ODL,
+        "--snapshot", snap, "--at", "1990", "--store", str(store),
+    )
+    assert rc == 0, err
+    snap = write_snapshot(tmp_path / "s1991.jsonl", 1991)
+    rc, _out, err = tdw("refresh", "--store", str(store), "--snapshot", snap, "--at", "1991")
+    assert rc == 0, err
+    text = store.read_text(encoding="utf-8")
+    index = store_header(text.split("\n", 1)[0])["objects"]
+    [p4] = [oid for oid, cname, status, key, _crc in index
+            if key == [["PRATICIEN", "p4"]] and (cname, status) == ("Chirurgiens", "frozen")]
+    if layout == "v4":
+        text = v4_text(engine.load_store(str(store)))
+    (prop, value), detail = MISTYPED[name]
+    text = edited_line(text, p4, lambda head, past: head["current"]["value"].update({prop: value}))
+    store.write_text(resealed(text) if layout == "v5" else text, encoding="utf-8")
+    return tmp_path, str(store), f"oid {p4}: {detail}"
+
+
+class TestMistypedFrozenValue:
+    """A frozen object's stored value, which a refresh reads but does not
+    derive again, is checked against its slot: a value that does not fit
+    fails the refresh with a TypeMismatch, not a traceback, and the store
+    is left as it was."""
+
+    def test_refresh_names_the_slot_and_leaves_the_file(self, mistyped):
+        tmp, store, error = mistyped
+        before = Path(store).read_bytes()
+        snap = write_snapshot(tmp / "s1992.jsonl", 1992)
+        rc, out, err = tdw("refresh", "--store", store, "--snapshot", snap, "--at", "1992")
+        assert (rc, out, err) == (1, "", f"error: {error}\n")
         assert Path(store).read_bytes() == before
         assert not Path(store + ".tmp").exists()
 

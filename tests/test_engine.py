@@ -583,6 +583,23 @@ class TestRefresh:
             refresh(store, make_snapshot(1991), year(1992))
         assert dumps_store(store) == before
 
+    def test_a_mistyped_frozen_value_is_a_type_mismatch(self, src_schema, wdef, make_snapshot):
+        # a refresh derives every active value again, but reads a frozen
+        # object's stored value as it is: here p4's, through the
+        # Jeunes_Chirurgiens membership, whose predicate compares it
+        store = initial_load(src_schema, wdef, make_snapshot(1990, with_extra_surgeon=True))
+        refresh(store, make_snapshot(1991))
+        p4 = by_key(store, "Chirurgiens", "p4")
+        assert p4.status == "frozen"
+        p4.current.value["année_naissance"] = {}
+        before = store_to_dict(store)
+        with pytest.raises(TypeMismatch) as error:
+            refresh(store, make_snapshot(1992))
+        assert str(error.value) == (
+            f"oid {p4.oid}: Chirurgiens.année_naissance: expected an integer, got {{}}"
+        )
+        assert store_to_dict(store) == before
+
     def test_failed_refresh_leaves_store_untouched(self, src_schema, wdef, make_snapshot):
         store = initial_load(src_schema, wdef, make_snapshot(1990))
         before = dumps_store(store)
@@ -2474,6 +2491,45 @@ class TestCopyOnWrite:
         assert refs and all(type(oid) is int for _cname, oid in refs)
         assert path.read_text(encoding="utf-8") == dumps_store(store)
 
+    @pytest.mark.parametrize("layout", ["v4", "v1"])
+    def test_an_older_key_through_a_composite_keyed_by_objects_splits_no_way(
+        self, src_schema, edw_text, tmp_path, make_snapshot, layout
+    ):
+        # an index that mixes the two forms, which no build wrote: the
+        # Etablissements keys name their operand objects, while each Equipes
+        # key still holds an Etablissements key as its source pairs, which
+        # no entry holds now
+        store = initial_load(
+            src_schema, parse_warehouse_def(edw_text + EQUIPES), make_snapshot(1990)
+        )
+        refresh(store, make_snapshot(1991))
+        keys = {oid: [list(ref) for ref in store.objects[oid].source_key]
+                for oid in store.direct_extension("Etablissements")}
+        equipes = store.direct_extension("Equipes")
+        assert keys and equipes
+        text = OLDER_WRITERS[layout](store)
+        if layout == "v4":
+            header, rest = text.split("\n", 1)
+            head = json.loads(header)
+            for entry in head["objects"]:
+                entry[3] = keys.get(entry[0], entry[3])
+            text = encode(head) + "\n" + rest
+        else:
+            doc = json.loads(text)
+            for o in doc["objects"]:
+                o["source_key"] = keys.get(o["oid"], o["source_key"])
+            doc["identity"] = sorted([o["class"], o["source_key"], o["oid"]]
+                                     for o in doc["objects"])
+            text = encode(doc) + "\n"
+        path = tmp_path / "h.store"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(Error) as error:
+            load_store(str(path))
+        assert str(error.value) == (
+            f"{path}: malformed store document (ValueError: oid {min(equipes)}'s source key"
+            " splits no way among its operands' objects)"
+        )
+
     def test_a_record_moved_between_subclasses_keeps_its_composites(
         self, edw_text, tmp_path, make_snapshot
     ):
@@ -2514,6 +2570,46 @@ class TestCopyOnWrite:
             name: dict(zip(names, row)) for name, row in counts.items()
         }
         assert saved_and_loaded(loaded, str(path)).objects[11].source_key[0] == ("Médecins", 12)
+
+    def test_a_split_of_equal_activity_reads_as_the_highest_oids(
+        self, edw_text, tmp_path, make_snapshot
+    ):
+        # tutelles_1994.store refreshed at 1995 without p4 by the build that
+        # wrote it: the surgeon, oid 3, and the physician, oid 12, are both
+        # frozen, and so are Tutelles oids 11 and 13. Each key splits two
+        # ways with one active object, the hospital, and reads as the
+        # highest oids, the physician, whom that build read last
+        path = tmp_path / "h.store"
+        path.write_bytes((STORES / "tutelles_1995.store").read_bytes())
+        head = store_header(path.read_text(encoding="utf-8").split("\n", 1)[0])
+        assert head["format"] == "tdw-store-v4"
+        assert [entry[3] for entry in head["objects"] if entry[0] in (11, 13)] == [
+            [["PRATICIEN", "p4"], ["ETABLISSEMENT", "e1"]],
+            [["PRATICIEN", "p4"], ["ETABLISSEMENT", "e2"]],
+        ]
+        loaded = load_store(str(path))
+        assert [loaded.objects[oid].status for oid in (3, 11, 12, 13)] == ["frozen"] * 4
+        assert [loaded.objects[oid].source_key for oid in (11, 13)] == [
+            (("Médecins", 12), ("Hôpitaux_Publics", 4)),
+            (("Médecins", 12), ("Hôpitaux_Publics", 5)),
+        ]
+        # p4 back as a physician: that build thawed oid 12 and, through him,
+        # both composites, and reported these counts at 1996
+        snap = make_snapshot(1996, with_extra_surgeon=True, extra_surgeon_category="médecine")
+        names = ["created", "carried", "updated", "historized", "frozen", "archived_evictions"]
+        counts = {
+            "Chirurgiens": [0, 0, 0, 2, 1, 2], "Etablissements": [0, 0, 2, 0, 0, 0],
+            "Hôpitaux_Publics": [0, 0, 0, 2, 0, 2], "Médecins": [0, 0, 0, 1, 0, 0],
+            "Services": [0, 3, 0, 0, 0, 0], "Tutelles": [0, 0, 0, 2, 0, 0],
+        }
+        assert refresh(loaded, snap).to_dict() == {
+            "at": "1996",
+            "classes": {name: dict(zip(names, row)) for name, row in counts.items()},
+            "warnings": [],
+        }
+        assert [loaded.objects[oid].status for oid in (3, 11, 12, 13)] == [
+            "frozen", "active", "active", "active",
+        ]
 
 
     def test_a_committed_v4_store_reads_the_same_and_is_rewritten_whole(

@@ -4,8 +4,8 @@ imports is used, every private name it defines is referenced, and every
 error class is raised or caught, so a fold that moves a name's last use
 leaves no import, helper or error class behind. Every error class is
 also named by a test, so no rejection goes untested by name. And the
-store's state decoder names no file layout, so a new layout adds a
-translator, not a decoder branch."""
+store's state decoder and composite key reader name no file layout, so
+a new layout adds a translator, not a decoder branch."""
 
 import ast
 import sys
@@ -358,6 +358,11 @@ def test_the_state_decoder_reads_one_layout():
     # an older layout is translated into v5 documents before the decoder
     # reads it, so a new format adds a translator and no decoder branch
     assert layout_names(PACKAGE / "engine.py", "_StateDecoder") == []
+
+
+def test_the_composite_key_reader_reads_no_layout():
+    # an older composite key is told by its shape, not by the file's layout
+    assert layout_names(PACKAGE / "engine.py", "_Composites") == []
 
 
 def test_guard_flags_layout_branches(tmp_path):
