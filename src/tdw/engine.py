@@ -185,21 +185,17 @@ class Store:
     schema: WarehouseSchema
     source_text: str
     warehouse_text: str
+    now: Now
     objects: dict[Oid, WarehouseObject] = field(default_factory=dict)
     identity: dict[tuple[str, tuple[tuple[str, Any], ...]], Oid] = field(default_factory=dict)
     source_index: dict[tuple[str, str], tuple[Oid, ...]] = field(default_factory=dict)
     by_class: dict[str, set[Oid]] = field(default_factory=dict)
-    now: Now = field(default_factory=Now)
     oid_counter: int = 0
     shared: set[Oid] = field(default_factory=set, repr=False)
 
     @property
-    def last_refresh(self) -> Instant | None:
+    def last_refresh(self) -> Instant:
         return self.now.instant
-
-    @last_refresh.setter
-    def last_refresh(self, t: Instant | None) -> None:
-        self.now.instant = t
 
     # -- class categories ---------------------------------------------------
 
@@ -258,7 +254,7 @@ class Store:
         self.source_index = work.source_index
         self.by_class = work.by_class
         self.oid_counter = work.oid_counter
-        self.last_refresh = t
+        self.now.instant = t
 
     def fresh_oid(self) -> Oid:
         self.oid_counter += 1
@@ -316,10 +312,9 @@ def initial_load(
     t = _instant_of(snapshot, t)
     schema = resolve(wdef, src, strict=True)
     _check_retention_units(schema, t)
-    store = Store(src, schema, print_source_schema(src), print_warehouse_def(wdef))
+    store = Store(src, schema, print_source_schema(src), print_warehouse_def(wdef), Now(t))
     # a store nobody else holds needs no working copy to stay atomic
     _run_extraction_points(store, snapshot, t)
-    store.last_refresh = t
     return store
 
 
@@ -795,7 +790,7 @@ def patch_specific(store: Store, oid: Oid, prop_name: str, value: Any, t: Instan
         raise NonMonotonicInstant("a temporal patch must be dated after the current state")
     _diff_object(store, obj, new_value, tempo, t, domain(t.unit, (t.tick, t.tick)), ClassCounts())
     if t.tick > store.last_refresh.tick:
-        store.last_refresh = t
+        store.now.instant = t
 
 
 def _patched_relation(store: Store, owner: str, prop: model.PropertyDef, value: Any) -> Any:
@@ -1104,9 +1099,6 @@ class _Composites:
         if len(key) != len(operands):
             raise ValueError(f"oid {oid} names {len(key)} objects for {len(operands)} operands")
         for (ref_class, ref), readable in zip(key, operands):
-            obj = self.objects.get(ref)  # a later composite is not added yet
-            if obj is not None and obj.class_name == ref_class and ref_class in readable:
-                continue
             obj = self._object(ref)
             if obj is None:
                 problem = "which no object has"

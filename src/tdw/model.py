@@ -418,13 +418,13 @@ class Now:
 
     One Now is shared by a store, its working copies and the open states
     of all their objects, so a refresh, or a later patch, moves the end
-    of every open state at once, without writing to any. instant is
-    None only while an initial load builds the store's first objects.
+    of every open state at once, without writing to any. A store is
+    built with its now, which is never None.
     """
 
     __slots__ = ("instant",)
 
-    def __init__(self, instant: Instant | None = None):
+    def __init__(self, instant: Instant):
         self.instant = instant
 
 
@@ -477,7 +477,7 @@ class State:
 
     @property
     def domain(self) -> TemporalDomain:
-        if self.now is None or self.now.instant is None:
+        if self.now is None:
             return self.stored
         return extend_end(self.stored, self.now.instant.tick)
 
