@@ -175,7 +175,8 @@ class Store:
     selects and replaces, and the store file's header holds it. The
     schema's classes hold the class lattice, each one's role and subtree.
 
-    now holds last_refresh, shared with every open current state. shared
+    now, which a store is built with, holds last_refresh and is shared
+    with every open current state, so moving it moves them all. shared
     holds the oids of a working copy's objects that its store holds too
     and that touch must copy before they change; each object holds the
     store file line it was read from (WarehouseObject.line).
@@ -308,7 +309,9 @@ class Store:
 def initial_load(
     src: SourceSchema, wdef: WarehouseSchema, snapshot: Snapshot, t: Instant | None = None
 ) -> Store:
-    """Build a fresh store, in t's unit for life, from the first extraction point."""
+    """Build a fresh store, in t's unit for life, from the first extraction
+    point; the store is built with its now at t, which every state it
+    opens shares."""
     t = _instant_of(snapshot, t)
     schema = resolve(wdef, src, strict=True)
     _check_retention_units(schema, t)
@@ -471,7 +474,7 @@ def _settle(
     store: Store,
     class_name: str,
     rows: Iterable[tuple[Oid, Row]],
-    value_of: Callable[[tuple[Any, ...], dict[str, Any]], dict[str, Any]],
+    value_of: Callable[[tuple[Any, ...], WarehouseObject], dict[str, Any]],
     filled: set[Oid],
     t: Instant,
     opened: TemporalDomain,
@@ -479,13 +482,13 @@ def _settle(
 ) -> None:
     """Bring the objects _allocate decided in line with their rows.
 
-    rows pairs each oid with its row; value_of(row values, old) is the
-    value for an object whose current value is old. An object in filled
+    rows pairs each oid with its row; value_of(row values, obj) is the
+    value for obj, whose current value is the old one. An object in filled
     takes its row's value; every other object diffs against it."""
     tempo, _archi = effective_filters(store.schema, class_name)
     for oid, row in rows:
         obj = store.objects[oid]
-        value = value_of(row.values, obj.current.value)
+        value = value_of(row.values, obj)
         if oid in filled:
             store.touch(oid).current.value = value
         else:
@@ -542,12 +545,14 @@ def _aligned_value(
     structure: list[model.PropertyDef],
     slots: list[tuple[model.PropertyDef, int | None]],
     values: tuple[Any, ...],
-    old: dict[str, Any],
+    obj: WarehouseObject,
 ) -> dict[str, Any]:
     """Read the declared structure from a mapping row's slots and swap
     source ids for oids in every relation. Specific slots have no source
-    origin: the administrator values in old survive every refresh until
-    the next patch, and a new object's are what the row gives, if any."""
+    origin: the administrator values in obj's current value survive every
+    refresh until the next patch, each checked as it is carried, and a new
+    object's are what the row gives, if any."""
+    old = obj.current.value
     value: dict[str, Any] = {}
     for p, i in slots:
         v = None if i is None else values[i]
@@ -560,11 +565,11 @@ def _aligned_value(
                 for rid in v or ()
             ]
             v = sorted(oids) if p.cardinality == "many" else (oids[0] if oids else None)
-        value[p.name] = old.get(p.name, v) if p.origin == "specific" else v
+        value[p.name] = _stored(obj, p) if p.origin == "specific" and p.name in old else v
     return value
 
 
-def _row_value(names: list[str], values: tuple[Any, ...], _old: dict[str, Any]) -> dict[str, Any]:
+def _row_value(names: list[str], values: tuple[Any, ...], _obj: WarehouseObject) -> dict[str, Any]:
     return dict(zip(names, values))
 
 
@@ -616,28 +621,30 @@ def _build_from_objects(
         if obj.status != "active":
             if not include_frozen:
                 continue
-            _check_frozen(obj, structure)
+            for prop in structure:
+                _stored(obj, prop)
         value = obj.current.value
         values = tuple(value.get(name) or [] if many else value.get(name) for name, many in slots)
         rows.append(Row(((obj.class_name, oid),), values, ((binder, oid),)))
     return ClassBuild(structure, rows)
 
 
-def _check_frozen(obj: WarehouseObject, structure: list[model.PropertyDef]) -> None:
-    """Raise TypeMismatch unless a frozen object's stored value, which no
-    refresh derives again, fits each slot read: an attribute its source
-    type, a relation null, an oid or a list of oids, as its cardinality says."""
+def _stored(obj: WarehouseObject, prop: model.PropertyDef) -> Any:
+    """obj's stored value of prop, one that no refresh derives again (a
+    frozen object's, or a carried specific one), as it is stored. Raise
+    TypeMismatch unless it fits its slot: an attribute its source type, a
+    relation null, an oid or a list of oids, as its cardinality says."""
     owner = f"oid {obj.oid}: {obj.class_name}"
-    for prop in structure:
-        value = obj.current.value.get(prop.name)
-        if value is not None and not prop.is_relation:
-            coerce(prop.value_type, value, owner, prop.name)
-        elif value is not None:
-            many = prop.cardinality == "many"
-            oids = value if many else [value]
-            if not (isinstance(oids, list) and all(type(oid) is int for oid in oids)):
-                expected = "null or a list of oids" if many else "null or an oid"
-                raise TypeMismatch(f"{owner}.{prop.name}: expected {expected}, got {value!r}")
+    value = obj.current.value.get(prop.name)
+    if value is not None and not prop.is_relation:
+        coerce(prop.value_type, value, owner, prop.name)
+    elif value is not None:
+        many = prop.cardinality == "many"
+        oids = value if many else [value]
+        if not (isinstance(oids, list) and all(type(oid) is int for oid in oids)):
+            expected = "null or a list of oids" if many else "null or an oid"
+            raise TypeMismatch(f"{owner}.{prop.name}: expected {expected}, got {value!r}")
+    return value
 
 
 def _operand_oids(store: Store, class_name: str) -> list[Oid]:
@@ -1308,13 +1315,15 @@ class _StateDecoder:
         stored = self.domain(current["domain"])
         if older and stored.intervals[0].start.tick <= older[-1].stored.intervals[-1].end.tick:
             raise ValueError("a current state starts before its newest past state ends")
+        state = State(stored, _dict(current["value"]), now)
         # a head leaves out an empty archives list
-        archives = item.get("archives", ())
-        return (
-            State(stored, _dict(current["value"]), now),
-            older,
-            [ArchiveState(self.domain(a["domain"]), _dict(a["aggregates"])) for a in archives],
-        )
+        archives = [
+            ArchiveState(self.domain(a["domain"]), _dict(a["aggregates"]))
+            for a in item.get("archives", ())
+        ]
+        if len(archives) > 1:  # every eviction folds into the one archive state
+            raise ValueError(f"an object's head holds {len(archives)} archive states, not one")
+        return state, older, archives
 
     def past(self, state: State, name: str) -> None:
         """Decode a deferred past state's document: its domain alone when

@@ -1,11 +1,13 @@
 """Command line contract: flags, exit codes, deterministic output."""
 
+import errno
 import fcntl
 import json
 import os
 import signal
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -1282,6 +1284,147 @@ class TestMistypedFrozenValue:
         assert (rc, out, err) == (1, "", f"error: {error}\n")
         assert Path(store).read_bytes() == before
         assert not Path(store + ".tmp").exists()
+
+
+@pytest.fixture(params=["v5", "v4"])
+def mistyped_specific(request, built):
+    """The fixture store built at 1990 with the specific année_création of
+    hospital oid 3 set to {}, in a resealed v5 line or in a v4 file.
+    Returns the store's folder and path."""
+    tmp, store = built
+    text = Path(store).read_text(encoding="utf-8")
+    if request.param == "v4":
+        text = v4_text(engine.load_store(store))
+    mistyped = {"année_création": {}}
+    text = edited_line(text, 3, lambda head, past: head["current"]["value"].update(mistyped))
+    Path(store).write_text(resealed(text) if request.param == "v5" else text, encoding="utf-8")
+    return tmp, store
+
+
+class TestMistypedSpecificValue:
+    """An active object's specific value, which a refresh carries but does
+    not derive again, is checked as it is carried: a value that does not
+    fit fails the refresh, so no composite over the object copies it, and
+    the store is left as it was."""
+
+    def test_refresh_names_the_slot_and_leaves_the_file(self, mistyped_specific):
+        tmp, store = mistyped_specific
+        before = Path(store).read_bytes()
+        snap = write_snapshot(tmp / "s1991.jsonl", 1991)
+        rc, out, err = tdw("refresh", "--store", store, "--snapshot", snap, "--at", "1991")
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: oid 3: Hôpitaux_Publics.année_création: expected an integer, got {}\n"
+        )
+        assert Path(store).read_bytes() == before
+        assert not Path(store + ".tmp").exists()
+
+
+@pytest.fixture(scope="module")
+def archived_store(tmp_path_factory):
+    """The fixture store built at 1990 and refreshed yearly to 1993, when
+    surgeon oid 1 holds one archive state, [1990..1990]."""
+    tmp = tmp_path_factory.mktemp("archived")
+    store = str(tmp / "h.store")
+    snap = write_snapshot(tmp / "s1990.jsonl", 1990)
+    argv = ["--snapshot", snap, "--at", "1990", "--store", store]
+    assert cli.main(["build", "--warehouse", EDW, "--source-schema", ODL, *argv]) == 0
+    for y in (1991, 1992, 1993):
+        snap = write_snapshot(tmp / f"s{y}.jsonl", y)
+        assert cli.main(["refresh", "--store", store, "--snapshot", snap, "--at", str(y)]) == 0
+    [archive] = engine.load_store(store).objects[1].archives
+    assert engine._bounds(archive.domain) == [[20, 20]]
+    return Path(store).read_bytes()
+
+
+@pytest.fixture(params=["v5", "v4"])
+def two_archives(request, tmp_path, archived_store):
+    """archived_store with a second archive state, over 1985-1986, in the
+    head of oid 1, in a resealed v5 line or in a v4 file. Returns the
+    store's folder and path."""
+    path = tmp_path / "h.store"
+    path.write_bytes(archived_store)
+    text = archived_store.decode("utf-8")
+    bounds = [[15, 16]]
+    if request.param == "v4":
+        text = v4_text(engine.load_store(str(path)))
+        bounds = {"intervals": bounds, "unit": "year"}
+    second = {"aggregates": {}, "domain": bounds}
+    text = edited_line(text, 1, lambda head, past: head["archives"].append(second))
+    path.write_text(resealed(text) if request.param == "v5" else text, encoding="utf-8")
+    return tmp_path, str(path)
+
+
+class TestTwoArchiveStates:
+    """An object keeps one cumulative archive state, so a head holding two
+    is the malformed-store error at its first read: the next eviction
+    would otherwise fold into the first and drop the second."""
+
+    @pytest.mark.parametrize("verb", ["inspect", "refresh"])
+    def test_a_command_names_the_damage_and_leaves_the_file(self, two_archives, verb):
+        tmp, store = two_archives
+        before = Path(store).read_bytes()
+        if verb == "inspect":
+            args = ("inspect", "--store", store, "--class", "Chirurgiens", "--oid", "1",
+                    "--history")
+        else:
+            snap = write_snapshot(tmp / "s1994.jsonl", 1994)
+            args = ("refresh", "--store", store, "--snapshot", snap, "--at", "1994")
+        rc, out, err = tdw(*args)
+        assert (rc, out) == (1, "")
+        assert err == (
+            f"error: {store}: malformed store document"
+            " (ValueError: an object's head holds 2 archive states, not one)\n"
+        )
+        assert Path(store).read_bytes() == before
+        assert not Path(store + ".tmp").exists()
+
+
+class TestUntracedDamage:
+    """Store damage and lock failures that input reaches, each with the
+    error it ends in."""
+
+    def test_an_older_header_followed_by_more_is_no_valid_document(self, built):
+        _tmp, store = built
+        text = v4_text(engine.load_store(store))
+        header, rest = text.split("\n", 1)
+        Path(store).write_text(f"{header}\t{zlib.crc32(header.encode())}\n{rest}",
+                               encoding="utf-8")
+        rc, out, err = tdw("inspect", "--store", store, "--class", "Chirurgiens")
+        assert (rc, out) == (1, "")
+        # the decoder skips the TAB as whitespace and stops at the CRC-32
+        detail = f"Extra data: line 1 column {len(header) + 2} (char {len(header) + 1})"
+        assert err == f"error: {store}: not a valid store document ({detail})\n"
+
+    def test_a_domain_in_the_older_form_in_a_v5_line_is_malformed(self, built):
+        _tmp, store = built
+        older = {"intervals": [[20, 20]], "unit": "year"}
+        text = edited_line(Path(store).read_text(encoding="utf-8"), 1,
+                           lambda head, past: head["current"].update(domain=older))
+        Path(store).write_text(resealed(text), encoding="utf-8")
+        rc, out, err = tdw("inspect", "--store", store, "--class", "Chirurgiens", "--oid", "1")
+        assert (rc, out) == (1, "")
+        assert err == (
+            f"error: {store}: malformed store document"
+            " (TypeError: a domain is a dict, not a list)\n"
+        )
+
+    def test_a_lock_that_fails_otherwise_than_held_is_released(
+        self, built, monkeypatch, capsys
+    ):
+        tmp, store = built
+        snap = write_snapshot(tmp / "s1991.jsonl", 1991)
+        before = Path(store).read_bytes()
+
+        def fail(*_args):
+            raise OSError(errno.ENOLCK, "No locks available")
+
+        monkeypatch.setattr(fcntl, "flock", fail)
+        assert cli.main(["refresh", "--store", store, "--snapshot", snap, "--at", "1991"]) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr().err == f"error: [Errno {errno.ENOLCK}] No locks available\n"
+        assert_lock_released(store)
+        assert Path(store).read_bytes() == before
 
 
 @pytest.fixture()
