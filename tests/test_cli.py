@@ -884,6 +884,23 @@ class TestInProcess:
         assert str(err.value) == f"store is locked by another writer ({store}.lock)"
         assert_lock_released(store)
 
+    def test_a_lock_that_fails_otherwise_than_held_is_released(
+        self, built, monkeypatch, capsys
+    ):
+        tmp, store = built
+        snap = write_snapshot(tmp / "s1991.jsonl", 1991)
+        before = Path(store).read_bytes()
+
+        def fail(*_args):
+            raise OSError(errno.ENOLCK, "No locks available")
+
+        monkeypatch.setattr(fcntl, "flock", fail)
+        assert cli.main(["refresh", "--store", store, "--snapshot", snap, "--at", "1991"]) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr().err == f"error: [Errno {errno.ENOLCK}] No locks available\n"
+        assert_lock_released(store)
+        assert Path(store).read_bytes() == before
+
     @pytest.mark.parametrize(
         "flags, decoded",
         [([], 0), (["--oid", "3", "--history"], 1), (["--oid", "3", "--at", "1990"], 1)],
@@ -1380,11 +1397,12 @@ class TestTwoArchiveStates:
         assert not Path(store + ".tmp").exists()
 
 
-class TestUntracedDamage:
-    """Store damage and lock failures that input reaches, each with the
-    error it ends in."""
+class TestOlderFormOutOfPlace:
+    """An older layout's form where it does not belong, each rejected with
+    an error naming the file: a v4 header sealed as a v5 one is, which
+    is read as the start of a v1 document, and a v4 domain in a v5 line."""
 
-    def test_an_older_header_followed_by_more_is_no_valid_document(self, built):
+    def test_a_sealed_older_header_is_no_valid_document(self, built):
         _tmp, store = built
         text = v4_text(engine.load_store(store))
         header, rest = text.split("\n", 1)
@@ -1396,7 +1414,7 @@ class TestUntracedDamage:
         detail = f"Extra data: line 1 column {len(header) + 2} (char {len(header) + 1})"
         assert err == f"error: {store}: not a valid store document ({detail})\n"
 
-    def test_a_domain_in_the_older_form_in_a_v5_line_is_malformed(self, built):
+    def test_an_older_domain_in_a_v5_line_is_malformed(self, built):
         _tmp, store = built
         older = {"intervals": [[20, 20]], "unit": "year"}
         text = edited_line(Path(store).read_text(encoding="utf-8"), 1,
@@ -1408,23 +1426,6 @@ class TestUntracedDamage:
             f"error: {store}: malformed store document"
             " (TypeError: a domain is a dict, not a list)\n"
         )
-
-    def test_a_lock_that_fails_otherwise_than_held_is_released(
-        self, built, monkeypatch, capsys
-    ):
-        tmp, store = built
-        snap = write_snapshot(tmp / "s1991.jsonl", 1991)
-        before = Path(store).read_bytes()
-
-        def fail(*_args):
-            raise OSError(errno.ENOLCK, "No locks available")
-
-        monkeypatch.setattr(fcntl, "flock", fail)
-        assert cli.main(["refresh", "--store", store, "--snapshot", snap, "--at", "1991"]) == 2
-        monkeypatch.undo()
-        assert capsys.readouterr().err == f"error: [Errno {errno.ENOLCK}] No locks available\n"
-        assert_lock_released(store)
-        assert Path(store).read_bytes() == before
 
 
 @pytest.fixture()
