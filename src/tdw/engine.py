@@ -565,7 +565,7 @@ def _aligned_value(
                 for rid in v or ()
             ]
             v = sorted(oids) if p.cardinality == "many" else (oids[0] if oids else None)
-        value[p.name] = _stored(obj, p) if p.origin == "specific" and p.name in old else v
+        value[p.name] = _checked(obj, p) if p.origin == "specific" and p.name in old else v
     return value
 
 
@@ -622,14 +622,14 @@ def _build_from_objects(
             if not include_frozen:
                 continue
             for prop in structure:
-                _stored(obj, prop)
+                _checked(obj, prop)
         value = obj.current.value
         values = tuple(value.get(name) or [] if many else value.get(name) for name, many in slots)
         rows.append(Row(((obj.class_name, oid),), values, ((binder, oid),)))
     return ClassBuild(structure, rows)
 
 
-def _stored(obj: WarehouseObject, prop: model.PropertyDef) -> Any:
+def _checked(obj: WarehouseObject, prop: model.PropertyDef) -> Any:
     """obj's stored value of prop, one that no refresh derives again (a
     frozen object's, or a carried specific one), as it is stored. Raise
     TypeMismatch unless it fits its slot: an attribute its source type, a
