@@ -50,7 +50,9 @@ one unit. load_store builds every object from its index entry as a
 deferred WarehouseObject, whose state slots stay empty until their first
 read decodes the object's line, so a query decodes only the objects it
 shows; objects are slotted, since a load builds one for every entry of
-the index.
+the index. Then it reads each specialization in the order a refresh
+evaluates them: a membership's header set, checked against its operand,
+and each composite's key, checked against its operands' objects.
 
 A first read checks a v5 line's CRC-32 and decodes its head and the
 newest past state's domain; the other past states stay deferred, each
@@ -940,10 +942,12 @@ def load_store(path: str) -> Store:
     WarehouseObject, after checking the entry: its oid follows the last,
     its class owns objects (an extraction or a composite), its status is
     active or frozen, and an extraction's key is [interface, string id]
-    pairs. Composites are added last, each key as _Composites reads it,
-    an older key over the keys the index holds. A v5, v4, v3 or v2 file's
-    object lines are counted here, and each
-    is checked and decoded on its object's first read, raising the same
+    pairs. A composite enters with its key as its entry holds it, and
+    _read_specializations then reads each specialization in the order a
+    refresh evaluates them: a membership's header set, and each
+    composite's key, an older one split over the keys the index holds.
+    A v5, v4, v3 or v2 file's object lines are counted here, and each is
+    checked and decoded on its object's first read, raising the same
     malformed-store Error; only a v5 file's are kept, with their CRC-32s,
     for the next save to write again. A v1 file, compact or indented, is
     decoded and checked whole. The oid counter must be an integer no
@@ -995,9 +999,9 @@ def load_store(path: str) -> Store:
             )
         classes = store.schema.classes
         extractions = {n for n in classes if classes[n].role == "extraction"}
+        owners = extractions.union(n for n in classes if classes[n].role == "composite")
         interfaces = store.source_schema.interfaces
         last, now = 0, store.now
-        composites = _Composites(store)
         for entry, line in entries:
             oid, cname, status, key, crc = entry if sealed else (*entry, None)
             # lines pair with index entries by position, which the oid order fixes
@@ -1005,7 +1009,7 @@ def load_store(path: str) -> Store:
                 raise ValueError(f"oid {oid} follows oid {last} in the object index")
             last = oid
             extracted = cname in extractions
-            if not (extracted or cname in composites.operands):
+            if cname not in owners:
                 raise ValueError(f"oid {oid} is of class {cname!r}, which owns no objects")
             if status not in ("active", "frozen"):
                 raise ValueError(f"oid {oid} has status {status!r}, not active or frozen")
@@ -1024,11 +1028,8 @@ def load_store(path: str) -> Store:
             obj = WarehouseObject.deferred(
                 oid, cname, status, key, load, line if sealed else None, crc
             )
-            if extracted:
-                store.add_object(obj, True)
-            else:
-                composites.held[oid] = obj
-        composites.add()
+            store.add_object(obj, extracted)
+        _read_specializations(store, doc.get("memberships", {}))
         if not lined:
             for obj in store.objects.values():
                 obj.decode()
@@ -1040,7 +1041,6 @@ def load_store(path: str) -> Store:
         counter = store.oid_counter
         if type(counter) is not int or counter < last:
             raise ValueError(f"oid_counter {counter!r} is not an integer at least the largest oid")
-        _read_memberships(store, doc.get("memberships", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, exc) from None
     return store
@@ -1057,89 +1057,6 @@ def _first_document(first: bytes) -> tuple[Any, bytes]:
     return doc, text[end:].encode("utf-8")
 
 
-class _Composites:
-    """The composites of a store's object index, held by load_store until
-    every other object is added, each with its key as its entry holds it;
-    add reads each key and adds them.
-
-    A key holds one [class, oid] pair per operand, in order, each naming
-    an object of the index, of that class, which the operand reads. Older
-    builds keyed a composite by its operands' keys one after the other.
-    Such a key, any key not of [class, oid] pairs, is split among the
-    objects its operands read, each standing for its key as its entry
-    holds it, so one through a composite keyed by [class, oid] pairs
-    splits no way. It splits more than one way where a record has an
-    object in two classes an operand reads, as a surgeon who moved
-    between two subclasses, and then reads as the objects an older build
-    read last: those of the split with the most active objects, then the
-    highest oids. An older build read active operand objects only, and a
-    newer object of a record replaces a frozen one."""
-
-    def __init__(self, store: Store):
-        self.store, self.objects = store, store.objects
-        self.held: dict[Oid, WarehouseObject] = {}
-        classes = store.schema.classes
-        self.operands = {
-            name: [_operand_classes(classes, op.class_name) for op in cls.mapping.operands]
-            for name, cls in classes.items()
-            if cls.role == "composite"
-        }
-        # operand objects under (class, key as written), at the first older key
-        self.written: dict[tuple[str, tuple], list[Oid]] = {}
-
-    def add(self) -> None:
-        for oid, obj in self.held.items():
-            obj.source_key = self._read(oid, obj.source_key, self.operands[obj.class_name])
-            self.store.add_object(obj, False)
-
-    def _object(self, oid: Oid) -> WarehouseObject | None:
-        return self.objects.get(oid) or self.held.get(oid)
-
-    def _read(self, oid: Oid, key: tuple, operands: list[set[str]]) -> tuple[tuple[str, Oid], ...]:
-        if not (key and all(len(ref) == 2 and type(ref[1]) is int for ref in key)):
-            refs = max(self._ways(key, operands), key=self._recency, default=None)
-            if refs is None:
-                raise ValueError(
-                    f"oid {oid}'s source key splits no way among its operands' objects"
-                )
-            return tuple((self._object(ref).class_name, ref) for ref in refs)
-        if len(key) != len(operands):
-            raise ValueError(f"oid {oid} names {len(key)} objects for {len(operands)} operands")
-        for (ref_class, ref), readable in zip(key, operands):
-            obj = self._object(ref)
-            if obj is None:
-                problem = "which no object has"
-            elif obj.class_name != ref_class:
-                problem = f"which is of class {obj.class_name!r}"
-            elif ref_class not in readable:
-                problem = "of a class its operand does not read"
-            else:
-                continue
-            raise ValueError(f"oid {oid} names {ref_class}:{ref}, {problem}")
-        return key
-
-    def _recency(self, refs: tuple[Oid, ...]) -> tuple[int, tuple[Oid, ...]]:
-        return sum(self._object(ref).status == "active" for ref in refs), refs
-
-    def _ways(self, key: tuple, operands: list[set[str]]) -> list[tuple[Oid, ...]]:
-        """Each choice of one object per operand whose keys as written, in turn, are key."""
-        if not self.written:  # no held key is rewritten before the first older one
-            read = set().union(*(r for classes in self.operands.values() for r in classes))
-            for obj in {**self.objects, **self.held}.values():
-                if obj.class_name in read:
-                    self.written.setdefault((obj.class_name, obj.source_key), []).append(obj.oid)
-        ways: list[tuple[tuple[Oid, ...], int]] = [((), 0)]
-        for readable in operands:
-            ways = [
-                ((*refs, ref), end)
-                for refs, start in ways
-                for end in range(start + 1, len(key) + 1)
-                for cname in readable
-                for ref in self.written.get((cname, key[start:end]), ())
-            ]
-        return [refs for refs, end in ways if end == len(key)]
-
-
 def _operand_classes(classes: dict[str, model.WarehouseClass], name: str) -> set[str]:
     """The classes of the objects that _operand_oids(name) may hold: the
     class's own if it owns objects, its extraction subclasses', and a
@@ -1153,31 +1070,104 @@ def _operand_classes(classes: dict[str, model.WarehouseClass], name: str) -> set
     return read
 
 
-def _read_memberships(store: Store, memberships: Any) -> None:
-    """Enter a header's membership sets into the class index. Each must
-    name a single-operand specialization of the store's schema and hold
-    only oids that a refresh could select from its operand. They enter
-    operands first, so each is checked against operands already checked."""
+def _read_specializations(store: Store, memberships: Any) -> None:
+    """Read a loaded store's specializations in the order a refresh
+    evaluates them, each against operands already read. A header's
+    membership set must name a single-operand specialization of the
+    schema and hold only oids that a refresh could select from its
+    operand. A composite's key is read by _composite_key and indexed
+    anew where it differs from the one its entry holds."""
     if not isinstance(memberships, dict):
         raise TypeError(f"memberships is a {type(memberships).__name__}, not an object")
     names = store.membership_classes()
     unknown = [name for name in memberships if name not in names]
     if unknown:
         raise ValueError(f"membership {unknown[0]!r} is not a single-operand specialization")
+    classes = store.schema.classes
+    written: dict[tuple[str, tuple], list[Oid]] = {}
     for name in hierarchization_order(store.schema):
-        if name not in memberships:
-            continue
-        members = set(memberships[name])
-        missing = members - store.objects.keys()
-        if missing:
-            raise ValueError(f"membership {name!r} holds oid {min(missing)}, which no object has")
-        operand = store.schema.classes[name].mapping.operands[0].class_name
-        foreign = members.difference(_operand_oids(store, operand))
-        if foreign:
-            raise ValueError(
-                f"membership {name!r} holds oid {min(foreign)}, which {operand!r} cannot select"
-            )
-        store.by_class[name] = members
+        cls = classes[name]
+        if cls.role == "composite":
+            operands = [_operand_classes(classes, op.class_name) for op in cls.mapping.operands]
+            for oid in sorted(store.by_class.get(name, ())):
+                obj = store.objects[oid]
+                key = _composite_key(store, written, oid, operands)
+                if key is not obj.source_key:  # two older keys may coincide
+                    store.identity.pop((name, obj.source_key), None)
+                    obj.source_key = key
+                    store.identity[(name, key)] = oid
+        elif name in memberships:
+            members = set(memberships[name])
+            missing = members - store.objects.keys()
+            if missing:
+                raise ValueError(
+                    f"membership {name!r} holds oid {min(missing)}, which no object has"
+                )
+            operand = cls.mapping.operands[0].class_name
+            foreign = members.difference(_operand_oids(store, operand))
+            if foreign:
+                raise ValueError(
+                    f"membership {name!r} holds oid {min(foreign)}, which {operand!r} cannot select"
+                )
+            store.by_class[name] = members
+
+
+def _composite_key(store: Store, written: dict, oid: Oid, operands: list[set[str]]) -> tuple:
+    """Composite oid's key, read from the one its index entry holds.
+
+    A key holds one [class, oid] pair per operand, in order, each naming
+    an object of the index, of that class, which the operand reads. Older
+    builds keyed a composite by its operands' keys one after the other.
+    Such a key, any key not of [class, oid] pairs, is split among the
+    objects its operands read, each standing for its key as its entry
+    holds it, so one through a composite keyed by [class, oid] pairs
+    splits no way. written maps (class, key as written) to oids, built at
+    the first older key, before which no key is read anew. A key splits
+    more than one way where a record has an object in two classes an
+    operand reads, as a surgeon who moved between two subclasses, and
+    then reads as the objects an older build read last: those of the
+    split with the most active objects, then the highest oids. An older
+    build read active operand objects only, and a newer object of a
+    record replaces a frozen one."""
+    objects = store.objects
+    key = objects[oid].source_key
+    if key and all(len(ref) == 2 and type(ref[1]) is int for ref in key):
+        if len(key) != len(operands):
+            raise ValueError(f"oid {oid} names {len(key)} objects for {len(operands)} operands")
+        for (ref_class, ref), readable in zip(key, operands):
+            obj = objects.get(ref)
+            if obj is None:
+                problem = "which no object has"
+            elif obj.class_name != ref_class:
+                problem = f"which is of class {obj.class_name!r}"
+            elif ref_class not in readable:
+                problem = "of a class its operand does not read"
+            else:
+                continue
+            raise ValueError(f"oid {oid} names {ref_class}:{ref}, {problem}")
+        return key
+    if not written:
+        for obj in objects.values():
+            written.setdefault((obj.class_name, obj.source_key), []).append(obj.oid)
+    # each choice of one object per operand whose keys as written, in
+    # turn, are key, with where in key the last one ends
+    ways: list[tuple[tuple[Oid, ...], int]] = [((), 0)]
+    for readable in operands:
+        ways = [
+            ((*refs, ref), end)
+            for refs, start in ways
+            for end in range(start + 1, len(key) + 1)
+            for cname in readable
+            for ref in written.get((cname, key[start:end]), ())
+        ]
+    refs = max(
+        (refs for refs, end in ways if end == len(key)),
+        key=lambda refs: (sum(objects[ref].status == "active" for ref in refs), refs),
+        default=None,
+    )
+    if refs is None:
+        raise ValueError(f"oid {oid}'s source key splits no way among its operands' objects")
+    return tuple((objects[ref].class_name, ref) for ref in refs)
 
 
 def _malformed(path: str, exc: Exception) -> Error:

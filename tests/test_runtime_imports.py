@@ -328,15 +328,16 @@ def test_guard_flags_untested_errors(tmp_path):
 LAYOUT_NAMES = {"layout", "implied_end", "_open"}
 
 
-def layout_names(path: Path, class_name: str) -> list[str]:
+def layout_names(path: Path, name: str) -> list[str]:
     """path:line: name for each format constant (*_FORMAT), format
     string ("tdw-store-…") or name in LAYOUT_NAMES, as a name, an
-    attribute, a parameter or a definition, in the body of class_name."""
+    attribute, a parameter or a definition, in the body of the
+    module-level class or function called name."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    [cls] = [node for node in tree.body
-             if isinstance(node, ast.ClassDef) and node.name == class_name]
+    [defined] = [node for node in tree.body
+                 if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name]
     found = []
-    for node in ast.walk(cls):
+    for node in ast.walk(defined):
         if isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.Attribute):
@@ -362,7 +363,9 @@ def test_the_state_decoder_reads_one_layout():
 
 def test_the_composite_key_reader_reads_no_layout():
     # an older composite key is told by its shape, not by the file's layout
-    assert layout_names(PACKAGE / "engine.py", "_Composites") == []
+    engine = PACKAGE / "engine.py"
+    assert layout_names(engine, "_read_specializations") == []
+    assert layout_names(engine, "_composite_key") == []
 
 
 def test_guard_flags_layout_branches(tmp_path):
@@ -381,10 +384,19 @@ def test_guard_flags_layout_branches(tmp_path):
         "            return self._open(doc)\n"
         "        return doc['format']\n"
         "    def _open(self, doc):\n"
-        "        return doc\n",
+        "        return doc\n"
+        "def _read_keys(store, layout):\n"
+        "    '''Reads tdw-store-v5 keys.'''\n"
+        "    if layout == V4_FORMAT:\n"
+        "        return store.implied_end\n"
+        "    return 'tdw-store-v2'\n",
         encoding="utf-8",
     )
     assert layout_names(module, "_StateDecoder") == [
         "mod.py:6: layout", "mod.py:8: implied_end", "mod.py:10: STORE_FORMAT",
         "mod.py:10: tdw-store-v3", "mod.py:11: _open", "mod.py:13: _open",
+    ]
+    assert layout_names(module, "_read_keys") == [
+        "mod.py:15: layout", "mod.py:17: V4_FORMAT", "mod.py:17: layout",
+        "mod.py:18: implied_end", "mod.py:19: tdw-store-v2",
     ]
