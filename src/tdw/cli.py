@@ -145,6 +145,12 @@ def cmd_build(args) -> int:
 
 def cmd_refresh(args) -> int:
     at = parse_instant(args.at)
+    # the report replaces its path after the save, through a temporary
+    # file beside it, so a path it cannot replace is refused first
+    if args.report and os.path.isdir(args.report):
+        raise ValueError(f"--report {args.report} is a directory")
+    if args.report and os.path.realpath(args.report) == os.path.realpath(args.store):
+        raise ValueError(f"--report {args.report} is the store")
     with _locked(args.store):
         store = engine.load_store(args.store)
         snapshot = ingest_snapshot(store.source_schema, _read(args.snapshot).splitlines(), at)

@@ -481,6 +481,30 @@ class TestRefresh:
         assert Path(store).read_bytes() == before
         assert list(tmp.glob("r.json*")) == []
 
+    @pytest.mark.parametrize("place", ["a-directory", "the-store"])
+    def test_a_report_path_that_cannot_take_the_report_saves_nothing(self, built, place):
+        # a directory cannot be replaced by the report, and the store's
+        # temporary file would be the report's too; either is found only
+        # after the save, when a retry of the refresh is refused
+        tmp, store = built
+        snap = write_snapshot(tmp / "s1991.jsonl", 1991)
+        if place == "a-directory":
+            report = tmp / "reports"
+            report.mkdir()
+        else:  # another spelling of the store's path
+            report = os.path.join(tmp, ".", "h.store")
+        before = Path(store).read_bytes()
+        argv = ["refresh", "--store", store, "--snapshot", snap, "--at", "1991"]
+        rc, _out, err = tdw(*argv, "--report", str(report))
+        assert rc == 2
+        expected = "is a directory" if place == "a-directory" else "is the store"
+        assert err == f"error: --report {report} {expected}\n"
+        assert Path(store).read_bytes() == before
+        assert list(tmp.rglob("*.tmp")) == []
+        assert_lock_released(store)
+        rc, _out, err = tdw(*argv, "--report", str(tmp / "r.json"))
+        assert rc == 0, err
+
     def test_lock_prevents_second_writer(self, built, tmp_path):
         tmp, store = built
         snap = write_snapshot(tmp / "s1991.jsonl", 1991)
