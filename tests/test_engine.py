@@ -1783,6 +1783,31 @@ class TestPersistence:
         assert loaded.extension_of("Etablissements") == [8, 9]
 
     @pytest.mark.parametrize(
+        ("membership", "operand"), [("Tres_Riches", "Riches"), ("Riches", "Etablissements")]
+    )
+    def test_a_membership_over_a_specialization_is_checked(
+        self, src_schema, edw_text, make_snapshot, tmp_path, membership, operand
+    ):
+        # Riches selects Etablissements composites, and Tres_Riches the
+        # members of Riches that its header set holds, so a hospital is
+        # neither one's to hold
+        wdef = parse_warehouse_def(layered_text(edw_text) + TestLatticeReads.DEEP)
+        store = initial_load(src_schema, wdef, make_snapshot(1990))
+        assert store.objects[3].class_name == "Hôpitaux_Publics"
+        header, rest = dumps_store(store).split("\n", 1)
+        head = store_header(header)
+        assert head["memberships"]["Tres_Riches"]  # not vacuous
+        head["memberships"][membership].append(3)
+        path = tmp_path / "bad.store"
+        path.write_text(sealed_header(head) + "\n" + rest, encoding="utf-8")
+        with pytest.raises(Error) as error:
+            load_store(str(path))
+        assert str(error.value) == (
+            f"{path}: malformed store document (ValueError: membership {membership!r} "
+            f"holds oid 3, which {operand!r} cannot select)"
+        )
+
+    @pytest.mark.parametrize(
         "damage",
         [
             lambda text: text[: text.rindex("\n", 0, -1) + 1],
