@@ -172,10 +172,12 @@ class Store:
     so a link is resolved without scanning an extension; and by_class maps
     each class to the oids it owns, and the union over a class's subtree
     is its extension. None of these is stored in a store file; all are
-    rebuilt as objects are added. A membership owns no objects: its
-    by_class entry is the set of its operand's objects that each refresh
-    selects and replaces, and the store file's header holds it. The
-    schema's classes hold the class lattice, each one's role and subtree.
+    rebuilt as objects are added, and a load moves the identity entry of
+    a composite read from an older key to its new key. A membership owns
+    no objects: its by_class entry is the set of its operand's objects
+    that each refresh selects and replaces, and the store file's header
+    holds it. The schema's classes hold the class lattice, each one's
+    role and subtree.
 
     now, which a store is built with, holds last_refresh and is shared
     with every open current state, so moving it moves them all. shared
@@ -1096,20 +1098,20 @@ def _read_specializations(store: Store, memberships: Any) -> None:
                     store.identity.pop((name, obj.source_key), None)
                     obj.source_key = key
                     store.identity[(name, key)] = oid
-        elif name in memberships:
-            members = set(memberships[name])
-            missing = members - store.objects.keys()
-            if missing:
-                raise ValueError(
-                    f"membership {name!r} holds oid {min(missing)}, which no object has"
-                )
-            operand = cls.mapping.operands[0].class_name
-            foreign = members.difference(_operand_oids(store, operand))
-            if foreign:
-                raise ValueError(
-                    f"membership {name!r} holds oid {min(foreign)}, which {operand!r} cannot select"
-                )
-            store.by_class[name] = members
+            continue
+        if name not in memberships:
+            continue
+        members = set(memberships[name])
+        missing = members - store.objects.keys()
+        if missing:
+            raise ValueError(f"membership {name!r} holds oid {min(missing)}, which no object has")
+        operand = cls.mapping.operands[0].class_name
+        foreign = members.difference(_operand_oids(store, operand))
+        if foreign:
+            raise ValueError(
+                f"membership {name!r} holds oid {min(foreign)}, which {operand!r} cannot select"
+            )
+        store.by_class[name] = members
 
 
 def _composite_key(store: Store, written: dict, oid: Oid, operands: list[set[str]]) -> tuple:
