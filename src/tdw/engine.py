@@ -39,40 +39,48 @@ every object, and publishes it only on success. The passes call
 Store.touch before they change an object, which copies the object into
 the working copy on its first change.
 
-A store file (tdw-store-v5) is a header line with the schema texts and
+A store file (tdw-store-v6) is a header line with the schema texts and
 an index of every object's oid, class, status, key and the CRC-32 of
 its line, sealed by the header's own CRC-32, then one line per object:
 a head document with its current and archive states, an active
 object's current state written with its stored end rather than the
 last refresh, then each past state as its own document, oldest first,
-each after a TAB. A domain is written as its intervals, in the store's
-one unit. load_store builds every object from its index entry as a
-deferred WarehouseObject, whose state slots stay empty until their first
-read decodes the object's line, so a query decodes only the objects it
+each after a TAB. A past document is a reverse delta, as RCS stores
+revisions (Tichy, SP&E 1985): its domain, then only the properties
+whose value differs from its newer neighbour's, and every property its
+class archives, so that an eviction reads the evicted document alone.
+A domain is written as its intervals, in the store's one unit.
+load_store builds every object from its index entry as a deferred
+WarehouseObject, whose state slots stay empty until their first read
+decodes the object's line, so a query decodes only the objects it
 shows; objects are slotted, since a load builds one for every entry of
 the index. Then it reads each specialization in the order a refresh
 evaluates them: a membership's header set, checked against its operand,
 and each composite's key, checked against its operands' objects.
 
-A first read checks a v5 line's CRC-32 and decodes its head and the
+A first read checks a v6 line's CRC-32 and decodes its head and the
 newest past state's domain; the other past states stay deferred, each
-holding its document, until a read of its domain or value decodes it.
-A refresh reads current values and, of the past, only the oldest
-states that retention tests, so it decodes little history.
+holding its document and its newer neighbour, until a read of its
+domain or value decodes it: a value is decoded after its newer
+neighbour's, which it is laid over. A refresh reads current values and,
+of the past, only the oldest states that retention tests, and of an
+evicted one its archived properties, so it decodes little history.
 A line that fails its checksum is decoded whole, so it raises what it
 raised before lines had checksums, or the checksum error if it parses.
-Older files have no checksums: each line is translated into v5 documents
-and decoded whole, so a new layout adds a translator, not a decoder branch.
+Each line of an older file is translated into v6 documents and decoded
+whole, so a new layout adds a translator, not a decoder branch.
 
-A past state never changes once pushed, so it is encoded once. A save
-writes the line of each object the command left untouched as it was
-read, once its CRC-32 has been checked, at the object's first read or
-by the save, so no line is written that was not checked first and none
-is decoded again. The line of a touched or created object is built
-anew from its head, which the save encodes, and its past states'
-texts: those read from its line, which the deferred states hold, and
-those the save encodes for the states that have none yet. So
-historizing or evicting re-encodes no past state.
+A past state never changes once pushed. A save writes the line of each
+object the command left untouched as it was read, once its CRC-32 has
+been checked, at the object's first read or by the save, so no line is
+written that was not checked first and none is decoded again. The line
+of a touched or created object is built anew from its head, which the
+save encodes, and its past states' texts: those read from its line,
+which the deferred states hold, and those the save encodes for the
+states that have none yet or, the newest one, whose delta is against a
+current value that has changed since. So historizing or evicting
+re-encodes no past state, and an update in place or a patch only the
+newest.
 """
 
 from __future__ import annotations
@@ -242,7 +250,8 @@ class Store:
         is shared with keeps its own. The object's line is dropped, so the
         next save encodes its head anew; its past states read from the line
         hold their texts, which that save writes again, as a past state
-        never changes.
+        never changes, but for the newest one's after its current value
+        changed.
         """
         obj = self.objects[oid]
         if oid in self.shared:
@@ -715,11 +724,13 @@ def _evictions(past: list[State], cfg: model.RetentionConfig, t: Instant) -> int
 
 
 def _archive_object(obj: WarehouseObject, n: int, archi: dict[str, str]) -> None:
-    """Evict the n oldest past states, folding them into the archive."""
+    """Evict the n oldest past states, folding them into the archive; an
+    evicted state is read for its archived properties alone."""
     for old in obj.past[:n]:
         if archi:
+            held = old.archived(archi)
             current = obj.archives[0] if obj.archives else None
-            obj.archives = [merge_archive(current, old, archi)]
+            obj.archives = [merge_archive(current, State(old.stored, held), archi)]
     del obj.past[:n]
 
 
@@ -823,8 +834,9 @@ def _patched_relation(store: Store, owner: str, prop: model.PropertyDef, value: 
 # persistence
 
 
-STORE_FORMAT = "tdw-store-v5"
-# the older layouts, read through _older and rewritten whole as v5
+STORE_FORMAT = "tdw-store-v6"
+# the older layouts, read through _older and rewritten whole as v6
+V5_FORMAT = "tdw-store-v5"
 V4_FORMAT = "tdw-store-v4"
 V3_FORMAT = "tdw-store-v3"
 V2_FORMAT = "tdw-store-v2"
@@ -841,19 +853,28 @@ def dumps_store(store: Store) -> str:
     being the CRC-32 of the object's line as written, its newline
     included. An object's line is its head document {"archives",
     "current"}, archives left out when there are none, then each past
-    state's document {"domain", "value"}, oldest first, each after a TAB.
-    A domain is its list of [start, end] ticks in the store's unit, the
-    unit of last_refresh. Every document is compact JSON with sorted keys,
-    which holds no raw TAB, and each state is written with its stored
-    domain, so an open current state's line does not change as the last
-    refresh moves on.
+    state's document {"domain", "gone", "value"}, oldest first, each
+    after a TAB. A past document is a reverse delta against its newer
+    neighbour, the current state for the newest: value holds each
+    property whose value differs from the neighbour's, by type or by
+    value, and each one the object's class archives, and gone, left out
+    when empty, the sorted names the state lacks that the neighbour
+    holds or the class archives. So the newest state is whole in the
+    head, each older one is its newer neighbour's value with value laid
+    over it and gone taken out, and an eviction reads the evicted
+    document alone. A domain is its list of [start, end] ticks in the
+    store's unit, the unit of last_refresh. Every document is compact
+    JSON with sorted keys, which holds no raw TAB, and each state is
+    written with its stored domain, so an open current state's line does
+    not change as the last refresh moves on.
 
     An object's line read from a store file is written again as it was,
     unless the object was touched since, once its CRC-32 is checked: at
     its first read, or here for an object never read. So a store loaded
     from a file with a damaged object line raises here instead of being
     written. Any other line is the head, encoded anew, and each past
-    state's text, which a state without one gets here."""
+    state's text, which a state gets here that has none or whose base
+    is no longer its newer neighbour (_past_texts)."""
     return b"".join(_store_lines(store)).decode("utf-8")
 
 
@@ -862,6 +883,7 @@ def _store_lines(store: Store) -> list[bytes]:
     encoded once; save_store writes them one by one, so the whole file is
     never built."""
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
+    archived: dict[str, dict[str, str]] = {}  # each class's archive filter
     lines = [b""]  # the header, which follows the index
     index = []
     for oid in sorted(store.objects):
@@ -873,11 +895,10 @@ def _store_lines(store: Store) -> list[bytes]:
                 head["archives"] = [
                     {"aggregates": a.aggregates, "domain": _bounds(a.domain)} for a in obj.archives
                 ]
-            parts = [encode(head).encode()]
-            for state in obj.past:
-                if state.text is None:
-                    state.text = encode(_state_dict(state)).encode()
-                parts.append(state.text)
+            archi = archived.get(obj.class_name)
+            if archi is None:
+                archi = archived[obj.class_name] = effective_filters(store.schema, obj.class_name)[1]
+            parts = [encode(head).encode(), *_past_texts(obj, archi, encode)]
             line = b"\t".join(parts) + b"\n"
             crc = zlib.crc32(line)
         elif not obj.decoded and zlib.crc32(line) != crc:
@@ -902,6 +923,55 @@ def _store_lines(store: Store) -> list[bytes]:
     ).encode()
     lines[0] = b"%s\t%d\n" % (header, zlib.crc32(header))
     return lines
+
+
+def _past_texts(obj: WarehouseObject, archi: dict[str, str], encode) -> list[bytes]:
+    """The texts of obj's past states, oldest first, each a reverse delta
+    against its newer neighbour. A state's text is kept while its base is
+    that neighbour: the newer state, or, for the newest, the current value
+    dict itself, which an update in place, a patch or a thaw's fill
+    replaces, and which a historize pushes as the newer state's value.
+    So a text read from the file is kept without decoding either state,
+    and only a state without a text, or the newest one after its current
+    value changed, is encoded, its value against its neighbour's."""
+    texts = []
+    newer: State | None = None
+    for state in reversed(obj.past):
+        if newer is None:
+            kept = state.base is obj.current.value
+        else:  # a dict base is that of the newest state before a historize
+            kept = state.base is newer or state.base is newer.value
+        if state.text is None or not kept:
+            against = obj.current.value if newer is None else newer.value
+            state.text = encode(_past_document(state, against, archi)).encode()
+            state.base = against if newer is None else newer
+        texts.append(state.text)
+        newer = state
+    texts.reverse()
+    return texts
+
+
+def _past_document(state: State, newer: dict[str, Any], archi: dict[str, str]) -> dict[str, Any]:
+    """A past state's document as a reverse delta against newer, its newer
+    neighbour's value: see dumps_store."""
+    doc = _state_dict(state)
+    value = doc["value"]
+    doc["value"] = {
+        name: v for name, v in value.items() if name in archi or not _same(v, newer.get(name, _ABSENT))
+    }
+    gone = [name for name in {**newer, **archi} if name not in value]
+    if gone:
+        doc["gone"] = sorted(gone)
+    return doc
+
+
+_ABSENT = object()  # no JSON value has its type
+
+
+def _same(a: Any, b: Any) -> bool:
+    """Equal and of one type: 1 and 1.0, or 1 and true, are equal in
+    Python, but a store file writes them apart."""
+    return type(a) is type(b) and a == b
 
 
 def _state_dict(state: State) -> dict[str, Any]:
@@ -938,31 +1008,33 @@ def save_store(store: Store, path: str) -> None:
 def load_store(path: str) -> Store:
     """Read a store file; raise Error if it is not a well-formed store.
 
-    A v5 header must match its CRC-32 before anything but its format is
-    read. One loop builds every object of every layout from its index
-    entry (a v1 object's oid, class, status and source key) as a deferred
-    WarehouseObject, after checking the entry: its oid follows the last,
-    its class owns objects (an extraction or a composite), its status is
-    active or frozen, and an extraction's key is [interface, string id]
-    pairs. A composite enters with its key as its entry holds it, and
-    _read_specializations then reads each specialization in the order a
-    refresh evaluates them: a membership's header set, and each
+    A v6 or v5 header must match its CRC-32 before anything but its
+    format is read. One loop builds every object of every layout from
+    its index entry (a v1 object's oid, class, status and source key) as
+    a deferred WarehouseObject, after checking the entry: its oid follows
+    the last, its class owns objects (an extraction or a composite), its
+    status is active or frozen, and an extraction's key is [interface,
+    string id] pairs. A composite enters with its key as its entry holds
+    it, and _read_specializations then reads each specialization in the
+    order a refresh evaluates them: a membership's header set, and each
     composite's key, an older one split over the keys the index holds.
-    A v5, v4, v3 or v2 file's object lines are counted here, and each is
-    checked and decoded on its object's first read, raising the same
-    malformed-store Error; only a v5 file's are kept, with their CRC-32s,
-    for the next save to write again. A v1 file, compact or indented, is
-    decoded and checked whole. The oid counter must be an integer no
-    lower than the last oid, or a new object would take a held oid.
+    A v6, v5, v4, v3 or v2 file's object lines are counted here, and
+    each is checked and decoded on its object's first read, raising the
+    same malformed-store Error; only a v6 file's are kept, with their
+    CRC-32s, for the next save to write again. A v1 file, compact or
+    indented, is decoded and checked whole. The oid counter must be an
+    integer no lower than the last oid, or a new object would take a
+    held oid.
     """
     # lines end at "\n" alone, the one line break the encoder writes raw
     with open(path, "rb") as fh:
         first = fh.readline()
         doc, tail = _first_document(first)
         fmt = doc.get("format") if isinstance(doc, dict) else None
-        if fmt != STORE_FORMAT and tail.strip():
+        sealed = fmt in (STORE_FORMAT, V5_FORMAT)
+        if not sealed and tail.strip():
             doc = fmt = None  # only whitespace follows an older header
-        lined = fmt in (STORE_FORMAT, V4_FORMAT, V3_FORMAT, V2_FORMAT)
+        lined = sealed or fmt in (V4_FORMAT, V3_FORMAT, V2_FORMAT)
         rest = fh.readlines() if lined else fh.read()
     if not lined and (doc is None or rest.strip()):
         try:  # the indented v1 layout spreads one document over lines
@@ -971,10 +1043,10 @@ def load_store(path: str) -> Store:
             raise Error(f"{path}: not a valid store document ({exc})") from None
     if not lined and not (isinstance(doc, dict) and doc.get("format") == V1_FORMAT):
         raise Error(
-            f"{path}: not a {STORE_FORMAT}, {V4_FORMAT}, {V3_FORMAT}, {V2_FORMAT} "
-            f"or {V1_FORMAT} document"
+            f"{path}: not a {STORE_FORMAT}, {V5_FORMAT}, {V4_FORMAT}, {V3_FORMAT}, "
+            f"{V2_FORMAT} or {V1_FORMAT} document"
         )
-    sealed = fmt == STORE_FORMAT
+    kept = fmt == STORE_FORMAT  # its lines are written again as read
     try:
         if sealed and tail != b"\t%d\n" % zlib.crc32(first[: len(first) - len(tail)]):
             raise ValueError("the header fails its checksum")
@@ -983,7 +1055,7 @@ def load_store(path: str) -> Store:
         except Error as exc:  # a stored definition that no longer parses or resolves
             raise _malformed(path, exc) from None
         unit = store.last_refresh.unit
-        older = None if sealed else partial(_older, doc["format"], unit, store.last_refresh.tick)
+        older = None if kept else partial(_older, doc["format"], unit, store.last_refresh.tick)
         decoder = _StateDecoder(path, unit, older)
         if lined:
             index = doc["objects"]
@@ -1028,7 +1100,7 @@ def load_store(path: str) -> Store:
                 raise ValueError(f"oid {oid} has a source key other than [interface, id] pairs")
             load = partial(decoder.line, oid, line, now if status == "active" else None, crc)
             obj = WarehouseObject.deferred(
-                oid, cname, status, key, load, line if sealed else None, crc
+                oid, cname, status, key, load, line if kept else None, crc
             )
             store.add_object(obj, extracted)
         _read_specializations(store, doc.get("memberships", {}))
@@ -1216,12 +1288,15 @@ def _documents(line: bytes) -> list[Any]:
 
 
 def _older(layout: str, unit: str, last_refresh: int, line: Any, active: bool) -> list[Any]:
-    """An older object line, or v1 object document, as v5 documents, head
-    first. A v3 to v1 head holds its past states; a domain {"unit",
-    "intervals"} must be in the store's unit. v2 and v1 wrote an active
-    current state's end as it read at the last refresh: it drops to the
-    start, unless later (an older build's patch). Other shapes pass as read."""
-    if layout == V4_FORMAT:
+    """An older object line, or v1 object document, as v6 documents, head
+    first. A v5 or v4 line is its documents; a v3 to v1 head holds its
+    past states; a v4 to v1 domain {"unit", "intervals"} must be in the
+    store's unit. v2 and v1 wrote an active current state's end as it
+    read at the last refresh: it drops to the start, unless later (an
+    older build's patch). Each past value is whole, a delta that lists
+    as gone what its newer neighbour holds and it lacks. Other shapes
+    pass as read."""
+    if layout in (V5_FORMAT, V4_FORMAT):
         docs = _documents(line)
     else:
         head = line if layout == V1_FORMAT else json.loads(line.decode("utf-8"))
@@ -1229,17 +1304,26 @@ def _older(layout: str, unit: str, last_refresh: int, line: Any, active: bool) -
         docs.extend(head["past"])
         del head["past"]
     states = [docs[0]["current"], *docs[1:]]
-    states.extend(docs[0]["archives"])
-    for state in states:
-        if type(state) is dict and "domain" in state:
-            d = state["domain"]
-            if d["unit"] != unit:
-                raise ValueError(f"a domain is in {d['unit']!r}, not the store's {unit!r}")
-            state["domain"] = d["intervals"]
+    if layout != V5_FORMAT:
+        states.extend(docs[0]["archives"])
+        for state in states:
+            if type(state) is dict and "domain" in state:
+                d = state["domain"]
+                if d["unit"] != unit:
+                    raise ValueError(f"a domain is in {d['unit']!r}, not the store's {unit!r}")
+                state["domain"] = d["intervals"]
     if active and layout in (V2_FORMAT, V1_FORMAT):
         match states[0]:  # an empty interval is left for the decoder to reject
             case {"domain": [*_, [int() as s, int() as e] as last]} if s <= e <= last_refresh:
                 last[1] = s
+    newer = states[0]
+    for doc in reversed(docs[1:]):
+        match doc, newer:
+            case {"value": dict() as value}, {"value": dict() as held}:
+                gone = held.keys() - value.keys()
+                if gone:
+                    doc["gone"] = sorted(gone)
+        newer = doc
     return docs
 
 
@@ -1249,15 +1333,18 @@ _PAST_DOMAIN = b'{"domain":'
 
 
 class _StateDecoder:
-    """Builds objects' states from one store file's v5 documents, which
+    """Builds objects' states from one store file's v6 documents, which
     translate (_older) makes of an older file's lines; unit is the store's.
 
     Many states span the same granules, so each distinct domain is built
     and checked once, to be canonical and to span a granule, and then
     shared: TemporalDomain is frozen, and the engine only ever replaces a
-    state's domain. Each line's current state must start after its newest
-    past state ends. An active object's current state is decoded open,
-    reading its end from the store's Now.
+    state's domain. A past document's value is a reverse delta, laid over
+    its newer neighbour's value (see dumps_store), so a past value is
+    decoded after its newer neighbour's, and wherever two neighbours are
+    decoded, the older must end before the newer starts, the newest past
+    state before the current one. An active object's current state is
+    decoded open, reading its end from the store's Now.
     """
 
     def __init__(self, path: str, unit: str, translate: Callable[..., list[Any]] | None):
@@ -1271,43 +1358,54 @@ class _StateDecoder:
     ) -> tuple[State, list[State], list[ArchiveState]]:
         """Decode one object's line or v1 document, raising the malformed-store Error.
 
-        A line that matches crc, its CRC-32 in the index, is what the
+        A v6 line that matches crc, its CRC-32 in the index, is what the
         writer wrote: its head is decoded, and its past states are left
-        deferred, each holding its document, but for the newest one's
-        domain, which the current state must start after. Any other line
-        is decoded whole, so a damaged line raises what it raised before
-        lines had checksums, and one with a CRC-32 that still parses
-        fails its checksum. A head holding past states is rejected too."""
+        deferred, each holding its document and its newer neighbour, but
+        for the newest one's domain, which the current state must start
+        after. Any other line is decoded whole, translated first if it is
+        of an older layout, so a damaged line raises what it raised before
+        lines had checksums, and one with a CRC-32 that still parses fails
+        its checksum. A head holding past states is rejected too."""
         try:
-            if crc is not None and zlib.crc32(line) == crc:
+            sound = crc is not None and zlib.crc32(line) == crc
+            if sound and self.translate is None:
                 return self._head(line, now)
             docs = self.translate(line, now is not None) if self.translate else _documents(line)
-            states = self.states(docs[0], [self._state(doc) for doc in docs[1:]], now)
-            if crc is not None:
+            current, archives = self.head(docs[0], now)
+            past: list[State] = []
+            newer = current
+            for doc in reversed(docs[1:]):
+                stored, value = self._document(doc, newer.value)
+                self._follows(stored, newer, current)
+                newer = State(stored, value)
+                past.append(newer)
+            if crc is not None and not sound:
                 raise ValueError(f"the line of oid {oid} fails its checksum")
-            return states
+            past.reverse()
+            return current, past, archives
         except (KeyError, TypeError, ValueError) as exc:
             raise _malformed(self.path, exc) from None
 
     def _head(self, line: bytes, now: Now | None) -> tuple[State, list[State], list[ArchiveState]]:
         head_end = line.find(b"\t")
         texts = line[head_end + 1 : -1].split(b"\t") if head_end >= 0 else []
-        head = _dict(json.loads(line[:head_end].decode("utf-8")))
-        load = self.past
-        past = [State.deferred(text, load) for text in texts]
-        return self.states(head, past, now)
+        current, archives = self.head(_dict(json.loads(line[:head_end].decode("utf-8"))), now)
+        past: list[State] = []
+        base: State | dict[str, Any] = current.value
+        for text in reversed(texts):
+            base = State.deferred(text, self, base)
+            past.append(base)
+        if past:
+            self._follows(past[0].stored, current, current)
+        past.reverse()
+        return current, past, archives
 
-    def states(
-        self, item: dict[str, Any], older: list[State], now: Now | None
-    ) -> tuple[State, list[State], list[ArchiveState]]:
+    def head(self, item: dict[str, Any], now: Now | None) -> tuple[State, list[ArchiveState]]:
         if "past" in item:
             # a v3 line under a newer header, whose past states would go unread
             raise ValueError("an object's head document holds past states")
         current = item["current"]
-        stored = self.domain(current["domain"])
-        if older and stored.intervals[0].start.tick <= older[-1].stored.intervals[-1].end.tick:
-            raise ValueError("a current state starts before its newest past state ends")
-        state = State(stored, _dict(current["value"]), now)
+        state = State(self.domain(current["domain"]), _dict(current["value"]), now)
         # a head leaves out an empty archives list
         archives = [
             ArchiveState(self.domain(a["domain"]), _dict(a["aggregates"]))
@@ -1315,23 +1413,80 @@ class _StateDecoder:
         ]
         if len(archives) > 1:  # every eviction folds into the one archive state
             raise ValueError(f"an object's head holds {len(archives)} archive states, not one")
-        return state, older, archives
+        return state, archives
 
     def past(self, state: State, name: str) -> None:
         """Decode a deferred past state's document: its domain alone when
-        only the domain is read, else its domain and value."""
+        only the domain is read, else its domain and value. A value is
+        laid over its newer neighbour's, so the documents from the state's
+        up to the newest one not yet decoded are decoded, newest first."""
         text = state.text
         try:
             if name == "stored" and text.startswith(_PAST_DOMAIN):
                 state.stored = self.domain(_raw_decode(text.decode("utf-8"), len(_PAST_DOMAIN))[0])
                 return
-            decoded = self._state(json.loads(text.decode("utf-8")))
+            chain = [state]
+            while type(chain[-1].base) is State and chain[-1].base.held("value") is None:
+                chain.append(chain[-1].base)
+            for older in reversed(chain):
+                newer = older.base
+                value = newer.value if type(newer) is State else newer
+                stored, value = self._document(json.loads(older.text.decode("utf-8")), value)
+                if type(newer) is State:
+                    self._follows(stored, newer, None)
+                older.stored, older.value = stored, value
         except (KeyError, TypeError, ValueError) as exc:
             raise _malformed(self.path, exc) from None
-        state.stored, state.value = decoded.stored, decoded.value
 
-    def _state(self, doc: Any) -> State:
-        return State(self.domain(_dict(doc)["domain"]), _dict(doc["value"]))
+    def archived(self, state: State, names: Iterable[str]) -> dict[str, Any]:
+        """A deferred past state's domain, and its document's value alone,
+        which must hold or list as gone each of names, the properties its
+        class archives; its end is checked against its newer neighbour's
+        start where that is decoded."""
+        try:
+            doc = _dict(json.loads(state.text.decode("utf-8")))
+            stored = self.domain(doc["domain"])
+            held = _dict(doc["value"])
+            gone = self._gone(doc, held)
+            missing = [name for name in names if name not in held and name not in gone]
+            if missing:
+                raise ValueError(f"a past state leaves out {missing[0]!r}, which its class archives")
+            newer = state.base
+            if type(newer) is State and newer.held("stored") is not None:
+                self._follows(stored, newer, None)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _malformed(self.path, exc) from None
+        state.stored = stored
+        return held
+
+    def _document(self, doc: Any, newer: dict[str, Any]) -> tuple[TemporalDomain, dict[str, Any]]:
+        """A past document's domain, and its value laid over newer, its
+        newer neighbour's value, less what it lists as gone."""
+        stored = self.domain(_dict(doc)["domain"])
+        held = _dict(doc["value"])
+        gone = self._gone(doc, held)
+        value = {**newer, **held}
+        for name in gone:
+            value.pop(name, None)
+        return stored, value
+
+    @staticmethod
+    def _gone(doc: dict[str, Any], held: dict[str, Any]) -> list[Any]:
+        gone = doc.get("gone", [])
+        if type(gone) is not list:
+            raise TypeError(f"a state's gone names are a {type(gone).__name__}, not a list")
+        both = [name for name in gone if name in held]
+        if both:
+            raise ValueError(f"a past state holds {both[0]!r}, which it lists as gone")
+        return gone
+
+    @staticmethod
+    def _follows(older: TemporalDomain, newer: State, current: State | None) -> None:
+        """older, a past state's domain, must end before newer starts."""
+        if older.intervals[-1].end.tick >= newer.stored.intervals[0].start.tick:
+            if newer is current:
+                raise ValueError("a current state starts before its newest past state ends")
+            raise ValueError("a past state starts before its older neighbour ends")
 
     def domain(self, d: Any) -> TemporalDomain:
         """A domain is its [start, end] list, in the store's unit."""

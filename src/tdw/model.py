@@ -440,30 +440,35 @@ class State:
     object's current state are closed: their domain is the stored one.
     Equality compares the domains as read.
 
-    A past state never changes once pushed, so it is encoded once: text
-    holds its store-file form, read from the file or set at its first
-    save, and None until then. A state's text is never compared. A past
-    state read from a store file starts deferred: it holds its text, its
-    domain and value slots are empty, and _load(state, name), which only
-    a deferred state holds, fills them on the first read of either; a
+    A past state is stored as a reverse delta against its newer
+    neighbour: text holds its store-file form, read from the file or set
+    at a save, and None until then, and base what that text was encoded
+    against: the newer past state, or the current value dict itself for
+    the newest one. A state's text is never compared. A past state read
+    from a store file starts deferred: it holds its text, its base and
+    the codec that decodes it, its domain and value slots are empty, and
+    codec.past(state, name) fills them on the first read of either; a
     read of the domain alone may decode the domain alone.
     """
 
-    __slots__ = ("stored", "value", "now", "text", "_load")
+    __slots__ = ("stored", "value", "now", "text", "base", "_codec")
 
     def __init__(self, domain: TemporalDomain, value: dict[str, Any], now: Now | None = None):
         self.stored = domain
         self.value = value
         self.now = now
         self.text: bytes | None = None
+        self.base: State | dict[str, Any] | None = None
 
     @classmethod
-    def deferred(cls, text: bytes, load: Callable[[State, str], None]) -> State:
-        """A closed state whose domain and value load decodes from text."""
+    def deferred(cls, text: bytes, codec: Any, base: State | dict[str, Any]) -> State:
+        """A closed state whose domain and value codec decodes from text,
+        a delta against base."""
         state = cls.__new__(cls)
         state.now = None
         state.text = text
-        state._load = load
+        state.base = base
+        state._codec = codec
         return state
 
     def __getattr__(self, name: str) -> Any:
@@ -472,8 +477,24 @@ class State:
         # raises leaves the slot empty, and the next read raises again
         if name not in ("stored", "value"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._load(self, name)
+        self._codec.past(self, name)
         return object.__getattribute__(self, name)
+
+    def held(self, name: str) -> Any:
+        """The slot name ("stored" or "value") if it holds its decoded
+        content, else None; never decodes."""
+        try:
+            return object.__getattribute__(self, name)
+        except AttributeError:
+            return None
+
+    def archived(self, names: Iterable[str]) -> dict[str, Any]:
+        """A dict holding the state's value of each of names, the
+        properties its class archives, that it holds: its value, or a
+        deferred state's own document, which holds each of them, so that
+        archival reads an evicted state without the states after it."""
+        value = self.held("value")
+        return self._codec.archived(self, names) if value is None else value
 
     @property
     def domain(self) -> TemporalDomain:

@@ -241,22 +241,22 @@ def hospital_records(
 
 
 def store_header(line: str) -> dict:
-    """The header document of a store file's first line, which a v5 file
-    seals with a TAB and the document's CRC-32."""
+    """The header document of a store file's first line, which a v6 or v5
+    file seals with a TAB and the document's CRC-32."""
     return json.loads(line.split("\t", 1)[0])
 
 
 def sealed_header(head: dict) -> str:
-    """A v5 header line for the document head, without its newline, in
-    the writer's compact form."""
+    """A sealed (v6 or v5) header line for the document head, without its
+    newline, in the writer's compact form."""
     text = json.dumps(head, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     return f"{text}\t{zlib.crc32(text.encode('utf-8'))}"
 
 
 def resealed(text: str) -> str:
-    """A v5 store file's text with each index entry's CRC-32 set to its
-    object line's and the header sealed again: what a writer would write
-    that was handed the edited lines."""
+    """A sealed store file's text, v6 or v5, with each index entry's
+    CRC-32 set to its object line's and the header sealed again: what a
+    writer would write that was handed the edited lines."""
     header, *lines = text[:-1].split("\n")
     head = store_header(header)
     for entry, line in zip(head["objects"], lines):

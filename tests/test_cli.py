@@ -19,8 +19,10 @@ from conftest import (
     sealed_header,
     snapshot_lines,
     store_header,
+    store_to_dict,
+    year,
 )
-from test_engine import v3_text, v4_text
+from test_engine import v3_text, v4_text, v5_text
 from tdw import cli, engine
 from tdw.cli import _locked
 from tdw.dsl import parse_warehouse_def, print_warehouse_def
@@ -307,7 +309,7 @@ class TestBuild:
     def test_build_writes_store(self, built):
         _tmp, store = built
         header = store_header(Path(store).read_text(encoding="utf-8").split("\n", 1)[0])
-        assert header["format"] == "tdw-store-v5"
+        assert header["format"] == "tdw-store-v6"
         assert header["last_refresh"] == "1990"
 
     def test_existing_store_rejected(self, built, tmp_path):
@@ -585,8 +587,8 @@ class TestRefresh:
         rc, out, err = tdw("inspect", "--store", str(bad), "--class", "X")
         assert (rc, out) == (1, "")
         assert err == (
-            f"error: {bad}: not a tdw-store-v5, tdw-store-v4, tdw-store-v3, tdw-store-v2 "
-            "or tdw-store-v1 document\n"
+            f"error: {bad}: not a tdw-store-v6, tdw-store-v5, tdw-store-v4, tdw-store-v3, "
+            "tdw-store-v2 or tdw-store-v1 document\n"
         )
 
     @pytest.mark.parametrize(
@@ -934,7 +936,7 @@ class TestInProcess:
         self, refreshed, capsys, monkeypatch, flags, decoded
     ):
         header = store_header(Path(refreshed).read_text(encoding="utf-8").split("\n", 1)[0])
-        assert header["format"] == "tdw-store-v5"
+        assert header["format"] == "tdw-store-v6"
         seen = []
         line = engine._StateDecoder.line  # decodes one object line
 
@@ -948,7 +950,7 @@ class TestInProcess:
         assert capsys.readouterr().out.startswith(("class ", "object 3 "))
         assert len(seen) == decoded
 
-    @pytest.mark.parametrize("writer", [v4_text, v3_text], ids=["v4", "v3"])
+    @pytest.mark.parametrize("writer", [v5_text, v4_text, v3_text], ids=["v5", "v4", "v3"])
     @pytest.mark.parametrize(
         "flags, decoded", [([], 0), (["--oid", "3", "--history"], 1)], ids=["listing", "history"]
     )
@@ -1138,7 +1140,7 @@ STATE_DAMAGE = {
         "ValueError: a domain spans no granule",
     ),
     "past-value-changed": (
-        lambda head, past: past[0]["value"].update(nom=past[0]["value"]["nom"] + "!"),
+        lambda head, past: past[0]["value"].update(nom="Bernard!"),
         "ValueError: the line of oid 1 fails its checksum",
     ),
     "current-overlaps-past": (
@@ -1227,7 +1229,7 @@ def edited_line(text: str, oid: int, change) -> str:
 
 
 # a domain bound that is no integer, as the current, the newest past or an
-# archive state's domain of a resealed v5 line, or as the current domain
+# archive state's domain of a resealed v6 line, or as the current domain
 # of a v4 line, and the error the line's first read raises
 FRACTIONAL = [[29.5, 30]]
 FRACTIONAL_TICK = {
@@ -1286,8 +1288,9 @@ MISTYPED = {
 def mistyped(request, tmp_path):
     """The fixture store built at 1990 with the extra surgeon p4 and
     refreshed at 1991 without him, so that his object is frozen, and a
-    value of that object set as MISTYPED says, in a resealed v5 line or
-    in a v4 file. Returns the store's folder and path, and the error."""
+    value of that object set as MISTYPED says, in a resealed v6 line
+    (the "v5" case, named when that was the sealed layout) or in a v4
+    file. Returns the store's folder and path, and the error."""
     name, layout = request.param
     store = tmp_path / "h.store"
     snap = write_snapshot(tmp_path / "s1990.jsonl", 1990, with_extra_surgeon=True)
@@ -1330,7 +1333,7 @@ class TestMistypedFrozenValue:
 @pytest.fixture(params=["v5", "v4"])
 def mistyped_specific(request, built):
     """The fixture store built at 1990 with the specific année_création of
-    hospital oid 3 set to {}, in a resealed v5 line or in a v4 file.
+    hospital oid 3 set to {}, in a resealed v6 line ("v5") or in a v4 file.
     Returns the store's folder and path."""
     tmp, store = built
     text = Path(store).read_text(encoding="utf-8")
@@ -1381,7 +1384,7 @@ def archived_store(tmp_path_factory):
 @pytest.fixture(params=["v5", "v4"])
 def two_archives(request, tmp_path, archived_store):
     """archived_store with a second archive state, over 1985-1986, in the
-    head of oid 1, in a resealed v5 line or in a v4 file. Returns the
+    head of oid 1, in a resealed v6 line ("v5") or in a v4 file. Returns the
     store's folder and path."""
     path = tmp_path / "h.store"
     path.write_bytes(archived_store)
@@ -1421,10 +1424,60 @@ class TestTwoArchiveStates:
         assert not Path(store + ".tmp").exists()
 
 
+def swapped_oldest(tmp_path: Path, long_store: bytes, layout: str) -> str:
+    """long_store with the documents of surgeon oid 1's two oldest past
+    states, 1990 and 1991, swapped, in a resealed v6 line or in a v4 file.
+    Returns the store's path."""
+    path = tmp_path / "h.store"
+    path.write_bytes(long_store)
+    text = long_store.decode("utf-8")
+    if layout == "v4":
+        text = v4_text(engine.load_store(str(path)))
+
+    def swap(head, past):
+        assert len(past) == 3
+        past[0], past[1] = past[1], past[0]
+
+    text = edited_line(text, 1, swap)
+    path.write_text(resealed(text) if layout == "v6" else text, encoding="utf-8")
+    return str(path)
+
+
+class TestPastStatesOutOfOrder:
+    """A past document's value is laid over its newer neighbour's, so the
+    order of the documents decides every older value: wherever two
+    neighbours are decoded, the older must end before the newer starts,
+    or the line is the malformed-store error naming the file."""
+
+    ERROR = "ValueError: a past state starts before its older neighbour ends"
+
+    @pytest.mark.parametrize("layout", ["v6", "v4"])
+    def test_inspect_of_the_history_names_the_damage(self, tmp_path, long_store, layout):
+        store = swapped_oldest(tmp_path, long_store, layout)
+        before = Path(store).read_bytes()
+        rc, _out, err = tdw(
+            "inspect", "--store", store, "--class", "Chirurgiens", "--oid", "1", "--history"
+        )
+        assert rc == 1
+        assert err == f"error: {store}: malformed store document ({self.ERROR})\n"
+        assert Path(store).read_bytes() == before
+
+    def test_a_refresh_of_a_v4_file_names_the_damage(self, tmp_path, long_store):
+        # a v4 line is decoded whole at its first read; a v6 refresh reads
+        # the oldest domain alone, so a refresh does not see the order
+        store = swapped_oldest(tmp_path, long_store, "v4")
+        before = Path(store).read_bytes()
+        snap = write_snapshot(tmp_path / "s1994.jsonl", 1994)
+        rc, out, err = tdw("refresh", "--store", store, "--snapshot", snap, "--at", "1994")
+        assert (rc, out) == (1, "")
+        assert err == f"error: {store}: malformed store document ({self.ERROR})\n"
+        assert Path(store).read_bytes() == before
+
+
 class TestOlderFormOutOfPlace:
     """An older layout's form where it does not belong, each rejected with
-    an error naming the file: a v4 header sealed as a v5 one is, which
-    is read as the start of a v1 document, and a v4 domain in a v5 line."""
+    an error naming the file: a v4 header sealed as a v6 one is, which
+    is read as the start of a v1 document, and a v4 domain in a v6 line."""
 
     def test_a_sealed_older_header_is_no_valid_document(self, built):
         _tmp, store = built
@@ -1623,6 +1676,28 @@ class TestPatch:
             "patch", "--store", store, "--oid", "3", "--set", "budget=1", "--at", "1990"
         )
         assert rc == 1 and "not a specific property" in err
+
+    def test_a_patch_in_place_encodes_the_newest_past_document_again(
+        self, tmp_path, archived_store
+    ):
+        # a patch of the non-temporal année_création gives hospital oid 3,
+        # which holds history, a new current value; its newest past
+        # document, a delta against the value it replaced, is encoded anew
+        store = tmp_path / "h.store"
+        store.write_bytes(archived_store)
+        held = engine.load_store(str(store))
+        before = held.objects[3].past[-1].value
+        assert before["année_création"] is None
+        rc, _out, err = tdw(
+            "patch", "--store", str(store), "--oid", "3",
+            "--set", "année_création=1956", "--at", "1993",
+        )
+        assert rc == 0, err
+        engine.patch_specific(held, 3, "année_création", 1956, year(1993))
+        patched = engine.load_store(str(store))
+        assert store_to_dict(patched) == store_to_dict(held)
+        assert patched.objects[3].current.value["année_création"] == 1956
+        assert patched.objects[3].past[-1].value == before
 
     @pytest.mark.parametrize(
         "assignment, code, message",

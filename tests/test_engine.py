@@ -53,6 +53,7 @@ from tdw.model import (
     State,
     check_state_disjointness,
     check_subclass_laws,
+    effective_filters,
     flatten_type,
     lifecycle_span,
     transitive_supers,
@@ -99,7 +100,7 @@ def edited(change):
 
 def in_layout(like, bounds):
     """A domain document of the given intervals in the layout of like, a
-    domain document: v5's [start, end] list, or the older {"unit",
+    domain document: v6's and v5's [start, end] list, or the older {"unit",
     "intervals"}."""
     return {"intervals": bounds, "unit": "year"} if isinstance(like, dict) else bounds
 
@@ -183,7 +184,7 @@ def non_canonical(place, bounds):
     return lambda line: line + "\t" + past_doc(line, bounds, {})
 
 
-# damages to a v5 or v4 object line, each with the start of the detail of
+# damages to a v6 or v4 object line, each with the start of the detail of
 # the error that decoding the line whole raises
 OBJECT_LINE_DAMAGE = {
     **HEAD_DAMAGE,
@@ -230,7 +231,7 @@ OBJECT_LINE_DAMAGE = {
         for name, (bounds, detail) in NON_CANONICAL.items()
     },
 }
-# where a sealed v5 line, whose head alone is decoded at first read and
+# where a sealed v6 line, whose head alone is decoded at first read and
 # its past states one by one, raises another error than decoded whole
 SEALED_DETAIL = {
     "tab-inside-a-document": "JSONDecodeError: Unterminated string",
@@ -1564,7 +1565,7 @@ class TestPersistence:
         v1 = store_to_dict(store)
         assert [o["oid"] for o in v1["objects"]] == sorted(store.objects)
         assert header == {
-            "format": "tdw-store-v5",
+            "format": "tdw-store-v6",
             **{
                 k: v1[k]
                 for k in ("source_schema", "warehouse_def", "last_refresh", "oid_counter",
@@ -1591,6 +1592,25 @@ class TestPersistence:
                 state["domain"] = state["domain"]["intervals"]
         assert any(o["archives"] for o in v1["objects"])
         assert any(o["past"] for o in v1["objects"])
+        # a past state's document is a reverse delta against its newer
+        # neighbour, the current state for the newest: its domain, the
+        # names it lacks that the neighbour holds or its class archives,
+        # if any, and each property that differs or that its class archives
+        left_out = 0
+        for o in v1["objects"]:
+            archived = effective_filters(store.schema, o["class"])[1]
+            newer, deltas = o["current"]["value"], []
+            for state in reversed(o["past"]):
+                value = state["value"]
+                delta = {k: v for k, v in value.items()
+                         if k in archived or k not in newer or newer[k] != v}
+                gone = sorted((newer.keys() | archived.keys()) - value.keys())
+                deltas.append({"domain": state["domain"], **({"gone": gone} if gone else {}),
+                               "value": delta})
+                left_out += len(value) - len(delta)
+                newer = value
+            o["past"] = deltas[::-1]
+        assert left_out
         # a head leaves out an empty archives list
         assert docs == [
             [{"current": o["current"], **({"archives": o["archives"]} if o["archives"] else {})},
@@ -1843,7 +1863,8 @@ class TestPersistence:
     def test_malformed_object_line_is_rejected_when_first_read(
         self, store, tmp_path, make_snapshot, layout, name
     ):
-        # a damaged v5 line fails its checksum and is decoded whole; a
+        # a damaged v6 line (the "v5" cases, named when that was the
+        # sealed layout) fails its checksum and is decoded whole; a
         # sealed one, its index entry holding the damaged line's CRC-32 as
         # a writer handed that line would write it, is decoded head first;
         # v4 and v3 lines have no checksums and are decoded whole
@@ -1969,7 +1990,7 @@ def mutants(data: bytes, rng: random.Random):
 
 
 class TestChecksums:
-    """Every byte of a v5 store file is under a CRC-32: the header's own,
+    """Every byte of a v6 store file is under a CRC-32: the header's own,
     or its object line's in the header's index."""
 
     def test_a_torn_or_damaged_file_never_loads_as_another_store(
@@ -2477,11 +2498,29 @@ class TestCopyOnWrite:
         save_store(loaded, str(path))
         assert path.read_text(encoding="utf-8") == dumps_store(store)
         assert store_header(path.read_text(encoding="utf-8").split("\n", 1)[0])["format"] == (
-            "tdw-store-v5"
+            "tdw-store-v6"
         )
         assert_refreshes_alike_after_the_late_end(store, str(path), make_snapshot)
 
-    @pytest.mark.parametrize("layout", ["v4", "v3", "v2", "v1"])
+    def test_a_v5_file_reads_the_same_and_is_rewritten_whole(
+        self, store, tmp_path, make_snapshot
+    ):
+        for y in (1991, 1992, 1993):
+            refresh(store, make_snapshot(y))
+        patched_late(store, "e2", 1961, year(1995))
+        path = tmp_path / "h.store"
+        path.write_text(v5_text(store, older_keys=False), encoding="utf-8")
+        loaded = load_store(str(path))
+        assert lined(loaded) == set()
+        assert store_to_dict(loaded) == store_to_dict(store)
+        save_store(loaded, str(path))
+        assert path.read_text(encoding="utf-8") == dumps_store(store)
+        assert store_header(path.read_text(encoding="utf-8").split("\n", 1)[0])["format"] == (
+            "tdw-store-v6"
+        )
+        assert_refreshes_alike_after_the_late_end(store, str(path), make_snapshot)
+
+    @pytest.mark.parametrize("layout", ["v5", "v4", "v3", "v2", "v1"])
     def test_an_older_composite_key_reads_as_its_operand_objects(
         self, src_schema, edw_text, tmp_path, make_snapshot, layout
     ):
@@ -2517,7 +2556,7 @@ class TestCopyOnWrite:
         assert refs and all(type(oid) is int for _cname, oid in refs)
         assert path.read_text(encoding="utf-8") == dumps_store(store)
 
-    @pytest.mark.parametrize("layout", ["v4", "v1"])
+    @pytest.mark.parametrize("layout", ["v5", "v4", "v1"])
     def test_an_older_key_through_a_composite_keyed_by_objects_splits_no_way(
         self, src_schema, edw_text, tmp_path, make_snapshot, layout
     ):
@@ -2534,12 +2573,12 @@ class TestCopyOnWrite:
         equipes = store.direct_extension("Equipes")
         assert keys and equipes
         text = OLDER_WRITERS[layout](store)
-        if layout == "v4":
+        if layout in ("v5", "v4"):
             header, rest = text.split("\n", 1)
-            head = json.loads(header)
+            head = store_header(header)
             for entry in head["objects"]:
                 entry[3] = keys.get(entry[0], entry[3])
-            text = encode(head) + "\n" + rest
+            text = (sealed_header(head) if layout == "v5" else encode(head)) + "\n" + rest
         else:
             doc = json.loads(text)
             for o in doc["objects"]:
@@ -2666,7 +2705,39 @@ class TestCopyOnWrite:
         save_store(loaded, str(path))
         text = path.read_text(encoding="utf-8")
         assert text == dumps_store(store)
-        assert store_header(text.split("\n", 1)[0])["format"] == "tdw-store-v5"
+        assert store_header(text.split("\n", 1)[0])["format"] == "tdw-store-v6"
+
+    def test_a_committed_v5_store_reads_the_same_and_is_rewritten_whole(
+        self, store, tmp_path, make_snapshot
+    ):
+        # written by a build of the v5 layout with the history of
+        # hopital_1993.store: built at 1990, refreshed at 1991 and 1992 with
+        # the extra surgeon p4 and at 1993 without him
+        path = tmp_path / "h.store"
+        path.write_bytes((STORES / "hopital_1993_v5.store").read_bytes())
+        written = path.read_text(encoding="utf-8")
+        assert store_header(written.split("\n", 1)[0])["format"] == "tdw-store-v5"
+        for y, extra in ((1991, True), (1992, True), (1993, False)):
+            refresh(store, make_snapshot(y, with_extra_surgeon=extra))
+        loaded = load_store(str(path))
+        assert lined(loaded) == set()
+        assert store_to_dict(loaded) == store_to_dict(store)
+        # the test's v5 writer writes what that build wrote
+        assert v5_text(loaded, older_keys=False) == written
+        snap = make_snapshot(1994)
+        report = refresh(loaded, snap).to_dict()
+        assert report == refresh(store, snap).to_dict()
+        # the counts that the v4 build reported at 1994
+        names = ["created", "carried", "updated", "historized", "frozen", "archived_evictions"]
+        counts = {
+            "Chirurgiens": [0, 0, 0, 2, 1, 2], "Etablissements": [0, 0, 2, 0, 0, 0],
+            "Hôpitaux_Publics": [0, 0, 0, 2, 0, 2], "Services": [0, 3, 0, 0, 0, 0],
+        }
+        assert report["classes"] == {name: dict(zip(names, row)) for name, row in counts.items()}
+        save_store(loaded, str(path))
+        text = path.read_text(encoding="utf-8")
+        assert text == dumps_store(store)
+        assert store_header(text.split("\n", 1)[0])["format"] == "tdw-store-v6"
 
     def test_a_refresh_that_historizes_and_evicts_nothing_decodes_no_past_state(
         self, store, src_schema, tmp_path, make_snapshot, monkeypatch
@@ -2701,6 +2772,167 @@ class TestCopyOnWrite:
         assert lined(loaded) == {obj.oid for obj in untouched}
         refresh(store, snap)
         assert Path(path).read_text(encoding="utf-8") == dumps_store(store)
+
+    @pytest.mark.parametrize(
+        "retention", ["keep 2 past states;", "keep past 2 years;"], ids=["count", "duration"]
+    )
+    def test_a_refresh_that_evicts_decodes_each_evicted_document_once(
+        self, src_schema, edw_text, tmp_path, make_snapshot, monkeypatch, retention
+    ):
+        wdef = parse_warehouse_def(edw_text.replace("keep 2 past states;", retention))
+        store = initial_load(src_schema, wdef, make_snapshot(1990))
+        for y in (1991, 1992):
+            refresh(store, make_snapshot(y))
+        path = str(tmp_path / "h.store")
+        save_store(store, path)
+        decoded = []
+        past, archived = engine._StateDecoder.past, engine._StateDecoder.archived
+
+        def counted_past(self, state, name):
+            decoded.append((state, name))
+            return past(self, state, name)
+
+        def counted_archived(self, state, names):
+            decoded.append((state, "archived"))
+            return archived(self, state, names)
+
+        monkeypatch.setattr(engine._StateDecoder, "past", counted_past)
+        monkeypatch.setattr(engine._StateDecoder, "archived", counted_archived)
+        loaded = load_store(path)
+        # a first read decodes the head and the newest past state's domain
+        held = {oid: list(obj.past) for oid, obj in loaded.objects.items()}
+        newest = {id(states[-1]) for states in held.values() if states}
+        assert sorted(id(state) for state, _name in decoded) == sorted(newest)
+        assert {name for _state, name in decoded} == {"stored"}
+        decoded.clear()
+        report = refresh(loaded, make_snapshot(1993)).to_dict()
+        evicted = {id(s) for oid, states in held.items() for s in states
+                   if all(s is not kept for kept in loaded.objects[oid].past)}
+        assert len(evicted) == sum(c["archived_evictions"] for c in report["classes"].values()) > 0
+        # each evicted document once, for its archived properties, and no
+        # other past value; a duration tests the oldest states' domains,
+        # as it did before deltas, the first one kept being the newest,
+        # whose domain the first read decoded
+        assert sorted(id(state) for state, name in decoded if name == "archived") == sorted(evicted)
+        assert {name for _state, name in decoded} <= {"archived", "stored"}
+        tested = {id(state) for state, name in decoded if name == "stored"}
+        assert tested == (evicted if retention.startswith("keep past") else set())
+        assert refresh(store, make_snapshot(1993)).to_dict() == report
+        decoded.clear()
+        save_store(loaded, path)
+        assert decoded == []
+        assert Path(path).read_text(encoding="utf-8") == dumps_store(store)
+
+
+class TestReverseDeltas:
+    """A past state's document is a reverse delta against its newer
+    neighbour, the current state for the newest, whose value an update in
+    place or a patch replaces: the save encodes the newest document again
+    against the value it replaced it with."""
+
+    @staticmethod
+    def reloaded_history(store, tmp_path, make_snapshot):
+        for y in (1991, 1992):
+            refresh(store, make_snapshot(y))
+        path = str(tmp_path / "h.store")
+        save_store(store, path)
+        return path, load_store(path)
+
+    def test_an_update_in_place_encodes_the_newest_past_document_again(
+        self, store, src_schema, tmp_path, make_snapshot
+    ):
+        path, loaded = self.reloaded_history(store, tmp_path, make_snapshot)
+        p1 = by_key(loaded, "Chirurgiens", "p1")
+        before = p1.past[-1].value
+        assert len(p1.past) == 2 and before["nom"] == "Bernard"
+        # the sources of 1992 a year later, with a new name for p1, which
+        # is not in the class's temporal filter
+        records = hospital_records(1992)
+        assert records[0]["id"] == "p1"
+        records[0]["values"]["nom"] = "Bernard-Roux"
+        snap = ingest_snapshot(src_schema, snapshot_lines(records), year(1993))
+        report = refresh(loaded, snap).to_dict()
+        assert report["classes"]["Chirurgiens"]["updated"] == 1
+        assert report == refresh(store, snap).to_dict()
+        p1 = by_key(loaded, "Chirurgiens", "p1")
+        assert p1.current.value["nom"] == "Bernard-Roux"
+        again = saved_and_loaded(loaded, path)
+        assert store_to_dict(again) == store_to_dict(loaded) == store_to_dict(store)
+        assert by_key(again, "Chirurgiens", "p1").past[-1].value == before
+        # the newest document holds the old name, which now differs
+        newest = json.loads(Path(path).read_text(encoding="utf-8")
+                            .split("\n")[1 + sorted(again.objects).index(p1.oid)]
+                            .split("\t")[-1])
+        assert newest["value"]["nom"] == "Bernard"
+
+    def test_a_property_the_older_state_lacks_stays_absent(self, store, tmp_path, make_snapshot):
+        for y in (1991, 1992):
+            refresh(store, make_snapshot(y))
+        p1 = by_key(store, "Chirurgiens", "p1")
+        oldest = p1.past[0]
+        lacking = {k: v for k, v in oldest.value.items() if k not in ("nom", "revenus")}
+        p1.past[0] = State(oldest.stored, lacking)
+        path = str(tmp_path / "h.store")
+        loaded = saved_and_loaded(store, path)
+        line = Path(path).read_text(encoding="utf-8").split("\n")[1 + sorted(store.objects)
+                                                                  .index(p1.oid)]
+        # what the newer state holds, and what the class archives, sorted
+        # between the domain and the value
+        assert line.split("\t")[1].startswith(
+            '{"domain":[[20,20]],"gone":["nom","revenus"],"value":{'
+        )
+        assert by_key(loaded, "Chirurgiens", "p1").past[0].value == lacking
+        assert store_to_dict(loaded) == store_to_dict(store)
+
+    @pytest.mark.parametrize(
+        "gone, detail",
+        [("nom", "TypeError: a state's gone names are a str, not a list"),
+         (["revenus"], "ValueError: a past state holds 'revenus', which it lists as gone")],
+        ids=["not-a-list", "held-and-gone"],
+    )
+    def test_a_damaged_gone_list_names_the_file(self, store, tmp_path, make_snapshot, gone, detail):
+        for y in (1991, 1992):
+            refresh(store, make_snapshot(y))
+        header, *lines = dumps_store(store)[:-1].split("\n")
+        head, *past = lines[0].split("\t")
+        doc = json.loads(past[-1])
+        doc["gone"] = gone
+        lines[0] = "\t".join([head, *past[:-1], encode(doc)])
+        path = tmp_path / "bad.store"
+        path.write_text(resealed("\n".join([header, *lines]) + "\n"), encoding="utf-8")
+        loaded = load_store(str(path))
+        assert loaded.objects[1].past[0].stored == store.objects[1].past[0].stored
+        for read in (lambda: loaded.objects[1].past[0].value,
+                     lambda: loaded.objects[1].past[-1].archived({"revenus": "avg"})):
+            with pytest.raises(Error) as raised:
+                read()
+            assert str(raised.value) == f"{path}: malformed store document ({detail})"
+
+    def test_a_past_document_without_an_archived_property_names_the_file(
+        self, store, tmp_path, make_snapshot
+    ):
+        # a writer that sealed what it was handed: the oldest past document
+        # of surgeon oid 1, which the refresh at 1993 evicts, lacks revenus,
+        # which its class archives
+        for y in (1991, 1992):
+            refresh(store, make_snapshot(y))
+        header, *lines = dumps_store(store)[:-1].split("\n")
+        head, oldest, *newer = lines[0].split("\t")
+        doc = json.loads(oldest)
+        del doc["value"]["revenus"]
+        lines[0] = "\t".join([head, encode(doc), *newer])
+        path = tmp_path / "bad.store"
+        path.write_text(resealed("\n".join([header, *lines]) + "\n"), encoding="utf-8")
+        loaded = load_store(str(path))
+        error = (f"{path}: malformed store document (ValueError: a past state leaves out"
+                 " 'revenus', which its class archives)")
+        with pytest.raises(Error) as raised:
+            refresh(loaded, make_snapshot(1993))
+        assert str(raised.value) == error
+        assert dumps_store(loaded) == path.read_text(encoding="utf-8")
+        with pytest.raises(Error) as raised:
+            load_store(str(path)).objects[1].past[0].archived({"revenus": "avg"})
+        assert str(raised.value) == error
 
 
 def patched_late(store, hospital: str, created: int, t: Instant) -> None:
@@ -2818,7 +3050,36 @@ def v3_text(store) -> str:
     return "\n".join([encode(older_header(store, "v3")), *lines]) + "\n"
 
 
-OLDER_WRITERS = {"v4": v4_text, "v3": v3_text, "v2": v2_text, "v1": v1_text}
+def v5_text(store, older_keys: bool = True) -> str:
+    """The store in the tdw-store-v5 layout: sealed by CRC-32s as v6 is,
+    domains as [start, end] lists, empty archives left out, and each past
+    state's value whole after a TAB; older_keys=False keys composites by
+    their operand objects, as v5 builds did."""
+
+    def bounds(d):
+        return [[iv.start.tick, iv.end.tick] for iv in d.intervals]
+
+    def state(s):
+        return {"domain": bounds(s.stored), "value": s.value}
+
+    entries = older_index(store) if older_keys else [
+        [oid, o.class_name, o.status, o.source_key] for oid, o in sorted(store.objects.items())
+    ]
+    lines = []
+    for entry in entries:
+        o = store.objects[entry[0]]
+        head = {"current": state(o.current)}
+        if o.archives:
+            head["archives"] = [{"aggregates": a.aggregates, "domain": bounds(a.domain)}
+                                for a in o.archives]
+        lines.append("\t".join([encode(head), *(encode(state(s)) for s in o.past)]))
+        entry.append(zlib.crc32((lines[-1] + "\n").encode("utf-8")))
+    header = older_header(store, "v5")
+    header["objects"] = entries
+    return "\n".join([sealed_header(header), *lines]) + "\n"
+
+
+OLDER_WRITERS = {"v5": v5_text, "v4": v4_text, "v3": v3_text, "v2": v2_text, "v1": v1_text}
 
 
 # ---------------------------------------------------------------------------
