@@ -19,7 +19,7 @@ no rows, so a mapping is checked by the code that runs it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Any, Callable, Iterable, Iterator
 
@@ -91,8 +91,7 @@ class ClassBuild:
 def locate(build: ClassBuild, path: Path) -> tuple[int, tuple[str, ...]]:
     """Resolve a dotted path to (structure index, struct-field tail)."""
     segs = path.segments
-    binders = build.binder_names()
-    if len(segs) >= 2 and segs[0] in binders:
+    if len(segs) >= 2 and segs[0] in build.binder_names():
         hits = [
             i
             for i, p in enumerate(build.structure)
@@ -293,8 +292,8 @@ def _project_slots(picked: list[tuple[int, tuple[str, ...], str]], build: ClassB
         prop = build.structure[idx]
         if tail:  # a struct field, an attribute of its own
             path = prop.source_path + tail
-            prop = replace(prop, value_type=_drill_type(prop, tail, Path(path)), source_path=path)
-        structure.append(replace(prop, name=name))
+            prop = prop.replaced(value_type=_drill_type(prop, tail, Path(path)), source_path=path)
+        structure.append(prop.replaced(name=name))
     rows = [
         Row(row.key, tuple(_drill(row.values[i], tail) for i, tail, _name in picked), row.binders)
         for row in build.rows
@@ -415,7 +414,7 @@ def _matching_rows(sides: list[ClassBuild], checked: list[Checked]) -> Iterator[
 
 def eval_aliased(build: ClassBuild, binder: str) -> ClassBuild:
     """Rebind every output property (and the row identity) to one name."""
-    structure = [replace(p, binder=binder) for p in build.structure]
+    structure = [p.replaced(binder=binder) for p in build.structure]
     rows = []
     for row in build.rows:
         tokens = {tok for _b, tok in row.binders}

@@ -17,7 +17,6 @@ filled in. The full grammar is documented in docs/grammar.md.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable, Iterator
 
 from . import algebra
@@ -151,8 +150,8 @@ def _parse_class_decl(ts: TokenStream) -> WarehouseClass:
     while not ts.accept("punct", "}"):
         cls.structure.append(_parse_property(ts))
     names = [p.name for p in cls.structure]
-    dupes = sorted({n for n in names if names.count(n) > 1})
-    if dupes:
+    if len(set(names)) < len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
         raise PropertyConflict(f"{name!r} declares {dupes[0]!r} twice")
     if ts.at("ident", "with"):
         ts.next()
@@ -598,7 +597,7 @@ def hierarchization_order(schema: WarehouseSchema, broken: Iterable[str] = ()) -
 
 def class_structure(schema: WarehouseSchema, name: str, binder: str) -> list[PropertyDef]:
     """A warehouse class's flattened type as build properties under binder."""
-    return [replace(p, binder=binder) for p in flatten_type(schema, name)]
+    return [p.replaced(binder=binder) for p in flatten_type(schema, name)]
 
 
 def _resolve_hierarchization(schema: WarehouseSchema, src: SourceSchema, cls: WarehouseClass) -> None:
@@ -728,7 +727,7 @@ def _match_declared(
     for i, p in enumerate(cls.structure):
         candidates = out_by_name.get(p.name, [])
         if p.origin == "derived" and len(candidates) == 1:
-            cls.structure[i] = replace(p, source_path=candidates[0].source_path)
+            cls.structure[i] = p.replaced(source_path=candidates[0].source_path)
 
 
 def _check_derived(

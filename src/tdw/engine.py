@@ -53,8 +53,8 @@ A domain is written as its intervals, in the store's one unit.
 load_store builds every object from its index entry as a deferred
 WarehouseObject, whose state slots stay empty until their first read
 decodes the object's line, so a query decodes only the objects it
-shows; objects are slotted, since a load builds one for every entry of
-the index. Then it reads each specialization in the order a refresh
+shows; objects are slotted, and share their loader, since a load builds
+one for every entry of the index. Then it reads each specialization in the order a refresh
 evaluates them: a membership's header set, checked against its operand,
 and each composite's key, checked against its operands' objects.
 
@@ -1075,10 +1075,16 @@ def load_store(path: str) -> Store:
         extractions = {n for n in classes if classes[n].role == "extraction"}
         owners = extractions.union(n for n in classes if classes[n].role == "composite")
         interfaces = store.source_schema.interfaces
-        last, now = 0, store.now
+        last, lines = 0, decoder.lines
+        add, deferred = store.add_object, WarehouseObject.deferred
+        # every object shares one of two loaders, by its status here, and
+        # the decoder holds its line until its first read
+        opened, closed = partial(decoder.decode, store.now), partial(decoder.decode, None)
         for entry, line in entries:
             oid, cname, status, key, crc = entry if sealed else (*entry, None)
             # lines pair with index entries by position, which the oid order fixes
+            if type(oid) is not int:  # a float or bool would compare, and be written back
+                raise TypeError(f"oid {oid!r} is a {type(oid).__name__}, not an integer")
             if oid <= last:
                 raise ValueError(f"oid {oid} follows oid {last} in the object index")
             last = oid
@@ -1090,19 +1096,17 @@ def load_store(path: str) -> Store:
             if sealed and type(crc) is not int:  # a line without one would go unchecked
                 raise ValueError(f"oid {oid} has CRC-32 {crc!r}, not an integer")
             key = tuple(map(tuple, key))
-            try:
-                sound = bool(key)
-                for interface, sid in key:
+            try:  # a composite's key is read by _read_specializations
+                sound = not extracted or bool(key)
+                for interface, sid in key if extracted else ():
                     sound = sound and interface in interfaces and isinstance(sid, str)
             except ValueError:  # a pair of more or fewer than two items
                 sound = False
-            if not sound and extracted:
+            if not sound:
                 raise ValueError(f"oid {oid} has a source key other than [interface, id] pairs")
-            load = partial(decoder.line, oid, line, now if status == "active" else None, crc)
-            obj = WarehouseObject.deferred(
-                oid, cname, status, key, load, line if kept else None, crc
-            )
-            store.add_object(obj, extracted)
+            lines[oid] = line
+            load = opened if status == "active" else closed
+            add(deferred(oid, cname, status, key, load, line if kept else None, crc), extracted)
         _read_specializations(store, doc.get("memberships", {}))
         if not lined:
             for obj in store.objects.values():
@@ -1173,6 +1177,9 @@ def _read_specializations(store: Store, memberships: Any) -> None:
             continue
         if name not in memberships:
             continue
+        odd = [oid for oid in memberships[name] if type(oid) is not int]
+        if odd:  # a float or bool would match an oid, and be written back
+            raise TypeError(f"membership {name!r} holds oid {odd[0]!r}, not an integer")
         members = set(memberships[name])
         missing = members - store.objects.keys()
         if missing:
@@ -1352,6 +1359,16 @@ class _StateDecoder:
         self.unit = unit
         self.translate = translate
         self.domains: dict[tuple[tuple[int, ...], ...], TemporalDomain] = {}
+        self.lines: dict[Oid, bytes | dict[str, Any]] = {}  # as read, until decoded
+
+    def decode(
+        self, now: Now | None, obj: WarehouseObject
+    ) -> tuple[State, list[State], list[ArchiveState]]:
+        """Decode deferred obj's line, read at load, with the store's now
+        if obj was active there."""
+        states = self.line(obj.oid, self.lines[obj.oid], now, obj.crc)
+        del self.lines[obj.oid]
+        return states
 
     def line(
         self, oid: Oid, line: bytes | dict[str, Any], now: Now | None, crc: int | None

@@ -13,16 +13,18 @@ from typing import NamedTuple
 
 from .errors import ParseError
 
+# A match is a token, or a comment, with the whitespace before it; no
+# token spans a line, so tokenize matches each line apart.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<nl>\n)
-  | (?P<number>\d+(\.\d+)?)
-  | (?P<ident>[^\W\d]\w*)
-  | (?P<string>"(?:[^"\\\n]|\\.)*")
+    [ \t\r]*(?:
+    (?P<ident>[^\W\d]\w*)
   | (?P<punct>::|:=|<=|>=|!=|[{}()<>,;:.=\-≠≤≥∋])
-  | (?P<bad>.)
+  | (?P<comment>//[^\n]*)
+  | (?P<number>\d+(?:\.\d+)?)
+  | (?P<string>"(?:[^"\\\n]|\\.)*")
+  | (?P<bad>[^ \t\r])
+  )
     """,
     re.VERBOSE,
 )
@@ -38,30 +40,29 @@ class Token(NamedTuple):
     col: int
 
 
+_new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
+
+
 def tokenize(text: str) -> list[Token]:
-    # Every character starts a match (bad takes any the others do not),
-    # so the matches tile the text; a token's column counts from the
-    # start of its line.
+    # Every character but whitespace that ends a line is in a match (bad
+    # takes any the others do not), so the matches tile each line; a
+    # token's column counts from the start of its line.
     tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-            continue
-        col = m.start() - line_start + 1
-        value = m.group()
-        if kind == "string":
-            value = value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-        elif kind == "punct":
-            value = _PUNCT_ALIASES.get(value, value)
-        elif kind == "bad":
-            raise ParseError(line, col, f"a token (found {value!r})")
-        tokens.append(Token(kind, value, line, col))
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+    for line, row in enumerate(text.split("\n"), 1):
+        for m in _TOKEN_RE.finditer(row):
+            kind = m.lastgroup
+            if kind == "comment":
+                continue
+            value = m.group(kind)
+            col = m.start(kind) + 1
+            if kind == "string":
+                value = value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+            elif kind == "punct":
+                value = _PUNCT_ALIASES.get(value, value)
+            elif kind == "bad":
+                raise ParseError(line, col, f"a token (found {value!r})")
+            tokens.append(_new(Token, (kind, value, line, col)))
+    tokens.append(_new(Token, ("eof", "", line, len(row) + 1)))
     return tokens
 
 
@@ -89,18 +90,25 @@ class TokenStream:
         tok = self._tokens[self._pos]
         return tok.kind == kind and (value is None or tok.value == value)
 
+    # accept and expect, which the parsers call for most tokens, spell out
+    # at and next rather than call them
     def accept(self, kind: str, value: str | None = None) -> Token | None:
-        if self.at(kind, value):
-            return self.next()
-        return None
+        tok = self._tokens[self._pos]
+        if tok.kind != kind or (value is not None and tok.value != value):
+            return None
+        if kind != "eof":
+            self._pos += 1
+        return tok
 
     def expect(self, kind: str, value: str | None = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, value):
+        tok = self._tokens[self._pos]
+        if tok.kind != kind or (value is not None and tok.value != value):
             want = value if value is not None else kind
             found = tok.value or tok.kind
             raise ParseError(tok.line, tok.col, f"{want!r} (found {found!r})")
-        return self.next()
+        if kind != "eof":
+            self._pos += 1
+        return tok
 
     def idents(self) -> list[str]:
         """IDENT {, IDENT}: one or more comma-separated names."""

@@ -65,6 +65,18 @@ class PropertyDef:
     def is_relation(self) -> bool:
         return self.kind != "attribute"
 
+    def replaced(self, **changes: Any) -> PropertyDef:
+        """dataclasses.replace(self, **changes) without its walk over the
+        fields, which resolving a schema, so every load, pays dozens of times."""
+        get = changes.get
+        return PropertyDef(
+            get("name", self.name), get("origin", self.origin), get("kind", self.kind),
+            get("value_type", self.value_type), get("target", self.target),
+            get("cardinality", self.cardinality), get("inverse", self.inverse),
+            get("source_path", self.source_path), get("binder", self.binder),
+            get("function", self.function),
+        )
+
 
 def merge_key(prop: PropertyDef) -> tuple:
     """What two definitions of one property name must share to merge."""
@@ -156,7 +168,7 @@ def flatten_type(schema: WarehouseSchema, class_name: str) -> list[PropertyDef]:
     for owner in (*transitive_supers(schema, class_name), class_name):
         for p in schema.get_class(owner).structure:
             prior = out.setdefault(p.name, p)
-            if merge_key(prior) != merge_key(p):
+            if prior is not p and merge_key(prior) != merge_key(p):
                 raise PropertyConflict(
                     f"{class_name!r} inherits conflicting definitions of {p.name!r}"
                 )
@@ -191,6 +203,8 @@ def transitive_supers(schema: WarehouseSchema, class_name: str) -> tuple[str, ..
     its own supers, supers in declared order. A class met again on its
     own path raises InheritanceCycle naming the path, as "A -> B -> A";
     an unknown class raises UnknownClass."""
+    if not schema.get_class(class_name).supers:  # a root, which resolving meets often
+        return ()
     return lineage(class_name, lambda n: schema.get_class(n).supers)[:-1]
 
 
@@ -538,8 +552,8 @@ class WarehouseObject:
     archives: list[ArchiveState] = field(default_factory=list)
     status: str = "active"  # active | frozen
     source_key: tuple[tuple[str, str | Oid], ...] = ()
-    _load: Callable[[], tuple[State, list[State], list[ArchiveState]]] | None = field(
-        default=None, repr=False, compare=False
+    _load: Callable[[WarehouseObject], tuple[State, list[State], list[ArchiveState]]] | None = (
+        field(default=None, repr=False, compare=False)
     )
     line: bytes | None = field(default=None, repr=False, compare=False)
     crc: int | None = field(default=None, repr=False, compare=False)
@@ -551,11 +565,11 @@ class WarehouseObject:
         class_name: str,
         status: str,
         source_key: tuple[tuple[str, str | Oid], ...],
-        load: Callable[[], tuple[State, list[State], list[ArchiveState]]],
+        load: Callable[[WarehouseObject], tuple[State, list[State], list[ArchiveState]]],
         line: bytes | None = None,
         crc: int | None = None,
     ) -> WarehouseObject:
-        """An object whose current, past and archive states load() returns
+        """An object whose current, past and archive states load(obj) returns
         on their first read."""
         obj = cls.__new__(cls)
         obj.oid = oid
@@ -602,7 +616,7 @@ class WarehouseObject:
         load = self._load if name in ("current", "past", "archives") else None
         if load is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.current, self.past, self.archives = load()
+        self.current, self.past, self.archives = load(self)
         self._load = None
         return getattr(self, name)
 

@@ -950,6 +950,29 @@ class TestInProcess:
         assert capsys.readouterr().out.startswith(("class ", "object 3 "))
         assert len(seen) == decoded
 
+    @pytest.mark.parametrize(
+        "flags, decoded", [([], set()), (["--oid", "3", "--history"], {3})],
+        ids=["listing", "history"],
+    )
+    def test_a_load_leaves_deferred_every_object_it_does_not_show(
+        self, refreshed, capsys, monkeypatch, flags, decoded
+    ):
+        store = engine.load_store(refreshed)
+        assert store.objects and not any(obj.decoded for obj in store.objects.values())
+        loaded = []
+        load = engine.load_store
+
+        def kept(path):
+            loaded.append(load(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(engine, "load_store", kept)
+        argv = ["inspect", "--store", refreshed, "--class", "Hôpitaux_Publics", *flags]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith(("class ", "object 3 "))
+        (store,) = loaded
+        assert {oid for oid, obj in store.objects.items() if obj.decoded} == decoded
+
     @pytest.mark.parametrize("writer", [v5_text, v4_text, v3_text], ids=["v5", "v4", "v3"])
     @pytest.mark.parametrize(
         "flags, decoded", [([], 0), (["--oid", "3", "--history"], 1)], ids=["listing", "history"]

@@ -88,8 +88,15 @@ def test_texts_and_errors_keep_their_positions(text):
     assert outcome(tokenize, text) == outcome(reference_tokenize, text)
 
 
+# whitespace the lexer does not skip (form feed, vertical tab, no-break
+# space, line separator) and a letter outside the BMP ride along
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet=' \t\r\n/"\\:<=>!-.,;(){}≠≤≥∋#@aé_Z09', max_size=40))
+@given(
+    st.text(
+        alphabet=' \t\r\n\f\v\u00a0\u2028/"\\:<=>!-.,;(){}≠≤≥∋#@aé_Z09\U0001d465',
+        max_size=40,
+    )
+)
 def test_random_texts_tokenize_as_before(text):
     assert outcome(tokenize, text) == outcome(reference_tokenize, text)
 

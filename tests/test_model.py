@@ -1,6 +1,8 @@
 """Warehouse model: flattening, filters, subclass laws, schema checks,
 object states."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from tdw.errors import InheritanceCycle, PropertyConflict, UnknownClass, UnknownEnvironment
@@ -39,6 +41,14 @@ def mini_schema(classes, environments=()):
     for env in environments:
         schema.environments[env.name] = env
     return schema
+
+
+def test_a_replaced_property_is_what_dataclasses_replace_makes():
+    prop = PropertyDef("r", "derived", "association", None, "A", "many", "s", ("x",), "b", "count")
+    assert prop.replaced() == prop
+    for f in fields(PropertyDef):  # a field replaced leaves out, or sets in another's place
+        value = object()
+        assert prop.replaced(**{f.name: value}) == replace(prop, **{f.name: value})
 
 
 class TestFlattenType:
@@ -428,7 +438,8 @@ def deferred_fig3(loads: list) -> WarehouseObject:
     load is counted in loads."""
     whole = fig3_object()
 
-    def load():
+    def load(obj):
+        assert obj.oid == whole.oid  # the object whose states it loads
         loads.append(1)
         return whole.current, whole.past, whole.archives
 
@@ -456,6 +467,16 @@ class TestDeferredObject:
                 obj.fantôme
         with pytest.raises(AttributeError):  # not a RecursionError
             empty.current
+
+    def test_a_deferred_state_has_no_other_attribute(self):
+        state = State.deferred(b'{"domain":[[1990,1990]],"value":{}}', object(), {})
+        with pytest.raises(AttributeError, match="'State' object has no attribute 'fantôme'"):
+            state.fantôme
+
+    def test_a_state_equals_no_other_type(self):
+        state = fig3_object().current
+        assert state.__eq__(state.value) is NotImplemented
+        assert state != state.value and state == fig3_object().current
 
     def test_copy_of_a_deferred_object_decodes_it(self):
         loads = []

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from tdw.errors import MixedUnits, UnknownUnit
 from tdw.temporal import (
     Instant,
+    Interval,
     TemporalDomain,
     coalesce,
     compare_units,
@@ -120,6 +121,10 @@ class TestCoalesce:
     def test_mixed_units_rejected(self):
         with pytest.raises(MixedUnits):
             coalesce([interval("month", 0, 1)], "year")
+
+    def test_an_interval_with_bounds_in_two_units_is_rejected(self):
+        with pytest.raises(MixedUnits, match="interval bounds use 'year' and 'month'"):
+            Interval(Instant("year", 1990), Instant("month", 5))
 
 
 class TestValidateDomain:
