@@ -53,10 +53,11 @@ A domain is written as its intervals, in the store's one unit.
 load_store builds every object from its index entry as a deferred
 WarehouseObject, whose state slots stay empty until their first read
 decodes the object's line, so a query decodes only the objects it
-shows; objects are slotted, and share their loader, since a load builds
-one for every entry of the index. Then it reads each specialization in the order a refresh
-evaluates them: a membership's header set, checked against its operand,
-and each composite's key, checked against its operands' objects.
+shows; objects are slotted, and share their loader, since a load
+builds one for every entry of the index. Then it reads each
+specialization in the order a refresh evaluates them: a membership's
+header set, checked against its operand, and each composite's key,
+checked against its operands' objects.
 
 A first read checks a v6 line's CRC-32 and decodes its head and the
 newest past state's domain; the other past states stay deferred, each

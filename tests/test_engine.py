@@ -1830,34 +1830,22 @@ class TestPersistence:
     # an oid that equals an integer, as 1.0 or true does, loaded and was
     # written back as read by the next save
     @pytest.mark.parametrize("oid", [1.0, True, "1"], ids=["a-float", "a-bool", "a-string"])
-    def test_an_index_oid_that_is_no_integer_is_refused(self, store, tmp_path, oid):
+    @pytest.mark.parametrize("place", ["index", "membership"])
+    def test_an_oid_that_is_no_integer_is_refused(self, store, tmp_path, place, oid):
         header, rest = dumps_store(store).split("\n", 1)
         head = store_header(header)
-        assert head["objects"][0][0] == 1
-        head["objects"][0][0] = oid
+        assert head["objects"][0][0] == 1 and head["memberships"] == {"Jeunes_Chirurgiens": [1]}
+        if place == "index":
+            head["objects"][0][0] = oid
+            detail = f"oid {oid!r} is a {type(oid).__name__}, not an integer"
+        else:
+            head["memberships"]["Jeunes_Chirurgiens"] = [oid]
+            detail = f"membership 'Jeunes_Chirurgiens' holds oid {oid!r}, not an integer"
         path = tmp_path / "bad.store"
         path.write_text(resealed(sealed_header(head) + "\n" + rest), encoding="utf-8")
         with pytest.raises(Error) as error:
             load_store(str(path))
-        assert str(error.value) == (
-            f"{path}: malformed store document "
-            f"(TypeError: oid {oid!r} is a {type(oid).__name__}, not an integer)"
-        )
-
-    @pytest.mark.parametrize("oid", [1.0, True, "1"], ids=["a-float", "a-bool", "a-string"])
-    def test_a_membership_oid_that_is_no_integer_is_refused(self, store, tmp_path, oid):
-        header, rest = dumps_store(store).split("\n", 1)
-        head = store_header(header)
-        assert head["memberships"] == {"Jeunes_Chirurgiens": [1]}
-        head["memberships"]["Jeunes_Chirurgiens"] = [oid]
-        path = tmp_path / "bad.store"
-        path.write_text(resealed(sealed_header(head) + "\n" + rest), encoding="utf-8")
-        with pytest.raises(Error) as error:
-            load_store(str(path))
-        assert str(error.value) == (
-            f"{path}: malformed store document (TypeError: membership 'Jeunes_Chirurgiens' "
-            f"holds oid {oid!r}, not an integer)"
-        )
+        assert str(error.value) == f"{path}: malformed store document (TypeError: {detail})"
 
     @pytest.mark.parametrize(
         "damage",
