@@ -66,8 +66,8 @@ class PropertyDef:
         return self.kind != "attribute"
 
     def replaced(self, **changes: Any) -> PropertyDef:
-        """dataclasses.replace(self, **changes) without its walk over the
-        fields, which resolving a schema, so every load, pays dozens of times."""
+        """dataclasses.replace(self, **changes), without its walk over the
+        fields: resolving a schema, and so every load, makes dozens."""
         get = changes.get
         return PropertyDef(
             get("name", self.name), get("origin", self.origin), get("kind", self.kind),
